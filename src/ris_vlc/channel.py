@@ -206,33 +206,29 @@ class WallPatch:
 class WallPatchSet:
     """Packed array form of a wall discretization.
 
-    Keeps centers/normals/areas/reflectances as contiguous arrays so the
-    reflection sum vectorizes; iteration yields `WallPatch` records in the
+    Holds only the arrays `centers` and `normals` (n, 3), `areas` and
+    `reflectances` (n,), so the reflection sum vectorizes. Indexing and
+    iteration build `WallPatch` records from the arrays on demand, in the
     fixed construction order (summation order is part of the contract so
     results are bit-stable).
     """
 
     def __init__(self, patches: Sequence[WallPatch]):
-        self._patches = tuple(patches)
-        n = len(self._patches)
-        self.centers = np.zeros((n, 3))
-        self.normals = np.zeros((n, 3))
-        self.areas = np.zeros(n)
-        self.reflectances = np.zeros(n)
-        for i, p in enumerate(self._patches):
-            self.centers[i] = p.center
-            self.normals[i] = p.normal
-            self.areas[i] = p.area
-            self.reflectances[i] = p.reflectance
+        patches = list(patches)
+        self.centers = np.array([p.center for p in patches], dtype=float).reshape(-1, 3)
+        self.normals = np.array([p.normal for p in patches], dtype=float).reshape(-1, 3)
+        self.areas = np.array([p.area for p in patches], dtype=float)
+        self.reflectances = np.array([p.reflectance for p in patches], dtype=float)
 
     def __len__(self) -> int:
-        return len(self._patches)
+        return len(self.areas)
 
     def __iter__(self):
-        return iter(self._patches)
+        return (self[i] for i in range(len(self)))
 
     def __getitem__(self, i: int) -> WallPatch:
-        return self._patches[i]
+        return WallPatch(self.centers[i].copy(), self.normals[i], float(self.areas[i]),
+                         float(self.reflectances[i]))
 
     @classmethod
     def coerce(cls, patches) -> "WallPatchSet":
@@ -246,27 +242,25 @@ class WallPatchSet:
 
         Patch edges are the requested size rounded so each wall is covered
         exactly; ceiling and floor are not tiled (first-bounce model uses
-        wall reflections only).
+        wall reflections only). Patches run wall by wall, row-major in (v, u).
         """
         if patch_size <= 0.0:
             raise ValueError("patch size must be positive")
-        patches = []
+        if not 0.0 <= reflectance <= 1.0:
+            raise ValueError("reflectance must lie in [0, 1]")
+        centers, normals, areas = [], [], []
         for wall in room.walls():
             nu = max(1, round(wall.u_len / patch_size))
             nv = max(1, round(wall.v_len / patch_size))
             du, dv = wall.u_len / nu, wall.v_len / nv
-            for j in range(nv):
-                for i in range(nu):
-                    center = (
-                        wall.origin
-                        + wall.u_axis * ((i + 0.5) * du)
-                        + wall.v_axis * ((j + 0.5) * dv)
-                    )
-                    patches.append(
-                        WallPatch(center=center, normal=wall.normal, area=du * dv,
-                                  reflectance=reflectance)
-                    )
-        return cls(patches)
+            j, i = np.indices((nv, nu)).reshape(2, -1, 1)
+            centers.append(wall.origin + wall.u_axis * ((i + 0.5) * du) + wall.v_axis * ((j + 0.5) * dv))
+            normals.append(np.tile(wall.normal, (nu * nv, 1)))
+            areas.append(np.full(nu * nv, du * dv))
+        pset = cls.__new__(cls)
+        pset.centers, pset.normals, pset.areas = map(np.concatenate, (centers, normals, areas))
+        pset.reflectances = np.full(len(pset.areas), reflectance, dtype=float)
+        return pset
 
 
 def wall_first_reflection_gain(

@@ -85,6 +85,15 @@ def electrical_snr(h, transmit_power: float, noise: NoiseModel) -> float:
     return (value * transmit_power) ** 2 / noise.variance
 
 
+def _airtime_shared_rates(links, constraints: IntensityConstraints, noise: NoiseModel) -> list[float]:
+    """Per-link rates: link_rate(total gain) / (users served by the same AP)."""
+    served = [link.serving_ap for link in links]
+    return [
+        link_rate(link.total_gain, constraints, noise) / served.count(link.serving_ap)
+        for link in links
+    ]
+
+
 def sum_rate(scenario, ris_angles=None) -> float:
     """Network sum rate over all users at the given mirror angles.
 
@@ -95,11 +104,9 @@ def sum_rate(scenario, ris_angles=None) -> float:
     link_rate(total gain) / (number of co-served users).
     """
     links = scenario.evaluate_links(ris_angles)
-    served = [link.serving_ap for link in links]
     total = 0.0
-    for link in links:
-        share = served.count(link.serving_ap)
-        total += link_rate(link.total_gain, scenario.constraints, scenario.noise) / share
+    for rate in _airtime_shared_rates(links, scenario.constraints, scenario.noise):
+        total += rate  # sequential order; np.sum's pairwise order differs in the last bits
     return total
 
 

@@ -208,7 +208,7 @@ def grid_search_oracle(problem: BoundedProblem, resolution_per_dim: int) -> OptR
     return OptResult(best_point, best_value, total, np.array([best_value]))
 
 
-_ALGORITHMS = {"sca": "sca", "pso": "pso", "grid": "grid"}
+_ALGORITHMS = ("sca", "pso", "grid")
 _MODES = {
     "identical": "identical",
     "identical_angles": "identical",

@@ -42,7 +42,8 @@ from .channel import (
     wall_first_reflection_gain,
 )
 from .geometry import CylinderBlocker, Room, Vec3, as_vec3, segments_blocked, segments_blocked_each
-from .metrics import IntensityConstraints, NoiseModel, link_rate
+# link_rate stays importable here: perfbench/spans.py wraps it at this name
+from .metrics import IntensityConstraints, NoiseModel, _airtime_shared_rates, link_rate  # noqa: F401
 from .orientation import DeviceOrientation, OrientationModel, sample_orientation, sample_polar_angles
 from .ris import MirrorArray, element_gains
 
@@ -147,6 +148,25 @@ class LinkEvaluation:
 
 
 @dataclass(frozen=True, eq=False)
+class _ApLink:
+    """Angle-independent fields of one (user, access point) `LinkEvaluation`."""
+
+    h_los: float
+    h_wall: float
+    los_visible: bool
+    fov_ok: bool
+
+
+@dataclass(frozen=True, eq=False)
+class _UserLinks:
+    """One user's receiver and occluders, with an `_ApLink` per access point."""
+
+    rx: PdRx
+    occluders: Tuple[CylinderBlocker, ...]
+    per_ap: Tuple[_ApLink, ...]
+
+
+@dataclass(frozen=True, eq=False)
 class TrialResult:
     """Outcome of one Monte-Carlo trial over all users."""
 
@@ -243,11 +263,12 @@ class Scenario:
     # ---------------------------------------------------------------- gains
 
     @cached_property
-    def _static_links(self):
-        """Angle-independent per-(user, ap) quantities, computed once.
+    def _static_links(self) -> list["_UserLinks"]:
+        """Angle-independent link data, computed once per realized scenario.
 
-        Covers LoS gain, wall gain, visibility, and FoV flags; only the
-        mirror contribution depends on the tunable angles.
+        Per user: its receiver, its occluders (scenario blockers plus its
+        own body) and one `_ApLink` per access point. The LoS blockage test
+        runs once per link; only the mirror term depends on the angles.
         """
         if not self.is_realized:
             raise ValueError("scenario has unsampled users; run trials instead of evaluating")
@@ -260,29 +281,13 @@ class Scenario:
             occluders = self.blockers + ((body,) if body is not None else ())
             per_ap = []
             for ap in self.aps:
-                h_los = los_gain(ap, rx, occluders).h
+                visible = not segments_blocked(ap.position[None, :], rx.position[None, :], occluders)[0]
+                h_los = los_gain(ap, rx).h if visible else 0.0  # los_gain gives 0 when blocked
                 h_wall = wall_first_reflection_gain(ap, rx, self.wall_patches, occluders).h
-                visible = not bool(
-                    segments_blocked(ap.position[None, :], rx.position[None, :], list(occluders))[0]
-                )
                 cos_t = incidence_cosine(ap.position, rx.position, rx.orientation)
-                fov_ok = cos_t >= math.cos(rx.fov)
-                per_ap.append((h_los, h_wall, visible, fov_ok, rx, occluders))
-            table.append(per_ap)
+                per_ap.append(_ApLink(h_los, h_wall, visible, fov_ok=cos_t >= math.cos(rx.fov)))
+            table.append(_UserLinks(rx=rx, occluders=occluders, per_ap=tuple(per_ap)))
         return table
-
-    def _panel_gains(self, user_index: int, ap_index: int, ris_angles) -> float:
-        rx, occluders = self._static_links[user_index][ap_index][4:6]
-        ap = self.aps[ap_index]
-        total = 0.0
-        for p, panel in enumerate(self.ris_panels):
-            yaw = roll = None
-            if ris_angles is not None:
-                yaw, roll = ris_angles[p]
-            total += float(
-                np.add.reduce(element_gains(ap, panel, rx, occluders, yaw=yaw, roll=roll))
-            )
-        return total
 
     def evaluate_links(self, ris_angles=None) -> list[LinkEvaluation]:
         """Per-user gain splits at the given mirror angles.
@@ -293,34 +298,23 @@ class Scenario:
         go to the lowest index.
         """
         ris_angles = _normalize_angles(self, ris_angles)
-        table = self._static_links  # raises early on unsampled users or no APs
         links = []
-        for u in range(len(self.users)):
-            best = None
-            for a in range(len(self.aps)):
-                h_los, h_wall, visible, fov_ok = table[u][a][:4]
-                h_ris = self._panel_gains(u, a, ris_angles)
-                total = h_los + h_wall + h_ris
-                if best is None or total > best[0]:
-                    best = (total, a, h_los, h_wall, h_ris, visible, fov_ok)
-            _, a, h_los, h_wall, h_ris, visible, fov_ok = best
-            links.append(
-                LinkEvaluation(
-                    user_index=u,
-                    serving_ap=a,
-                    h_los=h_los,
-                    h_wall=h_wall,
-                    h_ris=h_ris,
-                    los_visible=visible,
-                    fov_ok=fov_ok,
-                )
-            )
+        for u, user in enumerate(self._static_links):  # raises on unsampled users or no APs
+            candidates = []
+            for a, (ap, static) in enumerate(zip(self.aps, user.per_ap)):
+                h_ris = 0.0
+                for panel, (yaw, roll) in zip(self.ris_panels, ris_angles):
+                    gains = element_gains(ap, panel, user.rx, user.occluders, yaw=yaw, roll=roll)
+                    h_ris += float(np.add.reduce(gains))
+                candidates.append(LinkEvaluation(user_index=u, serving_ap=a, h_ris=h_ris, **vars(static)))
+            # max keeps the first of equal gains, so ties go to the lowest index
+            links.append(max(candidates, key=lambda link: link.total_gain))
         return links
 
 
 def _normalize_angles(scenario: Scenario, ris_angles):
     if ris_angles is None:
-        return None
+        return [(None, None)] * len(scenario.ris_panels)
     pairs = list(ris_angles)
     if len(pairs) != len(scenario.ris_panels):
         raise ValueError(
@@ -342,14 +336,7 @@ def run_trial(scenario: Scenario, trial_seed) -> TrialResult:
     rng = np.random.default_rng(trial_seed)
     realized = realize(scenario, rng)
     links = realized.evaluate_links()
-    served = [link.serving_ap for link in links]
-    rates = np.array(
-        [
-            link_rate(link.total_gain, scenario.constraints, scenario.noise)
-            / served.count(link.serving_ap)
-            for link in links
-        ]
-    )
+    rates = np.array(_airtime_shared_rates(links, scenario.constraints, scenario.noise))
     return TrialResult(
         h_los=np.array([l.h_los for l in links]),
         h_wall=np.array([l.h_wall for l in links]),

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ris_vlc.channel import (
     ChannelGain,
@@ -18,7 +20,7 @@ from ris_vlc.channel import (
     radiant_intensity,
     wall_first_reflection_gain,
 )
-from ris_vlc.geometry import CylinderBlocker
+from ris_vlc.geometry import CylinderBlocker, Room
 from ris_vlc.orientation import DeviceOrientation
 
 TX = LedTx(position=(2.5, 2.5, 3.0), normal=(0.0, 0.0, -1.0),
@@ -204,3 +206,99 @@ def test_wall_patch_validation():
         WallPatch(center=(0, 0, 0), normal=(1, 0, 0), area=0.0, reflectance=0.5)
     with pytest.raises(ValueError):
         WallPatch(center=(0, 0, 0), normal=(1, 0, 0), area=0.01, reflectance=1.2)
+
+
+_PATCH_ARRAYS = ("centers", "normals", "areas", "reflectances")
+
+
+def _for_room_loop(room, patch_size, reflectance):
+    """Reference tiling: one validated record per patch, copied into arrays.
+
+    This is the per-patch loop that `WallPatchSet.for_room` replaced with
+    one array expression per wall; it returns the records and the arrays.
+    """
+    patches = []
+    for wall in room.walls():
+        nu = max(1, round(wall.u_len / patch_size))
+        nv = max(1, round(wall.v_len / patch_size))
+        du, dv = wall.u_len / nu, wall.v_len / nv
+        for j in range(nv):
+            for i in range(nu):
+                center = (
+                    wall.origin
+                    + wall.u_axis * ((i + 0.5) * du)
+                    + wall.v_axis * ((j + 0.5) * dv)
+                )
+                patches.append(WallPatch(center=center, normal=wall.normal, area=du * dv,
+                                         reflectance=reflectance))
+    n = len(patches)
+    arrays = {"centers": np.zeros((n, 3)), "normals": np.zeros((n, 3)),
+              "areas": np.zeros(n), "reflectances": np.zeros(n)}
+    for k, p in enumerate(patches):
+        arrays["centers"][k] = p.center
+        arrays["normals"][k] = p.normal
+        arrays["areas"][k] = p.area
+        arrays["reflectances"][k] = p.reflectance
+    return patches, arrays
+
+
+def _assert_same_bits(pset, arrays):
+    for name in _PATCH_ARRAYS:
+        got, want = getattr(pset, name), arrays[name]
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "dims, patch_size",
+    [
+        ((5.0, 5.0, 3.0), 0.05),  # 24 000 patches
+        ((7.3, 4.1, 2.9), 0.07),  # sizes that do not divide the walls evenly
+        ((5.0, 4.0, 3.0), 0.5),
+        ((2.0, 1.5, 1.0), 3.0),  # patch larger than every wall: one per wall
+        ((1.0, 0.3, 2.5), 0.7),  # patch larger than the short walls only
+    ],
+)
+def test_for_room_matches_per_patch_loop(dims, patch_size):
+    room = Room(*dims)
+    _, arrays = _for_room_loop(room, patch_size, 0.7)
+    _assert_same_bits(WallPatchSet.for_room(room, patch_size, 0.7), arrays)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    dims=st.tuples(st.floats(0.2, 6.0), st.floats(0.2, 6.0), st.floats(0.2, 4.0)),
+    patch_size=st.floats(0.2, 8.0),
+    reflectance=st.floats(0.0, 1.0),
+)
+def test_for_room_matches_per_patch_loop_on_random_rooms(dims, patch_size, reflectance):
+    room = Room(*dims)
+    _, arrays = _for_room_loop(room, patch_size, reflectance)
+    _assert_same_bits(WallPatchSet.for_room(room, patch_size, reflectance), arrays)
+
+
+def test_wall_patch_set_records_round_trip():
+    room = Room(7.3, 4.1, 2.9)
+    ps = WallPatchSet.for_room(room, 0.5, 0.7)
+    patches, arrays = _for_room_loop(room, 0.5, 0.7)
+    assert len(ps) == len(patches)
+    for got, want in zip(ps, patches):
+        np.testing.assert_array_equal(got.center, want.center)
+        np.testing.assert_array_equal(got.normal, want.normal)
+        assert (got.area, got.reflectance) == (want.area, want.reflectance)
+    np.testing.assert_array_equal(ps[-1].center, patches[-1].center)
+    _assert_same_bits(WallPatchSet(list(ps)), arrays)
+    _assert_same_bits(WallPatchSet(patches), arrays)
+    # records are built on demand: changing one leaves the set alone
+    ps[0].center[0] = -1.0
+    assert ps.centers[0, 0] == arrays["centers"][0, 0]
+
+    empty = WallPatchSet([])
+    assert len(empty) == 0 and empty.centers.shape == (0, 3)
+    assert wall_first_reflection_gain(TX, RX, empty).h == 0.0
+
+    for bad in (1.2, -0.1, math.nan):
+        with pytest.raises(ValueError):
+            WallPatchSet.for_room(room, reflectance=bad)
+    with pytest.raises(ValueError):
+        WallPatchSet.for_room(room, patch_size=0.0)

@@ -160,7 +160,8 @@ def test_optimize_mirror_angles_mode_aliases_and_errors():
     b = optimize_mirror_angles(deployment, algorithm="sca", mode="identical_angles",
                                seed=5, sca_params=SMALL_SCA)
     assert a.sum_rate == b.sum_rate
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown algorithm 'annealing'; expected one of "
+                                         r"\['grid', 'pso', 'sca'\]$"):
         optimize_mirror_angles(deployment, algorithm="annealing")
     with pytest.raises(ValueError):
         optimize_mirror_angles(deployment, mode="mirrorwise")

@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from ris_vlc.channel import LedTx
-from ris_vlc.geometry import CylinderBlocker, Room
+from ris_vlc.channel import LedTx, incidence_cosine, los_gain, wall_first_reflection_gain
+from ris_vlc.geometry import CylinderBlocker, Room, segments_blocked
 from ris_vlc.metrics import link_rate
 from ris_vlc.orientation import DeviceOrientation
 from ris_vlc.ris import MirrorArray
@@ -298,6 +298,32 @@ def test_evaluate_links_serving_ap_maximizes_total_gain():
     assert links[0].total_gain == pytest.approx(
         links[0].h_los + links[0].h_wall + links[0].h_ris, rel=1e-15
     )
+
+
+def test_evaluate_links_matches_direct_channel_calls():
+    # user 0 sits behind the pinned cylinder and keeps AP 0; user 1 has a
+    # clear LoS to the corner AP 1
+    base = blocked_benchmark_scenario()
+    clear = UserSpec(position=(1.0, 1.0, 0.75), fixed_orientation=DeviceOrientation(0.2, 0.5),
+                     self_blockage=False)
+    s = dataclasses.replace(
+        base,
+        aps=base.aps + (LedTx(position=(0.5, 0.5, 3.0)),),
+        users=base.users + (clear,),
+    )
+    links = s.evaluate_links()
+    assert [(link.serving_ap, link.los_visible) for link in links] == [(0, False), (1, True)]
+    for link, user in zip(links, s.users):
+        ap, rx = s.aps[link.serving_ap], user.receiver()
+        body = user.body_cylinder()
+        occluders = s.blockers + ((body,) if body is not None else ())
+        blocked = segments_blocked(ap.position[None, :], rx.position[None, :], occluders)[0]
+        assert link.los_visible == (not blocked)
+        assert link.h_los == los_gain(ap, rx, occluders).h
+        assert link.h_wall == wall_first_reflection_gain(ap, rx, s.wall_patches, occluders).h
+        cos_t = incidence_cosine(ap.position, rx.position, rx.orientation)
+        assert link.fov_ok == (cos_t >= math.cos(rx.fov))
+    assert links[0].h_los == 0.0 and links[1].h_los > 0.0
 
 
 def test_evaluate_links_rejects_wrong_angle_count():
