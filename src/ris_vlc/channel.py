@@ -169,7 +169,7 @@ def los_gain(tx: LedTx, rx: PdRx, blockers: Iterable[CylinderBlocker] = ()) -> C
         cos_phi <= 0.0
         or cos_theta < math.cos(rx.fov)
         or cos_theta < 0.0
-        or not los_visible(tx.position, rx.position, blockers)
+        or (blockers and not los_visible(tx.position, rx.position, blockers))
     ):
         return ChannelGain(0.0, PathKind.LOS)
     m = tx.lambertian_order
@@ -263,6 +263,51 @@ class WallPatchSet:
         return pset
 
 
+@dataclass(frozen=True, eq=False)
+class ReflectionLegs:
+    """Reflector-independent legs of LED -> point -> photodiode paths, one row per point.
+
+    `d1`, `u1`, `cos_phi1`: LED-to-point length, unit direction and irradiance
+    cosine; `d2`, `u2`, `cos_t2`: point-to-photodiode length, direction and
+    incidence cosine. `clear` marks points the LED faces, seen inside the FoV,
+    with neither leg blocked. Read-only, so one record serves many evaluations.
+    """
+
+    d1: np.ndarray
+    u1: np.ndarray
+    cos_phi1: np.ndarray
+    d2: np.ndarray
+    u2: np.ndarray
+    cos_t2: np.ndarray
+    clear: np.ndarray
+
+    def __post_init__(self):
+        for array in vars(self).values():
+            array.flags.writeable = False
+
+
+def reflection_legs(tx: LedTx, points: np.ndarray, rx: PdRx,
+                    blockers: Iterable[CylinderBlocker] = ()) -> ReflectionLegs:
+    """Leg geometry and blockage of first-order reflections through (n, 3) `points`.
+
+    Wall patches and mirror elements share it and add only the terms of their
+    own normals: cos(t1) at the point, then cos(phi2) or the specular lobe.
+    """
+    blockers = list(blockers)
+    v1, v2 = points - tx.position, rx.position - points
+    d1, d2 = np.linalg.norm(v1, axis=1), np.linalg.norm(v2, axis=1)
+    if np.any(d1 <= 0.0) or np.any(d2 <= 0.0):
+        raise ValueError("a reflecting point coincides with the transmitter or the receiver")
+    u1, u2 = v1 / d1[:, None], v2 / d2[:, None]
+    cos_phi1, cos_t2 = u1 @ tx.normal, -(u2 @ rx.orientation.normal)
+    clear = (cos_phi1 > 0.0) & (cos_t2 >= math.cos(rx.fov)) & (cos_t2 >= 0.0)
+    if blockers and np.any(clear):
+        clear &= ~segments_blocked(np.broadcast_to(tx.position, points.shape), points, blockers)
+    if blockers and np.any(clear):
+        clear &= ~segments_blocked(points, np.broadcast_to(rx.position, points.shape), blockers)
+    return ReflectionLegs(d1, u1, cos_phi1, d2, u2, cos_t2, clear)
+
+
 def wall_first_reflection_gain(
     tx: LedTx,
     rx: PdRx,
@@ -282,52 +327,24 @@ def wall_first_reflection_gain(
     sub-segment. Patches are summed in construction order.
     """
     pset = WallPatchSet.coerce(patches)
-    blockers = list(blockers)
     if len(pset) == 0:
         return ChannelGain(0.0, PathKind.WALL_NLOS)
+    legs = reflection_legs(tx, pset.centers, rx, blockers)
+    cos_t1 = -np.einsum("ij,ij->i", legs.u1, pset.normals)
+    cos_phi2 = np.einsum("ij,ij->i", legs.u2, pset.normals)
+    ok = legs.clear & (cos_t1 > 0.0) & (cos_phi2 > 0.0)
 
     m = tx.lambertian_order
-    tx_pos, rx_pos = tx.position, rx.position
-
-    v1 = pset.centers - tx_pos
-    d1 = np.linalg.norm(v1, axis=1)
-    if np.any(d1 <= 0.0):
-        raise ValueError("a wall patch coincides with the transmitter")
-    u1 = v1 / d1[:, None]
-    cos_phi1 = u1 @ tx.normal
-    cos_t1 = -np.einsum("ij,ij->i", u1, pset.normals)
-
-    v2 = rx_pos - pset.centers
-    d2 = np.linalg.norm(v2, axis=1)
-    if np.any(d2 <= 0.0):
-        raise ValueError("a wall patch coincides with the receiver")
-    u2 = v2 / d2[:, None]
-    cos_phi2 = np.einsum("ij,ij->i", u2, pset.normals)
-    cos_t2 = -(u2 @ rx.orientation.normal)
-
-    ok = (
-        (cos_phi1 > 0.0)
-        & (cos_t1 > 0.0)
-        & (cos_phi2 > 0.0)
-        & (cos_t2 >= math.cos(rx.fov))
-        & (cos_t2 >= 0.0)
-    )
-    if blockers and np.any(ok):
-        ok &= ~segments_blocked(np.broadcast_to(tx_pos, pset.centers.shape), pset.centers, blockers)
-    if blockers and np.any(ok):
-        ok &= ~segments_blocked(pset.centers, np.broadcast_to(rx_pos, pset.centers.shape), blockers)
-
-    base = np.where(ok, cos_phi1, 0.0)
     terms = (
         pset.reflectances
         * (m + 1.0)
         * rx.area
-        / (2.0 * math.pi**2 * d1**2 * d2**2)
+        / (2.0 * math.pi**2 * legs.d1**2 * legs.d2**2)
         * pset.areas
-        * base**m
+        * np.where(ok, legs.cos_phi1, 0.0) ** m
         * np.where(ok, cos_t1, 0.0)
         * np.where(ok, cos_phi2, 0.0)
-        * np.where(ok, cos_t2, 0.0)
+        * np.where(ok, legs.cos_t2, 0.0)
         * rx.filter_gain
         * rx.concentrator
     )

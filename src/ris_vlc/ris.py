@@ -18,6 +18,12 @@ conserved up to rho_m. The lobe keeps the gain continuous in the mirror
 angles, which metaheuristic optimizers need; as sigma -> 0 it sharpens
 toward an ideal mirror.
 
+Only the element normals (cos t1, the specular direction, psi) depend on
+yaw and roll. d1, d2, cos(phi1), cos(t2), the FoV gate and leg blockage
+come from `channel.reflection_legs`, which a realized scenario builds once
+per (user, AP, panel); `steered_gains` adds the angle terms. `element_gains`
+is exactly the two steps, so both routes give bit-identical gains.
+
 The liquid-crystal receiver surrogate multiplies a gain by a transmittance
 and an amplification inside a configurable effective field of view; the
 underlying voltage-controlled physics is summarized by those three numbers.
@@ -26,14 +32,15 @@ underlying voltage-controlled physics is summarized by those three numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from .channel import ChannelGain, LedTx, PathKind, PdRx
-from .geometry import CylinderBlocker, Vec3, as_vec3, segments_blocked, unit
+from .channel import ChannelGain, LedTx, PathKind, PdRx, ReflectionLegs, reflection_legs
+# segments_blocked stays importable here: perfbench/spans.py wraps it at this name
+from .geometry import CylinderBlocker, Vec3, as_vec3, segments_blocked, unit  # noqa: F401
 
 ANGLE_LIMIT = math.pi / 2.0
 
@@ -144,17 +151,7 @@ class MirrorArray:
 
     def with_angles(self, yaw, roll) -> "MirrorArray":
         """Same panel with new angle matrices (clamped by construction)."""
-        return MirrorArray(
-            panel_center=self.panel_center,
-            base_normal=self.base_normal,
-            rows=self.rows,
-            cols=self.cols,
-            element_size=self.element_size,
-            reflectivity=self.reflectivity,
-            beam_spread=self.beam_spread,
-            yaw=yaw,
-            roll=roll,
-        )
+        return replace(self, yaw=yaw, roll=roll)
 
     def with_identical_angles(self, yaw: float, roll: float) -> "MirrorArray":
         """Broadcast one yaw/roll pair to every element."""
@@ -174,55 +171,39 @@ def element_gains(
     `yaw`/`roll` override the stored matrices (scalars broadcast) so that
     optimizer candidates evaluate without rebuilding the panel.
     """
-    yaw_m = array.yaw if yaw is None else np.clip(np.broadcast_to(
-        np.asarray(yaw, dtype=float), (array.rows, array.cols)), -ANGLE_LIMIT, ANGLE_LIMIT)
-    roll_m = array.roll if roll is None else np.clip(np.broadcast_to(
-        np.asarray(roll, dtype=float), (array.rows, array.cols)), -ANGLE_LIMIT, ANGLE_LIMIT)
-    blockers = list(blockers)
+    legs = reflection_legs(tx, array.element_centers, rx, blockers)
+    return steered_gains(tx, array, rx, legs, yaw=yaw, roll=roll)
 
-    centers = array.element_centers
+
+def steered_gains(tx: LedTx, array: MirrorArray, rx: PdRx, legs: ReflectionLegs,
+                  yaw: Optional[np.ndarray] = None, roll: Optional[np.ndarray] = None) -> np.ndarray:
+    """The angle step of `element_gains`, on `reflection_legs(tx, array.element_centers, rx, ...)`."""
+    yaw_m = array.yaw if yaw is None else array._coerce_angles(yaw)
+    roll_m = array.roll if roll is None else array._coerce_angles(roll)
     normals = _mirror_normals(yaw_m.ravel(), roll_m.ravel(), array.base_normal)
     m = tx.lambertian_order
     sigma = array.beam_spread
 
-    v1 = centers - tx.position
-    d1 = np.linalg.norm(v1, axis=1)
-    if np.any(d1 <= 0.0):
-        raise ValueError("a mirror element coincides with the transmitter")
-    u1 = v1 / d1[:, None]
-    cos_phi1 = u1 @ tx.normal
-    cos_t1 = -np.einsum("ij,ij->i", u1, normals)
-
-    refl = u1 - 2.0 * np.einsum("ij,ij->i", u1, normals)[:, None] * normals
-
-    v2 = rx.position - centers
-    d2 = np.linalg.norm(v2, axis=1)
-    if np.any(d2 <= 0.0):
-        raise ValueError("a mirror element coincides with the receiver")
-    u2 = v2 / d2[:, None]
-    psi = np.arccos(np.clip(np.einsum("ij,ij->i", refl, u2), -1.0, 1.0))
-    cos_t2 = -(u2 @ rx.orientation.normal)
-
-    ok = (cos_phi1 > 0.0) & (cos_t1 > 0.0) & (cos_t2 >= math.cos(rx.fov)) & (cos_t2 >= 0.0)
-    if blockers and np.any(ok):
-        ok &= ~segments_blocked(np.broadcast_to(tx.position, centers.shape), centers, blockers)
-    if blockers and np.any(ok):
-        ok &= ~segments_blocked(centers, np.broadcast_to(rx.position, centers.shape), blockers)
+    u1_dot_n = np.einsum("ij,ij->i", legs.u1, normals)
+    cos_t1 = -u1_dot_n
+    refl = legs.u1 - 2.0 * u1_dot_n[:, None] * normals
+    psi = np.arccos(np.clip(np.einsum("ij,ij->i", refl, legs.u2), -1.0, 1.0))
+    ok = legs.clear & (cos_t1 > 0.0)
 
     capture = (
         (m + 1.0)
         * array.element_area
-        / (2.0 * math.pi * d1**2)
-        * np.where(ok, cos_phi1, 0.0) ** m
+        / (2.0 * math.pi * legs.d1**2)
+        * np.where(ok, legs.cos_phi1, 0.0) ** m
         * np.where(ok, cos_t1, 0.0)
     )
-    lobe = np.exp(-0.5 * (psi / sigma) ** 2) / (2.0 * math.pi * sigma**2 * d2**2)
+    lobe = np.exp(-0.5 * (psi / sigma) ** 2) / (2.0 * math.pi * sigma**2 * legs.d2**2)
     gains = (
         array.reflectivity
         * capture
         * lobe
         * rx.area
-        * np.where(ok, cos_t2, 0.0)
+        * np.where(ok, legs.cos_t2, 0.0)
         * rx.filter_gain
         * rx.concentrator
     )
@@ -238,19 +219,8 @@ def mirror_element_gain(
 ) -> ChannelGain:
     """Reflected-path gain of a single element at (center, yaw, roll)."""
     center, yaw, roll = element_pose
-    one = MirrorArray(
-        panel_center=as_vec3(center),
-        base_normal=array.base_normal,
-        rows=1,
-        cols=1,
-        element_size=array.element_size,
-        reflectivity=array.reflectivity,
-        beam_spread=array.beam_spread,
-        yaw=float(yaw),
-        roll=float(roll),
-    )
-    h = float(element_gains(tx, one, rx, blockers)[0])
-    return ChannelGain(h, PathKind.RIS_NLOS)
+    one = replace(array, panel_center=as_vec3(center), rows=1, cols=1, yaw=float(yaw), roll=float(roll))
+    return ChannelGain(float(element_gains(tx, one, rx, blockers)[0]), PathKind.RIS_NLOS)
 
 
 def array_gain(

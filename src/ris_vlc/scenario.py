@@ -36,16 +36,19 @@ from .channel import (
     LedTx,
     PathKind,
     PdRx,
+    ReflectionLegs,
     WallPatchSet,
     incidence_cosine,
     los_gain,
+    reflection_legs,
     wall_first_reflection_gain,
 )
 from .geometry import CylinderBlocker, Room, Vec3, as_vec3, segments_blocked, segments_blocked_each
 # link_rate stays importable here: perfbench/spans.py wraps it at this name
 from .metrics import IntensityConstraints, NoiseModel, _airtime_shared_rates, link_rate  # noqa: F401
 from .orientation import DeviceOrientation, OrientationModel, sample_orientation, sample_polar_angles
-from .ris import MirrorArray, element_gains
+# element_gains stays importable here: perfbench/spans.py wraps it at this name
+from .ris import MirrorArray, element_gains, steered_gains  # noqa: F401
 
 THREADS_ENV_VAR = "RIS_VLC_THREADS"
 
@@ -149,12 +152,13 @@ class LinkEvaluation:
 
 @dataclass(frozen=True, eq=False)
 class _ApLink:
-    """Angle-independent fields of one (user, access point) `LinkEvaluation`."""
+    """Angle-independent `LinkEvaluation` fields of one (user, AP) link, and its legs per panel."""
 
     h_los: float
     h_wall: float
     los_visible: bool
     fov_ok: bool
+    mirror_legs: Tuple[ReflectionLegs, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,7 +272,8 @@ class Scenario:
 
         Per user: its receiver, its occluders (scenario blockers plus its
         own body) and one `_ApLink` per access point. The LoS blockage test
-        runs once per link; only the mirror term depends on the angles.
+        and the mirror element legs run once per link, so an angle
+        evaluation computes only the angle terms of the mirror gain.
         """
         if not self.is_realized:
             raise ValueError("scenario has unsampled users; run trials instead of evaluating")
@@ -285,7 +290,9 @@ class Scenario:
                 h_los = los_gain(ap, rx).h if visible else 0.0  # los_gain gives 0 when blocked
                 h_wall = wall_first_reflection_gain(ap, rx, self.wall_patches, occluders).h
                 cos_t = incidence_cosine(ap.position, rx.position, rx.orientation)
-                per_ap.append(_ApLink(h_los, h_wall, visible, fov_ok=cos_t >= math.cos(rx.fov)))
+                legs = tuple(reflection_legs(ap, panel.element_centers, rx, occluders)
+                             for panel in self.ris_panels)
+                per_ap.append(_ApLink(h_los, h_wall, visible, cos_t >= math.cos(rx.fov), legs))
             table.append(_UserLinks(rx=rx, occluders=occluders, per_ap=tuple(per_ap)))
         return table
 
@@ -303,10 +310,12 @@ class Scenario:
             candidates = []
             for a, (ap, static) in enumerate(zip(self.aps, user.per_ap)):
                 h_ris = 0.0
-                for panel, (yaw, roll) in zip(self.ris_panels, ris_angles):
-                    gains = element_gains(ap, panel, user.rx, user.occluders, yaw=yaw, roll=roll)
+                for panel, legs, (yaw, roll) in zip(self.ris_panels, static.mirror_legs, ris_angles):
+                    gains = steered_gains(ap, panel, user.rx, legs, yaw=yaw, roll=roll)
                     h_ris += float(np.add.reduce(gains))
-                candidates.append(LinkEvaluation(user_index=u, serving_ap=a, h_ris=h_ris, **vars(static)))
+                candidates.append(LinkEvaluation(
+                    user_index=u, serving_ap=a, h_los=static.h_los, h_wall=static.h_wall, h_ris=h_ris,
+                    los_visible=static.los_visible, fov_ok=static.fov_ok))
             # max keeps the first of equal gains, so ties go to the lowest index
             links.append(max(candidates, key=lambda link: link.total_gain))
         return links
@@ -350,23 +359,20 @@ def run_trial(scenario: Scenario, trial_seed) -> TrialResult:
 
 def realize(scenario: Scenario, rng: np.random.Generator) -> Scenario:
     """Sample every unpinned position/orientation into a concrete scenario."""
-    blockers = list(scenario.blockers)
-    if scenario.blocker_population is not None:
-        pop = scenario.blocker_population
-        # keep cylinders fully inside: base at least one radius from each wall
-        for _ in range(pop.count):
-            x = rng.uniform(pop.radius, scenario.room.length - pop.radius)
-            y = rng.uniform(pop.radius, scenario.room.width - pop.radius)
-            blockers.append(
-                CylinderBlocker(base_center=np.array([x, y, 0.0]), radius=pop.radius,
-                                height=pop.height)
-            )
+    blockers, pop, room = list(scenario.blockers), scenario.blocker_population, scenario.room
+    if pop is not None and pop.count > 0:
+        # keep cylinders fully inside: base at least one radius from each wall;
+        # row-major draws give the same (x, y) stream as one call per coordinate
+        xy = rng.uniform([pop.radius] * 2, [room.length - pop.radius, room.width - pop.radius],
+                         size=(pop.count, 2))
+        blockers += [CylinderBlocker(base_center=np.array([x, y, 0.0]), radius=pop.radius,
+                                     height=pop.height) for x, y in xy]
     users = []
     for user in scenario.users:
         position = user.position
         if position is None:
-            x = rng.uniform(0.0, scenario.room.length)
-            y = rng.uniform(0.0, scenario.room.width)
+            x = rng.uniform(0.0, room.length)
+            y = rng.uniform(0.0, room.width)
             position = np.array([x, y, user.height])
         orientation = user.fixed_orientation
         if orientation is None:
@@ -636,6 +642,9 @@ def _scenario_from_document(doc: dict) -> Scenario:
                 polar=math.radians(float(osec.get("polar_deg", 0.0))),
                 azimuth=math.radians(float(osec.get("azimuth_deg", 0.0))),
             )
+        self_blockage = sec.get("self_blockage", True)
+        if not isinstance(self_blockage, bool):
+            raise ConfigError(f"users[{i}].self_blockage must be true or false, got {self_blockage!r}")
         template = UserSpec(
             position=as_vec3(sec["position"]) if "position" in sec else None,
             height=float(sec.get("height", DEFAULT_USER_HEIGHT)),
@@ -644,7 +653,7 @@ def _scenario_from_document(doc: dict) -> Scenario:
             filter_gain=float(sec.get("filter_gain", 1.0)),
             refractive_index=float(sec.get("refractive_index", 1.5)),
             fixed_orientation=orientation,
-            self_blockage=bool(sec.get("self_blockage", True)),
+            self_blockage=self_blockage,
             body_offset=float(sec.get("body_offset", DEFAULT_BODY_OFFSET)),
             body_radius=float(sec.get("body_radius", DEFAULT_BODY_RADIUS)),
             body_height=float(sec.get("body_height", DEFAULT_BODY_HEIGHT)),

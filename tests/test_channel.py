@@ -20,6 +20,7 @@ from ris_vlc.channel import (
     radiant_intensity,
     wall_first_reflection_gain,
 )
+from ris_vlc import geometry
 from ris_vlc.geometry import CylinderBlocker, Room
 from ris_vlc.orientation import DeviceOrientation
 
@@ -133,6 +134,22 @@ def test_los_gain_blocked_by_cylinder():
     assert los_gain(TX, RX, blockers=[off_path]).h == pytest.approx(
         8.463945441881713e-06, rel=1e-9
     )
+
+
+def test_los_gain_skips_the_blockage_test_without_blockers(monkeypatch):
+    calls = []
+    original = geometry.segments_blocked
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[2]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "segments_blocked", counting)
+    clear = los_gain(TX, RX).h
+    assert calls == []
+    off_path = CylinderBlocker(base_center=(4.5, 4.5, 0.0), radius=0.2, height=2.5)
+    assert los_gain(TX, RX, blockers=[off_path]).h == clear
+    assert calls == [1]
 
 
 def test_wall_single_patch_hand_value():

@@ -1,0 +1,338 @@
+"""The shared reflection-leg kernel against the per-path code it replaced.
+
+`_element_gains_oracle` and `_wall_gain_oracle` are the mirror and wall gains
+as they were before both moved onto `reflection_legs`: each computed its own
+legs, FoV gate and leg blockage. The rewrite keeps every float expression in
+operand order, so the differential tests demand equal bits, not closeness.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ris_vlc import channel, geometry, ris, scenario
+from ris_vlc.channel import LedTx, PdRx, WallPatchSet, reflection_legs, wall_first_reflection_gain
+from ris_vlc.geometry import CylinderBlocker, Room, segments_blocked, unit
+from ris_vlc.metrics import sum_rate
+from ris_vlc.orientation import DeviceOrientation
+from ris_vlc.ris import ANGLE_LIMIT, MirrorArray, _mirror_normals, element_gains
+from ris_vlc.scenario import UserSpec, blocked_benchmark_scenario
+
+ROOM = Room(5.0, 5.0, 3.0)
+
+
+def _element_gains_oracle(tx, array, rx, blockers=(), yaw=None, roll=None):
+    yaw_m = array.yaw if yaw is None else np.clip(np.broadcast_to(
+        np.asarray(yaw, dtype=float), (array.rows, array.cols)), -ANGLE_LIMIT, ANGLE_LIMIT)
+    roll_m = array.roll if roll is None else np.clip(np.broadcast_to(
+        np.asarray(roll, dtype=float), (array.rows, array.cols)), -ANGLE_LIMIT, ANGLE_LIMIT)
+    blockers = list(blockers)
+
+    centers = array.element_centers
+    normals = _mirror_normals(yaw_m.ravel(), roll_m.ravel(), array.base_normal)
+    m = tx.lambertian_order
+    sigma = array.beam_spread
+
+    v1 = centers - tx.position
+    d1 = np.linalg.norm(v1, axis=1)
+    if np.any(d1 <= 0.0):
+        raise ValueError("a mirror element coincides with the transmitter")
+    u1 = v1 / d1[:, None]
+    cos_phi1 = u1 @ tx.normal
+    cos_t1 = -np.einsum("ij,ij->i", u1, normals)
+
+    refl = u1 - 2.0 * np.einsum("ij,ij->i", u1, normals)[:, None] * normals
+
+    v2 = rx.position - centers
+    d2 = np.linalg.norm(v2, axis=1)
+    if np.any(d2 <= 0.0):
+        raise ValueError("a mirror element coincides with the receiver")
+    u2 = v2 / d2[:, None]
+    psi = np.arccos(np.clip(np.einsum("ij,ij->i", refl, u2), -1.0, 1.0))
+    cos_t2 = -(u2 @ rx.orientation.normal)
+
+    ok = (cos_phi1 > 0.0) & (cos_t1 > 0.0) & (cos_t2 >= math.cos(rx.fov)) & (cos_t2 >= 0.0)
+    if blockers and np.any(ok):
+        ok &= ~segments_blocked(np.broadcast_to(tx.position, centers.shape), centers, blockers)
+    if blockers and np.any(ok):
+        ok &= ~segments_blocked(centers, np.broadcast_to(rx.position, centers.shape), blockers)
+
+    capture = (
+        (m + 1.0)
+        * array.element_area
+        / (2.0 * math.pi * d1**2)
+        * np.where(ok, cos_phi1, 0.0) ** m
+        * np.where(ok, cos_t1, 0.0)
+    )
+    lobe = np.exp(-0.5 * (psi / sigma) ** 2) / (2.0 * math.pi * sigma**2 * d2**2)
+    gains = (
+        array.reflectivity
+        * capture
+        * lobe
+        * rx.area
+        * np.where(ok, cos_t2, 0.0)
+        * rx.filter_gain
+        * rx.concentrator
+    )
+    return np.where(ok, gains, 0.0)
+
+
+def _wall_gain_oracle(tx, rx, patches, blockers=()):
+    pset = WallPatchSet.coerce(patches)
+    blockers = list(blockers)
+    if len(pset) == 0:
+        return 0.0
+
+    m = tx.lambertian_order
+    tx_pos, rx_pos = tx.position, rx.position
+
+    v1 = pset.centers - tx_pos
+    d1 = np.linalg.norm(v1, axis=1)
+    if np.any(d1 <= 0.0):
+        raise ValueError("a wall patch coincides with the transmitter")
+    u1 = v1 / d1[:, None]
+    cos_phi1 = u1 @ tx.normal
+    cos_t1 = -np.einsum("ij,ij->i", u1, pset.normals)
+
+    v2 = rx_pos - pset.centers
+    d2 = np.linalg.norm(v2, axis=1)
+    if np.any(d2 <= 0.0):
+        raise ValueError("a wall patch coincides with the receiver")
+    u2 = v2 / d2[:, None]
+    cos_phi2 = np.einsum("ij,ij->i", u2, pset.normals)
+    cos_t2 = -(u2 @ rx.orientation.normal)
+
+    ok = (
+        (cos_phi1 > 0.0)
+        & (cos_t1 > 0.0)
+        & (cos_phi2 > 0.0)
+        & (cos_t2 >= math.cos(rx.fov))
+        & (cos_t2 >= 0.0)
+    )
+    if blockers and np.any(ok):
+        ok &= ~segments_blocked(np.broadcast_to(tx_pos, pset.centers.shape), pset.centers, blockers)
+    if blockers and np.any(ok):
+        ok &= ~segments_blocked(pset.centers, np.broadcast_to(rx_pos, pset.centers.shape), blockers)
+
+    base = np.where(ok, cos_phi1, 0.0)
+    terms = (
+        pset.reflectances
+        * (m + 1.0)
+        * rx.area
+        / (2.0 * math.pi**2 * d1**2 * d2**2)
+        * pset.areas
+        * base**m
+        * np.where(ok, cos_t1, 0.0)
+        * np.where(ok, cos_phi2, 0.0)
+        * np.where(ok, cos_t2, 0.0)
+        * rx.filter_gain
+        * rx.concentrator
+    )
+    return float(np.add.reduce(terms))
+
+
+# ----------------------------------------------------------------- strategies
+
+_inside = st.tuples(st.floats(0.1, 4.9), st.floats(0.1, 4.9), st.floats(0.1, 2.9))
+_direction = st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)).filter(
+    lambda t: sum(x * x for x in t) > 1e-2
+)
+# (center on the wall plane, inward normal) of each wall, at a drawn (s, z)
+_WALLS = (
+    (lambda s, z: (0.0, s, z), (1.0, 0.0, 0.0)),
+    (lambda s, z: (5.0, s, z), (-1.0, 0.0, 0.0)),
+    (lambda s, z: (s, 0.0, z), (0.0, 1.0, 0.0)),
+    (lambda s, z: (s, 5.0, z), (0.0, -1.0, 0.0)),
+)
+
+
+@st.composite
+def _links(draw):
+    """LED and photodiode anywhere in the room; receivers may face away."""
+    tx = LedTx(position=draw(_inside), normal=unit(draw(_direction)),
+               half_intensity_angle=draw(st.floats(0.2, 1.4)))
+    rx = PdRx(position=draw(_inside),
+              orientation=DeviceOrientation(draw(st.floats(0.0, math.pi / 2)),
+                                            draw(st.floats(-math.pi, math.pi))),
+              fov=draw(st.floats(0.3, math.pi / 2)))
+    return tx, rx
+
+
+@st.composite
+def _blockers(draw, tx, rx, via):
+    """0-3 cylinders: anywhere, or on the LED-to-`via` or `via`-to-receiver leg."""
+    out = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("anywhere", "first leg", "second leg")))
+        if kind == "anywhere":
+            xy = np.array(draw(st.tuples(st.floats(0.2, 4.8), st.floats(0.2, 4.8))))
+        else:
+            a, b = (tx.position, via) if kind == "first leg" else (via, rx.position)
+            xy = (a + draw(st.floats(0.2, 0.8)) * (b - a))[:2]
+        out.append(CylinderBlocker(base_center=np.array([xy[0], xy[1], 0.0]),
+                                   radius=draw(st.floats(0.05, 0.5)),
+                                   height=draw(st.floats(0.5, 3.0))))
+    return out
+
+
+def _angle_override(shape):
+    """None (stored angles), a scalar, or a full matrix; values beyond +-pi/2."""
+    n = shape[0] * shape[1]
+    return st.one_of(
+        st.none(),
+        st.floats(-4.0, 4.0),
+        st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n).map(
+            lambda v: np.array(v).reshape(shape)),
+    )
+
+
+@st.composite
+def _mirror_cases(draw):
+    tx, rx = draw(_links())
+    place, normal = draw(st.sampled_from(_WALLS))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    panel = MirrorArray(
+        panel_center=place(draw(st.floats(0.5, 4.5)), draw(st.floats(0.3, 2.7))),
+        base_normal=normal, rows=rows, cols=cols,
+        element_size=draw(st.floats(0.05, 0.3)),
+        reflectivity=draw(st.floats(0.0, 1.0)),
+        beam_spread=draw(st.floats(0.01, 0.3)),
+        yaw=draw(st.floats(-4.0, 4.0)), roll=draw(st.floats(-4.0, 4.0)),
+    )
+    blockers = draw(_blockers(tx, rx, panel.panel_center))
+    yaw = draw(_angle_override((rows, cols)))
+    roll = draw(_angle_override((rows, cols)))
+    return tx, panel, rx, blockers, yaw, roll
+
+
+# ------------------------------------------------------- differential tests
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mirror_cases())
+def test_element_gains_match_pre_kernel_code(case):
+    tx, panel, rx, blockers, yaw, roll = case
+    want = _element_gains_oracle(tx, panel, rx, blockers, yaw=yaw, roll=roll)
+    got = element_gains(tx, panel, rx, blockers, yaw=yaw, roll=roll)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@st.composite
+def _wall_cases(draw):
+    tx, rx = draw(_links())
+    pset = WallPatchSet.for_room(ROOM, draw(st.sampled_from((0.4, 0.6, 1.0))),
+                                 draw(st.floats(0.0, 1.0)))
+    via = pset.centers[draw(st.integers(0, len(pset) - 1))]
+    return tx, rx, pset, draw(_blockers(tx, rx, via))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wall_cases())
+def test_wall_gain_matches_pre_kernel_code(case):
+    tx, rx, pset, blockers = case
+    assert wall_first_reflection_gain(tx, rx, pset, blockers).h == _wall_gain_oracle(
+        tx, rx, pset, blockers)
+
+
+def test_leg_blockers_reach_the_clear_mask():
+    # a tall cylinder halfway between LED and panel shadows part of the
+    # panel, and a receiver facing away from the panel leaves nothing clear
+    tx = LedTx(position=(2.5, 2.5, 2.9))
+    panel = MirrorArray(panel_center=(0.0, 2.5, 1.5), base_normal=(1, 0, 0), rows=4, cols=4)
+    rx = PdRx(position=(2.0, 2.5, 0.8), orientation=DeviceOrientation(1.2, math.pi))
+    shadow = CylinderBlocker(base_center=np.array([1.25, 2.6, 0.0]), radius=0.1, height=3.0)
+    open_legs = reflection_legs(tx, panel.element_centers, rx)
+    cut_legs = reflection_legs(tx, panel.element_centers, rx, [shadow])
+    assert open_legs.clear.all() and 0 < cut_legs.clear.sum() < 16
+    facing_away = PdRx(position=(2.0, 2.5, 0.8), orientation=DeviceOrientation(1.2, 0.0))
+    assert not reflection_legs(tx, panel.element_centers, facing_away).clear.any()
+    for blockers in ((), [shadow]):
+        for r in (rx, facing_away):
+            assert np.array_equal(element_gains(tx, panel, r, blockers),
+                                  _element_gains_oracle(tx, panel, r, blockers))
+
+
+def test_reflection_legs_are_read_only():
+    tx = LedTx(position=(2.5, 2.5, 3.0))
+    rx = PdRx(position=(1.0, 1.0, 0.75))
+    legs = reflection_legs(tx, WallPatchSet.for_room(ROOM, 1.0).centers, rx)
+    for name, array in vars(legs).items():
+        assert not array.flags.writeable, name
+        with pytest.raises(ValueError):
+            array[...] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        legs.clear = None
+
+
+def test_reflection_legs_reject_points_on_an_endpoint():
+    tx = LedTx(position=(2.5, 2.5, 3.0))
+    rx = PdRx(position=(1.0, 1.0, 0.75))
+    for point in (tx.position, rx.position):
+        with pytest.raises(ValueError, match="coincides"):
+            reflection_legs(tx, np.array([[0.0, 1.0, 1.0], point]), rx)
+
+
+# ------------------------------------------------------ scenario static legs
+
+
+def _two_user_scenario():
+    """Blocked user behind a cylinder plus a self-blocking user, two APs, 2x3 panel."""
+    base = blocked_benchmark_scenario()
+    other = UserSpec(position=(1.0, 4.0, 0.75), fixed_orientation=DeviceOrientation(0.6, 2.0))
+    panel = dataclasses.replace(base.ris_panels[0], rows=2, cols=3, yaw=0.0, roll=0.0)
+    return dataclasses.replace(
+        base,
+        aps=base.aps + (LedTx(position=(1.0, 1.0, 3.0)),),
+        users=base.users + (other,),
+        ris_panels=(panel, MirrorArray(panel_center=(0.0, 2.5, 1.5), base_normal=(1, 0, 0),
+                                       rows=1, cols=2)),
+    )
+
+
+def _angle_sets(scenario, count, seed):
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        if k % 2:
+            yield [(float(y), float(r)) for y, r in rng.uniform(-2.0, 2.0, (len(scenario.ris_panels), 2))]
+        else:
+            yield [tuple(rng.uniform(-2.0, 2.0, (2, p.rows, p.cols))) for p in scenario.ris_panels]
+
+
+def test_evaluate_links_reuses_static_legs_across_angle_sets():
+    s = _two_user_scenario()
+    for angles in _angle_sets(s, 20, seed=3):
+        reused = s.evaluate_links(angles)
+        fresh = dataclasses.replace(s).evaluate_links(angles)
+        assert [vars(a) for a in reused] == [vars(b) for b in fresh]
+        # the cached path equals the public per-call element gains
+        for link, user in zip(reused, s.users):
+            ap, rx = s.aps[link.serving_ap], user.receiver()
+            occluders = s.blockers + ((user.body_cylinder(),) if user.self_blockage else ())
+            h_ris = 0.0
+            for panel, (yaw, roll) in zip(s.ris_panels, angles):
+                h_ris += float(np.add.reduce(element_gains(ap, panel, rx, occluders, yaw=yaw, roll=roll)))
+            assert link.h_ris == h_ris
+
+
+def test_sum_rate_runs_no_blockage_test_once_static_links_exist(monkeypatch):
+    s = _two_user_scenario()
+    calls = []
+    original = geometry.segments_blocked
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return original(*args, **kwargs)
+
+    for module in (geometry, channel, ris, scenario):
+        monkeypatch.setattr(module, "segments_blocked", counting)
+    s._static_links
+    assert calls  # building the static links does run the tests
+    calls.clear()
+    for angles in _angle_sets(s, 6, seed=4):
+        sum_rate(s, angles)
+    sum_rate(s)
+    assert calls == []

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import run_cli
 
 from ris_vlc.channel import LedTx, incidence_cosine, los_gain, wall_first_reflection_gain
 from ris_vlc.geometry import CylinderBlocker, Room, segments_blocked
@@ -151,6 +152,22 @@ def test_load_scenario_wraps_validation_errors():
         load_scenario(json.dumps({"ris": [{"center": [0, 2, 1]}]}))  # missing normal
 
 
+@pytest.mark.parametrize("value", ["false", 0, None, 1, "true", [], {}])
+def test_load_scenario_self_blockage_accepts_json_booleans_only(tmp_path, value):
+    doc = {"users": [{"position": [1.0, 1.0, 0.75]}, {"self_blockage": value}]}
+    with pytest.raises(ConfigError, match=r"users\[1\]\.self_blockage"):
+        load_scenario(json.dumps(doc))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli("simulate", "--scenario", str(path))
+    assert r.returncode == 2 and "users[1].self_blockage" in r.stderr
+
+
+def test_load_scenario_self_blockage_booleans():
+    users = load_scenario(json.dumps({"users": [{"self_blockage": False}, {"self_blockage": True}, {}]})).users
+    assert [u.self_blockage for u in users] == [False, True, True]
+
+
 def test_config_error_is_a_value_error():
     assert issubclass(ConfigError, ValueError)
 
@@ -224,6 +241,42 @@ def test_realize_fills_every_unpinned_field():
     assert r.users[0].position[2] == s.users[0].height
     # wall tiling is shared, not rebuilt
     assert r.wall_patches is s.wall_patches
+
+
+def _population_draws_per_blocker(scenario, rng):
+    """The per-blocker loop `realize` used before drawing all bases in one call."""
+    pop = scenario.blocker_population
+    out = []
+    for _ in range(pop.count):
+        x = rng.uniform(pop.radius, scenario.room.length - pop.radius)
+        y = rng.uniform(pop.radius, scenario.room.width - pop.radius)
+        out.append([x, y, 0.0])
+    return out
+
+
+@pytest.mark.parametrize("count", [0, 1, 5, 15])
+def test_realize_population_draws_match_per_blocker_loop(count):
+    # a non-square room tells length from width; the pinned blocker stays first
+    pinned = CylinderBlocker(base_center=np.array([1.0, 1.0, 0.0]))
+    s = Scenario(room=Room(6.0, 3.5, 3.0), blockers=(pinned,),
+                 blocker_population=BlockerPopulation(count=count, radius=0.3, height=1.2))
+    for seed in range(200):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        r = realize(s, rng)
+        want = _population_draws_per_blocker(s, oracle_rng)
+        assert r.blockers[0] is pinned
+        assert [b.base_center.tolist() for b in r.blockers[1:]] == want
+        assert all((b.radius, b.height) == (0.3, 1.2) for b in r.blockers[1:])
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_realize_empty_population_draws_nothing():
+    # a zero count never draws, so even a radius wider than the room passes
+    s = Scenario(blocker_population=BlockerPopulation(count=0, radius=4.0))
+    rng = np.random.default_rng(1)
+    before = rng.bit_generator.state
+    assert realize(s, rng).blockers == ()
+    assert rng.bit_generator.state == before
 
 
 def test_run_trial_deterministic_and_consistent():
