@@ -9,9 +9,8 @@ built-in studies on their benchmark deployments).
 Results go to --out via an atomic temp-file-plus-rename write, followed by
 a one-line summary on standard output; without --out the result document
 itself goes to standard output. Outputs carry no timestamps, so identical
-command lines produce byte-identical files at any thread count (cap worker
-threads with RIS_VLC_THREADS). Exit codes: 0 success, 1 usage error,
-2 validation error.
+command lines produce byte-identical files. Exit codes: 0 success, 1 usage
+error, 2 validation error.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import numpy as np
 from . import mimo, noma, scenario as scn
 from .metrics import IntensityConstraints
 from .optimize import optimize_mirror_angles, random_angle_baseline
-from .scenario import ConfigError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -279,10 +277,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"ris-vlc: error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"ris-vlc: error: {exc}", file=sys.stderr)
         return 2
 

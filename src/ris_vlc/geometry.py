@@ -5,6 +5,9 @@ Blockers (human bodies and other obstacles) are axis-aligned vertical
 cylinders; a line-of-sight test reduces to segment/cylinder intersection.
 Cylinders are closed: a segment endpoint lying exactly on the surface
 counts as blocked, so boundary cases resolve deterministically.
+
+Every blockage test is one array pass over a (K cylinders x N rows) grid,
+taken in row blocks of `_CHUNK_CELLS // K`, so memory stays bounded.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ import numpy as np
 Vec3 = np.ndarray
 
 _EPS_AXIS = 1e-12
+# cylinder-row cells per occlusion block; 2**13-2**16 time the same, larger is slower
+_CHUNK_CELLS = 1 << 16
 
 
 def as_vec3(value) -> Vec3:
@@ -213,6 +218,24 @@ def _segment_cylinder_hits(
     return lo <= hi
 
 
+def _any_hits(origins, ends, bases: np.ndarray, radius, height) -> np.ndarray:
+    """Row i is True where any of the K cylinders at `bases[:, i]` meets segment i.
+
+    `bases` is (K, N, 3) or (K, 1, 3); `radius`, `height` broadcast against (K, 1).
+    """
+    p0 = np.atleast_2d(np.asarray(origins, dtype=float))
+    p1 = np.atleast_2d(np.asarray(ends, dtype=float))
+    shape = np.broadcast_shapes(p0.shape, p1.shape, bases.shape[1:])
+    p0, p1 = np.broadcast_to(p0, shape), np.broadcast_to(p1, shape)
+    bases = np.broadcast_to(bases, bases.shape[:1] + shape)
+    step = max(1, _CHUNK_CELLS // max(1, len(bases)))
+    hit = np.zeros(shape[0], dtype=bool)
+    for lo in range(0, shape[0] if len(bases) else 0, step):  # no cylinders: nothing to test
+        rows = slice(lo, lo + step)
+        hit[rows] = _segment_cylinder_hits(p0[rows], p1[rows], bases[:, rows], radius, height).any(axis=0)
+    return hit
+
+
 def segments_blocked(
     origins: np.ndarray, ends: np.ndarray, blockers: Sequence[CylinderBlocker]
 ) -> np.ndarray:
@@ -222,15 +245,9 @@ def segments_blocked(
     broadcasts); returns a boolean (N,) array that is True where any
     blocker intersects the closed segment.
     """
-    p0 = np.atleast_2d(np.asarray(origins, dtype=float))
-    p1 = np.atleast_2d(np.asarray(ends, dtype=float))
-    p0, p1 = np.broadcast_arrays(p0, p1)
-    hit = np.zeros(p0.shape[0], dtype=bool)
-    for blocker in blockers:
-        if np.all(hit):
-            break
-        hit |= _segment_cylinder_hits(p0, p1, blocker.base_center, blocker.radius, blocker.height)
-    return hit
+    # one (x, y, z, radius, height) row per blocker
+    packed = np.array([(*b.base_center, b.radius, b.height) for b in blockers], dtype=float).reshape(-1, 5)
+    return _any_hits(origins, ends, packed[:, None, :3], packed[:, 3:4], packed[:, 4:5])
 
 
 def segments_blocked_each(
@@ -240,16 +257,15 @@ def segments_blocked_each(
     radius: float,
     height: float,
 ) -> np.ndarray:
-    """Row-paired occlusion: segment i against the cylinder based at row i.
+    """Row-paired occlusion: segment i against the cylinders based at row i.
 
-    Used when every sample carries its own cylinder (a user's body), where
-    a shared blocker list would force a Python-level loop.
+    `bases` is (N, 3), one cylinder per row, or (K, N, 3), K cylinders per
+    row; a single (3,) base or segment broadcasts. Used when every sample
+    carries its own cylinders (a user's body, a per-sample blocker draw),
+    where a shared blocker list would force a Python-level loop.
     """
-    p0 = np.atleast_2d(np.asarray(origins, dtype=float))
-    p1 = np.atleast_2d(np.asarray(ends, dtype=float))
-    bases = np.atleast_2d(np.asarray(bases, dtype=float))
-    p0, p1, bases = np.broadcast_arrays(p0, p1, bases)
-    return _segment_cylinder_hits(p0, p1, bases, radius, height)
+    bases = np.asarray(bases, dtype=float)
+    return _any_hits(origins, ends, bases if bases.ndim == 3 else np.atleast_2d(bases)[None], radius, height)
 
 
 def ray_cylinder_intersect(origin: Vec3, end: Vec3, blocker: CylinderBlocker) -> bool:

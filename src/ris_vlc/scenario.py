@@ -15,7 +15,7 @@ other blocker.
 
 Reproducibility: trial i of a study derives its generator from
 SeedSequence([master_seed, i]), so results are independent of execution
-order and thread count; study outputs are collected in trial order.
+order; study outputs are collected in trial order.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence, Tuple
@@ -50,6 +49,7 @@ from .orientation import DeviceOrientation, OrientationModel, sample_orientation
 # element_gains stays importable here: perfbench/spans.py wraps it at this name
 from .ris import MirrorArray, element_gains, steered_gains  # noqa: F401
 
+# stays defined here: perfbench/worker.py reads it; run_study ignores it
 THREADS_ENV_VAR = "RIS_VLC_THREADS"
 
 DEFAULT_USER_HEIGHT = 0.75
@@ -233,26 +233,19 @@ class Scenario:
     orientation_model: OrientationModel = field(default_factory=OrientationModel)
 
     def __post_init__(self):
-        object.__setattr__(self, "aps", tuple(self.aps))
-        object.__setattr__(self, "users", tuple(self.users))
-        object.__setattr__(self, "blockers", tuple(self.blockers))
-        object.__setattr__(self, "ris_panels", tuple(self.ris_panels))
+        for name in ("aps", "users", "blockers", "ris_panels"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if not 0.0 <= self.wall_reflectance <= 1.0:
             raise ValueError("wall reflectance must lie in [0, 1]")
         if self.wall_patch_size <= 0.0:
             raise ValueError("wall patch size must be positive")
-        for i, ap in enumerate(self.aps):
-            if not self.room.contains(ap.position):
-                raise ValueError(f"aps[{i}] position {ap.position} outside the room")
-        for i, user in enumerate(self.users):
-            if user.position is not None and not self.room.contains(user.position):
-                raise ValueError(f"users[{i}] position {user.position} outside the room")
-        for i, blocker in enumerate(self.blockers):
-            if not self.room.contains(blocker.base_center):
-                raise ValueError(f"blockers[{i}] base {blocker.base_center} outside the room")
-        for i, panel in enumerate(self.ris_panels):
-            if not self.room.contains(panel.panel_center):
-                raise ValueError(f"ris[{i}] center {panel.panel_center} outside the room")
+        placed = [(f"aps[{i}] position", ap.position) for i, ap in enumerate(self.aps)]
+        placed += [(f"users[{i}] position", u.position) for i, u in enumerate(self.users)]
+        placed += [(f"blockers[{i}] base", b.base_center) for i, b in enumerate(self.blockers)]
+        placed += [(f"ris[{i}] center", p.panel_center) for i, p in enumerate(self.ris_panels)]
+        for name, point in placed:  # an unsampled user has no position yet
+            if point is not None and not self.room.contains(point):
+                raise ValueError(f"{name} {point} outside the room")
 
     @cached_property
     def wall_patches(self) -> WallPatchSet:
@@ -391,18 +384,6 @@ def realize(scenario: Scenario, rng: np.random.Generator) -> Scenario:
     return realized
 
 
-def resolve_threads(requested: Optional[int] = None) -> int:
-    """Worker count: explicit request, capped by RIS_VLC_THREADS, else CPUs."""
-    cap = os.environ.get(THREADS_ENV_VAR)
-    cap = int(cap) if cap else None
-    if cap is not None and cap < 1:
-        raise ValueError(f"{THREADS_ENV_VAR} must be a positive integer")
-    n = requested if requested is not None else (cap or os.cpu_count() or 1)
-    if cap is not None:
-        n = min(n, cap)
-    return max(1, n)
-
-
 def run_study(
     scenario: Scenario,
     trials: int,
@@ -411,19 +392,13 @@ def run_study(
 ) -> list[TrialResult]:
     """Run independent trials with counter-derived seeds, in trial order.
 
-    Results are identical for any thread count: every trial gets its own
-    SeedSequence([master_seed, index]) and the collection preserves index
-    order.
+    Every trial gets its own SeedSequence([master_seed, index]). Trials run
+    in order on the calling thread; `threads` is accepted and ignored, so
+    existing callers keep working.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    scenario.wall_patches  # materialize once before workers share it
-    seeds = [np.random.SeedSequence([master_seed, i]) for i in range(trials)]
-    workers = resolve_threads(threads)
-    if workers == 1 or trials == 1:
-        return [run_trial(scenario, s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda s: run_trial(scenario, s), seeds))
+    return [run_trial(scenario, np.random.SeedSequence([master_seed, i])) for i in range(trials)]
 
 
 def study_statistics(results: Sequence[TrialResult]) -> StudyStatistics:
@@ -454,7 +429,6 @@ def blockage_study(
     trials: int,
     blocker_counts: Sequence[int] = (5, 15),
     master_seed: int = 42,
-    threads: Optional[int] = None,
 ) -> dict[int, StudyStatistics]:
     """Rerun the scenario at several non-user blocker counts (paired seeds)."""
     out = {}
@@ -463,7 +437,7 @@ def blockage_study(
         varied = dataclasses.replace(
             scenario, blocker_population=dataclasses.replace(pop, count=int(count))
         )
-        out[int(count)] = study_statistics(run_study(varied, trials, master_seed, threads))
+        out[int(count)] = study_statistics(run_study(varied, trials, master_seed))
     return out
 
 
@@ -484,14 +458,10 @@ def orientation_study(scenario: Scenario, samples: int, master_seed: int = 42) -
 
     n = samples
     if template.position is None:
-        x = rng.uniform(0.0, scenario.room.length, n)
-        y = rng.uniform(0.0, scenario.room.width, n)
-        z = np.full(n, template.height)
+        xy = [rng.uniform(0.0, scenario.room.length, n), rng.uniform(0.0, scenario.room.width, n)]
+        device = np.stack(xy + [np.full(n, template.height)], axis=1)
     else:
-        x = np.full(n, template.position[0])
-        y = np.full(n, template.position[1])
-        z = np.full(n, template.position[2])
-    device = np.stack([x, y, z], axis=1)
+        device = np.tile(template.position, (n, 1))
 
     if template.fixed_orientation is None:
         polar = sample_polar_angles(scenario.orientation_model, rng, n)
@@ -507,23 +477,17 @@ def orientation_study(scenario: Scenario, samples: int, master_seed: int = 42) -
 
     visible = ~segments_blocked(ap_xyz, device, list(scenario.blockers))
     if template.self_blockage:
-        body = device.copy()
-        body[:, 0] += template.body_offset * np.cos(azimuth)
-        body[:, 1] += template.body_offset * np.sin(azimuth)
-        body[:, 2] = 0.0
-        visible &= ~segments_blocked_each(
-            ap_xyz, device, body, template.body_radius, template.body_height
-        )
+        offset = template.body_offset
+        body = np.stack([device[:, 0] + offset * np.cos(azimuth), device[:, 1] + offset * np.sin(azimuth),
+                         np.zeros(n)], axis=1)
+        visible &= ~segments_blocked_each(ap_xyz, device, body, template.body_radius, template.body_height)
     if scenario.blocker_population is not None and scenario.blocker_population.count > 0:
         pop = scenario.blocker_population
-        # each sample gets its own blocker draw; expand to (samples*count) rows
+        # each sample gets its own blocker draw: (count, samples, 3) bases
         bx = rng.uniform(pop.radius, scenario.room.length - pop.radius, (n, pop.count))
         by = rng.uniform(pop.radius, scenario.room.width - pop.radius, (n, pop.count))
-        bases = np.stack([bx, by, np.zeros_like(bx)], axis=2).reshape(-1, 3)
-        seg0 = np.repeat(ap_xyz, pop.count, axis=0)
-        seg1 = np.repeat(device, pop.count, axis=0)
-        hits = segments_blocked_each(seg0, seg1, bases, pop.radius, pop.height)
-        visible &= ~hits.reshape(n, pop.count).any(axis=1)
+        bases = np.stack([bx.T, by.T, np.zeros_like(bx.T)], axis=2)
+        visible &= ~segments_blocked_each(ap_xyz, device, bases, pop.radius, pop.height)
 
     dvec = ap_xyz - device
     dist = np.linalg.norm(dvec, axis=1)
@@ -577,6 +541,26 @@ _ORIENTATION_KEYS = {"mean_polar_deg", "std_polar_deg"}
 _TOP_KEYS = {"room", "aps", "users", "blockers", "ris", "noise", "constraints", "orientation"}
 
 
+def _reject_non_finite(value, where: str):
+    """Refuse NaN, +-Infinity and numbers past the float range anywhere in the document."""
+    if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where or 'document'} must be a finite number")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _reject_non_finite(item, f"{where}.{key}" if where else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _reject_non_finite(item, f"{where}[{i}]")
+
+
+def _count(section: dict, key: str, default: int, minimum: int, where: str) -> int:
+    """A JSON integer (not a boolean) of at least `minimum`."""
+    value = section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{where}.{key} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def _reject_unknown(section: dict, allowed: set, where: str):
     if not isinstance(section, dict):
         raise ConfigError(f"section '{where}' must be a key/value table")
@@ -599,6 +583,7 @@ def load_scenario(config_text: str) -> Scenario:
         raise ConfigError(
             f"configuration parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    _reject_non_finite(doc, "")
     _reject_unknown(doc, _TOP_KEYS, "top level")
     try:
         return _scenario_from_document(doc)
@@ -658,7 +643,7 @@ def _scenario_from_document(doc: dict) -> Scenario:
             body_radius=float(sec.get("body_radius", DEFAULT_BODY_RADIUS)),
             body_height=float(sec.get("body_height", DEFAULT_BODY_HEIGHT)),
         )
-        users.extend([template] * int(sec.get("count", 1)))
+        users.extend([template] * _count(sec, "count", 1, 0, f"users[{i}]"))
 
     blockers = []
     population = None
@@ -676,8 +661,11 @@ def _scenario_from_document(doc: dict) -> Scenario:
                 height=height,
             )
         )
-    if int(bsec.get("count", 0)) > 0:
-        population = BlockerPopulation(count=int(bsec["count"]), radius=radius, height=height)
+    count = _count(bsec, "count", 0, 0, "blockers")
+    if count > 0:
+        if 2.0 * radius > min(room.length, room.width):
+            raise ConfigError(f"blockers.radius {radius} is more than half the room length or width")
+        population = BlockerPopulation(count=count, radius=radius, height=height)
 
     panels = []
     for i, sec in enumerate(doc.get("ris", [])):
@@ -688,8 +676,8 @@ def _scenario_from_document(doc: dict) -> Scenario:
             MirrorArray(
                 panel_center=as_vec3(sec["center"]),
                 base_normal=as_vec3(sec["normal"]),
-                rows=int(sec.get("rows", 8)),
-                cols=int(sec.get("cols", 8)),
+                rows=_count(sec, "rows", 8, 1, f"ris[{i}]"),
+                cols=_count(sec, "cols", 8, 1, f"ris[{i}]"),
                 element_size=float(sec.get("element_size", 0.1)),
                 reflectivity=float(sec.get("reflectivity", 0.95)),
                 beam_spread=math.radians(float(sec.get("beam_spread_deg", 2.0))),

@@ -1,0 +1,296 @@
+"""The one-pass blockage test against the per-blocker code it replaced.
+
+`_blocked_oracle` is `segments_blocked` as it was: one kernel call per
+blocker, ORed into the result. `_blocked_each_oracle` is the old row-paired
+form, and `_orientation_study_oracle` is `orientation_study` as it was,
+expanding every sample's population draw with `np.repeat`. The rewrite
+evaluates the same elementwise expressions on a (cylinders x rows) grid, so
+the comparisons demand equal results, not close ones.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ris_vlc import channel, geometry, scenario
+from ris_vlc.geometry import CylinderBlocker, _segment_cylinder_hits, segments_blocked, segments_blocked_each
+from ris_vlc.orientation import DeviceOrientation, sample_polar_angles
+from ris_vlc.scenario import (
+    BlockerPopulation,
+    UserSpec,
+    benchmark_scenario,
+    orientation_benchmark_scenario,
+    orientation_study,
+    run_study,
+    trials_to_csv,
+)
+
+
+def _blocked_oracle(origins, ends, blockers):
+    p0 = np.atleast_2d(np.asarray(origins, dtype=float))
+    p1 = np.atleast_2d(np.asarray(ends, dtype=float))
+    p0, p1 = np.broadcast_arrays(p0, p1)
+    hit = np.zeros(p0.shape[0], dtype=bool)
+    for blocker in blockers:
+        if np.all(hit):
+            break
+        hit |= _segment_cylinder_hits(p0, p1, blocker.base_center, blocker.radius, blocker.height)
+    return hit
+
+
+def _blocked_each_oracle(origins, ends, bases, radius, height):
+    p0 = np.atleast_2d(np.asarray(origins, dtype=float))
+    p1 = np.atleast_2d(np.asarray(ends, dtype=float))
+    bases = np.atleast_2d(np.asarray(bases, dtype=float))
+    p0, p1, bases = np.broadcast_arrays(p0, p1, bases)
+    return _segment_cylinder_hits(p0, p1, bases, radius, height)
+
+
+def _orientation_study_oracle(scn, samples, master_seed=42):
+    template = scn.users[0] if scn.users else UserSpec()
+    rng = np.random.default_rng(np.random.SeedSequence([master_seed, 0]))
+    n = samples
+    if template.position is None:
+        x = rng.uniform(0.0, scn.room.length, n)
+        y = rng.uniform(0.0, scn.room.width, n)
+        z = np.full(n, template.height)
+    else:
+        x = np.full(n, template.position[0])
+        y = np.full(n, template.position[1])
+        z = np.full(n, template.position[2])
+    device = np.stack([x, y, z], axis=1)
+    if template.fixed_orientation is None:
+        polar = sample_polar_angles(scn.orientation_model, rng, n)
+        azimuth = rng.uniform(-math.pi, math.pi, n)
+    else:
+        polar = np.full(n, template.fixed_orientation.polar)
+        azimuth = np.full(n, template.fixed_orientation.azimuth)
+    ap_positions = np.stack([ap.position for ap in scn.aps])
+    d2 = ((device[:, None, :] - ap_positions[None, :, :]) ** 2).sum(axis=2)
+    ap_xyz = ap_positions[np.argmin(d2, axis=1)]
+
+    visible = ~_blocked_oracle(ap_xyz, device, list(scn.blockers))
+    if template.self_blockage:
+        body = device.copy()
+        body[:, 0] += template.body_offset * np.cos(azimuth)
+        body[:, 1] += template.body_offset * np.sin(azimuth)
+        body[:, 2] = 0.0
+        visible &= ~_blocked_each_oracle(ap_xyz, device, body, template.body_radius, template.body_height)
+    if scn.blocker_population is not None and scn.blocker_population.count > 0:
+        pop = scn.blocker_population
+        bx = rng.uniform(pop.radius, scn.room.length - pop.radius, (n, pop.count))
+        by = rng.uniform(pop.radius, scn.room.width - pop.radius, (n, pop.count))
+        bases = np.stack([bx, by, np.zeros_like(bx)], axis=2).reshape(-1, 3)
+        seg0 = np.repeat(ap_xyz, pop.count, axis=0)
+        seg1 = np.repeat(device, pop.count, axis=0)
+        hits = _blocked_each_oracle(seg0, seg1, bases, pop.radius, pop.height)
+        visible &= ~hits.reshape(n, pop.count).any(axis=1)
+
+    dvec = ap_xyz - device
+    dist = np.linalg.norm(dvec, axis=1)
+    cos_theta = (
+        dvec[:, 0] / dist * np.sin(polar) * np.cos(azimuth)
+        + dvec[:, 1] / dist * np.sin(polar) * np.sin(azimuth)
+        + dvec[:, 2] / dist * np.cos(polar)
+    )
+    excluded = cos_theta < math.cos(template.fov)
+    n_visible = int(np.sum(visible))
+    if n_visible == 0:
+        return math.nan
+    return float(np.sum(visible & excluded) / n_visible)
+
+
+# ------------------------------------------------------------- strategies
+
+_coord = st.floats(-1.0, 6.0, allow_nan=False, allow_infinity=False)
+_KINDS = ("random", "vertical", "level", "point", "surface", "tangent", "cap")
+
+
+@st.composite
+def _cylinders(draw):
+    return [
+        CylinderBlocker(
+            base_center=(draw(st.floats(0.0, 5.0)), draw(st.floats(0.0, 5.0)),
+                         draw(st.sampled_from([0.0, 0.25, draw(st.floats(0.0, 1.0))]))),
+            radius=draw(st.floats(0.05, 1.0)),
+            height=draw(st.floats(0.1, 3.0)),
+        )
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+
+
+@st.composite
+def _segment(draw, blockers):
+    """One segment, often placed exactly on a boundary case of a cylinder."""
+    kind = draw(st.sampled_from(_KINDS))
+    p0 = np.array([draw(_coord), draw(_coord), draw(_coord)])
+    if kind == "random" or (kind in ("surface", "tangent", "cap") and not blockers):
+        return p0, np.array([draw(_coord), draw(_coord), draw(_coord)])
+    if kind == "vertical":  # no radial extent
+        return p0, p0 + [0.0, 0.0, draw(st.floats(-3.0, 3.0))]
+    if kind == "level":
+        return p0, np.array([draw(_coord), draw(_coord), p0[2]])
+    if kind == "point":
+        return p0, p0.copy()
+    c = draw(st.sampled_from(blockers))
+    theta = draw(st.floats(0.0, 2.0 * math.pi))
+    rim = c.base_center + [c.radius * math.cos(theta), c.radius * math.sin(theta), 0.0]
+    if kind == "surface":  # endpoint on the lateral surface or a cap edge
+        return p0, rim + [0.0, 0.0, draw(st.sampled_from([0.0, c.height, draw(st.floats(0.0, c.height))]))]
+    if kind == "cap":  # endpoint on the top cap
+        rho = draw(st.floats(0.0, 1.0)) * c.radius
+        top = c.base_center + [rho * math.cos(theta), rho * math.sin(theta), c.height]
+        return p0, top
+    # tangent: a level chord touching the circle at `rim`, inside or at the slab
+    z = draw(st.sampled_from([0.0, c.height, draw(st.floats(0.0, c.height))])) + c.base_center[2]
+    along = np.array([-math.sin(theta), math.cos(theta), 0.0])
+    touch = np.array([rim[0], rim[1], z])
+    return touch - draw(st.floats(0.0, 3.0)) * along, touch + draw(st.floats(0.0, 3.0)) * along
+
+
+@st.composite
+def _case(draw):
+    blockers = draw(_cylinders())
+    n = draw(st.integers(0, 12))
+    segments = [draw(_segment(blockers)) for _ in range(n)]
+    p0 = np.array([s[0] for s in segments]).reshape(n, 3)
+    p1 = np.array([s[1] for s in segments]).reshape(n, 3)
+    return blockers, p0, p1
+
+
+def _chunks(monkeypatch):
+    """Run under the module block size and under a tiny one with ragged blocks."""
+    for cells in (geometry._CHUNK_CELLS, 7):
+        with monkeypatch.context() as m:
+            m.setattr(geometry, "_CHUNK_CELLS", cells)
+            yield
+
+
+# ------------------------------------------------------------------ kernel
+
+
+@settings(max_examples=300, deadline=None)
+@given(_case())
+def test_segments_blocked_matches_per_blocker_loop(case):
+    blockers, p0, p1 = case
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for _ in _chunks(monkeypatch):
+            got = segments_blocked(p0, p1, blockers)
+            want = _blocked_oracle(p0, p1, blockers)
+            assert got.dtype == bool and got.shape == (len(p0),)
+            assert np.array_equal(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_case())
+def test_segments_blocked_each_matches_per_cylinder_loop(case):
+    blockers, p0, p1 = case
+    n = len(p0)
+    rng = np.random.default_rng(n)
+    # K cylinders per row: each blocker's base, shifted per row
+    bases = np.array([b.base_center + rng.uniform(-0.5, 0.5, 3) * [1, 1, 0] for b in blockers
+                      for _ in range(n)]).reshape(len(blockers), n, 3)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for _ in _chunks(monkeypatch):
+            got = segments_blocked_each(p0, p1, bases, 0.4, 1.5)
+            want = np.zeros(n, dtype=bool)
+            for k in range(len(blockers)):
+                want |= _blocked_each_oracle(p0, p1, bases[k], 0.4, 1.5)
+            assert got.dtype == bool and got.shape == (n,)
+            assert np.array_equal(got, want)
+            if blockers:
+                one = segments_blocked_each(p0, p1, bases[0], 0.4, 1.5)
+                assert np.array_equal(one, _blocked_each_oracle(p0, p1, bases[0], 0.4, 1.5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_cylinders(), st.lists(st.tuples(_coord, _coord, _coord), max_size=20), st.tuples(_coord, _coord, _coord))
+def test_single_origin_broadcasts_like_the_loop(blockers, ends, origin):
+    ends = np.array(ends, dtype=float).reshape(-1, 3)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for _ in _chunks(monkeypatch):
+            assert np.array_equal(segments_blocked(origin, ends, blockers),
+                                  _blocked_oracle(origin, ends, blockers))
+            bases = np.array([b.base_center for b in blockers]).reshape(-1, 1, 3)
+            got = segments_blocked_each(origin, ends, bases, 0.3, 1.0)
+            want = np.zeros(len(ends), dtype=bool)
+            for base in bases:
+                want |= _blocked_each_oracle(origin, ends, base, 0.3, 1.0)
+            assert np.array_equal(got, want)
+
+
+def test_empty_inputs():
+    blockers = [CylinderBlocker(base_center=(1.0, 1.0, 0.0))]
+    none = np.zeros((0, 3))
+    assert segments_blocked(none, none, blockers).shape == (0,)
+    assert segments_blocked(none, none, []).shape == (0,)
+    assert segments_blocked_each(none, none, np.zeros((3, 0, 3)), 0.2, 1.0).shape == (0,)
+    assert segments_blocked_each(none, none, none, 0.2, 1.0).shape == (0,)
+    ends = np.array([[0.0, 0.0, 1.0], [2.0, 2.0, 1.0]])
+    assert not segments_blocked((0.0, 2.0, 1.0), ends, []).any()
+    assert not segments_blocked_each((0.0, 2.0, 1.0), ends, np.zeros((0, 2, 3)), 0.2, 1.0).any()
+
+
+def test_blocks_are_ragged_and_each_row_is_tested(monkeypatch):
+    # 3 cylinders with 7 cells per block: 2 rows per block, the last block holds one
+    monkeypatch.setattr(geometry, "_CHUNK_CELLS", 7)
+    far = [CylinderBlocker(base_center=(9.0, 9.0, 0.0)), CylinderBlocker(base_center=(8.0, 9.0, 0.0))]
+    x = np.arange(5.0)
+    origins = np.stack([x, np.full(5, -1.0), np.full(5, 1.0)], axis=1)
+    ends = origins + [0.0, 2.0, 0.0]
+    for row in range(5):
+        blockers = far + [CylinderBlocker(base_center=(float(row), 0.0, 0.0), radius=0.1)]
+        want = np.arange(5) == row
+        assert np.array_equal(segments_blocked(origins, ends, blockers), want)
+        assert np.array_equal(_blocked_oracle(origins, ends, blockers), want)
+
+
+# ------------------------------------------------------------------ studies
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("count", [0, 1, 5])
+@pytest.mark.parametrize("self_blockage", [True, False])
+def test_orientation_study_matches_repeat_expansion(monkeypatch, seed, count, self_blockage):
+    base = orientation_benchmark_scenario()
+    s = dataclasses.replace(
+        base,
+        users=(dataclasses.replace(base.users[0], self_blockage=self_blockage),),
+        blockers=(CylinderBlocker(base_center=(2.0, 2.0, 0.0), radius=0.3),),
+        blocker_population=BlockerPopulation(count=count) if count else None,
+    )
+    want = _orientation_study_oracle(s, 3000, master_seed=seed)
+    assert orientation_study(s, 3000, master_seed=seed) == want
+    monkeypatch.setattr(geometry, "_CHUNK_CELLS", 1001)  # many blocks, ragged last one
+    assert orientation_study(s, 3000, master_seed=seed) == want
+
+
+@pytest.mark.parametrize("fixed_orientation", [None, DeviceOrientation(0.3, 1.0)])
+def test_orientation_study_pinned_user_matches_repeat_expansion(fixed_orientation):
+    base = orientation_benchmark_scenario()
+    user = dataclasses.replace(base.users[0], position=np.array([3.5, 4.0, 0.75]),
+                               fixed_orientation=fixed_orientation)
+    s = dataclasses.replace(base, users=(user,), blocker_population=BlockerPopulation(count=5))
+    for seed in (1, 2, 3):
+        assert orientation_study(s, 2000, master_seed=seed) == _orientation_study_oracle(s, 2000, master_seed=seed)
+
+
+def test_orientation_study_multi_block_at_module_block_size():
+    s = dataclasses.replace(orientation_benchmark_scenario(), blocker_population=BlockerPopulation(count=5))
+    samples = 3 * geometry._CHUNK_CELLS // 5 + 17  # three full blocks and a ragged one
+    assert orientation_study(s, samples, master_seed=9) == _orientation_study_oracle(s, samples, master_seed=9)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_run_study_matches_per_blocker_loop_at_any_threads(monkeypatch, seed):
+    s = dataclasses.replace(benchmark_scenario(), blocker_population=BlockerPopulation(count=15))
+    outputs = {threads: trials_to_csv(run_study(s, 4, master_seed=seed, threads=threads))
+               for threads in (None, 1, 4)}
+    assert outputs[None] == outputs[1] == outputs[4]
+    for module in (geometry, channel, scenario):
+        monkeypatch.setattr(module, "segments_blocked", _blocked_oracle)
+    assert trials_to_csv(run_study(s, 4, master_seed=seed)) == outputs[1]

@@ -188,3 +188,56 @@ def test_stdout_matches_golden_digest(args, digest, small_scenario_path):
     r = run_cli(*(small_scenario_path if a == "{small}" else a for a in args))
     assert r.returncode == 0, r.stderr
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
+
+
+_RIS = '"center": [0.0, 2.5, 1.5], "normal": [1.0, 0.0, 0.0]'
+
+# Documents the loader must refuse, and the key its message must name.
+# Non-finite numbers are written as the JSON text Python's parser accepts.
+REFUSED_DOCUMENTS = [
+    pytest.param('{"constraints": {"peak": 1e999}}', "constraints.peak", id="peak-1e999"),
+    pytest.param('{"room": {"length": NaN}}', "room.length", id="length-nan"),
+    pytest.param('{"noise": {"psd": NaN}}', "noise.psd", id="psd-nan"),
+    pytest.param('{"room": {"wall_patch_size": Infinity}}', "room.wall_patch_size", id="patch-inf"),
+    pytest.param('{"aps": [{"position": [2.5, 2.5, -Infinity]}]}', "aps[0].position[2]", id="ap-neg-inf"),
+    pytest.param('{"users": [{}, {"count": -1}]}', "users[1].count", id="user-count-negative"),
+    pytest.param('{"users": [{"count": 2.7}]}', "users[0].count", id="user-count-fraction"),
+    pytest.param('{"users": [{"count": 2.0}]}', "users[0].count", id="user-count-float"),
+    pytest.param('{"users": [{"count": true}]}', "users[0].count", id="user-count-bool"),
+    pytest.param('{"users": [{"count": "2"}]}', "users[0].count", id="user-count-string"),
+    pytest.param('{"blockers": {"count": -1}}', "blockers.count", id="blocker-count-negative"),
+    pytest.param('{"blockers": {"count": 2.5}}', "blockers.count", id="blocker-count-fraction"),
+    pytest.param('{"blockers": {"count": false}}', "blockers.count", id="blocker-count-bool"),
+    pytest.param('{"ris": [{%s, "rows": 2.5}]}' % _RIS, "ris[0].rows", id="rows-fraction"),
+    pytest.param('{"ris": [{%s, "rows": 0}]}' % _RIS, "ris[0].rows", id="rows-zero"),
+    pytest.param('{"ris": [{%s, "cols": -2}]}' % _RIS, "ris[0].cols", id="cols-negative"),
+    pytest.param('{"ris": [{%s, "cols": true}]}' % _RIS, "ris[0].cols", id="cols-bool"),
+    pytest.param('{"blockers": {"count": 2, "radius": 2.6}}', "blockers.radius", id="radius-over-room"),
+    pytest.param('{"room": {"length": 8.0, "width": 2.0}, "blockers": {"count": 1, "radius": 1.2}}',
+                 "blockers.radius", id="radius-over-width"),
+]
+
+
+@pytest.mark.parametrize("text, key", REFUSED_DOCUMENTS)
+def test_refused_documents_exit_two_naming_the_key(tmp_path, text, key):
+    path = tmp_path / "refused.json"
+    path.write_text(text)
+    r = run_cli("simulate", "--scenario", str(path), "--trials", "1", "--format", "json")
+    assert r.returncode == 2, (r.stdout, r.stderr)
+    assert r.stdout == ""
+    assert key in r.stderr and "Traceback" not in r.stderr
+
+
+def test_boundary_counts_and_sizes_are_accepted(tmp_path):
+    # zero counts and a population that exactly spans the room are valid
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps({
+        "aps": [{"position": [2.5, 2.5, 3.0]}],
+        "users": [{"count": 0}, {"count": 1}],
+        "blockers": {"count": 1, "radius": 2.5},
+        "ris": [{"center": [0.0, 2.5, 1.5], "normal": [1.0, 0.0, 0.0], "rows": 1, "cols": 1}],
+        "room": {"wall_patch_size": 0.5},
+    }))
+    r = run_cli("simulate", "--scenario", str(path), "--trials", "1", "--format", "json")
+    assert r.returncode == 0, r.stderr
+    json.loads(r.stdout)

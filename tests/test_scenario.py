@@ -28,7 +28,6 @@ from ris_vlc.scenario import (
     orientation_benchmark_scenario,
     orientation_study,
     realize,
-    resolve_threads,
     run_study,
     run_trial,
     single_mirror_benchmark_scenario,
@@ -314,18 +313,6 @@ def test_run_study_thread_count_does_not_change_results():
         assert a.sum_rate == b.sum_rate
     with pytest.raises(ValueError):
         run_study(s, 0)
-
-
-def test_resolve_threads_env_cap(monkeypatch):
-    monkeypatch.delenv("RIS_VLC_THREADS", raising=False)
-    assert resolve_threads(3) == 3
-    monkeypatch.setenv("RIS_VLC_THREADS", "2")
-    assert resolve_threads() == 2
-    assert resolve_threads(8) == 2
-    assert resolve_threads(1) == 1
-    monkeypatch.setenv("RIS_VLC_THREADS", "0")
-    with pytest.raises(ValueError):
-        resolve_threads()
 
 
 def test_evaluate_links_requires_realization_and_aps():
