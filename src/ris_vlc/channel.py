@@ -71,7 +71,7 @@ class LedTx:
         object.__setattr__(self, "normal", unit(as_vec3(self.normal)))
         if not 0.0 < self.half_intensity_angle < math.pi / 2.0:
             raise ValueError("half-intensity angle must lie in (0, pi/2)")
-        if self.optical_power <= 0.0:
+        if not self.optical_power > 0.0:
             raise ValueError("optical power must be positive")
 
     @property
@@ -98,13 +98,13 @@ class PdRx:
 
     def __post_init__(self):
         object.__setattr__(self, "position", as_vec3(self.position))
-        if self.area <= 0.0:
+        if not self.area > 0.0:
             raise ValueError("detector area must be positive")
         if not 0.0 < self.fov <= math.pi / 2.0:
             raise ValueError("field of view must lie in (0, pi/2]")
         if not 0.0 < self.filter_gain <= 1.0:
             raise ValueError("filter gain must lie in (0, 1]")
-        if self.refractive_index < 1.0:
+        if not self.refractive_index >= 1.0:
             raise ValueError("concentrator refractive index must be >= 1")
 
     @property
@@ -197,7 +197,7 @@ class WallPatch:
     def __post_init__(self):
         object.__setattr__(self, "center", as_vec3(self.center))
         object.__setattr__(self, "normal", unit(as_vec3(self.normal)))
-        if self.area <= 0.0:
+        if not self.area > 0.0:
             raise ValueError("patch area must be positive")
         if not 0.0 <= self.reflectance <= 1.0:
             raise ValueError("reflectance must lie in [0, 1]")
@@ -244,7 +244,7 @@ class WallPatchSet:
         exactly; ceiling and floor are not tiled (first-bounce model uses
         wall reflections only). Patches run wall by wall, row-major in (v, u).
         """
-        if patch_size <= 0.0:
+        if not patch_size > 0.0:
             raise ValueError("patch size must be positive")
         if not 0.0 <= reflectance <= 1.0:
             raise ValueError("reflectance must lie in [0, 1]")

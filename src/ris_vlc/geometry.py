@@ -82,7 +82,7 @@ class Room:
     height: float = 3.0
 
     def __post_init__(self):
-        if min(self.length, self.width, self.height) <= 0.0:
+        if not (self.length > 0.0 and self.width > 0.0 and self.height > 0.0):
             raise ValueError("room dimensions must be positive")
 
     def contains(self, point: Vec3, tol: float = 1e-9) -> bool:
@@ -129,7 +129,7 @@ class CylinderBlocker:
 
     def __post_init__(self):
         object.__setattr__(self, "base_center", as_vec3(self.base_center))
-        if self.radius <= 0.0 or self.height <= 0.0:
+        if not (self.radius > 0.0 and self.height > 0.0):
             raise ValueError("cylinder radius and height must be positive")
 
 
@@ -197,7 +197,7 @@ def _segment_cylinder_hits(
     # level segments get sentinel windows: full for inside the slab, empty
     # outside; both sentinels must sit on the same side so the min/max
     # reordering below cannot flip an empty window into a full one
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t_lo_z = np.where(np.abs(dz) > _EPS_AXIS, (zlo - z0) / dz, np.where(inside_slab, -np.inf, np.inf))
         t_hi_z = np.where(np.abs(dz) > _EPS_AXIS, (zhi - z0) / dz, np.where(inside_slab, np.inf, np.inf))
     z_lo = np.minimum(t_lo_z, t_hi_z)

@@ -28,7 +28,7 @@ class NoiseModel:
     bandwidth: float = 20e6
 
     def __post_init__(self):
-        if self.psd <= 0.0 or self.bandwidth <= 0.0:
+        if not (self.psd > 0.0 and self.bandwidth > 0.0):
             raise ValueError("noise PSD and bandwidth must be positive")
 
     @property
@@ -44,7 +44,7 @@ class IntensityConstraints:
     average_total: float = 2.0
 
     def __post_init__(self):
-        if self.peak <= 0.0 or self.average_total <= 0.0:
+        if not (self.peak > 0.0 and self.average_total > 0.0):
             raise ValueError("intensity constraints must be positive")
 
 

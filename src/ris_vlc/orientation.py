@@ -57,7 +57,7 @@ class OrientationModel:
     std_polar: float = math.radians(9.0)
 
     def __post_init__(self):
-        if self.std_polar < 0.0:
+        if not self.std_polar >= 0.0:
             raise ValueError("std_polar must be nonnegative")
         if not 0.0 <= self.mean_polar <= POLAR_MAX:
             raise ValueError("mean_polar must lie inside the truncation window [0, pi/2]")

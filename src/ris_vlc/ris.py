@@ -112,11 +112,11 @@ class MirrorArray:
         object.__setattr__(self, "base_normal", unit(as_vec3(self.base_normal)))
         if self.rows < 1 or self.cols < 1:
             raise ValueError("mirror grid needs at least one row and one column")
-        if self.element_size <= 0.0:
+        if not self.element_size > 0.0:
             raise ValueError("element size must be positive")
         if not 0.0 <= self.reflectivity <= 1.0:
             raise ValueError("reflectivity must lie in [0, 1]")
-        if self.beam_spread <= 0.0:
+        if not self.beam_spread > 0.0:
             raise ValueError("beam spread must be positive")
         object.__setattr__(self, "yaw", self._coerce_angles(self.yaw))
         object.__setattr__(self, "roll", self._coerce_angles(self.roll))

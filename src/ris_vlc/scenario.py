@@ -86,7 +86,7 @@ class UserSpec:
     def __post_init__(self):
         if self.position is not None:
             object.__setattr__(self, "position", as_vec3(self.position))
-        if self.body_offset < 0.0 or self.body_radius <= 0.0 or self.body_height <= 0.0:
+        if not (self.body_offset >= 0.0 and self.body_radius > 0.0 and self.body_height > 0.0):
             raise ValueError("body offset must be nonnegative; body radius/height positive")
 
     def receiver(self) -> PdRx:
@@ -129,7 +129,7 @@ class BlockerPopulation:
     def __post_init__(self):
         if self.count < 0:
             raise ValueError("blocker count must be nonnegative")
-        if self.radius <= 0.0 or self.height <= 0.0:
+        if not (self.radius > 0.0 and self.height > 0.0):
             raise ValueError("blocker radius and height must be positive")
 
 
@@ -237,7 +237,7 @@ class Scenario:
             object.__setattr__(self, name, tuple(getattr(self, name)))
         if not 0.0 <= self.wall_reflectance <= 1.0:
             raise ValueError("wall reflectance must lie in [0, 1]")
-        if self.wall_patch_size <= 0.0:
+        if not self.wall_patch_size > 0.0:
             raise ValueError("wall patch size must be positive")
         placed = [(f"aps[{i}] position", ap.position) for i, ap in enumerate(self.aps)]
         placed += [(f"users[{i}] position", u.position) for i, u in enumerate(self.users)]
@@ -394,10 +394,12 @@ def run_study(
 
     Every trial gets its own SeedSequence([master_seed, index]). Trials run
     in order on the calling thread; `threads` is accepted and ignored, so
-    existing callers keep working.
+    existing callers keep working. A scenario without users is refused.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if not scenario.users:
+        raise ValueError("scenario has no users")
     return [run_trial(scenario, np.random.SeedSequence([master_seed, i])) for i in range(trials)]
 
 
@@ -506,38 +508,6 @@ def orientation_study(scenario: Scenario, samples: int, master_seed: int = 42) -
 
 # ------------------------------------------------------------- configuration
 
-_ROOM_KEYS = {"length", "width", "height", "wall_reflectance", "wall_patch_size"}
-_AP_KEYS = {"position", "normal", "half_intensity_angle_deg", "optical_power_w"}
-_USER_KEYS = {
-    "count",
-    "position",
-    "height",
-    "area",
-    "fov_deg",
-    "filter_gain",
-    "refractive_index",
-    "orientation",
-    "self_blockage",
-    "body_offset",
-    "body_radius",
-    "body_height",
-}
-_USER_ORIENTATION_KEYS = {"polar_deg", "azimuth_deg"}
-_BLOCKER_KEYS = {"count", "radius", "height", "positions"}
-_RIS_KEYS = {
-    "center",
-    "normal",
-    "rows",
-    "cols",
-    "element_size",
-    "reflectivity",
-    "beam_spread_deg",
-    "yaw_deg",
-    "roll_deg",
-}
-_NOISE_KEYS = {"psd", "bandwidth"}
-_CONSTRAINT_KEYS = {"peak", "average_total"}
-_ORIENTATION_KEYS = {"mean_polar_deg", "std_polar_deg"}
 _TOP_KEYS = {"room", "aps", "users", "blockers", "ris", "noise", "constraints", "orientation"}
 
 
@@ -553,29 +523,101 @@ def _reject_non_finite(value, where: str):
             _reject_non_finite(item, f"{where}[{i}]")
 
 
-def _count(section: dict, key: str, default: int, minimum: int, where: str) -> int:
-    """A JSON integer (not a boolean) of at least `minimum`."""
-    value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigError(f"{where}.{key} must be an integer >= {minimum}, got {value!r}")
+def _number(value, where: str) -> float:
+    """A JSON number (integer or float, not a boolean), as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
+def _degrees(value, where: str) -> float:
+    return math.radians(_number(value, where))
+
+
+def _vector(value, where: str) -> Vec3:
+    """A JSON list of exactly three numbers."""
+    if not isinstance(value, list) or len(value) != 3:
+        raise ConfigError(f"{where} must be a list of 3 numbers, got {value!r}")
+    return as_vec3([_number(x, f"{where}[{k}]") for k, x in enumerate(value)])
+
+
+def _flag(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where} must be true or false, got {value!r}")
     return value
 
 
-def _reject_unknown(section: dict, allowed: set, where: str):
+def _count(value, where: str, minimum: int = 1) -> int:
+    """A JSON integer (not a boolean) of at least `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{where} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+# Field tables: JSON key -> (dataclass keyword, reader). An absent key keeps
+# the dataclass default, so every default is written once, on its dataclass.
+_ROOM = {"length": ("length", _number), "width": ("width", _number), "height": ("height", _number)}
+_WALLS = {"wall_reflectance": ("wall_reflectance", _number), "wall_patch_size": ("wall_patch_size", _number)}
+_AP = {
+    "position": ("position", _vector),
+    "normal": ("normal", _vector),
+    "half_intensity_angle_deg": ("half_intensity_angle", _degrees),
+    "optical_power_w": ("optical_power", _number),
+}
+_USER = {
+    "position": ("position", _vector),
+    "height": ("height", _number),
+    "area": ("area", _number),
+    "fov_deg": ("fov", _degrees),
+    "filter_gain": ("filter_gain", _number),
+    "refractive_index": ("refractive_index", _number),
+    "self_blockage": ("self_blockage", _flag),
+    "body_offset": ("body_offset", _number),
+    "body_radius": ("body_radius", _number),
+    "body_height": ("body_height", _number),
+}
+_USER_ORIENTATION = {"polar_deg": ("polar", _degrees), "azimuth_deg": ("azimuth", _degrees)}
+_BLOCKERS = {"radius": ("radius", _number), "height": ("height", _number)}
+_RIS = {
+    "center": ("panel_center", _vector),
+    "normal": ("base_normal", _vector),
+    "rows": ("rows", _count),
+    "cols": ("cols", _count),
+    "element_size": ("element_size", _number),
+    "reflectivity": ("reflectivity", _number),
+    "beam_spread_deg": ("beam_spread", _degrees),
+    "yaw_deg": ("yaw", _degrees),
+    "roll_deg": ("roll", _degrees),
+}
+_NOISE = {"psd": ("psd", _number), "bandwidth": ("bandwidth", _number)}
+_CONSTRAINTS = {"peak": ("peak", _number), "average_total": ("average_total", _number)}
+_ORIENTATION = {"mean_polar_deg": ("mean_polar", _degrees), "std_polar_deg": ("std_polar", _degrees)}
+
+
+def _fields(section, table: dict, where: str, extra=()) -> dict:
+    """Keyword arguments read from the keys of `section` that are present.
+
+    Keys outside `table` and `extra` are refused; `extra` names the keys
+    of the section that the caller reads itself.
+    """
     if not isinstance(section, dict):
         raise ConfigError(f"section '{where}' must be a key/value table")
-    unknown = sorted(set(section) - allowed)
+    unknown = sorted(set(section) - set(table) - set(extra))
     if unknown:
         raise ConfigError(f"unknown key(s) in '{where}': {', '.join(unknown)}")
+    return {name: read(section[key], f"{where}.{key}")
+            for key, (name, read) in table.items() if key in section}
 
 
 def load_scenario(config_text: str) -> Scenario:
     """Build a validated Scenario from a JSON configuration document.
 
     Sections: room, aps[], users[], blockers, ris[], noise, constraints,
-    orientation. Lengths are meters, angles degrees, powers watts. Unknown
-    keys are rejected; omitted values fall back to the module defaults
-    (5 x 5 x 3 m room, 2 W LEDs, 85 deg FoV, 0.15 m x 1.65 m cylinders).
+    orientation. Lengths are meters, angles degrees, powers watts. Values
+    must be JSON numbers, booleans or 3-element lists of numbers as each key
+    requires; unknown keys and mistyped values are rejected with their JSON
+    path. Omitted keys take the defaults of the dataclass they fill (5 x 5
+    x 3 m room, 2 W LEDs, 85 deg FoV, 0.15 m x 1.65 m cylinders).
     """
     try:
         doc = json.loads(config_text)
@@ -584,7 +626,7 @@ def load_scenario(config_text: str) -> Scenario:
             f"configuration parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     _reject_non_finite(doc, "")
-    _reject_unknown(doc, _TOP_KEYS, "top level")
+    _fields(doc, {}, "top level", extra=_TOP_KEYS)
     try:
         return _scenario_from_document(doc)
     except ConfigError:
@@ -595,130 +637,55 @@ def load_scenario(config_text: str) -> Scenario:
 
 def _scenario_from_document(doc: dict) -> Scenario:
     room_sec = doc.get("room", {})
-    _reject_unknown(room_sec, _ROOM_KEYS, "room")
-    room = Room(
-        length=float(room_sec.get("length", 5.0)),
-        width=float(room_sec.get("width", 5.0)),
-        height=float(room_sec.get("height", 3.0)),
-    )
+    room = Room(**_fields(room_sec, _ROOM, "room", extra=_WALLS))
 
     aps = []
     for i, sec in enumerate(doc.get("aps", [])):
-        _reject_unknown(sec, _AP_KEYS, f"aps[{i}]")
-        if "position" not in sec:
+        kwargs = _fields(sec, _AP, f"aps[{i}]")
+        if "position" not in kwargs:
             raise ConfigError(f"aps[{i}] is missing required key 'position'")
-        aps.append(
-            LedTx(
-                position=as_vec3(sec["position"]),
-                normal=as_vec3(sec.get("normal", (0.0, 0.0, -1.0))),
-                half_intensity_angle=math.radians(float(sec.get("half_intensity_angle_deg", 60.0))),
-                optical_power=float(sec.get("optical_power_w", 2.0)),
-            )
-        )
+        aps.append(LedTx(**kwargs))
 
     users = []
     for i, sec in enumerate(doc.get("users", [])):
-        _reject_unknown(sec, _USER_KEYS, f"users[{i}]")
-        orientation = None
+        kwargs = _fields(sec, _USER, f"users[{i}]", extra=("count", "orientation"))
         if "orientation" in sec:
-            osec = sec["orientation"]
-            _reject_unknown(osec, _USER_ORIENTATION_KEYS, f"users[{i}].orientation")
-            orientation = DeviceOrientation(
-                polar=math.radians(float(osec.get("polar_deg", 0.0))),
-                azimuth=math.radians(float(osec.get("azimuth_deg", 0.0))),
-            )
-        self_blockage = sec.get("self_blockage", True)
-        if not isinstance(self_blockage, bool):
-            raise ConfigError(f"users[{i}].self_blockage must be true or false, got {self_blockage!r}")
-        template = UserSpec(
-            position=as_vec3(sec["position"]) if "position" in sec else None,
-            height=float(sec.get("height", DEFAULT_USER_HEIGHT)),
-            area=float(sec.get("area", 1e-4)),
-            fov=math.radians(float(sec.get("fov_deg", 85.0))),
-            filter_gain=float(sec.get("filter_gain", 1.0)),
-            refractive_index=float(sec.get("refractive_index", 1.5)),
-            fixed_orientation=orientation,
-            self_blockage=self_blockage,
-            body_offset=float(sec.get("body_offset", DEFAULT_BODY_OFFSET)),
-            body_radius=float(sec.get("body_radius", DEFAULT_BODY_RADIUS)),
-            body_height=float(sec.get("body_height", DEFAULT_BODY_HEIGHT)),
-        )
-        users.extend([template] * _count(sec, "count", 1, 0, f"users[{i}]"))
+            angles = _fields(sec["orientation"], _USER_ORIENTATION, f"users[{i}].orientation")
+            kwargs["fixed_orientation"] = DeviceOrientation(**{"polar": 0.0, "azimuth": 0.0, **angles})
+        users.extend([UserSpec(**kwargs)] * _count(sec.get("count", 1), f"users[{i}].count", 0))
 
-    blockers = []
-    population = None
     bsec = doc.get("blockers", {})
-    _reject_unknown(bsec, _BLOCKER_KEYS, "blockers")
-    radius = float(bsec.get("radius", 0.15))
-    height = float(bsec.get("height", 1.65))
+    dims = _fields(bsec, _BLOCKERS, "blockers", extra=("count", "positions"))
+    population = BlockerPopulation(count=_count(bsec.get("count", 0), "blockers.count", 0), **dims)
+    blockers = []
     for j, xy in enumerate(bsec.get("positions", [])):
-        if len(xy) != 2:
+        if not isinstance(xy, list) or len(xy) != 2:
             raise ConfigError(f"blockers.positions[{j}] must be [x, y]")
-        blockers.append(
-            CylinderBlocker(
-                base_center=np.array([float(xy[0]), float(xy[1]), 0.0]),
-                radius=radius,
-                height=height,
-            )
-        )
-    count = _count(bsec, "count", 0, 0, "blockers")
-    if count > 0:
-        if 2.0 * radius > min(room.length, room.width):
-            raise ConfigError(f"blockers.radius {radius} is more than half the room length or width")
-        population = BlockerPopulation(count=count, radius=radius, height=height)
+        x, y = (_number(v, f"blockers.positions[{j}][{k}]") for k, v in enumerate(xy))
+        blockers.append(CylinderBlocker(base_center=np.array([x, y, 0.0]), radius=population.radius,
+                                        height=population.height))
+    if population.count > 0 and 2.0 * population.radius > min(room.length, room.width):
+        raise ConfigError(f"blockers.radius {population.radius} is more than half the room length or width")
 
     panels = []
     for i, sec in enumerate(doc.get("ris", [])):
-        _reject_unknown(sec, _RIS_KEYS, f"ris[{i}]")
-        if "center" not in sec or "normal" not in sec:
+        kwargs = _fields(sec, _RIS, f"ris[{i}]")
+        if "panel_center" not in kwargs or "base_normal" not in kwargs:
             raise ConfigError(f"ris[{i}] requires keys 'center' and 'normal'")
-        panels.append(
-            MirrorArray(
-                panel_center=as_vec3(sec["center"]),
-                base_normal=as_vec3(sec["normal"]),
-                rows=_count(sec, "rows", 8, 1, f"ris[{i}]"),
-                cols=_count(sec, "cols", 8, 1, f"ris[{i}]"),
-                element_size=float(sec.get("element_size", 0.1)),
-                reflectivity=float(sec.get("reflectivity", 0.95)),
-                beam_spread=math.radians(float(sec.get("beam_spread_deg", 2.0))),
-                yaw=math.radians(float(sec.get("yaw_deg", 0.0))),
-                roll=math.radians(float(sec.get("roll_deg", 0.0))),
-            )
-        )
-
-    nsec = doc.get("noise", {})
-    _reject_unknown(nsec, _NOISE_KEYS, "noise")
-    noise = NoiseModel(
-        psd=float(nsec.get("psd", 1e-21)),
-        bandwidth=float(nsec.get("bandwidth", 20e6)),
-    )
-
-    csec = doc.get("constraints", {})
-    _reject_unknown(csec, _CONSTRAINT_KEYS, "constraints")
-    constraints = IntensityConstraints(
-        peak=float(csec.get("peak", 2.0)),
-        average_total=float(csec.get("average_total", 2.0)),
-    )
-
-    osec = doc.get("orientation", {})
-    _reject_unknown(osec, _ORIENTATION_KEYS, "orientation")
-    model = OrientationModel(
-        mean_polar=math.radians(float(osec.get("mean_polar_deg", 41.0))),
-        std_polar=math.radians(float(osec.get("std_polar_deg", 9.0))),
-    )
+        panels.append(MirrorArray(**kwargs))
 
     return Scenario(
         room=room,
         aps=tuple(aps),
         users=tuple(users),
         blockers=tuple(blockers),
-        blocker_population=population,
+        blocker_population=population if population.count > 0 else None,
         ris_panels=tuple(panels),
-        wall_reflectance=float(room_sec.get("wall_reflectance", 0.7)),
-        wall_patch_size=float(room_sec.get("wall_patch_size", 0.05)),
-        noise=noise,
-        constraints=constraints,
-        orientation_model=model,
+        noise=NoiseModel(**_fields(doc.get("noise", {}), _NOISE, "noise")),
+        constraints=IntensityConstraints(**_fields(doc.get("constraints", {}), _CONSTRAINTS, "constraints")),
+        orientation_model=OrientationModel(
+            **_fields(doc.get("orientation", {}), _ORIENTATION, "orientation")),
+        **_fields(room_sec, _WALLS, "room", extra=_ROOM),
     )
 
 

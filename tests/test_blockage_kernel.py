@@ -10,6 +10,7 @@ the comparisons demand equal results, not close ones.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,9 @@ from ris_vlc.scenario import (
     run_study,
     trials_to_csv,
 )
+
+# a warning from the kernel is a defect here, not noise
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _blocked_oracle(origins, ends, blockers):
@@ -233,6 +237,19 @@ def test_empty_inputs():
     ends = np.array([[0.0, 0.0, 1.0], [2.0, 2.0, 1.0]])
     assert not segments_blocked((0.0, 2.0, 1.0), ends, []).any()
     assert not segments_blocked_each((0.0, 2.0, 1.0), ends, np.zeros((0, 2, 3)), 0.2, 1.0).any()
+
+
+def test_tiny_height_change_does_not_overflow():
+    # (zlo - z0) / dz overflows for a nonzero dz near the subnormal range;
+    # np.where discards those rows, so the division must stay silent
+    p0 = np.array([[0.0, 0.0, 1e-310]])
+    p1 = np.array([[3.0, 0.0, 0.0]])
+    base = np.array([1.5, 0.0, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hit = _segment_cylinder_hits(p0, p1, base, 0.3, 1.0)
+        assert not hit[0]  # the segment runs below the cylinder's base
+        assert not segments_blocked(p0, p1, [CylinderBlocker(base_center=base, radius=0.3, height=1.0)])[0]
 
 
 def test_blocks_are_ragged_and_each_row_is_tested(monkeypatch):

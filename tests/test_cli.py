@@ -180,6 +180,10 @@ GOLDEN_STDOUT = [
                  id="noma"),
     pytest.param(("mimo",), "c9c63525bcb27bc1c5741179eacfa08932da2ac0a5a2cfc16984d85ea1a382f8",
                  id="mimo"),
+    pytest.param(("optimize", "--algorithm", "sca", "--mode", "identical"),
+                 "a3564ba800239de6cbc1d0044e8af68919421ef8e72add72f02a6ccea49bbdc3", id="optimize-sca"),
+    pytest.param(("optimize", "--algorithm", "pso", "--mode", "per-element"),
+                 "0acb2b6137cc4f4b17df4a813a87ac7c82adcd44fac97127742e6444f28b87e8", id="optimize-pso"),
 ]
 
 
@@ -215,6 +219,19 @@ REFUSED_DOCUMENTS = [
     pytest.param('{"blockers": {"count": 2, "radius": 2.6}}', "blockers.radius", id="radius-over-room"),
     pytest.param('{"room": {"length": 8.0, "width": 2.0}, "blockers": {"count": 1, "radius": 1.2}}',
                  "blockers.radius", id="radius-over-width"),
+    pytest.param('{"aps": [{"position": [2.5, 2.5, 3]}], "users": [{"count": 0}]}', "users", id="no-users"),
+    pytest.param('{"room": {"length": "6"}}', "room.length", id="length-string"),
+    pytest.param('{"room": {"length": true}}', "room.length", id="length-bool"),
+    pytest.param('{"room": {"length": null}}', "room.length", id="length-null"),
+    pytest.param('{"noise": {"psd": "1e-20"}}', "noise.psd", id="psd-string"),
+    pytest.param('{"aps": [{"position": ["1", 1, 2]}]}', "aps[0].position[0]", id="ap-position-string"),
+    pytest.param('{"aps": [{"position": [2.5, 2.5]}]}', "aps[0].position", id="ap-position-short"),
+    pytest.param('{"users": [{"fov_deg": "85"}]}', "users[0].fov_deg", id="fov-string"),
+    pytest.param('{"users": [{"orientation": {"polar_deg": "5"}}]}', "users[0].orientation.polar_deg",
+                 id="polar-string"),
+    pytest.param('{"ris": [{%s, "yaw_deg": "10"}]}' % _RIS, "ris[0].yaw_deg", id="yaw-string"),
+    pytest.param('{"blockers": {"positions": [["1", 1]]}}', "blockers.positions[0][0]",
+                 id="blocker-xy-string"),
 ]
 
 

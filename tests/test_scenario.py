@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from conftest import run_cli
 
-from ris_vlc.channel import LedTx, incidence_cosine, los_gain, wall_first_reflection_gain
+from ris_vlc.channel import LedTx, PdRx, WallPatch, incidence_cosine, los_gain, wall_first_reflection_gain
 from ris_vlc.geometry import CylinderBlocker, Room, segments_blocked
-from ris_vlc.metrics import link_rate
-from ris_vlc.orientation import DeviceOrientation
+from ris_vlc.metrics import IntensityConstraints, NoiseModel, link_rate
+from ris_vlc.orientation import DeviceOrientation, OrientationModel
 from ris_vlc.ris import MirrorArray
 from ris_vlc.scenario import (
     CSV_HEADER,
@@ -78,6 +78,33 @@ def test_scenario_rejects_out_of_room_placements():
             MirrorArray(panel_center=(-0.5, 2.5, 1.5), base_normal=(1, 0, 0)),))
     with pytest.raises(ValueError):
         Scenario(room=room, wall_reflectance=1.2)
+
+
+_NAN = math.nan
+_ORIGIN = (1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Room(length=_NAN),
+    lambda: NoiseModel(psd=_NAN),
+    lambda: IntensityConstraints(peak=_NAN),
+    lambda: LedTx(position=_ORIGIN, optical_power=_NAN),
+    lambda: PdRx(position=_ORIGIN, area=_NAN),
+    lambda: PdRx(position=_ORIGIN, refractive_index=_NAN),
+    lambda: Scenario(wall_patch_size=_NAN),
+    lambda: BlockerPopulation(count=1, radius=_NAN),
+    lambda: CylinderBlocker(base_center=_ORIGIN, radius=_NAN),
+    lambda: UserSpec(body_radius=_NAN),
+    lambda: MirrorArray(panel_center=_ORIGIN, base_normal=(1, 0, 0), element_size=_NAN),
+    lambda: MirrorArray(panel_center=_ORIGIN, base_normal=(1, 0, 0), beam_spread=_NAN),
+    lambda: OrientationModel(std_polar=_NAN),
+    lambda: WallPatch(center=_ORIGIN, normal=(1, 0, 0), area=_NAN, reflectance=0.5),
+], ids=["room-length", "noise-psd", "peak", "optical-power", "pd-area", "refractive-index",
+        "wall-patch-size", "population-radius", "cylinder-radius", "body-radius", "element-size",
+        "beam-spread", "std-polar", "patch-area"])
+def test_validators_refuse_nan(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 # ------------------------------------------------------------ configuration
@@ -313,6 +340,8 @@ def test_run_study_thread_count_does_not_change_results():
         assert a.sum_rate == b.sum_rate
     with pytest.raises(ValueError):
         run_study(s, 0)
+    with pytest.raises(ValueError, match="users"):
+        run_study(dataclasses.replace(s, users=()), 1)
 
 
 def test_evaluate_links_requires_realization_and_aps():
