@@ -19,10 +19,11 @@ angles, which metaheuristic optimizers need; as sigma -> 0 it sharpens
 toward an ideal mirror.
 
 Only the element normals (cos t1, the specular direction, psi) depend on
-yaw and roll. d1, d2, cos(phi1), cos(t2), the FoV gate and leg blockage
-come from `channel.reflection_legs`, which a realized scenario builds once
-per (user, AP, panel); `steered_gains` adds the angle terms. `element_gains`
-is exactly the two steps, so both routes give bit-identical gains.
+yaw and roll; `MirrorArray.normals` computes them, once per panel per angle
+set in `Scenario.evaluate_links`. d1, d2, cos(phi1), cos(t2), the FoV gate
+and leg blockage come from `channel.reflection_legs`, which a realized
+scenario builds once per (user, AP, panel); `steered_gains` adds the angle
+terms. `element_gains` is exactly the steps, so both routes give equal bits.
 
 The liquid-crystal receiver surrogate multiplies a gain by a transmittance
 and an amplification inside a configurable effective field of view; the
@@ -56,28 +57,31 @@ def _horizontal_axis(base_normal: Vec3) -> Vec3:
     return h / n
 
 
-def _mirror_normals(yaw: np.ndarray, roll: np.ndarray, base_normal: Vec3) -> np.ndarray:
-    """Vectorized mirror normals for flat arrays of yaw/roll angles.
+def _mirror_normals(yaw: np.ndarray, roll: np.ndarray, b: Vec3, h: Vec3) -> np.ndarray:
+    """(n, 3) mirror normals for flat yaw/roll arrays in a panel frame (`MirrorArray._frame`).
 
-    Yaw rotates the base normal (and the horizontal axis) about vertical;
-    roll then rotates about the yawed horizontal axis. The horizontal axis
-    stays perpendicular to the yawed normal, so Rodrigues' formula loses its
-    parallel term and the normal reduces to b' cos(w) + (a x b') sin(w).
+    Yaw rotates the unit base normal b and the horizontal axis h about
+    vertical; roll then rotates about the yawed axis a. That axis stays
+    perpendicular to the yawed normal b', so Rodrigues' formula loses its
+    parallel term: n = b' cos(w) + (a x b') sin(w), the cross written out.
     """
-    b = unit(as_vec3(base_normal))
-    h0 = _horizontal_axis(b)
     cy, sy = np.cos(yaw), np.sin(yaw)
-    bp = np.stack([b[0] * cy - b[1] * sy, b[0] * sy + b[1] * cy, np.full_like(cy, b[2])], axis=-1)
-    a = np.stack([h0[0] * cy - h0[1] * sy, h0[0] * sy + h0[1] * cy, np.full_like(cy, h0[2])], axis=-1)
-    cw, sw = np.cos(roll)[..., None], np.sin(roll)[..., None]
-    return bp * cw + np.cross(a, bp) * sw
+    b0, b1, b2 = b[0] * cy - b[1] * sy, b[0] * sy + b[1] * cy, b[2]
+    a0, a1, a2 = h[0] * cy - h[1] * sy, h[0] * sy + h[1] * cy, h[2]
+    cw, sw = np.cos(roll), np.sin(roll)
+    out = np.empty((len(cy), 3))
+    out[:, 0] = b0 * cw + (a1 * b2 - a2 * b1) * sw
+    out[:, 1] = b1 * cw + (a2 * b0 - a0 * b2) * sw
+    out[:, 2] = b2 * cw + (a0 * b1 - a1 * b0) * sw
+    return out
 
 
 def mirror_normal(yaw: float, roll: float, base_normal: Vec3) -> Vec3:
     """Unit normal of one element after the yaw-then-roll rotation."""
     if not (-ANGLE_LIMIT <= yaw <= ANGLE_LIMIT and -ANGLE_LIMIT <= roll <= ANGLE_LIMIT):
         raise ValueError("yaw and roll must lie in [-pi/2, pi/2]")
-    return _mirror_normals(np.asarray([yaw]), np.asarray([roll]), base_normal)[0]
+    b = unit(as_vec3(base_normal))
+    return _mirror_normals(np.asarray([yaw]), np.asarray([roll]), b, _horizontal_axis(b))[0]
 
 
 def specular_reflect(incident_dir: Vec3, normal: Vec3) -> Vec3:
@@ -149,6 +153,18 @@ class MirrorArray:
         dv = (r_idx.ravel() - (self.rows - 1) / 2.0) * self.element_size
         return self.panel_center + du[:, None] * h0 + dv[:, None] * v0
 
+    @cached_property
+    def _frame(self) -> Tuple[Vec3, Vec3]:
+        """(b, h) for `_mirror_normals`; unit() again, as it is not always a no-op on a unit vector."""
+        b = unit(self.base_normal)
+        return b, _horizontal_axis(b)
+
+    def normals(self, yaw=None, roll=None) -> np.ndarray:
+        """(rows*cols, 3) element normals at the stored angles or at clamped, broadcast overrides."""
+        yaw_m = self.yaw if yaw is None else self._coerce_angles(yaw)
+        roll_m = self.roll if roll is None else self._coerce_angles(roll)
+        return _mirror_normals(yaw_m.ravel(), roll_m.ravel(), *self._frame)
+
     def with_angles(self, yaw, roll) -> "MirrorArray":
         """Same panel with new angle matrices (clamped by construction)."""
         return replace(self, yaw=yaw, roll=roll)
@@ -172,15 +188,12 @@ def element_gains(
     optimizer candidates evaluate without rebuilding the panel.
     """
     legs = reflection_legs(tx, array.element_centers, rx, blockers)
-    return steered_gains(tx, array, rx, legs, yaw=yaw, roll=roll)
+    return steered_gains(tx, array, rx, legs, array.normals(yaw, roll))
 
 
 def steered_gains(tx: LedTx, array: MirrorArray, rx: PdRx, legs: ReflectionLegs,
-                  yaw: Optional[np.ndarray] = None, roll: Optional[np.ndarray] = None) -> np.ndarray:
-    """The angle step of `element_gains`, on `reflection_legs(tx, array.element_centers, rx, ...)`."""
-    yaw_m = array.yaw if yaw is None else array._coerce_angles(yaw)
-    roll_m = array.roll if roll is None else array._coerce_angles(roll)
-    normals = _mirror_normals(yaw_m.ravel(), roll_m.ravel(), array.base_normal)
+                  normals: np.ndarray) -> np.ndarray:
+    """The angle step of `element_gains`: its legs and `array.normals(yaw, roll)` to gains."""
     m = tx.lambertian_order
     sigma = array.beam_spread
 

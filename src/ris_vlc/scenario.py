@@ -163,10 +163,9 @@ class _ApLink:
 
 @dataclass(frozen=True, eq=False)
 class _UserLinks:
-    """One user's receiver and occluders, with an `_ApLink` per access point."""
+    """One user's receiver, with an `_ApLink` per access point."""
 
     rx: PdRx
-    occluders: Tuple[CylinderBlocker, ...]
     per_ap: Tuple[_ApLink, ...]
 
 
@@ -263,10 +262,10 @@ class Scenario:
     def _static_links(self) -> list["_UserLinks"]:
         """Angle-independent link data, computed once per realized scenario.
 
-        Per user: its receiver, its occluders (scenario blockers plus its
-        own body) and one `_ApLink` per access point. The LoS blockage test
-        and the mirror element legs run once per link, so an angle
-        evaluation computes only the angle terms of the mirror gain.
+        Per user: its receiver and one `_ApLink` per access point, tested
+        against its occluders (scenario blockers plus its own body). The LoS
+        blockage test and the mirror element legs run once per link, so an
+        angle evaluation computes only the angle terms of the mirror gain.
         """
         if not self.is_realized:
             raise ValueError("scenario has unsampled users; run trials instead of evaluating")
@@ -286,7 +285,7 @@ class Scenario:
                 legs = tuple(reflection_legs(ap, panel.element_centers, rx, occluders)
                              for panel in self.ris_panels)
                 per_ap.append(_ApLink(h_los, h_wall, visible, cos_t >= math.cos(rx.fov), legs))
-            table.append(_UserLinks(rx=rx, occluders=occluders, per_ap=tuple(per_ap)))
+            table.append(_UserLinks(rx=rx, per_ap=tuple(per_ap)))
         return table
 
     def evaluate_links(self, ris_angles=None) -> list[LinkEvaluation]:
@@ -297,32 +296,25 @@ class Scenario:
         user attaches to the access point maximizing its total gain; ties
         go to the lowest index.
         """
-        ris_angles = _normalize_angles(self, ris_angles)
+        panels = self.ris_panels
+        pairs = [(None, None)] * len(panels) if ris_angles is None else list(ris_angles)
+        if len(pairs) != len(panels):
+            raise ValueError(f"expected {len(panels)} (yaw, roll) pairs, got {len(pairs)}")
+        static_links = self._static_links  # raises on unsampled users or no APs
+        normals = [panel.normals(yaw, roll) for panel, (yaw, roll) in zip(panels, pairs)]
         links = []
-        for u, user in enumerate(self._static_links):  # raises on unsampled users or no APs
+        for u, user in enumerate(static_links):
             candidates = []
             for a, (ap, static) in enumerate(zip(self.aps, user.per_ap)):
                 h_ris = 0.0
-                for panel, legs, (yaw, roll) in zip(self.ris_panels, static.mirror_legs, ris_angles):
-                    gains = steered_gains(ap, panel, user.rx, legs, yaw=yaw, roll=roll)
-                    h_ris += float(np.add.reduce(gains))
+                for panel, legs, n in zip(panels, static.mirror_legs, normals):
+                    h_ris += float(np.add.reduce(steered_gains(ap, panel, user.rx, legs, n)))
                 candidates.append(LinkEvaluation(
                     user_index=u, serving_ap=a, h_los=static.h_los, h_wall=static.h_wall, h_ris=h_ris,
                     los_visible=static.los_visible, fov_ok=static.fov_ok))
             # max keeps the first of equal gains, so ties go to the lowest index
             links.append(max(candidates, key=lambda link: link.total_gain))
         return links
-
-
-def _normalize_angles(scenario: Scenario, ris_angles):
-    if ris_angles is None:
-        return [(None, None)] * len(scenario.ris_panels)
-    pairs = list(ris_angles)
-    if len(pairs) != len(scenario.ris_panels):
-        raise ValueError(
-            f"expected {len(scenario.ris_panels)} (yaw, roll) pairs, got {len(pairs)}"
-        )
-    return [(yaw, roll) for yaw, roll in pairs]
 
 
 # --------------------------------------------------------------------- trials
@@ -547,6 +539,12 @@ def _flag(value, where: str) -> bool:
     return value
 
 
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"section '{where}' must be a list, got {value!r}")
+    return value
+
+
 def _count(value, where: str, minimum: int = 1) -> int:
     """A JSON integer (not a boolean) of at least `minimum`."""
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
@@ -640,14 +638,14 @@ def _scenario_from_document(doc: dict) -> Scenario:
     room = Room(**_fields(room_sec, _ROOM, "room", extra=_WALLS))
 
     aps = []
-    for i, sec in enumerate(doc.get("aps", [])):
+    for i, sec in enumerate(_list(doc.get("aps", []), "aps")):
         kwargs = _fields(sec, _AP, f"aps[{i}]")
         if "position" not in kwargs:
             raise ConfigError(f"aps[{i}] is missing required key 'position'")
         aps.append(LedTx(**kwargs))
 
     users = []
-    for i, sec in enumerate(doc.get("users", [])):
+    for i, sec in enumerate(_list(doc.get("users", []), "users")):
         kwargs = _fields(sec, _USER, f"users[{i}]", extra=("count", "orientation"))
         if "orientation" in sec:
             angles = _fields(sec["orientation"], _USER_ORIENTATION, f"users[{i}].orientation")
@@ -658,7 +656,7 @@ def _scenario_from_document(doc: dict) -> Scenario:
     dims = _fields(bsec, _BLOCKERS, "blockers", extra=("count", "positions"))
     population = BlockerPopulation(count=_count(bsec.get("count", 0), "blockers.count", 0), **dims)
     blockers = []
-    for j, xy in enumerate(bsec.get("positions", [])):
+    for j, xy in enumerate(_list(bsec.get("positions", []), "blockers.positions")):
         if not isinstance(xy, list) or len(xy) != 2:
             raise ConfigError(f"blockers.positions[{j}] must be [x, y]")
         x, y = (_number(v, f"blockers.positions[{j}][{k}]") for k, v in enumerate(xy))
@@ -668,7 +666,7 @@ def _scenario_from_document(doc: dict) -> Scenario:
         raise ConfigError(f"blockers.radius {population.radius} is more than half the room length or width")
 
     panels = []
-    for i, sec in enumerate(doc.get("ris", [])):
+    for i, sec in enumerate(_list(doc.get("ris", []), "ris")):
         kwargs = _fields(sec, _RIS, f"ris[{i}]")
         if "panel_center" not in kwargs or "base_normal" not in kwargs:
             raise ConfigError(f"ris[{i}] requires keys 'center' and 'normal'")

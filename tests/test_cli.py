@@ -232,6 +232,15 @@ REFUSED_DOCUMENTS = [
     pytest.param('{"ris": [{%s, "yaw_deg": "10"}]}' % _RIS, "ris[0].yaw_deg", id="yaw-string"),
     pytest.param('{"blockers": {"positions": [["1", 1]]}}', "blockers.positions[0][0]",
                  id="blocker-xy-string"),
+    pytest.param('{"aps": {}, "users": [{}]}', "'aps'", id="aps-object"),
+    pytest.param('{"aps": "", "users": [{}]}', "'aps'", id="aps-string"),
+    pytest.param('{"aps": 5}', "'aps'", id="aps-number"),
+    pytest.param('{"aps": {"position": [1, 1, 2]}}', "'aps'", id="aps-one-table"),
+    pytest.param('{"users": "ab"}', "'users'", id="users-string"),
+    pytest.param('{"ris": {}}', "'ris'", id="ris-object"),
+    pytest.param('{"ris": 2}', "'ris'", id="ris-number"),
+    pytest.param('{"blockers": {"positions": {}}}', "'blockers.positions'", id="positions-object"),
+    pytest.param('{"blockers": {"positions": 3}}', "'blockers.positions'", id="positions-number"),
 ]
 
 

@@ -2,8 +2,11 @@
 
 `_element_gains_oracle` and `_wall_gain_oracle` are the mirror and wall gains
 as they were before both moved onto `reflection_legs`: each computed its own
-legs, FoV gate and leg blockage. The rewrite keeps every float expression in
-operand order, so the differential tests demand equal bits, not closeness.
+legs, FoV gate and leg blockage. `_mirror_normals` and `_horizontal_axis` are
+the element normals as they were before the panel frame moved onto
+`MirrorArray` and the cross product was written per component. The rewrites
+keep every float expression in operand order, so the differential tests
+demand equal bits, not closeness.
 """
 
 import dataclasses
@@ -11,25 +14,63 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ris_vlc import channel, geometry, ris, scenario
 from ris_vlc.channel import LedTx, PdRx, WallPatchSet, reflection_legs, wall_first_reflection_gain
-from ris_vlc.geometry import CylinderBlocker, Room, segments_blocked, unit
+from ris_vlc.geometry import CylinderBlocker, Room, Vec3, as_vec3, segments_blocked, unit
 from ris_vlc.metrics import sum_rate
 from ris_vlc.orientation import DeviceOrientation
-from ris_vlc.ris import ANGLE_LIMIT, MirrorArray, _mirror_normals, element_gains
+from ris_vlc.ris import ANGLE_LIMIT, MirrorArray, element_gains, mirror_normal
 from ris_vlc.scenario import UserSpec, blocked_benchmark_scenario
 
 ROOM = Room(5.0, 5.0, 3.0)
 
+# a warning from the kernels is a defect here, not noise
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+_Z = np.array([0.0, 0.0, 1.0])
+
+
+def _horizontal_axis(base_normal: Vec3) -> Vec3:
+    """In-panel horizontal axis: z cross n, with an x fallback for ceiling panels."""
+    h = np.cross(_Z, base_normal)
+    n = np.linalg.norm(h)
+    if n < 1e-12:
+        return np.array([1.0, 0.0, 0.0])
+    return h / n
+
+
+def _mirror_normals(yaw: np.ndarray, roll: np.ndarray, base_normal: Vec3) -> np.ndarray:
+    """Vectorized mirror normals for flat arrays of yaw/roll angles.
+
+    Yaw rotates the base normal (and the horizontal axis) about vertical;
+    roll then rotates about the yawed horizontal axis. The horizontal axis
+    stays perpendicular to the yawed normal, so Rodrigues' formula loses its
+    parallel term and the normal reduces to b' cos(w) + (a x b') sin(w).
+    """
+    b = unit(as_vec3(base_normal))
+    h0 = _horizontal_axis(b)
+    cy, sy = np.cos(yaw), np.sin(yaw)
+    bp = np.stack([b[0] * cy - b[1] * sy, b[0] * sy + b[1] * cy, np.full_like(cy, b[2])], axis=-1)
+    a = np.stack([h0[0] * cy - h0[1] * sy, h0[0] * sy + h0[1] * cy, np.full_like(cy, h0[2])], axis=-1)
+    cw, sw = np.cos(roll)[..., None], np.sin(roll)[..., None]
+    return bp * cw + np.cross(a, bp) * sw
+
+
+def _same_bits(got, want):
+    """Equal shape, dtype and bytes: stricter than ==, which takes -0.0 for 0.0."""
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _clamped(angles, shape):
+    return np.clip(np.broadcast_to(np.asarray(angles, dtype=float), shape), -ANGLE_LIMIT, ANGLE_LIMIT)
+
 
 def _element_gains_oracle(tx, array, rx, blockers=(), yaw=None, roll=None):
-    yaw_m = array.yaw if yaw is None else np.clip(np.broadcast_to(
-        np.asarray(yaw, dtype=float), (array.rows, array.cols)), -ANGLE_LIMIT, ANGLE_LIMIT)
-    roll_m = array.roll if roll is None else np.clip(np.broadcast_to(
-        np.asarray(roll, dtype=float), (array.rows, array.cols)), -ANGLE_LIMIT, ANGLE_LIMIT)
+    yaw_m = array.yaw if yaw is None else _clamped(yaw, (array.rows, array.cols))
+    roll_m = array.roll if roll is None else _clamped(roll, (array.rows, array.cols))
     blockers = list(blockers)
 
     centers = array.element_centers
@@ -190,19 +231,41 @@ def _angle_override(shape):
     )
 
 
+# ceiling and floor panels (+-z, the x fallback axis) and normals tilted off
+# vertical by a horizontal part on either side of the 1e-12 fallback threshold
+_near_vertical = st.builds(
+    lambda e, phi, up: (e * math.cos(phi), e * math.sin(phi), up),
+    st.one_of(st.just(0.0), st.sampled_from((1e-13, 9.99e-13, 1.001e-12, 1e-11)), st.floats(1e-14, 1e-9)),
+    st.floats(-math.pi, math.pi),
+    st.sampled_from((1.0, -1.0)),
+)
+_off_wall_normals = st.one_of(_direction, _near_vertical)
+
+
+@st.composite
+def _panel_poses(draw):
+    """(center, normal): on a wall facing in, or anywhere with an oblique or near-vertical normal."""
+    if draw(st.booleans()):
+        place, normal = draw(st.sampled_from(_WALLS))
+        return place(draw(st.floats(0.5, 4.5)), draw(st.floats(0.3, 2.7))), normal
+    return draw(_inside), draw(_off_wall_normals)
+
+
 @st.composite
 def _mirror_cases(draw):
     tx, rx = draw(_links())
-    place, normal = draw(st.sampled_from(_WALLS))
+    center, normal = draw(_panel_poses())
     rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     panel = MirrorArray(
-        panel_center=place(draw(st.floats(0.5, 4.5)), draw(st.floats(0.3, 2.7))),
+        panel_center=center,
         base_normal=normal, rows=rows, cols=cols,
         element_size=draw(st.floats(0.05, 0.3)),
         reflectivity=draw(st.floats(0.0, 1.0)),
         beam_spread=draw(st.floats(0.01, 0.3)),
         yaw=draw(st.floats(-4.0, 4.0)), roll=draw(st.floats(-4.0, 4.0)),
     )
+    for point in (tx.position, rx.position):  # the legs need distinct endpoints
+        assume(np.linalg.norm(panel.element_centers - point, axis=1).min() > 1e-6)
     blockers = draw(_blockers(tx, rx, panel.panel_center))
     yaw = draw(_angle_override((rows, cols)))
     roll = draw(_angle_override((rows, cols)))
@@ -219,6 +282,27 @@ def test_element_gains_match_pre_kernel_code(case):
     want = _element_gains_oracle(tx, panel, rx, blockers, yaw=yaw, roll=roll)
     got = element_gains(tx, panel, rx, blockers, yaw=yaw, roll=roll)
     assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_normals_match_pre_change_code(data):
+    _, normal = data.draw(_panel_poses())
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    panel = MirrorArray(panel_center=(2.5, 2.5, 1.5), base_normal=normal, rows=rows, cols=cols,
+                        yaw=data.draw(st.floats(-4.0, 4.0)), roll=data.draw(st.floats(-4.0, 4.0)))
+    yaw = data.draw(_angle_override((rows, cols)))
+    roll = data.draw(_angle_override((rows, cols)))
+    yaw_m = panel.yaw if yaw is None else _clamped(yaw, (rows, cols))
+    roll_m = panel.roll if roll is None else _clamped(roll, (rows, cols))
+    want = _mirror_normals(yaw_m.ravel(), roll_m.ravel(), panel.base_normal)
+    got = panel.normals(yaw, roll)
+    assert np.array_equal(got, want) and _same_bits(got, want)
+
+    yaw1, roll1 = (float(_clamped(data.draw(st.floats(-4.0, 4.0)), ())) for _ in range(2))
+    want1 = _mirror_normals(np.asarray([yaw1]), np.asarray([roll1]), normal)[0]
+    got1 = mirror_normal(yaw1, roll1, normal)
+    assert np.array_equal(got1, want1) and _same_bits(got1, want1)
 
 
 @st.composite
@@ -336,3 +420,31 @@ def test_sum_rate_runs_no_blockage_test_once_static_links_exist(monkeypatch):
         sum_rate(s, angles)
     sum_rate(s)
     assert calls == []
+
+
+def test_evaluate_links_computes_each_panels_normals_once(monkeypatch):
+    s = _two_user_scenario()  # 2 users x 2 APs x 2 panels
+    s._static_links
+    calls = []
+    original = ris._mirror_normals
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return original(*args)
+
+    monkeypatch.setattr(ris, "_mirror_normals", counting)
+    for angles in [*_angle_sets(s, 4, seed=5), None]:
+        calls.clear()
+        s.evaluate_links(angles)
+        assert calls == [panel.element_count for panel in s.ris_panels]
+
+
+def test_evaluate_links_checks_pair_count_then_static_links_then_angle_shapes():
+    s = _two_user_scenario()
+    bad_shape = [(np.zeros((5, 5)), 0.0), (0.0, 0.0)]
+    with pytest.raises(ValueError, match="expected 2"):
+        s.evaluate_links([(0.0, 0.0)])
+    with pytest.raises(ValueError, match="unsampled"):
+        dataclasses.replace(s, users=s.users + (UserSpec(),)).evaluate_links(bad_shape)
+    with pytest.raises(ValueError, match="angle matrix"):
+        s.evaluate_links(bad_shape)
