@@ -301,10 +301,12 @@ def reflection_legs(tx: LedTx, points: np.ndarray, rx: PdRx,
     u1, u2 = v1 / d1[:, None], v2 / d2[:, None]
     cos_phi1, cos_t2 = u1 @ tx.normal, -(u2 @ rx.orientation.normal)
     clear = (cos_phi1 > 0.0) & (cos_t2 >= math.cos(rx.fov)) & (cos_t2 >= 0.0)
-    if blockers and np.any(clear):
-        clear &= ~segments_blocked(np.broadcast_to(tx.position, points.shape), points, blockers)
-    if blockers and np.any(clear):
-        clear &= ~segments_blocked(points, np.broadcast_to(rx.position, points.shape), blockers)
+    lit = np.flatnonzero(clear)
+    if blockers and lit.size:  # both legs of the lit rows in one test, the LED-side legs first
+        via = points[lit]
+        hit = segments_blocked(np.vstack([np.broadcast_to(tx.position, via.shape), via]),
+                               np.vstack([via, np.broadcast_to(rx.position, via.shape)]), blockers)
+        clear[lit] = ~hit.reshape(2, -1).any(axis=0)
     return ReflectionLegs(d1, u1, cos_phi1, d2, u2, cos_t2, clear)
 
 

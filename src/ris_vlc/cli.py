@@ -38,22 +38,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(p: argparse.ArgumentParser, scenario_required: bool = False):
-    p.add_argument(
-        "--scenario",
-        metavar="PATH",
-        required=scenario_required,
-        help="scenario configuration file (JSON)" + ("" if scenario_required else "; default: built-in benchmark"),
-    )
+def _add_common(p: argparse.ArgumentParser, *reads: str, scenario_required: bool = False):
+    """--seed and --out, plus whichever of --scenario, --trials and --format the command reads."""
+    if "scenario" in reads:
+        default = "" if scenario_required else "; default: built-in benchmark"
+        p.add_argument("--scenario", metavar="PATH", required=scenario_required,
+                       help="scenario configuration file (JSON)" + default)
     p.add_argument("--seed", type=int, default=42, help="master seed (default 42)")
-    p.add_argument("--trials", type=int, default=None, help="trial/sample count")
+    if "trials" in reads:
+        p.add_argument("--trials", type=int, default=None, help="trial/sample count")
     p.add_argument("--out", metavar="PATH", default=None, help="result file; stdout if omitted")
-    p.add_argument(
-        "--format",
-        choices=("csv", "json"),
-        default=None,
-        help="simulate output format (default csv); other commands emit json",
-    )
+    if "format" in reads:
+        p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format (default csv)")
 
 
 def build_parser() -> _Parser:
@@ -61,15 +57,15 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p = sub.add_parser("simulate", help="run a Monte-Carlo study over a scenario file")
-    _add_common(p, scenario_required=True)
+    _add_common(p, "scenario", "trials", "format", scenario_required=True)
 
     p = sub.add_parser("optimize", help="tune mirror angles and report vs a random baseline")
-    _add_common(p)
+    _add_common(p, "scenario")
     p.add_argument("--algorithm", choices=("sca", "pso", "grid"), default="sca")
     p.add_argument("--mode", choices=("identical", "per-element"), default="identical")
 
     p = sub.add_parser("noma", help="two-user power allocation sweep on simulated gains")
-    _add_common(p)
+    _add_common(p, "scenario")
 
     p = sub.add_parser("mimo", help="capacity curve for a seeded random surface channel")
     _add_common(p)
@@ -79,7 +75,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("reproduce", help="rerun a built-in study on its benchmark deployment")
     p.add_argument("study", choices=("blockage", "orientation"))
-    _add_common(p)
+    _add_common(p, "scenario", "trials")
     return parser
 
 
@@ -117,7 +113,7 @@ def _cmd_simulate(args) -> int:
     trials = args.trials if args.trials is not None else 100
     results = scn.run_study(deployment, trials, master_seed=args.seed)
     stats = scn.study_statistics(results)
-    if (args.format or "csv") == "csv":
+    if args.format == "csv":
         text = scn.trials_to_csv(results)
     else:
         text = scn.summary_to_json(stats)

@@ -7,12 +7,19 @@ global-best particle swarm, both maximizing over a box. A brute-force grid
 oracle covers low-dimensional problems and serves as an independent
 reference for the metaheuristics. All three are deterministic given the
 problem seed.
+
+Every candidate takes one path. `_sum_rate_objective` builds the objective;
+`_evaluate_population` alone calls it, once per candidate row in row order,
+for SCA, PSO, the grid (row-major lattice blocks of `_GRID_BLOCK` points)
+and the random baseline. `_keep_best` is the one incumbent rule: the first
+maximum of a population replaces the incumbent only when strictly greater.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -21,6 +28,7 @@ from . import metrics
 from .ris import ANGLE_LIMIT
 
 GRID_EVALUATION_CAP = 10_000_000
+_GRID_BLOCK = 65_536  # lattice points per population call of the grid oracle
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,8 +50,8 @@ class BoundedProblem:
             raise ValueError("bounds must be finite")
         if not np.all(lower < upper):
             raise ValueError("every lower bound must be strictly below its upper bound")
-        if self.budget <= 0:
-            raise ValueError("evaluation budget must be positive")
+        if not (isinstance(self.budget, numbers.Integral) and self.budget >= 1):
+            raise ValueError(f"evaluation budget must be a positive integer, got {self.budget!r}")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
@@ -62,11 +70,26 @@ class OptResult:
     trace: np.ndarray
 
 
+def _check_params(params) -> None:
+    """Refuse counts a search cannot run (the first two fields) and non-finite coefficients, by name."""
+    for name, floor in (("population", 1), ("iterations", 0)):
+        value = getattr(params, name)
+        if not (isinstance(value, numbers.Integral) and value >= floor):
+            raise ValueError(f"{name} must be an integer >= {floor}, got {value!r}")
+    for field in fields(params)[2:]:
+        value = getattr(params, field.name)
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            raise ValueError(f"{field.name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ScaParams:
     population: int = 30
     iterations: int = 500
     a_initial: float = 2.0
+
+    def __post_init__(self):
+        _check_params(self)
 
 
 @dataclass(frozen=True)
@@ -77,9 +100,33 @@ class PsoParams:
     c1: float = 1.494
     c2: float = 1.494
 
+    def __post_init__(self):
+        _check_params(self)
 
-def _evaluate_population(problem: BoundedProblem, points: np.ndarray) -> np.ndarray:
-    return np.array([float(problem.objective(p)) for p in points])
+
+def _evaluate_population(objective: Callable[[np.ndarray], float], points: np.ndarray) -> np.ndarray:
+    """Objective value of each candidate row, one call per row in row order; NaN is refused."""
+    values = np.array([float(objective(p)) for p in points])
+    if np.isnan(values).any():
+        raise ValueError(f"the objective returned NaN at {points[np.isnan(values)][0]}")
+    return values
+
+
+def _keep_best(incumbent, points: np.ndarray, values: np.ndarray):
+    """The (point, value) incumbent after a population: its first maximum, if strictly greater."""
+    idx = int(np.argmax(values))
+    if incumbent is None or values[idx] > incumbent[1]:
+        return points[idx].copy(), float(values[idx])
+    return incumbent
+
+
+def _first_population(problem: BoundedProblem, population: int):
+    """Seeded generator, uniform first population (capped by the budget), its values and best."""
+    rng = np.random.default_rng(problem.seed)
+    span = problem.upper - problem.lower
+    points = problem.lower + rng.uniform(size=(min(population, problem.budget), problem.dimension)) * span
+    values = _evaluate_population(problem.objective, points)
+    return rng, points, values, _keep_best(None, points, values)
 
 
 def sca_optimize(problem: BoundedProblem, params: Optional[ScaParams] = None) -> OptResult:
@@ -91,37 +138,19 @@ def sca_optimize(problem: BoundedProblem, params: Optional[ScaParams] = None) ->
     hands over to exploitation. Positions clamp to the bounds.
     """
     params = params or ScaParams()
-    rng = np.random.default_rng(problem.seed)
-    span = problem.upper - problem.lower
-    pop = min(params.population, problem.budget)
-
-    points = problem.lower + rng.uniform(size=(pop, problem.dimension)) * span
-    values = _evaluate_population(problem, points)
-    used = pop
-    best_idx = int(np.argmax(values))
-    best_point = points[best_idx].copy()
-    best_value = float(values[best_idx])
-    trace = [best_value]
-
-    for iteration in range(params.iterations):
-        if used + pop > problem.budget:
-            break
+    rng, points, _, best = _first_population(problem, params.population)
+    trace = [best[1]]
+    for iteration in range(min(params.iterations, problem.budget // len(points) - 1)):
         r1 = params.a_initial * (1.0 - iteration / params.iterations)
         r2 = rng.uniform(0.0, 2.0 * math.pi, size=points.shape)
         r3 = rng.uniform(0.0, 2.0, size=points.shape)
         r4 = rng.uniform(size=points.shape)
         swing = np.where(r4 < 0.5, np.sin(r2), np.cos(r2))
-        points = points + r1 * swing * np.abs(r3 * best_point - points)
+        points = points + r1 * swing * np.abs(r3 * best[0] - points)
         points = np.clip(points, problem.lower, problem.upper)
-        values = _evaluate_population(problem, points)
-        used += pop
-        idx = int(np.argmax(values))
-        if values[idx] > best_value:
-            best_value = float(values[idx])
-            best_point = points[idx].copy()
-        trace.append(best_value)
-
-    return OptResult(best_point, best_value, used, np.array(trace))
+        best = _keep_best(best, points, _evaluate_population(problem.objective, points))
+        trace.append(best[1])
+    return OptResult(*best, len(points) * len(trace), np.array(trace))
 
 
 def pso_optimize(problem: BoundedProblem, params: Optional[PsoParams] = None) -> OptResult:
@@ -132,32 +161,18 @@ def pso_optimize(problem: BoundedProblem, params: Optional[PsoParams] = None) ->
     component zeroed.
     """
     params = params or PsoParams()
-    rng = np.random.default_rng(problem.seed)
-    span = problem.upper - problem.lower
-    v_max = 0.2 * span
-    pop = min(params.population, problem.budget)
-
-    points = problem.lower + rng.uniform(size=(pop, problem.dimension)) * span
+    v_max = 0.2 * (problem.upper - problem.lower)
+    rng, points, personal_value, best = _first_population(problem, params.population)
     velocity = np.zeros_like(points)
-    values = _evaluate_population(problem, points)
-    used = pop
-
     personal_best = points.copy()
-    personal_value = values.copy()
-    best_idx = int(np.argmax(values))
-    best_point = points[best_idx].copy()
-    best_value = float(values[best_idx])
-    trace = [best_value]
-
-    for _ in range(params.iterations):
-        if used + pop > problem.budget:
-            break
+    trace = [best[1]]
+    for _ in range(min(params.iterations, problem.budget // len(points) - 1)):
         r_personal = rng.uniform(size=points.shape)
         r_global = rng.uniform(size=points.shape)
         velocity = (
             params.inertia * velocity
             + params.c1 * r_personal * (personal_best - points)
-            + params.c2 * r_global * (best_point - points)
+            + params.c2 * r_global * (best[0] - points)
         )
         velocity = np.clip(velocity, -v_max, v_max)
         points = points + velocity
@@ -165,18 +180,13 @@ def pso_optimize(problem: BoundedProblem, params: Optional[PsoParams] = None) ->
         points = np.clip(points, problem.lower, problem.upper)
         velocity = np.where(out, 0.0, velocity)
 
-        values = _evaluate_population(problem, points)
-        used += pop
+        values = _evaluate_population(problem.objective, points)
         improved = values > personal_value
         personal_best = np.where(improved[:, None], points, personal_best)
         personal_value = np.where(improved, values, personal_value)
-        idx = int(np.argmax(personal_value))
-        if personal_value[idx] > best_value:
-            best_value = float(personal_value[idx])
-            best_point = personal_best[idx].copy()
-        trace.append(best_value)
-
-    return OptResult(best_point, best_value, used, np.array(trace))
+        best = _keep_best(best, personal_best, personal_value)
+        trace.append(best[1])
+    return OptResult(*best, len(points) * len(trace), np.array(trace))
 
 
 def grid_search_oracle(problem: BoundedProblem, resolution_per_dim: int) -> OptResult:
@@ -188,27 +198,20 @@ def grid_search_oracle(problem: BoundedProblem, resolution_per_dim: int) -> OptR
     """
     if resolution_per_dim < 2:
         raise ValueError("grid resolution must be at least 2 points per dimension")
-    total = resolution_per_dim**problem.dimension
+    lattice = (resolution_per_dim,) * problem.dimension
+    total = math.prod(lattice)
     if total > GRID_EVALUATION_CAP:
-        raise ValueError(
-            f"grid of {total} points exceeds the evaluation cap {GRID_EVALUATION_CAP}"
-        )
-    axes = [
-        np.linspace(problem.lower[i], problem.upper[i], resolution_per_dim)
-        for i in range(problem.dimension)
-    ]
-    best_point = None
-    best_value = -math.inf
-    for index in np.ndindex(*([resolution_per_dim] * problem.dimension)):
-        point = np.array([axes[i][index[i]] for i in range(problem.dimension)])
-        value = float(problem.objective(point))
-        if value > best_value:
-            best_value = value
-            best_point = point
-    return OptResult(best_point, best_value, total, np.array([best_value]))
+        raise ValueError(f"grid of {total} points exceeds the evaluation cap {GRID_EVALUATION_CAP}")
+    axes = np.linspace(problem.lower, problem.upper, resolution_per_dim)  # one column per dimension
+    best = None
+    for start in range(0, total, _GRID_BLOCK):
+        index = np.unravel_index(np.arange(start, min(start + _GRID_BLOCK, total)), lattice)
+        points = axes[np.stack(index, axis=1), np.arange(problem.dimension)]
+        best = _keep_best(best, points, _evaluate_population(problem.objective, points))
+    return OptResult(*best, total, np.array([best[1]]))
 
 
-_ALGORITHMS = ("sca", "pso", "grid")
+_SEARCHES = {"sca": sca_optimize, "pso": pso_optimize, "grid": grid_search_oracle}
 _MODES = {
     "identical": "identical",
     "identical_angles": "identical",
@@ -227,12 +230,10 @@ class AngleSolution:
     result: OptResult
 
 
-def _angles_from_vector(scenario, x: np.ndarray, mode: str) -> list:
-    panels = scenario.ris_panels
+def _angles_from_vector(panels, x: np.ndarray, mode: str) -> list:
     if mode == "identical":
         return [(float(x[0]), float(x[1]))] * len(panels)
-    pairs = []
-    offset = 0
+    pairs, offset = [], 0
     for panel in panels:
         n = panel.element_count
         yaw = x[offset : offset + n].reshape(panel.rows, panel.cols)
@@ -240,6 +241,15 @@ def _angles_from_vector(scenario, x: np.ndarray, mode: str) -> list:
         pairs.append((yaw, roll))
         offset += 2 * n
     return pairs
+
+
+def _sum_rate_objective(scenario, mode: str) -> Callable[[np.ndarray], float]:
+    """Scenario sum rate at an angle vector: one shared (yaw, roll), or every element's yaws then rolls."""
+
+    def objective(x: np.ndarray) -> float:
+        return metrics.sum_rate(scenario, _angles_from_vector(scenario.ris_panels, x, mode))
+
+    return objective
 
 
 def optimize_mirror_angles(
@@ -258,8 +268,8 @@ def optimize_mirror_angles(
     optimizes all 2N angles jointly. Returned matrices are feasible by
     construction and the reported rate is recomputed from them.
     """
-    if algorithm not in _ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {sorted(_ALGORITHMS)}")
+    if algorithm not in _SEARCHES:
+        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {sorted(_SEARCHES)}")
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {sorted(set(_MODES.values()))}")
     mode = _MODES[mode]
@@ -267,46 +277,20 @@ def optimize_mirror_angles(
     if not panels:
         raise ValueError("scenario has no mirror panels to optimize")
 
-    if mode == "identical":
-        dim = 2
+    dim = 2 if mode == "identical" else 2 * sum(panel.element_count for panel in panels)
+    if algorithm == "grid":
+        params, budget = grid_resolution, grid_resolution**dim
     else:
-        dim = 2 * sum(panel.element_count for panel in panels)
+        params = (sca_params or ScaParams()) if algorithm == "sca" else (pso_params or PsoParams())
+        budget = params.population * (params.iterations + 1)
+    box = np.full(dim, ANGLE_LIMIT)
+    problem = BoundedProblem(_sum_rate_objective(scenario, mode), -box, box, budget, seed)
+    result = _SEARCHES[algorithm](problem, params)
 
-    def objective(x: np.ndarray) -> float:
-        return metrics.sum_rate(scenario, _angles_from_vector(scenario, x, mode))
-
-    sca = sca_params or ScaParams()
-    pso = pso_params or PsoParams()
-    if algorithm == "sca":
-        budget = sca.population * (sca.iterations + 1)
-    elif algorithm == "pso":
-        budget = pso.population * (pso.iterations + 1)
-    else:
-        budget = grid_resolution**dim
-    problem = BoundedProblem(
-        objective=objective,
-        lower=np.full(dim, -ANGLE_LIMIT),
-        upper=np.full(dim, ANGLE_LIMIT),
-        budget=budget,
-        seed=seed,
-    )
-
-    if algorithm == "sca":
-        result = sca_optimize(problem, sca)
-    elif algorithm == "pso":
-        result = pso_optimize(problem, pso)
-    else:
-        result = grid_search_oracle(problem, grid_resolution)
-
-    pairs = _angles_from_vector(scenario, result.best_point, mode)
-    yaw_matrices = []
-    roll_matrices = []
-    for panel, (yaw, roll) in zip(panels, pairs):
-        tuned = panel.with_angles(yaw, roll)
-        yaw_matrices.append(tuned.yaw)
-        roll_matrices.append(tuned.roll)
+    pairs = _angles_from_vector(panels, result.best_point, mode)
+    tuned = [panel.with_angles(yaw, roll) for panel, (yaw, roll) in zip(panels, pairs)]
     achieved = metrics.sum_rate(scenario, pairs)
-    return AngleSolution(tuple(yaw_matrices), tuple(roll_matrices), achieved, result)
+    return AngleSolution(tuple(t.yaw for t in tuned), tuple(t.roll for t in tuned), achieved, result)
 
 
 def random_angle_baseline(scenario, seed: int, draws: int = 1) -> float:
@@ -318,9 +302,5 @@ def random_angle_baseline(scenario, seed: int, draws: int = 1) -> float:
     rng = np.random.default_rng(seed)
     if draws < 1:
         raise ValueError("draws must be at least 1")
-    best = -math.inf
-    for _ in range(draws):
-        yaw, roll = rng.uniform(-ANGLE_LIMIT, ANGLE_LIMIT, size=2)
-        pairs = [(float(yaw), float(roll))] * len(scenario.ris_panels)
-        best = max(best, metrics.sum_rate(scenario, pairs))
-    return best
+    pairs = rng.uniform(-ANGLE_LIMIT, ANGLE_LIMIT, size=(draws, 2))
+    return _keep_best(None, pairs, _evaluate_population(_sum_rate_objective(scenario, "identical"), pairs))[1]

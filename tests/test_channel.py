@@ -24,6 +24,9 @@ from ris_vlc import geometry
 from ris_vlc.geometry import CylinderBlocker, Room
 from ris_vlc.orientation import DeviceOrientation
 
+# a warning from the channel code is a defect here, not noise
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 TX = LedTx(position=(2.5, 2.5, 3.0), normal=(0.0, 0.0, -1.0),
            half_intensity_angle=math.radians(60.0), optical_power=2.0)
 RX = PdRx(position=(1.5, 2.0, 0.85),

@@ -25,6 +25,27 @@ def test_usage_errors_exit_one():
     assert run_cli("reproduce", "everything").returncode == 1
 
 
+# flags a command does not read are usage errors, not silently ignored
+DEAD_FLAGS = [
+    ("optimize", "--trials", "3"),
+    ("optimize", "--format", "json"),
+    ("noma", "--trials", "3"),
+    ("noma", "--format", "json"),
+    ("mimo", "--scenario", "/nonexistent.json"),
+    ("mimo", "--trials", "3"),
+    ("mimo", "--format", "json"),
+    ("reproduce", "blockage", "--format", "json"),
+]
+
+
+@pytest.mark.parametrize("args", DEAD_FLAGS, ids=" ".join)
+def test_flags_a_command_does_not_read_exit_one(args):
+    r = run_cli(*args)
+    assert r.returncode == 1
+    assert f"unrecognized arguments: {' '.join(args[-2:])}" in r.stderr
+    assert r.stdout == ""
+
+
 def test_validation_errors_exit_two(tmp_path, small_scenario_path):
     r = run_cli("simulate", "--scenario", str(tmp_path / "missing.json"))
     assert r.returncode == 2

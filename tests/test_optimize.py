@@ -21,6 +21,9 @@ from ris_vlc.ris import ANGLE_LIMIT
 from ris_vlc.scenario import single_mirror_benchmark_scenario
 from ris_vlc import metrics
 
+# a warning from a search or the objective is a defect here, not noise
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def _quadratic(center):
     c = np.asarray(center, dtype=float)
@@ -40,11 +43,48 @@ def test_bounded_problem_validation():
     with pytest.raises(ValueError):
         BoundedProblem(objective=_quadratic([0]), lower=[0.0], upper=[np.inf],
                        budget=10)
-    with pytest.raises(ValueError):
-        BoundedProblem(objective=_quadratic([0]), lower=[0.0], upper=[1.0], budget=0)
+    for budget in (0, -1, 2.5, math.nan, "10"):
+        with pytest.raises(ValueError, match=r"^evaluation budget must be a positive integer, got "):
+            BoundedProblem(objective=_quadratic([0]), lower=[0.0], upper=[1.0], budget=budget)
     p = BoundedProblem(objective=_quadratic([0]), lower=[-1.0, -1.0],
                        upper=[1.0, 1.0], budget=10)
     assert p.dimension == 2
+
+
+@pytest.mark.parametrize("params, message", [
+    (lambda: ScaParams(population=0), r"^population must be an integer >= 1, got 0$"),
+    (lambda: PsoParams(population=-3), r"^population must be an integer >= 1, got -3$"),
+    (lambda: ScaParams(population=2.5), r"^population must be an integer >= 1, got 2.5$"),
+    (lambda: PsoParams(population=False), r"^population must be an integer >= 1, got False$"),
+    (lambda: ScaParams(iterations=-1), r"^iterations must be an integer >= 0, got -1$"),
+    (lambda: PsoParams(iterations=float("nan")), r"^iterations must be an integer >= 0, got nan$"),
+    (lambda: ScaParams(a_initial=float("nan")), r"^a_initial must be a finite number, got nan$"),
+    (lambda: ScaParams(a_initial=math.inf), r"^a_initial must be a finite number, got inf$"),
+    (lambda: PsoParams(inertia=float("nan")), r"^inertia must be a finite number, got nan$"),
+    (lambda: PsoParams(c1=-math.inf), r"^c1 must be a finite number, got -inf$"),
+    (lambda: PsoParams(c2="1.5"), r"^c2 must be a finite number, got '1.5'$"),
+])
+def test_search_params_refuse_what_they_cannot_run(params, message):
+    with pytest.raises(ValueError, match=message):
+        params()
+
+
+def test_smallest_search_params_run():
+    problem = BoundedProblem(objective=_quadratic([0.2]), lower=[-1.0], upper=[1.0], budget=10, seed=4)
+    for optimizer, params in ((sca_optimize, ScaParams(population=1, iterations=0, a_initial=0.0)),
+                              (pso_optimize, PsoParams(population=np.int64(1), iterations=0))):
+        result = optimizer(problem, params)
+        assert result.evaluations_used == 1 and len(result.trace) == 1
+
+
+def test_searches_refuse_a_nan_objective():
+    problem = BoundedProblem(objective=lambda x: math.nan if x[0] > 0.0 else 0.0,
+                             lower=[-1.0], upper=[1.0], budget=50, seed=0)
+    for run in (lambda: sca_optimize(problem, ScaParams(population=5, iterations=9)),
+                lambda: pso_optimize(problem, PsoParams(population=5, iterations=9)),
+                lambda: grid_search_oracle(problem, 5)):
+        with pytest.raises(ValueError, match="objective returned NaN"):
+            run()
 
 
 PROBLEM = dict(lower=np.array([-2.0, -2.0]), upper=np.array([2.0, 2.0]))
@@ -190,3 +230,25 @@ def test_random_angle_baseline_deterministic_and_monotone_in_draws():
     assert many >= one
     with pytest.raises(ValueError):
         random_angle_baseline(deployment, seed=9, draws=0)
+
+
+@pytest.mark.parametrize("algorithm, mode, kwargs", [
+    ("sca", "identical", dict(sca_params=SMALL_SCA)),
+    ("pso", "per-element", dict(pso_params=PsoParams(population=6, iterations=7))),
+    ("grid", "identical", dict(grid_resolution=9)),
+])
+def test_objective_runs_once_per_evaluation_plus_the_reported_rate(monkeypatch, algorithm, mode, kwargs):
+    deployment = single_mirror_benchmark_scenario()
+    calls = []
+    original = metrics.sum_rate
+
+    def counting(*args, **kw):
+        calls.append(args)
+        return original(*args, **kw)
+
+    monkeypatch.setattr(metrics, "sum_rate", counting)
+    sol = optimize_mirror_angles(deployment, algorithm=algorithm, mode=mode, seed=3, **kwargs)
+    assert len(calls) == sol.result.evaluations_used + 1
+    calls.clear()
+    random_angle_baseline(deployment, seed=3, draws=4)
+    assert len(calls) == 4

@@ -448,3 +448,70 @@ def test_evaluate_links_checks_pair_count_then_static_links_then_angle_shapes():
         dataclasses.replace(s, users=s.users + (UserSpec(),)).evaluate_links(bad_shape)
     with pytest.raises(ValueError, match="angle matrix"):
         s.evaluate_links(bad_shape)
+
+
+# -------------------------------------------------- one test over lit rows
+
+# LED over the room, four points on the x = 0 wall and one above the LED,
+# which the LED does not face; a receiver tilted toward the wall.
+_TX = LedTx(position=(2.5, 2.5, 2.9))
+_RX = PdRx(position=(2.0, 2.5, 0.8), orientation=DeviceOrientation(1.2, math.pi))
+_POINTS = np.array([[0.0, 1.0, 1.5], [0.0, 2.0, 1.5], [0.0, 3.0, 1.5], [0.0, 4.0, 1.5], [0.0, 2.5, 2.95]])
+
+
+def _high(x, y):
+    """A cylinder from z = 1.6 up: it can cut only LED-side legs, which stay above z = 1.5."""
+    return CylinderBlocker(base_center=np.array([x, y, 1.6]), radius=0.05, height=1.3)
+
+
+def _low(x, y):
+    """A cylinder up to z = 1.2: it can cut only receiver-side legs, which stay below z = 1.5."""
+    return CylinderBlocker(base_center=np.array([x, y, 0.0]), radius=0.05, height=1.2)
+
+
+# row 0: LED side only; row 1: receiver side only; row 2: both; row 3: neither
+_LEG_CUTTERS = [_high(1.25, 1.75), _low(1.0, 2.25), _high(1.25, 2.75), _low(1.0, 2.75)]
+
+
+def _clear_oracle(blockers):
+    """`clear` as the two-call form gave it: the LED-side legs, then the receiver-side legs."""
+    lit = reflection_legs(_TX, _POINTS, _RX).clear.copy()
+    if blockers and np.any(lit):
+        lit &= ~segments_blocked(np.broadcast_to(_TX.position, _POINTS.shape), _POINTS, blockers)
+    if blockers and np.any(lit):
+        lit &= ~segments_blocked(_POINTS, np.broadcast_to(_RX.position, _POINTS.shape), blockers)
+    return lit
+
+
+def test_clear_is_lit_and_neither_leg_blocked():
+    lit = reflection_legs(_TX, _POINTS, _RX).clear
+    assert lit.tolist() == [True, True, True, True, False]
+    first = segments_blocked(np.broadcast_to(_TX.position, _POINTS.shape), _POINTS, _LEG_CUTTERS)
+    second = segments_blocked(_POINTS, np.broadcast_to(_RX.position, _POINTS.shape), _LEG_CUTTERS)
+    assert (first[:4] & ~second[:4]).tolist() == [True, False, False, False]
+    assert (~first[:4] & second[:4]).tolist() == [False, True, False, False]
+    assert (first[:4] & second[:4]).tolist() == [False, False, True, False]
+    for blockers in ([], _LEG_CUTTERS[:1], _LEG_CUTTERS[1:2], _LEG_CUTTERS[2:], _LEG_CUTTERS):
+        clear = reflection_legs(_TX, _POINTS, _RX, blockers).clear
+        assert np.array_equal(clear, _clear_oracle(blockers))
+    assert clear.tolist() == [False, False, False, True, False]  # the last set is every cutter
+
+
+def test_reflection_legs_test_lit_rows_once(monkeypatch):
+    calls = []
+    original = channel.segments_blocked
+
+    def counting(origins, ends, blockers):
+        calls.append((np.array(origins), np.array(ends)))
+        return original(origins, ends, blockers)
+
+    monkeypatch.setattr(channel, "segments_blocked", counting)
+    reflection_legs(_TX, _POINTS, _RX, _LEG_CUTTERS)
+    [(origins, ends)] = calls
+    lit = _POINTS[:4]  # the point above the LED is not tested
+    assert np.array_equal(origins, np.vstack([np.broadcast_to(_TX.position, lit.shape), lit]))
+    assert np.array_equal(ends, np.vstack([lit, np.broadcast_to(_RX.position, lit.shape)]))
+    calls.clear()
+    reflection_legs(_TX, _POINTS, _RX)  # no blockers
+    reflection_legs(_TX, _POINTS[4:], _RX, _LEG_CUTTERS)  # nothing lit
+    assert calls == []
