@@ -329,9 +329,11 @@ def wall_first_reflection_gain(
     sub-segment. Patches are summed in construction order.
     """
     pset = WallPatchSet.coerce(patches)
-    if len(pset) == 0:
-        return ChannelGain(0.0, PathKind.WALL_NLOS)
-    legs = reflection_legs(tx, pset.centers, rx, blockers)
+    return _wall_gain(tx, rx, pset, reflection_legs(tx, pset.centers, rx, blockers))
+
+
+def _wall_gain(tx: LedTx, rx: PdRx, pset: WallPatchSet, legs: ReflectionLegs) -> ChannelGain:
+    """The patch sum of `wall_first_reflection_gain` over legs whose `clear` already holds blockage."""
     cos_t1 = -np.einsum("ij,ij->i", legs.u1, pset.normals)
     cos_phi2 = np.einsum("ij,ij->i", legs.u2, pset.normals)
     ok = legs.clear & (cos_t1 > 0.0) & (cos_phi2 > 0.0)

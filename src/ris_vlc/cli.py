@@ -105,7 +105,7 @@ def _load(args) -> scn.Scenario:
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _cmd_simulate(args) -> int:

@@ -21,8 +21,9 @@ import numpy as np
 Vec3 = np.ndarray
 
 _EPS_AXIS = 1e-12
-# cylinder-row cells per occlusion block; 2**13-2**16 time the same, larger is slower
-_CHUNK_CELLS = 1 << 16
+# cylinder-row cells per occlusion block: 2**13-2**16 time the same, and above
+# 2**14 the kernel's temporaries raise a Monte-Carlo trial's peak memory
+_CHUNK_CELLS = 1 << 14
 
 
 def as_vec3(value) -> Vec3:
@@ -52,20 +53,6 @@ def angle_between(a: Vec3, b: Vec3) -> float:
     """Angle in [0, pi] between two nonzero vectors."""
     c = float(np.dot(unit(a), unit(b)))
     return math.acos(min(1.0, max(-1.0, c)))
-
-
-def rotation_about_axis(axis: Vec3, angle: float) -> np.ndarray:
-    """Rodrigues rotation matrix for a rotation of `angle` about `axis`."""
-    a = unit(as_vec3(axis))
-    c, s = math.cos(angle), math.sin(angle)
-    cross = np.array(
-        [
-            [0.0, -a[2], a[1]],
-            [a[2], 0.0, -a[0]],
-            [-a[1], a[0], 0.0],
-        ]
-    )
-    return c * np.eye(3) + s * cross + (1.0 - c) * np.outer(a, a)
 
 
 @dataclass(frozen=True)
@@ -221,18 +208,20 @@ def _segment_cylinder_hits(
 def _any_hits(origins, ends, bases: np.ndarray, radius, height) -> np.ndarray:
     """Row i is True where any of the K cylinders at `bases[:, i]` meets segment i.
 
-    `bases` is (K, N, 3) or (K, 1, 3); `radius`, `height` broadcast against (K, 1).
+    `bases` is (K, N, 3) or (K, 1, 3); `radius`, `height` are scalars, (K, 1) or (N,).
     """
     p0 = np.atleast_2d(np.asarray(origins, dtype=float))
     p1 = np.atleast_2d(np.asarray(ends, dtype=float))
     shape = np.broadcast_shapes(p0.shape, p1.shape, bases.shape[1:])
     p0, p1 = np.broadcast_to(p0, shape), np.broadcast_to(p1, shape)
     bases = np.broadcast_to(bases, bases.shape[:1] + shape)
+    sizes = [np.asarray(v, dtype=float) for v in (radius, height)]
     step = max(1, _CHUNK_CELLS // max(1, len(bases)))
     hit = np.zeros(shape[0], dtype=bool)
     for lo in range(0, shape[0] if len(bases) else 0, step):  # no cylinders: nothing to test
         rows = slice(lo, lo + step)
-        hit[rows] = _segment_cylinder_hits(p0[rows], p1[rows], bases[:, rows], radius, height).any(axis=0)
+        r, h = (v[..., rows] if v.ndim and v.shape[-1] > 1 else v for v in sizes)  # slice per-row sizes
+        hit[rows] = _segment_cylinder_hits(p0[rows], p1[rows], bases[:, rows], r, h).any(axis=0)
     return hit
 
 
@@ -254,13 +243,14 @@ def segments_blocked_each(
     origins: np.ndarray,
     ends: np.ndarray,
     bases: np.ndarray,
-    radius: float,
-    height: float,
+    radius,
+    height,
 ) -> np.ndarray:
     """Row-paired occlusion: segment i against the cylinders based at row i.
 
     `bases` is (N, 3), one cylinder per row, or (K, N, 3), K cylinders per
-    row; a single (3,) base or segment broadcasts. Used when every sample
+    row; a single (3,) base or segment broadcasts. `radius` and `height` are
+    scalars or (N,) arrays, one size per row. Used when every sample
     carries its own cylinders (a user's body, a per-sample blocker draw),
     where a shared blocker list would force a Python-level loop.
     """

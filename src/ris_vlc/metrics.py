@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .channel import ChannelGain
 
 
@@ -87,11 +89,8 @@ def electrical_snr(h, transmit_power: float, noise: NoiseModel) -> float:
 
 def _airtime_shared_rates(links, constraints: IntensityConstraints, noise: NoiseModel) -> list[float]:
     """Per-link rates: link_rate(total gain) / (users served by the same AP)."""
-    served = [link.serving_ap for link in links]
-    return [
-        link_rate(link.total_gain, constraints, noise) / served.count(link.serving_ap)
-        for link in links
-    ]
+    served = np.bincount([link.serving_ap for link in links]).tolist()
+    return [link_rate(link.total_gain, constraints, noise) / served[link.serving_ap] for link in links]
 
 
 def sum_rate(scenario, ris_angles=None) -> float:

@@ -199,9 +199,12 @@ def grid_search_oracle(problem: BoundedProblem, resolution_per_dim: int) -> OptR
     if resolution_per_dim < 2:
         raise ValueError("grid resolution must be at least 2 points per dimension")
     lattice = (resolution_per_dim,) * problem.dimension
-    total = math.prod(lattice)
-    if total > GRID_EVALUATION_CAP:
-        raise ValueError(f"grid of {total} points exceeds the evaluation cap {GRID_EVALUATION_CAP}")
+    total = 1
+    for size in lattice:  # checked per axis: the full power of a large lattice runs to hundreds of digits
+        total *= size
+        if total > GRID_EVALUATION_CAP:
+            raise ValueError(f"a grid of {size} points per axis in {problem.dimension} dimensions"
+                             f" exceeds the evaluation cap {GRID_EVALUATION_CAP}")
     axes = np.linspace(problem.lower, problem.upper, resolution_per_dim)  # one column per dimension
     best = None
     for start in range(0, total, _GRID_BLOCK):
@@ -279,7 +282,7 @@ def optimize_mirror_angles(
 
     dim = 2 if mode == "identical" else 2 * sum(panel.element_count for panel in panels)
     if algorithm == "grid":
-        params, budget = grid_resolution, grid_resolution**dim
+        params, budget = grid_resolution, GRID_EVALUATION_CAP  # the grid refuses a larger lattice itself
     else:
         params = (sca_params or ScaParams()) if algorithm == "sca" else (pso_params or PsoParams())
         budget = params.population * (params.iterations + 1)

@@ -20,9 +20,9 @@ toward an ideal mirror.
 
 Only the element normals (cos t1, the specular direction, psi) depend on
 yaw and roll; `MirrorArray.normals` computes them, once per panel per angle
-set in `Scenario.evaluate_links`. d1, d2, cos(phi1), cos(t2), the FoV gate
-and leg blockage come from `channel.reflection_legs`, which a realized
-scenario builds once per (user, AP, panel); `steered_gains` adds the angle
+set in `Scenario.evaluate_links`. d1, d2, cos(phi1), cos(t2) and the FoV gate
+come from `channel.reflection_legs`, and leg blockage from the three occlusion
+calls of a realized scenario's link table; `steered_gains` adds the angle
 terms. `element_gains` is exactly the steps, so both routes give equal bits.
 
 The liquid-crystal receiver surrogate multiplies a gain by a transmittance

@@ -26,22 +26,22 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .channel import (
-    ChannelGain,
     LedTx,
-    PathKind,
     PdRx,
     ReflectionLegs,
     WallPatchSet,
+    _wall_gain,
     incidence_cosine,
     los_gain,
     reflection_legs,
-    wall_first_reflection_gain,
 )
+# wall_first_reflection_gain stays importable here: perfbench/spans.py wraps it at this name
+from .channel import wall_first_reflection_gain  # noqa: F401
 from .geometry import CylinderBlocker, Room, Vec3, as_vec3, segments_blocked, segments_blocked_each
 # link_rate stays importable here: perfbench/spans.py wraps it at this name
 from .metrics import IntensityConstraints, NoiseModel, _airtime_shared_rates, link_rate  # noqa: F401
@@ -151,22 +151,15 @@ class LinkEvaluation:
 
 
 @dataclass(frozen=True, eq=False)
-class _ApLink:
-    """Angle-independent `LinkEvaluation` fields of one (user, AP) link, and its legs per panel."""
+class _LinkTable:
+    """Angle-independent link data: (users, APs) arrays, and each panel's legs per (user, AP)."""
 
-    h_los: float
-    h_wall: float
-    los_visible: bool
-    fov_ok: bool
-    mirror_legs: Tuple[ReflectionLegs, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class _UserLinks:
-    """One user's receiver, with an `_ApLink` per access point."""
-
-    rx: PdRx
-    per_ap: Tuple[_ApLink, ...]
+    receivers: Tuple[PdRx, ...]
+    h_los: np.ndarray
+    h_wall: np.ndarray
+    los_visible: np.ndarray
+    fov_ok: np.ndarray
+    mirror_legs: Dict[Tuple[int, int], Tuple[ReflectionLegs, ...]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,34 +252,52 @@ class Scenario:
     # ---------------------------------------------------------------- gains
 
     @cached_property
-    def _static_links(self) -> list["_UserLinks"]:
-        """Angle-independent link data, computed once per realized scenario.
+    def _link_table(self) -> _LinkTable:
+        """Angle-independent link data of a realized scenario, from three occlusion calls.
 
-        Per user: its receiver and one `_ApLink` per access point, tested
-        against its occluders (scenario blockers plus its own body). The LoS
-        blockage test and the mirror element legs run once per link, so an
-        angle evaluation computes only the angle terms of the mirror gain.
+        `reflection_legs` without blockers gates each leg (LED facing, inside the FoV). The scenario
+        blockers then cut (1) the gated LED-side legs, once per AP, and (2) every user's gated
+        receiver-side legs and LoS segments; (3) each self-blocking user's segments meet its body.
+        Blockage is a union over cylinders tested cell by cell, so the masks equal one test per link.
         """
         if not self.is_realized:
             raise ValueError("scenario has unsampled users; run trials instead of evaluating")
         if not self.aps:
             raise ValueError("scenario has no access points")
-        table = []
-        for user in self.users:
-            rx = user.receiver()
-            body = user.body_cylinder()
-            occluders = self.blockers + ((body,) if body is not None else ())
-            per_ap = []
-            for ap in self.aps:
-                visible = not segments_blocked(ap.position[None, :], rx.position[None, :], occluders)[0]
-                h_los = los_gain(ap, rx).h if visible else 0.0  # los_gain gives 0 when blocked
-                h_wall = wall_first_reflection_gain(ap, rx, self.wall_patches, occluders).h
-                cos_t = incidence_cosine(ap.position, rx.position, rx.orientation)
-                legs = tuple(reflection_legs(ap, panel.element_centers, rx, occluders)
-                             for panel in self.ris_panels)
-                per_ap.append(_ApLink(h_los, h_wall, visible, cos_t >= math.cos(rx.fov), legs))
-            table.append(_UserLinks(rx=rx, per_ap=tuple(per_ap)))
-        return table
+        rxs = tuple(user.receiver() for user in self.users)
+        sets = [self.wall_patches.centers] + [panel.element_centers for panel in self.ris_panels]
+        legs = [[[reflection_legs(ap, points, rx) for points in sets] for ap in self.aps] for rx in rxs]
+        points, shape = np.concatenate(sets), (len(rxs), len(self.aps))
+        gate = np.array([[np.concatenate([leg.clear for leg in by_ap]) for by_ap in by_user]
+                         for by_user in legs], dtype=bool).reshape(shape + (len(points),))
+        ap_xyz = np.array([ap.position for ap in self.aps])
+        rx_xyz = np.array([rx.position for rx in rxs]).reshape(-1, 3)
+        a, r = np.nonzero(gate.any(axis=0))
+        led = np.zeros(gate.shape[1:], dtype=bool)
+        led[a, r] = segments_blocked(ap_xyz[a], points[r], self.blockers)  # (1)
+        u, a, r = np.nonzero(gate)
+        los_u, los_a = np.nonzero(np.ones(shape, dtype=bool))
+        owner, n = np.concatenate([u, u, los_u]), len(u)  # rows: LED-side legs, receiver-side legs, LoS
+        starts = np.concatenate([ap_xyz[a], points[r], ap_xyz[los_a]])
+        ends = np.concatenate([points[r], rx_xyz[u], rx_xyz[los_u]])
+        hit = np.concatenate([led[a, r], segments_blocked(starts[n:], ends[n:], self.blockers)])  # (2)
+        own = np.flatnonzero(np.array([user.self_blockage for user in self.users], dtype=bool)[owner])
+        cyl = np.array([(*b.base_center, b.radius, b.height) if b else (0.0,) * 5
+                        for b in map(UserSpec.body_cylinder, self.users)]).reshape(-1, 5)[owner[own]]
+        hit[own] |= segments_blocked_each(starts[own], ends[own], cyl[:, :3], cyl[:, 3], cyl[:, 4])  # (3)
+        clear = np.zeros_like(gate)
+        clear[u, a, r] = ~(hit[:n] | hit[n:2 * n])
+        visible, edges = ~hit[2 * n:].reshape(shape), np.cumsum([len(points) for points in sets])[:-1]
+        h_los, h_wall, fov_ok, mirror_legs = np.zeros(shape), np.zeros(shape), np.zeros(shape, dtype=bool), {}
+        for i, rx in enumerate(rxs):
+            for j, ap in enumerate(self.aps):
+                wall, *mirrors = (dataclasses.replace(leg, clear=mask)
+                                  for leg, mask in zip(legs[i][j], np.split(clear[i, j], edges)))
+                h_los[i, j] = los_gain(ap, rx).h if visible[i, j] else 0.0  # los_gain gives 0 when blocked
+                h_wall[i, j] = _wall_gain(ap, rx, self.wall_patches, wall).h
+                fov_ok[i, j] = incidence_cosine(ap.position, rx.position, rx.orientation) >= math.cos(rx.fov)
+                mirror_legs[i, j] = tuple(mirrors)
+        return _LinkTable(rxs, h_los, h_wall, visible, fov_ok, mirror_legs)
 
     def evaluate_links(self, ris_angles=None) -> list[LinkEvaluation]:
         """Per-user gain splits at the given mirror angles.
@@ -300,21 +311,17 @@ class Scenario:
         pairs = [(None, None)] * len(panels) if ris_angles is None else list(ris_angles)
         if len(pairs) != len(panels):
             raise ValueError(f"expected {len(panels)} (yaw, roll) pairs, got {len(pairs)}")
-        static_links = self._static_links  # raises on unsampled users or no APs
+        table = self._link_table  # raises on unsampled users or no APs
         normals = [panel.normals(yaw, roll) for panel, (yaw, roll) in zip(panels, pairs)]
-        links = []
-        for u, user in enumerate(static_links):
-            candidates = []
-            for a, (ap, static) in enumerate(zip(self.aps, user.per_ap)):
-                h_ris = 0.0
-                for panel, legs, n in zip(panels, static.mirror_legs, normals):
-                    h_ris += float(np.add.reduce(steered_gains(ap, panel, user.rx, legs, n)))
-                candidates.append(LinkEvaluation(
-                    user_index=u, serving_ap=a, h_los=static.h_los, h_wall=static.h_wall, h_ris=h_ris,
-                    los_visible=static.los_visible, fov_ok=static.fov_ok))
-            # max keeps the first of equal gains, so ties go to the lowest index
-            links.append(max(candidates, key=lambda link: link.total_gain))
-        return links
+        h_ris = np.zeros(table.h_los.shape)
+        for (u, a), legs in table.mirror_legs.items():
+            for panel, panel_legs, n in zip(panels, legs, normals):
+                gains = steered_gains(self.aps[a], panel, table.receivers[u], panel_legs, n)
+                h_ris[u, a] += float(np.add.reduce(gains))
+        serving = np.argmax(table.h_los + table.h_wall + h_ris, axis=1)  # the first maximum, like max()
+        return [LinkEvaluation(u, int(a), float(table.h_los[u, a]), float(table.h_wall[u, a]),
+                               float(h_ris[u, a]), bool(table.los_visible[u, a]), bool(table.fov_ok[u, a]))
+                for u, a in enumerate(serving)]
 
 
 # --------------------------------------------------------------------- trials
@@ -331,15 +338,9 @@ def run_trial(scenario: Scenario, trial_seed) -> TrialResult:
     realized = realize(scenario, rng)
     links = realized.evaluate_links()
     rates = np.array(_airtime_shared_rates(links, scenario.constraints, scenario.noise))
-    return TrialResult(
-        h_los=np.array([l.h_los for l in links]),
-        h_wall=np.array([l.h_wall for l in links]),
-        h_ris=np.array([l.h_ris for l in links]),
-        rates=rates,
-        sum_rate=float(np.add.reduce(rates)),
-        los_visible=np.array([l.los_visible for l in links]),
-        fov_ok=np.array([l.fov_ok for l in links]),
-    )
+    columns = {name: np.array([getattr(link, name) for link in links])
+               for name in ("h_los", "h_wall", "h_ris", "los_visible", "fov_ok")}
+    return TrialResult(rates=rates, sum_rate=float(np.add.reduce(rates)), **columns)
 
 
 def realize(scenario: Scenario, rng: np.random.Generator) -> Scenario:
@@ -799,4 +800,4 @@ def trials_to_csv(results: Sequence[TrialResult]) -> str:
 
 
 def summary_to_json(stats: StudyStatistics) -> str:
-    return json.dumps(stats.to_dict(), sort_keys=True, indent=2) + "\n"
+    return json.dumps(stats.to_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"

@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ris_vlc import channel, geometry, scenario
@@ -209,6 +209,22 @@ def test_segments_blocked_each_matches_per_cylinder_loop(case):
             if blockers:
                 one = segments_blocked_each(p0, p1, bases[0], 0.4, 1.5)
                 assert np.array_equal(one, _blocked_each_oracle(p0, p1, bases[0], 0.4, 1.5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_case())
+def test_segments_blocked_each_takes_one_size_per_row(case):
+    # row i against the i-th cylinder of the list (cyclic), with that cylinder's own radius and height
+    blockers, p0, p1 = case
+    assume(blockers)
+    rows = [blockers[i % len(blockers)] for i in range(len(p0))]
+    bases = np.array([b.base_center for b in rows]).reshape(-1, 3)
+    radius, height = np.array([b.radius for b in rows]), np.array([b.height for b in rows])
+    want = np.array([_blocked_each_oracle(p0[i], p1[i], b.base_center, b.radius, b.height)[0]
+                     for i, b in enumerate(rows)], dtype=bool)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for _ in _chunks(monkeypatch):
+            assert np.array_equal(segments_blocked_each(p0, p1, bases, radius, height), want)
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import math
 import os
 
 import pytest
 from conftest import run_cli
 
-from ris_vlc.scenario import CSV_HEADER
+from ris_vlc import cli
+from ris_vlc.scenario import CSV_HEADER, StudyStatistics
 
 
 def test_help_exits_zero():
@@ -288,3 +290,25 @@ def test_boundary_counts_and_sizes_are_accepted(tmp_path):
     r = run_cli("simulate", "--scenario", str(path), "--trials", "1", "--format", "json")
     assert r.returncode == 0, r.stderr
     json.loads(r.stdout)
+
+
+def test_oversized_grid_is_refused_naming_resolution_and_dimension():
+    # 181 points on each of 128 axes: refused before the point count is computed
+    r = run_cli("optimize", "--algorithm", "grid", "--mode", "per-element")
+    assert r.returncode == 2 and r.stdout == ""
+    message = r.stderr.strip()
+    assert len(message) < 200 and "Traceback" not in message
+    assert "181 points per axis" in message and "128 dimensions" in message
+
+
+def test_non_finite_output_exits_two_instead_of_writing_invalid_json(monkeypatch, capsys, small_scenario_path):
+    nan_stats = StudyStatistics(1, math.nan, 0.0, 1.0, math.nan, math.nan, math.nan)
+    monkeypatch.setattr(cli.scn, "study_statistics", lambda results: nan_stats)
+    monkeypatch.setattr(cli.scn, "blockage_study", lambda *args, **kwargs: {5: nan_stats})
+    for argv in (["simulate", "--scenario", small_scenario_path, "--trials", "1", "--format", "json"],
+                 ["reproduce", "blockage", "--trials", "1"]):
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "not JSON compliant" in out.err
+    with pytest.raises(ValueError):
+        cli._json_text({"rate": math.inf})

@@ -16,7 +16,6 @@ from ris_vlc.geometry import (
     los_visible,
     norm,
     ray_cylinder_intersect,
-    rotation_about_axis,
     segments_blocked,
     segments_blocked_each,
     unit,
@@ -50,23 +49,6 @@ def test_angle_between_quadrants():
     assert angle_between((1, 0, 0), (-1, 0, 0)) == pytest.approx(math.pi)
     # acos near dot = 1 is ill-conditioned; 1e-7 rad of slack covers it
     assert angle_between((1, 1, 0), (1, 1, 0)) == pytest.approx(0.0, abs=1e-7)
-
-
-def test_rotation_about_axis_quarter_turn():
-    r = rotation_about_axis((0.0, 0.0, 1.0), math.pi / 2)
-    np.testing.assert_allclose(r @ np.array([1.0, 0.0, 0.0]), [0.0, 1.0, 0.0], atol=1e-15)
-
-
-@given(
-    st.floats(-math.pi, math.pi),
-    st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)).filter(
-        lambda t: sum(x * x for x in t) > 1e-6
-    ),
-)
-def test_rotation_matrices_are_orthonormal(angle, axis):
-    r = rotation_about_axis(axis, angle)
-    np.testing.assert_allclose(r @ r.T, np.eye(3), atol=1e-12)
-    assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_room_contains_with_tolerance():

@@ -1,0 +1,223 @@
+"""The per-scenario link table against the per-link code it replaced.
+
+`_static_links_oracle` is `Scenario._static_links` as it was: for every
+(user, AP) pair one LoS test, one wall `reflection_legs` test and one test
+per panel, each against the scenario blockers plus that user's body.
+`_evaluate_links_oracle` is `evaluate_links` as it was on top of it, with one
+`LinkEvaluation` per candidate AP and `max` choosing the serving one. The
+table tests each leg in three occlusion calls instead; blockage is a union
+over cylinders tested cell by cell, so the comparisons demand equal bits.
+"""
+
+import dataclasses
+import hashlib
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ris_vlc import channel, geometry, ris, scenario
+from ris_vlc.channel import LedTx, incidence_cosine, los_gain, reflection_legs, wall_first_reflection_gain
+from ris_vlc.geometry import CylinderBlocker, Room, segments_blocked
+from ris_vlc.metrics import link_rate, sum_rate
+from ris_vlc.orientation import DeviceOrientation
+from ris_vlc.ris import MirrorArray, steered_gains
+from ris_vlc.scenario import (
+    BlockerPopulation,
+    LinkEvaluation,
+    Scenario,
+    UserSpec,
+    benchmark_scenario,
+    run_study,
+    trials_to_csv,
+)
+
+# a warning from the kernels is a defect here, not noise
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+_LEG_FIELDS = ("d1", "u1", "cos_phi1", "d2", "u2", "cos_t2", "clear")
+
+
+def _static_links_oracle(s):
+    """Per user, per AP: (h_los, h_wall, los_visible, fov_ok, legs per panel)."""
+    table = []
+    for user in s.users:
+        rx = user.receiver()
+        body = user.body_cylinder()
+        occluders = s.blockers + ((body,) if body is not None else ())
+        per_ap = []
+        for ap in s.aps:
+            visible = not segments_blocked(ap.position[None, :], rx.position[None, :], occluders)[0]
+            h_los = los_gain(ap, rx).h if visible else 0.0  # los_gain gives 0 when blocked
+            h_wall = wall_first_reflection_gain(ap, rx, s.wall_patches, occluders).h
+            cos_t = incidence_cosine(ap.position, rx.position, rx.orientation)
+            legs = tuple(reflection_legs(ap, panel.element_centers, rx, occluders) for panel in s.ris_panels)
+            per_ap.append((h_los, h_wall, visible, cos_t >= math.cos(rx.fov), legs))
+        table.append(per_ap)
+    return table
+
+
+def _evaluate_links_oracle(s, ris_angles=None):
+    panels = s.ris_panels
+    pairs = [(None, None)] * len(panels) if ris_angles is None else list(ris_angles)
+    normals = [panel.normals(yaw, roll) for panel, (yaw, roll) in zip(panels, pairs)]
+    links = []
+    for u, (user, per_ap) in enumerate(zip(s.users, _static_links_oracle(s))):
+        rx = user.receiver()
+        candidates = []
+        for a, (ap, (h_los, h_wall, visible, fov_ok, legs)) in enumerate(zip(s.aps, per_ap)):
+            h_ris = 0.0
+            for panel, panel_legs, n in zip(panels, legs, normals):
+                h_ris += float(np.add.reduce(steered_gains(ap, panel, rx, panel_legs, n)))
+            candidates.append(LinkEvaluation(u, a, h_los, h_wall, h_ris, visible, fov_ok))
+        links.append(max(candidates, key=lambda link: link.total_gain))
+    return links
+
+
+def _sum_rate_oracle(s, ris_angles=None):
+    links = _evaluate_links_oracle(s, ris_angles)
+    served = [link.serving_ap for link in links]
+    total = 0.0
+    for link in links:
+        total += link_rate(link.total_gain, s.constraints, s.noise) / served.count(link.serving_ap)
+    return total
+
+
+# ------------------------------------------------------------- strategies
+
+_WALLS = (((0.0, None), (1.0, 0.0, 0.0)), ((5.0, None), (-1.0, 0.0, 0.0)),
+          ((None, 0.0), (0.0, 1.0, 0.0)), ((None, 5.0), (0.0, -1.0, 0.0)))
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _scenarios(draw):
+    """Realized scenarios: 1-4 users, 1-3 APs, 0-2 wall panels, 0-15 blockers."""
+    aps = [LedTx(position=(draw(_floats(0.3, 4.7)), draw(_floats(0.3, 4.7)), draw(_floats(2.0, 3.0))))
+           for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()) and len(aps) > 1:  # an exact tie between two APs
+        aps[1] = LedTx(position=aps[0].position)
+    users = [
+        UserSpec(
+            position=(draw(_floats(0.3, 4.7)), draw(_floats(0.3, 4.7)), draw(_floats(0.3, 1.5))),
+            fixed_orientation=DeviceOrientation(draw(_floats(0.0, 1.4)), draw(_floats(-math.pi, math.pi))),
+            self_blockage=draw(st.booleans()),
+            body_offset=draw(_floats(0.0, 0.6)),
+            body_radius=draw(_floats(0.05, 0.4)),
+            body_height=draw(_floats(0.5, 2.0)),
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    panels = []
+    for _ in range(draw(st.integers(0, 2))):
+        (x, y), normal = draw(st.sampled_from(_WALLS))
+        center = (draw(_floats(1.0, 4.0)) if x is None else x, draw(_floats(1.0, 4.0)) if y is None else y,
+                  draw(_floats(0.8, 2.2)))
+        panels.append(MirrorArray(panel_center=center, base_normal=normal, rows=draw(st.integers(1, 4)),
+                                  cols=draw(st.integers(1, 4)), element_size=draw(_floats(0.05, 0.2)),
+                                  yaw=draw(_floats(-1.0, 1.0)), roll=draw(_floats(-1.0, 1.0))))
+    blockers = [CylinderBlocker(base_center=(draw(_floats(0.0, 5.0)), draw(_floats(0.0, 5.0)), 0.0),
+                                radius=draw(_floats(0.05, 0.4)), height=draw(_floats(0.5, 2.5)))
+                for _ in range(draw(st.integers(0, 15)))]
+    return Scenario(room=Room(5.0, 5.0, 3.0), aps=tuple(aps), users=tuple(users), blockers=tuple(blockers),
+                    ris_panels=tuple(panels), wall_patch_size=draw(st.sampled_from([0.4, 0.5, 1.0])))
+
+
+# ------------------------------------------------------------------- tests
+
+
+@settings(max_examples=120, deadline=None)
+@given(_scenarios())
+def test_link_table_matches_per_link_loop(s):
+    table = s._link_table
+    want = _static_links_oracle(s)
+    shape = (len(s.users), len(s.aps))
+    for name in ("h_los", "h_wall", "los_visible", "fov_ok"):
+        assert getattr(table, name).shape == shape, name
+    for u, per_ap in enumerate(want):
+        for a, (h_los, h_wall, visible, fov_ok, legs) in enumerate(per_ap):
+            assert table.h_los[u, a] == h_los
+            assert table.h_wall[u, a] == h_wall
+            assert table.los_visible[u, a] == visible
+            assert table.fov_ok[u, a] == fov_ok
+            assert len(table.mirror_legs[u, a]) == len(legs)
+            for got, expected in zip(table.mirror_legs[u, a], legs):
+                for name in _LEG_FIELDS:
+                    assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+                    assert not getattr(got, name).flags.writeable, name
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scenarios(), st.integers(0, 2**32 - 1))
+def test_evaluate_links_and_sum_rate_match_per_link_loop(s, seed):
+    rng = np.random.default_rng(seed)
+    angle_sets = [None, [(float(y), float(r)) for y, r in rng.uniform(-2.0, 2.0, (len(s.ris_panels), 2))],
+                  [tuple(rng.uniform(-2.0, 2.0, (2, p.rows, p.cols))) for p in s.ris_panels]]
+    for angles in angle_sets:
+        got = s.evaluate_links(angles)
+        assert [vars(link) for link in got] == [vars(link) for link in _evaluate_links_oracle(s, angles)]
+        assert all(type(link.serving_ap) is int and type(link.h_ris) is float and type(link.los_visible) is bool
+                   for link in got)
+        rate = sum_rate(s, angles)
+        assert type(rate) is float and rate == _sum_rate_oracle(s, angles)
+
+
+def test_no_panels_no_blockers_and_no_users():
+    base = benchmark_scenario()
+    user = UserSpec(position=(1.0, 2.0, 0.75), fixed_orientation=DeviceOrientation(0.3, 1.0))
+    s = dataclasses.replace(base, users=(user, user), blocker_population=None, ris_panels=())
+    table = s._link_table
+    assert table.mirror_legs == {(0, 0): (), (1, 0): ()}
+    assert table.los_visible.all() and table.h_los[0, 0] == table.h_los[1, 0] > 0.0
+    assert [vars(link) for link in s.evaluate_links()] == [vars(link) for link in _evaluate_links_oracle(s)]
+    empty = dataclasses.replace(base, users=(), blocker_population=None)
+    assert empty._link_table.h_los.shape == (0, 1)
+    assert empty.evaluate_links() == [] and sum_rate(empty) == 0.0
+
+
+def test_building_the_table_makes_three_occlusion_calls(monkeypatch):
+    calls = []
+
+    def counting(name, original):
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return spy
+
+    originals = {name: getattr(geometry, name) for name in ("segments_blocked", "segments_blocked_each")}
+    for module in (geometry, channel, ris, scenario):
+        for name, original in originals.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, original))
+    base = benchmark_scenario()
+    two_aps = dataclasses.replace(base, aps=base.aps + (LedTx(position=(1.0, 1.0, 3.0)),),
+                                  blocker_population=BlockerPopulation(count=15))
+    for s in (base, two_aps):
+        realized = scenario.realize(s, np.random.default_rng(5))
+        calls.clear()
+        realized._link_table
+        assert calls == ["segments_blocked", "segments_blocked", "segments_blocked_each"]
+        calls.clear()
+        sum_rate(realized)
+        assert calls == []
+
+
+# sha256 of `trials_to_csv(run_study(benchmark_scenario() with `count` population
+# blockers, 20 trials, master seed 7))`, recorded from the per-link code
+_STUDY_DIGESTS = {
+    0: "7a9ed4c5e411c10ea908bb2baa52d7be1fbfa2d2b67966ab45ac3c89f8c9c090",
+    5: "85af5d9cb8fc64313c5d44b6800c9fb1a7ac338f5aa133cde1c27539fd4d2259",
+    15: "47e2cab9e4d9a153880fed8c40dbf55f97690b25960f4738d105a628695c4168",
+}
+
+
+@pytest.mark.parametrize("count", sorted(_STUDY_DIGESTS))
+def test_run_study_csv_matches_recorded_digest(count):
+    s = dataclasses.replace(benchmark_scenario(), blocker_population=BlockerPopulation(count=count))
+    text = trials_to_csv(run_study(s, 20, 7))
+    assert hashlib.sha256(text.encode()).hexdigest() == _STUDY_DIGESTS[count]

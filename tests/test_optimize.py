@@ -252,3 +252,14 @@ def test_objective_runs_once_per_evaluation_plus_the_reported_rate(monkeypatch, 
     calls.clear()
     random_angle_baseline(deployment, seed=3, draws=4)
     assert len(calls) == 4
+
+
+def test_oversized_lattice_is_refused_by_resolution_and_dimension():
+    for resolution, dimension in ((GRID_EVALUATION_CAP + 1, 1), (3163, 2), (181, 10**5)):
+        problem = BoundedProblem(objective=lambda x: 0.0, lower=[-1.0] * dimension, upper=[1.0] * dimension,
+                                 budget=1, seed=0)
+        with pytest.raises(ValueError) as refused:
+            grid_search_oracle(problem, resolution)
+        message = str(refused.value)
+        assert f"{resolution} points per axis in {dimension} dimensions exceeds the evaluation cap" in message
+        assert len(message) < 200

@@ -413,7 +413,7 @@ def test_sum_rate_runs_no_blockage_test_once_static_links_exist(monkeypatch):
 
     for module in (geometry, channel, ris, scenario):
         monkeypatch.setattr(module, "segments_blocked", counting)
-    s._static_links
+    s._link_table
     assert calls  # building the static links does run the tests
     calls.clear()
     for angles in _angle_sets(s, 6, seed=4):
@@ -424,7 +424,7 @@ def test_sum_rate_runs_no_blockage_test_once_static_links_exist(monkeypatch):
 
 def test_evaluate_links_computes_each_panels_normals_once(monkeypatch):
     s = _two_user_scenario()  # 2 users x 2 APs x 2 panels
-    s._static_links
+    s._link_table
     calls = []
     original = ris._mirror_normals
 
