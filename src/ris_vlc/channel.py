@@ -293,13 +293,30 @@ def reflection_legs(tx: LedTx, points: np.ndarray, rx: PdRx,
     Wall patches and mirror elements share it and add only the terms of their
     own normals: cos(t1) at the point, then cos(phi2) or the specular lobe.
     """
-    blockers = list(blockers)
-    v1, v2 = points - tx.position, rx.position - points
-    d1, d2 = np.linalg.norm(v1, axis=1), np.linalg.norm(v2, axis=1)
-    if np.any(d1 <= 0.0) or np.any(d2 <= 0.0):
+    return _reflection_legs(_led_legs(tx, points), tx, points, rx, blockers)
+
+
+def _led_legs(tx: LedTx, points: np.ndarray):
+    """`d1`, `u1` and `cos_phi1` of `reflection_legs`: they depend on the LED and the points only."""
+    v1 = points - tx.position
+    d1 = np.linalg.norm(v1, axis=1)
+    if np.any(d1 <= 0.0):
         raise ValueError("a reflecting point coincides with the transmitter or the receiver")
-    u1, u2 = v1 / d1[:, None], v2 / d2[:, None]
-    cos_phi1, cos_t2 = u1 @ tx.normal, -(u2 @ rx.orientation.normal)
+    u1 = v1 / d1[:, None]
+    return d1, u1, u1 @ tx.normal
+
+
+def _reflection_legs(led, tx: LedTx, points: np.ndarray, rx: PdRx,
+                     blockers: Iterable[CylinderBlocker] = ()) -> ReflectionLegs:
+    """`reflection_legs` given its LED-side legs `led = _led_legs(tx, points)`, which receivers share."""
+    blockers = list(blockers)
+    d1, u1, cos_phi1 = led
+    v2 = rx.position - points
+    d2 = np.linalg.norm(v2, axis=1)
+    if np.any(d2 <= 0.0):
+        raise ValueError("a reflecting point coincides with the transmitter or the receiver")
+    u2 = v2 / d2[:, None]
+    cos_t2 = -(u2 @ rx.orientation.normal)
     clear = (cos_phi1 > 0.0) & (cos_t2 >= math.cos(rx.fov)) & (cos_t2 >= 0.0)
     lit = np.flatnonzero(clear)
     if blockers and lit.size:  # both legs of the lit rows in one test, the LED-side legs first

@@ -35,10 +35,11 @@ from .channel import (
     PdRx,
     ReflectionLegs,
     WallPatchSet,
+    _led_legs,
+    _reflection_legs,
     _wall_gain,
     incidence_cosine,
     los_gain,
-    reflection_legs,
 )
 # wall_first_reflection_gain stays importable here: perfbench/spans.py wraps it at this name
 from .channel import wall_first_reflection_gain  # noqa: F401
@@ -255,9 +256,10 @@ class Scenario:
     def _link_table(self) -> _LinkTable:
         """Angle-independent link data of a realized scenario, from three occlusion calls.
 
-        `reflection_legs` without blockers gates each leg (LED facing, inside the FoV). The scenario
-        blockers then cut (1) the gated LED-side legs, once per AP, and (2) every user's gated
-        receiver-side legs and LoS segments; (3) each self-blocking user's segments meet its body.
+        `reflection_legs` without blockers gates each leg (LED facing, inside the FoV); its LED-side
+        half depends on the AP and the points only, so every user shares it. The scenario blockers
+        then cut (1) the gated LED-side legs, once per AP, and (2) every user's gated receiver-side
+        legs and LoS segments; (3) each self-blocking user's segments meet its body.
         Blockage is a union over cylinders tested cell by cell, so the masks equal one test per link.
         """
         if not self.is_realized:
@@ -266,7 +268,9 @@ class Scenario:
             raise ValueError("scenario has no access points")
         rxs = tuple(user.receiver() for user in self.users)
         sets = [self.wall_patches.centers] + [panel.element_centers for panel in self.ris_panels]
-        legs = [[[reflection_legs(ap, points, rx) for points in sets] for ap in self.aps] for rx in rxs]
+        led = [[_led_legs(ap, points) for points in sets] for ap in self.aps]  # shared by every user
+        legs = [[[_reflection_legs(leg, ap, points, rx) for leg, points in zip(by_ap, sets)]
+                 for ap, by_ap in zip(self.aps, led)] for rx in rxs]
         points, shape = np.concatenate(sets), (len(rxs), len(self.aps))
         gate = np.array([[np.concatenate([leg.clear for leg in by_ap]) for by_ap in by_user]
                          for by_user in legs], dtype=bool).reshape(shape + (len(points),))

@@ -282,6 +282,172 @@ def test_blocks_are_ragged_and_each_row_is_tested(monkeypatch):
         assert np.array_equal(_blocked_oracle(origins, ends, blockers), want)
 
 
+# -------------------------------------------------------------- 2-D reject
+
+# 1e-06 squares to exactly _EPS_AXIS, so these xy steps give |d|^2 just below, on
+# and just above the kernel's planar threshold when the segment starts at x = 0
+_ROOT_EPS = math.sqrt(geometry._EPS_AXIS)
+_AXIS_STEPS = (0.0, float(np.nextafter(_ROOT_EPS, 0.0)), _ROOT_EPS, float(np.nextafter(_ROOT_EPS, 1.0)), 3e-6)
+_TANGENT_SCALES = (1.0 - 2.0**-52, 1.0, 1.0 + 2.0**-52)  # closest xy distance over r
+_REJECT_KINDS = ("tangent", "surface", "near_vertical", "point")
+
+
+@st.composite
+def _reject_segment(draw, blockers):
+    """One segment on a boundary of the 2-D reject, placed against one of `blockers`."""
+    kind = draw(st.sampled_from(_REJECT_KINDS))
+    c = draw(st.sampled_from(blockers))
+    theta = draw(st.floats(0.0, 2.0 * math.pi))
+    ring = np.array([math.cos(theta), math.sin(theta), 0.0])
+    z = c.base_center[2] + draw(st.sampled_from([0.0, c.height, draw(st.floats(-0.5, c.height + 0.5))]))
+    if kind == "tangent":  # an xy chord touching the circle at r, or one ulp-scale step in or out
+        touch = c.base_center + c.radius * draw(st.sampled_from(_TANGENT_SCALES)) * ring
+        touch[2] = z
+        along = np.array([-ring[1], ring[0], draw(st.sampled_from([0.0, draw(st.floats(-1.0, 1.0))]))])
+        return touch - draw(st.floats(0.0, 3.0)) * along, touch + draw(st.floats(0.0, 3.0)) * along
+    if kind == "surface":  # an endpoint on the lateral surface, or on a cap rim when z is 0 or h
+        end = c.base_center + c.radius * ring
+        end[2] = z
+        start = np.array([draw(st.floats(-2.5, 2.5)), draw(st.floats(-2.5, 2.5)), draw(st.floats(-0.5, 3.5))])
+        return (start, end) if draw(st.booleans()) else (end, start)
+    if kind == "near_vertical":
+        axis, step = draw(st.sampled_from([0, 1])), draw(st.sampled_from(_AXIS_STEPS))
+        if draw(st.booleans()):  # from 0.7 step outside the surface, one step toward the axis
+            p0 = c.base_center + (c.radius + 0.7 * step) * ring
+            p0[2] = z
+            return p0, p0 - step * ring + [0.0, 0.0, draw(st.floats(-3.0, 3.0))]
+        # starts on x = 0 or y = 0 and steps along that axis, so |d|^2 is exact
+        p0 = c.base_center + c.radius * draw(st.floats(0.0, 1.5)) * ring
+        p0[axis], p0[2] = 0.0, z
+        p1 = p0 + [0.0, 0.0, draw(st.floats(-3.0, 3.0))]
+        p1[axis] = step
+        return p0, p1
+    # point: a zero-length segment on, just inside or just outside the surface, or anywhere
+    rho = draw(st.sampled_from([*_TANGENT_SCALES, 0.0, draw(st.floats(0.0, 3.0))]))
+    point = c.base_center + c.radius * rho * ring
+    point[2] = z
+    return point, point.copy()
+
+
+@st.composite
+def _reject_case(draw):
+    """Cylinders near the origin, boundary segments against them, and the scene shifted up to 1e3 m."""
+    blockers = [
+        CylinderBlocker(
+            base_center=(draw(st.floats(-1.5, 1.5)), draw(st.floats(-1.5, 1.5)),
+                         draw(st.sampled_from([0.0, draw(st.floats(0.0, 1.0))]))),
+            radius=draw(st.floats(0.05, 1.0)),
+            height=draw(st.floats(0.1, 3.0)),
+        )
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    segments = [draw(_reject_segment(blockers)) for _ in range(draw(st.integers(1, 12)))]
+    shift = np.zeros(3)
+    if draw(st.booleans()):
+        shift = np.array([draw(st.floats(-1e3, 1e3)) for _ in range(3)])
+    blockers = [dataclasses.replace(b, base_center=b.base_center + shift) for b in blockers]
+    p0 = np.array([seg[0] for seg in segments]) + shift
+    p1 = np.array([seg[1] for seg in segments]) + shift
+    return blockers, p0, p1
+
+
+def _recording_kernel(monkeypatch):
+    """Replace the exact kernel with a spy; returns the list its received cells land in, one array per call."""
+    seen, kernel = [], geometry._segment_cylinder_hits
+
+    def spy(p0, p1, base, radius, height):
+        n = len(p0)
+        seen.append(np.column_stack([p0, p1, base, np.broadcast_to(radius, n), np.broadcast_to(height, n)]))
+        return kernel(p0, p1, base, radius, height)
+
+    monkeypatch.setattr(geometry, "_segment_cylinder_hits", spy)
+    return seen
+
+
+@settings(max_examples=400, deadline=None)
+@given(_reject_case())
+def test_reject_matches_the_exact_kernel_on_boundary_segments(case):
+    blockers, p0, p1 = case
+    rows = [blockers[i % len(blockers)] for i in range(len(p0))]
+    bases = np.array([b.base_center for b in rows])
+    radius, height = np.array([b.radius for b in rows]), np.array([b.height for b in rows])
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for _ in _chunks(monkeypatch):
+            assert np.array_equal(segments_blocked(p0, p1, blockers), _blocked_oracle(p0, p1, blockers))
+            assert np.array_equal(segments_blocked_each(p0, p1, bases, radius, height),
+                                  _blocked_each_oracle(p0, p1, bases, radius, height))
+
+
+def test_reject_cases_straddle_the_planar_threshold():
+    # the near-vertical steps of the strategy above land on each side of _EPS_AXIS, and on it
+    areas = [step * step for step in _AXIS_STEPS[1:4]]
+    assert areas[0] < geometry._EPS_AXIS == areas[1] < areas[2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_reject_case())
+def test_reject_passes_every_hit_cell_to_the_kernel(case):
+    blockers, p0, p1 = case
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        seen = _recording_kernel(monkeypatch)
+        for _ in _chunks(monkeypatch):
+            seen.clear()
+            segments_blocked(p0, p1, blockers)
+            received = {row.tobytes() for cells in seen for row in cells}
+            for b in blockers:
+                radius, height = np.full(len(p0), b.radius), np.full(len(p0), b.height)
+                base = np.broadcast_to(b.base_center, p0.shape)
+                cells = np.column_stack([p0, p1, base, radius, height])
+                for i in np.flatnonzero(_segment_cylinder_hits(p0, p1, base, radius, height)):
+                    assert cells[i].tobytes() in received
+
+
+def test_reject_prunes_most_cells_of_a_benchmark_trial(monkeypatch):
+    s = dataclasses.replace(benchmark_scenario(), blocker_population=BlockerPopulation(count=15))
+    grid, any_hits = [], geometry._any_hits
+
+    def counting(origins, ends, bases, radius, height):
+        rows = np.broadcast_shapes(np.atleast_2d(origins).shape, np.atleast_2d(ends).shape, bases.shape[1:])[0]
+        grid.append(len(bases) * rows)
+        return any_hits(origins, ends, bases, radius, height)
+
+    monkeypatch.setattr(geometry, "_any_hits", counting)
+    seen = _recording_kernel(monkeypatch)
+    scenario.run_trial(s, 7)
+    tested = sum(len(cells) for cells in seen)
+    assert sum(grid) > 10_000 and 0 < tested < 0.2 * sum(grid)
+
+
+def test_blocks_with_every_cell_rejected_make_no_kernel_call(monkeypatch):
+    monkeypatch.setattr(geometry, "_CHUNK_CELLS", 7)  # 3 cylinders: 2 rows per block
+    seen = _recording_kernel(monkeypatch)
+    far = [CylinderBlocker(base_center=(9.0, 9.0, 0.0)), CylinderBlocker(base_center=(8.0, 9.0, 0.0))]
+    x = np.arange(5.0)
+    origins = np.stack([x, np.full(5, -1.0), np.full(5, 1.0)], axis=1)
+    ends = origins + [0.0, 2.0, 0.0]
+    got = segments_blocked(origins, ends, far + [CylinderBlocker(base_center=(7.0, 0.0, 0.0))])
+    assert seen == [] and got.dtype == bool and got.shape == (5,) and not got.any()
+    got = segments_blocked_each(origins, ends, np.array([9.0, 9.0, 0.0]), 0.2, 1.0)
+    assert seen == [] and got.dtype == bool and got.shape == (5,) and not got.any()
+    # only the last block holds a cell within reach, and only that cell is tested
+    got = segments_blocked(origins, ends, far + [CylinderBlocker(base_center=(4.0, 0.0, 0.0), radius=0.1)])
+    assert got.tolist() == [False] * 4 + [True]
+    assert len(seen) == 1 and len(seen[0]) == 1
+
+
+@pytest.mark.parametrize("dx", [1e-160, 1e-310, 5e-324])
+def test_tiny_xy_step_raises_no_warning(dx):
+    # |d|^2 underflows to a subnormal or to zero: the reject must not divide by it
+    blocker = CylinderBlocker(base_center=(0.0, 0.1, 0.0), radius=0.3, height=1.0)
+    p0 = np.array([[0.0, 0.0, 0.5], [0.0, 2.0, 0.5]])
+    p1 = p0 + [[dx, 0.0, 0.2], [dx, 0.0, 0.2]]
+    assert p1[0, 0] - p0[0, 0] == dx
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
+        warnings.simplefilter("error")
+        assert segments_blocked(p0, p1, [blocker]).tolist() == [True, False]
+        assert segments_blocked_each(p0, p1, blocker.base_center, 0.3, 1.0).tolist() == [True, False]
+
+
 # ------------------------------------------------------------------ studies
 
 
