@@ -265,12 +265,14 @@ class WallPatchSet:
 
 @dataclass(frozen=True, eq=False)
 class ReflectionLegs:
-    """Reflector-independent legs of LED -> point -> photodiode paths, one row per point.
+    """Reflector-independent legs of LED -> point -> photodiode paths.
 
     `d1`, `u1`, `cos_phi1`: LED-to-point length, unit direction and irradiance
     cosine; `d2`, `u2`, `cos_t2`: point-to-photodiode length, direction and
     incidence cosine. `clear` marks points the LED faces, seen inside the FoV,
-    with neither leg blocked. Read-only, so one record serves many evaluations.
+    with neither leg blocked. One link has a row per point; `_legs` shapes the
+    LED-side fields (1, APs, n), the receiver-side ones (users, 1, n) and `clear`
+    (users, APs, n). Read-only, so one record serves many evaluations.
     """
 
     d1: np.ndarray
@@ -293,31 +295,9 @@ def reflection_legs(tx: LedTx, points: np.ndarray, rx: PdRx,
     Wall patches and mirror elements share it and add only the terms of their
     own normals: cos(t1) at the point, then cos(phi2) or the specular lobe.
     """
-    return _reflection_legs(_led_legs(tx, points), tx, points, rx, blockers)
-
-
-def _led_legs(tx: LedTx, points: np.ndarray):
-    """`d1`, `u1` and `cos_phi1` of `reflection_legs`: they depend on the LED and the points only."""
-    v1 = points - tx.position
-    d1 = np.linalg.norm(v1, axis=1)
-    if np.any(d1 <= 0.0):
-        raise ValueError("a reflecting point coincides with the transmitter or the receiver")
-    u1 = v1 / d1[:, None]
-    return d1, u1, u1 @ tx.normal
-
-
-def _reflection_legs(led, tx: LedTx, points: np.ndarray, rx: PdRx,
-                     blockers: Iterable[CylinderBlocker] = ()) -> ReflectionLegs:
-    """`reflection_legs` given its LED-side legs `led = _led_legs(tx, points)`, which receivers share."""
     blockers = list(blockers)
-    d1, u1, cos_phi1 = led
-    v2 = rx.position - points
-    d2 = np.linalg.norm(v2, axis=1)
-    if np.any(d2 <= 0.0):
-        raise ValueError("a reflecting point coincides with the transmitter or the receiver")
-    u2 = v2 / d2[:, None]
-    cos_t2 = -(u2 @ rx.orientation.normal)
-    clear = (cos_phi1 > 0.0) & (cos_t2 >= math.cos(rx.fov)) & (cos_t2 >= 0.0)
+    d1, u1, cos_phi1, d2, u2, cos_t2, clear = (a[0, 0] for a in vars(_legs((tx,), points, (rx,))).values())
+    clear = clear.copy()
     lit = np.flatnonzero(clear)
     if blockers and lit.size:  # both legs of the lit rows in one test, the LED-side legs first
         via = points[lit]
@@ -325,6 +305,24 @@ def _reflection_legs(led, tx: LedTx, points: np.ndarray, rx: PdRx,
                                np.vstack([via, np.broadcast_to(rx.position, via.shape)]), blockers)
         clear[lit] = ~hit.reshape(2, -1).any(axis=0)
     return ReflectionLegs(d1, u1, cos_phi1, d2, u2, cos_t2, clear)
+
+
+def _legs(txs: Sequence[LedTx], points: np.ndarray, rxs: Sequence[PdRx]) -> ReflectionLegs:
+    """Unblocked legs from every LED in `txs` through one (n, 3) point set to every receiver in `rxs`.
+
+    Each cosine is one matrix-vector product per LED or receiver over exactly these points, because
+    BLAS rounds a row by its place in the matrix: legs over concatenated point sets differ in bits."""
+    v1 = points - np.array([tx.position for tx in txs]).reshape(-1, 1, 3)
+    v2 = np.array([rx.position for rx in rxs]).reshape(-1, 1, 3) - points
+    d1, d2 = np.linalg.norm(v1, axis=-1), np.linalg.norm(v2, axis=-1)
+    if np.any(d1 <= 0.0) or np.any(d2 <= 0.0):
+        raise ValueError("a reflecting point coincides with the transmitter or the receiver")
+    u1, u2 = v1 / d1[..., None], v2 / d2[..., None]
+    cos_phi1 = (u1 @ np.array([tx.normal for tx in txs]).reshape(-1, 3, 1))[None, ..., 0]
+    cos_t2 = -(u2 @ np.array([rx.orientation.normal for rx in rxs]).reshape(-1, 3, 1))[:, None, :, 0]
+    cos_fov = np.array([math.cos(rx.fov) for rx in rxs]).reshape(-1, 1, 1)
+    clear = (cos_phi1 > 0.0) & (cos_t2 >= cos_fov) & (cos_t2 >= 0.0)
+    return ReflectionLegs(d1[None], u1[None], cos_phi1, d2[:, None], u2[:, None], cos_t2, clear)
 
 
 def wall_first_reflection_gain(
@@ -346,16 +344,19 @@ def wall_first_reflection_gain(
     sub-segment. Patches are summed in construction order.
     """
     pset = WallPatchSet.coerce(patches)
-    return _wall_gain(tx, rx, pset, reflection_legs(tx, pset.centers, rx, blockers))
+    h = _wall_gain(tx.lambertian_order, rx, pset, reflection_legs(tx, pset.centers, rx, blockers))
+    return ChannelGain(float(h), PathKind.WALL_NLOS)
 
 
-def _wall_gain(tx: LedTx, rx: PdRx, pset: WallPatchSet, legs: ReflectionLegs) -> ChannelGain:
-    """The patch sum of `wall_first_reflection_gain` over legs whose `clear` already holds blockage."""
-    cos_t1 = -np.einsum("ij,ij->i", legs.u1, pset.normals)
-    cos_phi2 = np.einsum("ij,ij->i", legs.u2, pset.normals)
+def _wall_gain(m, rx, pset: WallPatchSet, legs: ReflectionLegs):
+    """The patch sum of `wall_first_reflection_gain` over legs whose `clear` already holds blockage.
+
+    `m` and the `rx` terms are floats for one link or (users, APs) columns over the rows of `_legs`;
+    the forms agree in bits unless m is exactly 2 or 0.5, which NumPy squares or roots, not pow()s."""
+    cos_t1 = -np.einsum("...j,...j->...", legs.u1, pset.normals)
+    cos_phi2 = np.einsum("...j,...j->...", legs.u2, pset.normals)
     ok = legs.clear & (cos_t1 > 0.0) & (cos_phi2 > 0.0)
 
-    m = tx.lambertian_order
     terms = (
         pset.reflectances
         * (m + 1.0)
@@ -369,4 +370,4 @@ def _wall_gain(tx: LedTx, rx: PdRx, pset: WallPatchSet, legs: ReflectionLegs) ->
         * rx.filter_gain
         * rx.concentrator
     )
-    return ChannelGain(float(np.add.reduce(terms)), PathKind.WALL_NLOS)
+    return np.add.reduce(terms, axis=-1)

@@ -21,9 +21,10 @@ toward an ideal mirror.
 Only the element normals (cos t1, the specular direction, psi) depend on
 yaw and roll; `MirrorArray.normals` computes them, once per panel per angle
 set in `Scenario.evaluate_links`. d1, d2, cos(phi1), cos(t2) and the FoV gate
-come from `channel.reflection_legs`, and leg blockage from the three occlusion
-calls of a realized scenario's link table; `steered_gains` adds the angle
-terms. `element_gains` is exactly the steps, so both routes give equal bits.
+come from `channel.reflection_legs` for one link, or from a realized scenario's
+link table as (users, APs, elements) legs per panel, blocked by its three
+occlusion calls; `steered_gains` adds the angle terms to either in one call.
+`element_gains` is exactly the steps, so both routes give equal bits.
 
 The liquid-crystal receiver surrogate multiplies a gain by a transmittance
 and an amplification inside a configurable effective field of view; the
@@ -188,19 +189,20 @@ def element_gains(
     optimizer candidates evaluate without rebuilding the panel.
     """
     legs = reflection_legs(tx, array.element_centers, rx, blockers)
-    return steered_gains(tx, array, rx, legs, array.normals(yaw, roll))
+    return steered_gains(tx.lambertian_order, array, rx, legs, array.normals(yaw, roll))
 
 
-def steered_gains(tx: LedTx, array: MirrorArray, rx: PdRx, legs: ReflectionLegs,
-                  normals: np.ndarray) -> np.ndarray:
-    """The angle step of `element_gains`: its legs and `array.normals(yaw, roll)` to gains."""
-    m = tx.lambertian_order
+def steered_gains(m, array: MirrorArray, rx, legs: ReflectionLegs, normals: np.ndarray) -> np.ndarray:
+    """The angle step of `element_gains`: its legs and `array.normals(yaw, roll)` to gains.
+
+    `m` and the `rx` terms (`area`, `filter_gain`, `concentrator`) are floats for one link or
+    (users, APs) columns over a link table's rows, as in `channel._wall_gain`."""
     sigma = array.beam_spread
 
-    u1_dot_n = np.einsum("ij,ij->i", legs.u1, normals)
+    u1_dot_n = np.einsum("...j,...j->...", legs.u1, normals)
     cos_t1 = -u1_dot_n
-    refl = legs.u1 - 2.0 * u1_dot_n[:, None] * normals
-    psi = np.arccos(np.clip(np.einsum("ij,ij->i", refl, legs.u2), -1.0, 1.0))
+    refl = legs.u1 - 2.0 * u1_dot_n[..., None] * normals
+    psi = np.arccos(np.clip(np.einsum("...j,...j->...", refl, legs.u2), -1.0, 1.0))
     ok = legs.clear & (cos_t1 > 0.0)
 
     capture = (

@@ -26,21 +26,12 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .channel import (
-    LedTx,
-    PdRx,
-    ReflectionLegs,
-    WallPatchSet,
-    _led_legs,
-    _reflection_legs,
-    _wall_gain,
-    incidence_cosine,
-    los_gain,
-)
+from .channel import LedTx, PdRx, ReflectionLegs, WallPatchSet, _legs, _wall_gain, incidence_cosine, los_gain
 # wall_first_reflection_gain stays importable here: perfbench/spans.py wraps it at this name
 from .channel import wall_first_reflection_gain  # noqa: F401
 from .geometry import CylinderBlocker, Room, Vec3, as_vec3, segments_blocked, segments_blocked_each
@@ -153,14 +144,15 @@ class LinkEvaluation:
 
 @dataclass(frozen=True, eq=False)
 class _LinkTable:
-    """Angle-independent link data: (users, APs) arrays, and each panel's legs per (user, AP)."""
+    """Angle-independent link data: (users, APs) arrays, per panel its (users, APs, elements) legs."""
 
-    receivers: Tuple[PdRx, ...]
     h_los: np.ndarray
     h_wall: np.ndarray
     los_visible: np.ndarray
     fov_ok: np.ndarray
-    mirror_legs: Dict[Tuple[int, int], Tuple[ReflectionLegs, ...]]
+    mirror_legs: Tuple[ReflectionLegs, ...]
+    m: np.ndarray  # (1, APs, 1) Lambertian orders
+    rx: SimpleNamespace  # `area`, `filter_gain` and `concentrator` as (users, 1, 1) columns
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,11 +248,11 @@ class Scenario:
     def _link_table(self) -> _LinkTable:
         """Angle-independent link data of a realized scenario, from three occlusion calls.
 
-        `reflection_legs` without blockers gates each leg (LED facing, inside the FoV); its LED-side
-        half depends on the AP and the points only, so every user shares it. The scenario blockers
-        then cut (1) the gated LED-side legs, once per AP, and (2) every user's gated receiver-side
-        legs and LoS segments; (3) each self-blocking user's segments meet its body.
-        Blockage is a union over cylinders tested cell by cell, so the masks equal one test per link.
+        `_legs` gives the unblocked (users, APs, points) legs of the wall patches, then of each panel.
+        The scenario blockers cut (1) the gated LED-side legs once per (AP, point), and (2) the gated
+        receiver-side legs once per (user, point) and the LoS segments; (3) each self-blocking user's
+        segments meet its body. Blockage is a union over cylinders tested cell by cell, so the masks
+        equal one test per link.
         """
         if not self.is_realized:
             raise ValueError("scenario has unsampled users; run trials instead of evaluating")
@@ -268,40 +260,42 @@ class Scenario:
             raise ValueError("scenario has no access points")
         rxs = tuple(user.receiver() for user in self.users)
         sets = [self.wall_patches.centers] + [panel.element_centers for panel in self.ris_panels]
-        led = [[_led_legs(ap, points) for points in sets] for ap in self.aps]  # shared by every user
-        legs = [[[_reflection_legs(leg, ap, points, rx) for leg, points in zip(by_ap, sets)]
-                 for ap, by_ap in zip(self.aps, led)] for rx in rxs]
-        points, shape = np.concatenate(sets), (len(rxs), len(self.aps))
-        gate = np.array([[np.concatenate([leg.clear for leg in by_ap]) for by_ap in by_user]
-                         for by_user in legs], dtype=bool).reshape(shape + (len(points),))
+        legs = [_legs(self.aps, points, rxs) for points in sets]  # never over the concatenation: bits
+        points, gate = np.concatenate(sets), np.concatenate([leg.clear for leg in legs], axis=2)
+        shape = gate.shape[:2]
         ap_xyz = np.array([ap.position for ap in self.aps])
         rx_xyz = np.array([rx.position for rx in rxs]).reshape(-1, 3)
         a, r = np.nonzero(gate.any(axis=0))
         led = np.zeros(gate.shape[1:], dtype=bool)
         led[a, r] = segments_blocked(ap_xyz[a], points[r], self.blockers)  # (1)
         u, a, r = np.nonzero(gate)
-        los_u, los_a = np.nonzero(np.ones(shape, dtype=bool))
-        owner, n = np.concatenate([u, u, los_u]), len(u)  # rows: LED-side legs, receiver-side legs, LoS
-        starts = np.concatenate([ap_xyz[a], points[r], ap_xyz[los_a]])
-        ends = np.concatenate([points[r], rx_xyz[u], rx_xyz[los_u]])
+        v, p = np.nonzero(gate.any(axis=1))
+        los_u, los_a = np.indices(shape).reshape(2, -1)
+        owner, n, k = np.concatenate([u, v, los_u]), len(u), len(u) + len(v)
+        starts = np.concatenate([ap_xyz[a], points[p], ap_xyz[los_a]])  # LED-side, receiver-side, LoS
+        ends = np.concatenate([points[r], rx_xyz[v], rx_xyz[los_u]])
         hit = np.concatenate([led[a, r], segments_blocked(starts[n:], ends[n:], self.blockers)])  # (2)
         own = np.flatnonzero(np.array([user.self_blockage for user in self.users], dtype=bool)[owner])
         cyl = np.array([(*b.base_center, b.radius, b.height) if b else (0.0,) * 5
                         for b in map(UserSpec.body_cylinder, self.users)]).reshape(-1, 5)[owner[own]]
         hit[own] |= segments_blocked_each(starts[own], ends[own], cyl[:, :3], cyl[:, 3], cyl[:, 4])  # (3)
+        rx_hit = np.zeros((len(rxs), len(points)), dtype=bool)
+        rx_hit[v, p] = hit[n:k]
         clear = np.zeros_like(gate)
-        clear[u, a, r] = ~(hit[:n] | hit[n:2 * n])
-        visible, edges = ~hit[2 * n:].reshape(shape), np.cumsum([len(points) for points in sets])[:-1]
-        h_los, h_wall, fov_ok, mirror_legs = np.zeros(shape), np.zeros(shape), np.zeros(shape, dtype=bool), {}
-        for i, rx in enumerate(rxs):
-            for j, ap in enumerate(self.aps):
-                wall, *mirrors = (dataclasses.replace(leg, clear=mask)
-                                  for leg, mask in zip(legs[i][j], np.split(clear[i, j], edges)))
-                h_los[i, j] = los_gain(ap, rx).h if visible[i, j] else 0.0  # los_gain gives 0 when blocked
-                h_wall[i, j] = _wall_gain(ap, rx, self.wall_patches, wall).h
-                fov_ok[i, j] = incidence_cosine(ap.position, rx.position, rx.orientation) >= math.cos(rx.fov)
-                mirror_legs[i, j] = tuple(mirrors)
-        return _LinkTable(rxs, h_los, h_wall, visible, fov_ok, mirror_legs)
+        clear[u, a, r] = ~(hit[:n] | rx_hit[u, r])
+        visible = ~hit[k:].reshape(shape)
+        wall, *mirrors = (dataclasses.replace(leg, clear=mask) for leg, mask in
+                          zip(legs, np.split(clear, np.cumsum([len(points) for points in sets])[:-1], axis=2)))
+        m = np.array([ap.lambertian_order for ap in self.aps]).reshape(1, -1, 1)
+        columns = SimpleNamespace(**{name: np.array([getattr(rx, name) for rx in rxs]).reshape(-1, 1, 1)
+                                     for name in ("area", "filter_gain", "concentrator")})
+        pairs = [(ap, rx) for rx in rxs for ap in self.aps]
+        h_los = np.array([los_gain(ap, rx).h if seen else 0.0  # los_gain gives 0 when blocked
+                          for (ap, rx), seen in zip(pairs, visible.ravel())]).reshape(shape)
+        fov_ok = np.array([incidence_cosine(ap.position, rx.position, rx.orientation) >= math.cos(rx.fov)
+                           for ap, rx in pairs], dtype=bool).reshape(shape)
+        return _LinkTable(h_los, _wall_gain(m, columns, self.wall_patches, wall), visible, fov_ok,
+                          tuple(mirrors), m, columns)
 
     def evaluate_links(self, ris_angles=None) -> list[LinkEvaluation]:
         """Per-user gain splits at the given mirror angles.
@@ -316,12 +310,9 @@ class Scenario:
         if len(pairs) != len(panels):
             raise ValueError(f"expected {len(panels)} (yaw, roll) pairs, got {len(pairs)}")
         table = self._link_table  # raises on unsampled users or no APs
-        normals = [panel.normals(yaw, roll) for panel, (yaw, roll) in zip(panels, pairs)]
         h_ris = np.zeros(table.h_los.shape)
-        for (u, a), legs in table.mirror_legs.items():
-            for panel, panel_legs, n in zip(panels, legs, normals):
-                gains = steered_gains(self.aps[a], panel, table.receivers[u], panel_legs, n)
-                h_ris[u, a] += float(np.add.reduce(gains))
+        for panel, legs, (yaw, roll) in zip(panels, table.mirror_legs, pairs):  # panel order, as the sum was
+            h_ris += np.add.reduce(steered_gains(table.m, panel, table.rx, legs, panel.normals(yaw, roll)), axis=-1)
         serving = np.argmax(table.h_los + table.h_wall + h_ris, axis=1)  # the first maximum, like max()
         return [LinkEvaluation(u, int(a), float(table.h_los[u, a]), float(table.h_wall[u, a]),
                                float(h_ris[u, a]), bool(table.los_visible[u, a]), bool(table.fov_ok[u, a]))

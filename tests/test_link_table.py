@@ -1,5 +1,8 @@
 """The per-scenario link table against the per-link code it replaced.
 
+`channel._legs` computes the unblocked legs of one point set over every
+(user, AP) in one pass; it is checked against `reflection_legs` on each link.
+
 `_static_links_oracle` is `Scenario._static_links` as it was: for every
 (user, AP) pair one LoS test, one wall `reflection_legs` test and one test
 per panel, each against the scenario blockers plus that user's body.
@@ -19,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ris_vlc import channel, geometry, ris, scenario
-from ris_vlc.channel import LedTx, incidence_cosine, los_gain, reflection_legs, wall_first_reflection_gain
+from ris_vlc.channel import LedTx, PdRx, _legs, incidence_cosine, los_gain, reflection_legs, wall_first_reflection_gain
 from ris_vlc.geometry import CylinderBlocker, Room, segments_blocked
 from ris_vlc.metrics import link_rate, sum_rate
 from ris_vlc.orientation import DeviceOrientation
@@ -70,7 +73,7 @@ def _evaluate_links_oracle(s, ris_angles=None):
         for a, (ap, (h_los, h_wall, visible, fov_ok, legs)) in enumerate(zip(s.aps, per_ap)):
             h_ris = 0.0
             for panel, panel_legs, n in zip(panels, legs, normals):
-                h_ris += float(np.add.reduce(steered_gains(ap, panel, rx, panel_legs, n)))
+                h_ris += float(np.add.reduce(steered_gains(ap.lambertian_order, panel, rx, panel_legs, n)))
             candidates.append(LinkEvaluation(u, a, h_los, h_wall, h_ris, visible, fov_ok))
         links.append(max(candidates, key=lambda link: link.total_gain))
     return links
@@ -145,11 +148,13 @@ def test_link_table_matches_per_link_loop(s):
             assert table.h_wall[u, a] == h_wall
             assert table.los_visible[u, a] == visible
             assert table.fov_ok[u, a] == fov_ok
-            assert len(table.mirror_legs[u, a]) == len(legs)
-            for got, expected in zip(table.mirror_legs[u, a], legs):
-                for name in _LEG_FIELDS:
-                    assert np.array_equal(getattr(got, name), getattr(expected, name)), name
-                    assert not getattr(got, name).flags.writeable, name
+            assert len(table.mirror_legs) == len(legs)
+            for got, expected in zip(table.mirror_legs, legs):
+                for name in _LEG_FIELDS:  # the (user, AP) slice of the panel's broadcast record
+                    field = getattr(got, name)
+                    assert np.array_equal(np.broadcast_to(field, (*shape, *field.shape[2:]))[u, a],
+                                          getattr(expected, name)), name
+                    assert not field.flags.writeable, name
 
 
 @settings(max_examples=60, deadline=None)
@@ -172,7 +177,7 @@ def test_no_panels_no_blockers_and_no_users():
     user = UserSpec(position=(1.0, 2.0, 0.75), fixed_orientation=DeviceOrientation(0.3, 1.0))
     s = dataclasses.replace(base, users=(user, user), blocker_population=None, ris_panels=())
     table = s._link_table
-    assert table.mirror_legs == {(0, 0): (), (1, 0): ()}
+    assert table.mirror_legs == ()
     assert table.los_visible.all() and table.h_los[0, 0] == table.h_los[1, 0] > 0.0
     assert [vars(link) for link in s.evaluate_links()] == [vars(link) for link in _evaluate_links_oracle(s)]
     empty = dataclasses.replace(base, users=(), blocker_population=None)
@@ -204,6 +209,84 @@ def test_building_the_table_makes_three_occlusion_calls(monkeypatch):
         assert calls == ["segments_blocked", "segments_blocked", "segments_blocked_each"]
         calls.clear()
         sum_rate(realized)
+        assert calls == []
+
+
+@st.composite
+def _links(draw):
+    """0-3 users, 1-3 APs of any beam width and aim, and 1-30 points, some of them repeated."""
+    xyz = st.tuples(_floats(0.0, 5.0), _floats(0.0, 5.0), _floats(0.0, 3.0))
+    aim = st.tuples(_floats(-1.0, 1.0), _floats(-1.0, 1.0), _floats(-1.0, -0.1))
+    aps = [LedTx(position=draw(xyz), normal=draw(aim), half_intensity_angle=draw(_floats(0.1, 1.5)))
+           for _ in range(draw(st.integers(1, 3)))]
+    tilt = st.builds(DeviceOrientation, _floats(0.0, math.pi / 2.0), _floats(-math.pi, math.pi))
+    rxs = [PdRx(position=draw(xyz), orientation=draw(tilt), fov=draw(_floats(0.1, math.pi / 2.0)))
+           for _ in range(draw(st.integers(0, 3)))]
+    points = np.array(draw(st.lists(xyz, min_size=1, max_size=30)))
+    return aps, points[draw(st.lists(st.integers(0, len(points) - 1), min_size=1, max_size=40))], rxs
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_links())
+def test_legs_equal_the_per_link_legs(case):
+    aps, points, rxs = case
+    try:
+        want = [[reflection_legs(ap, points, rx) for ap in aps] for rx in rxs]
+        led = [reflection_legs(ap, points, PdRx(position=(9.0, 9.0, 9.0))) for ap in aps]
+    except ValueError as refused:
+        assert "coincides" in str(refused)
+        with pytest.raises(ValueError, match="coincides"):
+            _legs(aps, points, rxs)
+        return
+    got = _legs(aps, points, rxs)
+    led_side, rx_side = (1, len(aps), len(points)), (len(rxs), 1, len(points))
+    lead = dict(d1=led_side, u1=led_side, cos_phi1=led_side, d2=rx_side, u2=rx_side, cos_t2=rx_side,
+                clear=(len(rxs), len(aps), len(points)))
+    for name, shape in lead.items():
+        assert getattr(got, name).shape[:3] == shape and not getattr(got, name).flags.writeable, name
+    for a, ap_legs in enumerate(led):  # LED-side fields hold even with no users
+        for name in ("d1", "u1", "cos_phi1"):
+            assert _same_bits(getattr(got, name)[0, a], getattr(ap_legs, name)), name
+    for u, per_ap in enumerate(want):
+        for a, legs in enumerate(per_ap):
+            for name in _LEG_FIELDS:
+                field = getattr(got, name)
+                assert _same_bits(np.broadcast_to(field, (len(rxs), len(aps), *field.shape[2:]))[u, a],
+                                  getattr(legs, name)), name
+
+
+def test_legs_refuse_a_point_on_any_endpoint():
+    aps = [LedTx(position=(2.5, 2.5, 3.0)), LedTx(position=(1.0, 1.0, 3.0))]
+    rxs = [PdRx(position=(1.0, 1.0, 0.75)), PdRx(position=(4.0, 4.0, 0.75))]
+    for point in [ap.position for ap in aps] + [rx.position for rx in rxs]:
+        for users in (rxs, rxs[:0]) if any(point is ap.position for ap in aps) else (rxs,):
+            with pytest.raises(ValueError, match="coincides"):
+                _legs(aps, np.array([[0.0, 1.0, 1.0], point]), users)
+
+
+def test_one_legs_pass_per_point_set_per_table_and_none_per_sum_rate(monkeypatch):
+    calls = []
+
+    def spy(txs, points, rxs):
+        calls.append(len(points))
+        return _legs(txs, points, rxs)
+
+    monkeypatch.setattr(scenario, "_legs", spy)
+    base = benchmark_scenario()
+    two = dataclasses.replace(base, aps=base.aps + (LedTx(position=(1.0, 1.0, 3.0)),),
+                              ris_panels=base.ris_panels + (MirrorArray((2.5, 0.0, 1.5), (0.0, 1.0, 0.0), 2, 3),))
+    for s in (base, two):
+        realized = scenario.realize(s, np.random.default_rng(3))
+        calls.clear()
+        realized._link_table
+        assert calls == [len(realized.wall_patches)] + [p.element_count for p in realized.ris_panels]
+        calls.clear()
+        sum_rate(realized)
+        sum_rate(realized, [(0.1, -0.2)] * len(realized.ris_panels))
         assert calls == []
 
 
