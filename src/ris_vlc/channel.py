@@ -69,8 +69,7 @@ class LedTx:
     def __post_init__(self):
         object.__setattr__(self, "position", as_vec3(self.position))
         object.__setattr__(self, "normal", unit(as_vec3(self.normal)))
-        if not 0.0 < self.half_intensity_angle < math.pi / 2.0:
-            raise ValueError("half-intensity angle must lie in (0, pi/2)")
+        lambertian_index(self.half_intensity_angle)  # refuses an angle it cannot turn into an order
         if not self.optical_power > 0.0:
             raise ValueError("optical power must be positive")
 
@@ -106,6 +105,12 @@ class PdRx:
             raise ValueError("filter gain must lie in (0, 1]")
         if not self.refractive_index >= 1.0:
             raise ValueError("concentrator refractive index must be >= 1")
+        try:
+            collection = self.area * self.concentrator
+        except ArithmeticError:  # f**2 overflows, or sin(fov)**2 underflows to 0
+            collection = math.inf
+        if not collection * collection < math.inf:  # a link rate squares the gain this scales
+            raise ValueError("detector area times concentrator gain f**2 / sin(fov)**2 must be finite when squared")
 
     @property
     def normal(self) -> Vec3:
@@ -121,6 +126,8 @@ def lambertian_index(half_intensity_angle: float) -> float:
     """Lambertian order m = -1 / log2(cos(phi_half)); 60 degrees gives m = 1."""
     if not 0.0 < half_intensity_angle < math.pi / 2.0:
         raise ValueError("half-intensity angle must lie in (0, pi/2)")
+    if math.cos(half_intensity_angle) == 1.0:
+        raise ValueError(f"half-intensity angle {half_intensity_angle} rad is too narrow: its cosine rounds to 1")
     return -1.0 / math.log2(math.cos(half_intensity_angle))
 
 
@@ -203,6 +210,10 @@ class WallPatch:
             raise ValueError("reflectance must lie in [0, 1]")
 
 
+# patches per room: 24 000 tile a 5 x 5 x 3 m room at 5 cm; 1e-4 m would ask for 6e9 (144 GB of centers)
+WALL_PATCH_CAP = 1 << 18
+
+
 class WallPatchSet:
     """Packed array form of a wall discretization.
 
@@ -244,14 +255,10 @@ class WallPatchSet:
         exactly; ceiling and floor are not tiled (first-bounce model uses
         wall reflections only). Patches run wall by wall, row-major in (v, u).
         """
-        if not patch_size > 0.0:
-            raise ValueError("patch size must be positive")
         if not 0.0 <= reflectance <= 1.0:
             raise ValueError("reflectance must lie in [0, 1]")
         centers, normals, areas = [], [], []
-        for wall in room.walls():
-            nu = max(1, round(wall.u_len / patch_size))
-            nv = max(1, round(wall.v_len / patch_size))
+        for wall, nu, nv in cls.tiling(room, patch_size):
             du, dv = wall.u_len / nu, wall.v_len / nv
             j, i = np.indices((nv, nu)).reshape(2, -1, 1)
             centers.append(wall.origin + wall.u_axis * ((i + 0.5) * du) + wall.v_axis * ((j + 0.5) * dv))
@@ -261,6 +268,19 @@ class WallPatchSet:
         pset.centers, pset.normals, pset.areas = map(np.concatenate, (centers, normals, areas))
         pset.reflectances = np.full(len(pset.areas), reflectance, dtype=float)
         return pset
+
+    @staticmethod
+    def tiling(room: Room, patch_size: float):
+        """(wall, nu, nv) per wall of `for_room`, refusing more than `WALL_PATCH_CAP` patches before any allocation."""
+        if not patch_size > 0.0:
+            raise ValueError("patch size must be positive")
+        walls = room.walls()  # np.rint rounds half to even like round(), and takes an infinite ratio
+        counts = [(max(1.0, np.rint(w.u_len / patch_size)), max(1.0, np.rint(w.v_len / patch_size))) for w in walls]
+        total = sum(nu * nv for nu, nv in counts)
+        if not total <= WALL_PATCH_CAP:
+            raise ValueError(f"wall patch size {patch_size} m tiles the walls into {total:.3g} patches, "
+                             f"above the cap of {WALL_PATCH_CAP}")
+        return [(wall, int(nu), int(nv)) for wall, (nu, nv) in zip(walls, counts)]
 
 
 @dataclass(frozen=True, eq=False)

@@ -44,11 +44,12 @@ def norm(v: Vec3) -> float:
 
 
 def unit(v: Vec3) -> Vec3:
-    """Normalize to unit length; rejects zero-norm input."""
+    """Normalize to unit length; rejects input whose norm is zero or past the float range."""
     v = np.asarray(v, dtype=float)
-    n = norm(v)
-    if n <= 0.0:
-        raise ValueError("cannot normalize a zero-norm vector")
+    with np.errstate(over="ignore"):  # refused below instead
+        n = norm(v)
+    if not 0.0 < n < math.inf:
+        raise ValueError(f"cannot normalize a vector of norm {n}: it must be nonzero and finite")
     return v / n
 
 

@@ -15,6 +15,7 @@ MIMO sums, so every module reports rates on one scale.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,8 @@ class NoiseModel:
     def __post_init__(self):
         if not (self.psd > 0.0 and self.bandwidth > 0.0):
             raise ValueError("noise PSD and bandwidth must be positive")
+        if not sys.float_info.min <= self.variance < math.inf:  # rates divide by it
+            raise ValueError(f"noise variance psd * bandwidth = {self.variance} must be a normal, finite float")
 
     @property
     def variance(self) -> float:
@@ -48,6 +51,8 @@ class IntensityConstraints:
     def __post_init__(self):
         if not (self.peak > 0.0 and self.average_total > 0.0):
             raise ValueError("intensity constraints must be positive")
+        if not self.peak * self.peak < math.inf:  # a link rate squares it
+            raise ValueError(f"peak intensity {self.peak} must be finite when squared")
 
 
 @dataclass(frozen=True)
@@ -75,8 +80,15 @@ def _gain_value(h) -> float:
 def link_rate(h, constraints: IntensityConstraints, noise: NoiseModel) -> float:
     """Achievable rate in bits/s of one link under the peak-intensity bound."""
     value = _gain_value(h)
-    snr_term = 2.0 * (value * constraints.peak) ** 2 / (2.0 * math.pi * math.e * noise.variance)
-    return noise.bandwidth * 0.5 * math.log2(1.0 + snr_term)
+    try:
+        snr_term = 2.0 * (value * constraints.peak) ** 2 / (2.0 * math.pi * math.e * noise.variance)
+    except OverflowError:
+        snr_term = math.inf
+    rate = noise.bandwidth * 0.5 * math.log2(1.0 + snr_term)
+    if not rate < math.inf:
+        raise ValueError(f"the SNR of a link overflows: gain {value} at peak intensity {constraints.peak} "
+                         f"over noise variance {noise.variance}")
+    return rate
 
 
 def electrical_snr(h, transmit_power: float, noise: NoiseModel) -> float:

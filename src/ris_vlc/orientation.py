@@ -18,6 +18,8 @@ import numpy as np
 from .geometry import Vec3
 
 POLAR_MAX = math.pi / 2.0
+# rejection sampling draws 1 / acceptance Laplace values per polar angle
+MIN_ACCEPTANCE = 0.01
 
 
 @dataclass(frozen=True)
@@ -61,10 +63,19 @@ class OrientationModel:
             raise ValueError("std_polar must be nonnegative")
         if not 0.0 <= self.mean_polar <= POLAR_MAX:
             raise ValueError("mean_polar must lie inside the truncation window [0, pi/2]")
+        if self.std_polar > 0.0 and not self.acceptance >= MIN_ACCEPTANCE:  # else the sampler all but hangs
+            raise ValueError(f"std_polar {self.std_polar} rad puts only {self.acceptance:.3g} of the Laplace "
+                             f"draws in [0, pi/2], below {MIN_ACCEPTANCE}")
 
     @property
     def scale(self) -> float:
         return self.std_polar / math.sqrt(2.0)
+
+    @property
+    def acceptance(self) -> float:
+        """Share of untruncated Laplace draws inside [0, pi/2]: the rejection sampler's yield."""
+        b = self.scale
+        return 1.0 - 0.5 * math.exp(-(POLAR_MAX - self.mean_polar) / b) - 0.5 * math.exp(-self.mean_polar / b)
 
 
 def laplace_inverse_cdf(u: float, mu: float, b: float) -> float:

@@ -34,6 +34,7 @@ underlying voltage-controlled physics is summarized by those three numbers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Optional, Tuple
@@ -45,6 +46,8 @@ from .channel import ChannelGain, LedTx, PathKind, PdRx, ReflectionLegs, reflect
 from .geometry import CylinderBlocker, Vec3, as_vec3, segments_blocked, unit  # noqa: F401
 
 ANGLE_LIMIT = math.pi / 2.0
+# elements per panel (256 x 256); the default panel has 64
+MIRROR_ELEMENT_CAP = 1 << 16
 
 _Z = np.array([0.0, 0.0, 1.0])
 
@@ -117,12 +120,14 @@ class MirrorArray:
         object.__setattr__(self, "base_normal", unit(as_vec3(self.base_normal)))
         if self.rows < 1 or self.cols < 1:
             raise ValueError("mirror grid needs at least one row and one column")
-        if not self.element_size > 0.0:
-            raise ValueError("element size must be positive")
+        if self.rows * self.cols > MIRROR_ELEMENT_CAP:  # before the angle matrices allocate
+            raise ValueError(f"{self.rows} x {self.cols} mirror elements exceed the cap of {MIRROR_ELEMENT_CAP}")
+        if not 0.0 < self.element_size * self.element_size < math.inf:
+            raise ValueError("element size must be positive, with a finite area")
         if not 0.0 <= self.reflectivity <= 1.0:
             raise ValueError("reflectivity must lie in [0, 1]")
-        if not self.beam_spread > 0.0:
-            raise ValueError("beam spread must be positive")
+        if not sys.float_info.min <= self.beam_spread * self.beam_spread < math.inf:  # the lobe divides by it
+            raise ValueError(f"beam spread {self.beam_spread} rad must square to a normal, finite float")
         object.__setattr__(self, "yaw", self._coerce_angles(self.yaw))
         object.__setattr__(self, "roll", self._coerce_angles(self.roll))
 

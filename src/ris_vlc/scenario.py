@@ -25,7 +25,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from types import SimpleNamespace
 from typing import Optional, Sequence, Tuple
 
@@ -34,7 +34,7 @@ import numpy as np
 from .channel import LedTx, PdRx, ReflectionLegs, WallPatchSet, _legs, _wall_gain, incidence_cosine, los_gain
 # wall_first_reflection_gain stays importable here: perfbench/spans.py wraps it at this name
 from .channel import wall_first_reflection_gain  # noqa: F401
-from .geometry import CylinderBlocker, Room, Vec3, as_vec3, segments_blocked, segments_blocked_each
+from .geometry import CylinderBlocker, Room, Vec3, as_vec3, segments_blocked, segments_blocked_each, unit
 # link_rate stays importable here: perfbench/spans.py wraps it at this name
 from .metrics import IntensityConstraints, NoiseModel, _airtime_shared_rates, link_rate  # noqa: F401
 from .orientation import DeviceOrientation, OrientationModel, sample_orientation, sample_polar_angles
@@ -80,6 +80,8 @@ class UserSpec:
             object.__setattr__(self, "position", as_vec3(self.position))
         if not (self.body_offset >= 0.0 and self.body_radius > 0.0 and self.body_height > 0.0):
             raise ValueError("body offset must be nonnegative; body radius/height positive")
+        PdRx(np.zeros(3), area=self.area, fov=self.fov, filter_gain=self.filter_gain,
+             refractive_index=self.refractive_index)  # refuses receiver terms at load, not at the first trial
 
     def receiver(self) -> PdRx:
         if self.position is None or self.fixed_orientation is None:
@@ -224,12 +226,13 @@ class Scenario:
             raise ValueError("wall reflectance must lie in [0, 1]")
         if not self.wall_patch_size > 0.0:
             raise ValueError("wall patch size must be positive")
-        placed = [(f"aps[{i}] position", ap.position) for i, ap in enumerate(self.aps)]
-        placed += [(f"users[{i}] position", u.position) for i, u in enumerate(self.users)]
+        placed = [(f"aps[{i}].position", ap.position) for i, ap in enumerate(self.aps)]
+        placed += [(f"users[{i}].position", u.position) if u.position is not None
+                   else (f"users[{i}].height", (0.0, 0.0, u.height)) for i, u in enumerate(self.users)]
         placed += [(f"blockers[{i}] base", b.base_center) for i, b in enumerate(self.blockers)]
-        placed += [(f"ris[{i}] center", p.panel_center) for i, p in enumerate(self.ris_panels)]
-        for name, point in placed:  # an unsampled user has no position yet
-            if point is not None and not self.room.contains(point):
+        placed += [(f"ris[{i}].center", p.panel_center) for i, p in enumerate(self.ris_panels)]
+        for name, point in placed:
+            if not self.room.contains(point):
                 raise ValueError(f"{name} {point} outside the room")
 
     @cached_property
@@ -529,6 +532,16 @@ def _vector(value, where: str) -> Vec3:
     return as_vec3([_number(x, f"{where}[{k}]") for k, x in enumerate(value)])
 
 
+def _direction(value, where: str) -> Vec3:
+    """A `_vector` that `unit` can normalize, returned as read: the dataclass normalizes it."""
+    vector = _vector(value, where)
+    try:
+        unit(vector)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    return vector
+
+
 def _flag(value, where: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{where} must be true or false, got {value!r}")
@@ -554,7 +567,7 @@ _ROOM = {"length": ("length", _number), "width": ("width", _number), "height": (
 _WALLS = {"wall_reflectance": ("wall_reflectance", _number), "wall_patch_size": ("wall_patch_size", _number)}
 _AP = {
     "position": ("position", _vector),
-    "normal": ("normal", _vector),
+    "normal": ("normal", _direction),
     "half_intensity_angle_deg": ("half_intensity_angle", _degrees),
     "optical_power_w": ("optical_power", _number),
 }
@@ -574,7 +587,7 @@ _USER_ORIENTATION = {"polar_deg": ("polar", _degrees), "azimuth_deg": ("azimuth"
 _BLOCKERS = {"radius": ("radius", _number), "height": ("height", _number)}
 _RIS = {
     "center": ("panel_center", _vector),
-    "normal": ("base_normal", _vector),
+    "normal": ("base_normal", _direction),
     "rows": ("rows", _count),
     "cols": ("cols", _count),
     "element_size": ("element_size", _number),
@@ -626,7 +639,28 @@ def load_scenario(config_text: str) -> Scenario:
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"configuration validation error: {exc}") from exc
+        raise ConfigError(f"configuration validation error{_blame(config_text)}: {exc}") from exc
+
+
+def _blame(config_text: str) -> str:
+    """' at <key>' for the first value key (not a section) whose removal lets the document load; else ''."""
+    def keys(node, path):  # a section is a table or a list of tables; anything else is a value
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            if isinstance(child, dict) or isinstance(child, list) and child and isinstance(child[0], dict):
+                yield from keys(child, path + (key,))
+            elif isinstance(node, dict):
+                yield path + (key,)
+
+    for path in keys(json.loads(config_text), ()):
+        trimmed = json.loads(config_text)
+        parent = reduce(lambda node, key: node[key], path[:-1], trimmed)
+        del parent[path[-1]]
+        try:
+            _scenario_from_document(trimmed)
+        except (TypeError, ValueError):
+            continue
+        return " at " + "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).lstrip(".")
+    return ""
 
 
 def _scenario_from_document(doc: dict) -> Scenario:
@@ -659,7 +693,7 @@ def _scenario_from_document(doc: dict) -> Scenario:
         blockers.append(CylinderBlocker(base_center=np.array([x, y, 0.0]), radius=population.radius,
                                         height=population.height))
     if population.count > 0 and 2.0 * population.radius > min(room.length, room.width):
-        raise ConfigError(f"blockers.radius {population.radius} is more than half the room length or width")
+        raise ConfigError(f"blockers.radius {population.radius} is more than half of room.length or room.width")
 
     panels = []
     for i, sec in enumerate(_list(doc.get("ris", []), "ris")):
@@ -668,7 +702,7 @@ def _scenario_from_document(doc: dict) -> Scenario:
             raise ConfigError(f"ris[{i}] requires keys 'center' and 'normal'")
         panels.append(MirrorArray(**kwargs))
 
-    return Scenario(
+    scenario = Scenario(
         room=room,
         aps=tuple(aps),
         users=tuple(users),
@@ -681,6 +715,8 @@ def _scenario_from_document(doc: dict) -> Scenario:
             **_fields(doc.get("orientation", {}), _ORIENTATION, "orientation")),
         **_fields(room_sec, _WALLS, "room", extra=_ROOM),
     )
+    WallPatchSet.tiling(scenario.room, scenario.wall_patch_size)  # refuses an oversized tiling at load
+    return scenario
 
 
 # ----------------------------------------------------------------- benchmarks
@@ -782,9 +818,11 @@ CSV_HEADER = "trial,user,h_los,h_wall,h_ris,rate_bps,los_visible,fov_ok"
 
 
 def trials_to_csv(results: Sequence[TrialResult]) -> str:
-    """Fixed-header CSV, one row per (trial, user), shortest-roundtrip floats."""
+    """Fixed-header CSV, one row per (trial, user), shortest-roundtrip floats; refuses non-finite values."""
     lines = [CSV_HEADER]
     for t, r in enumerate(results):
+        if not all(np.isfinite(column).all() for column in (r.h_los, r.h_wall, r.h_ris, r.rates)):
+            raise ValueError(f"trial {t} has a gain or rate that is not finite; CSV output refuses it")
         for u in range(r.rates.shape[0]):
             lines.append(
                 f"{t},{u},{float(r.h_los[u])!r},{float(r.h_wall[u])!r},"

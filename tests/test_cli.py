@@ -1,12 +1,19 @@
 """End-to-end CLI behavior through subprocesses: exit codes, files, determinism."""
 
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import math
 import os
+import re
+import tempfile
 
 import pytest
 from conftest import run_cli
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ris_vlc import cli
 from ris_vlc.scenario import CSV_HEADER, StudyStatistics
@@ -266,6 +273,29 @@ REFUSED_DOCUMENTS = [
     pytest.param('{"blockers": {"positions": 3}}', "'blockers.positions'", id="positions-number"),
 ]
 
+# Extreme finite values that crashed `simulate` or let it print inf or nan
+_AP = '"position": [2.5, 2.5, 3.0]'
+EXTREME_VALUES = [
+    *((f'{{"aps": [{{{_AP}, "half_intensity_angle_deg": {v}}}]}}', "aps[0].half_intensity_angle_deg", v)
+      for v in ("1e-320", "1e-300", "1e-30")),
+    *((f'{{"users": [{{"fov_deg": {v}}}]}}', "users[0].fov_deg", v) for v in ("1e-320", "1e-300")),
+    *((f'{{"noise": {{"bandwidth": {v}}}}}', "noise.bandwidth", v) for v in ("1e-320", "1e-300")),
+    *((f'{{"constraints": {{"peak": {v}}}}}', "constraints.peak", v) for v in ("1e300", "1.7e308")),
+    *((f'{{"users": [{{"{k}": {v}}}]}}', f"users[0].{k}", v)
+      for k in ("area", "refractive_index") for v in ("1e300", "1.7e308")),
+    *((f'{{"ris": [{{{_RIS}, "{k}": {v}}}]}}', f"ris[0].{k}", v)
+      for k in ("element_size", "beam_spread_deg") for v in ("1e300", "1.7e308")),
+    *((f'{{"ris": [{{{_RIS}, "beam_spread_deg": {v}}}]}}', "ris[0].beam_spread_deg", v) for v in ("1e-320", "1e-300")),
+    *((f'{{"room": {{"{k}": 1.7e308}}}}', f"room.{k}", "1.7e308") for k in ("length", "width", "height")),
+    ('{"room": {"wall_patch_size": 1e-320}}', "room.wall_patch_size", "1e-320"),
+    # refused before allocating: 6e9 patches, 8e9 mirror elements
+    ('{"room": {"wall_patch_size": 1e-4}}', "room.wall_patch_size", "1e-4"),
+    (f'{{"ris": [{{{_RIS}, "rows": 1000000000}}]}}', "ris[0].rows", "1e9"),
+    # a rejection sampler that would accept almost no polar angle never returns
+    ('{"orientation": {"std_polar_deg": 1e30}}', "orientation.std_polar_deg", "1e30"),
+]
+REFUSED_DOCUMENTS += [pytest.param(text, key, id=f"{key}={value}") for text, key, value in EXTREME_VALUES]
+
 
 @pytest.mark.parametrize("text, key", REFUSED_DOCUMENTS)
 def test_refused_documents_exit_two_naming_the_key(tmp_path, text, key):
@@ -312,3 +342,72 @@ def test_non_finite_output_exits_two_instead_of_writing_invalid_json(monkeypatch
         assert out.out == "" and "not JSON compliant" in out.err
     with pytest.raises(ValueError):
         cli._json_text({"rate": math.inf})
+
+
+# Every section, with a pinned and a sampled user, a fixed and a drawn blocker, and a 2 x 2 panel.
+_FUZZ_DOCUMENT = {
+    "room": {"length": 5.0, "width": 5.0, "height": 3.0, "wall_reflectance": 0.7, "wall_patch_size": 0.5},
+    "aps": [{"position": [2.5, 2.5, 3.0], "normal": [0.0, 0.0, -1.0], "half_intensity_angle_deg": 60.0,
+             "optical_power_w": 2.0}],
+    "users": [{"position": [4.0, 2.5, 0.75], "area": 1e-4, "fov_deg": 85.0, "filter_gain": 1.0,
+               "refractive_index": 1.5, "body_offset": 0.36, "body_radius": 0.15, "body_height": 1.65,
+               "orientation": {"polar_deg": 10.0, "azimuth_deg": -90.0}},
+              {"count": 1, "height": 0.75}],
+    "blockers": {"count": 1, "radius": 0.15, "height": 1.65, "positions": [[3.7, 2.45]]},
+    "ris": [{"center": [5.0, 3.5, 1.5], "normal": [-1.0, 0.0, 0.0], "rows": 2, "cols": 2, "element_size": 0.1,
+             "reflectivity": 0.95, "beam_spread_deg": 2.0, "yaw_deg": 5.0, "roll_deg": -5.0}],
+    "noise": {"psd": 5e-20, "bandwidth": 2e7},
+    "constraints": {"peak": 2.0, "average_total": 2.0},
+    "orientation": {"mean_polar_deg": 41.0, "std_polar_deg": 9.0},
+}
+
+
+def _number_paths(node, path=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        if isinstance(child, (int, float)) and not isinstance(child, bool):
+            yield path + (key,)
+        yield from _number_paths(child, path + (key,))
+
+
+def _key(path):
+    """The JSON key a refusal must name: a vector component or position pair names its vector or list."""
+    text = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+    return re.sub(r"(\[\d+\])+$", "", text)
+
+
+def _finite_output(text, fmt):
+    if fmt == "json":
+        return all(v is None or math.isfinite(v) for v in json.loads(text).values())
+    return all(math.isfinite(float(x)) for line in text.splitlines()[1:] for x in line.split(","))
+
+
+# Counts are drawn small: `users[i].count` and `blockers.count` have no cap yet, and a large one allocates per item.
+_VALUES = st.one_of(st.sampled_from([1e-320, 1e-300, 1e-30, 1e30, 1e300, 1.7e308, -1e-300, -1.7e308, 0.0]),
+                    st.floats(allow_nan=False, allow_infinity=False), st.integers(-2, 64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(list(_number_paths(_FUZZ_DOCUMENT))), _VALUES)
+def test_any_one_value_gives_finite_output_or_a_refusal_naming_its_key(path, value):
+    doc = copy.deepcopy(_FUZZ_DOCUMENT)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as scratch:
+        scenario = os.path.join(scratch, "fuzz.json")
+        with open(scenario, "w") as handle:
+            json.dump(doc, handle)
+        for fmt in ("csv", "json"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(["simulate", "--scenario", scenario, "--trials", "1", "--format", fmt])
+            if code == 0:
+                assert _finite_output(out.getvalue(), fmt), (path, value, fmt)
+            else:
+                assert code == 2 and out.getvalue() == "", (path, value, fmt, code)
+                # a value the loader accepts can still push one link's SNR past the float range (users[0].area
+                # 1e152 here); the rate refuses it at run time, naming the gain, peak and noise, not the key
+                message = err.getvalue()
+                assert _key(path) in message or "SNR of a link overflows" in message, (path, value, fmt, message)

@@ -262,10 +262,10 @@ def test_legs_equal_the_per_link_legs(case):
 def test_legs_refuse_a_point_on_any_endpoint():
     aps = [LedTx(position=(2.5, 2.5, 3.0)), LedTx(position=(1.0, 1.0, 3.0))]
     rxs = [PdRx(position=(1.0, 1.0, 0.75)), PdRx(position=(4.0, 4.0, 0.75))]
-    for point in [ap.position for ap in aps] + [rx.position for rx in rxs]:
-        for users in (rxs, rxs[:0]) if any(point is ap.position for ap in aps) else (rxs,):
-            with pytest.raises(ValueError, match="coincides"):
-                _legs(aps, np.array([[0.0, 1.0, 1.0], point]), users)
+    cases = [(ap.position, users) for ap in aps for users in (rxs, [])] + [(rx.position, rxs) for rx in rxs]
+    for point, users in cases:
+        with pytest.raises(ValueError, match="coincides"):
+            _legs(aps, np.array([[0.0, 1.0, 1.0], point]), users)
 
 
 def test_one_legs_pass_per_point_set_per_table_and_none_per_sum_rate(monkeypatch):

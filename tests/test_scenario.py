@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from conftest import run_cli
 
-from ris_vlc.channel import LedTx, PdRx, WallPatch, incidence_cosine, los_gain, wall_first_reflection_gain
-from ris_vlc.geometry import CylinderBlocker, Room, segments_blocked
+from ris_vlc.channel import LedTx, PdRx, WallPatch, WallPatchSet, incidence_cosine, los_gain, wall_first_reflection_gain
+from ris_vlc.geometry import CylinderBlocker, Room, segments_blocked, unit
 from ris_vlc.metrics import IntensityConstraints, NoiseModel, link_rate
 from ris_vlc.orientation import DeviceOrientation, OrientationModel
 from ris_vlc.ris import MirrorArray
@@ -105,6 +105,68 @@ _ORIGIN = (1.0, 1.0, 1.0)
 def test_validators_refuse_nan(build):
     with pytest.raises(ValueError):
         build()
+
+
+_PANEL = dict(panel_center=_ORIGIN, base_normal=(1, 0, 0))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: LedTx(position=_ORIGIN, half_intensity_angle=1e-30), "cosine rounds to 1"),
+    (lambda: PdRx(position=_ORIGIN, fov=1e-300), "concentrator"),
+    (lambda: PdRx(position=_ORIGIN, refractive_index=1e300), "concentrator"),
+    (lambda: PdRx(position=_ORIGIN, area=1e300), "concentrator"),
+    (lambda: UserSpec(fov=1e-300), "concentrator"),
+    (lambda: NoiseModel(bandwidth=1e-320), "variance"),
+    (lambda: NoiseModel(psd=5e-20, bandwidth=1e-300), "variance"),
+    (lambda: NoiseModel(psd=1e300, bandwidth=1e300), "variance"),
+    (lambda: IntensityConstraints(peak=1e300), "squared"),
+    (lambda: MirrorArray(**_PANEL, element_size=1e300), "finite area"),
+    (lambda: MirrorArray(**_PANEL, element_size=1e-300), "finite area"),
+    (lambda: MirrorArray(**_PANEL, beam_spread=1e-300), "beam spread"),
+    (lambda: MirrorArray(**_PANEL, beam_spread=1e300), "beam spread"),
+    (lambda: MirrorArray(**_PANEL, rows=1 << 9, cols=1 << 8), "cap"),
+    (lambda: OrientationModel(std_polar=1e30), "draws"),
+    (lambda: WallPatchSet.for_room(Room(), 1e-4), "cap"),
+    (lambda: WallPatchSet.for_room(Room(1.7e308), 0.5), "cap"),
+    (lambda: unit((1e300, 1e300, 0.0)), "finite"),
+    (lambda: unit((1e-300, 0.0, 0.0)), "nonzero"),
+], ids=["narrow-beam", "fov", "refractive-index", "area", "user-fov", "bandwidth-zero-variance",
+        "subnormal-variance", "infinite-variance", "peak", "element-size", "element-area-zero",
+        "beam-spread-small", "beam-spread-large", "element-cap", "std-polar", "patch-cap", "room-overflow",
+        "unit-overflow", "unit-underflow"])
+def test_validators_refuse_values_whose_derived_terms_leave_the_float_range(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_caps_refuse_before_allocating(monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated")
+
+    monkeypatch.setattr(np, "indices", no_allocation)
+    monkeypatch.setattr(np, "full", no_allocation)
+    with pytest.raises(ValueError, match="above the cap"):
+        WallPatchSet.for_room(Room(), 1e-4)
+    with pytest.raises(ValueError, match="exceed the cap"):
+        MirrorArray(**_PANEL, rows=10**9)
+    monkeypatch.undo()
+    tiles = WallPatchSet.tiling(Room(), 0.05)
+    assert sum(nu * nv for _, nu, nv in tiles) == len(WallPatchSet.for_room(Room(), 0.05)) == 24000
+
+
+def test_link_rate_refuses_an_snr_past_the_float_range():
+    assert math.isfinite(link_rate(1e150, IntensityConstraints(peak=1.0), NoiseModel(psd=1.0, bandwidth=1.0)))
+    for gain in (1e155, 1e160):
+        with pytest.raises(ValueError, match="SNR of a link overflows"):
+            link_rate(gain, IntensityConstraints(peak=1.0), NoiseModel(psd=1.0, bandwidth=1.0))
+
+
+def test_csv_refuses_non_finite_values():
+    ok = TrialResult(np.ones(1), np.ones(1), np.zeros(1), np.ones(1), 1.0, np.ones(1, bool), np.ones(1, bool))
+    assert trials_to_csv([ok]).startswith(CSV_HEADER)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="not finite"):
+            trials_to_csv([ok, dataclasses.replace(ok, h_ris=np.array([bad]))])
 
 
 # ------------------------------------------------------------ configuration
