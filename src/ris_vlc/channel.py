@@ -368,11 +368,20 @@ def wall_first_reflection_gain(
     return ChannelGain(float(h), PathKind.WALL_NLOS)
 
 
+def _lambertian_power(cos_phi1: np.ndarray, m) -> np.ndarray:
+    """cos_phi1 ** m, each LED's order (one, or a (1, APs, 1) column over axis -2) as a Python float:
+    NumPy roots or squares a one-element exponent of 0.5 or 2 but calls pow() for a longer one."""
+    orders = [float(order) for order in np.ravel(m)]
+    if len(orders) == 1:
+        return cos_phi1 ** orders[0]
+    return np.stack([cos_phi1[..., a, :] ** order for a, order in enumerate(orders)], axis=-2)
+
+
 def _wall_gain(m, rx, pset: WallPatchSet, legs: ReflectionLegs):
     """The patch sum of `wall_first_reflection_gain` over legs whose `clear` already holds blockage.
 
-    `m` and the `rx` terms are floats for one link or (users, APs) columns over the rows of `_legs`;
-    the forms agree in bits unless m is exactly 2 or 0.5, which NumPy squares or roots, not pow()s."""
+    `m` and the `rx` terms are floats for one link or (users, APs) columns over the rows of `_legs`,
+    with equal bits either way (see `_lambertian_power`)."""
     cos_t1 = -np.einsum("...j,...j->...", legs.u1, pset.normals)
     cos_phi2 = np.einsum("...j,...j->...", legs.u2, pset.normals)
     ok = legs.clear & (cos_t1 > 0.0) & (cos_phi2 > 0.0)
@@ -383,7 +392,7 @@ def _wall_gain(m, rx, pset: WallPatchSet, legs: ReflectionLegs):
         * rx.area
         / (2.0 * math.pi**2 * legs.d1**2 * legs.d2**2)
         * pset.areas
-        * np.where(ok, legs.cos_phi1, 0.0) ** m
+        * _lambertian_power(np.where(ok, legs.cos_phi1, 0.0), m)
         * np.where(ok, cos_t1, 0.0)
         * np.where(ok, cos_phi2, 0.0)
         * np.where(ok, legs.cos_t2, 0.0)

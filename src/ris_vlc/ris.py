@@ -41,7 +41,7 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from .channel import ChannelGain, LedTx, PathKind, PdRx, ReflectionLegs, reflection_legs
+from .channel import ChannelGain, LedTx, PathKind, PdRx, ReflectionLegs, _lambertian_power, reflection_legs
 # segments_blocked stays importable here: perfbench/spans.py wraps it at this name
 from .geometry import CylinderBlocker, Vec3, as_vec3, segments_blocked, unit  # noqa: F401
 
@@ -122,12 +122,12 @@ class MirrorArray:
             raise ValueError("mirror grid needs at least one row and one column")
         if self.rows * self.cols > MIRROR_ELEMENT_CAP:  # before the angle matrices allocate
             raise ValueError(f"{self.rows} x {self.cols} mirror elements exceed the cap of {MIRROR_ELEMENT_CAP}")
-        if not 0.0 < self.element_size * self.element_size < math.inf:
+        if not (self.element_size > 0.0 and 0.0 < self.element_size * self.element_size < math.inf):
             raise ValueError("element size must be positive, with a finite area")
         if not 0.0 <= self.reflectivity <= 1.0:
             raise ValueError("reflectivity must lie in [0, 1]")
-        if not sys.float_info.min <= self.beam_spread * self.beam_spread < math.inf:  # the lobe divides by it
-            raise ValueError(f"beam spread {self.beam_spread} rad must square to a normal, finite float")
+        if not (self.beam_spread > 0.0 and sys.float_info.min <= self.beam_spread * self.beam_spread < math.inf):
+            raise ValueError(f"beam spread {self.beam_spread} rad must be positive, its square normal and finite")
         object.__setattr__(self, "yaw", self._coerce_angles(self.yaw))
         object.__setattr__(self, "roll", self._coerce_angles(self.roll))
 
@@ -201,7 +201,7 @@ def steered_gains(m, array: MirrorArray, rx, legs: ReflectionLegs, normals: np.n
     """The angle step of `element_gains`: its legs and `array.normals(yaw, roll)` to gains.
 
     `m` and the `rx` terms (`area`, `filter_gain`, `concentrator`) are floats for one link or
-    (users, APs) columns over a link table's rows, as in `channel._wall_gain`."""
+    (users, APs) columns over a link table's rows, with equal bits either way, as in `channel._wall_gain`."""
     sigma = array.beam_spread
 
     u1_dot_n = np.einsum("...j,...j->...", legs.u1, normals)
@@ -214,7 +214,7 @@ def steered_gains(m, array: MirrorArray, rx, legs: ReflectionLegs, normals: np.n
         (m + 1.0)
         * array.element_area
         / (2.0 * math.pi * legs.d1**2)
-        * np.where(ok, legs.cos_phi1, 0.0) ** m
+        * _lambertian_power(np.where(ok, legs.cos_phi1, 0.0), m)
         * np.where(ok, cos_t1, 0.0)
     )
     lobe = np.exp(-0.5 * (psi / sigma) ** 2) / (2.0 * math.pi * sigma**2 * legs.d2**2)

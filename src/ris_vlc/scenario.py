@@ -80,8 +80,6 @@ class UserSpec:
             object.__setattr__(self, "position", as_vec3(self.position))
         if not (self.body_offset >= 0.0 and self.body_radius > 0.0 and self.body_height > 0.0):
             raise ValueError("body offset must be nonnegative; body radius/height positive")
-        PdRx(np.zeros(3), area=self.area, fov=self.fov, filter_gain=self.filter_gain,
-             refractive_index=self.refractive_index)  # refuses receiver terms at load, not at the first trial
 
     def receiver(self) -> PdRx:
         if self.position is None or self.fixed_orientation is None:
@@ -680,7 +678,10 @@ def _scenario_from_document(doc: dict) -> Scenario:
         if "orientation" in sec:
             angles = _fields(sec["orientation"], _USER_ORIENTATION, f"users[{i}].orientation")
             kwargs["fixed_orientation"] = DeviceOrientation(**{"polar": 0.0, "azimuth": 0.0, **angles})
-        users.extend([UserSpec(**kwargs)] * _count(sec.get("count", 1), f"users[{i}].count", 0))
+        template = UserSpec(**kwargs)
+        PdRx(np.zeros(3), area=template.area, fov=template.fov, filter_gain=template.filter_gain,
+             refractive_index=template.refractive_index)  # refuses receiver terms at load, not at the first trial
+        users.extend([template] * _count(sec.get("count", 1), f"users[{i}].count", 0))
 
     bsec = doc.get("blockers", {})
     dims = _fields(bsec, _BLOCKERS, "blockers", extra=("count", "positions"))

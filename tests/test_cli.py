@@ -287,6 +287,9 @@ EXTREME_VALUES = [
       for k in ("element_size", "beam_spread_deg") for v in ("1e300", "1.7e308")),
     *((f'{{"ris": [{{{_RIS}, "beam_spread_deg": {v}}}]}}', "ris[0].beam_spread_deg", v) for v in ("1e-320", "1e-300")),
     *((f'{{"room": {{"{k}": 1.7e308}}}}', f"room.{k}", "1.7e308") for k in ("length", "width", "height")),
+    # negative sizes, refused beside the range checks of the same values
+    *((f'{{"ris": [{{{_RIS}, "{k}": {v}}}]}}', f"ris[0].{k}", v)
+      for k, v in (("element_size", "-0.1"), ("beam_spread_deg", "-2.0"))),
     ('{"room": {"wall_patch_size": 1e-320}}', "room.wall_patch_size", "1e-320"),
     # refused before allocating: 6e9 patches, 8e9 mirror elements
     ('{"room": {"wall_patch_size": 1e-4}}', "room.wall_patch_size", "1e-4"),

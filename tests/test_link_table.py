@@ -212,6 +212,23 @@ def test_building_the_table_makes_three_occlusion_calls(monkeypatch):
         assert calls == []
 
 
+def test_an_order_numpy_roots_keeps_the_bits_of_its_single_link():
+    # acos(0.25) gives an order of exactly 0.5, which NumPy takes as sqrt for a one-element
+    # exponent but as pow() for a longer one; the table must match the per-link code either way
+    rooted = LedTx(position=(1.5, 3.5, 3.0), half_intensity_angle=math.acos(0.25))
+    assert rooted.lambertian_order == 0.5
+    base = benchmark_scenario()
+    s = dataclasses.replace(base, aps=base.aps + (rooted, LedTx(position=(4.0, 1.0, 2.8))),
+                            blocker_population=BlockerPopulation(count=3))
+    realized = scenario.realize(s, np.random.default_rng(11))
+    table, want = realized._link_table, _static_links_oracle(realized)
+    assert [[h_wall for _, h_wall, *_ in per_ap] for per_ap in want] == table.h_wall.tolist()
+    angles = [(0.3, -0.2)] * len(realized.ris_panels)
+    assert [vars(link) for link in realized.evaluate_links(angles)] == \
+        [vars(link) for link in _evaluate_links_oracle(realized, angles)]
+    assert sum_rate(realized, angles) == _sum_rate_oracle(realized, angles)
+
+
 @st.composite
 def _links(draw):
     """0-3 users, 1-3 APs of any beam width and aim, and 1-30 points, some of them repeated."""

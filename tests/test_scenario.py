@@ -115,15 +115,17 @@ _PANEL = dict(panel_center=_ORIGIN, base_normal=(1, 0, 0))
     (lambda: PdRx(position=_ORIGIN, fov=1e-300), "concentrator"),
     (lambda: PdRx(position=_ORIGIN, refractive_index=1e300), "concentrator"),
     (lambda: PdRx(position=_ORIGIN, area=1e300), "concentrator"),
-    (lambda: UserSpec(fov=1e-300), "concentrator"),
+    (lambda: load_scenario('{"users": [{"fov_deg": 1e-300}]}'), "concentrator"),
     (lambda: NoiseModel(bandwidth=1e-320), "variance"),
     (lambda: NoiseModel(psd=5e-20, bandwidth=1e-300), "variance"),
     (lambda: NoiseModel(psd=1e300, bandwidth=1e300), "variance"),
     (lambda: IntensityConstraints(peak=1e300), "squared"),
     (lambda: MirrorArray(**_PANEL, element_size=1e300), "finite area"),
     (lambda: MirrorArray(**_PANEL, element_size=1e-300), "finite area"),
+    (lambda: MirrorArray(**_PANEL, element_size=-0.1), "positive"),
     (lambda: MirrorArray(**_PANEL, beam_spread=1e-300), "beam spread"),
     (lambda: MirrorArray(**_PANEL, beam_spread=1e300), "beam spread"),
+    (lambda: MirrorArray(**_PANEL, beam_spread=-0.03), "positive"),
     (lambda: MirrorArray(**_PANEL, rows=1 << 9, cols=1 << 8), "cap"),
     (lambda: OrientationModel(std_polar=1e30), "draws"),
     (lambda: WallPatchSet.for_room(Room(), 1e-4), "cap"),
@@ -132,8 +134,8 @@ _PANEL = dict(panel_center=_ORIGIN, base_normal=(1, 0, 0))
     (lambda: unit((1e-300, 0.0, 0.0)), "nonzero"),
 ], ids=["narrow-beam", "fov", "refractive-index", "area", "user-fov", "bandwidth-zero-variance",
         "subnormal-variance", "infinite-variance", "peak", "element-size", "element-area-zero",
-        "beam-spread-small", "beam-spread-large", "element-cap", "std-polar", "patch-cap", "room-overflow",
-        "unit-overflow", "unit-underflow"])
+        "element-size-negative", "beam-spread-small", "beam-spread-large", "beam-spread-negative", "element-cap",
+        "std-polar", "patch-cap", "room-overflow", "unit-overflow", "unit-underflow"])
 def test_validators_refuse_values_whose_derived_terms_leave_the_float_range(build, message):
     with pytest.raises(ValueError, match=message):
         build()
