@@ -23,9 +23,9 @@ import numpy as np
 Vec3 = np.ndarray
 
 _EPS_AXIS = 1e-12
-# cylinder-row cells per occlusion block: with the 2-D reject, perfbench read the same
-# work_per_s at 2**14-2**16 (blockage_mc 195-206/s, fov_bulk 1.33-1.42 M/s), and
-# blockage_mc peak_rss_mb 43.1-43.2 MiB at 2**14, 43.5-44.2 at 2**15, 44.5-44.6 at 2**16
+# cylinder-row cells per occlusion block, and samples per scenario.orientation_study block:
+# with the 2-D reject, perfbench read the same blockage_mc work_per_s at 2**14-2**16
+# (195-206/s), and blockage_mc peak_rss_mb 43.1-43.2 MiB at 2**14, 43.5-44.2 at 2**15, 44.5-44.6 at 2**16
 _CHUNK_CELLS = 1 << 14
 
 

@@ -31,6 +31,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import geometry
 from .channel import LedTx, PdRx, ReflectionLegs, WallPatchSet, _legs, _wall_gain, incidence_cosine, los_gain
 # wall_first_reflection_gain stays importable here: perfbench/spans.py wraps it at this name
 from .channel import wall_first_reflection_gain  # noqa: F401
@@ -48,6 +49,10 @@ DEFAULT_USER_HEIGHT = 0.75
 DEFAULT_BODY_OFFSET = 0.36
 DEFAULT_BODY_RADIUS = 0.15
 DEFAULT_BODY_HEIGHT = 1.65
+# count caps, refused before any per-item allocation: the link table grows as users x APs x
+# points, and every trial and every orientation_study sample draws the whole blocker population
+USER_COUNT_CAP = 1 << 8
+BLOCKER_COUNT_CAP = 1 << 10
 
 
 class ConfigError(ValueError):
@@ -121,6 +126,8 @@ class BlockerPopulation:
     def __post_init__(self):
         if self.count < 0:
             raise ValueError("blocker count must be nonnegative")
+        if self.count > BLOCKER_COUNT_CAP:
+            raise ValueError(f"blocker count {self.count} exceeds the cap of {BLOCKER_COUNT_CAP}")
         if not (self.radius > 0.0 and self.height > 0.0):
             raise ValueError("blocker radius and height must be positive")
 
@@ -229,9 +236,13 @@ class Scenario:
                    else (f"users[{i}].height", (0.0, 0.0, u.height)) for i, u in enumerate(self.users)]
         placed += [(f"blockers[{i}] base", b.base_center) for i, b in enumerate(self.blockers)]
         placed += [(f"ris[{i}].center", p.panel_center) for i, p in enumerate(self.ris_panels)]
-        for name, point in placed:
-            if not self.room.contains(point):
-                raise ValueError(f"{name} {point} outside the room")
+        xyz = np.array([point for _, point in placed], dtype=float).reshape(-1, 3)
+        inside = (xyz >= -1e-9) & (xyz <= np.array([self.room.length, self.room.width, self.room.height]) + 1e-9)
+        outside = np.flatnonzero(~inside.all(axis=1))
+        if outside.size:  # name the first offender
+            name, point = placed[outside[0]]
+            as_vec3(point)  # a non-finite point gets Room.contains's finiteness message
+            raise ValueError(f"{name} {point} outside the room")
 
     @cached_property
     def wall_patches(self) -> WallPatchSet:
@@ -437,8 +448,9 @@ def orientation_study(scenario: Scenario, samples: int, master_seed: int = 42) -
 
     Samples independent (position, orientation) realizations of the first
     user template against the nearest access point, applying body and
-    population blockers per sample. Fully vectorized, so large sample
-    counts stay fast.
+    population blockers per sample. Every random stream is drawn up front,
+    in a fixed order; the tests then run over blocks of
+    `geometry._CHUNK_CELLS` samples, so memory is bounded by the draws.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -447,52 +459,54 @@ def orientation_study(scenario: Scenario, samples: int, master_seed: int = 42) -
     template = scenario.users[0] if scenario.users else UserSpec()
     rng = np.random.default_rng(np.random.SeedSequence([master_seed, 0]))
 
-    n = samples
+    # draw order: x and y, polar, azimuth, then the population's x and y, each for all samples
+    n, room, pop = samples, scenario.room, scenario.blocker_population
     if template.position is None:
-        xy = [rng.uniform(0.0, scenario.room.length, n), rng.uniform(0.0, scenario.room.width, n)]
-        device = np.stack(xy + [np.full(n, template.height)], axis=1)
-    else:
-        device = np.tile(template.position, (n, 1))
-
+        x, y = rng.uniform(0.0, room.length, n), rng.uniform(0.0, room.width, n)
     if template.fixed_orientation is None:
         polar = sample_polar_angles(scenario.orientation_model, rng, n)
         azimuth = rng.uniform(-math.pi, math.pi, n)
     else:
         polar = np.full(n, template.fixed_orientation.polar)
         azimuth = np.full(n, template.fixed_orientation.azimuth)
+    count = pop.count if pop is not None else 0
+    if count:  # each sample gets its own blocker draw
+        bx = rng.uniform(pop.radius, room.length - pop.radius, (n, count))
+        by = rng.uniform(pop.radius, room.width - pop.radius, (n, count))
 
     ap_positions = np.stack([ap.position for ap in scenario.aps])
-    d2 = ((device[:, None, :] - ap_positions[None, :, :]) ** 2).sum(axis=2)
-    nearest = np.argmin(d2, axis=1)
-    ap_xyz = ap_positions[nearest]
+    blockers, visible, excluded = list(scenario.blockers), 0, 0
+    for lo in range(0, n, geometry._CHUNK_CELLS):
+        rows = slice(lo, lo + geometry._CHUNK_CELLS)
+        size = len(polar[rows])
+        if template.position is None:
+            device = np.stack([x[rows], y[rows], np.full(size, template.height)], axis=1)
+        else:
+            device = np.tile(template.position, (size, 1))
+        d2 = ((device[:, None, :] - ap_positions[None, :, :]) ** 2).sum(axis=2)
+        ap_xyz = ap_positions[np.argmin(d2, axis=1)]
 
-    visible = ~segments_blocked(ap_xyz, device, list(scenario.blockers))
-    if template.self_blockage:
-        offset = template.body_offset
-        body = np.stack([device[:, 0] + offset * np.cos(azimuth), device[:, 1] + offset * np.sin(azimuth),
-                         np.zeros(n)], axis=1)
-        visible &= ~segments_blocked_each(ap_xyz, device, body, template.body_radius, template.body_height)
-    if scenario.blocker_population is not None and scenario.blocker_population.count > 0:
-        pop = scenario.blocker_population
-        # each sample gets its own blocker draw: (count, samples, 3) bases
-        bx = rng.uniform(pop.radius, scenario.room.length - pop.radius, (n, pop.count))
-        by = rng.uniform(pop.radius, scenario.room.width - pop.radius, (n, pop.count))
-        bases = np.stack([bx.T, by.T, np.zeros_like(bx.T)], axis=2)
-        visible &= ~segments_blocked_each(ap_xyz, device, bases, pop.radius, pop.height)
+        seen = ~segments_blocked(ap_xyz, device, blockers)
+        cos_b, sin_b = np.cos(azimuth[rows]), np.sin(azimuth[rows])
+        if template.self_blockage:
+            offset = template.body_offset
+            body = np.stack([device[:, 0] + offset * cos_b, device[:, 1] + offset * sin_b, np.zeros(size)], axis=1)
+            seen &= ~segments_blocked_each(ap_xyz, device, body, template.body_radius, template.body_height)
+        if count:  # (count, rows, 3) bases
+            bases = np.stack([bx[rows].T, by[rows].T, np.zeros((count, size))], axis=2)
+            seen &= ~segments_blocked_each(ap_xyz, device, bases, pop.radius, pop.height)
 
-    dvec = ap_xyz - device
-    dist = np.linalg.norm(dvec, axis=1)
-    cos_theta = (
-        dvec[:, 0] / dist * np.sin(polar) * np.cos(azimuth)
-        + dvec[:, 1] / dist * np.sin(polar) * np.sin(azimuth)
-        + dvec[:, 2] / dist * np.cos(polar)
-    )
-    excluded = cos_theta < math.cos(template.fov)
+        dvec = ap_xyz - device
+        dist = np.linalg.norm(dvec, axis=1)
+        sin_a = np.sin(polar[rows])
+        cos_theta = (dvec[:, 0] / dist * sin_a * cos_b + dvec[:, 1] / dist * sin_a * sin_b
+                     + dvec[:, 2] / dist * np.cos(polar[rows]))
+        visible += int(np.count_nonzero(seen))
+        excluded += int(np.count_nonzero(seen & (cos_theta < math.cos(template.fov))))
 
-    n_visible = int(np.sum(visible))
-    if n_visible == 0:
+    if visible == 0:
         return math.nan
-    return float(np.sum(visible & excluded) / n_visible)
+    return excluded / visible
 
 
 # ------------------------------------------------------------- configuration
@@ -681,7 +695,11 @@ def _scenario_from_document(doc: dict) -> Scenario:
         template = UserSpec(**kwargs)
         PdRx(np.zeros(3), area=template.area, fov=template.fov, filter_gain=template.filter_gain,
              refractive_index=template.refractive_index)  # refuses receiver terms at load, not at the first trial
-        users.extend([template] * _count(sec.get("count", 1), f"users[{i}].count", 0))
+        count = _count(sec.get("count", 1), f"users[{i}].count", 0)
+        if len(users) + count > USER_COUNT_CAP:
+            raise ConfigError(f"users[{i}].count {count} brings the users to {len(users) + count}, "
+                              f"above the cap of {USER_COUNT_CAP}")
+        users.extend([template] * count)
 
     bsec = doc.get("blockers", {})
     dims = _fields(bsec, _BLOCKERS, "blockers", extra=("count", "positions"))

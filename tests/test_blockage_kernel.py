@@ -10,6 +10,7 @@ the comparisons demand equal results, not close ones.
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ris_vlc import channel, geometry, scenario
+from ris_vlc.channel import LedTx
 from ris_vlc.geometry import CylinderBlocker, _segment_cylinder_hits, segments_blocked, segments_blocked_each
 from ris_vlc.orientation import DeviceOrientation, sample_polar_angles
 from ris_vlc.scenario import (
@@ -482,6 +484,52 @@ def test_orientation_study_multi_block_at_module_block_size():
     s = dataclasses.replace(orientation_benchmark_scenario(), blocker_population=BlockerPopulation(count=5))
     samples = 3 * geometry._CHUNK_CELLS // 5 + 17  # three full blocks and a ragged one
     assert orientation_study(s, samples, master_seed=9) == _orientation_study_oracle(s, samples, master_seed=9)
+
+
+def _study_cases():
+    base = orientation_benchmark_scenario()
+    user, pinned = base.users[0], np.array([2.5, 2.5, 0.75])
+    two_aps = (LedTx(position=(0.0, 0.0, 2.0)), LedTx(position=(4.0, 3.0, 3.0)))
+    # equidistant from the pinned device; the blocker cuts only the second AP's link
+    pair = (LedTx(position=(1.5, 2.5, 3.0)), LedTx(position=(3.5, 2.5, 3.0)))
+    cut = CylinderBlocker(base_center=(3.0, 2.5, 0.0), radius=0.1, height=2.0)
+    fixed = (CylinderBlocker(base_center=(2.0, 2.0, 0.0), radius=0.3), CylinderBlocker(base_center=(4.0, 1.0, 0.0)))
+    return {
+        "two-aps": dataclasses.replace(base, aps=two_aps, blocker_population=BlockerPopulation(count=2)),
+        "equidistant-pair": dataclasses.replace(base, aps=pair, blockers=(cut,),
+                                                users=(dataclasses.replace(user, position=pinned, self_blockage=False),)),
+        "fixed-and-population": dataclasses.replace(base, blockers=fixed, blocker_population=BlockerPopulation(count=3)),
+        "pinned-position": dataclasses.replace(base, users=(dataclasses.replace(user, position=pinned),),
+                                               blocker_population=BlockerPopulation(count=1)),
+    }
+
+
+@pytest.mark.parametrize("case", ["two-aps", "equidistant-pair", "fixed-and-population", "pinned-position"])
+@pytest.mark.parametrize("blocks", ["one-sample", "one-block", "one-block-plus-one"])
+def test_orientation_study_blocks_match_the_oracle(case, blocks):
+    s = _study_cases()[case]
+    samples = {"one-sample": 1, "one-block": geometry._CHUNK_CELLS, "one-block-plus-one": geometry._CHUNK_CELLS + 1}
+    for seed in (1, 2):
+        got = orientation_study(s, samples[blocks], master_seed=seed)
+        want = _orientation_study_oracle(s, samples[blocks], master_seed=seed)
+        assert got == want or math.isnan(got) and math.isnan(want)
+    if case == "equidistant-pair":  # the tie goes to the first AP, whose link is clear
+        assert not math.isnan(orientation_study(s, samples[blocks]))
+        assert math.isnan(orientation_study(dataclasses.replace(s, aps=s.aps[::-1]), samples[blocks]))
+
+
+@pytest.mark.parametrize("samples", [100_000, 400_000])
+def test_orientation_study_memory_beyond_the_draws_is_bounded(samples):
+    count = 5
+    s = dataclasses.replace(orientation_benchmark_scenario(), blocker_population=BlockerPopulation(count=count))
+    tracemalloc.start()
+    try:
+        orientation_study(s, samples, master_seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    draws = 8 * samples * (4 + 2 * count)  # x, y, polar, azimuth and the population's x and y
+    assert peak - draws < 16 * 2**20
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

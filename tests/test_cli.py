@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ris_vlc import cli
-from ris_vlc.scenario import CSV_HEADER, StudyStatistics
+from ris_vlc.scenario import BLOCKER_COUNT_CAP, CSV_HEADER, USER_COUNT_CAP, StudyStatistics
 
 
 def test_help_exits_zero():
@@ -294,6 +294,11 @@ EXTREME_VALUES = [
     # refused before allocating: 6e9 patches, 8e9 mirror elements
     ('{"room": {"wall_patch_size": 1e-4}}', "room.wall_patch_size", "1e-4"),
     (f'{{"ris": [{{{_RIS}, "rows": 1000000000}}]}}', "ris[0].rows", "1e9"),
+    # count caps, refused before the users are listed or the blockers drawn
+    ('{"users": [{"count": 1000000000}]}', "users[0].count", "1e9"),
+    ('{"users": [{"count": 200}, {"count": 57}]}', "users[1].count", "257"),
+    ('{"blockers": {"count": 1000000000}}', "blockers.count", "1e9"),
+    ('{"blockers": {"count": 1025}}', "blockers.count", "1025"),
     # a rejection sampler that would accept almost no polar angle never returns
     ('{"orientation": {"std_polar_deg": 1e30}}', "orientation.std_polar_deg", "1e30"),
 ]
@@ -385,9 +390,10 @@ def _finite_output(text, fmt):
     return all(math.isfinite(float(x)) for line in text.splitlines()[1:] for x in line.split(","))
 
 
-# Counts are drawn small: `users[i].count` and `blockers.count` have no cap yet, and a large one allocates per item.
+# Counts are drawn small or just past their caps: `users[i].count` and `blockers.count` allocate per item.
 _VALUES = st.one_of(st.sampled_from([1e-320, 1e-300, 1e-30, 1e30, 1e300, 1.7e308, -1e-300, -1.7e308, 0.0]),
-                    st.floats(allow_nan=False, allow_infinity=False), st.integers(-2, 64))
+                    st.floats(allow_nan=False, allow_infinity=False), st.integers(-2, 64),
+                    st.sampled_from([USER_COUNT_CAP + 1, BLOCKER_COUNT_CAP + 1, 10**9]))
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,6 +14,7 @@ from ris_vlc.metrics import IntensityConstraints, NoiseModel, link_rate
 from ris_vlc.orientation import DeviceOrientation, OrientationModel
 from ris_vlc.ris import MirrorArray
 from ris_vlc.scenario import (
+    BLOCKER_COUNT_CAP,
     CSV_HEADER,
     BlockerPopulation,
     ConfigError,
@@ -63,6 +64,34 @@ def test_blocker_population_validation():
         BlockerPopulation(count=-1)
     with pytest.raises(ValueError):
         BlockerPopulation(count=3, radius=0.0)
+    BlockerPopulation(count=BLOCKER_COUNT_CAP)
+    with pytest.raises(ValueError, match="cap"):
+        BlockerPopulation(count=BLOCKER_COUNT_CAP + 1)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(users=(UserSpec(height=math.nan),)), "vector components must be finite, got [ 0.  0. nan]"),
+    (dict(users=(UserSpec(height=math.inf),)), "vector components must be finite, got [ 0.  0. inf]"),
+    (dict(users=(UserSpec(height=-5.0),)), "users[0].height (0.0, 0.0, -5.0) outside the room"),
+    # the first offender in the order APs, users, blockers, panels is reported
+    (dict(aps=(LedTx(position=(2.5, 2.5, 3.0)), LedTx(position=(2.5, 2.5, 3.00000001))),
+          users=(UserSpec(height=math.nan),)), "aps[1].position [2.5        2.5        3.00000001] outside the room"),
+    (dict(users=(UserSpec(position=(1.0, 1.0, 0.5)), UserSpec(height=4.0)),
+          blockers=(CylinderBlocker(base_center=(7.0, 1.0, 0.0)),)), "users[1].height (0.0, 0.0, 4.0) outside the room"),
+    (dict(blockers=(CylinderBlocker(base_center=(2.0, 2.0, 0.0)), CylinderBlocker(base_center=(7.0, 1.0, 0.0)))),
+     "blockers[1] base [7. 1. 0.] outside the room"),
+    (dict(aps=(LedTx(position=(-2e-9, 2.5, 3.0)),)), "aps[0].position [-2.0e-09  2.5e+00  3.0e+00] outside the room"),
+])
+def test_placement_refusals_name_the_first_offender(kwargs, message):
+    with pytest.raises(ValueError) as info:
+        Scenario(room=Room(5.0, 5.0, 3.0), **kwargs)
+    assert str(info.value) == message
+
+
+def test_placement_tolerance_matches_room_contains():
+    for x in (-1e-9, 5.0 + 1e-9, 0.0, 5.0):
+        Scenario(aps=(LedTx(position=(x, 2.5, 3.0)),))
+        assert Room().contains((x, 2.5, 3.0))
 
 
 def test_scenario_rejects_out_of_room_placements():
