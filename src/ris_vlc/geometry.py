@@ -76,10 +76,12 @@ class Room:
         if not (self.length > 0.0 and self.width > 0.0 and self.height > 0.0):
             raise ValueError("room dimensions must be positive")
 
-    def contains(self, point: Vec3, tol: float = 1e-9) -> bool:
-        p = as_vec3(point)
-        hi = np.array([self.length, self.width, self.height])
-        return bool(np.all(p >= -tol) and np.all(p <= hi + tol))
+    def contains(self, points, tol: float = 1e-9):
+        """One (3,) point: a bool, refusing a non-finite point. (n, 3) rows: a mask, False on non-finite rows."""
+        p = np.asarray(points, dtype=float)
+        p = as_vec3(p) if p.ndim < 2 else p
+        inside = np.all((p >= -tol) & (p <= np.array([self.length, self.width, self.height]) + tol), axis=-1)
+        return bool(inside) if p.ndim == 1 else inside
 
     def walls(self) -> list["WallRect"]:
         """The four vertical walls with inward-facing normals."""
@@ -276,10 +278,7 @@ def segments_blocked_each(
 
 def ray_cylinder_intersect(origin: Vec3, end: Vec3, blocker: CylinderBlocker) -> bool:
     """True iff the closed segment origin -> end meets the closed cylinder."""
-    origin, end = as_vec3(origin), as_vec3(end)
-    if norm(end - origin) <= 0.0:
-        raise ValueError("segment endpoints coincide")
-    return bool(segments_blocked(origin[None, :], end[None, :], [blocker])[0])
+    return not los_visible(origin, end, [blocker])
 
 
 def los_visible(tx_pos: Vec3, rx_pos: Vec3, blockers: Iterable[CylinderBlocker]) -> bool:

@@ -151,15 +151,14 @@ def qr_capacity(channel: np.ndarray, c: IntensityConstraints, noise_variance: fl
     of R. Only the regime p_o / X >= L/2 is supported; outside it the bound
     does not hold and a RegimeError is raised.
     """
-    if noise_variance <= 0.0:
-        raise ValueError("noise variance must be positive")
+    query = CapacityQuery(c, noise_variance)  # refuses a non-positive variance
     hh = np.asarray(channel, dtype=float)
     if hh.ndim != 2:
         raise ValueError("channel must be a matrix")
     if np.any(hh < 0.0):
         raise ValueError("channel entries must be nonnegative")
     sources = hh.shape[1]
-    if c.average_total / c.peak < sources / 2.0:
+    if not query.in_qr_regime(sources):
         raise RegimeError(
             f"capacity bound requires average/peak >= L/2 = {sources / 2.0}, "
             f"got {c.average_total / c.peak}"

@@ -46,10 +46,9 @@ class NomaAllocation:
             raise ValueError("coefficients and gains must be nonempty 1-D arrays of equal length")
         if self.total_power <= 0.0:
             raise ValueError("total power must be positive")
-        if np.any(a <= 0.0) or np.any(a > 1.0):
-            raise ValueError("coefficients must lie in (0, 1]")
-        if abs(float(np.sum(a**2)) - 1.0) > SUM_SQUARES_TOL:
-            raise ValueError("sum of squared coefficients must equal 1 within 1e-9")
+        check = validate_allocation(a)
+        if not check.ok:
+            raise ValueError(check.violation)
         if np.any(h < 0.0):
             raise ValueError("user gains must be nonnegative")
         object.__setattr__(self, "coefficients", a)

@@ -105,14 +105,14 @@ class UserSpec:
         if self.position is None or self.fixed_orientation is None:
             raise ValueError("user is not realized: position or orientation still unsampled")
         beta = self.fixed_orientation.azimuth
-        base = np.array(
-            [
-                self.position[0] + self.body_offset * math.cos(beta),
-                self.position[1] + self.body_offset * math.sin(beta),
-                0.0,
-            ]
-        )
+        base = _body_bases(self.position, math.cos(beta), math.sin(beta), self.body_offset)
         return CylinderBlocker(base_center=base, radius=self.body_radius, height=self.body_height)
+
+
+def _body_bases(devices: np.ndarray, cos_b, sin_b, offset: float) -> np.ndarray:
+    """Floor centers of the bodies `offset` from (..., 3) devices along the azimuth given by its cos and sin."""
+    return np.stack([devices[..., 0] + offset * cos_b, devices[..., 1] + offset * sin_b,
+                     np.zeros_like(devices[..., 2])], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -236,9 +236,7 @@ class Scenario:
                    else (f"users[{i}].height", (0.0, 0.0, u.height)) for i, u in enumerate(self.users)]
         placed += [(f"blockers[{i}] base", b.base_center) for i, b in enumerate(self.blockers)]
         placed += [(f"ris[{i}].center", p.panel_center) for i, p in enumerate(self.ris_panels)]
-        xyz = np.array([point for _, point in placed], dtype=float).reshape(-1, 3)
-        inside = (xyz >= -1e-9) & (xyz <= np.array([self.room.length, self.room.width, self.room.height]) + 1e-9)
-        outside = np.flatnonzero(~inside.all(axis=1))
+        outside = np.flatnonzero(~self.room.contains(np.array([point for _, point in placed]).reshape(-1, 3)))
         if outside.size:  # name the first offender
             name, point = placed[outside[0]]
             as_vec3(point)  # a non-finite point gets Room.contains's finiteness message
@@ -489,8 +487,7 @@ def orientation_study(scenario: Scenario, samples: int, master_seed: int = 42) -
         seen = ~segments_blocked(ap_xyz, device, blockers)
         cos_b, sin_b = np.cos(azimuth[rows]), np.sin(azimuth[rows])
         if template.self_blockage:
-            offset = template.body_offset
-            body = np.stack([device[:, 0] + offset * cos_b, device[:, 1] + offset * sin_b, np.zeros(size)], axis=1)
+            body = _body_bases(device, cos_b, sin_b, template.body_offset)
             seen &= ~segments_blocked_each(ap_xyz, device, body, template.body_radius, template.body_height)
         if count:  # (count, rows, 3) bases
             bases = np.stack([bx[rows].T, by[rows].T, np.zeros((count, size))], axis=2)
@@ -514,22 +511,12 @@ def orientation_study(scenario: Scenario, samples: int, master_seed: int = 42) -
 _TOP_KEYS = {"room", "aps", "users", "blockers", "ris", "noise", "constraints", "orientation"}
 
 
-def _reject_non_finite(value, where: str):
-    """Refuse NaN, +-Infinity and numbers past the float range anywhere in the document."""
-    if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"{where or 'document'} must be a finite number")
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _reject_non_finite(item, f"{where}.{key}" if where else key)
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            _reject_non_finite(item, f"{where}[{i}]")
-
-
 def _number(value, where: str) -> float:
-    """A JSON number (integer or float, not a boolean), as a float."""
+    """A finite JSON number (integer or float, not a boolean), as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, +-Infinity, or an integer past the float range
+        raise ConfigError(f"{where} must be a finite number")
     return float(value)
 
 
@@ -568,8 +555,10 @@ def _list(value, where: str) -> list:
 
 def _count(value, where: str, minimum: int = 1) -> int:
     """A JSON integer (not a boolean) of at least `minimum`."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigError(f"{where} must be an integer >= {minimum}, got {value!r}")
+    if _number(value, where) < minimum:
+        raise ConfigError(f"{where} must be at least {minimum}, got {value:.3g}")
+    if not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
     return value
 
 
@@ -620,10 +609,11 @@ def _fields(section, table: dict, where: str, extra=()) -> dict:
     of the section that the caller reads itself.
     """
     if not isinstance(section, dict):
-        raise ConfigError(f"section '{where}' must be a key/value table")
+        raise ConfigError(f"section '{where or 'top level'}' must be a key/value table")
     unknown = sorted(set(section) - set(table) - set(extra))
     if unknown:
-        raise ConfigError(f"unknown key(s) in '{where}': {', '.join(unknown)}")
+        paths = (f"{where}.{key}" if where else key for key in unknown)
+        raise ConfigError(f"unknown key(s) in '{where or 'top level'}': {', '.join(paths)}")
     return {name: read(section[key], f"{where}.{key}")
             for key, (name, read) in table.items() if key in section}
 
@@ -644,8 +634,7 @@ def load_scenario(config_text: str) -> Scenario:
         raise ConfigError(
             f"configuration parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    _reject_non_finite(doc, "")
-    _fields(doc, {}, "top level", extra=_TOP_KEYS)
+    _fields(doc, {}, "", extra=_TOP_KEYS)
     try:
         return _scenario_from_document(doc)
     except ConfigError:
