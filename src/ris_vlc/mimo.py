@@ -58,9 +58,9 @@ def assemble_channel(g: np.ndarray, phi, h: np.ndarray) -> np.ndarray:
             f"dimension mismatch: G {g.shape}, Phi {phi.shape}, H {h.shape} "
             "(G and H must have one row per surface element)"
         )
-    if np.any(g < 0.0) or np.any(h < 0.0):
+    if not (np.all(g >= 0.0) and np.all(h >= 0.0)):
         raise ValueError("gain matrices must be entrywise nonnegative")
-    if np.any(phi < 0.0) or np.any(phi > 1.0):
+    if not np.all((phi >= 0.0) & (phi <= 1.0)):
         raise ValueError("Phi entries must lie in [0, 1]")
     return g.T @ (phi[:, None] * h)
 
@@ -100,7 +100,7 @@ class CapacityQuery:
     noise_variance: float
 
     def __post_init__(self):
-        if self.noise_variance <= 0.0:
+        if not self.noise_variance > 0.0:
             raise ValueError("noise variance must be positive")
 
     def in_qr_regime(self, sources: int) -> bool:
@@ -121,8 +121,8 @@ def check_intensity_constraints(x: Sequence[float], c: IntensityConstraints) -> 
     if v.ndim != 1:
         return ConstraintCheck(False, "input must be a 1-D intensity vector")
     for i, value in enumerate(v):
-        if value < 0.0:
-            return ConstraintCheck(False, f"x[{i}]={value} is negative")
+        if not value >= 0.0:
+            return ConstraintCheck(False, f"x[{i}]={value} is not a nonnegative number")
         if value > c.peak:
             return ConstraintCheck(False, f"x[{i}]={value} exceeds the peak {c.peak}")
     total = float(np.sum(v))
@@ -135,10 +135,9 @@ def parallel_capacity(
     gains: Sequence[float], c: IntensityConstraints, noise_variance: float
 ) -> float:
     """Capacity of decoupled branches: sum of per-branch peak-intensity bounds."""
-    if noise_variance <= 0.0:
-        raise ValueError("noise variance must be positive")
+    CapacityQuery(c, noise_variance)  # refuses a non-positive variance
     h = np.atleast_1d(np.asarray(gains, dtype=float))
-    if np.any(h < 0.0):
+    if not np.all(h >= 0.0):
         raise ValueError("branch gains must be nonnegative")
     return float(sum(_per_branch_bits(float(g), c.peak, noise_variance) for g in h))
 
@@ -155,7 +154,7 @@ def qr_capacity(channel: np.ndarray, c: IntensityConstraints, noise_variance: fl
     hh = np.asarray(channel, dtype=float)
     if hh.ndim != 2:
         raise ValueError("channel must be a matrix")
-    if np.any(hh < 0.0):
+    if not np.all(hh >= 0.0):
         raise ValueError("channel entries must be nonnegative")
     sources = hh.shape[1]
     if not query.in_qr_regime(sources):

@@ -44,12 +44,12 @@ class NomaAllocation:
         h = np.asarray(self.user_gains, dtype=float)
         if a.ndim != 1 or h.ndim != 1 or a.shape != h.shape or a.size == 0:
             raise ValueError("coefficients and gains must be nonempty 1-D arrays of equal length")
-        if self.total_power <= 0.0:
+        if not self.total_power > 0.0:
             raise ValueError("total power must be positive")
         check = validate_allocation(a)
         if not check.ok:
             raise ValueError(check.violation)
-        if np.any(h < 0.0):
+        if not np.all(h >= 0.0):
             raise ValueError("user gains must be nonnegative")
         object.__setattr__(self, "coefficients", a)
         object.__setattr__(self, "user_gains", h)
@@ -79,18 +79,19 @@ def validate_allocation(
     a = np.asarray(coefficients, dtype=float)
     if a.ndim != 1 or a.size == 0:
         return AllocationCheck(False, "coefficients must be a nonempty 1-D sequence")
-    if np.any(a <= 0.0) or np.any(a > 1.0):
-        bad = int(np.argmax((a <= 0.0) | (a > 1.0)))
+    inside = (a > 0.0) & (a <= 1.0)  # False on NaN
+    if not np.all(inside):
+        bad = int(np.argmin(inside))
         return AllocationCheck(False, f"coefficient a[{bad}]={a[bad]} outside (0, 1]")
     total = float(np.sum(a**2))
-    if abs(total - 1.0) > SUM_SQUARES_TOL:
+    if not abs(total - 1.0) <= SUM_SQUARES_TOL:
         return AllocationCheck(False, f"sum of squared coefficients is {total}, not 1")
     if gains is not None:
         h = np.asarray(gains, dtype=float)
         if h.shape != a.shape:
             return AllocationCheck(False, "gains must match coefficients in length")
-        if np.any(np.diff(h) < 0.0):
-            return AllocationCheck(False, "gains must be sorted ascending")
+        if not (np.all(h >= 0.0) and np.all(np.diff(h) >= 0.0)):
+            return AllocationCheck(False, "gains must be nonnegative and sorted ascending")
         if np.any(np.diff(a) > 0.0):
             bad = int(np.argmax(np.diff(a) > 0.0))
             return AllocationCheck(
@@ -106,7 +107,7 @@ def noma_rates(alloc: NomaAllocation, noise_variance: float, sic_residual: float
     Requires users pre-ordered by ascending gain. `sic_residual` scales the
     power of imperfectly cancelled weaker-user signals (0 = perfect SIC).
     """
-    if noise_variance <= 0.0:
+    if not noise_variance > 0.0:
         raise ValueError("noise variance must be positive")
     if not 0.0 <= sic_residual <= 1.0:
         raise ValueError("SIC residual must lie in [0, 1]")
@@ -133,7 +134,9 @@ def tdma_equal_share_rates(
     h = np.asarray(gains, dtype=float)
     if h.ndim != 1 or h.size == 0:
         raise ValueError("gains must be a nonempty 1-D sequence")
-    if total_power <= 0.0 or noise_variance <= 0.0:
+    if not np.all(h >= 0.0):
+        raise ValueError("gains must be nonnegative")
+    if not (total_power > 0.0 and noise_variance > 0.0):
         raise ValueError("power and noise variance must be positive")
     k = h.shape[0]
     snr = total_power * h**2 / noise_variance

@@ -25,7 +25,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from types import SimpleNamespace
 from typing import Optional, Sequence, Tuple
 
@@ -40,7 +40,7 @@ from .geometry import CylinderBlocker, Room, Vec3, as_vec3, segments_blocked, se
 from .metrics import IntensityConstraints, NoiseModel, _airtime_shared_rates, link_rate  # noqa: F401
 from .orientation import DeviceOrientation, OrientationModel, sample_orientation, sample_polar_angles
 # element_gains stays importable here: perfbench/spans.py wraps it at this name
-from .ris import MirrorArray, element_gains, steered_gains  # noqa: F401
+from .ris import MIRROR_ELEMENT_CAP, MirrorArray, element_gains, steered_gains  # noqa: F401
 
 # stays defined here: perfbench/worker.py reads it; run_study ignores it
 THREADS_ENV_VAR = "RIS_VLC_THREADS"
@@ -50,9 +50,12 @@ DEFAULT_BODY_OFFSET = 0.36
 DEFAULT_BODY_RADIUS = 0.15
 DEFAULT_BODY_HEIGHT = 1.65
 # count caps, refused before any per-item allocation: the link table grows as users x APs x
-# points, and every trial and every orientation_study sample draws the whole blocker population
+# points, and every trial and every orientation_study sample draws the whole blocker population;
+# the loader also caps its list sections, since naming the key of a refusal reloads the document per key
 USER_COUNT_CAP = 1 << 8
 BLOCKER_COUNT_CAP = 1 << 10
+AP_COUNT_CAP = 1 << 6
+PANEL_COUNT_CAP = 1 << 4
 
 
 class ConfigError(ValueError):
@@ -127,7 +130,7 @@ class BlockerPopulation:
         if self.count < 0:
             raise ValueError("blocker count must be nonnegative")
         if self.count > BLOCKER_COUNT_CAP:
-            raise ValueError(f"blocker count {self.count} exceeds the cap of {BLOCKER_COUNT_CAP}")
+            raise ValueError(f"blocker count {self.count:.6g} exceeds the cap of {BLOCKER_COUNT_CAP}")
         if not (self.radius > 0.0 and self.height > 0.0):
             raise ValueError("blocker radius and height must be positive")
 
@@ -547,16 +550,18 @@ def _flag(value, where: str) -> bool:
     return value
 
 
-def _list(value, where: str) -> list:
+def _list(value, where: str, cap: int) -> list:
     if not isinstance(value, list):
         raise ConfigError(f"section '{where}' must be a list, got {value!r}")
+    if len(value) > cap:
+        raise ConfigError(f"section '{where}' has {len(value)} entries, above the cap of {cap}")
     return value
 
 
-def _count(value, where: str, minimum: int = 1) -> int:
-    """A JSON integer (not a boolean) of at least `minimum`."""
-    if _number(value, where) < minimum:
-        raise ConfigError(f"{where} must be at least {minimum}, got {value:.3g}")
+def _count(value, where: str, minimum: int = 1, maximum: float = math.inf) -> int:
+    """A JSON integer (not a boolean) in [minimum, maximum]."""
+    if not minimum <= _number(value, where) <= maximum:
+        raise ConfigError(f"{where} must lie in [{minimum}, {maximum}], got {value:.6g}")
     if not isinstance(value, int):
         raise ConfigError(f"{where} must be an integer, got {value!r}")
     return value
@@ -589,8 +594,8 @@ _BLOCKERS = {"radius": ("radius", _number), "height": ("height", _number)}
 _RIS = {
     "center": ("panel_center", _vector),
     "normal": ("base_normal", _direction),
-    "rows": ("rows", _count),
-    "cols": ("cols", _count),
+    "rows": ("rows", partial(_count, maximum=MIRROR_ELEMENT_CAP)),  # one axis at a time, so a refusal names it
+    "cols": ("cols", partial(_count, maximum=MIRROR_ELEMENT_CAP)),
     "element_size": ("element_size", _number),
     "reflectivity": ("reflectivity", _number),
     "beam_spread_deg": ("beam_spread", _degrees),
@@ -669,14 +674,14 @@ def _scenario_from_document(doc: dict) -> Scenario:
     room = Room(**_fields(room_sec, _ROOM, "room", extra=_WALLS))
 
     aps = []
-    for i, sec in enumerate(_list(doc.get("aps", []), "aps")):
+    for i, sec in enumerate(_list(doc.get("aps", []), "aps", AP_COUNT_CAP)):
         kwargs = _fields(sec, _AP, f"aps[{i}]")
         if "position" not in kwargs:
             raise ConfigError(f"aps[{i}] is missing required key 'position'")
         aps.append(LedTx(**kwargs))
 
     users = []
-    for i, sec in enumerate(_list(doc.get("users", []), "users")):
+    for i, sec in enumerate(_list(doc.get("users", []), "users", USER_COUNT_CAP)):
         kwargs = _fields(sec, _USER, f"users[{i}]", extra=("count", "orientation"))
         if "orientation" in sec:
             angles = _fields(sec["orientation"], _USER_ORIENTATION, f"users[{i}].orientation")
@@ -686,7 +691,7 @@ def _scenario_from_document(doc: dict) -> Scenario:
              refractive_index=template.refractive_index)  # refuses receiver terms at load, not at the first trial
         count = _count(sec.get("count", 1), f"users[{i}].count", 0)
         if len(users) + count > USER_COUNT_CAP:
-            raise ConfigError(f"users[{i}].count {count} brings the users to {len(users) + count}, "
+            raise ConfigError(f"users[{i}].count {count:.6g} brings the users to {len(users) + count:.6g}, "
                               f"above the cap of {USER_COUNT_CAP}")
         users.extend([template] * count)
 
@@ -694,7 +699,8 @@ def _scenario_from_document(doc: dict) -> Scenario:
     dims = _fields(bsec, _BLOCKERS, "blockers", extra=("count", "positions"))
     population = BlockerPopulation(count=_count(bsec.get("count", 0), "blockers.count", 0), **dims)
     blockers = []
-    for j, xy in enumerate(_list(bsec.get("positions", []), "blockers.positions")):
+    positions = _list(bsec.get("positions", []), "blockers.positions", BLOCKER_COUNT_CAP - population.count)
+    for j, xy in enumerate(positions):  # fixed positions and the drawn count share BLOCKER_COUNT_CAP
         if not isinstance(xy, list) or len(xy) != 2:
             raise ConfigError(f"blockers.positions[{j}] must be [x, y]")
         x, y = (_number(v, f"blockers.positions[{j}][{k}]") for k, v in enumerate(xy))
@@ -704,7 +710,7 @@ def _scenario_from_document(doc: dict) -> Scenario:
         raise ConfigError(f"blockers.radius {population.radius} is more than half of room.length or room.width")
 
     panels = []
-    for i, sec in enumerate(_list(doc.get("ris", []), "ris")):
+    for i, sec in enumerate(_list(doc.get("ris", []), "ris", PANEL_COUNT_CAP)):
         kwargs = _fields(sec, _RIS, f"ris[{i}]")
         if "panel_center" not in kwargs or "base_normal" not in kwargs:
             raise ConfigError(f"ris[{i}] requires keys 'center' and 'normal'")

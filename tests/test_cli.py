@@ -16,7 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ris_vlc import cli
-from ris_vlc.scenario import BLOCKER_COUNT_CAP, CSV_HEADER, USER_COUNT_CAP, StudyStatistics
+from ris_vlc.scenario import (
+    AP_COUNT_CAP,
+    BLOCKER_COUNT_CAP,
+    CSV_HEADER,
+    PANEL_COUNT_CAP,
+    USER_COUNT_CAP,
+    StudyStatistics,
+)
 
 
 def test_help_exits_zero():
@@ -271,6 +278,19 @@ REFUSED_DOCUMENTS = [
     pytest.param('{"ris": 2}', "'ris'", id="ris-number"),
     pytest.param('{"blockers": {"positions": {}}}', "'blockers.positions'", id="positions-object"),
     pytest.param('{"blockers": {"positions": 3}}', "'blockers.positions'", id="positions-number"),
+    # `normal` is required on a panel, so only its reader can name the key of a zero normal
+    pytest.param('{"aps": [{"position": [2.5, 2.5, 3.0], "normal": [0, 0, 0]}]}', "aps[0].normal", id="ap-normal-zero"),
+    pytest.param('{"ris": [{"center": [0.0, 2.5, 1.5], "normal": [0, 0, 0]}]}', "ris[0].normal", id="ris-normal-zero"),
+    pytest.param('{"room": {"celing": NaN}}', "room.celing", id="unknown-key-nan"),
+    # list sections are capped before any item is read
+    pytest.param('{"aps": [%s]}' % ", ".join(["{}"] * (AP_COUNT_CAP + 1)), "'aps'", id="aps-over-cap"),
+    pytest.param('{"users": [%s]}' % ", ".join(['{"count": 0}'] * (USER_COUNT_CAP + 1)), "'users'",
+                 id="user-sections-over-cap"),
+    pytest.param('{"ris": [%s]}' % ", ".join(["{}"] * (PANEL_COUNT_CAP + 1)), "'ris'", id="panels-over-cap"),
+    pytest.param('{"blockers": {"positions": [%s]}}' % ", ".join(["[1, 1]"] * (BLOCKER_COUNT_CAP + 1)),
+                 "'blockers.positions'", id="positions-over-cap"),
+    pytest.param('{"blockers": {"count": %d, "positions": [[1, 1], [2, 2]]}}' % (BLOCKER_COUNT_CAP - 1),
+                 "'blockers.positions'", id="positions-plus-count-over-cap"),
 ]
 
 # Extreme finite values that crashed `simulate` or let it print inf or nan
@@ -299,6 +319,14 @@ EXTREME_VALUES = [
     ('{"users": [{"count": 200}, {"count": 57}]}', "users[1].count", "257"),
     ('{"blockers": {"count": 1000000000}}', "blockers.count", "1e9"),
     ('{"blockers": {"count": 1025}}', "blockers.count", "1025"),
+    # 301-digit integers: their messages print them short, and rows and cols are refused one axis at a time
+    (f'{{"users": [{{"count": {10**300}}}]}}', "users[0].count", "1e300"),
+    (f'{{"users": [{{"count": {-10**300}}}]}}', "users[0].count", "-1e300"),
+    (f'{{"blockers": {{"count": {10**300}}}}}', "blockers.count", "1e300"),
+    (f'{{"ris": [{{{_RIS}, "rows": {10**300}}}]}}', "ris[0].rows", "1e300"),
+    (f'{{"ris": [{{{_RIS}, "rows": {10**300}, "cols": {10**300}}}]}}', "ris[0].rows", "1e300 x 1e300"),
+    (f'{{"ris": [{{{_RIS}, "cols": {10**300}}}]}}', "ris[0].cols", "1e300"),
+    (f'{{"users": [{{"count": {10**400}}}]}}', "users[0].count", "1e400"),
     # a rejection sampler that would accept almost no polar angle never returns
     ('{"orientation": {"std_polar_deg": 1e30}}', "orientation.std_polar_deg", "1e30"),
 ]
@@ -313,6 +341,7 @@ def test_refused_documents_exit_two_naming_the_key(tmp_path, text, key):
     assert r.returncode == 2, (r.stdout, r.stderr)
     assert r.stdout == ""
     assert key in r.stderr and "Traceback" not in r.stderr
+    assert len(r.stderr.strip()) < 200
 
 
 def test_boundary_counts_and_sizes_are_accepted(tmp_path):

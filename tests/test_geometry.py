@@ -21,6 +21,8 @@ from ris_vlc.geometry import (
     unit,
 )
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def test_as_vec3_accepts_sequences_and_arrays():
     v = as_vec3((1.0, 2.0, 3.0))
@@ -58,6 +60,25 @@ def test_room_contains_with_tolerance():
     assert room.contains((5.0 + 1e-10, 2.0, 1.0))
     assert not room.contains((5.1, 2.0, 1.0))
     assert not room.contains((2.0, -0.1, 1.0))
+
+
+def test_room_contains_mask_matches_the_one_point_form():
+    room = Room(5.0, 4.0, 3.0)
+    rows = [np.random.default_rng(3).uniform(-0.5, 5.5, (40, 3))]
+    for axis, wall in [(a, w) for a, hi in enumerate((5.0, 4.0, 3.0)) for w in (0.0, hi)]:
+        for step in (-2e-9, -1e-9, 0.0, 1e-9, 2e-9):  # the 1e-9 tolerance keeps +-1e-9 and drops +-2e-9
+            point = np.array([2.5, 2.0, 1.5])
+            point[axis] = wall + step
+            rows.append(point[None])
+    points = np.concatenate(rows)
+    mask = room.contains(points)
+    assert mask.dtype == bool and mask.shape == (len(points),)
+    assert mask.tolist() == [room.contains(p) for p in points]
+    assert 0 < mask.sum() < len(points)
+    # a non-finite row is outside; one non-finite point is refused
+    assert room.contains(np.array([[math.nan, 1.0, 1.0], [1.0, 1.0, 1.0]])).tolist() == [False, True]
+    with pytest.raises(ValueError, match="finite"):
+        room.contains((math.nan, 1.0, 1.0))
 
 
 def test_room_rejects_nonpositive_dimensions():

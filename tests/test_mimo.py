@@ -15,6 +15,9 @@ from ris_vlc.mimo import (
     qr_capacity,
 )
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+NAN = float("nan")
+
 
 def test_assemble_channel_hand_value():
     g = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])  # elements x detectors
@@ -156,6 +159,24 @@ def test_qr_capacity_invariant_to_row_sign_structure():
     assert qr_capacity(ch, c, 0.2) == pytest.approx(float(by_hand), rel=1e-12)
 
 
+@pytest.mark.parametrize("call", [
+    lambda c: assemble_channel(np.ones((2, 2)), [NAN, 1.0], np.ones((2, 2))),
+    lambda c: assemble_channel(np.ones((2, 2)), [1.0, 1.0], np.full((2, 2), NAN)),
+    lambda c: MimoChannel(np.ones((2, 2)), [1.0, 1.0], np.array([[1.0, NAN], [1.0, 1.0]])),
+    lambda c: CapacityQuery(c, NAN),
+    lambda c: parallel_capacity([NAN, 1.0], c, 0.1),
+    lambda c: parallel_capacity([0.5, 1.0], c, NAN),
+    lambda c: qr_capacity(np.array([[1.0, NAN], [0.2, 0.3]]), c, 0.1),
+    lambda c: qr_capacity(np.eye(2), c, NAN),
+    lambda c: mimo_capacity(np.array([[NAN, 0.1], [0.2, 0.3]]), c, 0.1, beam_overlap=False),
+    lambda c: mimo_capacity(np.eye(2), c, NAN),
+], ids=["phi", "H", "channel", "query-noise", "parallel-gain", "parallel-noise", "qr-entry", "qr-noise",
+        "dispatch-gain", "dispatch-noise"])
+def test_nan_inputs_are_refused(call):
+    with pytest.raises(ValueError, match="nonnegative|lie in|positive"):
+        call(IntensityConstraints(peak=1.0, average_total=2.0))
+
+
 def test_check_intensity_constraints():
     c = IntensityConstraints(peak=1.0, average_total=1.5)
     assert check_intensity_constraints(np.array([0.5, 0.5]), c).ok
@@ -165,3 +186,5 @@ def test_check_intensity_constraints():
     assert not r.ok and "negative" in r.violation
     r = check_intensity_constraints(np.array([0.9, 0.9]), c)
     assert not r.ok and "budget" in r.violation
+    r = check_intensity_constraints(np.array([0.1, NAN]), c)
+    assert not r.ok and r.violation == "x[1]=nan is not a nonnegative number"

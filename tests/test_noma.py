@@ -1,6 +1,7 @@
 """SIC power-domain NOMA rates and the allocation sweep."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,8 +18,11 @@ from ris_vlc.noma import (
     validate_allocation,
 )
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 # sqrt of (0.5, 0.3, 0.2): valid descending coefficients over ascending gains
 A3 = (0.7071067811865476, 0.5477225575051661, 0.4472135954999579)
+NAN = math.nan
 
 
 def test_order_users_ascending_and_stable():
@@ -47,6 +51,51 @@ def test_allocation_tolerance_boundary():
     eps = 4e-10
     a = (math.sqrt(0.5 + eps), math.sqrt(0.5))
     NomaAllocation(coefficients=a, total_power=1.0, user_gains=(0.1, 0.2))
+
+
+# raw vectors, mostly flagged, and unit vectors nudged by up to a few times the 1e-9 tolerance
+_COEFFICIENTS = st.one_of(
+    st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=4),
+    st.tuples(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=4), st.floats(-4e-9, 4e-9)).map(
+        lambda drawn: (np.array(drawn[0]) / np.linalg.norm(drawn[0]) * (1.0 + drawn[1])).tolist()),
+)
+
+
+@given(_COEFFICIENTS)
+def test_allocation_refuses_exactly_what_validate_allocation_flags(coefficients):
+    check = validate_allocation(coefficients)
+    gains = np.linspace(0.1, 1.0, len(coefficients))
+    if check.ok:
+        NomaAllocation(coefficients=coefficients, total_power=1.0, user_gains=gains)
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(check.violation)}$"):
+            NomaAllocation(coefficients=coefficients, total_power=1.0, user_gains=gains)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: validate_allocation([NAN, NAN]),
+    lambda: validate_allocation(A3, gains=(0.3, NAN, 0.9)),
+], ids=["coefficients", "gains"])
+def test_validate_allocation_flags_nan(call):
+    assert not call().ok
+
+
+@pytest.mark.parametrize("call", [
+    lambda: NomaAllocation(coefficients=(NAN, NAN), total_power=1.0, user_gains=(0.3, 0.6)),
+    lambda: NomaAllocation(coefficients=A3, total_power=NAN, user_gains=(0.3, 0.6, 0.9)),
+    lambda: NomaAllocation(coefficients=A3, total_power=1.0, user_gains=(0.3, NAN, 0.9)),
+    lambda: noma_rates(NomaAllocation(coefficients=A3, total_power=4.0, user_gains=(0.3, 0.6, 0.9)), NAN),
+    lambda: tdma_equal_share_rates((0.3, NAN), 4.0, 0.5),
+    lambda: tdma_equal_share_rates((0.3, 0.6), NAN, 0.5),
+    lambda: tdma_equal_share_rates((0.3, 0.6), 4.0, NAN),
+    lambda: best_two_user_allocation([NAN, 1.0], 1.0, 1.0),
+    lambda: best_two_user_allocation([0.3, 0.9], NAN, 1.0),
+    lambda: best_two_user_allocation([0.3, 0.9], 1.0, NAN),
+], ids=["alloc-coefficients", "alloc-power", "alloc-gains", "noma-noise", "tdma-gain", "tdma-power",
+        "tdma-noise", "sweep-gain", "sweep-power", "sweep-noise"])
+def test_nan_inputs_are_refused(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_validate_allocation_reports_reasons():

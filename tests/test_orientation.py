@@ -16,6 +16,8 @@ from ris_vlc.orientation import (
     sample_polar_angles,
 )
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def test_device_orientation_normal_axes():
     up = DeviceOrientation(polar=0.0, azimuth=0.0)

@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 from conftest import run_cli
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ris_vlc.channel import LedTx, PdRx, WallPatch, WallPatchSet, incidence_cosine, los_gain, wall_first_reflection_gain
 from ris_vlc.geometry import CylinderBlocker, Room, segments_blocked, unit
@@ -14,7 +16,10 @@ from ris_vlc.metrics import IntensityConstraints, NoiseModel, link_rate
 from ris_vlc.orientation import DeviceOrientation, OrientationModel
 from ris_vlc.ris import MirrorArray
 from ris_vlc.scenario import (
+    AP_COUNT_CAP,
     BLOCKER_COUNT_CAP,
+    PANEL_COUNT_CAP,
+    USER_COUNT_CAP,
     CSV_HEADER,
     BlockerPopulation,
     ConfigError,
@@ -37,6 +42,8 @@ from ris_vlc.scenario import (
     trials_to_csv,
 )
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 # ------------------------------------------------------------------- pieces
 
 
@@ -57,6 +64,14 @@ def test_user_body_sits_on_the_azimuth_side():
     np.testing.assert_allclose(body.base_center, [2.36, 2.0, 0.0], atol=1e-12)
     no_body = dataclasses.replace(user, self_blockage=False)
     assert no_body.body_cylinder() is None
+
+
+@given(st.floats(0.0, 5.0), st.floats(0.0, 5.0), st.floats(-math.pi, math.pi), st.floats(0.0, 1.0))
+def test_body_base_is_the_scalar_cos_sin_expression(x, y, azimuth, offset):
+    user = UserSpec(position=(x, y, 0.75), fixed_orientation=DeviceOrientation(polar=0.2, azimuth=azimuth),
+                    body_offset=offset)
+    base = user.body_cylinder().base_center
+    assert base.tolist() == [x + offset * math.cos(azimuth), y + offset * math.sin(azimuth), 0.0]
 
 
 def test_blocker_population_validation():
@@ -255,6 +270,21 @@ def test_load_scenario_rejects_unknown_keys_with_location():
         load_scenario(json.dumps({"walls": {}}))
     with pytest.raises(ConfigError, match=r"users\[0\].orientation"):
         load_scenario(json.dumps({"users": [{"orientation": {"polar": 10}}]}))
+
+
+def test_an_integer_past_the_float_range_is_refused_as_not_finite():
+    with pytest.raises(ConfigError, match=r"^users\[0\]\.count must be a finite number$"):
+        load_scenario('{"users": [{"count": %d}]}' % 10**400)
+
+
+def test_list_sections_at_their_caps_load():
+    ap = {"position": [2.5, 2.5, 3.0]}
+    panel = {"center": [0.0, 2.5, 1.5], "normal": [1, 0, 0], "rows": 1, "cols": 1}
+    s = load_scenario(json.dumps({"aps": [ap] * AP_COUNT_CAP, "users": [{"count": 1}] * USER_COUNT_CAP,
+                                  "ris": [panel] * PANEL_COUNT_CAP,
+                                  "blockers": {"count": 24, "positions": [[2.0, 2.0]] * (BLOCKER_COUNT_CAP - 24)}}))
+    assert (len(s.aps), len(s.users), len(s.ris_panels)) == (AP_COUNT_CAP, USER_COUNT_CAP, PANEL_COUNT_CAP)
+    assert len(s.blockers) + s.blocker_population.count == BLOCKER_COUNT_CAP
 
 
 def test_load_scenario_reports_json_position():
