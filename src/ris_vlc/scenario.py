@@ -113,9 +113,9 @@ class UserSpec:
 
 
 def _body_bases(devices: np.ndarray, cos_b, sin_b, offset: float) -> np.ndarray:
-    """Floor centers of the bodies `offset` from (..., 3) devices along the azimuth given by its cos and sin."""
-    return np.stack([devices[..., 0] + offset * cos_b, devices[..., 1] + offset * sin_b,
-                     np.zeros_like(devices[..., 2])], axis=-1)
+    """Floor centers of the bodies `offset` from a (3,) device or (n, 3) devices along the azimuth's cos and sin."""
+    return np.array([devices[..., 0] + offset * cos_b, devices[..., 1] + offset * sin_b,
+                     np.zeros_like(devices[..., 2])]).T
 
 
 @dataclass(frozen=True)
