@@ -18,9 +18,9 @@ from ris_vlc.ris import MirrorArray
 from ris_vlc.scenario import (
     AP_COUNT_CAP,
     BLOCKER_COUNT_CAP,
+    CSV_HEADER,
     PANEL_COUNT_CAP,
     USER_COUNT_CAP,
-    CSV_HEADER,
     BlockerPopulation,
     ConfigError,
     Scenario,
