@@ -131,21 +131,6 @@ def lambertian_index(half_intensity_angle: float) -> float:
     return -1.0 / math.log2(math.cos(half_intensity_angle))
 
 
-def radiant_intensity(m: float, phi: float) -> float:
-    """Normalized Lambertian intensity (m+1)/(2 pi) * cos(phi)**m, zero behind."""
-    c = math.cos(phi)
-    if c <= 0.0:
-        return 0.0
-    return (m + 1.0) / (2.0 * math.pi) * c**m
-
-
-def concentrator_gain(theta: float, f: float, fov: float) -> float:
-    """Optical concentrator gain: f**2 / sin(fov)**2 inside the FoV, else 0."""
-    if theta < 0.0 or theta > fov:
-        return 0.0
-    return f**2 / math.sin(fov) ** 2
-
-
 def incidence_cosine(ap_pos: Vec3, user_pos: Vec3, orientation: DeviceOrientation) -> float:
     """Cosine of the incidence angle at a tilted device.
 

@@ -53,12 +53,6 @@ def unit(v: Vec3) -> Vec3:
     return v / n
 
 
-def angle_between(a: Vec3, b: Vec3) -> float:
-    """Angle in [0, pi] between two nonzero vectors."""
-    c = float(np.dot(unit(a), unit(b)))
-    return math.acos(min(1.0, max(-1.0, c)))
-
-
 @dataclass(frozen=True)
 class Room:
     """Rectangular room with the floor at z = 0.
@@ -122,40 +116,24 @@ class CylinderBlocker:
 
     def __post_init__(self):
         object.__setattr__(self, "base_center", as_vec3(self.base_center))
-        if not (self.radius > 0.0 and self.height > 0.0):
-            raise ValueError("cylinder radius and height must be positive")
+        check_cylinder_size(self.radius, self.height, "cylinder")
 
 
-@dataclass(frozen=True)
-class LinkGeometry:
-    """Scalar geometry of one optical link."""
-
-    distance: float
-    irradiance_angle: float
-    incidence_angle: float
-
-    def __post_init__(self):
-        if self.distance <= 0.0:
-            raise ValueError("link distance must be positive")
+def _squared_reach(radius):
+    """(r (1 + 1e-6) + 1e-12)**2: a segment farther than its root from a cylinder's axis in xy misses it."""
+    return (radius * (1.0 + 1e-6) + 1e-12) ** 2
 
 
-def link_geometry(tx_pos: Vec3, tx_normal: Vec3, rx_pos: Vec3, rx_normal: Vec3) -> LinkGeometry:
-    """Distance plus irradiance/incidence angles of the segment tx -> rx.
-
-    The irradiance angle is measured at the transmitter between its normal
-    and the outgoing direction; the incidence angle at the receiver between
-    its normal and the reversed direction.
-    """
-    tx_pos, rx_pos = as_vec3(tx_pos), as_vec3(rx_pos)
-    d = rx_pos - tx_pos
-    dist = norm(d)
-    if dist <= 0.0:
-        raise ValueError("transmitter and receiver positions coincide")
-    return LinkGeometry(
-        distance=dist,
-        irradiance_angle=angle_between(as_vec3(tx_normal), d),
-        incidence_angle=angle_between(as_vec3(rx_normal), -d),
-    )
+def check_cylinder_size(radius: float, height: float, what: str) -> None:
+    """Refuse a radius or height that is not positive, or a radius whose squared reach is not finite."""
+    if not (radius > 0.0 and height > 0.0):
+        raise ValueError(f"{what} radius and height must be positive")
+    try:  # a Python float raises where the occlusion test's arrays would give inf
+        reach = _squared_reach(float(radius))
+    except OverflowError:
+        reach = math.inf
+    if not reach < math.inf:
+        raise ValueError(f"{what} radius {radius:.3g} m is too large: its squared reach overflows")
 
 
 def _segment_cylinder_hits(
@@ -179,8 +157,6 @@ def _segment_cylinder_hits(
 
     ox = p0[:, 0] - base[..., 0]
     oy = p0[:, 1] - base[..., 1]
-    b = 2.0 * (ox * dx + oy * dy)
-    c = ox * ox + oy * oy - radius**2
 
     # parametric window where z(t) lies inside the height slab
     z0 = p0[:, 2]
@@ -196,15 +172,17 @@ def _segment_cylinder_hits(
     z_lo = np.minimum(t_lo_z, t_hi_z)
     z_hi = np.maximum(t_lo_z, t_hi_z)
 
-    # window where the xy-projection lies inside the circle
-    disc = b * b - 4.0 * a * c
-    root = np.sqrt(np.maximum(disc, 0.0))
+    # window where the xy-projection lies inside the circle: tc -/+ half about the closest xy point,
+    # from the distance there; a discriminant b**2 - 4ac cancels to 0 near a tangent when |o| >> r
     safe_a = np.where(planar, a, 1.0)
-    t_a = (-b - root) / (2.0 * safe_a)
-    t_b = (-b + root) / (2.0 * safe_a)
-    circ_ok = planar & (disc >= 0.0)
-    c_lo = np.where(circ_ok, t_a, np.where(~planar & (c <= 0.0), -np.inf, np.inf))
-    c_hi = np.where(circ_ok, t_b, np.where(~planar & (c <= 0.0), np.inf, -np.inf))
+    tc = -(ox * dx + oy * dy) / safe_a
+    px, py = ox + tc * dx, oy + tc * dy
+    dist = np.sqrt(px * px + py * py)
+    half = np.sqrt(np.maximum((radius - dist) * (radius + dist), 0.0) / safe_a)
+    circ_ok = planar & (dist <= radius)
+    inside = ~planar & (ox * ox + oy * oy - radius**2 <= 0.0)  # a vertical segment's fixed xy point
+    c_lo = np.where(circ_ok, tc - half, np.where(inside, -np.inf, np.inf))
+    c_hi = np.where(circ_ok, tc + half, np.where(inside, np.inf, -np.inf))
 
     lo = np.maximum(np.maximum(z_lo, c_lo), 0.0)
     hi = np.minimum(np.minimum(z_hi, c_hi), 1.0)
@@ -225,7 +203,7 @@ def _any_hits(origins, ends, bases: np.ndarray, radius, height) -> np.ndarray:
     p0, p1 = np.broadcast_to(p0, shape), np.broadcast_to(p1, shape)
     bases = np.broadcast_to(bases, bases.shape[:1] + shape)
     sizes = [np.asarray(v, dtype=float) for v in (radius, height)]
-    sizes.append((sizes[0] * (1.0 + 1e-6) + 1e-12) ** 2)  # squared reach of the 2-D reject
+    sizes.append(_squared_reach(sizes[0]))  # of the 2-D reject
     step = max(1, _CHUNK_CELLS // max(1, len(bases)))
     hit = np.zeros(shape[0], dtype=bool)
     for lo in range(0, shape[0] if len(bases) else 0, step):  # no cylinders: nothing to test
@@ -274,11 +252,6 @@ def segments_blocked_each(
     """
     bases = np.asarray(bases, dtype=float)
     return _any_hits(origins, ends, bases if bases.ndim == 3 else np.atleast_2d(bases)[None], radius, height)
-
-
-def ray_cylinder_intersect(origin: Vec3, end: Vec3, blocker: CylinderBlocker) -> bool:
-    """True iff the closed segment origin -> end meets the closed cylinder."""
-    return not los_visible(origin, end, [blocker])
 
 
 def los_visible(tx_pos: Vec3, rx_pos: Vec3, blockers: Iterable[CylinderBlocker]) -> bool:

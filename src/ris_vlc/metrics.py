@@ -1,4 +1,4 @@
-"""Rates, SNR, and secrecy metrics for intensity-modulated optical links.
+"""Rates and secrecy metrics for intensity-modulated optical links.
 
 Intensity modulation with direct detection carries information on a real,
 nonnegative signal with a peak constraint, so the familiar Shannon formula
@@ -89,14 +89,6 @@ def link_rate(h, constraints: IntensityConstraints, noise: NoiseModel) -> float:
         raise ValueError(f"the SNR of a link overflows: gain {value} at peak intensity {constraints.peak} "
                          f"over noise variance {noise.variance}")
     return rate
-
-
-def electrical_snr(h, transmit_power: float, noise: NoiseModel) -> float:
-    """Post-detection electrical SNR (h P)**2 / sigma**2."""
-    value = _gain_value(h)
-    if transmit_power < 0.0:
-        raise ValueError("transmit power must be nonnegative")
-    return (value * transmit_power) ** 2 / noise.variance
 
 
 def _airtime_shared_rates(links, constraints: IntensityConstraints, noise: NoiseModel) -> list[float]:

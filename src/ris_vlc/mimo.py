@@ -165,21 +165,3 @@ def qr_capacity(channel: np.ndarray, c: IntensityConstraints, noise_variance: fl
     _, r = np.linalg.qr(hh, mode="reduced")
     diag = np.abs(np.diag(r))  # sign flips leave Q R unchanged; only r_ii**2 enters
     return float(sum(_per_branch_bits(float(d), c.peak, noise_variance) for d in diag))
-
-
-def mimo_capacity(
-    channel,
-    c: IntensityConstraints,
-    noise_variance: float,
-    beam_overlap: bool = True,
-) -> float:
-    """Dispatch on beam overlap: decoupled branches vs QR-coupled bound.
-
-    Without overlap each detector sees only its own source, so the diagonal
-    of the (square) channel feeds the parallel bound; with overlap the full
-    matrix goes through the QR bound.
-    """
-    hh = channel.assembled if isinstance(channel, MimoChannel) else np.asarray(channel, dtype=float)
-    if beam_overlap:
-        return qr_capacity(hh, c, noise_variance)
-    return parallel_capacity(np.diag(hh), c, noise_variance)

@@ -78,16 +78,6 @@ class OrientationModel:
         return 1.0 - 0.5 * math.exp(-(POLAR_MAX - self.mean_polar) / b) - 0.5 * math.exp(-self.mean_polar / b)
 
 
-def laplace_inverse_cdf(u: float, mu: float, b: float) -> float:
-    """Quantile function of Laplace(mu, b): mu - b*sgn(u-1/2)*ln(1-2|u-1/2|)."""
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"u={u} outside the open interval (0, 1)")
-    if b <= 0.0:
-        raise ValueError("scale b must be positive")
-    w = u - 0.5
-    return mu - b * math.copysign(1.0, w) * math.log1p(-2.0 * abs(w))
-
-
 def sample_polar_angles(model: OrientationModel, rng: np.random.Generator, n: int) -> np.ndarray:
     """Draw `n` truncated-Laplace polar angles by rejection.
 

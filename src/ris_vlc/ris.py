@@ -41,7 +41,7 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from .channel import ChannelGain, LedTx, PathKind, PdRx, ReflectionLegs, _lambertian_power, reflection_legs
+from .channel import ChannelGain, LedTx, PdRx, ReflectionLegs, _lambertian_power, reflection_legs
 # segments_blocked stays importable here: perfbench/spans.py wraps it at this name
 from .geometry import CylinderBlocker, Vec3, as_vec3, segments_blocked, unit  # noqa: F401
 
@@ -78,21 +78,6 @@ def _mirror_normals(yaw: np.ndarray, roll: np.ndarray, b: Vec3, h: Vec3) -> np.n
     out[:, 1] = b1 * cw + (a2 * b0 - a0 * b2) * sw
     out[:, 2] = b2 * cw + (a0 * b1 - a1 * b0) * sw
     return out
-
-
-def mirror_normal(yaw: float, roll: float, base_normal: Vec3) -> Vec3:
-    """Unit normal of one element after the yaw-then-roll rotation."""
-    if not (-ANGLE_LIMIT <= yaw <= ANGLE_LIMIT and -ANGLE_LIMIT <= roll <= ANGLE_LIMIT):
-        raise ValueError("yaw and roll must lie in [-pi/2, pi/2]")
-    b = unit(as_vec3(base_normal))
-    return _mirror_normals(np.asarray([yaw]), np.asarray([roll]), b, _horizontal_axis(b))[0]
-
-
-def specular_reflect(incident_dir: Vec3, normal: Vec3) -> Vec3:
-    """Mirror reflection r = d - 2 (d . n) n for unit inputs."""
-    d = unit(as_vec3(incident_dir))
-    n = unit(as_vec3(normal))
-    return d - 2.0 * float(np.dot(d, n)) * n
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,32 +213,6 @@ def steered_gains(m, array: MirrorArray, rx, legs: ReflectionLegs, normals: np.n
         * rx.concentrator
     )
     return np.where(ok, gains, 0.0)
-
-
-def mirror_element_gain(
-    tx: LedTx,
-    element_pose: Tuple[Vec3, float, float],
-    array: MirrorArray,
-    rx: PdRx,
-    blockers: Iterable[CylinderBlocker] = (),
-) -> ChannelGain:
-    """Reflected-path gain of a single element at (center, yaw, roll)."""
-    center, yaw, roll = element_pose
-    one = replace(array, panel_center=as_vec3(center), rows=1, cols=1, yaw=float(yaw), roll=float(roll))
-    return ChannelGain(float(element_gains(tx, one, rx, blockers)[0]), PathKind.RIS_NLOS)
-
-
-def array_gain(
-    tx: LedTx,
-    array: MirrorArray,
-    rx: PdRx,
-    blockers: Iterable[CylinderBlocker] = (),
-    yaw: Optional[np.ndarray] = None,
-    roll: Optional[np.ndarray] = None,
-) -> ChannelGain:
-    """Total panel gain: element gains summed in row-major order."""
-    h = float(np.add.reduce(element_gains(tx, array, rx, blockers, yaw=yaw, roll=roll)))
-    return ChannelGain(h, PathKind.RIS_NLOS)
 
 
 @dataclass(frozen=True)

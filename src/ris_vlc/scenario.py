@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import reprlib
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property, partial, reduce
@@ -86,8 +87,9 @@ class UserSpec:
     def __post_init__(self):
         if self.position is not None:
             object.__setattr__(self, "position", as_vec3(self.position))
-        if not (self.body_offset >= 0.0 and self.body_radius > 0.0 and self.body_height > 0.0):
-            raise ValueError("body offset must be nonnegative; body radius/height positive")
+        if not self.body_offset >= 0.0:
+            raise ValueError("body offset must be nonnegative")
+        geometry.check_cylinder_size(self.body_radius, self.body_height, "body")
 
     def receiver(self) -> PdRx:
         if self.position is None or self.fixed_orientation is None:
@@ -131,8 +133,7 @@ class BlockerPopulation:
             raise ValueError("blocker count must be nonnegative")
         if self.count > BLOCKER_COUNT_CAP:
             raise ValueError(f"blocker count {self.count:.6g} exceeds the cap of {BLOCKER_COUNT_CAP}")
-        if not (self.radius > 0.0 and self.height > 0.0):
-            raise ValueError("blocker radius and height must be positive")
+        geometry.check_cylinder_size(self.radius, self.height, "blocker")
 
 
 @dataclass(frozen=True, eq=False)
@@ -517,7 +518,7 @@ _TOP_KEYS = {"room", "aps", "users", "blockers", "ris", "noise", "constraints", 
 def _number(value, where: str) -> float:
     """A finite JSON number (integer or float, not a boolean), as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
+        raise ConfigError(f"{where} must be a number, got {reprlib.repr(value)}")
     if not abs(value) <= sys.float_info.max:  # NaN, +-Infinity, or an integer past the float range
         raise ConfigError(f"{where} must be a finite number")
     return float(value)
@@ -530,7 +531,7 @@ def _degrees(value, where: str) -> float:
 def _vector(value, where: str) -> Vec3:
     """A JSON list of exactly three numbers."""
     if not isinstance(value, list) or len(value) != 3:
-        raise ConfigError(f"{where} must be a list of 3 numbers, got {value!r}")
+        raise ConfigError(f"{where} must be a list of 3 numbers, got {reprlib.repr(value)}")
     return as_vec3([_number(x, f"{where}[{k}]") for k, x in enumerate(value)])
 
 
@@ -546,13 +547,13 @@ def _direction(value, where: str) -> Vec3:
 
 def _flag(value, where: str) -> bool:
     if not isinstance(value, bool):
-        raise ConfigError(f"{where} must be true or false, got {value!r}")
+        raise ConfigError(f"{where} must be true or false, got {reprlib.repr(value)}")
     return value
 
 
 def _list(value, where: str, cap: int) -> list:
     if not isinstance(value, list):
-        raise ConfigError(f"section '{where}' must be a list, got {value!r}")
+        raise ConfigError(f"section '{where}' must be a list, got {reprlib.repr(value)}")
     if len(value) > cap:
         raise ConfigError(f"section '{where}' has {len(value)} entries, above the cap of {cap}")
     return value
@@ -714,6 +715,10 @@ def _scenario_from_document(doc: dict) -> Scenario:
         kwargs = _fields(sec, _RIS, f"ris[{i}]")
         if "panel_center" not in kwargs or "base_normal" not in kwargs:
             raise ConfigError(f"ris[{i}] requires keys 'center' and 'normal'")
+        rows, cols = kwargs.get("rows", MirrorArray.rows), kwargs.get("cols", MirrorArray.cols)
+        if rows * cols > MIRROR_ELEMENT_CAP:  # neither key alone is at fault, so name both
+            raise ConfigError(f"ris[{i}].rows and ris[{i}].cols give {rows} x {cols} mirror elements, "
+                              f"above the cap of {MIRROR_ELEMENT_CAP}")
         panels.append(MirrorArray(**kwargs))
 
     scenario = Scenario(

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from ris_vlc import metrics
-from ris_vlc.channel import LedTx, PdRx, radiant_intensity
+from ris_vlc.channel import LedTx, PdRx, los_gain
 from ris_vlc.orientation import DeviceOrientation
 from ris_vlc.metrics import IntensityConstraints
 from ris_vlc.mimo import parallel_capacity, qr_capacity
@@ -32,7 +32,7 @@ from ris_vlc.noma import (
     tdma_equal_share_rates,
 )
 from ris_vlc.optimize import optimize_mirror_angles, random_angle_baseline
-from ris_vlc.ris import MirrorArray, mirror_element_gain
+from ris_vlc.ris import MirrorArray, element_gains
 from ris_vlc.scenario import (
     benchmark_scenario,
     blockage_study,
@@ -215,13 +215,25 @@ def test_mimo_diagonal_equivalence_and_monotonicity():
 
 
 def test_lambertian_normalization():
-    """The radiant intensity pattern integrates to one over the hemisphere."""
+    """The line-of-sight gain integrates to one over a hemisphere of receivers.
+
+    A downward LED of Lambertian order m lights receivers on a unit
+    hemisphere below it, each facing the LED with a 90-degree FoV and
+    refractive index 1, so the concentrator gain is 1. Their gains per
+    unit area, summed over the hemisphere, are the emitted fraction.
+    """
     start = time.perf_counter()
-    phi = np.linspace(0.0, math.pi / 2.0, 20001)
+    phi = np.linspace(0.0, math.pi / 2.0, 2001)
     integrals = {}
     for m in (1, 2, 5):
-        density = np.array([radiant_intensity(m, p) for p in phi])
-        integrals[m] = float(np.trapezoid(density * 2.0 * math.pi * np.sin(phi), phi))
+        tx = LedTx(position=(0.0, 0.0, 3.0), half_intensity_angle=math.acos(2.0 ** (-1.0 / m)))
+        density = []
+        for p in phi:
+            rx = PdRx(position=tx.position + (math.sin(p), 0.0, -math.cos(p)),
+                      orientation=DeviceOrientation(polar=p, azimuth=math.pi), fov=math.pi / 2.0,
+                      refractive_index=1.0)
+            density.append(los_gain(tx, rx).h / rx.area)
+        integrals[m] = float(np.trapezoid(np.array(density) * 2.0 * math.pi * np.sin(phi), phi))
     elapsed = time.perf_counter() - start
 
     errors = {m: abs(v - 1.0) for m, v in integrals.items()}
@@ -275,7 +287,7 @@ def test_mirror_energy_bound():
                 fov=math.pi / 2.0,
                 refractive_index=1.0,
             )
-            h = mirror_element_gain(tx, (center, 0.0, 0.0), array, rx).h
+            h = element_gains(tx, array, rx)[0]
             flux += h * 2.0 * math.pi * d2**2 * math.sin(psi) * width / rx.area
         ratios[sigma_deg] = flux / captured
     elapsed = time.perf_counter() - start

@@ -5,7 +5,10 @@ blocker, ORed into the result. `_blocked_each_oracle` is the old row-paired
 form, and `_orientation_study_oracle` is `orientation_study` as it was,
 expanding every sample's population draw with `np.repeat`. The rewrite
 evaluates the same elementwise expressions on a (cylinders x rows) grid, so
-the comparisons demand equal results, not close ones.
+the comparisons demand equal results, not close ones. `_discriminant_hits`
+is the exact kernel as it was, with the circle window from the roots of
+a t**2 + b t + c; it must agree with the kernel wherever rounding cannot
+decide the answer.
 """
 
 import dataclasses
@@ -54,6 +57,31 @@ def _blocked_each_oracle(origins, ends, bases, radius, height):
     bases = np.atleast_2d(np.asarray(bases, dtype=float))
     p0, p1, bases = np.broadcast_arrays(p0, p1, bases)
     return _segment_cylinder_hits(p0, p1, bases, radius, height)
+
+
+def _discriminant_hits(p0, p1, base, radius, height):
+    d = p1 - p0
+    dx, dy, dz = d[:, 0], d[:, 1], d[:, 2]
+    a = dx * dx + dy * dy
+    planar = a > geometry._EPS_AXIS
+    ox, oy = p0[:, 0] - base[..., 0], p0[:, 1] - base[..., 1]
+    b = 2.0 * (ox * dx + oy * dy)
+    c = ox * ox + oy * oy - radius**2
+    z0, zlo = p0[:, 2], base[..., 2]
+    zhi = zlo + height
+    inside_slab = (z0 >= zlo) & (z0 <= zhi)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t_lo_z = np.where(np.abs(dz) > geometry._EPS_AXIS, (zlo - z0) / dz, np.where(inside_slab, -np.inf, np.inf))
+        t_hi_z = np.where(np.abs(dz) > geometry._EPS_AXIS, (zhi - z0) / dz, np.where(inside_slab, np.inf, np.inf))
+    disc = b * b - 4.0 * a * c
+    root = np.sqrt(np.maximum(disc, 0.0))
+    safe_a = np.where(planar, a, 1.0)
+    circ_ok = planar & (disc >= 0.0)
+    c_lo = np.where(circ_ok, (-b - root) / (2.0 * safe_a), np.where(~planar & (c <= 0.0), -np.inf, np.inf))
+    c_hi = np.where(circ_ok, (-b + root) / (2.0 * safe_a), np.where(~planar & (c <= 0.0), np.inf, -np.inf))
+    lo = np.maximum(np.maximum(np.minimum(t_lo_z, t_hi_z), c_lo), 0.0)
+    hi = np.minimum(np.minimum(np.maximum(t_lo_z, t_hi_z), c_hi), 1.0)
+    return lo <= hi
 
 
 def _orientation_study_oracle(scn, samples, master_seed=42):
@@ -268,6 +296,37 @@ def test_tiny_height_change_does_not_overflow():
         hit = _segment_cylinder_hits(p0, p1, base, 0.3, 1.0)
         assert not hit[0]  # the segment runs below the cylinder's base
         assert not segments_blocked(p0, p1, [CylinderBlocker(base_center=base, radius=0.3, height=1.0)])[0]
+
+
+def _grazes(p0, p1, base, radius):
+    """Rows whose segment touches the circle in xy, or ends on it, to within 1e-6 of r: where rounding decides."""
+    o0, o1 = p0[:, :2] - base[:2], p1[:, :2] - base[:2]
+    d = o1 - o0
+    a = np.einsum("ij,ij->i", d, d)
+    t = np.clip(-np.einsum("ij,ij->i", o0, d) / np.where(a > 0.0, a, 1.0), 0.0, 1.0)
+    near = [np.abs(np.linalg.norm(o, axis=1) - radius) <= 1e-6 * radius for o in (o0 + t[:, None] * d, o0, o1)]
+    return near[0] | near[1] | near[2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_case())
+def test_kernel_matches_the_discriminant_form_off_the_boundary(case):
+    blockers, p0, p1 = case
+    for b in blockers:
+        got = _segment_cylinder_hits(p0, p1, b.base_center, b.radius, b.height)
+        want = _discriminant_hits(p0, p1, b.base_center, b.radius, b.height)
+        assert np.all((got == want) | _grazes(p0, p1, b.base_center, b.radius))
+
+
+def test_level_chords_at_the_radius_and_its_float_neighbours():
+    # a chord from x = -L to L at y = offset past a cylinder on the z axis meets it iff offset <= r; the
+    # discriminant form cancelled to 0 there once L >> r, and read about half the chords one ulp out as hits
+    rng = np.random.default_rng(5)
+    r, half_length = rng.uniform(0.05, 0.6, 4000), rng.uniform(1.0, 10.0, 4000)
+    for offset, inside in ((np.nextafter(r, 0.0), True), (r, True), (np.nextafter(r, 1.0), False)):
+        p0 = np.stack([-half_length, offset, np.ones_like(r)], axis=1)
+        hit = segments_blocked_each(p0, p0 * [-1.0, 1.0, 1.0], np.zeros(3), r, 2.0)
+        assert hit.tolist() == [inside] * len(r)
 
 
 def test_blocks_are_ragged_and_each_row_is_tested(monkeypatch):

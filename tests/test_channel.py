@@ -13,11 +13,9 @@ from ris_vlc.channel import (
     PdRx,
     WallPatch,
     WallPatchSet,
-    concentrator_gain,
     incidence_cosine,
     lambertian_index,
     los_gain,
-    radiant_intensity,
     wall_first_reflection_gain,
 )
 from ris_vlc import geometry
@@ -46,26 +44,31 @@ def test_lambertian_index_rejects_out_of_range():
             lambertian_index(bad)
 
 
-@pytest.mark.parametrize("m", [1.0, 2.0, 5.0])
-def test_radiant_intensity_integrates_to_one(m):
-    phi = np.linspace(0.0, math.pi / 2, 20001)
-    values = np.array([radiant_intensity(m, p) for p in phi])
-    integral = np.trapezoid(values * 2.0 * math.pi * np.sin(phi), phi)
-    assert integral == pytest.approx(1.0, abs=1e-6)
-
-
-def test_radiant_intensity_zero_behind_emitter():
-    assert radiant_intensity(1.0, math.radians(91.0)) == 0.0
-    assert radiant_intensity(1.0, math.pi) == 0.0
+@pytest.mark.parametrize("phi_deg, lit", [(89.0, True), (91.0, False), (135.0, False), (179.0, False)])
+def test_los_gain_zero_behind_emitter(phi_deg, lit):
+    # a receiver `phi` off the LED's boresight, facing it sideways inside a 90-degree FoV
+    phi = math.radians(phi_deg)
+    rx = PdRx(position=TX.position + (math.sin(phi), 0.0, -math.cos(phi)),
+              orientation=DeviceOrientation(polar=math.pi / 2, azimuth=math.pi), fov=math.pi / 2)
+    assert (los_gain(TX, rx).h > 0.0) is lit
 
 
 def test_concentrator_gain_values():
     # 1.5**2 / sin(85 deg)**2
-    assert concentrator_gain(0.0, 1.5, math.radians(85.0)) == pytest.approx(
+    assert PdRx(position=(0, 0, 0), fov=math.radians(85.0), refractive_index=1.5).concentrator == pytest.approx(
         2.2672220990524927, rel=1e-12
     )
-    assert concentrator_gain(math.radians(86.0), 1.5, math.radians(85.0)) == 0.0
-    assert concentrator_gain(0.3, 1.0, math.pi / 2) == pytest.approx(1.0)
+    assert PdRx(position=(0, 0, 0), fov=math.pi / 2, refractive_index=1.0).concentrator == pytest.approx(1.0)
+
+
+def test_los_gain_zero_past_the_field_of_view():
+    # the LED straight above a device tilted 84 or 86 degrees: incidence equals the tilt, against an 85-degree FoV
+    def tilted(polar_deg):
+        orientation = DeviceOrientation(polar=math.radians(polar_deg), azimuth=0.0)
+        return PdRx(position=(2.5, 2.5, 0.85), orientation=orientation, fov=math.radians(85.0))
+
+    assert los_gain(TX, tilted(84.0)).h > 0.0
+    assert los_gain(TX, tilted(86.0)).h == 0.0
 
 
 def test_incidence_cosine_matches_direct_dot_product():
@@ -127,6 +130,11 @@ def test_los_gain_zero_cases():
                   area=1e-4, fov=math.radians(20.0), filter_gain=1.0,
                   refractive_index=1.5)
     assert los_gain(TX, tilted).h == 0.0
+
+
+def test_los_gain_rejects_coincident_endpoints():
+    with pytest.raises(ValueError, match="coincide"):
+        los_gain(TX, PdRx(position=TX.position))
 
 
 def test_los_gain_blocked_by_cylinder():

@@ -291,6 +291,16 @@ REFUSED_DOCUMENTS = [
                  "'blockers.positions'", id="positions-over-cap"),
     pytest.param('{"blockers": {"count": %d, "positions": [[1, 1], [2, 2]]}}' % (BLOCKER_COUNT_CAP - 1),
                  "'blockers.positions'", id="positions-plus-count-over-cap"),
+    # each axis is under its cap, so the product rule names both
+    pytest.param('{"ris": [{%s, "rows": 65536, "cols": 65536}]}' % _RIS, "ris[0].rows and ris[0].cols",
+                 id="rows-times-cols-over-cap"),
+    # a mistyped value is echoed short
+    pytest.param(json.dumps({"room": {"length": "x" * 10000}}), "room.length", id="length-long-string"),
+    # radii whose squared reach overflows in the occlusion test, on documents that load without them
+    pytest.param('{"aps": [{"position": [2.5, 2.5, 3.0]}], "users": [{"body_radius": 1e300}]}',
+                 "users[0].body_radius", id="body-radius-1e300"),
+    pytest.param('{"aps": [{"position": [2.5, 2.5, 3.0]}], "users": [{}], '
+                 '"blockers": {"radius": 1e300, "positions": [[1, 1]]}}', "blockers.radius", id="blocker-radius-1e300"),
 ]
 
 # Extreme finite values that crashed `simulate` or let it print inf or nan

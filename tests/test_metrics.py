@@ -9,7 +9,6 @@ from ris_vlc.metrics import (
     IntensityConstraints,
     NoiseModel,
     SecrecyScenario,
-    electrical_snr,
     link_rate,
     secrecy_rate,
     sum_rate,
@@ -57,13 +56,6 @@ def test_link_rate_monotone_in_gain_and_peak():
     assert r2 > r1
     wider = IntensityConstraints(peak=4.0, average_total=4.0)
     assert link_rate(1e-6, wider, NOISE) > r1
-
-
-def test_electrical_snr_hand_value():
-    assert electrical_snr(1e-6, 2.0, NOISE) == pytest.approx(4.0, rel=1e-12)
-    assert electrical_snr(0.0, 2.0, NOISE) == 0.0
-    with pytest.raises(ValueError):
-        electrical_snr(1e-6, -1.0, NOISE)
 
 
 @dataclass

@@ -10,7 +10,6 @@ from ris_vlc.mimo import (
     RegimeError,
     assemble_channel,
     check_intensity_constraints,
-    mimo_capacity,
     parallel_capacity,
     qr_capacity,
 )
@@ -124,28 +123,6 @@ def test_capacity_query_regime_flag():
         CapacityQuery(constraints=IntensityConstraints(1.0, 1.5), noise_variance=0.0)
 
 
-def test_mimo_capacity_dispatch():
-    rng = np.random.default_rng(13)
-    ch = rng.uniform(0.1, 1.0, (3, 3))
-    c = IntensityConstraints(peak=1.0, average_total=1.5)
-    assert mimo_capacity(ch, c, 0.2, beam_overlap=True) == pytest.approx(
-        qr_capacity(ch, c, 0.2), rel=1e-15
-    )
-    assert mimo_capacity(ch, c, 0.2, beam_overlap=False) == pytest.approx(
-        parallel_capacity(np.diag(ch), c, 0.2), rel=1e-15
-    )
-    # MimoChannel instances dispatch on their assembled matrix
-    mc = MimoChannel(
-        source_to_surface=rng.uniform(size=(8, 2)),
-        surface_coefficients=np.ones(8),
-        surface_to_detector=rng.uniform(size=(8, 2)),
-    )
-    c2 = IntensityConstraints(peak=1.0, average_total=1.0)
-    assert mimo_capacity(mc, c2, 0.2) == pytest.approx(
-        qr_capacity(mc.assembled, c2, 0.2), rel=1e-15
-    )
-
-
 def test_qr_capacity_invariant_to_row_sign_structure():
     # QR sign conventions must not affect the bound: scaling Q's columns by
     # -1 flips diag(R) signs, which abs() removes
@@ -168,10 +145,7 @@ def test_qr_capacity_invariant_to_row_sign_structure():
     lambda c: parallel_capacity([0.5, 1.0], c, NAN),
     lambda c: qr_capacity(np.array([[1.0, NAN], [0.2, 0.3]]), c, 0.1),
     lambda c: qr_capacity(np.eye(2), c, NAN),
-    lambda c: mimo_capacity(np.array([[NAN, 0.1], [0.2, 0.3]]), c, 0.1, beam_overlap=False),
-    lambda c: mimo_capacity(np.eye(2), c, NAN),
-], ids=["phi", "H", "channel", "query-noise", "parallel-gain", "parallel-noise", "qr-entry", "qr-noise",
-        "dispatch-gain", "dispatch-noise"])
+], ids=["phi", "H", "channel", "query-noise", "parallel-gain", "parallel-noise", "qr-entry", "qr-noise"])
 def test_nan_inputs_are_refused(call):
     with pytest.raises(ValueError, match="nonnegative|lie in|positive"):
         call(IntensityConstraints(peak=1.0, average_total=2.0))

@@ -11,7 +11,6 @@ from ris_vlc.orientation import (
     POLAR_MAX,
     DeviceOrientation,
     OrientationModel,
-    laplace_inverse_cdf,
     sample_orientation,
     sample_polar_angles,
 )
@@ -37,36 +36,49 @@ def test_device_orientation_range_checks():
         DeviceOrientation(polar=0.5, azimuth=3.5)
 
 
-def test_laplace_inverse_cdf_hand_values():
+class _StubUniform:
+    """Generator stub: one `uniform(size=k)` call gives `values` repeated to length k."""
+
+    def __init__(self, *values):
+        self.values, self.calls = values, 0
+
+    def uniform(self, size):
+        self.calls += 1
+        assert self.calls == 1, "the sampler drew twice: it rejected a u inside the window"
+        return np.resize(np.array(self.values, dtype=float), size)
+
+
+def _laplace(mu, b):
+    return OrientationModel(mean_polar=mu, std_polar=b * math.sqrt(2.0))
+
+
+@pytest.mark.parametrize("u, want, rel", [(0.5, 0.2, 1e-15), (0.25, 0.13068528194400547, 1e-12),
+                                          (0.75, 0.26931471805599455, 1e-12)])
+def test_sample_polar_angles_inverse_cdf_hand_values(u, want, rel):
     # mu - b sgn(u - 1/2) ln(1 - 2|u - 1/2|) at mu=0.2, b=0.1
-    assert laplace_inverse_cdf(0.5, 0.2, 0.1) == pytest.approx(0.2, rel=1e-15)
-    assert laplace_inverse_cdf(0.25, 0.2, 0.1) == pytest.approx(
-        0.13068528194400547, rel=1e-12
-    )
-    assert laplace_inverse_cdf(0.75, 0.2, 0.1) == pytest.approx(
-        0.26931471805599455, rel=1e-12
-    )
+    draws = sample_polar_angles(_laplace(0.2, 0.1), _StubUniform(u), 3)
+    assert draws.tolist() == pytest.approx([want] * 3, rel=rel)
 
 
-def test_laplace_inverse_cdf_domain():
-    for bad in (0.0, 1.0, -0.1, 1.1):
-        with pytest.raises(ValueError):
-            laplace_inverse_cdf(bad, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        laplace_inverse_cdf(0.5, 0.0, 0.0)
+def test_sample_polar_angles_rejects_u_zero():
+    # u = 0 maps to -inf: every other draw is dropped, and the rest fill the request
+    draws = sample_polar_angles(_laplace(0.2, 0.1), _StubUniform(0.0, 0.25), 8)
+    assert draws.tolist() == pytest.approx([0.13068528194400547] * 8, rel=1e-12)
 
 
-@given(st.floats(1e-6, 1.0 - 1e-6), st.floats(1e-6, 1.0 - 1e-6))
-def test_laplace_inverse_cdf_monotone(u1, u2):
+@given(st.floats(0.12, 0.999), st.floats(0.12, 0.999))
+def test_sample_polar_angles_inverse_cdf_monotone(u1, u2):
+    # at mu=0.3, b=0.2 these u map inside [0, pi/2], so none is rejected
     lo, hi = sorted((u1, u2))
-    assert laplace_inverse_cdf(lo, 0.3, 0.2) <= laplace_inverse_cdf(hi, 0.3, 0.2)
+    draws = sample_polar_angles(_laplace(0.3, 0.2), _StubUniform(lo, hi), 2)
+    assert draws[0] <= draws[1]
 
 
 @given(st.floats(0.01, 0.99))
-def test_laplace_inverse_cdf_roundtrip(u):
-    # cdf(icdf(u)) = u
+def test_sample_polar_angles_inverse_cdf_roundtrip(u):
+    # cdf(icdf(u)) = u; at mu=0.7, b=0.15 these u map inside [0, pi/2]
     mu, b = 0.7, 0.15
-    x = laplace_inverse_cdf(u, mu, b)
+    x = sample_polar_angles(_laplace(mu, b), _StubUniform(u), 1)[0]
     if x < mu:
         cdf = 0.5 * math.exp((x - mu) / b)
     else:

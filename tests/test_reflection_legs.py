@@ -22,7 +22,7 @@ from ris_vlc.channel import LedTx, PdRx, WallPatchSet, reflection_legs, wall_fir
 from ris_vlc.geometry import CylinderBlocker, Room, Vec3, as_vec3, segments_blocked, unit
 from ris_vlc.metrics import sum_rate
 from ris_vlc.orientation import DeviceOrientation
-from ris_vlc.ris import ANGLE_LIMIT, MirrorArray, element_gains, mirror_normal
+from ris_vlc.ris import ANGLE_LIMIT, MirrorArray, element_gains
 from ris_vlc.scenario import UserSpec, blocked_benchmark_scenario
 
 ROOM = Room(5.0, 5.0, 3.0)
@@ -298,11 +298,6 @@ def test_normals_match_pre_change_code(data):
     want = _mirror_normals(yaw_m.ravel(), roll_m.ravel(), panel.base_normal)
     got = panel.normals(yaw, roll)
     assert np.array_equal(got, want) and _same_bits(got, want)
-
-    yaw1, roll1 = (float(_clamped(data.draw(st.floats(-4.0, 4.0)), ())) for _ in range(2))
-    want1 = _mirror_normals(np.asarray([yaw1]), np.asarray([roll1]), normal)[0]
-    got1 = mirror_normal(yaw1, roll1, normal)
-    assert np.array_equal(got1, want1) and _same_bits(got1, want1)
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """Mirror-array geometry, reflected-lobe gains, and the LC front end."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,17 +16,17 @@ from ris_vlc.ris import (
     LcReceiverConfig,
     MirrorArray,
     apply_lc_receiver_gain,
-    array_gain,
     element_gains,
-    mirror_element_gain,
-    mirror_normal,
-    specular_reflect,
 )
+
+
+def _one_element(base_normal, yaw=0.0, roll=0.0) -> MirrorArray:
+    return MirrorArray(panel_center=(0.0, 0.0, 0.0), base_normal=base_normal, rows=1, cols=1, yaw=yaw, roll=roll)
 
 
 def test_mirror_normal_hand_value():
     # base normal +x: n = (cos g cos w, sin g cos w, -sin w) at yaw g, roll w
-    n = mirror_normal(0.3, -0.2, (1.0, 0.0, 0.0))
+    n = _one_element((1.0, 0.0, 0.0), yaw=0.3, roll=-0.2).normals()[0]
     np.testing.assert_allclose(
         n,
         [0.9362933635841992, 0.28962947762551555, 0.19866933079506122],
@@ -35,14 +36,7 @@ def test_mirror_normal_hand_value():
 
 def test_mirror_normal_identity_at_zero_angles():
     base = unit((0.2, -0.5, 0.8))
-    np.testing.assert_allclose(mirror_normal(0.0, 0.0, base), base, atol=1e-15)
-
-
-def test_mirror_normal_range_check():
-    with pytest.raises(ValueError):
-        mirror_normal(ANGLE_LIMIT + 0.01, 0.0, (1, 0, 0))
-    with pytest.raises(ValueError):
-        mirror_normal(0.0, -ANGLE_LIMIT - 0.01, (1, 0, 0))
+    np.testing.assert_allclose(_one_element(base).normals()[0], base, atol=1e-15)
 
 
 @given(
@@ -50,27 +44,8 @@ def test_mirror_normal_range_check():
     st.floats(-ANGLE_LIMIT, ANGLE_LIMIT),
 )
 def test_mirror_normal_is_unit_length(yaw, roll):
-    n = mirror_normal(yaw, roll, (0.0, 1.0, 0.0))
+    n = _one_element((0.0, 1.0, 0.0), yaw=yaw, roll=roll).normals()[0]
     assert np.linalg.norm(n) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_specular_reflect_45_degrees():
-    r = specular_reflect((1.0, 0.0, -1.0), (0.0, 0.0, 1.0))
-    np.testing.assert_allclose(r, np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0), rtol=1e-12)
-
-
-@given(
-    st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)).filter(
-        lambda t: sum(x * x for x in t) > 1e-4
-    ),
-    st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)).filter(
-        lambda t: sum(x * x for x in t) > 1e-4
-    ),
-)
-def test_specular_reflect_involution_and_energy(d, n):
-    r = specular_reflect(d, n)
-    assert np.linalg.norm(r) == pytest.approx(1.0, rel=1e-9)
-    np.testing.assert_allclose(specular_reflect(r, n), unit(d), atol=1e-9)
 
 
 def test_mirror_array_validation():
@@ -132,8 +107,14 @@ ARR = MirrorArray(panel_center=(0.0, 0.0, 0.0), base_normal=(0.0, 0.0, 1.0),
 def test_mirror_element_gain_hand_value():
     # rho (m+1)A_m/(2 pi d1**2) cos t1 * exp(-psi**2/2s**2)/(2 pi s**2 d2**2)
     # * A cos t2 G, worked out by hand for the fixed geometry above
-    got = mirror_element_gain(TX, (np.zeros(3), 0.0, 0.0), ARR, RX)
-    assert got.h == pytest.approx(1.1204339454029585e-06, rel=1e-9)
+    got = element_gains(TX, ARR, RX)[0]
+    assert got == pytest.approx(1.1204339454029585e-06, rel=1e-9)
+
+
+def _lone_element_gain(tx, array, rx, center, yaw, roll):
+    """One element's gain from a 1 x 1 panel at its center and angles."""
+    one = dataclasses.replace(array, panel_center=center, rows=1, cols=1, yaw=float(yaw), roll=float(roll))
+    return element_gains(tx, one, rx)[0]
 
 
 def test_element_gains_match_single_element_calls():
@@ -147,16 +128,7 @@ def test_element_gains_match_single_element_calls():
     for i, center in enumerate(arr.element_centers):
         yaw = arr.yaw.ravel()[i]
         roll = arr.roll.ravel()[i]
-        lone = mirror_element_gain(TX, (center, yaw, roll), arr, RX)
-        assert gains[i] == pytest.approx(lone.h, rel=1e-12)
-
-
-def test_array_gain_sums_elements():
-    arr = MirrorArray(panel_center=(0.0, 0.0, 0.0), base_normal=(0.0, 0.0, 1.0),
-                      rows=2, cols=2, element_size=0.1, reflectivity=0.95,
-                      beam_spread=math.radians(2.0))
-    total = array_gain(TX, arr, RX)
-    assert total.h == pytest.approx(float(np.sum(element_gains(TX, arr, RX))), rel=1e-15)
+        assert gains[i] == pytest.approx(_lone_element_gain(TX, arr, RX, center, yaw, roll), rel=1e-12)
 
 
 def test_element_gains_angle_overrides_broadcast():
@@ -176,27 +148,22 @@ def test_aligned_mirror_beats_perturbed_angles():
     grid = np.linspace(-0.6, 0.6, 121)
     for yaw in grid:
         for roll in grid:
-            h = mirror_element_gain(TX, (np.zeros(3), yaw, roll), ARR, RX).h
+            h = element_gains(TX, ARR, RX, yaw=yaw, roll=roll)[0]
             if best is None or h > best[0]:
                 best = (h, yaw, roll)
     h0, yaw0, roll0 = best
     assert h0 > 0.0
     for dy, dr in ((0.3, 0.0), (-0.3, 0.0), (0.0, 0.3), (0.0, -0.3)):
-        assert mirror_element_gain(TX, (np.zeros(3), yaw0 + dy, roll0 + dr), ARR, RX).h < h0
+        assert element_gains(TX, ARR, RX, yaw=yaw0 + dy, roll=roll0 + dr)[0] < h0
 
 
 def test_element_gain_blocked_legs():
     first_leg = CylinderBlocker(base_center=(-0.5, 0.0, 0.0), radius=0.2, height=1.5)
-    assert mirror_element_gain(TX, (np.zeros(3), 0.0, 0.0), ARR, RX,
-                               blockers=[first_leg]).h == 0.0
+    assert element_gains(TX, ARR, RX, [first_leg])[0] == 0.0
     second_leg = CylinderBlocker(base_center=(0.45, 0.05, 0.0), radius=0.2, height=1.5)
-    assert mirror_element_gain(TX, (np.zeros(3), 0.0, 0.0), ARR, RX,
-                               blockers=[second_leg]).h == 0.0
+    assert element_gains(TX, ARR, RX, [second_leg])[0] == 0.0
     off_path = CylinderBlocker(base_center=(5.0, 5.0, 0.0), radius=0.2, height=1.5)
-    assert mirror_element_gain(TX, (np.zeros(3), 0.0, 0.0), ARR, RX,
-                               blockers=[off_path]).h == pytest.approx(
-        1.1204339454029585e-06, rel=1e-9
-    )
+    assert element_gains(TX, ARR, RX, [off_path])[0] == pytest.approx(1.1204339454029585e-06, rel=1e-9)
 
 
 def test_element_gain_zero_when_receiver_faces_away():
@@ -204,7 +171,7 @@ def test_element_gain_zero_when_receiver_faces_away():
                    orientation=DeviceOrientation(polar=math.pi / 2, azimuth=0.0),
                    area=1e-4, fov=math.radians(85.0), filter_gain=1.0,
                    refractive_index=1.5)
-    assert mirror_element_gain(TX, (np.zeros(3), 0.0, 0.0), ARR, rx_away).h == 0.0
+    assert element_gains(TX, ARR, rx_away)[0] == 0.0
 
 
 def test_lc_receiver_config_validation():

@@ -14,7 +14,7 @@ from ris_vlc.channel import LedTx, PdRx, WallPatch, WallPatchSet, incidence_cosi
 from ris_vlc.geometry import CylinderBlocker, Room, segments_blocked, unit
 from ris_vlc.metrics import IntensityConstraints, NoiseModel, link_rate
 from ris_vlc.orientation import DeviceOrientation, OrientationModel
-from ris_vlc.ris import MirrorArray
+from ris_vlc.ris import MIRROR_ELEMENT_CAP, MirrorArray
 from ris_vlc.scenario import (
     AP_COUNT_CAP,
     BLOCKER_COUNT_CAP,
@@ -82,6 +82,10 @@ def test_blocker_population_validation():
     BlockerPopulation(count=BLOCKER_COUNT_CAP)
     with pytest.raises(ValueError, match="cap"):
         BlockerPopulation(count=BLOCKER_COUNT_CAP + 1)
+    with pytest.raises(ValueError, match="squared reach overflows"):
+        BlockerPopulation(count=0, radius=1e300)
+    with pytest.raises(ValueError, match="squared reach overflows"):
+        UserSpec(body_radius=1e300)
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -285,6 +289,16 @@ def test_list_sections_at_their_caps_load():
                                   "blockers": {"count": 24, "positions": [[2.0, 2.0]] * (BLOCKER_COUNT_CAP - 24)}}))
     assert (len(s.aps), len(s.users), len(s.ris_panels)) == (AP_COUNT_CAP, USER_COUNT_CAP, PANEL_COUNT_CAP)
     assert len(s.blockers) + s.blocker_population.count == BLOCKER_COUNT_CAP
+
+
+def test_panel_element_product_is_capped_at_load():
+    panel = {"center": [0.0, 2.5, 1.5], "normal": [1, 0, 0]}
+    s = load_scenario(json.dumps({"ris": [{**panel, "rows": 256, "cols": 256}]}))
+    assert s.ris_panels[0].element_count == MIRROR_ELEMENT_CAP
+    with pytest.raises(ConfigError, match=r"^ris\[0\]\.rows and ris\[0\]\.cols give 256 x 257 "):
+        load_scenario(json.dumps({"ris": [{**panel, "rows": 256, "cols": 257}]}))
+    with pytest.raises(ConfigError, match=r"give 8 x 8193 "):  # the panel's default fills the absent axis
+        load_scenario(json.dumps({"ris": [{**panel, "cols": 8193}]}))
 
 
 def test_load_scenario_reports_json_position():
