@@ -20,7 +20,6 @@ ratios of collected to emitted optical power (dimensionless).
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -39,22 +38,12 @@ from .geometry import (
 from .orientation import DeviceOrientation
 
 
-class PathKind(enum.Enum):
-    LOS = "los"
-    WALL_NLOS = "wall_nlos"
-    RIS_NLOS = "ris_nlos"
-
-
-@dataclass(frozen=True)
-class ChannelGain:
-    """Nonnegative power gain of one propagation path."""
-
-    h: float
-    path_kind: PathKind
-
-    def __post_init__(self):
-        if not (self.h >= 0.0 and math.isfinite(self.h)):
-            raise ValueError(f"channel gain must be finite and nonnegative, got {self.h}")
+def checked_gain(h) -> float:
+    """A path gain as a float, refusing one that is negative or not finite."""
+    h = float(h)
+    if not (h >= 0.0 and math.isfinite(h)):
+        raise ValueError(f"channel gain must be finite and nonnegative, got {h}")
+    return h
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,32 +83,37 @@ class PdRx:
     fov: float = math.radians(85.0)
     filter_gain: float = 1.0
     refractive_index: float = 1.5
+    concentrator: float = field(init=False)  # in-field gain f**2 / sin(fov)**2
 
     def __post_init__(self):
         object.__setattr__(self, "position", as_vec3(self.position))
-        if not self.area > 0.0:
-            raise ValueError("detector area must be positive")
-        if not 0.0 < self.fov <= math.pi / 2.0:
-            raise ValueError("field of view must lie in (0, pi/2]")
-        if not 0.0 < self.filter_gain <= 1.0:
-            raise ValueError("filter gain must lie in (0, 1]")
-        if not self.refractive_index >= 1.0:
-            raise ValueError("concentrator refractive index must be >= 1")
-        try:
-            collection = self.area * self.concentrator
-        except ArithmeticError:  # f**2 overflows, or sin(fov)**2 underflows to 0
-            collection = math.inf
-        if not collection * collection < math.inf:  # a link rate squares the gain this scales
-            raise ValueError("detector area times concentrator gain f**2 / sin(fov)**2 must be finite when squared")
+        object.__setattr__(self, "concentrator",
+                           check_receiver_terms(self.area, self.fov, self.filter_gain, self.refractive_index))
 
     @property
     def normal(self) -> Vec3:
         return self.orientation.normal
 
-    @property
-    def concentrator(self) -> float:
-        """In-field concentrator gain f**2 / sin(fov)**2."""
-        return self.refractive_index**2 / math.sin(self.fov) ** 2
+
+def check_receiver_terms(area: float, fov: float, filter_gain: float, refractive_index: float) -> float:
+    """Refuse receiver terms `PdRx` cannot use, else return their in-field concentrator gain f**2 / sin(fov)**2.
+    Scalar math, as every realized user re-checks its own."""
+    if not area > 0.0:
+        raise ValueError("detector area must be positive")
+    if not 0.0 < fov <= math.pi / 2.0:
+        raise ValueError("field of view must lie in (0, pi/2]")
+    if not 0.0 < filter_gain <= 1.0:
+        raise ValueError("filter gain must lie in (0, 1]")
+    if not refractive_index >= 1.0:
+        raise ValueError("concentrator refractive index must be >= 1")
+    try:
+        concentrator = refractive_index**2 / math.sin(fov) ** 2
+    except ArithmeticError:  # f**2 overflows, or sin(fov)**2 underflows to 0
+        concentrator = math.inf
+    collection = area * concentrator
+    if not collection * collection < math.inf:  # a link rate squares the gain this scales
+        raise ValueError("detector area times concentrator gain f**2 / sin(fov)**2 must be finite when squared")
+    return concentrator
 
 
 def lambertian_index(half_intensity_angle: float) -> float:
@@ -148,7 +142,7 @@ def incidence_cosine(ap_pos: Vec3, user_pos: Vec3, orientation: DeviceOrientatio
     return min(1.0, max(-1.0, c))
 
 
-def los_gain(tx: LedTx, rx: PdRx, blockers: Iterable[CylinderBlocker] = ()) -> ChannelGain:
+def los_gain(tx: LedTx, rx: PdRx, blockers: Iterable[CylinderBlocker] = ()) -> float:
     """Line-of-sight Lambertian gain; zero when blocked or outside the FoV."""
     blockers = list(blockers)
     v = rx.position - tx.position
@@ -163,7 +157,7 @@ def los_gain(tx: LedTx, rx: PdRx, blockers: Iterable[CylinderBlocker] = ()) -> C
         or cos_theta < 0.0
         or (blockers and not los_visible(tx.position, rx.position, blockers))
     ):
-        return ChannelGain(0.0, PathKind.LOS)
+        return 0.0
     m = tx.lambertian_order
     h = (
         (m + 1.0)
@@ -174,25 +168,7 @@ def los_gain(tx: LedTx, rx: PdRx, blockers: Iterable[CylinderBlocker] = ()) -> C
         * rx.concentrator
         * cos_theta
     )
-    return ChannelGain(h, PathKind.LOS)
-
-
-@dataclass(frozen=True, eq=False)
-class WallPatch:
-    """Small diffusely reflecting wall element."""
-
-    center: Vec3
-    normal: Vec3
-    area: float
-    reflectance: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", as_vec3(self.center))
-        object.__setattr__(self, "normal", unit(as_vec3(self.normal)))
-        if not self.area > 0.0:
-            raise ValueError("patch area must be positive")
-        if not 0.0 <= self.reflectance <= 1.0:
-            raise ValueError("reflectance must lie in [0, 1]")
+    return checked_gain(h)
 
 
 # patches per room: 24 000 tile a 5 x 5 x 3 m room at 5 cm; 1e-4 m would ask for 6e9 (144 GB of centers)
@@ -200,37 +176,33 @@ WALL_PATCH_CAP = 1 << 18
 
 
 class WallPatchSet:
-    """Packed array form of a wall discretization.
+    """Small diffusely reflecting wall elements as arrays, so the reflection sum vectorizes.
 
-    Holds only the arrays `centers` and `normals` (n, 3), `areas` and
-    `reflectances` (n,), so the reflection sum vectorizes. Indexing and
-    iteration build `WallPatch` records from the arrays on demand, in the
-    fixed construction order (summation order is part of the contract so
-    results are bit-stable).
+    `centers` and unit `normals` are (n, 3), `areas` and `reflectances` (n,). Rows keep
+    their construction order: summation order is part of the contract so results are
+    bit-stable.
     """
 
-    def __init__(self, patches: Sequence[WallPatch]):
-        patches = list(patches)
-        self.centers = np.array([p.center for p in patches], dtype=float).reshape(-1, 3)
-        self.normals = np.array([p.normal for p in patches], dtype=float).reshape(-1, 3)
-        self.areas = np.array([p.area for p in patches], dtype=float)
-        self.reflectances = np.array([p.reflectance for p in patches], dtype=float)
+    def __init__(self, centers, normals, areas, reflectances):
+        self.centers, normals = (np.asarray(a, dtype=float).reshape(-1, 3) for a in (centers, normals))
+        self.areas, self.reflectances = (np.asarray(a, dtype=float).reshape(-1) for a in (areas, reflectances))
+        rows = [len(self.centers), len(normals), len(self.areas), len(self.reflectances)]
+        if len(set(rows)) > 1:
+            raise ValueError(f"patch centers, normals, areas and reflectances have unequal row counts {rows}")
+        with np.errstate(over="ignore"):  # refused below instead
+            lengths = np.linalg.norm(normals, axis=1)
+        if not np.all(np.isfinite(self.centers)):
+            raise ValueError("patch centers must be finite")
+        if not np.all((lengths > 0.0) & (lengths < math.inf)):
+            raise ValueError("patch normals must be nonzero and finite")
+        if not np.all(self.areas > 0.0):
+            raise ValueError("patch area must be positive")
+        if not np.all((self.reflectances >= 0.0) & (self.reflectances <= 1.0)):
+            raise ValueError("reflectance must lie in [0, 1]")
+        self.normals = normals / lengths[:, None]
 
     def __len__(self) -> int:
         return len(self.areas)
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-    def __getitem__(self, i: int) -> WallPatch:
-        return WallPatch(self.centers[i].copy(), self.normals[i], float(self.areas[i]),
-                         float(self.reflectances[i]))
-
-    @classmethod
-    def coerce(cls, patches) -> "WallPatchSet":
-        if isinstance(patches, cls):
-            return patches
-        return cls(list(patches))
 
     @classmethod
     def for_room(cls, room: Room, patch_size: float = 0.05, reflectance: float = 0.7) -> "WallPatchSet":
@@ -240,8 +212,6 @@ class WallPatchSet:
         exactly; ceiling and floor are not tiled (first-bounce model uses
         wall reflections only). Patches run wall by wall, row-major in (v, u).
         """
-        if not 0.0 <= reflectance <= 1.0:
-            raise ValueError("reflectance must lie in [0, 1]")
         centers, normals, areas = [], [], []
         for wall, nu, nv in cls.tiling(room, patch_size):
             du, dv = wall.u_len / nu, wall.v_len / nv
@@ -249,10 +219,8 @@ class WallPatchSet:
             centers.append(wall.origin + wall.u_axis * ((i + 0.5) * du) + wall.v_axis * ((j + 0.5) * dv))
             normals.append(np.tile(wall.normal, (nu * nv, 1)))
             areas.append(np.full(nu * nv, du * dv))
-        pset = cls.__new__(cls)
-        pset.centers, pset.normals, pset.areas = map(np.concatenate, (centers, normals, areas))
-        pset.reflectances = np.full(len(pset.areas), reflectance, dtype=float)
-        return pset
+        areas = np.concatenate(areas)
+        return cls(np.concatenate(centers), np.concatenate(normals), areas, np.full(len(areas), reflectance))
 
     @staticmethod
     def tiling(room: Room, patch_size: float):
@@ -261,7 +229,7 @@ class WallPatchSet:
             raise ValueError("patch size must be positive")
         walls = room.walls()  # np.rint rounds half to even like round(), and takes an infinite ratio
         counts = [(max(1.0, np.rint(w.u_len / patch_size)), max(1.0, np.rint(w.v_len / patch_size))) for w in walls]
-        total = sum(nu * nv for nu, nv in counts)
+        total = sum(float(nu) * float(nv) for nu, nv in counts)  # a Python float product overflows to inf silently
         if not total <= WALL_PATCH_CAP:
             raise ValueError(f"wall patch size {patch_size} m tiles the walls into {total:.3g} patches, "
                              f"above the cap of {WALL_PATCH_CAP}")
@@ -333,9 +301,9 @@ def _legs(txs: Sequence[LedTx], points: np.ndarray, rxs: Sequence[PdRx]) -> Refl
 def wall_first_reflection_gain(
     tx: LedTx,
     rx: PdRx,
-    patches,
+    patches: WallPatchSet,
     blockers: Iterable[CylinderBlocker] = (),
-) -> ChannelGain:
+) -> float:
     """First-order diffuse wall reflection gain, summed over patches.
 
     Each patch contributes
@@ -348,9 +316,8 @@ def wall_first_reflection_gain(
     the receiver-side incidence leaves the FoV, or a blocker occludes either
     sub-segment. Patches are summed in construction order.
     """
-    pset = WallPatchSet.coerce(patches)
-    h = _wall_gain(tx.lambertian_order, rx, pset, reflection_legs(tx, pset.centers, rx, blockers))
-    return ChannelGain(float(h), PathKind.WALL_NLOS)
+    legs = reflection_legs(tx, patches.centers, rx, blockers)
+    return checked_gain(_wall_gain(tx.lambertian_order, rx, patches, legs))
 
 
 def _lambertian_power(cos_phi1: np.ndarray, m) -> np.ndarray:

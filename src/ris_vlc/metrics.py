@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelGain
+from .channel import checked_gain
 
 
 @dataclass(frozen=True)
@@ -70,16 +70,9 @@ class SecrecyScenario:
                 raise ValueError(f"{name} must be nonnegative")
 
 
-def _gain_value(h) -> float:
-    value = h.h if isinstance(h, ChannelGain) else float(h)
-    if value < 0.0:
-        raise ValueError("channel gain must be nonnegative")
-    return value
-
-
 def link_rate(h, constraints: IntensityConstraints, noise: NoiseModel) -> float:
     """Achievable rate in bits/s of one link under the peak-intensity bound."""
-    value = _gain_value(h)
+    value = checked_gain(h)
     try:
         snr_term = 2.0 * (value * constraints.peak) ** 2 / (2.0 * math.pi * math.e * noise.variance)
     except OverflowError:

@@ -109,7 +109,7 @@ class CapacityQuery:
 
 @dataclass(frozen=True)
 class ConstraintCheck:
-    """Outcome of an intensity-constraint check."""
+    """Outcome of a constraint check that does not raise; `violation` names the failure."""
 
     ok: bool
     violation: Optional[str] = None

@@ -21,6 +21,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from .mimo import ConstraintCheck
+
 SUM_SQUARES_TOL = 1e-9
 
 
@@ -59,17 +61,9 @@ class NomaAllocation:
         return self.coefficients.shape[0]
 
 
-@dataclass(frozen=True)
-class AllocationCheck:
-    """Outcome of a coefficient validation; `violation` names the failure."""
-
-    ok: bool
-    violation: Optional[str] = None
-
-
 def validate_allocation(
     coefficients: Sequence[float], gains: Optional[Sequence[float]] = None
-) -> AllocationCheck:
+) -> ConstraintCheck:
     """Check the NOMA coefficient constraints without raising.
 
     Verifies sum(a**2) = 1 within 1e-9 and a_k in (0, 1]; when ascending
@@ -78,27 +72,27 @@ def validate_allocation(
     """
     a = np.asarray(coefficients, dtype=float)
     if a.ndim != 1 or a.size == 0:
-        return AllocationCheck(False, "coefficients must be a nonempty 1-D sequence")
+        return ConstraintCheck(False, "coefficients must be a nonempty 1-D sequence")
     inside = (a > 0.0) & (a <= 1.0)  # False on NaN
     if not np.all(inside):
         bad = int(np.argmin(inside))
-        return AllocationCheck(False, f"coefficient a[{bad}]={a[bad]} outside (0, 1]")
+        return ConstraintCheck(False, f"coefficient a[{bad}]={a[bad]} outside (0, 1]")
     total = float(np.sum(a**2))
     if not abs(total - 1.0) <= SUM_SQUARES_TOL:
-        return AllocationCheck(False, f"sum of squared coefficients is {total}, not 1")
+        return ConstraintCheck(False, f"sum of squared coefficients is {total}, not 1")
     if gains is not None:
         h = np.asarray(gains, dtype=float)
         if h.shape != a.shape:
-            return AllocationCheck(False, "gains must match coefficients in length")
+            return ConstraintCheck(False, "gains must match coefficients in length")
         if not (np.all(h >= 0.0) and np.all(np.diff(h) >= 0.0)):
-            return AllocationCheck(False, "gains must be nonnegative and sorted ascending")
+            return ConstraintCheck(False, "gains must be nonnegative and sorted ascending")
         if np.any(np.diff(a) > 0.0):
             bad = int(np.argmax(np.diff(a) > 0.0))
-            return AllocationCheck(
+            return ConstraintCheck(
                 False,
                 f"coefficients must be nonincreasing over ascending gains; a[{bad}] < a[{bad + 1}]",
             )
-    return AllocationCheck(True, None)
+    return ConstraintCheck(True, None)
 
 
 def noma_rates(alloc: NomaAllocation, noise_variance: float, sic_residual: float = 0.0) -> np.ndarray:

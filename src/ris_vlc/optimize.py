@@ -215,12 +215,7 @@ def grid_search_oracle(problem: BoundedProblem, resolution_per_dim: int) -> OptR
 
 
 _SEARCHES = {"sca": sca_optimize, "pso": pso_optimize, "grid": grid_search_oracle}
-_MODES = {
-    "identical": "identical",
-    "identical_angles": "identical",
-    "per-element": "per_element",
-    "per_element": "per_element",
-}
+_MODES = ("identical", "per-element")
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,15 +262,14 @@ def optimize_mirror_angles(
     """Tune mirror yaw/roll matrices to maximize the scenario sum rate.
 
     `identical` mode drives every element of every panel with one shared
-    (yaw, roll) pair, collapsing the search to two variables; `per_element`
+    (yaw, roll) pair, collapsing the search to two variables; `per-element`
     optimizes all 2N angles jointly. Returned matrices are feasible by
     construction and the reported rate is recomputed from them.
     """
     if algorithm not in _SEARCHES:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {sorted(_SEARCHES)}")
     if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {sorted(set(_MODES.values()))}")
-    mode = _MODES[mode]
+        raise ValueError(f"unknown mode {mode!r}; expected one of {list(_MODES)}")
     panels = scenario.ris_panels
     if not panels:
         raise ValueError("scenario has no mirror panels to optimize")

@@ -41,7 +41,7 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from .channel import ChannelGain, LedTx, PdRx, ReflectionLegs, _lambertian_power, reflection_legs
+from .channel import LedTx, PdRx, ReflectionLegs, _lambertian_power, reflection_legs
 # segments_blocked stays importable here: perfbench/spans.py wraps it at this name
 from .geometry import CylinderBlocker, Vec3, as_vec3, segments_blocked, unit  # noqa: F401
 
@@ -160,10 +160,6 @@ class MirrorArray:
         """Same panel with new angle matrices (clamped by construction)."""
         return replace(self, yaw=yaw, roll=roll)
 
-    def with_identical_angles(self, yaw: float, roll: float) -> "MirrorArray":
-        """Broadcast one yaw/roll pair to every element."""
-        return self.with_angles(float(yaw), float(roll))
-
 
 def element_gains(
     tx: LedTx,
@@ -232,8 +228,8 @@ class LcReceiverConfig:
             raise ValueError("effective FoV must lie in (0, pi/2]")
 
 
-def apply_lc_receiver_gain(h: ChannelGain, cfg: LcReceiverConfig, theta: float) -> ChannelGain:
+def apply_lc_receiver_gain(h: float, cfg: LcReceiverConfig, theta: float) -> float:
     """Scale a path gain through the LC front end; zero outside its FoV."""
     if theta < 0.0 or theta > cfg.effective_fov:
-        return ChannelGain(0.0, h.path_kind)
-    return ChannelGain(h.h * cfg.transmittance * cfg.amplification, h.path_kind)
+        return 0.0
+    return h * cfg.transmittance * cfg.amplification

@@ -33,7 +33,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import geometry
-from .channel import LedTx, PdRx, ReflectionLegs, WallPatchSet, _legs, _wall_gain, incidence_cosine, los_gain
+from .channel import (LedTx, PdRx, ReflectionLegs, WallPatchSet, _legs, _wall_gain, check_receiver_terms,
+                      incidence_cosine, los_gain)
 # wall_first_reflection_gain stays importable here: perfbench/spans.py wraps it at this name
 from .channel import wall_first_reflection_gain  # noqa: F401
 from .geometry import CylinderBlocker, Room, Vec3, as_vec3, segments_blocked, segments_blocked_each, unit
@@ -90,6 +91,7 @@ class UserSpec:
         if not self.body_offset >= 0.0:
             raise ValueError("body offset must be nonnegative")
         geometry.check_cylinder_size(self.body_radius, self.body_height, "body")
+        check_receiver_terms(self.area, self.fov, self.filter_gain, self.refractive_index)
 
     def receiver(self) -> PdRx:
         if self.position is None or self.fixed_orientation is None:
@@ -245,6 +247,11 @@ class Scenario:
             name, point = placed[outside[0]]
             as_vec3(point)  # a non-finite point gets Room.contains's finiteness message
             raise ValueError(f"{name} {point} outside the room")
+        reach = math.hypot(self.room.length, self.room.width)
+        for i, user in enumerate(self.users):
+            if user.body_offset > reach:
+                raise ValueError(f"users[{i}].body_offset {user.body_offset:.6g} m puts the body outside the room: "
+                                 f"it exceeds the floor diagonal {reach:.6g} m")
 
     @cached_property
     def wall_patches(self) -> WallPatchSet:
@@ -304,7 +311,7 @@ class Scenario:
         columns = SimpleNamespace(**{name: np.array([getattr(rx, name) for rx in rxs]).reshape(-1, 1, 1)
                                      for name in ("area", "filter_gain", "concentrator")})
         pairs = [(ap, rx) for rx in rxs for ap in self.aps]
-        h_los = np.array([los_gain(ap, rx).h if seen else 0.0  # los_gain gives 0 when blocked
+        h_los = np.array([los_gain(ap, rx) if seen else 0.0  # los_gain gives 0 when blocked
                           for (ap, rx), seen in zip(pairs, visible.ravel())]).reshape(shape)
         fov_ok = np.array([incidence_cosine(ap.position, rx.position, rx.orientation) >= math.cos(rx.fov)
                            for ap, rx in pairs], dtype=bool).reshape(shape)
@@ -688,8 +695,6 @@ def _scenario_from_document(doc: dict) -> Scenario:
             angles = _fields(sec["orientation"], _USER_ORIENTATION, f"users[{i}].orientation")
             kwargs["fixed_orientation"] = DeviceOrientation(**{"polar": 0.0, "azimuth": 0.0, **angles})
         template = UserSpec(**kwargs)
-        PdRx(np.zeros(3), area=template.area, fov=template.fov, filter_gain=template.filter_gain,
-             refractive_index=template.refractive_index)  # refuses receiver terms at load, not at the first trial
         count = _count(sec.get("count", 1), f"users[{i}].count", 0)
         if len(users) + count > USER_COUNT_CAP:
             raise ConfigError(f"users[{i}].count {count:.6g} brings the users to {len(users) + count:.6g}, "

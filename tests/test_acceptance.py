@@ -232,7 +232,7 @@ def test_lambertian_normalization():
             rx = PdRx(position=tx.position + (math.sin(p), 0.0, -math.cos(p)),
                       orientation=DeviceOrientation(polar=p, azimuth=math.pi), fov=math.pi / 2.0,
                       refractive_index=1.0)
-            density.append(los_gain(tx, rx).h / rx.area)
+            density.append(los_gain(tx, rx) / rx.area)
         integrals[m] = float(np.trapezoid(np.array(density) * 2.0 * math.pi * np.sin(phi), phi))
     elapsed = time.perf_counter() - start
 

@@ -8,10 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ris_vlc.channel import (
-    ChannelGain,
     LedTx,
     PdRx,
-    WallPatch,
     WallPatchSet,
     incidence_cosine,
     lambertian_index,
@@ -50,7 +48,7 @@ def test_los_gain_zero_behind_emitter(phi_deg, lit):
     phi = math.radians(phi_deg)
     rx = PdRx(position=TX.position + (math.sin(phi), 0.0, -math.cos(phi)),
               orientation=DeviceOrientation(polar=math.pi / 2, azimuth=math.pi), fov=math.pi / 2)
-    assert (los_gain(TX, rx).h > 0.0) is lit
+    assert (los_gain(TX, rx) > 0.0) is lit
 
 
 def test_concentrator_gain_values():
@@ -67,8 +65,8 @@ def test_los_gain_zero_past_the_field_of_view():
         orientation = DeviceOrientation(polar=math.radians(polar_deg), azimuth=0.0)
         return PdRx(position=(2.5, 2.5, 0.85), orientation=orientation, fov=math.radians(85.0))
 
-    assert los_gain(TX, tilted(84.0)).h > 0.0
-    assert los_gain(TX, tilted(86.0)).h == 0.0
+    assert los_gain(TX, tilted(84.0)) > 0.0
+    assert los_gain(TX, tilted(86.0)) == 0.0
 
 
 def test_incidence_cosine_matches_direct_dot_product():
@@ -100,20 +98,17 @@ def test_ledtx_validation_and_order():
     assert TX.lambertian_order == pytest.approx(1.0, rel=1e-12)
 
 
-def test_channel_gain_rejects_negative_or_nonfinite():
-    from ris_vlc.channel import PathKind
-
-    with pytest.raises(ValueError):
-        ChannelGain(h=-1e-9, path_kind=PathKind.LOS)
-    with pytest.raises(ValueError):
-        ChannelGain(h=float("nan"), path_kind=PathKind.LOS)
+def test_los_gain_refuses_an_infinite_gain():
+    # 1e-160 m apart: d**2 underflows to a subnormal and the Lambertian gain overflows
+    tx = LedTx(position=(0.0, 0.0, 1e-160))
+    with pytest.raises(ValueError, match="channel gain must be finite and nonnegative, got inf"):
+        los_gain(tx, PdRx(position=(0.0, 0.0, 0.0)))
 
 
 def test_los_gain_hand_value():
     # (m+1) A / (2 pi d**2) cos(phi)**m T G cos(theta) worked out by hand for
     # the fixed TX/RX pair above
-    g = los_gain(TX, RX)
-    assert g.h == pytest.approx(8.463945441881713e-06, rel=1e-9)
+    assert los_gain(TX, RX) == pytest.approx(8.463945441881713e-06, rel=1e-9)
 
 
 def test_los_gain_zero_cases():
@@ -121,7 +116,7 @@ def test_los_gain_zero_cases():
     high_rx = PdRx(position=(2.5, 2.0, 3.5), orientation=RX.orientation,
                    area=1e-4, fov=math.radians(85.0), filter_gain=1.0,
                    refractive_index=1.5)
-    assert los_gain(TX, high_rx).h == 0.0
+    assert los_gain(TX, high_rx) == 0.0
 
     # device tilted so the AP falls outside the field of view
     tilted = PdRx(position=(1.5, 2.0, 0.85),
@@ -129,7 +124,7 @@ def test_los_gain_zero_cases():
                                                 azimuth=-1.14),
                   area=1e-4, fov=math.radians(20.0), filter_gain=1.0,
                   refractive_index=1.5)
-    assert los_gain(TX, tilted).h == 0.0
+    assert los_gain(TX, tilted) == 0.0
 
 
 def test_los_gain_rejects_coincident_endpoints():
@@ -140,9 +135,9 @@ def test_los_gain_rejects_coincident_endpoints():
 def test_los_gain_blocked_by_cylinder():
     # cylinder straddling the straight-line path
     mid = CylinderBlocker(base_center=(2.0, 2.25, 0.0), radius=0.2, height=2.5)
-    assert los_gain(TX, RX, blockers=[mid]).h == 0.0
+    assert los_gain(TX, RX, blockers=[mid]) == 0.0
     off_path = CylinderBlocker(base_center=(4.5, 4.5, 0.0), radius=0.2, height=2.5)
-    assert los_gain(TX, RX, blockers=[off_path]).h == pytest.approx(
+    assert los_gain(TX, RX, blockers=[off_path]) == pytest.approx(
         8.463945441881713e-06, rel=1e-9
     )
 
@@ -156,50 +151,46 @@ def test_los_gain_skips_the_blockage_test_without_blockers(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(geometry, "segments_blocked", counting)
-    clear = los_gain(TX, RX).h
+    clear = los_gain(TX, RX)
     assert calls == []
     off_path = CylinderBlocker(base_center=(4.5, 4.5, 0.0), radius=0.2, height=2.5)
-    assert los_gain(TX, RX, blockers=[off_path]).h == clear
+    assert los_gain(TX, RX, blockers=[off_path]) == clear
     assert calls == [1]
 
 
 def test_wall_single_patch_hand_value():
     # rho (m+1) A / (2 pi**2 d1**2 d2**2) dA cos(phi1)**m cos(t1) cos(phi2)
     # cos(t2) T G for one 0.01 m**2 patch at (0, 2, 1.5) facing +x
-    ps = WallPatchSet([WallPatch(center=(0.0, 2.0, 1.5), normal=(1.0, 0.0, 0.0),
-                                 area=0.01, reflectance=0.6)])
-    got = wall_first_reflection_gain(TX, RX, ps)
-    assert got.h == pytest.approx(1.2406173178436825e-09, rel=1e-9)
+    ps = WallPatchSet([(0.0, 2.0, 1.5)], [(1.0, 0.0, 0.0)], [0.01], [0.6])
+    assert wall_first_reflection_gain(TX, RX, ps) == pytest.approx(1.2406173178436825e-09, rel=1e-9)
 
 
 def test_wall_gain_sums_over_patches():
-    p1 = WallPatch(center=(0.0, 2.0, 1.5), normal=(1.0, 0.0, 0.0), area=0.01,
-                   reflectance=0.6)
-    p2 = WallPatch(center=(0.0, 3.0, 1.2), normal=(1.0, 0.0, 0.0), area=0.01,
-                   reflectance=0.6)
-    lone1 = wall_first_reflection_gain(TX, RX, WallPatchSet([p1])).h
-    lone2 = wall_first_reflection_gain(TX, RX, WallPatchSet([p2])).h
-    both = wall_first_reflection_gain(TX, RX, WallPatchSet([p1, p2])).h
+    def patches(*centers):
+        n = len(centers)
+        return WallPatchSet(centers, [(1.0, 0.0, 0.0)] * n, [0.01] * n, [0.6] * n)
+
+    lone1 = wall_first_reflection_gain(TX, RX, patches((0.0, 2.0, 1.5)))
+    lone2 = wall_first_reflection_gain(TX, RX, patches((0.0, 3.0, 1.2)))
+    both = wall_first_reflection_gain(TX, RX, patches((0.0, 2.0, 1.5), (0.0, 3.0, 1.2)))
     assert both == pytest.approx(lone1 + lone2, rel=1e-12)
     assert lone2 > 0.0
 
 
 def test_wall_gain_occlusion_zeroes_contribution():
-    ps = WallPatchSet([WallPatch(center=(0.0, 2.0, 1.5), normal=(1.0, 0.0, 0.0),
-                                 area=0.01, reflectance=0.6)])
+    ps = WallPatchSet([(0.0, 2.0, 1.5)], [(1.0, 0.0, 0.0)], [0.01], [0.6])
     # cylinder across the AP -> patch leg
     first_leg = CylinderBlocker(base_center=(1.25, 2.25, 0.0), radius=0.3, height=2.6)
-    assert wall_first_reflection_gain(TX, RX, ps, blockers=[first_leg]).h == 0.0
+    assert wall_first_reflection_gain(TX, RX, ps, blockers=[first_leg]) == 0.0
     # cylinder across the patch -> device leg
     second_leg = CylinderBlocker(base_center=(0.75, 2.0, 0.0), radius=0.3, height=1.6)
-    assert wall_first_reflection_gain(TX, RX, ps, blockers=[second_leg]).h == 0.0
+    assert wall_first_reflection_gain(TX, RX, ps, blockers=[second_leg]) == 0.0
 
 
 def test_wall_gain_skips_patches_facing_away():
     # patch normal pointing into the wall sees neither endpoint
-    ps = WallPatchSet([WallPatch(center=(0.0, 2.0, 1.5), normal=(-1.0, 0.0, 0.0),
-                                 area=0.01, reflectance=0.6)])
-    assert wall_first_reflection_gain(TX, RX, ps).h == 0.0
+    ps = WallPatchSet([(0.0, 2.0, 1.5)], [(-1.0, 0.0, 0.0)], [0.01], [0.6])
+    assert wall_first_reflection_gain(TX, RX, ps) == 0.0
 
 
 def test_wall_patch_set_tiles_all_four_walls():
@@ -215,8 +206,7 @@ def test_wall_patch_set_tiles_all_four_walls():
     assert np.all(on_x | on_y)
     assert np.all(ps.reflectances == 0.7)
     # normals all point inward
-    for p in ps:
-        assert room.contains(p.center + 0.01 * p.normal)
+    assert np.all(room.contains(ps.centers + 0.01 * ps.normals))
 
 
 def test_wall_patch_set_order_is_reproducible():
@@ -229,21 +219,35 @@ def test_wall_patch_set_order_is_reproducible():
     np.testing.assert_array_equal(a.areas, b.areas)
 
 
-def test_wall_patch_validation():
-    with pytest.raises(ValueError):
-        WallPatch(center=(0, 0, 0), normal=(1, 0, 0), area=0.0, reflectance=0.5)
-    with pytest.raises(ValueError):
-        WallPatch(center=(0, 0, 0), normal=(1, 0, 0), area=0.01, reflectance=1.2)
+@pytest.mark.parametrize("centers, normals, areas, reflectances, message", [
+    ([(0, 0, 0)], [(1, 0, 0)], [0.0], [0.5], "area must be positive"),
+    ([(0, 0, 0)], [(1, 0, 0)], [0.01], [1.2], "reflectance must lie in"),
+    ([(0, 0, 0)], [(0, 0, 0)], [0.01], [0.5], "normals must be nonzero and finite"),
+    ([(0, 0, 0)], [(math.inf, 0, 0)], [0.01], [0.5], "normals must be nonzero and finite"),
+    ([(0, 0, 0)], [(1e300, 1e300, 0)], [0.01], [0.5], "normals must be nonzero and finite"),
+    ([(0, math.nan, 0)], [(1, 0, 0)], [0.01], [0.5], "centers must be finite"),
+    ([(0, 0, 0), (1, 0, 0)], [(1, 0, 0)], [0.01, 0.01], [0.5, 0.5], "unequal row counts"),
+    ([(0, 0, 0)], [(1, 0, 0)], [0.01, 0.01], [0.5], "unequal row counts"),
+], ids=["zero-area", "reflectance", "zero-normal", "infinite-normal", "overflowing-normal", "nan-center",
+        "normal-rows", "area-rows"])
+def test_wall_patch_validation(centers, normals, areas, reflectances, message):
+    with pytest.raises(ValueError, match=message):
+        WallPatchSet(centers, normals, areas, reflectances)
+
+
+def test_wall_patch_set_scales_normals_to_unit_length():
+    ps = WallPatchSet([(0, 0, 0), (0, 1, 0)], [(2, 0, 0), (0, 3, 4)], [0.01, 0.01], [0.5, 0.5])
+    np.testing.assert_array_equal(ps.normals, [(1.0, 0.0, 0.0), (0.0, 0.6, 0.8)])
 
 
 _PATCH_ARRAYS = ("centers", "normals", "areas", "reflectances")
 
 
 def _for_room_loop(room, patch_size, reflectance):
-    """Reference tiling: one validated record per patch, copied into arrays.
+    """Reference tiling: one patch at a time, each normal scaled by `geometry.unit`.
 
     This is the per-patch loop that `WallPatchSet.for_room` replaced with
-    one array expression per wall; it returns the records and the arrays.
+    one array expression per wall; it returns the arrays.
     """
     patches = []
     for wall in room.walls():
@@ -257,17 +261,14 @@ def _for_room_loop(room, patch_size, reflectance):
                     + wall.u_axis * ((i + 0.5) * du)
                     + wall.v_axis * ((j + 0.5) * dv)
                 )
-                patches.append(WallPatch(center=center, normal=wall.normal, area=du * dv,
-                                         reflectance=reflectance))
+                patches.append((center, geometry.unit(wall.normal), du * dv, reflectance))
     n = len(patches)
     arrays = {"centers": np.zeros((n, 3)), "normals": np.zeros((n, 3)),
               "areas": np.zeros(n), "reflectances": np.zeros(n)}
-    for k, p in enumerate(patches):
-        arrays["centers"][k] = p.center
-        arrays["normals"][k] = p.normal
-        arrays["areas"][k] = p.area
-        arrays["reflectances"][k] = p.reflectance
-    return patches, arrays
+    for k, row in enumerate(patches):
+        for name, value in zip(_PATCH_ARRAYS, row):
+            arrays[name][k] = value
+    return arrays
 
 
 def _assert_same_bits(pset, arrays):
@@ -289,7 +290,7 @@ def _assert_same_bits(pset, arrays):
 )
 def test_for_room_matches_per_patch_loop(dims, patch_size):
     room = Room(*dims)
-    _, arrays = _for_room_loop(room, patch_size, 0.7)
+    arrays = _for_room_loop(room, patch_size, 0.7)
     _assert_same_bits(WallPatchSet.for_room(room, patch_size, 0.7), arrays)
 
 
@@ -301,29 +302,15 @@ def test_for_room_matches_per_patch_loop(dims, patch_size):
 )
 def test_for_room_matches_per_patch_loop_on_random_rooms(dims, patch_size, reflectance):
     room = Room(*dims)
-    _, arrays = _for_room_loop(room, patch_size, reflectance)
+    arrays = _for_room_loop(room, patch_size, reflectance)
     _assert_same_bits(WallPatchSet.for_room(room, patch_size, reflectance), arrays)
 
 
-def test_wall_patch_set_records_round_trip():
+def test_wall_patch_set_empty_and_reflectance_refusals():
     room = Room(7.3, 4.1, 2.9)
-    ps = WallPatchSet.for_room(room, 0.5, 0.7)
-    patches, arrays = _for_room_loop(room, 0.5, 0.7)
-    assert len(ps) == len(patches)
-    for got, want in zip(ps, patches):
-        np.testing.assert_array_equal(got.center, want.center)
-        np.testing.assert_array_equal(got.normal, want.normal)
-        assert (got.area, got.reflectance) == (want.area, want.reflectance)
-    np.testing.assert_array_equal(ps[-1].center, patches[-1].center)
-    _assert_same_bits(WallPatchSet(list(ps)), arrays)
-    _assert_same_bits(WallPatchSet(patches), arrays)
-    # records are built on demand: changing one leaves the set alone
-    ps[0].center[0] = -1.0
-    assert ps.centers[0, 0] == arrays["centers"][0, 0]
-
-    empty = WallPatchSet([])
+    empty = WallPatchSet([], [], [], [])
     assert len(empty) == 0 and empty.centers.shape == (0, 3)
-    assert wall_first_reflection_gain(TX, RX, empty).h == 0.0
+    assert wall_first_reflection_gain(TX, RX, empty) == 0.0
 
     for bad in (1.2, -0.1, math.nan):
         with pytest.raises(ValueError):

@@ -25,6 +25,9 @@ from ris_vlc.scenario import (
     StudyStatistics,
 )
 
+# a warning from the simulator is a defect here, not noise
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def test_help_exits_zero():
     r = run_cli("--help")
@@ -301,6 +304,9 @@ REFUSED_DOCUMENTS = [
                  "users[0].body_radius", id="body-radius-1e300"),
     pytest.param('{"aps": [{"position": [2.5, 2.5, 3.0]}], "users": [{}], '
                  '"blockers": {"radius": 1e300, "positions": [[1, 1]]}}', "blockers.radius", id="blocker-radius-1e300"),
+    # an offset past the floor diagonal puts the body outside the room wherever the device stands
+    pytest.param('{"aps": [{"position": [2.5, 2.5, 3.0]}], "users": [{"body_offset": 1e300}]}',
+                 "users[0].body_offset", id="body-offset-1e300"),
 ]
 
 # Extreme finite values that crashed `simulate` or let it print inf or nan

@@ -53,8 +53,8 @@ def _static_links_oracle(s):
         per_ap = []
         for ap in s.aps:
             visible = not segments_blocked(ap.position[None, :], rx.position[None, :], occluders)[0]
-            h_los = los_gain(ap, rx).h if visible else 0.0  # los_gain gives 0 when blocked
-            h_wall = wall_first_reflection_gain(ap, rx, s.wall_patches, occluders).h
+            h_los = los_gain(ap, rx) if visible else 0.0  # los_gain gives 0 when blocked
+            h_wall = wall_first_reflection_gain(ap, rx, s.wall_patches, occluders)
             cos_t = incidence_cosine(ap.position, rx.position, rx.orientation)
             legs = tuple(reflection_legs(ap, panel.element_centers, rx, occluders) for panel in s.ris_panels)
             per_ap.append((h_los, h_wall, visible, cos_t >= math.cos(rx.fov), legs))

@@ -193,13 +193,12 @@ def test_optimize_mirror_angles_per_element_mode_shapes():
     assert sol.result.evaluations_used <= SMALL_PSO.population * (SMALL_PSO.iterations + 1)
 
 
-def test_optimize_mirror_angles_mode_aliases_and_errors():
+def test_optimize_mirror_angles_refuses_unknown_names():
     deployment = single_mirror_benchmark_scenario()
-    a = optimize_mirror_angles(deployment, algorithm="sca", mode="identical",
-                               seed=5, sca_params=SMALL_SCA)
-    b = optimize_mirror_angles(deployment, algorithm="sca", mode="identical_angles",
-                               seed=5, sca_params=SMALL_SCA)
-    assert a.sum_rate == b.sum_rate
+    for alias in ("identical_angles", "per_element"):  # one spelling per mode: the CLI's
+        with pytest.raises(ValueError, match=rf"^unknown mode '{alias}'; expected one of "
+                                             r"\['identical', 'per-element'\]$"):
+            optimize_mirror_angles(deployment, mode=alias, sca_params=SMALL_SCA)
     with pytest.raises(ValueError, match=r"^unknown algorithm 'annealing'; expected one of "
                                          r"\['grid', 'pso', 'sca'\]$"):
         optimize_mirror_angles(deployment, algorithm="annealing")

@@ -10,7 +10,7 @@ from conftest import run_cli
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ris_vlc.channel import LedTx, PdRx, WallPatch, WallPatchSet, incidence_cosine, los_gain, wall_first_reflection_gain
+from ris_vlc.channel import LedTx, PdRx, WallPatchSet, incidence_cosine, los_gain, wall_first_reflection_gain
 from ris_vlc.geometry import CylinderBlocker, Room, segments_blocked, unit
 from ris_vlc.metrics import IntensityConstraints, NoiseModel, link_rate
 from ris_vlc.orientation import DeviceOrientation, OrientationModel
@@ -54,6 +54,18 @@ def test_user_spec_receiver_requires_realization():
                     fixed_orientation=DeviceOrientation(polar=0.0, azimuth=0.0))
     rx = user.receiver()
     np.testing.assert_array_equal(rx.position, [1.0, 1.0, 0.75])
+
+
+@pytest.mark.parametrize("terms, message", [
+    (dict(area=-1.0), "detector area must be positive"),
+    (dict(fov=5.0), "field of view must lie in"),
+    (dict(filter_gain=7.0), "filter gain must lie in"),
+    (dict(refractive_index=0.5), "refractive index must be >= 1"),
+])
+def test_user_spec_refuses_receiver_terms_when_built(terms, message):
+    # orientation_study reads the template's FoV without building a receiver
+    with pytest.raises(ValueError, match=message):
+        UserSpec(**terms)
 
 
 def test_user_body_sits_on_the_azimuth_side():
@@ -100,6 +112,8 @@ def test_blocker_population_validation():
     (dict(blockers=(CylinderBlocker(base_center=(2.0, 2.0, 0.0)), CylinderBlocker(base_center=(7.0, 1.0, 0.0)))),
      "blockers[1] base [7. 1. 0.] outside the room"),
     (dict(aps=(LedTx(position=(-2e-9, 2.5, 3.0)),)), "aps[0].position [-2.0e-09  2.5e+00  3.0e+00] outside the room"),
+    (dict(users=(UserSpec(body_offset=math.hypot(5.0, 5.0)), UserSpec(body_offset=7.1))),
+     "users[1].body_offset 7.1 m puts the body outside the room: it exceeds the floor diagonal 7.07107 m"),
 ])
 def test_placement_refusals_name_the_first_offender(kwargs, message):
     with pytest.raises(ValueError) as info:
@@ -146,7 +160,7 @@ _ORIGIN = (1.0, 1.0, 1.0)
     lambda: MirrorArray(panel_center=_ORIGIN, base_normal=(1, 0, 0), element_size=_NAN),
     lambda: MirrorArray(panel_center=_ORIGIN, base_normal=(1, 0, 0), beam_spread=_NAN),
     lambda: OrientationModel(std_polar=_NAN),
-    lambda: WallPatch(center=_ORIGIN, normal=(1, 0, 0), area=_NAN, reflectance=0.5),
+    lambda: WallPatchSet([_ORIGIN], [(1, 0, 0)], [_NAN], [0.5]),
 ], ids=["room-length", "noise-psd", "peak", "optical-power", "pd-area", "refractive-index",
         "wall-patch-size", "population-radius", "cylinder-radius", "body-radius", "element-size",
         "beam-spread", "std-polar", "patch-area"])
@@ -525,8 +539,8 @@ def test_evaluate_links_matches_direct_channel_calls():
         occluders = s.blockers + ((body,) if body is not None else ())
         blocked = segments_blocked(ap.position[None, :], rx.position[None, :], occluders)[0]
         assert link.los_visible == (not blocked)
-        assert link.h_los == los_gain(ap, rx, occluders).h
-        assert link.h_wall == wall_first_reflection_gain(ap, rx, s.wall_patches, occluders).h
+        assert link.h_los == los_gain(ap, rx, occluders)
+        assert link.h_wall == wall_first_reflection_gain(ap, rx, s.wall_patches, occluders)
         cos_t = incidence_cosine(ap.position, rx.position, rx.orientation)
         assert link.fov_ok == (cos_t >= math.cos(rx.fov))
     assert links[0].h_los == 0.0 and links[1].h_los > 0.0
