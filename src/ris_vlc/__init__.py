@@ -17,10 +17,9 @@ from .channel import (
     wall_first_reflection_gain,
 )
 from .geometry import (
-    CylinderBlocker,
+    CylinderSet,
     Room,
     WallRect,
-    los_visible,
 )
 from .metrics import (
     IntensityConstraints,
@@ -31,7 +30,6 @@ from .metrics import (
     sum_rate,
 )
 from .mimo import (
-    CapacityQuery,
     ConstraintCheck,
     MimoChannel,
     RegimeError,
@@ -96,10 +94,9 @@ __all__ = [
     "AngleSolution",
     "BlockerPopulation",
     "BoundedProblem",
-    "CapacityQuery",
     "ConfigError",
     "ConstraintCheck",
-    "CylinderBlocker",
+    "CylinderSet",
     "DeviceOrientation",
     "IntensityConstraints",
     "LcReceiverConfig",
@@ -136,7 +133,6 @@ __all__ = [
     "link_rate",
     "load_scenario",
     "los_gain",
-    "los_visible",
     "noma_rates",
     "optimize_mirror_angles",
     "order_users",

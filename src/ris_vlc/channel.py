@@ -22,19 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .geometry import (
-    CylinderBlocker,
-    Room,
-    Vec3,
-    as_vec3,
-    los_visible,
-    segments_blocked,
-    unit,
-)
+from .geometry import CylinderSet, Room, Vec3, as_vec3, segments_blocked, unit
 from .orientation import DeviceOrientation
 
 
@@ -90,10 +82,6 @@ class PdRx:
         object.__setattr__(self, "concentrator",
                            check_receiver_terms(self.area, self.fov, self.filter_gain, self.refractive_index))
 
-    @property
-    def normal(self) -> Vec3:
-        return self.orientation.normal
-
 
 def check_receiver_terms(area: float, fov: float, filter_gain: float, refractive_index: float) -> float:
     """Refuse receiver terms `PdRx` cannot use, else return their in-field concentrator gain f**2 / sin(fov)**2.
@@ -142,21 +130,15 @@ def incidence_cosine(ap_pos: Vec3, user_pos: Vec3, orientation: DeviceOrientatio
     return min(1.0, max(-1.0, c))
 
 
-def los_gain(tx: LedTx, rx: PdRx, blockers: Iterable[CylinderBlocker] = ()) -> float:
-    """Line-of-sight Lambertian gain; zero when blocked or outside the FoV."""
-    blockers = list(blockers)
+def los_gain(tx: LedTx, rx: PdRx) -> float:
+    """Unblocked line-of-sight Lambertian gain; zero outside the FoV or behind the LED."""
     v = rx.position - tx.position
     d = float(np.linalg.norm(v))
     if d <= 0.0:
         raise ValueError("transmitter and receiver positions coincide")
     cos_phi = float(np.dot(v / d, tx.normal))
     cos_theta = incidence_cosine(tx.position, rx.position, rx.orientation)
-    if (
-        cos_phi <= 0.0
-        or cos_theta < math.cos(rx.fov)
-        or cos_theta < 0.0
-        or (blockers and not los_visible(tx.position, rx.position, blockers))
-    ):
+    if cos_phi <= 0.0 or cos_theta < math.cos(rx.fov) or cos_theta < 0.0:
         return 0.0
     m = tx.lambertian_order
     h = (
@@ -261,14 +243,12 @@ class ReflectionLegs:
             array.flags.writeable = False
 
 
-def reflection_legs(tx: LedTx, points: np.ndarray, rx: PdRx,
-                    blockers: Iterable[CylinderBlocker] = ()) -> ReflectionLegs:
+def reflection_legs(tx: LedTx, points: np.ndarray, rx: PdRx, blockers: CylinderSet = CylinderSet()) -> ReflectionLegs:
     """Leg geometry and blockage of first-order reflections through (n, 3) `points`.
 
     Wall patches and mirror elements share it and add only the terms of their
     own normals: cos(t1) at the point, then cos(phi2) or the specular lobe.
     """
-    blockers = list(blockers)
     d1, u1, cos_phi1, d2, u2, cos_t2, clear = (a[0, 0] for a in vars(_legs((tx,), points, (rx,))).values())
     clear = clear.copy()
     lit = np.flatnonzero(clear)
@@ -302,7 +282,7 @@ def wall_first_reflection_gain(
     tx: LedTx,
     rx: PdRx,
     patches: WallPatchSet,
-    blockers: Iterable[CylinderBlocker] = (),
+    blockers: CylinderSet = CylinderSet(),
 ) -> float:
     """First-order diffuse wall reflection gain, summed over patches.
 

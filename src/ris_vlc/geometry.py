@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -106,17 +105,25 @@ class WallRect:
     v_axis: Vec3 = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
 
 
-@dataclass(frozen=True, eq=False)
-class CylinderBlocker:
-    """Finite vertical cylinder standing on its base (human-body surrogate)."""
+class CylinderSet:
+    """Finite vertical cylinders standing on their bases (human-body surrogates), as arrays.
 
-    base_center: Vec3
-    radius: float = 0.15
-    height: float = 1.65
+    `bases` is (K, 3), `radii` and `heights` (K,); a scalar radius or height stands for every row.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "base_center", as_vec3(self.base_center))
-        check_cylinder_size(self.radius, self.height, "cylinder")
+    def __init__(self, bases=(), radii=0.15, heights=1.65):
+        self.bases = np.asarray(bases, dtype=float).reshape(-1, 3)
+        sizes = [np.asarray(a, dtype=float) for a in (radii, heights)]
+        if any(a.ndim and a.shape != (len(self.bases),) for a in sizes):
+            raise ValueError(f"cylinder bases, radii and heights have unequal row counts "
+                             f"{[len(self.bases)] + [a.shape for a in sizes]}")
+        if not np.all(np.isfinite(self.bases)):
+            raise ValueError("cylinder bases must be finite")
+        self.radii, self.heights = (np.broadcast_to(a, (len(self.bases),)) for a in sizes)
+        _check_cylinder_sizes(self.radii, self.heights)
+
+    def __len__(self) -> int:
+        return len(self.bases)
 
 
 def _squared_reach(radius):
@@ -134,6 +141,15 @@ def check_cylinder_size(radius: float, height: float, what: str) -> None:
         reach = math.inf
     if not reach < math.inf:
         raise ValueError(f"{what} radius {radius:.3g} m is too large: its squared reach overflows")
+
+
+def _check_cylinder_sizes(radii, heights) -> None:
+    """`check_cylinder_size` on arrays through their extremes: the smallest radius and height refuse a size
+    that is not positive (NaN included), the largest radius an overflowing reach. No rows: nothing to check."""
+    radii, heights = np.asarray(radii), np.asarray(heights)
+    if radii.size and heights.size:
+        check_cylinder_size(radii.min(), heights.min(), "cylinder")
+        check_cylinder_size(radii.max(), heights.min(), "cylinder")
 
 
 def _segment_cylinder_hits(
@@ -221,18 +237,14 @@ def _any_hits(origins, ends, bases: np.ndarray, radius, height) -> np.ndarray:
     return hit
 
 
-def segments_blocked(
-    origins: np.ndarray, ends: np.ndarray, blockers: Sequence[CylinderBlocker]
-) -> np.ndarray:
-    """Vectorized occlusion of many segments against a shared blocker list.
+def segments_blocked(origins: np.ndarray, ends: np.ndarray, blockers: CylinderSet) -> np.ndarray:
+    """Vectorized occlusion of many segments against a shared blocker set.
 
     `origins` and `ends` are (N, 3) arrays (a single (3,) vector
     broadcasts); returns a boolean (N,) array that is True where any
     blocker intersects the closed segment.
     """
-    # one (x, y, z, radius, height) row per blocker
-    packed = np.array([(*b.base_center, b.radius, b.height) for b in blockers], dtype=float).reshape(-1, 5)
-    return _any_hits(origins, ends, packed[:, None, :3], packed[:, 3:4], packed[:, 4:5])
+    return _any_hits(origins, ends, blockers.bases[:, None], blockers.radii[:, None], blockers.heights[:, None])
 
 
 def segments_blocked_each(
@@ -248,15 +260,9 @@ def segments_blocked_each(
     row; a single (3,) base or segment broadcasts. `radius` and `height` are
     scalars or (N,) arrays, one size per row. Used when every sample
     carries its own cylinders (a user's body, a per-sample blocker draw),
-    where a shared blocker list would force a Python-level loop.
+    where a shared blocker set would force a Python-level loop. Sizes are
+    refused as `CylinderSet` refuses them.
     """
+    _check_cylinder_sizes(radius, height)
     bases = np.asarray(bases, dtype=float)
     return _any_hits(origins, ends, bases if bases.ndim == 3 else np.atleast_2d(bases)[None], radius, height)
-
-
-def los_visible(tx_pos: Vec3, rx_pos: Vec3, blockers: Iterable[CylinderBlocker]) -> bool:
-    """True iff no blocker intersects the tx -> rx segment."""
-    tx, rx = as_vec3(tx_pos), as_vec3(rx_pos)
-    if norm(rx - tx) <= 0.0:
-        raise ValueError("segment endpoints coincide")
-    return not bool(segments_blocked(tx[None, :], rx[None, :], list(blockers)).any())

@@ -15,8 +15,10 @@ MIMO sums, so every module reports rates on one scale.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -90,6 +92,11 @@ def _airtime_shared_rates(links, constraints: IntensityConstraints, noise: Noise
     return [link_rate(link.total_gain, constraints, noise) / served[link.serving_ap] for link in links]
 
 
+def _in_order_sum(values) -> float:
+    """Left-to-right float sum: np.sum adds pairwise, and sum() compensates since Python 3.12."""
+    return float(reduce(operator.add, values, 0.0))
+
+
 def sum_rate(scenario, ris_angles=None) -> float:
     """Network sum rate over all users at the given mirror angles.
 
@@ -100,10 +107,7 @@ def sum_rate(scenario, ris_angles=None) -> float:
     link_rate(total gain) / (number of co-served users).
     """
     links = scenario.evaluate_links(ris_angles)
-    total = 0.0
-    for rate in _airtime_shared_rates(links, scenario.constraints, scenario.noise):
-        total += rate  # sequential order; np.sum's pairwise order differs in the last bits
-    return total
+    return _in_order_sum(_airtime_shared_rates(links, scenario.constraints, scenario.noise))
 
 
 def secrecy_rate(s: SecrecyScenario, constraints: IntensityConstraints, noise: NoiseModel) -> float:

@@ -19,7 +19,7 @@ query is rejected rather than answered wrongly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -72,39 +72,11 @@ class MimoChannel:
     source_to_surface: np.ndarray
     surface_coefficients: np.ndarray
     surface_to_detector: np.ndarray
+    assembled: np.ndarray = field(init=False)  # (detectors, sources) G^T Phi H
 
     def __post_init__(self):
-        assembled = assemble_channel(
-            self.surface_to_detector, self.surface_coefficients, self.source_to_surface
-        )
-        object.__setattr__(self, "_assembled", assembled)
-
-    @property
-    def assembled(self) -> np.ndarray:
-        return self._assembled
-
-    @property
-    def sources(self) -> int:
-        return self.assembled.shape[1]
-
-    @property
-    def detectors(self) -> int:
-        return self.assembled.shape[0]
-
-
-@dataclass(frozen=True)
-class CapacityQuery:
-    """Constraints and noise for a capacity evaluation."""
-
-    constraints: IntensityConstraints
-    noise_variance: float
-
-    def __post_init__(self):
-        if not self.noise_variance > 0.0:
-            raise ValueError("noise variance must be positive")
-
-    def in_qr_regime(self, sources: int) -> bool:
-        return self.constraints.average_total / self.constraints.peak >= sources / 2.0
+        object.__setattr__(self, "assembled", assemble_channel(
+            self.surface_to_detector, self.surface_coefficients, self.source_to_surface))
 
 
 @dataclass(frozen=True)
@@ -135,7 +107,8 @@ def parallel_capacity(
     gains: Sequence[float], c: IntensityConstraints, noise_variance: float
 ) -> float:
     """Capacity of decoupled branches: sum of per-branch peak-intensity bounds."""
-    CapacityQuery(c, noise_variance)  # refuses a non-positive variance
+    if not noise_variance > 0.0:
+        raise ValueError("noise variance must be positive")
     h = np.atleast_1d(np.asarray(gains, dtype=float))
     if not np.all(h >= 0.0):
         raise ValueError("branch gains must be nonnegative")
@@ -150,14 +123,15 @@ def qr_capacity(channel: np.ndarray, c: IntensityConstraints, noise_variance: fl
     of R. Only the regime p_o / X >= L/2 is supported; outside it the bound
     does not hold and a RegimeError is raised.
     """
-    query = CapacityQuery(c, noise_variance)  # refuses a non-positive variance
+    if not noise_variance > 0.0:
+        raise ValueError("noise variance must be positive")
     hh = np.asarray(channel, dtype=float)
     if hh.ndim != 2:
         raise ValueError("channel must be a matrix")
     if not np.all(hh >= 0.0):
         raise ValueError("channel entries must be nonnegative")
     sources = hh.shape[1]
-    if not query.in_qr_regime(sources):
+    if not c.average_total / c.peak >= sources / 2.0:
         raise RegimeError(
             f"capacity bound requires average/peak >= L/2 = {sources / 2.0}, "
             f"got {c.average_total / c.peak}"

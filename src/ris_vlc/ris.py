@@ -37,13 +37,13 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .channel import LedTx, PdRx, ReflectionLegs, _lambertian_power, reflection_legs
 # segments_blocked stays importable here: perfbench/spans.py wraps it at this name
-from .geometry import CylinderBlocker, Vec3, as_vec3, segments_blocked, unit  # noqa: F401
+from .geometry import CylinderSet, Vec3, as_vec3, segments_blocked, unit  # noqa: F401
 
 ANGLE_LIMIT = math.pi / 2.0
 # elements per panel (256 x 256); the default panel has 64
@@ -165,7 +165,7 @@ def element_gains(
     tx: LedTx,
     array: MirrorArray,
     rx: PdRx,
-    blockers: Iterable[CylinderBlocker] = (),
+    blockers: CylinderSet = CylinderSet(),
     yaw: Optional[np.ndarray] = None,
     roll: Optional[np.ndarray] = None,
 ) -> np.ndarray:

@@ -37,9 +37,9 @@ from .channel import (LedTx, PdRx, ReflectionLegs, WallPatchSet, _legs, _wall_ga
                       incidence_cosine, los_gain)
 # wall_first_reflection_gain stays importable here: perfbench/spans.py wraps it at this name
 from .channel import wall_first_reflection_gain  # noqa: F401
-from .geometry import CylinderBlocker, Room, Vec3, as_vec3, segments_blocked, segments_blocked_each, unit
+from .geometry import CylinderSet, Room, Vec3, as_vec3, segments_blocked, segments_blocked_each, unit
 # link_rate stays importable here: perfbench/spans.py wraps it at this name
-from .metrics import IntensityConstraints, NoiseModel, _airtime_shared_rates, link_rate  # noqa: F401
+from .metrics import IntensityConstraints, NoiseModel, _airtime_shared_rates, _in_order_sum, link_rate  # noqa: F401
 from .orientation import DeviceOrientation, OrientationModel, sample_orientation, sample_polar_angles
 # element_gains stays importable here: perfbench/spans.py wraps it at this name
 from .ris import MIRROR_ELEMENT_CAP, MirrorArray, element_gains, steered_gains  # noqa: F401
@@ -104,16 +104,6 @@ class UserSpec:
             filter_gain=self.filter_gain,
             refractive_index=self.refractive_index,
         )
-
-    def body_cylinder(self) -> Optional[CylinderBlocker]:
-        """Body cylinder on the device-normal azimuth side; None if disabled."""
-        if not self.self_blockage:
-            return None
-        if self.position is None or self.fixed_orientation is None:
-            raise ValueError("user is not realized: position or orientation still unsampled")
-        beta = self.fixed_orientation.azimuth
-        base = _body_bases(self.position, math.cos(beta), math.sin(beta), self.body_offset)
-        return CylinderBlocker(base_center=base, radius=self.body_radius, height=self.body_height)
 
 
 def _body_bases(devices: np.ndarray, cos_b, sin_b, offset: float) -> np.ndarray:
@@ -221,7 +211,7 @@ class Scenario:
     room: Room = field(default_factory=Room)
     aps: Tuple[LedTx, ...] = ()
     users: Tuple[UserSpec, ...] = ()
-    blockers: Tuple[CylinderBlocker, ...] = ()
+    blockers: CylinderSet = field(default_factory=CylinderSet)
     blocker_population: Optional[BlockerPopulation] = None
     ris_panels: Tuple[MirrorArray, ...] = ()
     wall_reflectance: float = 0.7
@@ -231,7 +221,7 @@ class Scenario:
     orientation_model: OrientationModel = field(default_factory=OrientationModel)
 
     def __post_init__(self):
-        for name in ("aps", "users", "blockers", "ris_panels"):
+        for name in ("aps", "users", "ris_panels"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         if not 0.0 <= self.wall_reflectance <= 1.0:
             raise ValueError("wall reflectance must lie in [0, 1]")
@@ -240,7 +230,7 @@ class Scenario:
         placed = [(f"aps[{i}].position", ap.position) for i, ap in enumerate(self.aps)]
         placed += [(f"users[{i}].position", u.position) if u.position is not None
                    else (f"users[{i}].height", (0.0, 0.0, u.height)) for i, u in enumerate(self.users)]
-        placed += [(f"blockers[{i}] base", b.base_center) for i, b in enumerate(self.blockers)]
+        placed += [(f"blockers[{i}] base", base) for i, base in enumerate(self.blockers.bases)]
         placed += [(f"ris[{i}].center", p.panel_center) for i, p in enumerate(self.ris_panels)]
         outside = np.flatnonzero(~self.room.contains(np.array([point for _, point in placed]).reshape(-1, 3)))
         if outside.size:  # name the first offender
@@ -297,8 +287,9 @@ class Scenario:
         ends = np.concatenate([points[r], rx_xyz[v], rx_xyz[los_u]])
         hit = np.concatenate([led[a, r], segments_blocked(starts[n:], ends[n:], self.blockers)])  # (2)
         own = np.flatnonzero(np.array([user.self_blockage for user in self.users], dtype=bool)[owner])
-        cyl = np.array([(*b.base_center, b.radius, b.height) if b else (0.0,) * 5
-                        for b in map(UserSpec.body_cylinder, self.users)]).reshape(-1, 5)[owner[own]]
+        cyl = np.array([(*_body_bases(user.position, math.cos(user.fixed_orientation.azimuth),
+                                      math.sin(user.fixed_orientation.azimuth), user.body_offset),
+                         user.body_radius, user.body_height) for user in self.users]).reshape(-1, 5)[owner[own]]
         hit[own] |= segments_blocked_each(starts[own], ends[own], cyl[:, :3], cyl[:, 3], cyl[:, 4])  # (3)
         rx_hit = np.zeros((len(rxs), len(points)), dtype=bool)
         rx_hit[v, p] = hit[n:k]
@@ -311,7 +302,7 @@ class Scenario:
         columns = SimpleNamespace(**{name: np.array([getattr(rx, name) for rx in rxs]).reshape(-1, 1, 1)
                                      for name in ("area", "filter_gain", "concentrator")})
         pairs = [(ap, rx) for rx in rxs for ap in self.aps]
-        h_los = np.array([los_gain(ap, rx) if seen else 0.0  # los_gain gives 0 when blocked
+        h_los = np.array([los_gain(ap, rx) if seen else 0.0  # a blocked link gets 0
                           for (ap, rx), seen in zip(pairs, visible.ravel())]).reshape(shape)
         fov_ok = np.array([incidence_cosine(ap.position, rx.position, rx.orientation) >= math.cos(rx.fov)
                            for ap, rx in pairs], dtype=bool).reshape(shape)
@@ -356,19 +347,20 @@ def run_trial(scenario: Scenario, trial_seed) -> TrialResult:
     rates = np.array(_airtime_shared_rates(links, scenario.constraints, scenario.noise))
     columns = {name: np.array([getattr(link, name) for link in links])
                for name in ("h_los", "h_wall", "h_ris", "los_visible", "fov_ok")}
-    return TrialResult(rates=rates, sum_rate=float(np.add.reduce(rates)), **columns)
+    return TrialResult(rates=rates, sum_rate=_in_order_sum(rates), **columns)
 
 
 def realize(scenario: Scenario, rng: np.random.Generator) -> Scenario:
     """Sample every unpinned position/orientation into a concrete scenario."""
-    blockers, pop, room = list(scenario.blockers), scenario.blocker_population, scenario.room
+    blockers, pop, room = scenario.blockers, scenario.blocker_population, scenario.room
     if pop is not None and pop.count > 0:
         # keep cylinders fully inside: base at least one radius from each wall;
         # row-major draws give the same (x, y) stream as one call per coordinate
         xy = rng.uniform([pop.radius] * 2, [room.length - pop.radius, room.width - pop.radius],
                          size=(pop.count, 2))
-        blockers += [CylinderBlocker(base_center=np.array([x, y, 0.0]), radius=pop.radius,
-                                     height=pop.height) for x, y in xy]
+        blockers = CylinderSet(np.concatenate([blockers.bases, np.column_stack([xy, np.zeros(pop.count)])]),
+                               np.append(blockers.radii, [pop.radius] * pop.count),
+                               np.append(blockers.heights, [pop.height] * pop.count))
     users = []
     for user in scenario.users:
         position = user.position
@@ -385,7 +377,7 @@ def realize(scenario: Scenario, rng: np.random.Generator) -> Scenario:
     realized = dataclasses.replace(
         scenario,
         users=tuple(users),
-        blockers=tuple(blockers),
+        blockers=blockers,
         blocker_population=None,
     )
     # share the parent's wall tiling; identical input, avoids per-trial rebuild
@@ -484,7 +476,7 @@ def orientation_study(scenario: Scenario, samples: int, master_seed: int = 42) -
         by = rng.uniform(pop.radius, room.width - pop.radius, (n, count))
 
     ap_positions = np.stack([ap.position for ap in scenario.aps])
-    blockers, visible, excluded = list(scenario.blockers), 0, 0
+    visible, excluded = 0, 0
     for lo in range(0, n, geometry._CHUNK_CELLS):
         rows = slice(lo, lo + geometry._CHUNK_CELLS)
         size = len(polar[rows])
@@ -495,7 +487,7 @@ def orientation_study(scenario: Scenario, samples: int, master_seed: int = 42) -
         d2 = ((device[:, None, :] - ap_positions[None, :, :]) ** 2).sum(axis=2)
         ap_xyz = ap_positions[np.argmin(d2, axis=1)]
 
-        seen = ~segments_blocked(ap_xyz, device, blockers)
+        seen = ~segments_blocked(ap_xyz, device, scenario.blockers)
         cos_b, sin_b = np.cos(azimuth[rows]), np.sin(azimuth[rows])
         if template.self_blockage:
             body = _body_bases(device, cos_b, sin_b, template.body_offset)
@@ -704,14 +696,12 @@ def _scenario_from_document(doc: dict) -> Scenario:
     bsec = doc.get("blockers", {})
     dims = _fields(bsec, _BLOCKERS, "blockers", extra=("count", "positions"))
     population = BlockerPopulation(count=_count(bsec.get("count", 0), "blockers.count", 0), **dims)
-    blockers = []
+    bases = []
     positions = _list(bsec.get("positions", []), "blockers.positions", BLOCKER_COUNT_CAP - population.count)
     for j, xy in enumerate(positions):  # fixed positions and the drawn count share BLOCKER_COUNT_CAP
         if not isinstance(xy, list) or len(xy) != 2:
             raise ConfigError(f"blockers.positions[{j}] must be [x, y]")
-        x, y = (_number(v, f"blockers.positions[{j}][{k}]") for k, v in enumerate(xy))
-        blockers.append(CylinderBlocker(base_center=np.array([x, y, 0.0]), radius=population.radius,
-                                        height=population.height))
+        bases.append([_number(v, f"blockers.positions[{j}][{k}]") for k, v in enumerate(xy)] + [0.0])
     if population.count > 0 and 2.0 * population.radius > min(room.length, room.width):
         raise ConfigError(f"blockers.radius {population.radius} is more than half of room.length or room.width")
 
@@ -730,7 +720,7 @@ def _scenario_from_document(doc: dict) -> Scenario:
         room=room,
         aps=tuple(aps),
         users=tuple(users),
-        blockers=tuple(blockers),
+        blockers=CylinderSet(bases, population.radius, population.height),
         blocker_population=population if population.count > 0 else None,
         ris_panels=tuple(panels),
         noise=NoiseModel(**_fields(doc.get("noise", {}), _NOISE, "noise")),
@@ -807,9 +797,7 @@ def blocked_benchmark_scenario() -> Scenario:
                 ),
             ),
         ),
-        blockers=(
-            CylinderBlocker(base_center=np.array([3.7, 2.45, 0.0])),
-        ),
+        blockers=CylinderSet([(3.7, 2.45, 0.0)]),
         ris_panels=(
             MirrorArray(panel_center=(5.0, 3.5, 1.5), base_normal=(-1.0, 0.0, 0.0)),
         ),

@@ -1,10 +1,14 @@
-"""Shared fixtures: a CLI runner and a small scenario document."""
+"""Shared fixtures: a CLI runner, a small scenario document and the occluders of one user's links."""
 
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from ris_vlc.geometry import CylinderSet
 
 # Single-element mirror deployment with a pinned user; cheap to simulate and
 # exercises every config section.
@@ -54,3 +58,15 @@ def run_cli(*args, env=None, cwd=None):
 @pytest.fixture
 def cli():
     return run_cli
+
+
+def occluders_of(scenario, user) -> CylinderSet:
+    """The scenario blockers, plus the realized user's body row when it self-blocks: the
+    body stands `body_offset` from the device along the device-normal azimuth."""
+    if not user.self_blockage:
+        return scenario.blockers
+    azimuth, (x, y, _) = user.fixed_orientation.azimuth, user.position
+    body = (x + user.body_offset * math.cos(azimuth), y + user.body_offset * math.sin(azimuth), 0.0)
+    blockers = scenario.blockers
+    return CylinderSet(np.vstack([blockers.bases, body]), np.append(blockers.radii, user.body_radius),
+                       np.append(blockers.heights, user.body_height))

@@ -15,6 +15,7 @@ import dataclasses
 import math
 import tracemalloc
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 
 from ris_vlc import channel, geometry, scenario
 from ris_vlc.channel import LedTx
-from ris_vlc.geometry import CylinderBlocker, _segment_cylinder_hits, segments_blocked, segments_blocked_each
+from ris_vlc.geometry import CylinderSet, _segment_cylinder_hits, segments_blocked, segments_blocked_each
 from ris_vlc.orientation import DeviceOrientation, sample_polar_angles
 from ris_vlc.scenario import (
     BlockerPopulation,
@@ -39,15 +40,33 @@ from ris_vlc.scenario import (
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
-def _blocked_oracle(origins, ends, blockers):
+class _Cylinder(NamedTuple):
+    """One cylinder, as the strategies place segments against it."""
+
+    base_center: np.ndarray
+    radius: float = 0.15
+    height: float = 1.65
+
+
+def _cylinder(base, radius=0.15, height=1.65):
+    return _Cylinder(np.asarray(base, dtype=float), radius, height)
+
+
+def _set(cylinders):
+    """The `CylinderSet` of a list of `_Cylinder`s, in order."""
+    return CylinderSet([c.base_center for c in cylinders], [c.radius for c in cylinders],
+                       [c.height for c in cylinders])
+
+
+def _blocked_oracle(origins, ends, blockers: CylinderSet):
     p0 = np.atleast_2d(np.asarray(origins, dtype=float))
     p1 = np.atleast_2d(np.asarray(ends, dtype=float))
     p0, p1 = np.broadcast_arrays(p0, p1)
     hit = np.zeros(p0.shape[0], dtype=bool)
-    for blocker in blockers:
+    for base, radius, height in zip(blockers.bases, blockers.radii, blockers.heights):
         if np.all(hit):
             break
-        hit |= _segment_cylinder_hits(p0, p1, blocker.base_center, blocker.radius, blocker.height)
+        hit |= _segment_cylinder_hits(p0, p1, base, radius, height)
     return hit
 
 
@@ -107,7 +126,7 @@ def _orientation_study_oracle(scn, samples, master_seed=42):
     d2 = ((device[:, None, :] - ap_positions[None, :, :]) ** 2).sum(axis=2)
     ap_xyz = ap_positions[np.argmin(d2, axis=1)]
 
-    visible = ~_blocked_oracle(ap_xyz, device, list(scn.blockers))
+    visible = ~_blocked_oracle(ap_xyz, device, scn.blockers)
     if template.self_blockage:
         body = device.copy()
         body[:, 0] += template.body_offset * np.cos(azimuth)
@@ -147,9 +166,9 @@ _KINDS = ("random", "vertical", "level", "point", "surface", "tangent", "cap")
 @st.composite
 def _cylinders(draw):
     return [
-        CylinderBlocker(
-            base_center=(draw(st.floats(0.0, 5.0)), draw(st.floats(0.0, 5.0)),
-                         draw(st.sampled_from([0.0, 0.25, draw(st.floats(0.0, 1.0))]))),
+        _cylinder(
+            (draw(st.floats(0.0, 5.0)), draw(st.floats(0.0, 5.0)),
+             draw(st.sampled_from([0.0, 0.25, draw(st.floats(0.0, 1.0))]))),
             radius=draw(st.floats(0.05, 1.0)),
             height=draw(st.floats(0.1, 3.0)),
         )
@@ -213,8 +232,8 @@ def test_segments_blocked_matches_per_blocker_loop(case):
     blockers, p0, p1 = case
     with pytest.MonkeyPatch.context() as monkeypatch:
         for _ in _chunks(monkeypatch):
-            got = segments_blocked(p0, p1, blockers)
-            want = _blocked_oracle(p0, p1, blockers)
+            got = segments_blocked(p0, p1, _set(blockers))
+            want = _blocked_oracle(p0, p1, _set(blockers))
             assert got.dtype == bool and got.shape == (len(p0),)
             assert np.array_equal(got, want)
 
@@ -263,8 +282,8 @@ def test_single_origin_broadcasts_like_the_loop(blockers, ends, origin):
     ends = np.array(ends, dtype=float).reshape(-1, 3)
     with pytest.MonkeyPatch.context() as monkeypatch:
         for _ in _chunks(monkeypatch):
-            assert np.array_equal(segments_blocked(origin, ends, blockers),
-                                  _blocked_oracle(origin, ends, blockers))
+            assert np.array_equal(segments_blocked(origin, ends, _set(blockers)),
+                                  _blocked_oracle(origin, ends, _set(blockers)))
             bases = np.array([b.base_center for b in blockers]).reshape(-1, 1, 3)
             got = segments_blocked_each(origin, ends, bases, 0.3, 1.0)
             want = np.zeros(len(ends), dtype=bool)
@@ -274,15 +293,25 @@ def test_single_origin_broadcasts_like_the_loop(blockers, ends, origin):
 
 
 def test_empty_inputs():
-    blockers = [CylinderBlocker(base_center=(1.0, 1.0, 0.0))]
+    blockers = CylinderSet([(1.0, 1.0, 0.0)])
     none = np.zeros((0, 3))
     assert segments_blocked(none, none, blockers).shape == (0,)
-    assert segments_blocked(none, none, []).shape == (0,)
+    assert segments_blocked(none, none, CylinderSet()).shape == (0,)
     assert segments_blocked_each(none, none, np.zeros((3, 0, 3)), 0.2, 1.0).shape == (0,)
     assert segments_blocked_each(none, none, none, 0.2, 1.0).shape == (0,)
+    assert segments_blocked_each(none, none, none, np.zeros(0), np.zeros(0)).shape == (0,)  # no size to refuse
     ends = np.array([[0.0, 0.0, 1.0], [2.0, 2.0, 1.0]])
-    assert not segments_blocked((0.0, 2.0, 1.0), ends, []).any()
+    assert not segments_blocked((0.0, 2.0, 1.0), ends, CylinderSet()).any()
     assert not segments_blocked_each((0.0, 2.0, 1.0), ends, np.zeros((0, 2, 3)), 0.2, 1.0).any()
+
+
+def test_segments_blocked_each_refuses_sizes_as_cylinder_set_does():
+    with pytest.raises(ValueError, match="squared reach overflows"):
+        segments_blocked_each([[0, 0, 1]], [[5, 0, 1]], [2, 3, 0], 1e300, 1.0)
+    origins, ends, bases = np.zeros((2, 3)), np.ones((2, 3)), np.zeros((2, 3))
+    for radius, height in ((np.array([0.2, 1e300]), 1.0), (0.2, np.array([1.0, math.nan])), (0.0, 1.0), (0.2, -1.0)):
+        with pytest.raises(ValueError):
+            segments_blocked_each(origins, ends, bases, radius, height)
 
 
 def test_tiny_height_change_does_not_overflow():
@@ -295,7 +324,7 @@ def test_tiny_height_change_does_not_overflow():
         warnings.simplefilter("error")
         hit = _segment_cylinder_hits(p0, p1, base, 0.3, 1.0)
         assert not hit[0]  # the segment runs below the cylinder's base
-        assert not segments_blocked(p0, p1, [CylinderBlocker(base_center=base, radius=0.3, height=1.0)])[0]
+        assert not segments_blocked(p0, p1, CylinderSet([base], radii=0.3, heights=1.0))[0]
 
 
 def _grazes(p0, p1, base, radius):
@@ -332,12 +361,12 @@ def test_level_chords_at_the_radius_and_its_float_neighbours():
 def test_blocks_are_ragged_and_each_row_is_tested(monkeypatch):
     # 3 cylinders with 7 cells per block: 2 rows per block, the last block holds one
     monkeypatch.setattr(geometry, "_CHUNK_CELLS", 7)
-    far = [CylinderBlocker(base_center=(9.0, 9.0, 0.0)), CylinderBlocker(base_center=(8.0, 9.0, 0.0))]
+    far = [_cylinder((9.0, 9.0, 0.0)), _cylinder((8.0, 9.0, 0.0))]
     x = np.arange(5.0)
     origins = np.stack([x, np.full(5, -1.0), np.full(5, 1.0)], axis=1)
     ends = origins + [0.0, 2.0, 0.0]
     for row in range(5):
-        blockers = far + [CylinderBlocker(base_center=(float(row), 0.0, 0.0), radius=0.1)]
+        blockers = _set(far + [_cylinder((float(row), 0.0, 0.0), radius=0.1)])
         want = np.arange(5) == row
         assert np.array_equal(segments_blocked(origins, ends, blockers), want)
         assert np.array_equal(_blocked_oracle(origins, ends, blockers), want)
@@ -394,9 +423,9 @@ def _reject_segment(draw, blockers):
 def _reject_case(draw):
     """Cylinders near the origin, boundary segments against them, and the scene shifted up to 1e3 m."""
     blockers = [
-        CylinderBlocker(
-            base_center=(draw(st.floats(-1.5, 1.5)), draw(st.floats(-1.5, 1.5)),
-                         draw(st.sampled_from([0.0, draw(st.floats(0.0, 1.0))]))),
+        _cylinder(
+            (draw(st.floats(-1.5, 1.5)), draw(st.floats(-1.5, 1.5)),
+             draw(st.sampled_from([0.0, draw(st.floats(0.0, 1.0))]))),
             radius=draw(st.floats(0.05, 1.0)),
             height=draw(st.floats(0.1, 3.0)),
         )
@@ -406,7 +435,7 @@ def _reject_case(draw):
     shift = np.zeros(3)
     if draw(st.booleans()):
         shift = np.array([draw(st.floats(-1e3, 1e3)) for _ in range(3)])
-    blockers = [dataclasses.replace(b, base_center=b.base_center + shift) for b in blockers]
+    blockers = [b._replace(base_center=b.base_center + shift) for b in blockers]
     p0 = np.array([seg[0] for seg in segments]) + shift
     p1 = np.array([seg[1] for seg in segments]) + shift
     return blockers, p0, p1
@@ -434,7 +463,7 @@ def test_reject_matches_the_exact_kernel_on_boundary_segments(case):
     radius, height = np.array([b.radius for b in rows]), np.array([b.height for b in rows])
     with pytest.MonkeyPatch.context() as monkeypatch:
         for _ in _chunks(monkeypatch):
-            assert np.array_equal(segments_blocked(p0, p1, blockers), _blocked_oracle(p0, p1, blockers))
+            assert np.array_equal(segments_blocked(p0, p1, _set(blockers)), _blocked_oracle(p0, p1, _set(blockers)))
             assert np.array_equal(segments_blocked_each(p0, p1, bases, radius, height),
                                   _blocked_each_oracle(p0, p1, bases, radius, height))
 
@@ -453,7 +482,7 @@ def test_reject_passes_every_hit_cell_to_the_kernel(case):
         seen = _recording_kernel(monkeypatch)
         for _ in _chunks(monkeypatch):
             seen.clear()
-            segments_blocked(p0, p1, blockers)
+            segments_blocked(p0, p1, _set(blockers))
             received = {row.tobytes() for cells in seen for row in cells}
             for b in blockers:
                 radius, height = np.full(len(p0), b.radius), np.full(len(p0), b.height)
@@ -482,16 +511,16 @@ def test_reject_prunes_most_cells_of_a_benchmark_trial(monkeypatch):
 def test_blocks_with_every_cell_rejected_make_no_kernel_call(monkeypatch):
     monkeypatch.setattr(geometry, "_CHUNK_CELLS", 7)  # 3 cylinders: 2 rows per block
     seen = _recording_kernel(monkeypatch)
-    far = [CylinderBlocker(base_center=(9.0, 9.0, 0.0)), CylinderBlocker(base_center=(8.0, 9.0, 0.0))]
+    far = [_cylinder((9.0, 9.0, 0.0)), _cylinder((8.0, 9.0, 0.0))]
     x = np.arange(5.0)
     origins = np.stack([x, np.full(5, -1.0), np.full(5, 1.0)], axis=1)
     ends = origins + [0.0, 2.0, 0.0]
-    got = segments_blocked(origins, ends, far + [CylinderBlocker(base_center=(7.0, 0.0, 0.0))])
+    got = segments_blocked(origins, ends, _set(far + [_cylinder((7.0, 0.0, 0.0))]))
     assert seen == [] and got.dtype == bool and got.shape == (5,) and not got.any()
     got = segments_blocked_each(origins, ends, np.array([9.0, 9.0, 0.0]), 0.2, 1.0)
     assert seen == [] and got.dtype == bool and got.shape == (5,) and not got.any()
     # only the last block holds a cell within reach, and only that cell is tested
-    got = segments_blocked(origins, ends, far + [CylinderBlocker(base_center=(4.0, 0.0, 0.0), radius=0.1)])
+    got = segments_blocked(origins, ends, _set(far + [_cylinder((4.0, 0.0, 0.0), radius=0.1)]))
     assert got.tolist() == [False] * 4 + [True]
     assert len(seen) == 1 and len(seen[0]) == 1
 
@@ -499,14 +528,14 @@ def test_blocks_with_every_cell_rejected_make_no_kernel_call(monkeypatch):
 @pytest.mark.parametrize("dx", [1e-160, 1e-310, 5e-324])
 def test_tiny_xy_step_raises_no_warning(dx):
     # |d|^2 underflows to a subnormal or to zero: the reject must not divide by it
-    blocker = CylinderBlocker(base_center=(0.0, 0.1, 0.0), radius=0.3, height=1.0)
+    blocker = CylinderSet([(0.0, 0.1, 0.0)], radii=0.3, heights=1.0)
     p0 = np.array([[0.0, 0.0, 0.5], [0.0, 2.0, 0.5]])
     p1 = p0 + [[dx, 0.0, 0.2], [dx, 0.0, 0.2]]
     assert p1[0, 0] - p0[0, 0] == dx
     with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
         warnings.simplefilter("error")
-        assert segments_blocked(p0, p1, [blocker]).tolist() == [True, False]
-        assert segments_blocked_each(p0, p1, blocker.base_center, 0.3, 1.0).tolist() == [True, False]
+        assert segments_blocked(p0, p1, blocker).tolist() == [True, False]
+        assert segments_blocked_each(p0, p1, blocker.bases[0], 0.3, 1.0).tolist() == [True, False]
 
 
 # ------------------------------------------------------------------ studies
@@ -520,7 +549,7 @@ def test_orientation_study_matches_repeat_expansion(monkeypatch, seed, count, se
     s = dataclasses.replace(
         base,
         users=(dataclasses.replace(base.users[0], self_blockage=self_blockage),),
-        blockers=(CylinderBlocker(base_center=(2.0, 2.0, 0.0), radius=0.3),),
+        blockers=CylinderSet([(2.0, 2.0, 0.0)], radii=0.3),
         blocker_population=BlockerPopulation(count=count) if count else None,
     )
     want = _orientation_study_oracle(s, 3000, master_seed=seed)
@@ -551,11 +580,11 @@ def _study_cases():
     two_aps = (LedTx(position=(0.0, 0.0, 2.0)), LedTx(position=(4.0, 3.0, 3.0)))
     # equidistant from the pinned device; the blocker cuts only the second AP's link
     pair = (LedTx(position=(1.5, 2.5, 3.0)), LedTx(position=(3.5, 2.5, 3.0)))
-    cut = CylinderBlocker(base_center=(3.0, 2.5, 0.0), radius=0.1, height=2.0)
-    fixed = (CylinderBlocker(base_center=(2.0, 2.0, 0.0), radius=0.3), CylinderBlocker(base_center=(4.0, 1.0, 0.0)))
+    cut = CylinderSet([(3.0, 2.5, 0.0)], radii=0.1, heights=2.0)
+    fixed = CylinderSet([(2.0, 2.0, 0.0), (4.0, 1.0, 0.0)], radii=[0.3, 0.15])
     return {
         "two-aps": dataclasses.replace(base, aps=two_aps, blocker_population=BlockerPopulation(count=2)),
-        "equidistant-pair": dataclasses.replace(base, aps=pair, blockers=(cut,),
+        "equidistant-pair": dataclasses.replace(base, aps=pair, blockers=cut,
                                                 users=(dataclasses.replace(user, position=pinned, self_blockage=False),)),
         "fixed-and-population": dataclasses.replace(base, blockers=fixed, blocker_population=BlockerPopulation(count=3)),
         "pinned-position": dataclasses.replace(base, users=(dataclasses.replace(user, position=pinned),),

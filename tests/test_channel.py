@@ -17,7 +17,7 @@ from ris_vlc.channel import (
     wall_first_reflection_gain,
 )
 from ris_vlc import geometry
-from ris_vlc.geometry import CylinderBlocker, Room
+from ris_vlc.geometry import CylinderSet, Room
 from ris_vlc.orientation import DeviceOrientation
 
 # a warning from the channel code is a defect here, not noise
@@ -132,32 +132,6 @@ def test_los_gain_rejects_coincident_endpoints():
         los_gain(TX, PdRx(position=TX.position))
 
 
-def test_los_gain_blocked_by_cylinder():
-    # cylinder straddling the straight-line path
-    mid = CylinderBlocker(base_center=(2.0, 2.25, 0.0), radius=0.2, height=2.5)
-    assert los_gain(TX, RX, blockers=[mid]) == 0.0
-    off_path = CylinderBlocker(base_center=(4.5, 4.5, 0.0), radius=0.2, height=2.5)
-    assert los_gain(TX, RX, blockers=[off_path]) == pytest.approx(
-        8.463945441881713e-06, rel=1e-9
-    )
-
-
-def test_los_gain_skips_the_blockage_test_without_blockers(monkeypatch):
-    calls = []
-    original = geometry.segments_blocked
-
-    def counting(*args, **kwargs):
-        calls.append(len(args[2]))
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(geometry, "segments_blocked", counting)
-    clear = los_gain(TX, RX)
-    assert calls == []
-    off_path = CylinderBlocker(base_center=(4.5, 4.5, 0.0), radius=0.2, height=2.5)
-    assert los_gain(TX, RX, blockers=[off_path]) == clear
-    assert calls == [1]
-
-
 def test_wall_single_patch_hand_value():
     # rho (m+1) A / (2 pi**2 d1**2 d2**2) dA cos(phi1)**m cos(t1) cos(phi2)
     # cos(t2) T G for one 0.01 m**2 patch at (0, 2, 1.5) facing +x
@@ -180,11 +154,11 @@ def test_wall_gain_sums_over_patches():
 def test_wall_gain_occlusion_zeroes_contribution():
     ps = WallPatchSet([(0.0, 2.0, 1.5)], [(1.0, 0.0, 0.0)], [0.01], [0.6])
     # cylinder across the AP -> patch leg
-    first_leg = CylinderBlocker(base_center=(1.25, 2.25, 0.0), radius=0.3, height=2.6)
-    assert wall_first_reflection_gain(TX, RX, ps, blockers=[first_leg]) == 0.0
+    first_leg = CylinderSet([(1.25, 2.25, 0.0)], radii=0.3, heights=2.6)
+    assert wall_first_reflection_gain(TX, RX, ps, blockers=first_leg) == 0.0
     # cylinder across the patch -> device leg
-    second_leg = CylinderBlocker(base_center=(0.75, 2.0, 0.0), radius=0.3, height=1.6)
-    assert wall_first_reflection_gain(TX, RX, ps, blockers=[second_leg]) == 0.0
+    second_leg = CylinderSet([(0.75, 2.0, 0.0)], radii=0.3, heights=1.6)
+    assert wall_first_reflection_gain(TX, RX, ps, blockers=second_leg) == 0.0
 
 
 def test_wall_gain_skips_patches_facing_away():

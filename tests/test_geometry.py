@@ -8,10 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ris_vlc.geometry import (
-    CylinderBlocker,
+    CylinderSet,
     Room,
     as_vec3,
-    los_visible,
     norm,
     segments_blocked,
     segments_blocked_each,
@@ -89,18 +88,41 @@ def test_room_walls_cover_the_perimeter():
 
 
 def test_cylinder_rejects_bad_shape():
-    with pytest.raises(ValueError):
-        CylinderBlocker(base_center=(0, 0, 0), radius=0.0)
-    with pytest.raises(ValueError):
-        CylinderBlocker(base_center=(0, 0, 0), height=-1.0)
+    with pytest.raises(ValueError, match="positive"):
+        CylinderSet([(0, 0, 0)], radii=0.0)
+    with pytest.raises(ValueError, match="positive"):
+        CylinderSet([(0, 0, 0)], heights=-1.0)
+    for radius in (math.nan, [0.2, math.nan]):
+        with pytest.raises(ValueError, match="positive"):
+            CylinderSet([(0, 0, 0), (1, 1, 0)], radii=radius)
     # the occlusion test squares r (1 + 1e-6) + 1e-12
     for radius in (1e300, 1.7e308, math.inf):
         with pytest.raises(ValueError, match="squared reach overflows"):
-            CylinderBlocker(base_center=(0, 0, 0), radius=radius)
-    CylinderBlocker(base_center=(0, 0, 0), radius=1e150)
+            CylinderSet([(0, 0, 0)], radii=radius)
+        with pytest.raises(ValueError, match="squared reach overflows"):  # the largest radius decides
+            CylinderSet([(0, 0, 0), (1, 1, 0)], radii=[0.2, radius])
+    CylinderSet([(0, 0, 0)], radii=1e150)
+    with pytest.raises(ValueError, match="finite"):
+        CylinderSet([(0, 0, 0), (math.nan, 1, 0)])
+    with pytest.raises(ValueError, match="unequal row counts"):
+        CylinderSet([(0, 0, 0), (1, 1, 0)], radii=[0.2, 0.3, 0.4])
+    with pytest.raises(ValueError, match="unequal row counts"):
+        CylinderSet([(0, 0, 0)], heights=[1.0, 2.0])
 
 
-CYL = CylinderBlocker(base_center=(0.0, 0.0, 0.0), radius=0.5, height=2.0)
+def test_cylinder_set_rows():
+    cylinders = CylinderSet([(0, 0, 0), (1, 2, 0)], radii=[0.2, 0.3])
+    assert len(cylinders) == 2 and len(CylinderSet()) == 0
+    assert cylinders.bases.tolist() == [[0, 0, 0], [1, 2, 0]]
+    assert cylinders.radii.tolist() == [0.2, 0.3] and cylinders.heights.tolist() == [1.65, 1.65]
+    assert len(CylinderSet([], radii=-1.0)) == 0  # an empty set checks nothing
+
+
+CYL = CylinderSet([(0.0, 0.0, 0.0)], radii=0.5, heights=2.0)
+
+
+def _blocked(p0, p1, cylinders=CYL) -> bool:
+    return bool(segments_blocked(p0, p1, cylinders)[0])
 
 
 @pytest.mark.parametrize(
@@ -129,25 +151,18 @@ CYL = CylinderBlocker(base_center=(0.0, 0.0, 0.0), radius=0.5, height=2.0)
     ],
 )
 def test_ray_cylinder_cases(p0, p1, expected):
-    assert (not los_visible(p0, p1, [CYL])) is expected
+    assert _blocked(p0, p1) is expected
     # symmetric in segment direction
-    assert (not los_visible(p1, p0, [CYL])) is expected
+    assert _blocked(p1, p0) is expected
 
 
-def test_ray_cylinder_rejects_degenerate_segment():
-    with pytest.raises(ValueError):
-        los_visible((1, 1, 1), (1, 1, 1), [CYL])
-
-
-def _sampled_hit(p0, p1, blocker, n=4001):
+def _sampled_hit(p0, p1, base, radius, height, n=4001):
     """Dense-sampling oracle: any sample point inside the closed cylinder."""
     t = np.linspace(0.0, 1.0, n)[:, None]
     pts = np.asarray(p0) + t * (np.asarray(p1) - np.asarray(p0))
-    rel = pts - blocker.base_center
-    in_circle = rel[:, 0] ** 2 + rel[:, 1] ** 2 <= blocker.radius**2
-    in_slab = (pts[:, 2] >= blocker.base_center[2]) & (
-        pts[:, 2] <= blocker.base_center[2] + blocker.height
-    )
+    rel = pts - base
+    in_circle = rel[:, 0] ** 2 + rel[:, 1] ** 2 <= radius**2
+    in_slab = (pts[:, 2] >= base[2]) & (pts[:, 2] <= base[2] + height)
     return bool(np.any(in_circle & in_slab))
 
 
@@ -160,19 +175,15 @@ def test_segment_cylinder_against_dense_sampling():
         p0 = rng.uniform(-2.0, 2.0, 3)
         p1 = rng.uniform(-2.0, 2.0, 3)
         base = rng.uniform(-1.0, 1.0, 3)
-        blocker = CylinderBlocker(base_center=base, radius=rng.uniform(0.1, 0.8),
-                                  height=rng.uniform(0.2, 2.0))
+        radius, height = rng.uniform(0.1, 0.8), rng.uniform(0.2, 2.0)
         if norm(p1 - p0) < 1e-6:
             continue
-        grown = CylinderBlocker(base_center=base - np.array([0, 0, 1e-3]),
-                                radius=blocker.radius + 1e-3,
-                                height=blocker.height + 2e-3)
-        shrunk = CylinderBlocker(base_center=base + np.array([0, 0, 1e-3]),
-                                 radius=max(blocker.radius - 1e-3, 1e-6),
-                                 height=max(blocker.height - 2e-3, 1e-6))
-        if _sampled_hit(p0, p1, grown) != _sampled_hit(p0, p1, shrunk):
+        grown = _sampled_hit(p0, p1, base - np.array([0, 0, 1e-3]), radius + 1e-3, height + 2e-3)
+        shrunk = _sampled_hit(p0, p1, base + np.array([0, 0, 1e-3]), max(radius - 1e-3, 1e-6),
+                              max(height - 2e-3, 1e-6))
+        if grown != shrunk:
             continue  # tangent within tolerance; oracle unreliable
-        assert (not los_visible(p0, p1, [blocker])) == _sampled_hit(p0, p1, blocker)
+        assert _blocked(p0, p1, CylinderSet([base], radius, height)) == _sampled_hit(p0, p1, base, radius, height)
         checked += 1
     assert checked > 200
 
@@ -181,20 +192,17 @@ def test_segments_blocked_matches_scalar_loop():
     rng = np.random.default_rng(11)
     origins = rng.uniform(-2.0, 2.0, (64, 3))
     ends = rng.uniform(-2.0, 2.0, (64, 3))
-    blockers = [
-        CylinderBlocker(base_center=rng.uniform(-1.0, 1.0, 3), radius=0.3, height=1.0)
-        for _ in range(4)
-    ]
-    got = segments_blocked(origins, ends, blockers)
+    bases = rng.uniform(-1.0, 1.0, (4, 3))
+    got = segments_blocked(origins, ends, CylinderSet(bases, radii=0.3, heights=1.0))
     want = np.array(
-        [any(not los_visible(o, e, [b]) for b in blockers) for o, e in zip(origins, ends)]
+        [any(_blocked(o, e, CylinderSet([b], 0.3, 1.0)) for b in bases) for o, e in zip(origins, ends)]
     )
     np.testing.assert_array_equal(got, want)
 
 
 def test_segments_blocked_broadcasts_single_origin():
     ends = np.array([[2.0, 0.0, 1.0], [2.0, 2.0, 1.0]])
-    got = segments_blocked(np.array([-2.0, 0.0, 1.0]), ends, [CYL])
+    got = segments_blocked(np.array([-2.0, 0.0, 1.0]), ends, CYL)
     np.testing.assert_array_equal(got, [True, False])
 
 
@@ -206,15 +214,14 @@ def test_segments_blocked_each_pairs_rows():
     np.testing.assert_array_equal(got, [True, False])
     # consistent with the scalar test on the paired rows
     for i in range(2):
-        b = CylinderBlocker(base_center=bases[i], radius=0.5, height=2.0)
-        assert got[i] == (not los_visible(origins[i], ends[i], [b]))
+        assert got[i] == _blocked(origins[i], ends[i], CylinderSet([bases[i]], 0.5, 2.0))
 
 
-def test_los_visible_requires_all_blockers_clear():
-    far = CylinderBlocker(base_center=(0.0, 5.0, 0.0), radius=0.5, height=2.0)
-    assert los_visible((-2, 0, 1), (2, 0, 1), [far])
-    assert not los_visible((-2, 0, 1), (2, 0, 1), [far, CYL])
-    assert los_visible((-2, 0, 1), (2, 0, 1), [])
+def test_segments_blocked_needs_every_cylinder_clear():
+    far = (0.0, 5.0, 0.0)
+    assert not _blocked((-2, 0, 1), (2, 0, 1), CylinderSet([far], 0.5, 2.0))
+    assert _blocked((-2, 0, 1), (2, 0, 1), CylinderSet([far, (0.0, 0.0, 0.0)], 0.5, 2.0))
+    assert not _blocked((-2, 0, 1), (2, 0, 1), CylinderSet())
 
 
 @settings(max_examples=60)
@@ -227,7 +234,6 @@ def test_los_visible_requires_all_blockers_clear():
 @example(offset=0.05000000000000001, z=1.0, radius=0.05)
 def test_horizontal_segment_hits_iff_offset_within_radius(offset, z, radius):
     # a long horizontal chord at height z hits iff |offset| <= r and z in slab
-    blocker = CylinderBlocker(base_center=(0.0, 0.0, 0.5), radius=radius, height=1.0)
-    hit = not los_visible((-5.0, offset, z), (5.0, offset, z), [blocker])
+    hit = _blocked((-5.0, offset, z), (5.0, offset, z), CylinderSet([(0.0, 0.0, 0.5)], radius, 1.0))
     inside = abs(offset) <= radius and 0.5 <= z <= 1.5
     assert hit == inside

@@ -18,12 +18,13 @@ import math
 
 import numpy as np
 import pytest
+from conftest import occluders_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ris_vlc import channel, geometry, ris, scenario
 from ris_vlc.channel import LedTx, PdRx, _legs, incidence_cosine, los_gain, reflection_legs, wall_first_reflection_gain
-from ris_vlc.geometry import CylinderBlocker, Room, segments_blocked
+from ris_vlc.geometry import CylinderSet, Room, segments_blocked
 from ris_vlc.metrics import link_rate, sum_rate
 from ris_vlc.orientation import DeviceOrientation
 from ris_vlc.ris import MirrorArray, steered_gains
@@ -48,12 +49,11 @@ def _static_links_oracle(s):
     table = []
     for user in s.users:
         rx = user.receiver()
-        body = user.body_cylinder()
-        occluders = s.blockers + ((body,) if body is not None else ())
+        occluders = occluders_of(s, user)
         per_ap = []
         for ap in s.aps:
             visible = not segments_blocked(ap.position[None, :], rx.position[None, :], occluders)[0]
-            h_los = los_gain(ap, rx) if visible else 0.0  # los_gain gives 0 when blocked
+            h_los = los_gain(ap, rx) if visible else 0.0  # a blocked link gets 0
             h_wall = wall_first_reflection_gain(ap, rx, s.wall_patches, occluders)
             cos_t = incidence_cosine(ap.position, rx.position, rx.orientation)
             legs = tuple(reflection_legs(ap, panel.element_centers, rx, occluders) for panel in s.ris_panels)
@@ -124,10 +124,10 @@ def _scenarios(draw):
         panels.append(MirrorArray(panel_center=center, base_normal=normal, rows=draw(st.integers(1, 4)),
                                   cols=draw(st.integers(1, 4)), element_size=draw(_floats(0.05, 0.2)),
                                   yaw=draw(_floats(-1.0, 1.0)), roll=draw(_floats(-1.0, 1.0))))
-    blockers = [CylinderBlocker(base_center=(draw(_floats(0.0, 5.0)), draw(_floats(0.0, 5.0)), 0.0),
-                                radius=draw(_floats(0.05, 0.4)), height=draw(_floats(0.5, 2.5)))
-                for _ in range(draw(st.integers(0, 15)))]
-    return Scenario(room=Room(5.0, 5.0, 3.0), aps=tuple(aps), users=tuple(users), blockers=tuple(blockers),
+    rows = np.array([(draw(_floats(0.0, 5.0)), draw(_floats(0.0, 5.0)), 0.0, draw(_floats(0.05, 0.4)),
+                      draw(_floats(0.5, 2.5))) for _ in range(draw(st.integers(0, 15)))]).reshape(-1, 5)
+    blockers = CylinderSet(rows[:, :3], rows[:, 3], rows[:, 4])
+    return Scenario(room=Room(5.0, 5.0, 3.0), aps=tuple(aps), users=tuple(users), blockers=blockers,
                     ris_panels=tuple(panels), wall_patch_size=draw(st.sampled_from([0.4, 0.5, 1.0])))
 
 

@@ -24,7 +24,7 @@ from ris_vlc.scenario import (
     DEFAULT_USER_HEIGHT,
     BlockerPopulation,
     ConfigError,
-    CylinderBlocker,
+    CylinderSet,
     DeviceOrientation,
     IntensityConstraints,
     LedTx,
@@ -38,6 +38,8 @@ from ris_vlc.scenario import (
     run_study,
     trials_to_csv,
 )
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 # ---------------------------------------------------------------- the oracle
 
@@ -150,7 +152,7 @@ def _scenario_from_document(doc: dict) -> Scenario:
         )
         users.extend([template] * _count(sec, "count", 1, 0, f"users[{i}]"))
 
-    blockers = []
+    bases = []
     population = None
     bsec = doc.get("blockers", {})
     _reject_unknown(bsec, _BLOCKER_KEYS, "blockers")
@@ -159,13 +161,7 @@ def _scenario_from_document(doc: dict) -> Scenario:
     for j, xy in enumerate(bsec.get("positions", [])):
         if len(xy) != 2:
             raise ConfigError(f"blockers.positions[{j}] must be [x, y]")
-        blockers.append(
-            CylinderBlocker(
-                base_center=np.array([float(xy[0]), float(xy[1]), 0.0]),
-                radius=radius,
-                height=height,
-            )
-        )
+        bases.append([float(xy[0]), float(xy[1]), 0.0])
     count = _count(bsec, "count", 0, 0, "blockers")
     if count > 0:
         if 2.0 * radius > min(room.length, room.width):
@@ -216,7 +212,7 @@ def _scenario_from_document(doc: dict) -> Scenario:
         room=room,
         aps=tuple(aps),
         users=tuple(users),
-        blockers=tuple(blockers),
+        blockers=CylinderSet(bases, radius, height),
         blocker_population=population,
         ris_panels=tuple(panels),
         wall_reflectance=float(room_sec.get("wall_reflectance", 0.7)),
@@ -299,6 +295,10 @@ def _assert_same(a, b, where="scenario"):
         assert type(a) is type(b), where
         for f in dataclasses.fields(a):
             _assert_same(getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}")
+    elif isinstance(a, CylinderSet):
+        assert isinstance(b, CylinderSet), where
+        for name in ("bases", "radii", "heights"):
+            _assert_same(getattr(a, name), getattr(b, name), f"{where}.{name}")
     elif isinstance(a, np.ndarray):
         assert isinstance(b, np.ndarray) and a.dtype == b.dtype, where
         assert np.array_equal(a, b), where

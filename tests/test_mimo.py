@@ -5,7 +5,6 @@ import pytest
 
 from ris_vlc.metrics import IntensityConstraints
 from ris_vlc.mimo import (
-    CapacityQuery,
     MimoChannel,
     RegimeError,
     assemble_channel,
@@ -56,8 +55,6 @@ def test_mimo_channel_shape_properties():
     )
     # assembled is detectors x sources
     assert ch.assembled.shape == (2, 3)
-    assert ch.detectors == 2
-    assert ch.sources == 3
     np.testing.assert_array_equal(
         ch.assembled,
         assemble_channel(ch.surface_to_detector, np.ones(8), ch.source_to_surface),
@@ -113,14 +110,18 @@ def test_qr_capacity_input_validation():
         qr_capacity(np.array([[1.0, -0.1], [0.2, 0.3]]), c, 0.1)
 
 
-def test_capacity_query_regime_flag():
-    ok = CapacityQuery(constraints=IntensityConstraints(1.0, 1.5), noise_variance=0.1)
-    assert ok.in_qr_regime(sources=3)
-    assert not ok.in_qr_regime(sources=4)
-    bad = CapacityQuery(constraints=IntensityConstraints(2.0, 1.5), noise_variance=0.1)
-    assert not bad.in_qr_regime(sources=3)
-    with pytest.raises(ValueError):
-        CapacityQuery(constraints=IntensityConstraints(1.0, 1.5), noise_variance=0.0)
+def test_qr_capacity_regime_flag():
+    # average/peak 1.5 answers up to L = 3 sources
+    channel = np.random.default_rng(2).uniform(0.1, 1.0, (4, 4))
+    ok = IntensityConstraints(1.0, 1.5)
+    assert qr_capacity(channel[:, :3], ok, 0.1) > 0.0
+    with pytest.raises(RegimeError, match="L/2 = 2.0"):
+        qr_capacity(channel, ok, 0.1)
+    with pytest.raises(RegimeError):
+        qr_capacity(channel[:, :3], IntensityConstraints(2.0, 1.5), 0.1)
+    for capacity in (lambda v: qr_capacity(channel[:, :3], ok, v), lambda v: parallel_capacity([0.5, 1.0], ok, v)):
+        with pytest.raises(ValueError, match="noise variance must be positive"):
+            capacity(0.0)
 
 
 def test_qr_capacity_invariant_to_row_sign_structure():
@@ -140,12 +141,11 @@ def test_qr_capacity_invariant_to_row_sign_structure():
     lambda c: assemble_channel(np.ones((2, 2)), [NAN, 1.0], np.ones((2, 2))),
     lambda c: assemble_channel(np.ones((2, 2)), [1.0, 1.0], np.full((2, 2), NAN)),
     lambda c: MimoChannel(np.ones((2, 2)), [1.0, 1.0], np.array([[1.0, NAN], [1.0, 1.0]])),
-    lambda c: CapacityQuery(c, NAN),
     lambda c: parallel_capacity([NAN, 1.0], c, 0.1),
     lambda c: parallel_capacity([0.5, 1.0], c, NAN),
     lambda c: qr_capacity(np.array([[1.0, NAN], [0.2, 0.3]]), c, 0.1),
     lambda c: qr_capacity(np.eye(2), c, NAN),
-], ids=["phi", "H", "channel", "query-noise", "parallel-gain", "parallel-noise", "qr-entry", "qr-noise"])
+], ids=["phi", "H", "channel", "parallel-gain", "parallel-noise", "qr-entry", "qr-noise"])
 def test_nan_inputs_are_refused(call):
     with pytest.raises(ValueError, match="nonnegative|lie in|positive"):
         call(IntensityConstraints(peak=1.0, average_total=2.0))

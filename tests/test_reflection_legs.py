@@ -14,12 +14,13 @@ import math
 
 import numpy as np
 import pytest
+from conftest import occluders_of
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ris_vlc import channel, geometry, ris, scenario
 from ris_vlc.channel import LedTx, PdRx, WallPatchSet, reflection_legs, wall_first_reflection_gain
-from ris_vlc.geometry import CylinderBlocker, Room, Vec3, as_vec3, segments_blocked, unit
+from ris_vlc.geometry import CylinderSet, Room, Vec3, as_vec3, segments_blocked, unit
 from ris_vlc.metrics import sum_rate
 from ris_vlc.orientation import DeviceOrientation
 from ris_vlc.ris import ANGLE_LIMIT, MirrorArray, element_gains
@@ -59,6 +60,12 @@ def _mirror_normals(yaw: np.ndarray, roll: np.ndarray, base_normal: Vec3) -> np.
     return bp * cw + np.cross(a, bp) * sw
 
 
+def _cylinders(rows):
+    """One `CylinderSet` of (base, radius, height) rows."""
+    bases, radii, heights = zip(*rows) if rows else ((), (), ())
+    return CylinderSet(bases, radii, heights)
+
+
 def _same_bits(got, want):
     """Equal shape, dtype and bytes: stricter than ==, which takes -0.0 for 0.0."""
     return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -68,10 +75,9 @@ def _clamped(angles, shape):
     return np.clip(np.broadcast_to(np.asarray(angles, dtype=float), shape), -ANGLE_LIMIT, ANGLE_LIMIT)
 
 
-def _element_gains_oracle(tx, array, rx, blockers=(), yaw=None, roll=None):
+def _element_gains_oracle(tx, array, rx, blockers=CylinderSet(), yaw=None, roll=None):
     yaw_m = array.yaw if yaw is None else _clamped(yaw, (array.rows, array.cols))
     roll_m = array.roll if roll is None else _clamped(roll, (array.rows, array.cols))
-    blockers = list(blockers)
 
     centers = array.element_centers
     normals = _mirror_normals(yaw_m.ravel(), roll_m.ravel(), array.base_normal)
@@ -122,8 +128,7 @@ def _element_gains_oracle(tx, array, rx, blockers=(), yaw=None, roll=None):
     return np.where(ok, gains, 0.0)
 
 
-def _wall_gain_oracle(tx, rx, pset, blockers=()):
-    blockers = list(blockers)
+def _wall_gain_oracle(tx, rx, pset, blockers=CylinderSet()):
     if len(pset) == 0:
         return 0.0
 
@@ -205,7 +210,7 @@ def _links(draw):
 @st.composite
 def _blockers(draw, tx, rx, via):
     """0-3 cylinders: anywhere, or on the LED-to-`via` or `via`-to-receiver leg."""
-    out = []
+    rows = []
     for _ in range(draw(st.integers(0, 3))):
         kind = draw(st.sampled_from(("anywhere", "first leg", "second leg")))
         if kind == "anywhere":
@@ -213,10 +218,8 @@ def _blockers(draw, tx, rx, via):
         else:
             a, b = (tx.position, via) if kind == "first leg" else (via, rx.position)
             xy = (a + draw(st.floats(0.2, 0.8)) * (b - a))[:2]
-        out.append(CylinderBlocker(base_center=np.array([xy[0], xy[1], 0.0]),
-                                   radius=draw(st.floats(0.05, 0.5)),
-                                   height=draw(st.floats(0.5, 3.0))))
-    return out
+        rows.append(((xy[0], xy[1], 0.0), draw(st.floats(0.05, 0.5)), draw(st.floats(0.5, 3.0))))
+    return _cylinders(rows)
 
 
 def _angle_override(shape):
@@ -322,13 +325,13 @@ def test_leg_blockers_reach_the_clear_mask():
     tx = LedTx(position=(2.5, 2.5, 2.9))
     panel = MirrorArray(panel_center=(0.0, 2.5, 1.5), base_normal=(1, 0, 0), rows=4, cols=4)
     rx = PdRx(position=(2.0, 2.5, 0.8), orientation=DeviceOrientation(1.2, math.pi))
-    shadow = CylinderBlocker(base_center=np.array([1.25, 2.6, 0.0]), radius=0.1, height=3.0)
+    shadow = CylinderSet([(1.25, 2.6, 0.0)], radii=0.1, heights=3.0)
     open_legs = reflection_legs(tx, panel.element_centers, rx)
-    cut_legs = reflection_legs(tx, panel.element_centers, rx, [shadow])
+    cut_legs = reflection_legs(tx, panel.element_centers, rx, shadow)
     assert open_legs.clear.all() and 0 < cut_legs.clear.sum() < 16
     facing_away = PdRx(position=(2.0, 2.5, 0.8), orientation=DeviceOrientation(1.2, 0.0))
     assert not reflection_legs(tx, panel.element_centers, facing_away).clear.any()
-    for blockers in ((), [shadow]):
+    for blockers in (CylinderSet(), shadow):
         for r in (rx, facing_away):
             assert np.array_equal(element_gains(tx, panel, r, blockers),
                                   _element_gains_oracle(tx, panel, r, blockers))
@@ -389,7 +392,7 @@ def test_evaluate_links_reuses_static_legs_across_angle_sets():
         # the cached path equals the public per-call element gains
         for link, user in zip(reused, s.users):
             ap, rx = s.aps[link.serving_ap], user.receiver()
-            occluders = s.blockers + ((user.body_cylinder(),) if user.self_blockage else ())
+            occluders = occluders_of(s, user)
             h_ris = 0.0
             for panel, (yaw, roll) in zip(s.ris_panels, angles):
                 h_ris += float(np.add.reduce(element_gains(ap, panel, rx, occluders, yaw=yaw, roll=roll)))
@@ -455,12 +458,12 @@ _POINTS = np.array([[0.0, 1.0, 1.5], [0.0, 2.0, 1.5], [0.0, 3.0, 1.5], [0.0, 4.0
 
 def _high(x, y):
     """A cylinder from z = 1.6 up: it can cut only LED-side legs, which stay above z = 1.5."""
-    return CylinderBlocker(base_center=np.array([x, y, 1.6]), radius=0.05, height=1.3)
+    return (x, y, 1.6), 0.05, 1.3
 
 
 def _low(x, y):
     """A cylinder up to z = 1.2: it can cut only receiver-side legs, which stay below z = 1.5."""
-    return CylinderBlocker(base_center=np.array([x, y, 0.0]), radius=0.05, height=1.2)
+    return (x, y, 0.0), 0.05, 1.2
 
 
 # row 0: LED side only; row 1: receiver side only; row 2: both; row 3: neither
@@ -480,12 +483,14 @@ def _clear_oracle(blockers):
 def test_clear_is_lit_and_neither_leg_blocked():
     lit = reflection_legs(_TX, _POINTS, _RX).clear
     assert lit.tolist() == [True, True, True, True, False]
-    first = segments_blocked(np.broadcast_to(_TX.position, _POINTS.shape), _POINTS, _LEG_CUTTERS)
-    second = segments_blocked(_POINTS, np.broadcast_to(_RX.position, _POINTS.shape), _LEG_CUTTERS)
+    cutters = _cylinders(_LEG_CUTTERS)
+    first = segments_blocked(np.broadcast_to(_TX.position, _POINTS.shape), _POINTS, cutters)
+    second = segments_blocked(_POINTS, np.broadcast_to(_RX.position, _POINTS.shape), cutters)
     assert (first[:4] & ~second[:4]).tolist() == [True, False, False, False]
     assert (~first[:4] & second[:4]).tolist() == [False, True, False, False]
     assert (first[:4] & second[:4]).tolist() == [False, False, True, False]
-    for blockers in ([], _LEG_CUTTERS[:1], _LEG_CUTTERS[1:2], _LEG_CUTTERS[2:], _LEG_CUTTERS):
+    for rows in ([], _LEG_CUTTERS[:1], _LEG_CUTTERS[1:2], _LEG_CUTTERS[2:], _LEG_CUTTERS):
+        blockers = _cylinders(rows)
         clear = reflection_legs(_TX, _POINTS, _RX, blockers).clear
         assert np.array_equal(clear, _clear_oracle(blockers))
     assert clear.tolist() == [False, False, False, True, False]  # the last set is every cutter
@@ -500,12 +505,12 @@ def test_reflection_legs_test_lit_rows_once(monkeypatch):
         return original(origins, ends, blockers)
 
     monkeypatch.setattr(channel, "segments_blocked", counting)
-    reflection_legs(_TX, _POINTS, _RX, _LEG_CUTTERS)
+    reflection_legs(_TX, _POINTS, _RX, _cylinders(_LEG_CUTTERS))
     [(origins, ends)] = calls
     lit = _POINTS[:4]  # the point above the LED is not tested
     assert np.array_equal(origins, np.vstack([np.broadcast_to(_TX.position, lit.shape), lit]))
     assert np.array_equal(ends, np.vstack([lit, np.broadcast_to(_RX.position, lit.shape)]))
     calls.clear()
     reflection_legs(_TX, _POINTS, _RX)  # no blockers
-    reflection_legs(_TX, _POINTS[4:], _RX, _LEG_CUTTERS)  # nothing lit
+    reflection_legs(_TX, _POINTS[4:], _RX, _cylinders(_LEG_CUTTERS))  # nothing lit
     assert calls == []

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ris_vlc.channel import LedTx, PdRx
-from ris_vlc.geometry import CylinderBlocker, unit
+from ris_vlc.geometry import CylinderSet, unit
 from ris_vlc.orientation import DeviceOrientation
 from ris_vlc.ris import (
     ANGLE_LIMIT,
@@ -18,6 +18,8 @@ from ris_vlc.ris import (
     apply_lc_receiver_gain,
     element_gains,
 )
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _one_element(base_normal, yaw=0.0, roll=0.0) -> MirrorArray:
@@ -158,12 +160,12 @@ def test_aligned_mirror_beats_perturbed_angles():
 
 
 def test_element_gain_blocked_legs():
-    first_leg = CylinderBlocker(base_center=(-0.5, 0.0, 0.0), radius=0.2, height=1.5)
-    assert element_gains(TX, ARR, RX, [first_leg])[0] == 0.0
-    second_leg = CylinderBlocker(base_center=(0.45, 0.05, 0.0), radius=0.2, height=1.5)
-    assert element_gains(TX, ARR, RX, [second_leg])[0] == 0.0
-    off_path = CylinderBlocker(base_center=(5.0, 5.0, 0.0), radius=0.2, height=1.5)
-    assert element_gains(TX, ARR, RX, [off_path])[0] == pytest.approx(1.1204339454029585e-06, rel=1e-9)
+    first_leg = CylinderSet([(-0.5, 0.0, 0.0)], radii=0.2, heights=1.5)
+    assert element_gains(TX, ARR, RX, first_leg)[0] == 0.0
+    second_leg = CylinderSet([(0.45, 0.05, 0.0)], radii=0.2, heights=1.5)
+    assert element_gains(TX, ARR, RX, second_leg)[0] == 0.0
+    off_path = CylinderSet([(5.0, 5.0, 0.0)], radii=0.2, heights=1.5)
+    assert element_gains(TX, ARR, RX, off_path)[0] == pytest.approx(1.1204339454029585e-06, rel=1e-9)
 
 
 def test_element_gain_zero_when_receiver_faces_away():

@@ -3,18 +3,20 @@
 import dataclasses
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import run_cli
+from conftest import occluders_of, run_cli
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ris_vlc.channel import LedTx, PdRx, WallPatchSet, incidence_cosine, los_gain, wall_first_reflection_gain
-from ris_vlc.geometry import CylinderBlocker, Room, segments_blocked, unit
-from ris_vlc.metrics import IntensityConstraints, NoiseModel, link_rate
+from ris_vlc.geometry import CylinderSet, Room, segments_blocked, unit
+from ris_vlc.metrics import IntensityConstraints, NoiseModel, link_rate, sum_rate
 from ris_vlc.orientation import DeviceOrientation, OrientationModel
 from ris_vlc.ris import MIRROR_ELEMENT_CAP, MirrorArray
+from ris_vlc import scenario
 from ris_vlc.scenario import (
     AP_COUNT_CAP,
     BLOCKER_COUNT_CAP,
@@ -68,22 +70,42 @@ def test_user_spec_refuses_receiver_terms_when_built(terms, message):
         UserSpec(**terms)
 
 
+def _body_rows(user, ap=(4.0, 2.5, 3.0)):
+    """The (bases, radii, heights) rows `_link_table` hands to the row-paired test for one user's links,
+    and whether that user's LoS is visible."""
+    calls, original = [], scenario.segments_blocked_each
+
+    def spy(origins, ends, bases, radius, height):
+        calls.append((bases, radius, height))
+        return original(origins, ends, bases, radius, height)
+
+    s = Scenario(aps=(LedTx(position=ap),), users=(user,), wall_patch_size=2.5)
+    with mock.patch.object(scenario, "segments_blocked_each", spy):
+        (link,) = s.evaluate_links()
+    (rows,) = calls
+    return rows, link.los_visible
+
+
 def test_user_body_sits_on_the_azimuth_side():
-    user = UserSpec(position=(2.0, 2.0, 0.75),
+    user = UserSpec(position=(2.0, 2.5, 0.75),
                     fixed_orientation=DeviceOrientation(polar=0.3, azimuth=0.0),
-                    body_offset=0.36)
-    body = user.body_cylinder()
-    np.testing.assert_allclose(body.base_center, [2.36, 2.0, 0.0], atol=1e-12)
-    no_body = dataclasses.replace(user, self_blockage=False)
-    assert no_body.body_cylinder() is None
+                    body_offset=0.36, body_radius=0.2, body_height=1.5)
+    (bases, radii, heights), visible = _body_rows(user)
+    assert len(bases) > 0 and not visible  # the body cuts the LoS to the AP on its side
+    np.testing.assert_allclose(bases, [[2.36, 2.5, 0.0]] * len(bases), atol=1e-12)
+    assert set(radii.tolist()) == {0.2} and set(heights.tolist()) == {1.5}
+    # without self-blockage no row is tested, and the same link is visible
+    (bases, radii, heights), visible = _body_rows(dataclasses.replace(user, self_blockage=False))
+    assert bases.shape == (0, 3) and radii.shape == heights.shape == (0,) and visible
 
 
 @given(st.floats(0.0, 5.0), st.floats(0.0, 5.0), st.floats(-math.pi, math.pi), st.floats(0.0, 1.0))
 def test_body_base_is_the_scalar_cos_sin_expression(x, y, azimuth, offset):
     user = UserSpec(position=(x, y, 0.75), fixed_orientation=DeviceOrientation(polar=0.2, azimuth=azimuth),
                     body_offset=offset)
-    base = user.body_cylinder().base_center
-    assert base.tolist() == [x + offset * math.cos(azimuth), y + offset * math.sin(azimuth), 0.0]
+    (bases, _, _), _ = _body_rows(user, ap=(2.5, 2.5, 3.0))
+    want = [x + offset * math.cos(azimuth), y + offset * math.sin(azimuth), 0.0]
+    assert len(bases) and bases.tolist() == [want] * len(bases)
 
 
 def test_blocker_population_validation():
@@ -108,8 +130,8 @@ def test_blocker_population_validation():
     (dict(aps=(LedTx(position=(2.5, 2.5, 3.0)), LedTx(position=(2.5, 2.5, 3.00000001))),
           users=(UserSpec(height=math.nan),)), "aps[1].position [2.5        2.5        3.00000001] outside the room"),
     (dict(users=(UserSpec(position=(1.0, 1.0, 0.5)), UserSpec(height=4.0)),
-          blockers=(CylinderBlocker(base_center=(7.0, 1.0, 0.0)),)), "users[1].height (0.0, 0.0, 4.0) outside the room"),
-    (dict(blockers=(CylinderBlocker(base_center=(2.0, 2.0, 0.0)), CylinderBlocker(base_center=(7.0, 1.0, 0.0)))),
+          blockers=CylinderSet([(7.0, 1.0, 0.0)])), "users[1].height (0.0, 0.0, 4.0) outside the room"),
+    (dict(blockers=CylinderSet([(2.0, 2.0, 0.0), (7.0, 1.0, 0.0)])),
      "blockers[1] base [7. 1. 0.] outside the room"),
     (dict(aps=(LedTx(position=(-2e-9, 2.5, 3.0)),)), "aps[0].position [-2.0e-09  2.5e+00  3.0e+00] outside the room"),
     (dict(users=(UserSpec(body_offset=math.hypot(5.0, 5.0)), UserSpec(body_offset=7.1))),
@@ -134,7 +156,7 @@ def test_scenario_rejects_out_of_room_placements():
     with pytest.raises(ValueError):
         Scenario(room=room, users=(UserSpec(position=(1.0, 1.0, 3.5)),))
     with pytest.raises(ValueError):
-        Scenario(room=room, blockers=(CylinderBlocker(base_center=(5.5, 1.0, 0.0)),))
+        Scenario(room=room, blockers=CylinderSet([(5.5, 1.0, 0.0)]))
     with pytest.raises(ValueError):
         Scenario(room=room, ris_panels=(
             MirrorArray(panel_center=(-0.5, 2.5, 1.5), base_normal=(1, 0, 0)),))
@@ -155,7 +177,7 @@ _ORIGIN = (1.0, 1.0, 1.0)
     lambda: PdRx(position=_ORIGIN, refractive_index=_NAN),
     lambda: Scenario(wall_patch_size=_NAN),
     lambda: BlockerPopulation(count=1, radius=_NAN),
-    lambda: CylinderBlocker(base_center=_ORIGIN, radius=_NAN),
+    lambda: CylinderSet([_ORIGIN], radii=_NAN),
     lambda: UserSpec(body_radius=_NAN),
     lambda: MirrorArray(panel_center=_ORIGIN, base_normal=(1, 0, 0), element_size=_NAN),
     lambda: MirrorArray(panel_center=_ORIGIN, base_normal=(1, 0, 0), beam_spread=_NAN),
@@ -273,9 +295,8 @@ def test_load_scenario_blockers_pinned_plus_population():
     s = load_scenario(json.dumps({
         "blockers": {"count": 4, "radius": 0.2, "positions": [[1.0, 2.0]]}
     }))
-    assert len(s.blockers) == 1
-    np.testing.assert_array_equal(s.blockers[0].base_center, [1.0, 2.0, 0.0])
-    assert s.blockers[0].radius == 0.2
+    assert s.blockers.bases.tolist() == [[1.0, 2.0, 0.0]]
+    assert s.blockers.radii.tolist() == [0.2] and s.blockers.heights.tolist() == [1.65]
     assert s.blocker_population == BlockerPopulation(count=4, radius=0.2, height=1.65)
 
 
@@ -407,11 +428,11 @@ def test_realize_fills_every_unpinned_field():
     assert r.is_realized
     assert r.blocker_population is None
     assert len(r.blockers) == 2
-    for b in r.blockers:
-        assert s.room.contains(b.base_center)
+    for base, radius in zip(r.blockers.bases, r.blockers.radii):
+        assert s.room.contains(base)
         # margin keeps the full cylinder inside
-        assert b.base_center[0] >= b.radius
-        assert b.base_center[0] <= s.room.length - b.radius
+        assert base[0] >= radius
+        assert base[0] <= s.room.length - radius
     # pinned user position survives; sampled one lands inside the room
     np.testing.assert_array_equal(r.users[1].position, [4.0, 2.5, 0.75])
     assert s.room.contains(r.users[0].position)
@@ -434,17 +455,25 @@ def _population_draws_per_blocker(scenario, rng):
 @pytest.mark.parametrize("count", [0, 1, 5, 15])
 def test_realize_population_draws_match_per_blocker_loop(count):
     # a non-square room tells length from width; the pinned blocker stays first
-    pinned = CylinderBlocker(base_center=np.array([1.0, 1.0, 0.0]))
-    s = Scenario(room=Room(6.0, 3.5, 3.0), blockers=(pinned,),
+    pinned = CylinderSet([(1.0, 1.0, 0.0)], radii=0.2, heights=1.9)
+    s = Scenario(room=Room(6.0, 3.5, 3.0), blockers=pinned,
                  blocker_population=BlockerPopulation(count=count, radius=0.3, height=1.2))
     for seed in range(200):
         rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         r = realize(s, rng)
         want = _population_draws_per_blocker(s, oracle_rng)
-        assert r.blockers[0] is pinned
-        assert [b.base_center.tolist() for b in r.blockers[1:]] == want
-        assert all((b.radius, b.height) == (0.3, 1.2) for b in r.blockers[1:])
+        assert r.blockers.bases[:1].tolist() == [[1.0, 1.0, 0.0]]
+        assert r.blockers.bases[1:].tolist() == want
+        assert r.blockers.radii.tolist() == [0.2] + [0.3] * count
+        assert r.blockers.heights.tolist() == [1.9] + [1.2] * count
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_run_trial_sum_rate_is_the_in_order_sum_of_sum_rate():
+    # from 8 users on, a pairwise np.add.reduce differed from sum_rate's in-order sum in the last bits
+    s = dataclasses.replace(benchmark_scenario(), users=tuple(UserSpec() for _ in range(20)), ris_panels=())
+    for seed in range(30):
+        assert run_trial(s, seed).sum_rate == sum_rate(realize(s, np.random.default_rng(seed)))
 
 
 def test_realize_empty_population_draws_nothing():
@@ -452,7 +481,7 @@ def test_realize_empty_population_draws_nothing():
     s = Scenario(blocker_population=BlockerPopulation(count=0, radius=4.0))
     rng = np.random.default_rng(1)
     before = rng.bit_generator.state
-    assert realize(s, rng).blockers == ()
+    assert len(realize(s, rng).blockers) == 0
     assert rng.bit_generator.state == before
 
 
@@ -535,11 +564,10 @@ def test_evaluate_links_matches_direct_channel_calls():
     assert [(link.serving_ap, link.los_visible) for link in links] == [(0, False), (1, True)]
     for link, user in zip(links, s.users):
         ap, rx = s.aps[link.serving_ap], user.receiver()
-        body = user.body_cylinder()
-        occluders = s.blockers + ((body,) if body is not None else ())
+        occluders = occluders_of(s, user)
         blocked = segments_blocked(ap.position[None, :], rx.position[None, :], occluders)[0]
         assert link.los_visible == (not blocked)
-        assert link.h_los == los_gain(ap, rx, occluders)
+        assert link.h_los == (0.0 if blocked else los_gain(ap, rx))
         assert link.h_wall == wall_first_reflection_gain(ap, rx, s.wall_patches, occluders)
         cos_t = incidence_cosine(ap.position, rx.position, rx.orientation)
         assert link.fov_ok == (cos_t >= math.cos(rx.fov))
@@ -651,7 +679,7 @@ def test_orientation_study_counts_only_visible_links():
         users=(UserSpec(position=(4.5, 2.5, 0.75),
                         fixed_orientation=DeviceOrientation(0.0, 0.0),
                         self_blockage=False),),
-        blockers=(CylinderBlocker(base_center=(2.5, 2.5, 0.0), radius=0.4, height=3.0),),
+        blockers=CylinderSet([(2.5, 2.5, 0.0)], radii=0.4, heights=3.0),
         wall_patch_size=0.5,
     )
     assert math.isnan(orientation_study(s, samples=200))
