@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import CylinderSet, Room, Vec3, as_vec3, segments_blocked, unit
+from .geometry import CylinderSet, Room, Vec3, as_points, as_vec3, segments_blocked, unit
 from .orientation import DeviceOrientation
 
 
@@ -166,7 +166,7 @@ class WallPatchSet:
     """
 
     def __init__(self, centers, normals, areas, reflectances):
-        self.centers, normals = (np.asarray(a, dtype=float).reshape(-1, 3) for a in (centers, normals))
+        self.centers, normals = as_points(centers, "patch centers"), as_points(normals, "patch normals")
         self.areas, self.reflectances = (np.asarray(a, dtype=float).reshape(-1) for a in (areas, reflectances))
         rows = [len(self.centers), len(normals), len(self.areas), len(self.reflectances)]
         if len(set(rows)) > 1:

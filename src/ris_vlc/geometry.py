@@ -38,6 +38,16 @@ def as_vec3(value) -> Vec3:
     return v
 
 
+def as_points(value, what: str) -> np.ndarray:
+    """Coerce a (K, 3) sequence of points to a float array; an empty sequence is no points."""
+    points = np.asarray(value, dtype=float)
+    if points.shape == (0,):
+        return points.reshape(0, 3)
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError(f"{what} must be a (K, 3) array, got shape {points.shape}")
+    return points
+
+
 def norm(v: Vec3) -> float:
     return float(np.linalg.norm(v))
 
@@ -112,7 +122,7 @@ class CylinderSet:
     """
 
     def __init__(self, bases=(), radii=0.15, heights=1.65):
-        self.bases = np.asarray(bases, dtype=float).reshape(-1, 3)
+        self.bases = as_points(bases, "cylinder bases")
         sizes = [np.asarray(a, dtype=float) for a in (radii, heights)]
         if any(a.ndim and a.shape != (len(self.bases),) for a in sizes):
             raise ValueError(f"cylinder bases, radii and heights have unequal row counts "

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from .geometry import Vec3
 
 POLAR_MAX = math.pi / 2.0
@@ -83,6 +84,9 @@ def sample_polar_angles(model: OrientationModel, rng: np.random.Generator, n: in
 
     Acceptance is near 1 for the default parameters (the window covers many
     scales around the mean), so the loop rarely iterates more than once.
+    Each pass draws max(n - have, 16) uniforms in blocks of
+    `geometry._CHUNK_CELLS`, all of them, so the temporaries stay bounded
+    and the generator ends where one whole-pass draw would leave it.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -91,14 +95,15 @@ def sample_polar_angles(model: OrientationModel, rng: np.random.Generator, n: in
     out = np.empty(n)
     have = 0
     while have < n:
-        u = rng.uniform(size=max(n - have, 16))
-        w = u - 0.5
-        with np.errstate(divide="ignore"):  # u == 0.0 maps to -inf and is rejected
-            draw = model.mean_polar - model.scale * np.sign(w) * np.log1p(-2.0 * np.abs(w))
-        keep = draw[(draw >= 0.0) & (draw <= POLAR_MAX)]
-        take = min(len(keep), n - have)
-        out[have : have + take] = keep[:take]
-        have += take
+        need = max(n - have, 16)
+        for lo in range(0, need, geometry._CHUNK_CELLS):
+            w = rng.uniform(size=min(need - lo, geometry._CHUNK_CELLS)) - 0.5
+            with np.errstate(divide="ignore"):  # u == 0.0 maps to -inf and is rejected
+                draw = model.mean_polar - model.scale * np.sign(w) * np.log1p(-2.0 * np.abs(w))
+            keep = draw[(draw >= 0.0) & (draw <= POLAR_MAX)]
+            take = min(len(keep), n - have)
+            out[have : have + take] = keep[:take]
+            have += take
     return out
 
 

@@ -20,6 +20,7 @@ order; study outputs are collected in trial order.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import math
@@ -449,31 +450,38 @@ def orientation_study(scenario: Scenario, samples: int, master_seed: int = 42) -
 
     Samples independent (position, orientation) realizations of the first
     user template against the nearest access point, applying body and
-    population blockers per sample. Every random stream is drawn up front,
-    in a fixed order; the tests then run over blocks of
-    `geometry._CHUNK_CELLS` samples, so memory is bounded by the draws.
+    population blockers per sample, in blocks of `geometry._CHUNK_CELLS`
+    samples. The streams keep one layout on one PCG64 generator: x at 0,
+    y at n, the polar angles next, then azimuth, the population's x
+    (n x count, row-major) and its y; a stream the template pins is not
+    drawn and the later ones move up. `uniform` takes one 64-bit output
+    per double, so `advance` on a copy opens each stream at its offset and
+    every block draws its rows in order. Only the polar angles are drawn
+    whole, since rejection decides how many outputs they use.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     if not scenario.aps:
         raise ValueError("scenario has no access points")
     template = scenario.users[0] if scenario.users else UserSpec()
-    rng = np.random.default_rng(np.random.SeedSequence([master_seed, 0]))
+    bits = np.random.PCG64(np.random.SeedSequence([master_seed, 0]))  # default_rng's bits
+    rng = np.random.Generator(bits)
 
-    # draw order: x and y, polar, azimuth, then the population's x and y, each for all samples
+    def stream(skip: int) -> np.random.Generator:  # `skip` outputs past where `rng` stands
+        return np.random.Generator(copy.deepcopy(bits).advance(skip))
+
     n, room, pop = samples, scenario.room, scenario.blocker_population
     if template.position is None:
-        x, y = rng.uniform(0.0, room.length, n), rng.uniform(0.0, room.width, n)
+        xs, ys = stream(0), stream(n)
+        bits.advance(2 * n)
     if template.fixed_orientation is None:
         polar = sample_polar_angles(scenario.orientation_model, rng, n)
-        azimuth = rng.uniform(-math.pi, math.pi, n)
     else:
         polar = np.full(n, template.fixed_orientation.polar)
-        azimuth = np.full(n, template.fixed_orientation.azimuth)
     count = pop.count if pop is not None else 0
-    if count:  # each sample gets its own blocker draw
-        bx = rng.uniform(pop.radius, room.length - pop.radius, (n, count))
-        by = rng.uniform(pop.radius, room.width - pop.radius, (n, count))
+    if count:  # each sample gets its own blocker draw, after the azimuth stream
+        skip = n if template.fixed_orientation is None else 0
+        bxs, bys = stream(skip), stream(skip + n * count)
 
     ap_positions = np.stack([ap.position for ap in scenario.aps])
     visible, excluded = 0, 0
@@ -481,19 +489,24 @@ def orientation_study(scenario: Scenario, samples: int, master_seed: int = 42) -
         rows = slice(lo, lo + geometry._CHUNK_CELLS)
         size = len(polar[rows])
         if template.position is None:
-            device = np.stack([x[rows], y[rows], np.full(size, template.height)], axis=1)
+            device = np.stack([xs.uniform(0.0, room.length, size), ys.uniform(0.0, room.width, size),
+                               np.full(size, template.height)], axis=1)
         else:
             device = np.tile(template.position, (size, 1))
+        azimuth = (rng.uniform(-math.pi, math.pi, size) if template.fixed_orientation is None
+                   else np.full(size, template.fixed_orientation.azimuth))
         d2 = ((device[:, None, :] - ap_positions[None, :, :]) ** 2).sum(axis=2)
         ap_xyz = ap_positions[np.argmin(d2, axis=1)]
 
         seen = ~segments_blocked(ap_xyz, device, scenario.blockers)
-        cos_b, sin_b = np.cos(azimuth[rows]), np.sin(azimuth[rows])
+        cos_b, sin_b = np.cos(azimuth), np.sin(azimuth)
         if template.self_blockage:
             body = _body_bases(device, cos_b, sin_b, template.body_offset)
             seen &= ~segments_blocked_each(ap_xyz, device, body, template.body_radius, template.body_height)
         if count:  # (count, rows, 3) bases
-            bases = np.stack([bx[rows].T, by[rows].T, np.zeros((count, size))], axis=2)
+            bases = np.stack([bxs.uniform(pop.radius, room.length - pop.radius, (size, count)).T,
+                              bys.uniform(pop.radius, room.width - pop.radius, (size, count)).T,
+                              np.zeros((count, size))], axis=2)
             seen &= ~segments_blocked_each(ap_xyz, device, bases, pop.radius, pop.height)
 
         dvec = ap_xyz - device

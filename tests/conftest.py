@@ -1,4 +1,5 @@
-"""Shared fixtures: a CLI runner, a small scenario document and the occluders of one user's links."""
+"""Shared fixtures: a CLI runner, a small scenario document, the occluders of one user's links
+and the whole-pass polar-angle sampler."""
 
 import json
 import math
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from ris_vlc.geometry import CylinderSet
+from ris_vlc.orientation import POLAR_MAX
 
 # Single-element mirror deployment with a pinned user; cheap to simulate and
 # exercises every config section.
@@ -70,3 +72,22 @@ def occluders_of(scenario, user) -> CylinderSet:
     blockers = scenario.blockers
     return CylinderSet(np.vstack([blockers.bases, body]), np.append(blockers.radii, user.body_radius),
                        np.append(blockers.heights, user.body_height))
+
+
+def whole_pass_polar_angles(model, rng, n):
+    """`orientation.sample_polar_angles` as it was: each rejection pass draws its
+    max(n - have, 16) uniforms in one call, so its temporaries grow with n."""
+    if model.std_polar == 0.0:
+        return np.full(n, model.mean_polar)
+    out = np.empty(n)
+    have = 0
+    while have < n:
+        u = rng.uniform(size=max(n - have, 16))
+        w = u - 0.5
+        with np.errstate(divide="ignore"):
+            draw = model.mean_polar - model.scale * np.sign(w) * np.log1p(-2.0 * np.abs(w))
+        keep = draw[(draw >= 0.0) & (draw <= POLAR_MAX)]
+        take = min(len(keep), n - have)
+        out[have : have + take] = keep[:take]
+        have += take
+    return out

@@ -42,6 +42,8 @@ from ris_vlc.scenario import (
     single_mirror_benchmark_scenario,
 )
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 BENCHMARK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "benchmark.json"
 
 

@@ -3,6 +3,7 @@
 `_blocked_oracle` is `segments_blocked` as it was: one kernel call per
 blocker, ORed into the result. `_blocked_each_oracle` is the old row-paired
 form, and `_orientation_study_oracle` is `orientation_study` as it was,
+drawing every stream up front with the whole-pass polar sampler and
 expanding every sample's population draw with `np.repeat`. The rewrite
 evaluates the same elementwise expressions on a (cylinders x rows) grid, so
 the comparisons demand equal results, not close ones. `_discriminant_hits`
@@ -19,13 +20,14 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from conftest import whole_pass_polar_angles
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ris_vlc import channel, geometry, scenario
 from ris_vlc.channel import LedTx
 from ris_vlc.geometry import CylinderSet, _segment_cylinder_hits, segments_blocked, segments_blocked_each
-from ris_vlc.orientation import DeviceOrientation, sample_polar_angles
+from ris_vlc.orientation import DeviceOrientation
 from ris_vlc.scenario import (
     BlockerPopulation,
     UserSpec,
@@ -117,7 +119,7 @@ def _orientation_study_oracle(scn, samples, master_seed=42):
         z = np.full(n, template.position[2])
     device = np.stack([x, y, z], axis=1)
     if template.fixed_orientation is None:
-        polar = sample_polar_angles(scn.orientation_model, rng, n)
+        polar = whole_pass_polar_angles(scn.orientation_model, rng, n)
         azimuth = rng.uniform(-math.pi, math.pi, n)
     else:
         polar = np.full(n, template.fixed_orientation.polar)
@@ -606,18 +608,31 @@ def test_orientation_study_blocks_match_the_oracle(case, blocks):
         assert math.isnan(orientation_study(dataclasses.replace(s, aps=s.aps[::-1]), samples[blocks]))
 
 
-@pytest.mark.parametrize("samples", [100_000, 400_000])
+@pytest.mark.parametrize("user", ["free", "pinned-position", "pinned-orientation"])
+@pytest.mark.parametrize("count", [0, 5])
+@pytest.mark.parametrize("blocks", [2, 25])
+def test_orientation_study_matches_the_oracle_over_many_blocks(monkeypatch, user, count, blocks):
+    base = orientation_benchmark_scenario()
+    pins = {"free": {}, "pinned-position": {"position": np.array([3.5, 4.0, 0.75])},
+            "pinned-orientation": {"fixed_orientation": DeviceOrientation(0.6, 1.0)}}  # body away from the AP
+    s = dataclasses.replace(base, users=(dataclasses.replace(base.users[0], **pins[user]),),
+                            blocker_population=BlockerPopulation(count=count) if count else None)
+    monkeypatch.setattr(geometry, "_CHUNK_CELLS", 64)  # the sampler's blocks too
+    samples = blocks * 64 - (blocks > 2) * 7  # the 25th block ragged
+    for seed in (1, 2):
+        assert orientation_study(s, samples, master_seed=seed) == _orientation_study_oracle(s, samples, seed)
+
+
+@pytest.mark.parametrize("samples", [100_000, 400_000, 1_600_000])
 def test_orientation_study_memory_beyond_the_draws_is_bounded(samples):
-    count = 5
-    s = dataclasses.replace(orientation_benchmark_scenario(), blocker_population=BlockerPopulation(count=count))
+    s = dataclasses.replace(orientation_benchmark_scenario(), blocker_population=BlockerPopulation(count=5))
     tracemalloc.start()
     try:
         orientation_study(s, samples, master_seed=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    draws = 8 * samples * (4 + 2 * count)  # x, y, polar, azimuth and the population's x and y
-    assert peak - draws < 16 * 2**20
+    assert peak - 8 * samples < 12 * 2**20  # the polar angles are the only draws kept whole
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -285,6 +285,13 @@ def test_wall_patch_set_empty_and_reflectance_refusals():
     empty = WallPatchSet([], [], [], [])
     assert len(empty) == 0 and empty.centers.shape == (0, 3)
     assert wall_first_reflection_gain(TX, RX, empty) == 0.0
+    rows = ([[0, 0, 1], [0, 0, 2]], [[1, 0, 0], [1, 0, 0]])
+    assert len(WallPatchSet(*rows, [1.0, 1.0], [0.5, 0.5])) == 2
+    for i, name in enumerate(("centers", "normals")):  # a flat list of six numbers is not two rows
+        flat = list(rows)
+        flat[i] = np.ravel(rows[i]).tolist()
+        with pytest.raises(ValueError, match=rf"patch {name} must be a \(K, 3\) array"):
+            WallPatchSet(*flat, [1.0, 1.0], [0.5, 0.5])
 
     for bad in (1.2, -0.1, math.nan):
         with pytest.raises(ValueError):

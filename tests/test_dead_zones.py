@@ -7,16 +7,26 @@ a stadium of area 2 r l + pi r**2, where l is the xy length of that shadow.
 With the stadium inside the base region,
 
     P(LoS clear) = (1 - (2 r l + pi r**2) / ((L - 2 r)(W - 2 r)))**K.
+
+FoV exclusion: a device pinned where the AP lies at polar angle theta_d
+from it, tilted by a and facing azimuth b, sees the AP at incidence cos
+theta = sin a sin theta_d cos(b - phi_d) + cos a cos theta_d. With b uniform,
+
+    P(cos theta < cos FoV | a) = 1 - arccos(x) / pi,
+    x = (cos FoV - cos a cos theta_d) / (sin a sin theta_d), clipped to [-1, 1],
+
+and the excluded fraction is its mean over the truncated Laplace density of a.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 from ris_vlc.channel import LedTx
 from ris_vlc.geometry import Room
-from ris_vlc.orientation import DeviceOrientation
-from ris_vlc.scenario import BlockerPopulation, Scenario, UserSpec, run_study
+from ris_vlc.orientation import DeviceOrientation, OrientationModel
+from ris_vlc.scenario import BlockerPopulation, Scenario, UserSpec, orientation_study, run_study
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -48,4 +58,42 @@ def test_los_clear_fraction_matches_the_stadium_formula(count, seed):
     p = _clear_probability(count, population.radius, population.height)
     z = (clear - _TRIALS * p) / math.sqrt(_TRIALS * p * (1.0 - p))
     print(f"K = {count}: {clear}/{_TRIALS} clear against P = {p:.4f}, z = {z:+.2f}")
+    assert abs(z) <= 4.0
+
+
+def _excluded_probability(model: OrientationModel, fov: float, theta_d: float) -> float:
+    """P(cos theta < cos FoV) by Gauss-Legendre quadrature over a in [0, pi/2], split where the
+    integrand has a kink: the Laplace peak, and where x reaches -1 or 1 (a = |theta_d -+ FoV|)."""
+    mu, b = model.mean_polar, model.std_polar / math.sqrt(2.0)  # the Laplace scale
+    kinks = {mu, abs(theta_d - fov), theta_d + fov}
+    cuts = sorted({0.0, math.pi / 2} | {c for c in kinks if 0.0 < c < math.pi / 2})
+    nodes, weights = np.polynomial.legendre.leggauss(96)
+    mass = excluded = 0.0
+    for lo, hi in zip(cuts, cuts[1:]):
+        a, w = lo + (hi - lo) * (nodes + 1.0) / 2.0, weights * (hi - lo) / 2.0
+        density = w * np.exp(-np.abs(a - mu) / b)
+        x = (math.cos(fov) - np.cos(a) * math.cos(theta_d)) / (np.sin(a) * math.sin(theta_d))
+        mass += density.sum()
+        excluded += (density * (1.0 - np.arccos(np.clip(x, -1.0, 1.0)) / math.pi)).sum()
+    return excluded / mass
+
+
+_SAMPLES = 200_000
+_FOV_CASES = {  # room, AP, pinned device, FoV, orientation model
+    "corner-led": (Room(5.0, 5.0, 3.0), (0.0, 0.0, 2.0), (4.0, 3.0, 0.75), 85.0, OrientationModel()),
+    "ceiling-led": (_ROOM, _AP, _DEVICE, 60.0, OrientationModel(math.radians(30.0), math.radians(15.0))),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("case", sorted(_FOV_CASES))
+def test_fov_excluded_fraction_matches_the_quadrature(case, seed):
+    room, ap, device, fov_deg, model = _FOV_CASES[case]
+    user = UserSpec(position=device, fov=math.radians(fov_deg), self_blockage=False)
+    s = Scenario(room=room, aps=(LedTx(position=ap),), users=(user,), orientation_model=model, wall_patch_size=3.0)
+    d = np.subtract(ap, device)
+    p = _excluded_probability(model, user.fov, math.acos(d[2] / np.linalg.norm(d)))
+    got = orientation_study(s, _SAMPLES, master_seed=seed)  # no blockers: every link is visible
+    z = (got - p) / math.sqrt(p * (1.0 - p) / _SAMPLES)
+    print(f"{case}, seed {seed}: excluded {got:.5f} against P = {p:.5f}, z = {z:+.2f}")
     assert abs(z) <= 4.0

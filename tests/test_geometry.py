@@ -118,6 +118,12 @@ def test_cylinder_set_rows():
     assert len(CylinderSet([], radii=-1.0)) == 0  # an empty set checks nothing
 
 
+@pytest.mark.parametrize("bases", [[1, 2, 0, 3, 4, 0], [[1, 2, 0, 3, 4, 0]], [1, 2, 0], [[1, 2]], [[[1, 2, 0]]]])
+def test_cylinder_set_refuses_bases_that_are_not_rows_of_three(bases):
+    with pytest.raises(ValueError, match=r"cylinder bases must be a \(K, 3\) array"):
+        CylinderSet(bases)
+
+
 CYL = CylinderSet([(0.0, 0.0, 0.0)], radii=0.5, heights=2.0)
 
 

@@ -1,13 +1,17 @@
 """Truncated-Laplace device orientation sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from conftest import whole_pass_polar_angles
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ris_vlc import geometry
 from ris_vlc.orientation import (
+    MIN_ACCEPTANCE,
     POLAR_MAX,
     DeviceOrientation,
     OrientationModel,
@@ -159,3 +163,56 @@ def test_sample_orientation_stream_and_ranges():
 def test_sample_polar_angles_rejects_negative_count():
     with pytest.raises(ValueError):
         sample_polar_angles(OrientationModel(), np.random.default_rng(0), -1)
+
+
+
+def _model_at(mean, acceptance):
+    """The widest model at `mean` that keeps at least `acceptance` of its Laplace draws."""
+    lo, hi = 1e-6, 1e6  # std_polar: the yield falls as it grows
+    for _ in range(60):
+        mid = math.sqrt(lo * hi)
+        try:
+            ok = OrientationModel(mean, mid).acceptance >= acceptance
+        except ValueError:  # below MIN_ACCEPTANCE
+            ok = False
+        lo, hi = (mid, hi) if ok else (lo, mid)
+    return OrientationModel(mean, lo)
+
+
+_MEANS = st.floats(0.0, POLAR_MAX)
+# near the acceptance floor a request takes many rejection passes
+_MODELS = st.one_of(st.builds(OrientationModel, _MEANS, st.floats(0.0, 1.5)),
+                    st.builds(_model_at, _MEANS, st.floats(MIN_ACCEPTANCE, 3 * MIN_ACCEPTANCE)))
+# (blocks, extra) for n = blocks * cells + extra: 0, 1, 15, 16, 17, one block -1, 0 and +1, 3 blocks + 5
+_COUNTS = ((0, 0), (0, 1), (0, 15), (0, 16), (0, 17), (1, -1), (1, 0), (1, 1), (3, 5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_MODELS, st.sampled_from(_COUNTS), st.sampled_from([7, 1 << 14]), st.integers(0, 2**32 - 1))
+def test_blockwise_sampler_equals_the_whole_pass_sampler(model, count, cells, seed):
+    n = count[0] * cells + count[1]
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(geometry, "_CHUNK_CELLS", cells)
+        got = sample_polar_angles(model, got_rng, n)
+    want = whole_pass_polar_angles(model, want_rng, n)
+    assert got.shape == want.shape == (n,)
+    assert got.tobytes() == want.tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_model_at_lands_near_the_acceptance_floor():
+    for mean in (0.0, 0.7, POLAR_MAX):
+        model = _model_at(mean, 1.5 * MIN_ACCEPTANCE)
+        assert 1.5 * MIN_ACCEPTANCE <= model.acceptance < 1.5 * MIN_ACCEPTANCE * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("n", [100_000, 400_000, 1_600_000])
+def test_sample_polar_angles_memory_beyond_the_angles_is_bounded(n):
+    tracemalloc.start()
+    try:
+        sample_polar_angles(OrientationModel(), np.random.default_rng(1), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 8 * n < 12 * 2**20  # the 8n bytes of angles returned
