@@ -20,8 +20,6 @@ import sys
 from dataclasses import dataclass
 from functools import reduce
 
-import numpy as np
-
 from .channel import checked_gain
 
 
@@ -88,8 +86,8 @@ def link_rate(h, constraints: IntensityConstraints, noise: NoiseModel) -> float:
 
 def _airtime_shared_rates(links, constraints: IntensityConstraints, noise: NoiseModel) -> list[float]:
     """Per-link rates: link_rate(total gain) / (users served by the same AP)."""
-    served = np.bincount([link.serving_ap for link in links]).tolist()
-    return [link_rate(link.total_gain, constraints, noise) / served[link.serving_ap] for link in links]
+    served = [link.serving_ap for link in links]
+    return [link_rate(link.total_gain, constraints, noise) / served.count(link.serving_ap) for link in links]
 
 
 def _in_order_sum(values) -> float:

@@ -20,11 +20,13 @@ toward an ideal mirror.
 
 Only the element normals (cos t1, the specular direction, psi) depend on
 yaw and roll; `MirrorArray.normals` computes them, once per panel per angle
-set in `Scenario.evaluate_links`. d1, d2, cos(phi1), cos(t2) and the FoV gate
-come from `channel.reflection_legs` for one link, or from a realized scenario's
-link table as (users, APs, elements) legs per panel, blocked by its three
-occlusion calls; `steered_gains` adds the angle terms to either in one call.
-`element_gains` is exactly the steps, so both routes give equal bits.
+set in `Scenario.evaluate_links` (one normal for a shared pair). d1, d2,
+cos(phi1), cos(t2) and the FoV gate come from `channel.reflection_legs` for
+one link, or as per-panel (users, APs, elements) legs from a realized
+scenario's link table. `steering_terms` turns them into the factors no angle
+changes (capture prefix, lobe denominator, gated cos t2), once per
+`element_gains` call or per panel in `Scenario._link_table`; `steered_gains`
+adds the angle step in the original product order, so both give equal bits.
 
 The liquid-crystal receiver surrogate multiplies a gain by a transmittance
 and an amplification inside a configurable effective field of view; the
@@ -61,8 +63,8 @@ def _horizontal_axis(base_normal: Vec3) -> Vec3:
     return h / n
 
 
-def _mirror_normals(yaw: np.ndarray, roll: np.ndarray, b: Vec3, h: Vec3) -> np.ndarray:
-    """(n, 3) mirror normals for flat yaw/roll arrays in a panel frame (`MirrorArray._frame`).
+def _mirror_normals(yaw, roll, b: Vec3, h: Vec3) -> np.ndarray:
+    """(n, 3) mirror normals for flat yaw/roll arrays in a panel frame (`MirrorArray._frame`); (3,) for floats.
 
     Yaw rotates the unit base normal b and the horizontal axis h about
     vertical; roll then rotates about the yawed axis a. That axis stays
@@ -73,10 +75,10 @@ def _mirror_normals(yaw: np.ndarray, roll: np.ndarray, b: Vec3, h: Vec3) -> np.n
     b0, b1, b2 = b[0] * cy - b[1] * sy, b[0] * sy + b[1] * cy, b[2]
     a0, a1, a2 = h[0] * cy - h[1] * sy, h[0] * sy + h[1] * cy, h[2]
     cw, sw = np.cos(roll), np.sin(roll)
-    out = np.empty((len(cy), 3))
-    out[:, 0] = b0 * cw + (a1 * b2 - a2 * b1) * sw
-    out[:, 1] = b1 * cw + (a2 * b0 - a0 * b2) * sw
-    out[:, 2] = b2 * cw + (a0 * b1 - a1 * b0) * sw
+    out = np.empty(np.shape(cy) + (3,))
+    out[..., 0] = b0 * cw + (a1 * b2 - a2 * b1) * sw
+    out[..., 1] = b1 * cw + (a2 * b0 - a0 * b2) * sw
+    out[..., 2] = b2 * cw + (a0 * b1 - a1 * b0) * sw
     return out
 
 
@@ -151,7 +153,12 @@ class MirrorArray:
         return b, _horizontal_axis(b)
 
     def normals(self, yaw=None, roll=None) -> np.ndarray:
-        """(rows*cols, 3) element normals at the stored angles or at clamped, broadcast overrides."""
+        """(rows*cols, 3) element normals at the stored angles or at clamped, broadcast overrides.
+
+        A float pair (np.float64 too) clamps like `np.clip`; its one normal is a read-only broadcast view."""
+        if isinstance(yaw, float) and isinstance(roll, float):
+            yaw, roll = (min(max(a, -ANGLE_LIMIT), ANGLE_LIMIT) for a in (yaw, roll))
+            return np.broadcast_to(_mirror_normals(yaw, roll, *self._frame), (self.element_count, 3))
         yaw_m = self.yaw if yaw is None else self._coerce_angles(yaw)
         roll_m = self.roll if roll is None else self._coerce_angles(roll)
         return _mirror_normals(yaw_m.ravel(), roll_m.ravel(), *self._frame)
@@ -174,40 +181,43 @@ def element_gains(
     `yaw`/`roll` override the stored matrices (scalars broadcast) so that
     optimizer candidates evaluate without rebuilding the panel.
     """
-    legs = reflection_legs(tx, array.element_centers, rx, blockers)
-    return steered_gains(tx.lambertian_order, array, rx, legs, array.normals(yaw, roll))
+    terms = steering_terms(tx.lambertian_order, array, reflection_legs(tx, array.element_centers, rx, blockers))
+    return steered_gains(array, rx, terms, array.normals(yaw, roll))
 
 
-def steered_gains(m, array: MirrorArray, rx, legs: ReflectionLegs, normals: np.ndarray) -> np.ndarray:
-    """The angle step of `element_gains`: its legs and `array.normals(yaw, roll)` to gains.
+@dataclass(frozen=True, eq=False)
+class SteeringTerms:
+    """One panel's legs and the factors of its gains that no mirror angle changes."""
 
-    `m` and the `rx` terms (`area`, `filter_gain`, `concentrator`) are floats for one link or
-    (users, APs) columns over a link table's rows, with equal bits either way, as in `channel._wall_gain`."""
-    sigma = array.beam_spread
+    legs: ReflectionLegs
+    capture: np.ndarray  # (m+1) A / (2 pi d1**2) * cos(phi1)**m on clear legs
+    spread: np.ndarray  # the lobe's denominator 2 pi sigma**2 d2**2
+    cos_t2: np.ndarray  # cos(t2) on clear legs, else 0
 
+
+def steering_terms(m, array: MirrorArray, legs: ReflectionLegs) -> SteeringTerms:
+    """The angle-free factors of `steered_gains`; `m` is a float or a (1, APs, 1) column over the legs' rows.
+    Gated on `clear`, not on the lit elements: the angle step zeroes and masks the unlit ones itself."""
+    capture = (m + 1.0) * array.element_area / (2.0 * math.pi * legs.d1**2) * _lambertian_power(
+        np.where(legs.clear, legs.cos_phi1, 0.0), m)
+    spread = 2.0 * math.pi * array.beam_spread**2 * legs.d2**2
+    return SteeringTerms(legs, capture, spread, np.where(legs.clear, legs.cos_t2, 0.0))
+
+
+def steered_gains(array: MirrorArray, rx, terms: SteeringTerms, normals: np.ndarray) -> np.ndarray:
+    """The angle step of `element_gains`: its `steering_terms` and `array.normals(yaw, roll)` to gains.
+
+    The `rx` terms (`area`, `filter_gain`, `concentrator`) are floats for one link or (users, APs) columns
+    over a link table's rows, with equal bits either way, as in `channel._wall_gain`."""
+    legs = terms.legs
     u1_dot_n = np.einsum("...j,...j->...", legs.u1, normals)
     cos_t1 = -u1_dot_n
     refl = legs.u1 - 2.0 * u1_dot_n[..., None] * normals
     psi = np.arccos(np.clip(np.einsum("...j,...j->...", refl, legs.u2), -1.0, 1.0))
     ok = legs.clear & (cos_t1 > 0.0)
-
-    capture = (
-        (m + 1.0)
-        * array.element_area
-        / (2.0 * math.pi * legs.d1**2)
-        * _lambertian_power(np.where(ok, legs.cos_phi1, 0.0), m)
-        * np.where(ok, cos_t1, 0.0)
-    )
-    lobe = np.exp(-0.5 * (psi / sigma) ** 2) / (2.0 * math.pi * sigma**2 * legs.d2**2)
-    gains = (
-        array.reflectivity
-        * capture
-        * lobe
-        * rx.area
-        * np.where(ok, legs.cos_t2, 0.0)
-        * rx.filter_gain
-        * rx.concentrator
-    )
+    lobe = np.exp(-0.5 * (psi / array.beam_spread) ** 2) / terms.spread
+    gains = (array.reflectivity * (terms.capture * np.where(ok, cos_t1, 0.0)) * lobe * rx.area * terms.cos_t2
+             * rx.filter_gain * rx.concentrator)
     return np.where(ok, gains, 0.0)
 
 

@@ -34,8 +34,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import geometry
-from .channel import (LedTx, PdRx, ReflectionLegs, WallPatchSet, _legs, _wall_gain, check_receiver_terms,
-                      incidence_cosine, los_gain)
+from .channel import LedTx, PdRx, WallPatchSet, _legs, _wall_gain, check_receiver_terms, incidence_cosine, los_gain
 # wall_first_reflection_gain stays importable here: perfbench/spans.py wraps it at this name
 from .channel import wall_first_reflection_gain  # noqa: F401
 from .geometry import CylinderSet, Room, Vec3, as_vec3, segments_blocked, segments_blocked_each, unit
@@ -43,7 +42,8 @@ from .geometry import CylinderSet, Room, Vec3, as_vec3, segments_blocked, segmen
 from .metrics import IntensityConstraints, NoiseModel, _airtime_shared_rates, _in_order_sum, link_rate  # noqa: F401
 from .orientation import DeviceOrientation, OrientationModel, sample_orientation, sample_polar_angles
 # element_gains stays importable here: perfbench/spans.py wraps it at this name
-from .ris import MIRROR_ELEMENT_CAP, MirrorArray, element_gains, steered_gains  # noqa: F401
+from .ris import (MIRROR_ELEMENT_CAP, MirrorArray, SteeringTerms, element_gains, steered_gains,  # noqa: F401
+                  steering_terms)
 
 # stays defined here: perfbench/worker.py reads it; run_study ignores it
 THREADS_ENV_VAR = "RIS_VLC_THREADS"
@@ -148,13 +148,13 @@ class LinkEvaluation:
 
 @dataclass(frozen=True, eq=False)
 class _LinkTable:
-    """Angle-independent link data: (users, APs) arrays, per panel its (users, APs, elements) legs."""
+    """Angle-independent link data: (users, APs) arrays, per panel its (users, APs, elements) steering terms."""
 
     h_los: np.ndarray
     h_wall: np.ndarray
     los_visible: np.ndarray
     fov_ok: np.ndarray
-    mirror_legs: Tuple[ReflectionLegs, ...]
+    mirror_terms: Tuple[SteeringTerms, ...]
     m: np.ndarray  # (1, APs, 1) Lambertian orders
     rx: SimpleNamespace  # `area`, `filter_gain` and `concentrator` as (users, 1, 1) columns
 
@@ -308,7 +308,8 @@ class Scenario:
         fov_ok = np.array([incidence_cosine(ap.position, rx.position, rx.orientation) >= math.cos(rx.fov)
                            for ap, rx in pairs], dtype=bool).reshape(shape)
         return _LinkTable(h_los, _wall_gain(m, columns, self.wall_patches, wall), visible, fov_ok,
-                          tuple(mirrors), m, columns)
+                          tuple(steering_terms(m, panel, leg) for panel, leg in zip(self.ris_panels, mirrors)),
+                          m, columns)
 
     def evaluate_links(self, ris_angles=None) -> list[LinkEvaluation]:
         """Per-user gain splits at the given mirror angles.
@@ -323,13 +324,16 @@ class Scenario:
         if len(pairs) != len(panels):
             raise ValueError(f"expected {len(panels)} (yaw, roll) pairs, got {len(pairs)}")
         table = self._link_table  # raises on unsampled users or no APs
-        h_ris = np.zeros(table.h_los.shape)
-        for panel, legs, (yaw, roll) in zip(panels, table.mirror_legs, pairs):  # panel order, as the sum was
-            h_ris += np.add.reduce(steered_gains(table.m, panel, table.rx, legs, panel.normals(yaw, roll)), axis=-1)
-        serving = np.argmax(table.h_los + table.h_wall + h_ris, axis=1)  # the first maximum, like max()
-        return [LinkEvaluation(u, int(a), float(table.h_los[u, a]), float(table.h_wall[u, a]),
-                               float(h_ris[u, a]), bool(table.los_visible[u, a]), bool(table.fov_ok[u, a]))
-                for u, a in enumerate(serving)]
+        sums = [np.add.reduce(steered_gains(panel, table.rx, terms, panel.normals(yaw, roll)), axis=-1).tolist()
+                for panel, terms, (yaw, roll) in zip(panels, table.mirror_terms, pairs)]
+        links = []
+        columns = (table.h_los.tolist(), table.h_wall.tolist(), table.los_visible.tolist(), table.fov_ok.tolist())
+        for u, (los, wall, visible, fov_ok) in enumerate(zip(*columns)):
+            ris = [_in_order_sum(panel_sums[u][a] for panel_sums in sums) for a in range(len(los))]  # panel order
+            totals = [h_los + h_wall + h_ris for h_los, h_wall, h_ris in zip(los, wall, ris)]
+            a = totals.index(max(totals))  # the first maximum
+            links.append(LinkEvaluation(u, a, los[a], wall[a], ris[a], visible[a], fov_ok[a]))
+        return links
 
 
 # --------------------------------------------------------------------- trials
@@ -653,16 +657,18 @@ def load_scenario(config_text: str) -> Scenario:
             f"configuration parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     _fields(doc, {}, "", extra=_TOP_KEYS)
+    section = [()]
     try:
-        return _scenario_from_document(doc)
+        return _scenario_from_document(doc, section)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"configuration validation error{_blame(config_text)}: {exc}") from exc
+        raise ConfigError(f"configuration validation error{_blame(config_text, section[0])}: {exc}") from exc
 
 
-def _blame(config_text: str) -> str:
-    """' at <key>' for the first value key (not a section) whose removal lets the document load; else ''."""
+def _blame(config_text: str, section: tuple = ()) -> str:
+    """' at <key>' for the first value key (not a section) whose removal lets the document load; else ''.
+    Only keys under `section`, the section whose constructor raised (() for all), can let that one pass."""
     def keys(node, path):  # a section is a table or a list of tables; anything else is a value
         for key, child in node.items() if isinstance(node, dict) else enumerate(node):
             if isinstance(child, dict) or isinstance(child, list) and child and isinstance(child[0], dict):
@@ -670,36 +676,43 @@ def _blame(config_text: str) -> str:
             elif isinstance(node, dict):
                 yield path + (key,)
 
-    for path in keys(json.loads(config_text), ()):
+    for path in keys(reduce(lambda node, key: node[key], section, json.loads(config_text)), section):
         trimmed = json.loads(config_text)
         parent = reduce(lambda node, key: node[key], path[:-1], trimmed)
         del parent[path[-1]]
         try:
-            _scenario_from_document(trimmed)
+            _scenario_from_document(trimmed, [()])
         except (TypeError, ValueError):
             continue
         return " at " + "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).lstrip(".")
     return ""
 
 
-def _scenario_from_document(doc: dict) -> Scenario:
+def _scenario_from_document(doc: dict, section: list) -> Scenario:
+    """The scenario of a parsed document; `section[0]` is left at the path of the last section built,
+    so after a refusal it names the one whose constructor raised (() for the checks across sections)."""
+    def build(path, make, *args, **kwargs):
+        section[0] = path
+        return make(*args, **kwargs)
+
     room_sec = doc.get("room", {})
-    room = Room(**_fields(room_sec, _ROOM, "room", extra=_WALLS))
+    room = build(("room",), Room, **_fields(room_sec, _ROOM, "room", extra=_WALLS))
 
     aps = []
     for i, sec in enumerate(_list(doc.get("aps", []), "aps", AP_COUNT_CAP)):
         kwargs = _fields(sec, _AP, f"aps[{i}]")
         if "position" not in kwargs:
             raise ConfigError(f"aps[{i}] is missing required key 'position'")
-        aps.append(LedTx(**kwargs))
+        aps.append(build(("aps", i), LedTx, **kwargs))
 
     users = []
     for i, sec in enumerate(_list(doc.get("users", []), "users", USER_COUNT_CAP)):
         kwargs = _fields(sec, _USER, f"users[{i}]", extra=("count", "orientation"))
         if "orientation" in sec:
             angles = _fields(sec["orientation"], _USER_ORIENTATION, f"users[{i}].orientation")
-            kwargs["fixed_orientation"] = DeviceOrientation(**{"polar": 0.0, "azimuth": 0.0, **angles})
-        template = UserSpec(**kwargs)
+            kwargs["fixed_orientation"] = build(("users", i), DeviceOrientation,
+                                                **{"polar": 0.0, "azimuth": 0.0, **angles})
+        template = build(("users", i), UserSpec, **kwargs)
         count = _count(sec.get("count", 1), f"users[{i}].count", 0)
         if len(users) + count > USER_COUNT_CAP:
             raise ConfigError(f"users[{i}].count {count:.6g} brings the users to {len(users) + count:.6g}, "
@@ -708,7 +721,8 @@ def _scenario_from_document(doc: dict) -> Scenario:
 
     bsec = doc.get("blockers", {})
     dims = _fields(bsec, _BLOCKERS, "blockers", extra=("count", "positions"))
-    population = BlockerPopulation(count=_count(bsec.get("count", 0), "blockers.count", 0), **dims)
+    population = build(("blockers",), BlockerPopulation, count=_count(bsec.get("count", 0), "blockers.count", 0),
+                       **dims)
     bases = []
     positions = _list(bsec.get("positions", []), "blockers.positions", BLOCKER_COUNT_CAP - population.count)
     for j, xy in enumerate(positions):  # fixed positions and the drawn count share BLOCKER_COUNT_CAP
@@ -727,22 +741,24 @@ def _scenario_from_document(doc: dict) -> Scenario:
         if rows * cols > MIRROR_ELEMENT_CAP:  # neither key alone is at fault, so name both
             raise ConfigError(f"ris[{i}].rows and ris[{i}].cols give {rows} x {cols} mirror elements, "
                               f"above the cap of {MIRROR_ELEMENT_CAP}")
-        panels.append(MirrorArray(**kwargs))
+        panels.append(build(("ris", i), MirrorArray, **kwargs))
 
-    scenario = Scenario(
+    scenario = build(
+        (), Scenario,  # called after its arguments, which build their own sections
         room=room,
         aps=tuple(aps),
         users=tuple(users),
-        blockers=CylinderSet(bases, population.radius, population.height),
+        blockers=build(("blockers",), CylinderSet, bases, population.radius, population.height),
         blocker_population=population if population.count > 0 else None,
         ris_panels=tuple(panels),
-        noise=NoiseModel(**_fields(doc.get("noise", {}), _NOISE, "noise")),
-        constraints=IntensityConstraints(**_fields(doc.get("constraints", {}), _CONSTRAINTS, "constraints")),
-        orientation_model=OrientationModel(
-            **_fields(doc.get("orientation", {}), _ORIENTATION, "orientation")),
+        noise=build(("noise",), NoiseModel, **_fields(doc.get("noise", {}), _NOISE, "noise")),
+        constraints=build(("constraints",), IntensityConstraints,
+                          **_fields(doc.get("constraints", {}), _CONSTRAINTS, "constraints")),
+        orientation_model=build(("orientation",), OrientationModel,
+                                **_fields(doc.get("orientation", {}), _ORIENTATION, "orientation")),
         **_fields(room_sec, _WALLS, "room", extra=_ROOM),
     )
-    WallPatchSet.tiling(scenario.room, scenario.wall_patch_size)  # refuses an oversized tiling at load
+    build(("room",), WallPatchSet.tiling, scenario.room, scenario.wall_patch_size)  # refuses an oversized tiling
     return scenario
 
 

@@ -10,6 +10,11 @@ per panel, each against the scenario blockers plus that user's body.
 `LinkEvaluation` per candidate AP and `max` choosing the serving one. The
 table tests each leg in three occlusion calls instead; blockage is a union
 over cylinders tested cell by cell, so the comparisons demand equal bits.
+
+`_angle_step_oracle` is `evaluate_links` before the angle-free factors moved
+into the table: every candidate ran the whole `steered_gains` body on the
+table's legs, built (rows*cols, 3) normals through `_coerce_angles` even for
+one shared (yaw, roll), summed panels into `np.zeros` and took `np.argmax`.
 """
 
 import dataclasses
@@ -27,13 +32,14 @@ from ris_vlc.channel import LedTx, PdRx, _legs, incidence_cosine, los_gain, refl
 from ris_vlc.geometry import CylinderSet, Room, segments_blocked
 from ris_vlc.metrics import link_rate, sum_rate
 from ris_vlc.orientation import DeviceOrientation
-from ris_vlc.ris import MirrorArray, steered_gains
+from ris_vlc.ris import ANGLE_LIMIT, MirrorArray, steered_gains, steering_terms
 from ris_vlc.scenario import (
     BlockerPopulation,
     LinkEvaluation,
     Scenario,
     UserSpec,
     benchmark_scenario,
+    blocked_benchmark_scenario,
     run_study,
     trials_to_csv,
 )
@@ -73,10 +79,77 @@ def _evaluate_links_oracle(s, ris_angles=None):
         for a, (ap, (h_los, h_wall, visible, fov_ok, legs)) in enumerate(zip(s.aps, per_ap)):
             h_ris = 0.0
             for panel, panel_legs, n in zip(panels, legs, normals):
-                h_ris += float(np.add.reduce(steered_gains(ap.lambertian_order, panel, rx, panel_legs, n)))
+                terms = steering_terms(ap.lambertian_order, panel, panel_legs)
+                h_ris += float(np.add.reduce(steered_gains(panel, rx, terms, n)))
             candidates.append(LinkEvaluation(u, a, h_los, h_wall, h_ris, visible, fov_ok))
         links.append(max(candidates, key=lambda link: link.total_gain))
     return links
+
+
+def _steered_gains_oracle(m, array, rx, legs, normals):
+    """`ris.steered_gains` as it was: the angle-free factors recomputed on every call."""
+    sigma = array.beam_spread
+
+    u1_dot_n = np.einsum("...j,...j->...", legs.u1, normals)
+    cos_t1 = -u1_dot_n
+    refl = legs.u1 - 2.0 * u1_dot_n[..., None] * normals
+    psi = np.arccos(np.clip(np.einsum("...j,...j->...", refl, legs.u2), -1.0, 1.0))
+    ok = legs.clear & (cos_t1 > 0.0)
+
+    capture = (
+        (m + 1.0)
+        * array.element_area
+        / (2.0 * math.pi * legs.d1**2)
+        * channel._lambertian_power(np.where(ok, legs.cos_phi1, 0.0), m)
+        * np.where(ok, cos_t1, 0.0)
+    )
+    lobe = np.exp(-0.5 * (psi / sigma) ** 2) / (2.0 * math.pi * sigma**2 * legs.d2**2)
+    gains = (
+        array.reflectivity
+        * capture
+        * lobe
+        * rx.area
+        * np.where(ok, legs.cos_t2, 0.0)
+        * rx.filter_gain
+        * rx.concentrator
+    )
+    return np.where(ok, gains, 0.0)
+
+
+def _normals_oracle(panel, yaw=None, roll=None):
+    """`MirrorArray.normals` as it was: every override through `_coerce_angles`, one row per element."""
+    def coerce(angles):
+        a = np.asarray(angles, dtype=float)
+        if a.ndim == 0:
+            a = np.full((panel.rows, panel.cols), float(a))
+        return np.clip(a, -ANGLE_LIMIT, ANGLE_LIMIT)
+
+    yaw = (panel.yaw if yaw is None else coerce(yaw)).ravel()
+    roll = (panel.roll if roll is None else coerce(roll)).ravel()
+    b, h = panel._frame
+    cy, sy = np.cos(yaw), np.sin(yaw)
+    b0, b1, b2 = b[0] * cy - b[1] * sy, b[0] * sy + b[1] * cy, b[2]
+    a0, a1, a2 = h[0] * cy - h[1] * sy, h[0] * sy + h[1] * cy, h[2]
+    cw, sw = np.cos(roll), np.sin(roll)
+    out = np.empty((len(cy), 3))
+    out[:, 0] = b0 * cw + (a1 * b2 - a2 * b1) * sw
+    out[:, 1] = b1 * cw + (a2 * b0 - a0 * b2) * sw
+    out[:, 2] = b2 * cw + (a0 * b1 - a1 * b0) * sw
+    return out
+
+
+def _angle_step_oracle(s, ris_angles=None):
+    panels = s.ris_panels
+    pairs = [(None, None)] * len(panels) if ris_angles is None else list(ris_angles)
+    table = s._link_table
+    h_ris = np.zeros(table.h_los.shape)
+    for panel, terms, (yaw, roll) in zip(panels, table.mirror_terms, pairs):
+        normals = _normals_oracle(panel, yaw, roll)
+        h_ris += np.add.reduce(_steered_gains_oracle(table.m, panel, table.rx, terms.legs, normals), axis=-1)
+    serving = np.argmax(table.h_los + table.h_wall + h_ris, axis=1)
+    return [LinkEvaluation(u, int(a), float(table.h_los[u, a]), float(table.h_wall[u, a]),
+                           float(h_ris[u, a]), bool(table.los_visible[u, a]), bool(table.fov_ok[u, a]))
+            for u, a in enumerate(serving)]
 
 
 def _sum_rate_oracle(s, ris_angles=None):
@@ -148,8 +221,8 @@ def test_link_table_matches_per_link_loop(s):
             assert table.h_wall[u, a] == h_wall
             assert table.los_visible[u, a] == visible
             assert table.fov_ok[u, a] == fov_ok
-            assert len(table.mirror_legs) == len(legs)
-            for got, expected in zip(table.mirror_legs, legs):
+            assert len(table.mirror_terms) == len(legs)
+            for got, expected in zip((terms.legs for terms in table.mirror_terms), legs):
                 for name in _LEG_FIELDS:  # the (user, AP) slice of the panel's broadcast record
                     field = getattr(got, name)
                     assert np.array_equal(np.broadcast_to(field, (*shape, *field.shape[2:]))[u, a],
@@ -177,7 +250,7 @@ def test_no_panels_no_blockers_and_no_users():
     user = UserSpec(position=(1.0, 2.0, 0.75), fixed_orientation=DeviceOrientation(0.3, 1.0))
     s = dataclasses.replace(base, users=(user, user), blocker_population=None, ris_panels=())
     table = s._link_table
-    assert table.mirror_legs == ()
+    assert table.mirror_terms == ()
     assert table.los_visible.all() and table.h_los[0, 0] == table.h_los[1, 0] > 0.0
     assert [vars(link) for link in s.evaluate_links()] == [vars(link) for link in _evaluate_links_oracle(s)]
     empty = dataclasses.replace(base, users=(), blocker_population=None)
@@ -305,6 +378,84 @@ def test_one_legs_pass_per_point_set_per_table_and_none_per_sum_rate(monkeypatch
         sum_rate(realized)
         sum_rate(realized, [(0.1, -0.2)] * len(realized.ris_panels))
         assert calls == []
+
+
+# ------------------------------------------------- the angle step on the table
+
+
+def _fixed_deployments():
+    """The 2-user x 2-AP x 2-panel table, and the blocked deployment with a second panel below its face-up
+    receiver, which no leg of any link reaches (a fully dark panel)."""
+    base = blocked_benchmark_scenario()
+    other = UserSpec(position=(1.0, 4.0, 0.75), fixed_orientation=DeviceOrientation(0.6, 2.0))
+    two = dataclasses.replace(base, aps=base.aps + (LedTx(position=(1.0, 1.0, 3.0)),), users=base.users + (other,),
+                              ris_panels=base.ris_panels + (MirrorArray((0.0, 2.5, 1.5), (1.0, 0.0, 0.0), 2, 3),))
+    dark = dataclasses.replace(base, ris_panels=base.ris_panels + (MirrorArray((0.0, 2.5, 0.3), (1.0, 0.0, 0.0),
+                                                                               2, 2),))
+    return two, dark
+
+
+_FIXED = _fixed_deployments()
+# past the clamp on either side, and the clamp itself
+_CLAMPED = (2.0, -2.0, math.inf, -math.inf, ANGLE_LIMIT, -ANGLE_LIMIT)
+_ANGLES = st.one_of(_floats(-2.0, 2.0), st.sampled_from(_CLAMPED + (0.0, -0.0)))
+
+
+@st.composite
+def _angle_sets(draw, panels):
+    """None, or per panel a Python-float pair, an np.float64 pair or two per-element matrices."""
+    kind = draw(st.sampled_from(("stored", "float", "float64", "matrices")))
+    if kind == "stored":
+        return None
+    pairs = []
+    for panel in panels:
+        if kind == "matrices":
+            n = panel.element_count
+            pairs.append(tuple(np.array(draw(st.lists(_ANGLES, min_size=n, max_size=n))).reshape(panel.rows, panel.cols)
+                               for _ in range(2)))
+        else:
+            pair = (draw(_ANGLES), draw(_ANGLES))
+            pairs.append(pair if kind == "float" else tuple(map(np.float64, pair)))
+    return pairs
+
+
+def _same_links(got, want):
+    """Equal records down to the bits: repr tells -0.0 from 0.0 and keeps every digit."""
+    return [repr(vars(link)) for link in got] == [repr(vars(link)) for link in want]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.sampled_from(_FIXED), _scenarios()), st.data())
+def test_h_ris_matches_the_angle_step_it_replaced(s, data):
+    angles = data.draw(_angle_sets(s.ris_panels))
+    assert _same_links(s.evaluate_links(angles), _angle_step_oracle(s, angles))
+
+
+@pytest.mark.parametrize("s, shape, dark", [(_FIXED[0], (2, 2, 2), []), (_FIXED[1], (1, 1, 2), [1])],
+                         ids=["2x2x2", "dark-panel"])
+def test_every_angle_kind_matches_the_angle_step_it_replaced(s, shape, dark):
+    table = s._link_table
+    assert (*table.h_los.shape, len(table.mirror_terms)) == shape  # (users, APs, panels)
+    assert [i for i, terms in enumerate(table.mirror_terms) if not terms.legs.clear.any()] == dark
+    rng = np.random.default_rng(8)
+    pairs = [(y, r) for y in _CLAMPED for r in _CLAMPED] + [tuple(v) for v in rng.uniform(-2.0, 2.0, (40, 2))]
+    angle_sets = [None]
+    for y, r in pairs:
+        angle_sets += [[pair] * len(s.ris_panels) for pair in ((float(y), float(r)), (np.float64(y), np.float64(r)))]
+    angle_sets += [[tuple(rng.choice(_CLAMPED + (0.3,), (2, p.rows, p.cols))) for p in s.ris_panels]
+                   for _ in range(10)]
+    for angles in angle_sets:
+        assert _same_links(s.evaluate_links(angles), _angle_step_oracle(s, angles)), angles
+
+
+def test_a_float_pair_gives_one_normal_as_a_read_only_view():
+    panel = _FIXED[0].ris_panels[1]
+    for yaw, roll in [(0.3, -0.2), (np.float64(2.0), np.float64(-math.inf))]:
+        normals = panel.normals(yaw, roll)
+        assert normals.shape == (panel.element_count, 3) and normals.strides[0] == 0
+        assert not normals.flags.writeable
+        assert normals.tobytes() == _normals_oracle(panel, yaw, roll).tobytes()
+    assert np.isnan(panel.normals(math.nan, 0.0)).all() and np.isnan(_normals_oracle(panel, math.nan, 0.0)).all()
 
 
 # sha256 of `trials_to_csv(run_study(benchmark_scenario() with `count` population

@@ -18,7 +18,7 @@ from ris_vlc.optimize import (
     sca_optimize,
 )
 from ris_vlc.ris import ANGLE_LIMIT
-from ris_vlc.scenario import single_mirror_benchmark_scenario
+from ris_vlc.scenario import blocked_benchmark_scenario, single_mirror_benchmark_scenario
 from ris_vlc import metrics
 
 # a warning from a search or the objective is a defect here, not noise
@@ -231,26 +231,35 @@ def test_random_angle_baseline_deterministic_and_monotone_in_draws():
         random_angle_baseline(deployment, seed=9, draws=0)
 
 
+@pytest.mark.parametrize("deployment", [single_mirror_benchmark_scenario(), blocked_benchmark_scenario()],
+                         ids=["single-mirror", "blocked"])
 @pytest.mark.parametrize("algorithm, mode, kwargs", [
     ("sca", "identical", dict(sca_params=SMALL_SCA)),
+    ("sca", "per-element", dict(sca_params=SMALL_SCA)),
+    ("pso", "identical", dict(pso_params=PsoParams(population=6, iterations=7))),
     ("pso", "per-element", dict(pso_params=PsoParams(population=6, iterations=7))),
     ("grid", "identical", dict(grid_resolution=9)),
 ])
-def test_objective_runs_once_per_evaluation_plus_the_reported_rate(monkeypatch, algorithm, mode, kwargs):
-    deployment = single_mirror_benchmark_scenario()
+def test_objective_runs_once_per_evaluation_plus_the_reported_rate(monkeypatch, deployment, algorithm, mode, kwargs):
+    # perfbench counts `optimize.evaluations` as calls of the module-level `metrics.sum_rate`, each one
+    # candidate's angle set returning one float; a batched objective would break that count
     calls = []
     original = metrics.sum_rate
 
     def counting(*args, **kw):
-        calls.append(args)
-        return original(*args, **kw)
+        value = original(*args, **kw)
+        calls.append((args, value))
+        return value
 
     monkeypatch.setattr(metrics, "sum_rate", counting)
     sol = optimize_mirror_angles(deployment, algorithm=algorithm, mode=mode, seed=3, **kwargs)
     assert len(calls) == sol.result.evaluations_used + 1
-    calls.clear()
-    random_angle_baseline(deployment, seed=3, draws=4)
-    assert len(calls) == 4
+    assert calls[-1][1] == sol.sum_rate
+    for draws in (1, 4):
+        calls.clear()
+        random_angle_baseline(deployment, seed=3, draws=draws)
+        assert len(calls) == draws
+    assert all(type(value) is float and len(args[1]) == len(deployment.ris_panels) for args, value in calls)
 
 
 def test_oversized_lattice_is_refused_by_resolution_and_dimension():

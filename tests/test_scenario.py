@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -731,3 +732,55 @@ def test_summary_to_json_is_sorted_and_newline_terminated():
     payload = json.loads(text)
     assert list(payload) == sorted(payload)
     assert payload["trials"] == 3
+
+
+def _blame_document():
+    """Every section, with three APs, users and panels; each test below plants one bad value."""
+    panel = {"center": [0.0, 2.5, 1.5], "normal": [1.0, 0.0, 0.0], "rows": 2, "cols": 2, "element_size": 0.1,
+             "reflectivity": 0.9, "beam_spread_deg": 2.0, "yaw_deg": 1.0, "roll_deg": 1.0}
+    user = {"position": [1.0, 1.0, 0.75], "area": 1e-4, "fov_deg": 80.0, "body_offset": 0.3,
+            "orientation": {"polar_deg": 10.0, "azimuth_deg": 20.0}}
+    return {"room": {"length": 5.0, "width": 5.0, "height": 3.0, "wall_patch_size": 0.5},
+            "aps": [{"position": [2.5, 2.5, 3.0], "half_intensity_angle_deg": 60.0}] * 3,
+            "users": [dict(user) for _ in range(3)],
+            "blockers": {"count": 2, "radius": 0.2, "positions": [[1.0, 2.0], [3.0, 3.0]]},
+            "ris": [dict(panel) for _ in range(3)],
+            "noise": {"psd": 5e-20, "bandwidth": 2e7}}
+
+
+def _keys_before(doc, path):
+    """Value keys of `doc` in document order up to and including `path`, as `_blame` walks them."""
+    def walk(node, prefix):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            if isinstance(child, dict) or isinstance(child, list) and child and isinstance(child[0], dict):
+                yield from walk(child, prefix + (key,))
+            elif isinstance(node, dict):
+                yield prefix + (key,)
+    keys = list(walk(doc, ()))
+    return keys[:keys.index(path) + 1]
+
+
+@pytest.mark.parametrize("path, value, section", [
+    (("ris", 2, "reflectivity"), 2.0, ("ris", 2)),  # the panel's constructor refuses it
+    (("users", 1, "area"), -1.0, ("users", 1)),
+    (("users", 2, "body_offset"), 1e300, ()),  # the scenario refuses it, across sections
+])
+def test_a_refusal_reloads_the_document_only_per_key_of_the_raising_section(monkeypatch, path, value, section):
+    doc = _blame_document()
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    calls = []
+    original = scenario._scenario_from_document
+
+    def counting(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(scenario, "_scenario_from_document", counting)
+    name = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).lstrip(".")
+    with pytest.raises(ConfigError, match=re.escape(f" at {name}:")):
+        load_scenario(json.dumps(doc))
+    tried = [key for key in _keys_before(doc, path) if key[:len(section)] == section]
+    assert len(calls) == 1 + len(tried)  # the load, then one reload per key tried
