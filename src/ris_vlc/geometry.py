@@ -6,10 +6,10 @@ cylinders; a line-of-sight test reduces to segment/cylinder intersection.
 Cylinders are closed: a segment endpoint lying exactly on the surface
 counts as blocked, so boundary cases resolve deterministically.
 
-Every blockage test is one array pass over a (K cylinders x N rows) grid,
-taken in row blocks of `_CHUNK_CELLS // K`, so memory stays bounded. Only
-cells whose segment passes within r (1 + 1e-6) + 1e-12 of the cylinder axis
-in xy reach the exact test; the margin keeps rounding from dropping a hit.
+Every blockage test is one array pass over an (N rows x K cylinders) grid,
+in blocks of `_CHUNK_CELLS // K` rows, so memory stays bounded. Only cells
+whose segment passes within r (1 + 1e-6) + 1e-12 of the cylinder axis in
+xy reach the exact test; the margin keeps rounding from dropping a hit.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 Vec3 = np.ndarray
 
 _EPS_AXIS = 1e-12
-# cylinder-row cells per occlusion block, and samples per scenario.orientation_study block:
+# (row, cylinder) cells per occlusion block, and samples per scenario.orientation_study block:
 # with the 2-D reject, perfbench read the same blockage_mc work_per_s at 2**14-2**16
 # (195-206/s), and blockage_mc peak_rss_mb 43.1-43.2 MiB at 2**14, 43.5-44.2 at 2**15, 44.5-44.6 at 2**16
 _CHUNK_CELLS = 1 << 14
@@ -216,34 +216,34 @@ def _segment_cylinder_hits(
 
 
 def _any_hits(origins, ends, bases: np.ndarray, radius, height) -> np.ndarray:
-    """Row i is True where any of the K cylinders at `bases[:, i]` meets segment i.
+    """Row i is True where any of the K cylinders at `bases[i]` meets segment i.
 
-    `bases` is (K, N, 3) or (K, 1, 3); `radius`, `height` are scalars, (K, 1) or (N,).
-    A cell is gathered for the exact test only if the segment's closest xy point, p0 when
-    |d|^2 <= `_EPS_AXIS` as in the kernel, lies within r (1 + 1e-6) + 1e-12 of the axis;
-    that margin dwarfs rounding, and elementwise ops give the bits of one test per cell.
+    `bases` is (N, K, 3), or (1, K, 3) for a set all rows share; `radius`, `height` are scalars, (1, K) or (N,).
+    The reject runs on each block's (K, rows) transpose, so inner loops run along rows. Only cells whose
+    closest xy point (p0 when |d|^2 <= `_EPS_AXIS`, as in the kernel) is within r (1 + 1e-6) + 1e-12 of the
+    axis reach the exact test; that margin dwarfs rounding, and elementwise ops give one test's bits per cell.
     """
     p0 = np.atleast_2d(np.asarray(origins, dtype=float))
     p1 = np.atleast_2d(np.asarray(ends, dtype=float))
-    shape = np.broadcast_shapes(p0.shape, p1.shape, bases.shape[1:])
+    shape = np.broadcast_shapes(p0.shape, p1.shape, (len(bases), 3))
     p0, p1 = np.broadcast_to(p0, shape), np.broadcast_to(p1, shape)
-    bases = np.broadcast_to(bases, bases.shape[:1] + shape)
-    sizes = [np.asarray(v, dtype=float) for v in (radius, height)]
+    bases = np.broadcast_to(bases, shape[:1] + bases.shape[1:])
+    sizes = [v[:, None] if v.ndim == 1 else v for v in (np.asarray(v, dtype=float) for v in (radius, height))]
     sizes.append(_squared_reach(sizes[0]))  # of the 2-D reject
-    step = max(1, _CHUNK_CELLS // max(1, len(bases)))
+    step = max(1, _CHUNK_CELLS // max(1, bases.shape[1]))
     hit = np.zeros(shape[0], dtype=bool)
-    for lo in range(0, shape[0] if len(bases) else 0, step):  # no cylinders: nothing to test
+    for lo in range(0, shape[0] if bases.shape[1] else 0, step):  # no cylinders: nothing to test
         rows = slice(lo, lo + step)
-        base = bases[:, rows]
-        r, h, reach = (np.broadcast_to(v[..., rows] if v.ndim and v.shape[-1] > 1 else v, base.shape[:2])
-                       for v in sizes)  # one value per (cylinder, row) cell
+        base = bases[rows]
+        r, h, reach = ((v[rows] if v.ndim and len(v) > 1 else v).T for v in sizes)  # a scalar stays one
         dx, dy = p1[rows, 0] - p0[rows, 0], p1[rows, 1] - p0[rows, 1]
-        ox, oy = p0[rows, 0] - base[..., 0], p0[rows, 1] - base[..., 1]
+        ox, oy = p0[rows, 0] - base[..., 0].T, p0[rows, 1] - base[..., 1].T
         a = dx * dx + dy * dy  # t = 0 where the kernel's planar test fails
         t = np.clip((ox * dx + oy * dy) / np.where(a > _EPS_AXIS, -a, -np.inf), 0.0, 1.0)
         k, i = np.nonzero((ox + t * dx) ** 2 + (oy + t * dy) ** 2 <= reach)
         if k.size:  # the exact test on the cells whose xy chord passes within r of the axis
-            hit[lo + i[_segment_cylinder_hits(p0[lo + i], p1[lo + i], base[k, i], r[k, i], h[k, i])]] = True
+            r, h = (np.broadcast_to(v, t.shape)[k, i] if v.ndim else v for v in (r, h))
+            hit[lo + i[_segment_cylinder_hits(p0[lo + i], p1[lo + i], base[i, k], r, h)]] = True
     return hit
 
 
@@ -254,7 +254,7 @@ def segments_blocked(origins: np.ndarray, ends: np.ndarray, blockers: CylinderSe
     broadcasts); returns a boolean (N,) array that is True where any
     blocker intersects the closed segment.
     """
-    return _any_hits(origins, ends, blockers.bases[:, None], blockers.radii[:, None], blockers.heights[:, None])
+    return _any_hits(origins, ends, blockers.bases[None], blockers.radii[None], blockers.heights[None])
 
 
 def segments_blocked_each(
@@ -266,13 +266,14 @@ def segments_blocked_each(
 ) -> np.ndarray:
     """Row-paired occlusion: segment i against the cylinders based at row i.
 
-    `bases` is (N, 3), one cylinder per row, or (K, N, 3), K cylinders per
-    row; a single (3,) base or segment broadcasts. `radius` and `height` are
-    scalars or (N,) arrays, one size per row. Used when every sample
-    carries its own cylinders (a user's body, a per-sample blocker draw),
-    where a shared blocker set would force a Python-level loop. Sizes are
-    refused as `CylinderSet` refuses them.
+    `bases` is (N, 3), one cylinder per row, or (N, K, 3), K cylinders per
+    row, rows first as `Generator.uniform(size=(N, K))` draws them; a single
+    (3,) base or segment broadcasts. `radius` and `height` are scalars or
+    (N,) arrays, one size per row. Used when every sample carries its own
+    cylinders (a user's body, a per-sample blocker draw), where a shared
+    blocker set would force a Python-level loop. Sizes are refused as
+    `CylinderSet` refuses them.
     """
     _check_cylinder_sizes(radius, height)
     bases = np.asarray(bases, dtype=float)
-    return _any_hits(origins, ends, bases if bases.ndim == 3 else np.atleast_2d(bases)[None], radius, height)
+    return _any_hits(origins, ends, bases if bases.ndim == 3 else np.atleast_2d(bases)[:, None], radius, height)

@@ -62,7 +62,11 @@ PANEL_COUNT_CAP = 1 << 4
 
 
 class ConfigError(ValueError):
-    """Scenario configuration rejected; the message names the offense."""
+    """Scenario configuration rejected; the message names the offense, and `key` the value it names, if any."""
+
+    def __init__(self, message: str, key: str = ""):
+        super().__init__(message)
+        self.key = key
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,10 +111,9 @@ class UserSpec:
         )
 
 
-def _body_bases(devices: np.ndarray, cos_b, sin_b, offset: float) -> np.ndarray:
-    """Floor centers of the bodies `offset` from a (3,) device or (n, 3) devices along the azimuth's cos and sin."""
-    return np.array([devices[..., 0] + offset * cos_b, devices[..., 1] + offset * sin_b,
-                     np.zeros_like(devices[..., 2])]).T
+def _body_xy(device: np.ndarray, cos_b, sin_b, offset: float):
+    """Floor center (x, y) of the body `offset` from a (3,) device, or from (n, 3) devices, along the azimuth."""
+    return device[..., 0] + offset * cos_b, device[..., 1] + offset * sin_b
 
 
 @dataclass(frozen=True)
@@ -237,12 +240,13 @@ class Scenario:
         if outside.size:  # name the first offender
             name, point = placed[outside[0]]
             as_vec3(point)  # a non-finite point gets Room.contains's finiteness message
-            raise ValueError(f"{name} {point} outside the room")
+            raise ConfigError(f"{name} {point} outside the room", name)
         reach = math.hypot(self.room.length, self.room.width)
         for i, user in enumerate(self.users):
             if user.body_offset > reach:
-                raise ValueError(f"users[{i}].body_offset {user.body_offset:.6g} m puts the body outside the room: "
-                                 f"it exceeds the floor diagonal {reach:.6g} m")
+                name = f"users[{i}].body_offset"
+                raise ConfigError(f"{name} {user.body_offset:.6g} m puts the body outside the room: "
+                                  f"it exceeds the floor diagonal {reach:.6g} m", name)
 
     @cached_property
     def wall_patches(self) -> WallPatchSet:
@@ -288,9 +292,9 @@ class Scenario:
         ends = np.concatenate([points[r], rx_xyz[v], rx_xyz[los_u]])
         hit = np.concatenate([led[a, r], segments_blocked(starts[n:], ends[n:], self.blockers)])  # (2)
         own = np.flatnonzero(np.array([user.self_blockage for user in self.users], dtype=bool)[owner])
-        cyl = np.array([(*_body_bases(user.position, math.cos(user.fixed_orientation.azimuth),
-                                      math.sin(user.fixed_orientation.azimuth), user.body_offset),
-                         user.body_radius, user.body_height) for user in self.users]).reshape(-1, 5)[owner[own]]
+        cyl = np.array([(*_body_xy(user.position, math.cos(user.fixed_orientation.azimuth),
+                                   math.sin(user.fixed_orientation.azimuth), user.body_offset),
+                         0.0, user.body_radius, user.body_height) for user in self.users]).reshape(-1, 5)[owner[own]]
         hit[own] |= segments_blocked_each(starts[own], ends[own], cyl[:, :3], cyl[:, 3], cyl[:, 4])  # (3)
         rx_hit = np.zeros((len(rxs), len(points)), dtype=bool)
         rx_hit[v, p] = hit[n:k]
@@ -461,7 +465,9 @@ def orientation_study(scenario: Scenario, samples: int, master_seed: int = 42) -
     drawn and the later ones move up. `uniform` takes one 64-bit output
     per double, so `advance` on a copy opens each stream at its offset and
     every block draws its rows in order. Only the polar angles are drawn
-    whole, since rejection decides how many outputs they use.
+    whole, since rejection decides how many outputs they use. Each block
+    writes its bodies and its (rows, count) population draw into rows-first
+    buffers, as `segments_blocked_each` reads them; a lone AP broadcasts.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -488,6 +494,8 @@ def orientation_study(scenario: Scenario, samples: int, master_seed: int = 42) -
         bxs, bys = stream(skip), stream(skip + n * count)
 
     ap_positions = np.stack([ap.position for ap in scenario.aps])
+    ap_xyz = ap_positions[0]  # a lone AP is every sample's nearest
+    body, bases = (np.zeros((min(n, geometry._CHUNK_CELLS), k, 3)) for k in (1, count))  # rows first, z = 0
     visible, excluded = 0, 0
     for lo in range(0, n, geometry._CHUNK_CELLS):
         rows = slice(lo, lo + geometry._CHUNK_CELLS)
@@ -496,28 +504,27 @@ def orientation_study(scenario: Scenario, samples: int, master_seed: int = 42) -
             device = np.stack([xs.uniform(0.0, room.length, size), ys.uniform(0.0, room.width, size),
                                np.full(size, template.height)], axis=1)
         else:
-            device = np.tile(template.position, (size, 1))
+            device = np.broadcast_to(template.position, (size, 3))
         azimuth = (rng.uniform(-math.pi, math.pi, size) if template.fixed_orientation is None
                    else np.full(size, template.fixed_orientation.azimuth))
-        d2 = ((device[:, None, :] - ap_positions[None, :, :]) ** 2).sum(axis=2)
-        ap_xyz = ap_positions[np.argmin(d2, axis=1)]
+        if len(ap_positions) > 1:  # squared distances summed in x, y, z order; argmin keeps ties on the first AP
+            dx, dy, dz = (device[:, j, None] - ap_positions[:, j] for j in range(3))
+            ap_xyz = ap_positions[np.argmin(dx * dx + dy * dy + dz * dz, axis=1)]
 
         seen = ~segments_blocked(ap_xyz, device, scenario.blockers)
         cos_b, sin_b = np.cos(azimuth), np.sin(azimuth)
         if template.self_blockage:
-            body = _body_bases(device, cos_b, sin_b, template.body_offset)
-            seen &= ~segments_blocked_each(ap_xyz, device, body, template.body_radius, template.body_height)
-        if count:  # (count, rows, 3) bases
-            bases = np.stack([bxs.uniform(pop.radius, room.length - pop.radius, (size, count)).T,
-                              bys.uniform(pop.radius, room.width - pop.radius, (size, count)).T,
-                              np.zeros((count, size))], axis=2)
-            seen &= ~segments_blocked_each(ap_xyz, device, bases, pop.radius, pop.height)
+            body[:size, 0, 0], body[:size, 0, 1] = _body_xy(device, cos_b, sin_b, template.body_offset)
+            seen &= ~segments_blocked_each(ap_xyz, device, body[:size], template.body_radius, template.body_height)
+        if count:
+            bases[:size, :, 0] = bxs.uniform(pop.radius, room.length - pop.radius, (size, count))
+            bases[:size, :, 1] = bys.uniform(pop.radius, room.width - pop.radius, (size, count))
+            seen &= ~segments_blocked_each(ap_xyz, device, bases[:size], pop.radius, pop.height)
 
-        dvec = ap_xyz - device
-        dist = np.linalg.norm(dvec, axis=1)
+        dx, dy, dz = (ap_xyz[..., j] - device[:, j] for j in range(3))
+        dist = np.sqrt(dx * dx + dy * dy + dz * dz)
         sin_a = np.sin(polar[rows])
-        cos_theta = (dvec[:, 0] / dist * sin_a * cos_b + dvec[:, 1] / dist * sin_a * sin_b
-                     + dvec[:, 2] / dist * np.cos(polar[rows]))
+        cos_theta = dx / dist * sin_a * cos_b + dy / dist * sin_a * sin_b + dz / dist * np.cos(polar[rows])
         visible += int(np.count_nonzero(seen))
         excluded += int(np.count_nonzero(seen & (cos_theta < math.cos(template.fov))))
 
@@ -660,15 +667,17 @@ def load_scenario(config_text: str) -> Scenario:
     section = [()]
     try:
         return _scenario_from_document(doc, section)
-    except ConfigError:
-        raise
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"configuration validation error{_blame(config_text, section[0])}: {exc}") from exc
+        if isinstance(exc, ConfigError) and not exc.key:  # a reader's refusal, which names its key itself
+            raise
+        blame = _blame(config_text, section[0], getattr(exc, "key", ""))
+        raise ConfigError(f"configuration validation error{blame}: {exc}") from exc
 
 
-def _blame(config_text: str, section: tuple = ()) -> str:
+def _blame(config_text: str, section: tuple = (), named: str = "") -> str:
     """' at <key>' for the first value key (not a section) whose removal lets the document load; else ''.
-    Only keys under `section`, the section whose constructor raised (() for all), can let that one pass."""
+    Only keys under `section`, the section whose constructor raised (() for all), can let that one pass;
+    `named`, the key a scenario check names, is tried first if the document holds it."""
     def keys(node, path):  # a section is a table or a list of tables; anything else is a value
         for key, child in node.items() if isinstance(node, dict) else enumerate(node):
             if isinstance(child, dict) or isinstance(child, list) and child and isinstance(child[0], dict):
@@ -676,15 +685,17 @@ def _blame(config_text: str, section: tuple = ()) -> str:
             elif isinstance(node, dict):
                 yield path + (key,)
 
-    for path in keys(reduce(lambda node, key: node[key], section, json.loads(config_text)), section):
+    paths = {"".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).lstrip("."): path
+             for path in keys(reduce(lambda node, key: node[key], section, json.loads(config_text)), section)}
+    for name in sorted(paths, key=lambda name: name != named):  # stable: the named key, then document order
         trimmed = json.loads(config_text)
-        parent = reduce(lambda node, key: node[key], path[:-1], trimmed)
-        del parent[path[-1]]
+        parent = reduce(lambda node, key: node[key], paths[name][:-1], trimmed)
+        del parent[paths[name][-1]]
         try:
             _scenario_from_document(trimmed, [()])
         except (TypeError, ValueError):
             continue
-        return " at " + "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).lstrip(".")
+        return " at " + name
     return ""
 
 

@@ -251,7 +251,7 @@ def test_segments_blocked_each_matches_per_cylinder_loop(case):
                       for _ in range(n)]).reshape(len(blockers), n, 3)
     with pytest.MonkeyPatch.context() as monkeypatch:
         for _ in _chunks(monkeypatch):
-            got = segments_blocked_each(p0, p1, bases, 0.4, 1.5)
+            got = segments_blocked_each(p0, p1, bases.transpose(1, 0, 2), 0.4, 1.5)  # rows first
             want = np.zeros(n, dtype=bool)
             for k in range(len(blockers)):
                 want |= _blocked_each_oracle(p0, p1, bases[k], 0.4, 1.5)
@@ -260,6 +260,39 @@ def test_segments_blocked_each_matches_per_cylinder_loop(case):
             if blockers:
                 one = segments_blocked_each(p0, p1, bases[0], 0.4, 1.5)
                 assert np.array_equal(one, _blocked_each_oracle(p0, p1, bases[0], 0.4, 1.5))
+
+
+@st.composite
+def _rows_first_case(draw):
+    """K in {0, 1, 5} cylinders per row, rows first, with one size for all rows or one per row;
+    each row's segment is often placed on a boundary case of one of that row's cylinders."""
+    k, n, per_row = draw(st.sampled_from([0, 1, 5])), draw(st.integers(0, 12)), draw(st.booleans())
+    shared = (draw(st.floats(0.05, 1.0)), draw(st.floats(0.1, 3.0)))
+    rows = []
+    for _ in range(n):
+        radius, height = (draw(st.floats(0.05, 1.0)), draw(st.floats(0.1, 3.0))) if per_row else shared
+        cylinders = [_cylinder((draw(st.floats(0.0, 5.0)), draw(st.floats(0.0, 5.0)),
+                                draw(st.sampled_from([0.0, 0.25]))), radius, height) for _ in range(k)]
+        rows.append((cylinders, draw(_segment(cylinders)), radius, height))
+    bases = np.array([[c.base_center for c in row[0]] for row in rows]).reshape(n, k, 3)
+    p0, p1 = (np.array([row[1][j] for row in rows]).reshape(n, 3) for j in (0, 1))
+    if per_row:
+        return bases, p0, p1, np.array([row[2] for row in rows]), np.array([row[3] for row in rows])
+    return bases, p0, p1, *shared
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rows_first_case())
+def test_rows_first_cylinders_match_the_or_of_the_row_paired_oracle(case):
+    bases, p0, p1, radius, height = case
+    want = np.zeros(len(p0), dtype=bool)
+    for k in range(bases.shape[1]):
+        want |= _blocked_each_oracle(p0, p1, bases[:, k], radius, height)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for _ in _chunks(monkeypatch):
+            got = segments_blocked_each(p0, p1, bases, radius, height)
+            assert got.dtype == bool and got.shape == (len(p0),)
+            assert np.array_equal(got, want)
 
 
 @settings(max_examples=150, deadline=None)
@@ -287,7 +320,7 @@ def test_single_origin_broadcasts_like_the_loop(blockers, ends, origin):
             assert np.array_equal(segments_blocked(origin, ends, _set(blockers)),
                                   _blocked_oracle(origin, ends, _set(blockers)))
             bases = np.array([b.base_center for b in blockers]).reshape(-1, 1, 3)
-            got = segments_blocked_each(origin, ends, bases, 0.3, 1.0)
+            got = segments_blocked_each(origin, ends, bases.transpose(1, 0, 2), 0.3, 1.0)  # rows first
             want = np.zeros(len(ends), dtype=bool)
             for base in bases:
                 want |= _blocked_each_oracle(origin, ends, base, 0.3, 1.0)
@@ -299,12 +332,12 @@ def test_empty_inputs():
     none = np.zeros((0, 3))
     assert segments_blocked(none, none, blockers).shape == (0,)
     assert segments_blocked(none, none, CylinderSet()).shape == (0,)
-    assert segments_blocked_each(none, none, np.zeros((3, 0, 3)), 0.2, 1.0).shape == (0,)
+    assert segments_blocked_each(none, none, np.zeros((0, 3, 3)), 0.2, 1.0).shape == (0,)
     assert segments_blocked_each(none, none, none, 0.2, 1.0).shape == (0,)
     assert segments_blocked_each(none, none, none, np.zeros(0), np.zeros(0)).shape == (0,)  # no size to refuse
     ends = np.array([[0.0, 0.0, 1.0], [2.0, 2.0, 1.0]])
     assert not segments_blocked((0.0, 2.0, 1.0), ends, CylinderSet()).any()
-    assert not segments_blocked_each((0.0, 2.0, 1.0), ends, np.zeros((0, 2, 3)), 0.2, 1.0).any()
+    assert not segments_blocked_each((0.0, 2.0, 1.0), ends, np.zeros((2, 0, 3)), 0.2, 1.0).any()
 
 
 def test_segments_blocked_each_refuses_sizes_as_cylinder_set_does():
@@ -499,8 +532,8 @@ def test_reject_prunes_most_cells_of_a_benchmark_trial(monkeypatch):
     grid, any_hits = [], geometry._any_hits
 
     def counting(origins, ends, bases, radius, height):
-        rows = np.broadcast_shapes(np.atleast_2d(origins).shape, np.atleast_2d(ends).shape, bases.shape[1:])[0]
-        grid.append(len(bases) * rows)
+        rows = np.broadcast_shapes(np.atleast_2d(origins).shape, np.atleast_2d(ends).shape, (len(bases), 3))[0]
+        grid.append(rows * bases.shape[1])
         return any_hits(origins, ends, bases, radius, height)
 
     monkeypatch.setattr(geometry, "_any_hits", counting)
@@ -583,18 +616,23 @@ def _study_cases():
     # equidistant from the pinned device; the blocker cuts only the second AP's link
     pair = (LedTx(position=(1.5, 2.5, 3.0)), LedTx(position=(3.5, 2.5, 3.0)))
     cut = CylinderSet([(3.0, 2.5, 0.0)], radii=0.1, heights=2.0)
+    # the first and the last of three tie, the middle one is farther; again only the last one's link is cut
+    three = (pair[0], LedTx(position=(2.5, 0.5, 3.0)), pair[1])
     fixed = CylinderSet([(2.0, 2.0, 0.0), (4.0, 1.0, 0.0)], radii=[0.3, 0.15])
     return {
         "two-aps": dataclasses.replace(base, aps=two_aps, blocker_population=BlockerPopulation(count=2)),
         "equidistant-pair": dataclasses.replace(base, aps=pair, blockers=cut,
                                                 users=(dataclasses.replace(user, position=pinned, self_blockage=False),)),
+        "equidistant-of-three": dataclasses.replace(base, aps=three, blockers=cut, users=(
+            dataclasses.replace(user, position=pinned, self_blockage=False),)),
         "fixed-and-population": dataclasses.replace(base, blockers=fixed, blocker_population=BlockerPopulation(count=3)),
         "pinned-position": dataclasses.replace(base, users=(dataclasses.replace(user, position=pinned),),
                                                blocker_population=BlockerPopulation(count=1)),
     }
 
 
-@pytest.mark.parametrize("case", ["two-aps", "equidistant-pair", "fixed-and-population", "pinned-position"])
+@pytest.mark.parametrize("case", ["two-aps", "equidistant-pair", "equidistant-of-three", "fixed-and-population",
+                                  "pinned-position"])
 @pytest.mark.parametrize("blocks", ["one-sample", "one-block", "one-block-plus-one"])
 def test_orientation_study_blocks_match_the_oracle(case, blocks):
     s = _study_cases()[case]
@@ -603,7 +641,7 @@ def test_orientation_study_blocks_match_the_oracle(case, blocks):
         got = orientation_study(s, samples[blocks], master_seed=seed)
         want = _orientation_study_oracle(s, samples[blocks], master_seed=seed)
         assert got == want or math.isnan(got) and math.isnan(want)
-    if case == "equidistant-pair":  # the tie goes to the first AP, whose link is clear
+    if case.startswith("equidistant"):  # the tie goes to the first AP, whose link is clear
         assert not math.isnan(orientation_study(s, samples[blocks]))
         assert math.isnan(orientation_study(dataclasses.replace(s, aps=s.aps[::-1]), samples[blocks]))
 

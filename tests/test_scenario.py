@@ -763,7 +763,8 @@ def _keys_before(doc, path):
 @pytest.mark.parametrize("path, value, section", [
     (("ris", 2, "reflectivity"), 2.0, ("ris", 2)),  # the panel's constructor refuses it
     (("users", 1, "area"), -1.0, ("users", 1)),
-    (("users", 2, "body_offset"), 1e300, ()),  # the scenario refuses it, across sections
+    # the scenario refuses it across sections and names it: one reload confirms the key, with no search
+    (("users", 2, "body_offset"), 1e300, ("users", 2, "body_offset")),
 ])
 def test_a_refusal_reloads_the_document_only_per_key_of_the_raising_section(monkeypatch, path, value, section):
     doc = _blame_document()
@@ -784,3 +785,43 @@ def test_a_refusal_reloads_the_document_only_per_key_of_the_raising_section(monk
         load_scenario(json.dumps(doc))
     tried = [key for key in _keys_before(doc, path) if key[:len(section)] == section]
     assert len(calls) == 1 + len(tried)  # the load, then one reload per key tried
+
+
+def _document_at_every_cap():
+    """64 APs, 256 users with their orientation, 1 024 blocker positions and 16 panels of 8 x 8."""
+    doc = _blame_document()
+    doc["aps"] = doc["aps"][:1] * AP_COUNT_CAP
+    doc["users"] = [dict(doc["users"][0]) for _ in range(USER_COUNT_CAP)]
+    doc["blockers"] = {"radius": 0.2, "positions": [[1.0 + i / 1e3, 2.0] for i in range(BLOCKER_COUNT_CAP)]}
+    doc["ris"] = [{**doc["ris"][0], "rows": 8, "cols": 8} for _ in range(PANEL_COUNT_CAP)]
+    return doc
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("body_offset", 1e300, "users[255].body_offset"),  # past the floor diagonal
+    ("position", [1.0, 1.0, 9.0], "users[255].position"),  # above the ceiling
+])
+def test_a_cross_section_refusal_at_every_cap_reloads_the_document_once(monkeypatch, key, value, named):
+    doc = _document_at_every_cap()
+    doc["users"][-1][key] = value
+    calls, original = [], scenario._scenario_from_document
+
+    def counting(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(scenario, "_scenario_from_document", counting)
+    with pytest.raises(ConfigError, match=re.escape(f"configuration validation error at {named}: {named} ")):
+        load_scenario(json.dumps(doc))
+    assert len(calls) == 2  # the load, then the reload without the named key
+
+
+@pytest.mark.parametrize("doc, named", [
+    # the scenario names users[2], the third user after `count` expands; the document holds it at users[1]
+    ({"users": [{"count": 2}, {"body_offset": 1e300}]}, "users[1].body_offset"),
+    # the scenario names a default height; only removing the room height lets the document load
+    ({"room": {"height": 0.5}, "users": [{}]}, "room.height"),
+])
+def test_a_named_key_the_document_does_not_hold_falls_back_to_the_search(doc, named):
+    with pytest.raises(ConfigError, match=re.escape(f"configuration validation error at {named}: ")):
+        load_scenario(json.dumps({"aps": [{"position": [2.5, 2.5, 0.25]}], **doc}))
