@@ -24,9 +24,7 @@ from .geometry import (
 from .metrics import (
     IntensityConstraints,
     NoiseModel,
-    SecrecyScenario,
     link_rate,
-    secrecy_rate,
     sum_rate,
 )
 from .mimo import (
@@ -34,8 +32,6 @@ from .mimo import (
     MimoChannel,
     RegimeError,
     assemble_channel,
-    check_intensity_constraints,
-    parallel_capacity,
     qr_capacity,
 )
 from .noma import (
@@ -64,9 +60,7 @@ from .orientation import (
     sample_orientation,
 )
 from .ris import (
-    LcReceiverConfig,
     MirrorArray,
-    apply_lc_receiver_gain,
 )
 from .scenario import (
     BlockerPopulation,
@@ -99,7 +93,6 @@ __all__ = [
     "CylinderSet",
     "DeviceOrientation",
     "IntensityConstraints",
-    "LcReceiverConfig",
     "LedTx",
     "LinkEvaluation",
     "MimoChannel",
@@ -114,19 +107,16 @@ __all__ = [
     "Room",
     "ScaParams",
     "Scenario",
-    "SecrecyScenario",
     "StudyStatistics",
     "TrialResult",
     "UserSpec",
     "WallPatchSet",
     "WallRect",
-    "apply_lc_receiver_gain",
     "assemble_channel",
     "benchmark_scenario",
     "best_two_user_allocation",
     "blockage_study",
     "blocked_benchmark_scenario",
-    "check_intensity_constraints",
     "grid_search_oracle",
     "incidence_cosine",
     "lambertian_index",
@@ -138,7 +128,6 @@ __all__ = [
     "order_users",
     "orientation_benchmark_scenario",
     "orientation_study",
-    "parallel_capacity",
     "pso_optimize",
     "qr_capacity",
     "random_angle_baseline",
@@ -146,7 +135,6 @@ __all__ = [
     "run_trial",
     "sample_orientation",
     "sca_optimize",
-    "secrecy_rate",
     "single_mirror_benchmark_scenario",
     "study_statistics",
     "sum_rate",

@@ -1,4 +1,4 @@
-"""Rates and secrecy metrics for intensity-modulated optical links.
+"""Link and network rates for intensity-modulated optical links.
 
 Intensity modulation with direct detection carries information on a real,
 nonnegative signal with a peak constraint, so the familiar Shannon formula
@@ -8,7 +8,7 @@ peak-intensity capacity bound
     rate = B * 1/2 * log2(1 + 2 h**2 X**2 / (2 pi e sigma**2))
 
 with peak intensity X and noise variance sigma**2 = N0 * B. The same
-integrand serves single links, secrecy differences, and per-subchannel
+integrand serves single links, network sum rates, and per-subchannel
 MIMO sums, so every module reports rates on one scale.
 """
 
@@ -55,21 +55,6 @@ class IntensityConstraints:
             raise ValueError(f"peak intensity {self.peak} must be finite when squared")
 
 
-@dataclass(frozen=True)
-class SecrecyScenario:
-    """Path gains of the legitimate user (Bob) and the eavesdropper (Eve)."""
-
-    bob_los: float
-    bob_ris: float
-    eve_los: float
-    eve_ris: float
-
-    def __post_init__(self):
-        for name in ("bob_los", "bob_ris", "eve_los", "eve_ris"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
-
-
 def link_rate(h, constraints: IntensityConstraints, noise: NoiseModel) -> float:
     """Achievable rate in bits/s of one link under the peak-intensity bound."""
     value = checked_gain(h)
@@ -106,10 +91,3 @@ def sum_rate(scenario, ris_angles=None) -> float:
     """
     links = scenario.evaluate_links(ris_angles)
     return _in_order_sum(_airtime_shared_rates(links, scenario.constraints, scenario.noise))
-
-
-def secrecy_rate(s: SecrecyScenario, constraints: IntensityConstraints, noise: NoiseModel) -> float:
-    """Positive part of Bob's rate minus Eve's rate, each on LoS + mirror gain."""
-    bob = link_rate(s.bob_los + s.bob_ris, constraints, noise)
-    eve = link_rate(s.eve_los + s.eve_ris, constraints, noise)
-    return max(0.0, bob - eve)

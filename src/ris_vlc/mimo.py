@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -85,34 +85,6 @@ class ConstraintCheck:
 
     ok: bool
     violation: Optional[str] = None
-
-
-def check_intensity_constraints(x: Sequence[float], c: IntensityConstraints) -> ConstraintCheck:
-    """Verify 0 <= x_i <= peak per source and sum(x) <= average budget."""
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1:
-        return ConstraintCheck(False, "input must be a 1-D intensity vector")
-    for i, value in enumerate(v):
-        if not value >= 0.0:
-            return ConstraintCheck(False, f"x[{i}]={value} is not a nonnegative number")
-        if value > c.peak:
-            return ConstraintCheck(False, f"x[{i}]={value} exceeds the peak {c.peak}")
-    total = float(np.sum(v))
-    if total > c.average_total:
-        return ConstraintCheck(False, f"sum of means {total} exceeds the budget {c.average_total}")
-    return ConstraintCheck(True, None)
-
-
-def parallel_capacity(
-    gains: Sequence[float], c: IntensityConstraints, noise_variance: float
-) -> float:
-    """Capacity of decoupled branches: sum of per-branch peak-intensity bounds."""
-    if not noise_variance > 0.0:
-        raise ValueError("noise variance must be positive")
-    h = np.atleast_1d(np.asarray(gains, dtype=float))
-    if not np.all(h >= 0.0):
-        raise ValueError("branch gains must be nonnegative")
-    return float(sum(_per_branch_bits(float(g), c.peak, noise_variance) for g in h))
 
 
 def qr_capacity(channel: np.ndarray, c: IntensityConstraints, noise_variance: float) -> float:

@@ -219,27 +219,3 @@ def steered_gains(array: MirrorArray, rx, terms: SteeringTerms, normals: np.ndar
     gains = (array.reflectivity * (terms.capture * np.where(ok, cos_t1, 0.0)) * lobe * rx.area * terms.cos_t2
              * rx.filter_gain * rx.concentrator)
     return np.where(ok, gains, 0.0)
-
-
-@dataclass(frozen=True)
-class LcReceiverConfig:
-    """Liquid-crystal front-end surrogate: transmittance, gain, effective FoV."""
-
-    transmittance: float = 1.0
-    amplification: float = 1.0
-    effective_fov: float = math.radians(90.0)
-
-    def __post_init__(self):
-        if not 0.0 < self.transmittance <= 1.0:
-            raise ValueError("transmittance must lie in (0, 1]")
-        if self.amplification < 1.0:
-            raise ValueError("amplification must be >= 1")
-        if not 0.0 < self.effective_fov <= math.pi / 2.0:
-            raise ValueError("effective FoV must lie in (0, pi/2]")
-
-
-def apply_lc_receiver_gain(h: float, cfg: LcReceiverConfig, theta: float) -> float:
-    """Scale a path gain through the LC front end; zero outside its FoV."""
-    if theta < 0.0 or theta > cfg.effective_fov:
-        return 0.0
-    return h * cfg.transmittance * cfg.amplification

@@ -704,7 +704,14 @@ def _scenario_from_document(doc: dict, section: list) -> Scenario:
     so after a refusal it names the one whose constructor raised (() for the checks across sections)."""
     def build(path, make, *args, **kwargs):
         section[0] = path
-        return make(*args, **kwargs)
+        try:
+            return make(*args, **kwargs)
+        except ConfigError as exc:  # Scenario numbers users after `count` expands them: name the document's entry
+            head, _, tail = exc.key.partition("]")
+            if not head.startswith("users["):
+                raise
+            key = f"users[{owners[int(head[6:])]}]{tail}"
+            raise ConfigError(str(exc).replace(exc.key, key), key) from exc
 
     room_sec = doc.get("room", {})
     room = build(("room",), Room, **_fields(room_sec, _ROOM, "room", extra=_WALLS))
@@ -716,7 +723,7 @@ def _scenario_from_document(doc: dict, section: list) -> Scenario:
             raise ConfigError(f"aps[{i}] is missing required key 'position'")
         aps.append(build(("aps", i), LedTx, **kwargs))
 
-    users = []
+    users, owners = [], []  # owners[j]: the document index of expanded user j
     for i, sec in enumerate(_list(doc.get("users", []), "users", USER_COUNT_CAP)):
         kwargs = _fields(sec, _USER, f"users[{i}]", extra=("count", "orientation"))
         if "orientation" in sec:
@@ -729,6 +736,7 @@ def _scenario_from_document(doc: dict, section: list) -> Scenario:
             raise ConfigError(f"users[{i}].count {count:.6g} brings the users to {len(users) + count:.6g}, "
                               f"above the cap of {USER_COUNT_CAP}")
         users.extend([template] * count)
+        owners.extend([i] * count)
 
     bsec = doc.get("blockers", {})
     dims = _fields(bsec, _BLOCKERS, "blockers", extra=("count", "positions"))

@@ -1,5 +1,5 @@
-"""Shared fixtures: a CLI runner, a small scenario document, the occluders of one user's links
-and the whole-pass polar-angle sampler."""
+"""Shared fixtures: a CLI runner, a small scenario document, the occluders of one user's links,
+the whole-pass polar-angle sampler and the parallel-branch capacity bound."""
 
 import json
 import math
@@ -91,3 +91,10 @@ def whole_pass_polar_angles(model, rng, n):
         out[have : have + take] = keep[:take]
         have += take
     return out
+
+
+def parallel_branch_bits(gains, peak, noise_variance) -> float:
+    """Capacity of decoupled branches, sum over g of 1/2 log2(1 + 2 g^2 X^2 / (2 pi e sigma^2)):
+    the per-branch peak-intensity bound that the `mimo` docstring sums, written from the formula."""
+    g = np.asarray(gains, dtype=float)
+    return float(np.sum(0.5 * np.log2(1.0 + 2.0 * g * g * peak * peak / (2.0 * np.pi * np.e * noise_variance))))

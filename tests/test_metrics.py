@@ -1,4 +1,4 @@
-"""Noise, intensity constraints, rates, and secrecy."""
+"""Noise, intensity constraints, and link and sum rates."""
 
 import math
 from dataclasses import dataclass
@@ -8,9 +8,7 @@ import pytest
 from ris_vlc.metrics import (
     IntensityConstraints,
     NoiseModel,
-    SecrecyScenario,
     link_rate,
-    secrecy_rate,
     sum_rate,
 )
 
@@ -96,18 +94,3 @@ def test_sum_rate_forwards_ris_angles():
     s = _Recording([_StubLink(0, 1e-6)])
     sum_rate(s, ris_angles="token")
     assert s.seen == "token"
-
-
-def test_secrecy_rate_positive_part():
-    good = SecrecyScenario(bob_los=2e-6, bob_ris=1e-6, eve_los=5e-7, eve_ris=0.0)
-    bob = link_rate(3e-6, CONSTRAINTS, NOISE)
-    eve = link_rate(5e-7, CONSTRAINTS, NOISE)
-    assert secrecy_rate(good, CONSTRAINTS, NOISE) == pytest.approx(bob - eve, rel=1e-12)
-
-    bad = SecrecyScenario(bob_los=5e-7, bob_ris=0.0, eve_los=2e-6, eve_ris=1e-6)
-    assert secrecy_rate(bad, CONSTRAINTS, NOISE) == 0.0
-
-
-def test_secrecy_scenario_validation():
-    with pytest.raises(ValueError):
-        SecrecyScenario(bob_los=-1e-9, bob_ris=0.0, eve_los=0.0, eve_ris=0.0)

@@ -8,10 +8,10 @@ from ris_vlc.mimo import (
     MimoChannel,
     RegimeError,
     assemble_channel,
-    check_intensity_constraints,
-    parallel_capacity,
     qr_capacity,
 )
+
+from conftest import parallel_branch_bits
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 NAN = float("nan")
@@ -61,24 +61,13 @@ def test_mimo_channel_shape_properties():
     )
 
 
-def test_parallel_capacity_hand_value():
-    c = IntensityConstraints(peak=1.0, average_total=2.0)
-    assert parallel_capacity(np.array([0.5, 1.2]), c, 0.1) == pytest.approx(
-        0.8980139829003939, rel=1e-12
-    )
-    with pytest.raises(ValueError):
-        parallel_capacity(np.array([0.5, -0.1]), c, 0.1)
-    with pytest.raises(ValueError):
-        parallel_capacity(np.array([0.5]), c, 0.0)
-
-
 def test_qr_capacity_equals_parallel_for_diagonal():
     c = IntensityConstraints(peak=1.0, average_total=2.0)
     rng = np.random.default_rng(5)
     for _ in range(100):
         d = rng.uniform(0.0, 2.0, 4)
         qr = qr_capacity(np.diag(d), c, 0.3)
-        par = parallel_capacity(d, c, 0.3)
+        par = parallel_branch_bits(d, c.peak, 0.3)
         assert qr == pytest.approx(par, rel=1e-12)
 
 
@@ -119,9 +108,8 @@ def test_qr_capacity_regime_flag():
         qr_capacity(channel, ok, 0.1)
     with pytest.raises(RegimeError):
         qr_capacity(channel[:, :3], IntensityConstraints(2.0, 1.5), 0.1)
-    for capacity in (lambda v: qr_capacity(channel[:, :3], ok, v), lambda v: parallel_capacity([0.5, 1.0], ok, v)):
-        with pytest.raises(ValueError, match="noise variance must be positive"):
-            capacity(0.0)
+    with pytest.raises(ValueError, match="noise variance must be positive"):
+        qr_capacity(channel[:, :3], ok, 0.0)
 
 
 def test_qr_capacity_invariant_to_row_sign_structure():
@@ -130,35 +118,18 @@ def test_qr_capacity_invariant_to_row_sign_structure():
     ch = np.array([[0.3, 0.7], [0.9, 0.2]])
     c = IntensityConstraints(peak=1.0, average_total=1.0)
     _, r = np.linalg.qr(ch)
-    by_hand = sum(
-        0.5 * np.log2(1.0 + 2.0 * d * d / (2.0 * np.pi * np.e * 0.2))
-        for d in np.abs(np.diag(r))
-    )
-    assert qr_capacity(ch, c, 0.2) == pytest.approx(float(by_hand), rel=1e-12)
+    by_hand = parallel_branch_bits(np.abs(np.diag(r)), c.peak, 0.2)
+    assert qr_capacity(ch, c, 0.2) == pytest.approx(by_hand, rel=1e-12)
 
 
 @pytest.mark.parametrize("call", [
     lambda c: assemble_channel(np.ones((2, 2)), [NAN, 1.0], np.ones((2, 2))),
     lambda c: assemble_channel(np.ones((2, 2)), [1.0, 1.0], np.full((2, 2), NAN)),
     lambda c: MimoChannel(np.ones((2, 2)), [1.0, 1.0], np.array([[1.0, NAN], [1.0, 1.0]])),
-    lambda c: parallel_capacity([NAN, 1.0], c, 0.1),
-    lambda c: parallel_capacity([0.5, 1.0], c, NAN),
     lambda c: qr_capacity(np.array([[1.0, NAN], [0.2, 0.3]]), c, 0.1),
     lambda c: qr_capacity(np.eye(2), c, NAN),
-], ids=["phi", "H", "channel", "parallel-gain", "parallel-noise", "qr-entry", "qr-noise"])
+], ids=["phi", "H", "channel", "qr-entry", "qr-noise"])
 def test_nan_inputs_are_refused(call):
     with pytest.raises(ValueError, match="nonnegative|lie in|positive"):
         call(IntensityConstraints(peak=1.0, average_total=2.0))
 
-
-def test_check_intensity_constraints():
-    c = IntensityConstraints(peak=1.0, average_total=1.5)
-    assert check_intensity_constraints(np.array([0.5, 0.5]), c).ok
-    r = check_intensity_constraints(np.array([1.2, 0.1]), c)
-    assert not r.ok and "exceeds the peak" in r.violation
-    r = check_intensity_constraints(np.array([-0.1, 0.1]), c)
-    assert not r.ok and "negative" in r.violation
-    r = check_intensity_constraints(np.array([0.9, 0.9]), c)
-    assert not r.ok and "budget" in r.violation
-    r = check_intensity_constraints(np.array([0.1, NAN]), c)
-    assert not r.ok and r.violation == "x[1]=nan is not a nonnegative number"

@@ -1,24 +1,24 @@
-"""The public API exports only what the simulator, the CLI or the benchmark runs.
+"""The package defines and exports only what the simulator, the CLI or the benchmark runs.
 
-A name in `ris_vlc.__all__` that nothing outside `__init__.py` uses is a copy
-kept for tests, and a test of it can pass while the simulator is wrong.
+A module-level function or class that nothing else in `src/` or `perfbench/` uses, or a name in
+`ris_vlc.__all__` that nothing outside `__init__.py` uses, is a copy kept for tests, and a test of
+it can pass while the simulator is wrong.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import ris_vlc
 
 ROOT = Path(__file__).resolve().parents[1]
-# the paper's LC-receiver, MIMO intensity-constraint and physical-layer-security topics, and its
-# capacity bound for non-overlapping beams, which acceptance criterion 5 holds the QR bound to
-WITHOUT_A_CALLER = {"apply_lc_receiver_gain", "check_intensity_constraints", "parallel_capacity", "secrecy_rate"}
+WITHOUT_A_CALLER = set()
 
 
-def _references(path: Path) -> set:
+def _references(tree: ast.AST) -> set:
     """Imported names, names and attributes used, and string constants (perfbench pins spans by string)."""
     found = set()
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for node in ast.walk(tree):
         if isinstance(node, ast.alias):
             found.add(node.name)
         elif isinstance(node, ast.Name):
@@ -37,11 +37,16 @@ def test_all_is_sorted_unique_and_resolves():
         assert hasattr(ris_vlc, name), name
 
 
-def test_every_exported_name_is_used_outside_the_package_init():
-    sources = [p for p in sorted((ROOT / "src" / "ris_vlc").glob("*.py")) if p.name != "__init__.py"]
-    sources += sorted((ROOT / "perfbench").glob("*.py"))
-    used = set().union(*map(_references, sources))
-    unused = sorted(set(ris_vlc.__all__) - used - WITHOUT_A_CALLER)
-    assert unused == []
-    # the allow-list holds only exported names that still have no use
-    assert WITHOUT_A_CALLER <= set(ris_vlc.__all__) and not WITHOUT_A_CALLER & used
+def test_every_definition_and_export_is_used_outside_its_own_definition():
+    paths = [p for p in sorted((ROOT / "src" / "ris_vlc").glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((ROOT / "perfbench").glob("*.py"))
+    statements = [(path, node, _references(node))
+                  for path in paths for node in ast.parse(path.read_text(), filename=str(path)).body]
+    counts = Counter(name for _, _, refs in statements for name in refs)  # top-level statements using each name
+    unused = {name for name in ris_vlc.__all__ if not counts[name]}
+    unused |= {node.name for path, node, refs in statements
+               if path.parent.name == "ris_vlc" and isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and counts[node.name] == (node.name in refs)}
+    assert sorted(unused - WITHOUT_A_CALLER) == []
+    # the allow-list holds only names that still have no use
+    assert WITHOUT_A_CALLER <= unused

@@ -1,4 +1,4 @@
-"""Mirror-array geometry, reflected-lobe gains, and the LC front end."""
+"""Mirror-array geometry and reflected-lobe gains."""
 
 import dataclasses
 import math
@@ -13,9 +13,7 @@ from ris_vlc.geometry import CylinderSet, unit
 from ris_vlc.orientation import DeviceOrientation
 from ris_vlc.ris import (
     ANGLE_LIMIT,
-    LcReceiverConfig,
     MirrorArray,
-    apply_lc_receiver_gain,
     element_gains,
 )
 
@@ -174,21 +172,3 @@ def test_element_gain_zero_when_receiver_faces_away():
                    area=1e-4, fov=math.radians(85.0), filter_gain=1.0,
                    refractive_index=1.5)
     assert element_gains(TX, ARR, rx_away)[0] == 0.0
-
-
-def test_lc_receiver_config_validation():
-    with pytest.raises(ValueError):
-        LcReceiverConfig(transmittance=0.0)
-    with pytest.raises(ValueError):
-        LcReceiverConfig(amplification=0.5)
-    with pytest.raises(ValueError):
-        LcReceiverConfig(effective_fov=math.pi)
-
-
-def test_apply_lc_receiver_gain():
-    h = 2e-6
-    cfg = LcReceiverConfig(transmittance=0.8, amplification=2.0,
-                           effective_fov=math.radians(40.0))
-    inside = apply_lc_receiver_gain(h, cfg, math.radians(30.0))
-    assert inside == pytest.approx(2e-6 * 0.8 * 2.0, rel=1e-15)
-    assert apply_lc_receiver_gain(h, cfg, math.radians(50.0)) == 0.0

@@ -760,31 +760,36 @@ def _keys_before(doc, path):
     return keys[:keys.index(path) + 1]
 
 
-@pytest.mark.parametrize("path, value, section", [
-    (("ris", 2, "reflectivity"), 2.0, ("ris", 2)),  # the panel's constructor refuses it
-    (("users", 1, "area"), -1.0, ("users", 1)),
-    # the scenario refuses it across sections and names it: one reload confirms the key, with no search
-    (("users", 2, "body_offset"), 1e300, ("users", 2, "body_offset")),
-])
-def test_a_refusal_reloads_the_document_only_per_key_of_the_raising_section(monkeypatch, path, value, section):
-    doc = _blame_document()
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
-    calls = []
-    original = scenario._scenario_from_document
+@pytest.fixture
+def document_loads(monkeypatch):
+    """Each document `load_scenario` builds a scenario from: the load, then every reload of its key search."""
+    calls, original = [], scenario._scenario_from_document
 
     def counting(*args):
         calls.append(args[0])
         return original(*args)
 
     monkeypatch.setattr(scenario, "_scenario_from_document", counting)
+    return calls
+
+
+@pytest.mark.parametrize("path, value, section", [
+    (("ris", 2, "reflectivity"), 2.0, ("ris", 2)),  # the panel's constructor refuses it
+    (("users", 1, "area"), -1.0, ("users", 1)),
+    # the scenario refuses it across sections and names it: one reload confirms the key, with no search
+    (("users", 2, "body_offset"), 1e300, ("users", 2, "body_offset")),
+])
+def test_a_refusal_reloads_the_document_only_per_key_of_the_raising_section(document_loads, path, value, section):
+    doc = _blame_document()
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
     name = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).lstrip(".")
     with pytest.raises(ConfigError, match=re.escape(f" at {name}:")):
         load_scenario(json.dumps(doc))
     tried = [key for key in _keys_before(doc, path) if key[:len(section)] == section]
-    assert len(calls) == 1 + len(tried)  # the load, then one reload per key tried
+    assert len(document_loads) == 1 + len(tried)  # the load, then one reload per key tried
 
 
 def _document_at_every_cap():
@@ -801,24 +806,26 @@ def _document_at_every_cap():
     ("body_offset", 1e300, "users[255].body_offset"),  # past the floor diagonal
     ("position", [1.0, 1.0, 9.0], "users[255].position"),  # above the ceiling
 ])
-def test_a_cross_section_refusal_at_every_cap_reloads_the_document_once(monkeypatch, key, value, named):
+def test_a_cross_section_refusal_at_every_cap_reloads_the_document_once(document_loads, key, value, named):
     doc = _document_at_every_cap()
     doc["users"][-1][key] = value
-    calls, original = [], scenario._scenario_from_document
-
-    def counting(*args):
-        calls.append(args[0])
-        return original(*args)
-
-    monkeypatch.setattr(scenario, "_scenario_from_document", counting)
     with pytest.raises(ConfigError, match=re.escape(f"configuration validation error at {named}: {named} ")):
         load_scenario(json.dumps(doc))
-    assert len(calls) == 2  # the load, then the reload without the named key
+    assert len(document_loads) == 2  # the load, then the reload without the named key
+
+
+@pytest.mark.parametrize("users, named", [
+    # the scenario checks the third and the fourth user after `count` expands; the document holds each at users[1]
+    ([{"count": 2}, {"body_offset": 1e300}], "users[1].body_offset"),
+    ([{"count": 3}, {"position": [9.0, 1.0, 0.8]}], "users[1].position"),
+])
+def test_a_refusal_after_count_expands_names_the_users_entry_of_the_document(document_loads, users, named):
+    with pytest.raises(ConfigError, match=re.escape(f"configuration validation error at {named}: {named} ")):
+        load_scenario(json.dumps({"aps": [{"position": [2.5, 2.5, 0.25]}], "users": users}))
+    assert len(document_loads) == 2  # the load, then the reload without the named key
 
 
 @pytest.mark.parametrize("doc, named", [
-    # the scenario names users[2], the third user after `count` expands; the document holds it at users[1]
-    ({"users": [{"count": 2}, {"body_offset": 1e300}]}, "users[1].body_offset"),
     # the scenario names a default height; only removing the room height lets the document load
     ({"room": {"height": 0.5}, "users": [{}]}, "room.height"),
 ])
