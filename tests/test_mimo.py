@@ -61,6 +61,16 @@ def test_mimo_channel_shape_properties():
     )
 
 
+def test_parallel_capacity_hand_value():
+    # a diagonal channel is two decoupled branches: the QR bound is their per-branch sum
+    c = IntensityConstraints(peak=1.0, average_total=2.0)
+    assert qr_capacity(np.diag([0.5, 1.2]), c, 0.1) == pytest.approx(0.8980139829003939, rel=1e-12)
+    with pytest.raises(ValueError):
+        qr_capacity(np.diag([0.5, -0.1]), c, 0.1)
+    with pytest.raises(ValueError):
+        qr_capacity(np.diag([0.5]), c, 0.0)
+
+
 def test_qr_capacity_equals_parallel_for_diagonal():
     c = IntensityConstraints(peak=1.0, average_total=2.0)
     rng = np.random.default_rng(5)
@@ -126,9 +136,11 @@ def test_qr_capacity_invariant_to_row_sign_structure():
     lambda c: assemble_channel(np.ones((2, 2)), [NAN, 1.0], np.ones((2, 2))),
     lambda c: assemble_channel(np.ones((2, 2)), [1.0, 1.0], np.full((2, 2), NAN)),
     lambda c: MimoChannel(np.ones((2, 2)), [1.0, 1.0], np.array([[1.0, NAN], [1.0, 1.0]])),
+    lambda c: qr_capacity(np.diag([NAN, 1.0]), c, 0.1),
+    lambda c: qr_capacity(np.diag([0.5, 1.0]), c, NAN),
     lambda c: qr_capacity(np.array([[1.0, NAN], [0.2, 0.3]]), c, 0.1),
     lambda c: qr_capacity(np.eye(2), c, NAN),
-], ids=["phi", "H", "channel", "qr-entry", "qr-noise"])
+], ids=["phi", "H", "channel", "parallel-gain", "parallel-noise", "qr-entry", "qr-noise"])
 def test_nan_inputs_are_refused(call):
     with pytest.raises(ValueError, match="nonnegative|lie in|positive"):
         call(IntensityConstraints(peak=1.0, average_total=2.0))

@@ -815,9 +815,12 @@ def test_a_cross_section_refusal_at_every_cap_reloads_the_document_once(document
 
 
 @pytest.mark.parametrize("users, named", [
-    # the scenario checks the third and the fourth user after `count` expands; the document holds each at users[1]
+    # the scenario numbers users after `count` expands them; the document holds each refused one at users[1]
     ([{"count": 2}, {"body_offset": 1e300}], "users[1].body_offset"),
     ([{"count": 3}, {"position": [9.0, 1.0, 0.8]}], "users[1].position"),
+    ([{"count": 2}, {"height": 9.0}], "users[1].height"),  # a default position, placed at its height
+    ([{"count": 0}, {"position": [9.0, 1.0, 0.8]}], "users[1].position"),  # the scenario's first user
+    ([{"count": 2}, {"count": 2, "body_offset": 1e300}], "users[1].body_offset"),  # the first of its copies
 ])
 def test_a_refusal_after_count_expands_names_the_users_entry_of_the_document(document_loads, users, named):
     with pytest.raises(ConfigError, match=re.escape(f"configuration validation error at {named}: {named} ")):
