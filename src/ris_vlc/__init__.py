@@ -14,7 +14,6 @@ from .channel import (
     incidence_cosine,
     lambertian_index,
     los_gain,
-    wall_first_reflection_gain,
 )
 from .geometry import (
     CylinderSet,
@@ -28,13 +27,13 @@ from .metrics import (
     sum_rate,
 )
 from .mimo import (
-    ConstraintCheck,
     MimoChannel,
     RegimeError,
     assemble_channel,
     qr_capacity,
 )
 from .noma import (
+    ConstraintCheck,
     NomaAllocation,
     best_two_user_allocation,
     noma_rates,
@@ -80,6 +79,7 @@ from .scenario import (
     run_trial,
     single_mirror_benchmark_scenario,
     study_statistics,
+    wall_first_reflection_gain,
 )
 
 __version__ = "0.1.0"

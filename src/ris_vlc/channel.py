@@ -26,7 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import CylinderSet, Room, Vec3, as_points, as_vec3, segments_blocked, unit
+from .geometry import Room, Vec3, as_points, as_vec3, unit
+# segments_blocked stays importable here: perfbench/spans.py wraps it at this name
+from .geometry import segments_blocked  # noqa: F401
 from .orientation import DeviceOrientation
 
 
@@ -225,9 +227,9 @@ class ReflectionLegs:
     `d1`, `u1`, `cos_phi1`: LED-to-point length, unit direction and irradiance
     cosine; `d2`, `u2`, `cos_t2`: point-to-photodiode length, direction and
     incidence cosine. `clear` marks points the LED faces, seen inside the FoV,
-    with neither leg blocked. One link has a row per point; `_legs` shapes the
-    LED-side fields (1, APs, n), the receiver-side ones (users, 1, n) and `clear`
-    (users, APs, n). Read-only, so one record serves many evaluations.
+    with neither leg blocked. `_legs` shapes the LED-side fields (1, APs, n), the
+    receiver-side ones (users, 1, n) and `clear` (users, APs, n). Read-only, so
+    one record serves many evaluations.
     """
 
     d1: np.ndarray
@@ -241,23 +243,6 @@ class ReflectionLegs:
     def __post_init__(self):
         for array in vars(self).values():
             array.flags.writeable = False
-
-
-def reflection_legs(tx: LedTx, points: np.ndarray, rx: PdRx, blockers: CylinderSet = CylinderSet()) -> ReflectionLegs:
-    """Leg geometry and blockage of first-order reflections through (n, 3) `points`.
-
-    Wall patches and mirror elements share it and add only the terms of their
-    own normals: cos(t1) at the point, then cos(phi2) or the specular lobe.
-    """
-    d1, u1, cos_phi1, d2, u2, cos_t2, clear = (a[0, 0] for a in vars(_legs((tx,), points, (rx,))).values())
-    clear = clear.copy()
-    lit = np.flatnonzero(clear)
-    if blockers and lit.size:  # both legs of the lit rows in one test, the LED-side legs first
-        via = points[lit]
-        hit = segments_blocked(np.vstack([np.broadcast_to(tx.position, via.shape), via]),
-                               np.vstack([via, np.broadcast_to(rx.position, via.shape)]), blockers)
-        clear[lit] = ~hit.reshape(2, -1).any(axis=0)
-    return ReflectionLegs(d1, u1, cos_phi1, d2, u2, cos_t2, clear)
 
 
 def _legs(txs: Sequence[LedTx], points: np.ndarray, rxs: Sequence[PdRx]) -> ReflectionLegs:
@@ -278,28 +263,6 @@ def _legs(txs: Sequence[LedTx], points: np.ndarray, rxs: Sequence[PdRx]) -> Refl
     return ReflectionLegs(d1[None], u1[None], cos_phi1, d2[:, None], u2[:, None], cos_t2, clear)
 
 
-def wall_first_reflection_gain(
-    tx: LedTx,
-    rx: PdRx,
-    patches: WallPatchSet,
-    blockers: CylinderSet = CylinderSet(),
-) -> float:
-    """First-order diffuse wall reflection gain, summed over patches.
-
-    Each patch contributes
-
-        rho * (m+1) * A / (2 pi**2 d1**2 d2**2) * dA
-            * cos(phi1)**m * cos(t1) * cos(phi2) * cos(t2) * T * G(t2)
-
-    with the transmitter-side irradiance/incidence pair (phi1, t1) and the
-    receiver-side pair (phi2, t2). Terms vanish when any cosine is negative,
-    the receiver-side incidence leaves the FoV, or a blocker occludes either
-    sub-segment. Patches are summed in construction order.
-    """
-    legs = reflection_legs(tx, patches.centers, rx, blockers)
-    return checked_gain(_wall_gain(tx.lambertian_order, rx, patches, legs))
-
-
 def _lambertian_power(cos_phi1: np.ndarray, m) -> np.ndarray:
     """cos_phi1 ** m, each LED's order (one, or a (1, APs, 1) column over axis -2) as a Python float:
     NumPy roots or squares a one-element exponent of 0.5 or 2 but calls pow() for a longer one."""
@@ -310,10 +273,19 @@ def _lambertian_power(cos_phi1: np.ndarray, m) -> np.ndarray:
 
 
 def _wall_gain(m, rx, pset: WallPatchSet, legs: ReflectionLegs):
-    """The patch sum of `wall_first_reflection_gain` over legs whose `clear` already holds blockage.
+    """First-order diffuse wall reflection gain, summed over patches in construction order.
 
-    `m` and the `rx` terms are floats for one link or (users, APs) columns over the rows of `_legs`,
-    with equal bits either way (see `_lambertian_power`)."""
+    Each patch contributes
+
+        rho * (m+1) * A / (2 pi**2 d1**2 d2**2) * dA
+            * cos(phi1)**m * cos(t1) * cos(phi2) * cos(t2) * T * G(t2)
+
+    with the transmitter-side irradiance/incidence pair (phi1, t1) and the
+    receiver-side pair (phi2, t2). Terms vanish when any cosine is negative,
+    or outside `legs.clear`, which already holds the FoV gate and leg blockage.
+    `m` and the `rx` terms are floats for one link or (users, APs) columns over
+    the rows of `_legs`, with equal bits either way (see `_lambertian_power`).
+    """
     cos_t1 = -np.einsum("...j,...j->...", legs.u1, pset.normals)
     cos_phi2 = np.einsum("...j,...j->...", legs.u2, pset.normals)
     ok = legs.clear & (cos_t1 > 0.0) & (cos_phi2 > 0.0)

@@ -116,7 +116,7 @@ def _cmd_simulate(args) -> int:
     if args.format == "csv":
         text = scn.trials_to_csv(results)
     else:
-        text = scn.summary_to_json(stats)
+        text = _json_text(stats.to_dict())
     _write_text(
         args.out,
         text,

@@ -8,19 +8,17 @@ phase), and a surface-to-detector matrix G, giving the end-to-end channel
     HH = G^T Phi H    (detectors x sources).
 
 Inputs are nonnegative with per-source peak X and a total average budget
-p_o. When beams do not overlap at the detectors the channel decouples and
-capacity is the sum of per-branch peak-intensity bounds; with overlap, a
-QR factorization HH = Q R triangularizes the coupling and the same
-per-branch bound applies to the diagonal of R. Both bounds hold in the
-regime p_o / X >= L/2 (L sources); outside it they are not valid and the
-query is rejected rather than answered wrongly.
+p_o. A QR factorization HH = Q R triangularizes the coupling of overlapping
+beams, and the capacity bound sums the per-branch peak-intensity bound over
+the diagonal of R; decoupled beams are the case of orthogonal columns. The
+bound holds in the regime p_o / X >= L/2 (L sources); outside it the bound
+is not valid and the query is rejected rather than answered wrongly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -77,14 +75,6 @@ class MimoChannel:
     def __post_init__(self):
         object.__setattr__(self, "assembled", assemble_channel(
             self.surface_to_detector, self.surface_coefficients, self.source_to_surface))
-
-
-@dataclass(frozen=True)
-class ConstraintCheck:
-    """Outcome of a constraint check that does not raise; `violation` names the failure."""
-
-    ok: bool
-    violation: Optional[str] = None
 
 
 def qr_capacity(channel: np.ndarray, c: IntensityConstraints, noise_variance: float) -> float:

@@ -8,9 +8,8 @@ stronger-user interference:
 
     R_k = 1/2 log2(1 + a_k**2 P h_k**2 / (h_k**2 P sum_{i>k} a_i**2 + sigma**2))
 
-in bits per channel use on electrical power P. Cancellation residue is
-exposed as an optional leakage factor (0 = ideal SIC). Equal-share TDMA on
-the same gains is the orthogonal baseline.
+in bits per channel use on electrical power P, with ideal SIC. Equal-share
+TDMA on the same gains is the orthogonal baseline.
 """
 
 from __future__ import annotations
@@ -21,9 +20,15 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .mimo import ConstraintCheck
-
 SUM_SQUARES_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class ConstraintCheck:
+    """Outcome of a constraint check that does not raise; `violation` names the failure."""
+
+    ok: bool
+    violation: Optional[str] = None
 
 
 def order_users(gains: Sequence[float]) -> list[int]:
@@ -95,16 +100,10 @@ def validate_allocation(
     return ConstraintCheck(True, None)
 
 
-def noma_rates(alloc: NomaAllocation, noise_variance: float, sic_residual: float = 0.0) -> np.ndarray:
-    """Per-user SIC rates in bits per channel use.
-
-    Requires users pre-ordered by ascending gain. `sic_residual` scales the
-    power of imperfectly cancelled weaker-user signals (0 = perfect SIC).
-    """
+def noma_rates(alloc: NomaAllocation, noise_variance: float) -> np.ndarray:
+    """Per-user SIC rates in bits per channel use; requires users pre-ordered by ascending gain."""
     if not noise_variance > 0.0:
         raise ValueError("noise variance must be positive")
-    if not 0.0 <= sic_residual <= 1.0:
-        raise ValueError("SIC residual must lie in [0, 1]")
     h = alloc.user_gains
     if np.any(np.diff(h) < 0.0):
         raise ValueError("users must be ordered by ascending gain")
@@ -114,8 +113,7 @@ def noma_rates(alloc: NomaAllocation, noise_variance: float, sic_residual: float
     rates = np.empty(k)
     for i in range(k):
         stronger = float(np.sum(a2[i + 1 :]))  # not yet decoded, treated as noise
-        cancelled = float(np.sum(a2[:i]))  # decoded and subtracted, residue only
-        interference = h[i] ** 2 * p * (stronger + sic_residual * cancelled)
+        interference = h[i] ** 2 * p * stronger
         sinr = a2[i] * p * h[i] ** 2 / (interference + noise_variance)
         rates[i] = 0.5 * math.log2(1.0 + sinr)
     return rates

@@ -290,14 +290,11 @@ def optimize_mirror_angles(
     return AngleSolution(tuple(t.yaw for t in tuned), tuple(t.roll for t in tuned), achieved, result)
 
 
-def random_angle_baseline(scenario, seed: int, draws: int = 1) -> float:
-    """Sum rate at identical-angle pairs drawn uniformly from the feasible box.
+def random_angle_baseline(scenario, seed: int) -> float:
+    """Sum rate at one identical-angle pair drawn uniformly from the feasible box.
 
     The paired baseline for reporting optimizer gains: same seed, same
-    feasible region, no search. With `draws` > 1 the best draw is kept.
+    feasible region, no search.
     """
-    rng = np.random.default_rng(seed)
-    if draws < 1:
-        raise ValueError("draws must be at least 1")
-    pairs = rng.uniform(-ANGLE_LIMIT, ANGLE_LIMIT, size=(draws, 2))
-    return _keep_best(None, pairs, _evaluate_population(_sum_rate_objective(scenario, "identical"), pairs))[1]
+    pairs = np.random.default_rng(seed).uniform(-ANGLE_LIMIT, ANGLE_LIMIT, size=(1, 2))
+    return float(_evaluate_population(_sum_rate_objective(scenario, "identical"), pairs)[0])

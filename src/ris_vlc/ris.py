@@ -1,4 +1,4 @@
-"""Mirror-array reconfigurable surface model and LC receiver surrogate.
+"""Mirror-array reconfigurable surface model.
 
 A panel of small flat mirrors hangs on a wall; each element can yaw about
 the wall's vertical axis and then roll about the yawed horizontal axis
@@ -21,16 +21,12 @@ toward an ideal mirror.
 Only the element normals (cos t1, the specular direction, psi) depend on
 yaw and roll; `MirrorArray.normals` computes them, once per panel per angle
 set in `Scenario.evaluate_links` (one normal for a shared pair). d1, d2,
-cos(phi1), cos(t2) and the FoV gate come from `channel.reflection_legs` for
-one link, or as per-panel (users, APs, elements) legs from a realized
-scenario's link table. `steering_terms` turns them into the factors no angle
-changes (capture prefix, lobe denominator, gated cos t2), once per
-`element_gains` call or per panel in `Scenario._link_table`; `steered_gains`
-adds the angle step in the original product order, so both give equal bits.
-
-The liquid-crystal receiver surrogate multiplies a gain by a transmittance
-and an amplification inside a configurable effective field of view; the
-underlying voltage-controlled physics is summarized by those three numbers.
+cos(phi1), cos(t2), the FoV gate and leg blockage come as per-panel
+(users, APs, elements) legs from `scenario._blocked_legs`, for a realized
+scenario's link table or for one link. `steering_terms` turns them into the
+factors no angle changes (capture prefix, lobe denominator, gated cos t2),
+once per panel; `steered_gains` adds the angle step in the original product
+order.
 """
 
 from __future__ import annotations
@@ -39,13 +35,14 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .channel import LedTx, PdRx, ReflectionLegs, _lambertian_power, reflection_legs
+from .channel import ReflectionLegs, _lambertian_power
+from .geometry import Vec3, as_vec3, unit
 # segments_blocked stays importable here: perfbench/spans.py wraps it at this name
-from .geometry import CylinderSet, Vec3, as_vec3, segments_blocked, unit  # noqa: F401
+from .geometry import segments_blocked  # noqa: F401
 
 ANGLE_LIMIT = math.pi / 2.0
 # elements per panel (256 x 256); the default panel has 64
@@ -168,23 +165,6 @@ class MirrorArray:
         return replace(self, yaw=yaw, roll=roll)
 
 
-def element_gains(
-    tx: LedTx,
-    array: MirrorArray,
-    rx: PdRx,
-    blockers: CylinderSet = CylinderSet(),
-    yaw: Optional[np.ndarray] = None,
-    roll: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Per-element reflected-path gains, row-major over the grid.
-
-    `yaw`/`roll` override the stored matrices (scalars broadcast) so that
-    optimizer candidates evaluate without rebuilding the panel.
-    """
-    terms = steering_terms(tx.lambertian_order, array, reflection_legs(tx, array.element_centers, rx, blockers))
-    return steered_gains(array, rx, terms, array.normals(yaw, roll))
-
-
 @dataclass(frozen=True, eq=False)
 class SteeringTerms:
     """One panel's legs and the factors of its gains that no mirror angle changes."""
@@ -205,7 +185,7 @@ def steering_terms(m, array: MirrorArray, legs: ReflectionLegs) -> SteeringTerms
 
 
 def steered_gains(array: MirrorArray, rx, terms: SteeringTerms, normals: np.ndarray) -> np.ndarray:
-    """The angle step of `element_gains`: its `steering_terms` and `array.normals(yaw, roll)` to gains.
+    """The angle step of a panel's gains: its `steering_terms` and `array.normals(yaw, roll)` to gains.
 
     The `rx` terms (`area`, `filter_gain`, `concentrator`) are floats for one link or (users, APs) columns
     over a link table's rows, with equal bits either way, as in `channel._wall_gain`."""

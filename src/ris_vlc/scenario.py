@@ -34,16 +34,13 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import geometry
-from .channel import LedTx, PdRx, WallPatchSet, _legs, _wall_gain, check_receiver_terms, incidence_cosine, los_gain
-# wall_first_reflection_gain stays importable here: perfbench/spans.py wraps it at this name
-from .channel import wall_first_reflection_gain  # noqa: F401
+from .channel import (LedTx, PdRx, WallPatchSet, _legs, _wall_gain, check_receiver_terms, checked_gain,
+                      incidence_cosine, los_gain)
 from .geometry import CylinderSet, Room, Vec3, as_vec3, segments_blocked, segments_blocked_each, unit
 # link_rate stays importable here: perfbench/spans.py wraps it at this name
 from .metrics import IntensityConstraints, NoiseModel, _airtime_shared_rates, _in_order_sum, link_rate  # noqa: F401
 from .orientation import DeviceOrientation, OrientationModel, sample_orientation, sample_polar_angles
-# element_gains stays importable here: perfbench/spans.py wraps it at this name
-from .ris import (MIRROR_ELEMENT_CAP, MirrorArray, SteeringTerms, element_gains, steered_gains,  # noqa: F401
-                  steering_terms)
+from .ris import MIRROR_ELEMENT_CAP, MirrorArray, SteeringTerms, steered_gains, steering_terms
 
 # stays defined here: perfbench/worker.py reads it; run_study ignores it
 THREADS_ENV_VAR = "RIS_VLC_THREADS"
@@ -262,47 +259,19 @@ class Scenario:
 
     @cached_property
     def _link_table(self) -> _LinkTable:
-        """Angle-independent link data of a realized scenario, from three occlusion calls.
-
-        `_legs` gives the unblocked (users, APs, points) legs of the wall patches, then of each panel.
-        The scenario blockers cut (1) the gated LED-side legs once per (AP, point), and (2) the gated
-        receiver-side legs once per (user, point) and the LoS segments; (3) each self-blocking user's
-        segments meet its body. Blockage is a union over cylinders tested cell by cell, so the masks
-        equal one test per link.
-        """
+        """Angle-independent link data of a realized scenario: `_blocked_legs` of the wall patches, then of
+        each panel, against the scenario blockers and each self-blocking user's body."""
         if not self.is_realized:
             raise ValueError("scenario has unsampled users; run trials instead of evaluating")
         if not self.aps:
             raise ValueError("scenario has no access points")
         rxs = tuple(user.receiver() for user in self.users)
+        bodies = [(*_body_xy(user.position, math.cos(user.fixed_orientation.azimuth),
+                             math.sin(user.fixed_orientation.azimuth), user.body_offset),
+                   0.0, user.body_radius, user.body_height) if user.self_blockage else None for user in self.users]
         sets = [self.wall_patches.centers] + [panel.element_centers for panel in self.ris_panels]
-        legs = [_legs(self.aps, points, rxs) for points in sets]  # never over the concatenation: bits
-        points, gate = np.concatenate(sets), np.concatenate([leg.clear for leg in legs], axis=2)
-        shape = gate.shape[:2]
-        ap_xyz = np.array([ap.position for ap in self.aps])
-        rx_xyz = np.array([rx.position for rx in rxs]).reshape(-1, 3)
-        a, r = np.nonzero(gate.any(axis=0))
-        led = np.zeros(gate.shape[1:], dtype=bool)
-        led[a, r] = segments_blocked(ap_xyz[a], points[r], self.blockers)  # (1)
-        u, a, r = np.nonzero(gate)
-        v, p = np.nonzero(gate.any(axis=1))
-        los_u, los_a = np.indices(shape).reshape(2, -1)
-        owner, n, k = np.concatenate([u, v, los_u]), len(u), len(u) + len(v)
-        starts = np.concatenate([ap_xyz[a], points[p], ap_xyz[los_a]])  # LED-side, receiver-side, LoS
-        ends = np.concatenate([points[r], rx_xyz[v], rx_xyz[los_u]])
-        hit = np.concatenate([led[a, r], segments_blocked(starts[n:], ends[n:], self.blockers)])  # (2)
-        own = np.flatnonzero(np.array([user.self_blockage for user in self.users], dtype=bool)[owner])
-        cyl = np.array([(*_body_xy(user.position, math.cos(user.fixed_orientation.azimuth),
-                                   math.sin(user.fixed_orientation.azimuth), user.body_offset),
-                         0.0, user.body_radius, user.body_height) for user in self.users]).reshape(-1, 5)[owner[own]]
-        hit[own] |= segments_blocked_each(starts[own], ends[own], cyl[:, :3], cyl[:, 3], cyl[:, 4])  # (3)
-        rx_hit = np.zeros((len(rxs), len(points)), dtype=bool)
-        rx_hit[v, p] = hit[n:k]
-        clear = np.zeros_like(gate)
-        clear[u, a, r] = ~(hit[:n] | rx_hit[u, r])
-        visible = ~hit[k:].reshape(shape)
-        wall, *mirrors = (dataclasses.replace(leg, clear=mask) for leg, mask in
-                          zip(legs, np.split(clear, np.cumsum([len(points) for points in sets])[:-1], axis=2)))
+        (wall, *mirrors), visible = _blocked_legs(self.aps, rxs, bodies, self.blockers, sets)
+        shape = visible.shape
         m = np.array([ap.lambertian_order for ap in self.aps]).reshape(1, -1, 1)
         columns = SimpleNamespace(**{name: np.array([getattr(rx, name) for rx in rxs]).reshape(-1, 1, 1)
                                      for name in ("area", "filter_gain", "concentrator")})
@@ -338,6 +307,59 @@ class Scenario:
             a = totals.index(max(totals))  # the first maximum
             links.append(LinkEvaluation(u, a, los[a], wall[a], ris[a], visible[a], fov_ok[a]))
         return links
+
+
+def _blocked_legs(aps, rxs, bodies, blockers: CylinderSet, point_sets):
+    """Each point set's `_legs` with blockage in `clear`, and the (users, APs) LoS visibility.
+
+    `bodies` holds one (x, y, z, radius, height) row per receiver, or None for a receiver without
+    self-blockage. Three occlusion calls: the blockers cut (1) the gated LED-side legs once per (AP, point),
+    and (2) the gated receiver-side legs once per (user, point) and the LoS segments; (3) each body cuts
+    its own receiver's segments. Blockage is a union over cylinders tested cell by cell, so the masks
+    equal one test per link.
+    """
+    legs = [_legs(aps, points, rxs) for points in point_sets]  # never over the concatenation: bits
+    points, gate = np.concatenate(point_sets), np.concatenate([leg.clear for leg in legs], axis=2)
+    shape = gate.shape[:2]
+    ap_xyz = np.array([ap.position for ap in aps])
+    rx_xyz = np.array([rx.position for rx in rxs]).reshape(-1, 3)
+    a, r = np.nonzero(gate.any(axis=0))
+    led = np.zeros(gate.shape[1:], dtype=bool)
+    led[a, r] = segments_blocked(ap_xyz[a], points[r], blockers)  # (1)
+    u, a, r = np.nonzero(gate)
+    v, p = np.nonzero(gate.any(axis=1))
+    los_u, los_a = np.indices(shape).reshape(2, -1)
+    owner, n, k = np.concatenate([u, v, los_u]), len(u), len(u) + len(v)
+    starts = np.concatenate([ap_xyz[a], points[p], ap_xyz[los_a]])  # LED-side, receiver-side, LoS
+    ends = np.concatenate([points[r], rx_xyz[v], rx_xyz[los_u]])
+    hit = np.concatenate([led[a, r], segments_blocked(starts[n:], ends[n:], blockers)])  # (2)
+    own = np.flatnonzero(np.array([body is not None for body in bodies], dtype=bool)[owner])
+    cyl = np.array([(0.0,) * 5 if body is None else body for body in bodies]).reshape(-1, 5)[owner[own]]
+    hit[own] |= segments_blocked_each(starts[own], ends[own], cyl[:, :3], cyl[:, 3], cyl[:, 4])  # (3)
+    rx_hit = np.zeros((len(rxs), len(points)), dtype=bool)
+    rx_hit[v, p] = hit[n:k]
+    clear = np.zeros_like(gate)
+    clear[u, a, r] = ~(hit[:n] | rx_hit[u, r])
+    masks = np.split(clear, np.cumsum([len(points) for points in point_sets])[:-1], axis=2)
+    return [dataclasses.replace(leg, clear=mask) for leg, mask in zip(legs, masks)], ~hit[k:].reshape(shape)
+
+
+def wall_first_reflection_gain(tx: LedTx, rx: PdRx, patches: WallPatchSet,
+                               blockers: CylinderSet = CylinderSet()) -> float:
+    """First-order diffuse wall reflection gain of one link (`channel._wall_gain`), on the link table's legs."""
+    (legs,), _ = _blocked_legs((tx,), (rx,), [None], blockers, [patches.centers])
+    return checked_gain(_wall_gain(tx.lambertian_order, rx, patches, legs)[0, 0])
+
+
+def element_gains(tx: LedTx, array: MirrorArray, rx: PdRx, blockers: CylinderSet = CylinderSet(),
+                  yaw=None, roll=None) -> np.ndarray:
+    """Per-element reflected-path gains of one link, row-major over the grid, on the link table's legs.
+
+    `yaw`/`roll` override the stored matrices (scalars broadcast) so that
+    optimizer candidates evaluate without rebuilding the panel.
+    """
+    (legs,), _ = _blocked_legs((tx,), (rx,), [None], blockers, [array.element_centers])
+    return steered_gains(array, rx, steering_terms(tx.lambertian_order, array, legs), array.normals(yaw, roll))[0, 0]
 
 
 # --------------------------------------------------------------------- trials
@@ -675,9 +697,10 @@ def load_scenario(config_text: str) -> Scenario:
 
 
 def _blame(config_text: str, section: tuple = (), named: str = "") -> str:
-    """' at <key>' for the first value key (not a section) whose removal lets the document load; else ''.
-    Only keys under `section`, the section whose constructor raised (() for all), can let that one pass;
-    `named`, the key a scenario check names, is tried first if the document holds it."""
+    """' at <key>' for the first value key (not a section) whose removal lets the document load.
+    `named`, the key a scenario check names, is tried first if the document holds it, then the keys under
+    `section`, the section whose constructor raised (() for all), as only they can let that one pass.
+    If none does, the held `named` key, which the document needs (a required key), else ''."""
     def keys(node, path):  # a section is a table or a list of tables; anything else is a value
         for key, child in node.items() if isinstance(node, dict) else enumerate(node):
             if isinstance(child, dict) or isinstance(child, list) and child and isinstance(child[0], dict):
@@ -686,8 +709,9 @@ def _blame(config_text: str, section: tuple = (), named: str = "") -> str:
                 yield path + (key,)
 
     paths = {"".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).lstrip("."): path
-             for path in keys(reduce(lambda node, key: node[key], section, json.loads(config_text)), section)}
-    for name in sorted(paths, key=lambda name: name != named):  # stable: the named key, then document order
+             for path in keys(json.loads(config_text), ())}
+    tried = [name for name, path in paths.items() if name == named or path[:len(section)] == section]
+    for name in sorted(tried, key=lambda name: name != named):  # stable: the named key, then document order
         trimmed = json.loads(config_text)
         parent = reduce(lambda node, key: node[key], paths[name][:-1], trimmed)
         del parent[paths[name][-1]]
@@ -696,22 +720,26 @@ def _blame(config_text: str, section: tuple = (), named: str = "") -> str:
         except (TypeError, ValueError):
             continue
         return " at " + name
-    return ""
+    return " at " + named if named in paths else ""
 
 
 def _scenario_from_document(doc: dict, section: list) -> Scenario:
     """The scenario of a parsed document; `section[0]` is left at the path of the last section built,
-    so after a refusal it names the one whose constructor raised (() for the checks across sections)."""
+    so after a refusal it names the one whose constructor raised (the room for `Scenario`'s wall checks;
+    its checks across sections name their key)."""
     def build(path, make, *args, **kwargs):
         section[0] = path
         try:
             return make(*args, **kwargs)
-        except ConfigError as exc:  # Scenario numbers users after `count` expands them: name the document's entry
-            head, _, tail = exc.key.partition("]")
-            if not head.startswith("users["):
+        except ConfigError as exc:  # name the document's entry: Scenario numbers users after `count` expands
+            head, _, tail = exc.key.partition("]")  # them, and fixed blockers by their row of blockers.positions
+            if head.startswith("users["):
+                name = key = f"users[{owners[int(head[6:])]}]{tail}"
+            elif head.startswith("blockers["):
+                name, key = f"blockers.positions[{head[9:]}]", "blockers.positions"
+            else:
                 raise
-            key = f"users[{owners[int(head[6:])]}]{tail}"
-            raise ConfigError(str(exc).replace(exc.key, key), key) from exc
+            raise ConfigError(str(exc).replace(exc.key, name), key) from exc
 
     room_sec = doc.get("room", {})
     room = build(("room",), Room, **_fields(room_sec, _ROOM, "room", extra=_WALLS))
@@ -763,7 +791,7 @@ def _scenario_from_document(doc: dict, section: list) -> Scenario:
         panels.append(build(("ris", i), MirrorArray, **kwargs))
 
     scenario = build(
-        (), Scenario,  # called after its arguments, which build their own sections
+        ("room",), Scenario,  # its unkeyed checks are the walls'; its arguments build their own sections first
         room=room,
         aps=tuple(aps),
         users=tuple(users),
@@ -890,7 +918,3 @@ def trials_to_csv(results: Sequence[TrialResult]) -> str:
                 f"{int(r.los_visible[u])},{int(r.fov_ok[u])}"
             )
     return "\n".join(lines) + "\n"
-
-
-def summary_to_json(stats: StudyStatistics) -> str:
-    return json.dumps(stats.to_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"

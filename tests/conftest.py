@@ -1,5 +1,6 @@
-"""Shared fixtures: a CLI runner, a small scenario document, the occluders of one user's links,
-the whole-pass polar-angle sampler and the parallel-branch capacity bound."""
+"""Shared fixtures: a CLI runner, a small scenario document, the occluders of one user's links, the
+single-link leg and wall-gain oracles, the whole-pass polar-angle sampler and the parallel-branch
+capacity bound."""
 
 import json
 import math
@@ -9,7 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from ris_vlc.geometry import CylinderSet
+from ris_vlc.channel import ReflectionLegs, _legs, _wall_gain, checked_gain
+from ris_vlc.geometry import CylinderSet, segments_blocked
 from ris_vlc.orientation import POLAR_MAX
 
 # Single-element mirror deployment with a pinned user; cheap to simulate and
@@ -72,6 +74,26 @@ def occluders_of(scenario, user) -> CylinderSet:
     blockers = scenario.blockers
     return CylinderSet(np.vstack([blockers.bases, body]), np.append(blockers.radii, user.body_radius),
                        np.append(blockers.heights, user.body_height))
+
+
+def reflection_legs_oracle(tx, points, rx, blockers=CylinderSet()) -> ReflectionLegs:
+    """`channel.reflection_legs` as it was, a leg-blockage rule of its own: one link's unblocked legs,
+    then both legs of its lit rows against `blockers` in one `segments_blocked` call, the LED side first."""
+    d1, u1, cos_phi1, d2, u2, cos_t2, clear = (a[0, 0] for a in vars(_legs((tx,), points, (rx,))).values())
+    clear = clear.copy()
+    lit = np.flatnonzero(clear)
+    if blockers and lit.size:
+        via = points[lit]
+        hit = segments_blocked(np.vstack([np.broadcast_to(tx.position, via.shape), via]),
+                               np.vstack([via, np.broadcast_to(rx.position, via.shape)]), blockers)
+        clear[lit] = ~hit.reshape(2, -1).any(axis=0)
+    return ReflectionLegs(d1, u1, cos_phi1, d2, u2, cos_t2, clear)
+
+
+def wall_gain_oracle(tx, rx, patches, blockers=CylinderSet()) -> float:
+    """`channel.wall_first_reflection_gain` as it was: the patch sum over `reflection_legs_oracle`."""
+    legs = reflection_legs_oracle(tx, patches.centers, rx, blockers)
+    return checked_gain(_wall_gain(tx.lambertian_order, rx, patches, legs))
 
 
 def whole_pass_polar_angles(model, rng, n):

@@ -32,11 +32,12 @@ from ris_vlc.noma import (
     tdma_equal_share_rates,
 )
 from ris_vlc.optimize import optimize_mirror_angles, random_angle_baseline
-from ris_vlc.ris import MirrorArray, element_gains
+from ris_vlc.ris import MirrorArray
 from ris_vlc.scenario import (
     benchmark_scenario,
     blockage_study,
     blocked_benchmark_scenario,
+    element_gains,
     orientation_benchmark_scenario,
     orientation_study,
     single_mirror_benchmark_scenario,

@@ -14,11 +14,11 @@ from ris_vlc.channel import (
     incidence_cosine,
     lambertian_index,
     los_gain,
-    wall_first_reflection_gain,
 )
 from ris_vlc import geometry
 from ris_vlc.geometry import CylinderSet, Room
 from ris_vlc.orientation import DeviceOrientation
+from ris_vlc.scenario import wall_first_reflection_gain
 
 # a warning from the channel code is a defect here, not noise
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")

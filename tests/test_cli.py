@@ -212,6 +212,8 @@ def test_optimize_single_mirror_beats_baseline(small_scenario_path):
 GOLDEN_STDOUT = [
     pytest.param(("simulate", "--scenario", "{small}", "--trials", "5"),
                  "4fa6a6898d90a62980949f688277d429d72c9d0745712edab4187cdf22cc15d2", id="simulate"),
+    pytest.param(("simulate", "--scenario", "{small}", "--trials", "5", "--format", "json"),
+                 "19e78b03ff75a06eec1819927015dc41a40eedcc0e4bc404b19543892c4af7d8", id="simulate-json"),
     pytest.param(("reproduce", "blockage", "--trials", "5"),
                  "cbdeb28b72386e0aabdf90aad727ada3d7fb3bc4dd5063af6b5b4b24169fdf06", id="blockage"),
     pytest.param(("reproduce", "orientation", "--trials", "2000"),

@@ -1,11 +1,12 @@
 """The per-scenario link table against the per-link code it replaced.
 
 `channel._legs` computes the unblocked legs of one point set over every
-(user, AP) in one pass; it is checked against `reflection_legs` on each link.
+(user, AP) in one pass; it is checked against `reflection_legs_oracle` (the
+single-link `channel.reflection_legs` as it was) on each link.
 
 `_static_links_oracle` is `Scenario._static_links` as it was: for every
-(user, AP) pair one LoS test, one wall `reflection_legs` test and one test
-per panel, each against the scenario blockers plus that user's body.
+(user, AP) pair one LoS test, one wall `reflection_legs_oracle` test and one
+test per panel, each against the scenario blockers plus that user's body.
 `_evaluate_links_oracle` is `evaluate_links` as it was on top of it, with one
 `LinkEvaluation` per candidate AP and `max` choosing the serving one. The
 table tests each leg in three occlusion calls instead; blockage is a union
@@ -23,12 +24,12 @@ import math
 
 import numpy as np
 import pytest
-from conftest import occluders_of
+from conftest import occluders_of, reflection_legs_oracle, wall_gain_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ris_vlc import channel, geometry, ris, scenario
-from ris_vlc.channel import LedTx, PdRx, _legs, incidence_cosine, los_gain, reflection_legs, wall_first_reflection_gain
+from ris_vlc.channel import LedTx, PdRx, _legs, incidence_cosine, los_gain
 from ris_vlc.geometry import CylinderSet, Room, segments_blocked
 from ris_vlc.metrics import link_rate, sum_rate
 from ris_vlc.orientation import DeviceOrientation
@@ -60,9 +61,9 @@ def _static_links_oracle(s):
         for ap in s.aps:
             visible = not segments_blocked(ap.position[None, :], rx.position[None, :], occluders)[0]
             h_los = los_gain(ap, rx) if visible else 0.0  # a blocked link gets 0
-            h_wall = wall_first_reflection_gain(ap, rx, s.wall_patches, occluders)
+            h_wall = wall_gain_oracle(ap, rx, s.wall_patches, occluders)
             cos_t = incidence_cosine(ap.position, rx.position, rx.orientation)
-            legs = tuple(reflection_legs(ap, panel.element_centers, rx, occluders) for panel in s.ris_panels)
+            legs = tuple(reflection_legs_oracle(ap, panel.element_centers, rx, occluders) for panel in s.ris_panels)
             per_ap.append((h_los, h_wall, visible, cos_t >= math.cos(rx.fov), legs))
         table.append(per_ap)
     return table
@@ -325,8 +326,8 @@ def _same_bits(got, want):
 def test_legs_equal_the_per_link_legs(case):
     aps, points, rxs = case
     try:
-        want = [[reflection_legs(ap, points, rx) for ap in aps] for rx in rxs]
-        led = [reflection_legs(ap, points, PdRx(position=(9.0, 9.0, 9.0))) for ap in aps]
+        want = [[reflection_legs_oracle(ap, points, rx) for ap in aps] for rx in rxs]
+        led = [reflection_legs_oracle(ap, points, PdRx(position=(9.0, 9.0, 9.0))) for ap in aps]
     except ValueError as refused:
         assert "coincides" in str(refused)
         with pytest.raises(ValueError, match="coincides"):

@@ -141,16 +141,6 @@ def test_noma_rates_reject_invalid_inputs():
     good = NomaAllocation(coefficients=A3, total_power=4.0, user_gains=(0.3, 0.6, 0.9))
     with pytest.raises(ValueError):
         noma_rates(good, 0.0)
-    with pytest.raises(ValueError):
-        noma_rates(good, 0.5, sic_residual=1.5)
-
-
-def test_sic_residual_only_hurts_users_with_cancelled_predecessors():
-    alloc = NomaAllocation(coefficients=A3, total_power=4.0, user_gains=(0.3, 0.6, 0.9))
-    ideal = noma_rates(alloc, 0.5)
-    leaky = noma_rates(alloc, 0.5, sic_residual=0.5)
-    assert leaky[0] == ideal[0]  # weakest user cancels nobody
-    assert np.all(leaky[1:] < ideal[1:])
 
 
 def test_tdma_equal_share_hand_values():

@@ -220,15 +220,12 @@ def test_optimizer_beats_paired_random_baseline_on_single_mirror():
     assert sol.sum_rate > base
 
 
-def test_random_angle_baseline_deterministic_and_monotone_in_draws():
+def test_random_angle_baseline_is_the_rate_at_its_one_seeded_draw():
     deployment = single_mirror_benchmark_scenario()
     one = random_angle_baseline(deployment, seed=9)
-    again = random_angle_baseline(deployment, seed=9)
-    assert one == again
-    many = random_angle_baseline(deployment, seed=9, draws=8)
-    assert many >= one
-    with pytest.raises(ValueError):
-        random_angle_baseline(deployment, seed=9, draws=0)
+    assert one == random_angle_baseline(deployment, seed=9)
+    yaw, roll = np.random.default_rng(9).uniform(-ANGLE_LIMIT, ANGLE_LIMIT, size=(1, 2))[0]
+    assert one == metrics.sum_rate(deployment, [(yaw, roll)])
 
 
 @pytest.mark.parametrize("deployment", [single_mirror_benchmark_scenario(), blocked_benchmark_scenario()],
@@ -255,10 +252,9 @@ def test_objective_runs_once_per_evaluation_plus_the_reported_rate(monkeypatch, 
     sol = optimize_mirror_angles(deployment, algorithm=algorithm, mode=mode, seed=3, **kwargs)
     assert len(calls) == sol.result.evaluations_used + 1
     assert calls[-1][1] == sol.sum_rate
-    for draws in (1, 4):
-        calls.clear()
-        random_angle_baseline(deployment, seed=3, draws=draws)
-        assert len(calls) == draws
+    calls.clear()
+    random_angle_baseline(deployment, seed=3)
+    assert len(calls) == 1
     assert all(type(value) is float and len(args[1]) == len(deployment.ris_panels) for args, value in calls)
 
 

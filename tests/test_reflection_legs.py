@@ -1,7 +1,9 @@
 """The shared reflection-leg kernel against the per-path code it replaced.
 
+`scenario.element_gains` and `scenario.wall_first_reflection_gain` are one
+link's view of the link table's legs (`scenario._blocked_legs`).
 `_element_gains_oracle` and `_wall_gain_oracle` are the mirror and wall gains
-as they were before both moved onto `reflection_legs`: each computed its own
+as they were before both moved onto shared legs: each computed its own
 legs, FoV gate and leg blockage. `_mirror_normals` and `_horizontal_axis` are
 the element normals as they were before the panel frame moved onto
 `MirrorArray` and the cross product was written per component. The rewrites
@@ -19,12 +21,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ris_vlc import channel, geometry, ris, scenario
-from ris_vlc.channel import LedTx, PdRx, WallPatchSet, reflection_legs, wall_first_reflection_gain
+from ris_vlc.channel import LedTx, PdRx, WallPatchSet, _legs
 from ris_vlc.geometry import CylinderSet, Room, Vec3, as_vec3, segments_blocked, unit
 from ris_vlc.metrics import sum_rate
 from ris_vlc.orientation import DeviceOrientation
-from ris_vlc.ris import ANGLE_LIMIT, MirrorArray, element_gains
-from ris_vlc.scenario import UserSpec, blocked_benchmark_scenario
+from ris_vlc.ris import ANGLE_LIMIT, MirrorArray
+from ris_vlc.scenario import UserSpec, blocked_benchmark_scenario, element_gains, wall_first_reflection_gain
 
 ROOM = Room(5.0, 5.0, 3.0)
 
@@ -64,6 +66,12 @@ def _cylinders(rows):
     """One `CylinderSet` of (base, radius, height) rows."""
     bases, radii, heights = zip(*rows) if rows else ((), (), ())
     return CylinderSet(bases, radii, heights)
+
+
+def _blocked(tx, points, rx, blockers=CylinderSet()):
+    """One link's legs through `points`, blockage in `clear`, as the link table computes them."""
+    (legs,), _ = scenario._blocked_legs((tx,), (rx,), [None], blockers, [points])
+    return legs
 
 
 def _same_bits(got, want):
@@ -326,21 +334,21 @@ def test_leg_blockers_reach_the_clear_mask():
     panel = MirrorArray(panel_center=(0.0, 2.5, 1.5), base_normal=(1, 0, 0), rows=4, cols=4)
     rx = PdRx(position=(2.0, 2.5, 0.8), orientation=DeviceOrientation(1.2, math.pi))
     shadow = CylinderSet([(1.25, 2.6, 0.0)], radii=0.1, heights=3.0)
-    open_legs = reflection_legs(tx, panel.element_centers, rx)
-    cut_legs = reflection_legs(tx, panel.element_centers, rx, shadow)
+    open_legs = _blocked(tx, panel.element_centers, rx)
+    cut_legs = _blocked(tx, panel.element_centers, rx, shadow)
     assert open_legs.clear.all() and 0 < cut_legs.clear.sum() < 16
     facing_away = PdRx(position=(2.0, 2.5, 0.8), orientation=DeviceOrientation(1.2, 0.0))
-    assert not reflection_legs(tx, panel.element_centers, facing_away).clear.any()
+    assert not _blocked(tx, panel.element_centers, facing_away).clear.any()
     for blockers in (CylinderSet(), shadow):
         for r in (rx, facing_away):
             assert np.array_equal(element_gains(tx, panel, r, blockers),
                                   _element_gains_oracle(tx, panel, r, blockers))
 
 
-def test_reflection_legs_are_read_only():
+def test_blocked_legs_are_read_only():
     tx = LedTx(position=(2.5, 2.5, 3.0))
     rx = PdRx(position=(1.0, 1.0, 0.75))
-    legs = reflection_legs(tx, WallPatchSet.for_room(ROOM, 1.0).centers, rx)
+    legs = _blocked(tx, WallPatchSet.for_room(ROOM, 1.0).centers, rx, CylinderSet([(1.5, 1.5, 0.0)]))
     for name, array in vars(legs).items():
         assert not array.flags.writeable, name
         with pytest.raises(ValueError):
@@ -349,12 +357,12 @@ def test_reflection_legs_are_read_only():
         legs.clear = None
 
 
-def test_reflection_legs_reject_points_on_an_endpoint():
+def test_blocked_legs_reject_points_on_an_endpoint():
     tx = LedTx(position=(2.5, 2.5, 3.0))
     rx = PdRx(position=(1.0, 1.0, 0.75))
     for point in (tx.position, rx.position):
         with pytest.raises(ValueError, match="coincides"):
-            reflection_legs(tx, np.array([[0.0, 1.0, 1.0], point]), rx)
+            _blocked(tx, np.array([[0.0, 1.0, 1.0], point]), rx)
 
 
 # ------------------------------------------------------ scenario static legs
@@ -389,13 +397,13 @@ def test_evaluate_links_reuses_static_legs_across_angle_sets():
         reused = s.evaluate_links(angles)
         fresh = dataclasses.replace(s).evaluate_links(angles)
         assert [vars(a) for a in reused] == [vars(b) for b in fresh]
-        # the cached path equals the public per-call element gains
+        # the cached path equals the per-link element gains of the code before the shared legs
         for link, user in zip(reused, s.users):
             ap, rx = s.aps[link.serving_ap], user.receiver()
             occluders = occluders_of(s, user)
             h_ris = 0.0
             for panel, (yaw, roll) in zip(s.ris_panels, angles):
-                h_ris += float(np.add.reduce(element_gains(ap, panel, rx, occluders, yaw=yaw, roll=roll)))
+                h_ris += float(np.add.reduce(_element_gains_oracle(ap, panel, rx, occluders, yaw=yaw, roll=roll)))
             assert link.h_ris == h_ris
 
 
@@ -474,7 +482,7 @@ _LEG_CUTTERS = [_high(1.25, 1.75), _low(1.0, 2.25), _high(1.25, 2.75), _low(1.0,
 
 def _clear_oracle(blockers):
     """`clear` as the two-call form gave it: the LED-side legs, then the receiver-side legs."""
-    lit = reflection_legs(_TX, _POINTS, _RX).clear.copy()
+    lit = _legs((_TX,), _POINTS, (_RX,)).clear[0, 0].copy()
     if blockers and np.any(lit):
         lit &= ~segments_blocked(np.broadcast_to(_TX.position, _POINTS.shape), _POINTS, blockers)
     if blockers and np.any(lit):
@@ -483,7 +491,7 @@ def _clear_oracle(blockers):
 
 
 def test_clear_is_lit_and_neither_leg_blocked():
-    lit = reflection_legs(_TX, _POINTS, _RX).clear
+    lit = _legs((_TX,), _POINTS, (_RX,)).clear[0, 0]
     assert lit.tolist() == [True, True, True, True, False]
     cutters = _cylinders(_LEG_CUTTERS)
     first = segments_blocked(np.broadcast_to(_TX.position, _POINTS.shape), _POINTS, cutters)
@@ -493,26 +501,26 @@ def test_clear_is_lit_and_neither_leg_blocked():
     assert (first[:4] & second[:4]).tolist() == [False, False, True, False]
     for rows in ([], _LEG_CUTTERS[:1], _LEG_CUTTERS[1:2], _LEG_CUTTERS[2:], _LEG_CUTTERS):
         blockers = _cylinders(rows)
-        clear = reflection_legs(_TX, _POINTS, _RX, blockers).clear
+        clear = _blocked(_TX, _POINTS, _RX, blockers).clear[0, 0]
         assert np.array_equal(clear, _clear_oracle(blockers))
     assert clear.tolist() == [False, False, False, True, False]  # the last set is every cutter
 
 
-def test_reflection_legs_test_lit_rows_once(monkeypatch):
+def test_blocked_legs_test_lit_rows_once(monkeypatch):
     calls = []
-    original = channel.segments_blocked
+    original = scenario.segments_blocked
 
     def counting(origins, ends, blockers):
         calls.append((np.array(origins), np.array(ends)))
         return original(origins, ends, blockers)
 
-    monkeypatch.setattr(channel, "segments_blocked", counting)
-    reflection_legs(_TX, _POINTS, _RX, _cylinders(_LEG_CUTTERS))
-    [(origins, ends)] = calls
+    monkeypatch.setattr(scenario, "segments_blocked", counting)
+    _blocked(_TX, _POINTS, _RX, _cylinders(_LEG_CUTTERS))
     lit = _POINTS[:4]  # the point above the LED is not tested
-    assert np.array_equal(origins, np.vstack([np.broadcast_to(_TX.position, lit.shape), lit]))
-    assert np.array_equal(ends, np.vstack([lit, np.broadcast_to(_RX.position, lit.shape)]))
+    tx, rx = (np.broadcast_to(point, (len(lit) + 1, 3)) for point in (_TX.position, _RX.position))
+    # the LED-side legs, then the receiver-side legs and the LoS segment
+    assert len(calls) == 2 and all(np.array_equal(got, want) for got, want in zip(
+        (*calls[0], *calls[1]), (tx[1:], lit, np.vstack([lit, tx[:1]]), rx)))
     calls.clear()
-    reflection_legs(_TX, _POINTS, _RX)  # no blockers
-    reflection_legs(_TX, _POINTS[4:], _RX, _cylinders(_LEG_CUTTERS))  # nothing lit
-    assert calls == []
+    _blocked(_TX, _POINTS[4:], _RX, _cylinders(_LEG_CUTTERS))  # nothing lit: the LoS segment alone
+    assert [(len(origins), len(ends)) for origins, ends in calls] == [(0, 0), (1, 1)]

@@ -11,11 +11,8 @@ from hypothesis import strategies as st
 from ris_vlc.channel import LedTx, PdRx
 from ris_vlc.geometry import CylinderSet, unit
 from ris_vlc.orientation import DeviceOrientation
-from ris_vlc.ris import (
-    ANGLE_LIMIT,
-    MirrorArray,
-    element_gains,
-)
+from ris_vlc.ris import ANGLE_LIMIT, MirrorArray
+from ris_vlc.scenario import element_gains
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 

@@ -8,11 +8,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import occluders_of, run_cli
+from conftest import occluders_of, run_cli, wall_gain_oracle
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ris_vlc.channel import LedTx, PdRx, WallPatchSet, incidence_cosine, los_gain, wall_first_reflection_gain
+from ris_vlc.channel import LedTx, PdRx, WallPatchSet, incidence_cosine, los_gain
 from ris_vlc.geometry import CylinderSet, Room, segments_blocked, unit
 from ris_vlc.metrics import IntensityConstraints, NoiseModel, link_rate, sum_rate
 from ris_vlc.orientation import DeviceOrientation, OrientationModel
@@ -41,7 +41,6 @@ from ris_vlc.scenario import (
     run_trial,
     single_mirror_benchmark_scenario,
     study_statistics,
-    summary_to_json,
     trials_to_csv,
 )
 
@@ -569,7 +568,7 @@ def test_evaluate_links_matches_direct_channel_calls():
         blocked = segments_blocked(ap.position[None, :], rx.position[None, :], occluders)[0]
         assert link.los_visible == (not blocked)
         assert link.h_los == (0.0 if blocked else los_gain(ap, rx))
-        assert link.h_wall == wall_first_reflection_gain(ap, rx, s.wall_patches, occluders)
+        assert link.h_wall == wall_gain_oracle(ap, rx, s.wall_patches, occluders)
         cos_t = incidence_cosine(ap.position, rx.position, rx.orientation)
         assert link.fov_ok == (cos_t >= math.cos(rx.fov))
     assert links[0].h_los == 0.0 and links[1].h_los > 0.0
@@ -724,16 +723,6 @@ def test_trials_to_csv_round_trips_floats():
     assert first[6] in {"0", "1"} and first[7] in {"0", "1"}
 
 
-def test_summary_to_json_is_sorted_and_newline_terminated():
-    s = _tiny_scenario()
-    stats = study_statistics(run_study(s, 3, master_seed=1, threads=1))
-    text = summary_to_json(stats)
-    assert text.endswith("\n")
-    payload = json.loads(text)
-    assert list(payload) == sorted(payload)
-    assert payload["trials"] == 3
-
-
 def _blame_document():
     """Every section, with three APs, users and panels; each test below plants one bad value."""
     panel = {"center": [0.0, 2.5, 1.5], "normal": [1.0, 0.0, 0.0], "rows": 2, "cols": 2, "element_size": 0.1,
@@ -825,6 +814,33 @@ def test_a_cross_section_refusal_at_every_cap_reloads_the_document_once(document
 def test_a_refusal_after_count_expands_names_the_users_entry_of_the_document(document_loads, users, named):
     with pytest.raises(ConfigError, match=re.escape(f"configuration validation error at {named}: {named} ")):
         load_scenario(json.dumps({"aps": [{"position": [2.5, 2.5, 0.25]}], "users": users}))
+    assert len(document_loads) == 2  # the load, then the reload without the named key
+
+
+@pytest.mark.parametrize("key, value", [("wall_reflectance", 2.0), ("wall_patch_size", -1.0)])
+def test_a_wall_refusal_at_every_cap_searches_only_the_room(document_loads, key, value):
+    # the scenario's wall checks name no key; the room, written last, is the only section searched
+    doc = _document_at_every_cap()
+    doc["room"] = doc.pop("room")
+    doc["room"][key] = value
+    with pytest.raises(ConfigError, match=re.escape(f"configuration validation error at room.{key}: ")):
+        load_scenario(json.dumps(doc))
+    room = list(doc["room"])  # length, width, height, wall_patch_size, wall_reflectance
+    assert len(document_loads) == 2 + room.index(key)  # the load, then one reload per room key up to it
+
+
+@pytest.mark.parametrize("doc, named, message", [
+    # required keys: no removal lets the document load, so the named key is held to blame
+    ({"aps": [{"position": [9.0, 1.0, 2.9]}]}, "aps[0].position", "aps[0].position [9.  1.  2.9] outside"),
+    ({"ris": [{"center": [9.0, 1.0, 1.0], "normal": [-1.0, 0.0, 0.0]}]}, "ris[0].center",
+     "ris[0].center [9. 1. 1.] outside"),
+    # the scenario calls a fixed blocker a base; the document holds it as an entry of blockers.positions
+    ({"blockers": {"positions": [[1.0, 1.0], [9.0, 1.0]]}}, "blockers.positions",
+     "blockers.positions[1] [9. 1. 0.] outside"),
+])
+def test_a_placement_refusal_names_the_document_key_after_one_reload(document_loads, doc, named, message):
+    with pytest.raises(ConfigError, match=re.escape(f"configuration validation error at {named}: {message}")):
+        load_scenario(json.dumps(doc))
     assert len(document_loads) == 2  # the load, then the reload without the named key
 
 
