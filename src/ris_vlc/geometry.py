@@ -22,6 +22,7 @@ import numpy as np
 Vec3 = np.ndarray
 
 _EPS_AXIS = 1e-12
+_ROOM_TOL = 1e-9  # meters past a wall, floor or ceiling that `Room.contains` still counts as inside
 # (row, cylinder) cells per occlusion block, and samples per scenario.orientation_study block:
 # with the 2-D reject, perfbench read the same blockage_mc work_per_s at 2**14-2**16
 # (195-206/s), and blockage_mc peak_rss_mb 43.1-43.2 MiB at 2**14, 43.5-44.2 at 2**15, 44.5-44.6 at 2**16
@@ -79,12 +80,10 @@ class Room:
         if not (self.length > 0.0 and self.width > 0.0 and self.height > 0.0):
             raise ValueError("room dimensions must be positive")
 
-    def contains(self, points, tol: float = 1e-9):
-        """One (3,) point: a bool, refusing a non-finite point. (n, 3) rows: a mask, False on non-finite rows."""
-        p = np.asarray(points, dtype=float)
-        p = as_vec3(p) if p.ndim < 2 else p
-        inside = np.all((p >= -tol) & (p <= np.array([self.length, self.width, self.height]) + tol), axis=-1)
-        return bool(inside) if p.ndim == 1 else inside
+    def contains(self, points) -> np.ndarray:
+        """(n, 3) rows: a mask, True within `_ROOM_TOL` of the room and False on non-finite rows."""
+        p = as_points(points, "room points")
+        return np.all((p >= -_ROOM_TOL) & (p <= np.array([self.length, self.width, self.height]) + _ROOM_TOL), axis=1)
 
     def walls(self) -> list["WallRect"]:
         """The four vertical walls with inward-facing normals."""
@@ -226,13 +225,15 @@ def _any_hits(origins, ends, bases: np.ndarray, radius, height) -> np.ndarray:
     p0 = np.atleast_2d(np.asarray(origins, dtype=float))
     p1 = np.atleast_2d(np.asarray(ends, dtype=float))
     shape = np.broadcast_shapes(p0.shape, p1.shape, (len(bases), 3))
+    if not (shape[0] and bases.shape[1]):  # no rows or no cylinders: nothing to test
+        return np.zeros(shape[0], dtype=bool)
     p0, p1 = np.broadcast_to(p0, shape), np.broadcast_to(p1, shape)
     bases = np.broadcast_to(bases, shape[:1] + bases.shape[1:])
     sizes = [v[:, None] if v.ndim == 1 else v for v in (np.asarray(v, dtype=float) for v in (radius, height))]
     sizes.append(_squared_reach(sizes[0]))  # of the 2-D reject
     step = max(1, _CHUNK_CELLS // max(1, bases.shape[1]))
     hit = np.zeros(shape[0], dtype=bool)
-    for lo in range(0, shape[0] if bases.shape[1] else 0, step):  # no cylinders: nothing to test
+    for lo in range(0, shape[0], step):
         rows = slice(lo, lo + step)
         base = bases[rows]
         r, h, reach = ((v[rows] if v.ndim and len(v) > 1 else v).T for v in sizes)  # a scalar stays one

@@ -36,21 +36,17 @@ def _per_branch_bits(gain: float, peak: float, noise_variance: float) -> float:
 def assemble_channel(g: np.ndarray, phi, h: np.ndarray) -> np.ndarray:
     """End-to-end channel G^T Phi H with entrywise nonnegativity checks.
 
-    `phi` may be the diagonal vector or a full diagonal matrix; its entries
-    must lie in [0, 1]. Shapes: G is (elements x detectors), H is
-    (elements x sources), result is (detectors x sources).
+    `phi` is the diagonal of Phi, one entry in [0, 1] per element. Shapes:
+    G is (elements x detectors), H is (elements x sources), result is
+    (detectors x sources).
     """
     g = np.asarray(g, dtype=float)
     h = np.asarray(h, dtype=float)
     phi = np.asarray(phi, dtype=float)
     if g.ndim != 2 or h.ndim != 2:
         raise ValueError("G and H must be matrices")
-    if phi.ndim == 2:
-        if phi.shape[0] != phi.shape[1] or np.any(phi != np.diag(np.diag(phi))):
-            raise ValueError("a 2-D Phi must be square and diagonal")
-        phi = np.diag(phi)
     if phi.ndim != 1:
-        raise ValueError("Phi must be a diagonal vector or matrix")
+        raise ValueError(f"Phi must be its (elements,) diagonal vector, got shape {phi.shape}")
     if g.shape[0] != phi.shape[0] or h.shape[0] != phi.shape[0]:
         raise ValueError(
             f"dimension mismatch: G {g.shape}, Phi {phi.shape}, H {h.shape} "

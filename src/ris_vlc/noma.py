@@ -119,6 +119,18 @@ def noma_rates(alloc: NomaAllocation, noise_variance: float) -> np.ndarray:
     return rates
 
 
+def _snr(h: np.ndarray, total_power: float, noise_variance: float) -> np.ndarray:
+    """P h**2 / sigma**2 per gain, refusing power or noise that is not positive and an SNR that is not finite."""
+    if not (total_power > 0.0 and noise_variance > 0.0):
+        raise ValueError("power and noise variance must be positive")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        snr = total_power * h**2 / noise_variance
+    if not np.all(np.isfinite(snr)):
+        raise ValueError(f"gain {h[np.argmin(np.isfinite(snr))]} gives an SNR that is not finite at power "
+                         f"{total_power} over noise variance {noise_variance}")
+    return snr
+
+
 def tdma_equal_share_rates(
     gains: Sequence[float], total_power: float, noise_variance: float
 ) -> np.ndarray:
@@ -128,11 +140,7 @@ def tdma_equal_share_rates(
         raise ValueError("gains must be a nonempty 1-D sequence")
     if not np.all(h >= 0.0):
         raise ValueError("gains must be nonnegative")
-    if not (total_power > 0.0 and noise_variance > 0.0):
-        raise ValueError("power and noise variance must be positive")
-    k = h.shape[0]
-    snr = total_power * h**2 / noise_variance
-    return 0.5 * np.log2(1.0 + snr) / k
+    return 0.5 * np.log2(1.0 + _snr(h, total_power, noise_variance)) / h.shape[0]
 
 
 def best_two_user_allocation(
@@ -154,6 +162,7 @@ def best_two_user_allocation(
         raise ValueError("users must be ordered by ascending gain")
     if steps < 1:
         raise ValueError("steps must be positive")
+    _snr(h, total_power, noise_variance)  # refuses a gain the sweep cannot rate
     best_alloc = None
     best_rates = None
     best_sum = -math.inf

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -29,6 +29,8 @@ from .ris import ANGLE_LIMIT
 
 GRID_EVALUATION_CAP = 10_000_000
 _GRID_BLOCK = 65_536  # lattice points per population call of the grid oracle
+SCA_A_INITIAL = 2.0  # SCA's step scale r1 decays linearly from this to 0
+PSO_INERTIA, PSO_C1, PSO_C2 = 0.729, 1.494, 1.494  # PSO's velocity memory and personal/global pulls
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,38 +72,21 @@ class OptResult:
     trace: np.ndarray
 
 
-def _check_params(params) -> None:
-    """Refuse counts a search cannot run (the first two fields) and non-finite coefficients, by name."""
-    for name, floor in (("population", 1), ("iterations", 0)):
-        value = getattr(params, name)
-        if not (isinstance(value, numbers.Integral) and value >= floor):
-            raise ValueError(f"{name} must be an integer >= {floor}, got {value!r}")
-    for field in fields(params)[2:]:
-        value = getattr(params, field.name)
-        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-            raise ValueError(f"{field.name} must be a finite number, got {value!r}")
-
-
 @dataclass(frozen=True)
-class ScaParams:
+class SearchParams:
+    """Population size and iteration count of an SCA or PSO search."""
+
     population: int = 30
     iterations: int = 500
-    a_initial: float = 2.0
 
     def __post_init__(self):
-        _check_params(self)
+        for name, floor in (("population", 1), ("iterations", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= floor):
+                raise ValueError(f"{name} must be an integer >= {floor}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class PsoParams:
-    population: int = 30
-    iterations: int = 500
-    inertia: float = 0.729
-    c1: float = 1.494
-    c2: float = 1.494
-
-    def __post_init__(self):
-        _check_params(self)
+ScaParams = PsoParams = SearchParams  # the names callers build it by, one per search
 
 
 def _evaluate_population(objective: Callable[[np.ndarray], float], points: np.ndarray) -> np.ndarray:
@@ -129,19 +114,18 @@ def _first_population(problem: BoundedProblem, population: int):
     return rng, points, values, _keep_best(None, points, values)
 
 
-def sca_optimize(problem: BoundedProblem, params: Optional[ScaParams] = None) -> OptResult:
+def sca_optimize(problem: BoundedProblem, params: SearchParams) -> OptResult:
     """Sine-cosine algorithm over the box (maximization).
 
     Candidates move toward (or oscillate around) the incumbent best via
     x <- x + r1 * sin(r2) * |r3 * best - x| (cosine branch with probability
-    1/2), where r1 decays linearly from `a_initial` to 0 so exploration
+    1/2), where r1 decays linearly from `SCA_A_INITIAL` to 0 so exploration
     hands over to exploitation. Positions clamp to the bounds.
     """
-    params = params or ScaParams()
     rng, points, _, best = _first_population(problem, params.population)
     trace = [best[1]]
     for iteration in range(min(params.iterations, problem.budget // len(points) - 1)):
-        r1 = params.a_initial * (1.0 - iteration / params.iterations)
+        r1 = SCA_A_INITIAL * (1.0 - iteration / params.iterations)
         r2 = rng.uniform(0.0, 2.0 * math.pi, size=points.shape)
         r3 = rng.uniform(0.0, 2.0, size=points.shape)
         r4 = rng.uniform(size=points.shape)
@@ -153,14 +137,13 @@ def sca_optimize(problem: BoundedProblem, params: Optional[ScaParams] = None) ->
     return OptResult(*best, len(points) * len(trace), np.array(trace))
 
 
-def pso_optimize(problem: BoundedProblem, params: Optional[PsoParams] = None) -> OptResult:
+def pso_optimize(problem: BoundedProblem, params: SearchParams) -> OptResult:
     """Global-best particle swarm with velocity and position clamping.
 
     Velocities are clamped to 20% of the box span per coordinate; particles
     leaving the box are clipped onto it with the offending velocity
     component zeroed.
     """
-    params = params or PsoParams()
     v_max = 0.2 * (problem.upper - problem.lower)
     rng, points, personal_value, best = _first_population(problem, params.population)
     velocity = np.zeros_like(points)
@@ -170,9 +153,9 @@ def pso_optimize(problem: BoundedProblem, params: Optional[PsoParams] = None) ->
         r_personal = rng.uniform(size=points.shape)
         r_global = rng.uniform(size=points.shape)
         velocity = (
-            params.inertia * velocity
-            + params.c1 * r_personal * (personal_best - points)
-            + params.c2 * r_global * (best[0] - points)
+            PSO_INERTIA * velocity
+            + PSO_C1 * r_personal * (personal_best - points)
+            + PSO_C2 * r_global * (best[0] - points)
         )
         velocity = np.clip(velocity, -v_max, v_max)
         points = points + velocity
@@ -255,8 +238,8 @@ def optimize_mirror_angles(
     algorithm: str = "sca",
     mode: str = "identical",
     seed: int = 42,
-    sca_params: Optional[ScaParams] = None,
-    pso_params: Optional[PsoParams] = None,
+    sca_params: Optional[SearchParams] = None,
+    pso_params: Optional[SearchParams] = None,
     grid_resolution: int = 181,
 ) -> AngleSolution:
     """Tune mirror yaw/roll matrices to maximize the scenario sum rate.
@@ -278,7 +261,7 @@ def optimize_mirror_angles(
     if algorithm == "grid":
         params, budget = grid_resolution, GRID_EVALUATION_CAP  # the grid refuses a larger lattice itself
     else:
-        params = (sca_params or ScaParams()) if algorithm == "sca" else (pso_params or PsoParams())
+        params = (sca_params if algorithm == "sca" else pso_params) or SearchParams()
         budget = params.population * (params.iterations + 1)
     box = np.full(dim, ANGLE_LIMIT)
     problem = BoundedProblem(_sum_rate_objective(scenario, mode), -box, box, budget, seed)

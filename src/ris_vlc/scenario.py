@@ -233,10 +233,10 @@ class Scenario:
                    else (f"users[{i}].height", (0.0, 0.0, u.height)) for i, u in enumerate(self.users)]
         placed += [(f"blockers[{i}] base", base) for i, base in enumerate(self.blockers.bases)]
         placed += [(f"ris[{i}].center", p.panel_center) for i, p in enumerate(self.ris_panels)]
-        outside = np.flatnonzero(~self.room.contains(np.array([point for _, point in placed]).reshape(-1, 3)))
+        outside = np.flatnonzero(~self.room.contains([point for _, point in placed]))
         if outside.size:  # name the first offender
             name, point = placed[outside[0]]
-            as_vec3(point)  # a non-finite point gets Room.contains's finiteness message
+            as_vec3(point)  # a non-finite point is refused as such, not as outside
             raise ConfigError(f"{name} {point} outside the room", name)
         reach = math.hypot(self.room.length, self.room.width)
         for i, user in enumerate(self.users):

@@ -44,30 +44,26 @@ def test_unit_rejects_zero_vector():
 
 def test_room_contains_with_tolerance():
     room = Room(5.0, 4.0, 3.0)
-    assert room.contains((0.0, 0.0, 0.0))
-    assert room.contains((5.0, 4.0, 3.0))
-    assert room.contains((5.0 + 1e-10, 2.0, 1.0))
-    assert not room.contains((5.1, 2.0, 1.0))
-    assert not room.contains((2.0, -0.1, 1.0))
-
-
-def test_room_contains_mask_matches_the_one_point_form():
-    room = Room(5.0, 4.0, 3.0)
-    rows = [np.random.default_rng(3).uniform(-0.5, 5.5, (40, 3))]
+    points = [(0.0, 0.0, 0.0), (5.0, 4.0, 3.0), (5.0 + 1e-10, 2.0, 1.0), (5.1, 2.0, 1.0), (2.0, -0.1, 1.0),
+              (math.nan, 1.0, 1.0)]
+    want = [True, True, True, False, False, False]  # a non-finite row is outside
     for axis, wall in [(a, w) for a, hi in enumerate((5.0, 4.0, 3.0)) for w in (0.0, hi)]:
         for step in (-2e-9, -1e-9, 0.0, 1e-9, 2e-9):  # the 1e-9 tolerance keeps +-1e-9 and drops +-2e-9
-            point = np.array([2.5, 2.0, 1.5])
+            point = [2.5, 2.0, 1.5]
             point[axis] = wall + step
-            rows.append(point[None])
-    points = np.concatenate(rows)
+            points.append(point)
+            want.append(abs(step) < 2e-9 or (step > 0.0) == (wall == 0.0))
     mask = room.contains(points)
     assert mask.dtype == bool and mask.shape == (len(points),)
-    assert mask.tolist() == [room.contains(p) for p in points]
-    assert 0 < mask.sum() < len(points)
-    # a non-finite row is outside; one non-finite point is refused
-    assert room.contains(np.array([[math.nan, 1.0, 1.0], [1.0, 1.0, 1.0]])).tolist() == [False, True]
-    with pytest.raises(ValueError, match="finite"):
-        room.contains((math.nan, 1.0, 1.0))
+    assert mask.tolist() == want
+    assert room.contains([]).shape == (0,)
+
+
+@pytest.mark.parametrize("points", [(1.0, 1.0, 1.0), [[[1.0, 1.0, 1.0]]], [(1.0, 1.0)]],
+                         ids=["one-point", "3-D", "two-columns"])
+def test_room_contains_refuses_what_is_not_n_by_3(points):
+    with pytest.raises(ValueError, match=r"^room points must be a \(K, 3\) array, got shape"):
+        Room().contains(points)
 
 
 def test_room_rejects_nonpositive_dimensions():
@@ -84,7 +80,7 @@ def test_room_walls_cover_the_perimeter():
     for w in walls:
         # inward normals point into the room from each wall's origin
         probe = w.origin + 0.5 * w.u_len * w.u_axis + 0.5 * w.v_len * w.v_axis
-        assert room.contains(probe + 0.01 * w.normal)
+        assert room.contains([probe + 0.01 * w.normal])[0]
 
 
 def test_cylinder_rejects_bad_shape():

@@ -26,13 +26,10 @@ def test_assemble_channel_hand_value():
     )
 
 
-def test_assemble_channel_accepts_diagonal_matrix():
-    g = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    phi = np.array([0.5, 1.0, 0.0])
-    h = np.array([[7.0, 8.0], [9.0, 10.0], [11.0, 12.0]])
-    np.testing.assert_array_equal(
-        assemble_channel(g, np.diag(phi), h), assemble_channel(g, phi, h)
-    )
+@pytest.mark.parametrize("phi", [np.diag([0.5, 1.0, 0.0]), 0.5, [[[1.0]]]], ids=["diagonal-matrix", "scalar", "3-D"])
+def test_assemble_channel_takes_phi_only_as_its_diagonal_vector(phi):
+    with pytest.raises(ValueError, match=r"^Phi must be its \(elements,\) diagonal vector, got shape "):
+        assemble_channel(np.ones((3, 2)), phi, np.ones((3, 2)))
 
 
 def test_assemble_channel_validation():

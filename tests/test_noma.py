@@ -98,6 +98,17 @@ def test_nan_inputs_are_refused(call):
         call()
 
 
+@pytest.mark.parametrize("gains, power, noise, bad", [
+    ([1.0, math.inf], 1.0, 1.0, "inf"),
+    ([1e200, 1e200], 1.0, 1e-12, "1e+200"),
+    ([1e-3, 1e150], 2.0, 1e-12, "1e+150"),  # the weak user's rate is finite, the strong user's is not
+], ids=["inf-gain", "equal-huge-gains", "huge-strong-gain"])
+@pytest.mark.parametrize("call", [best_two_user_allocation, tdma_equal_share_rates], ids=["sweep", "tdma"])
+def test_a_gain_whose_snr_is_not_finite_is_refused(call, gains, power, noise, bad):
+    with pytest.raises(ValueError, match=rf"^gain {re.escape(bad)} gives an SNR that is not finite"):
+        call(gains, power, noise)
+
+
 def test_validate_allocation_reports_reasons():
     assert validate_allocation(A3).ok
     assert validate_allocation(A3, gains=(0.3, 0.6, 0.9)).ok

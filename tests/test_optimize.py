@@ -19,7 +19,7 @@ from ris_vlc.optimize import (
 )
 from ris_vlc.ris import ANGLE_LIMIT
 from ris_vlc.scenario import blocked_benchmark_scenario, single_mirror_benchmark_scenario
-from ris_vlc import metrics
+from ris_vlc import metrics, optimize
 
 # a warning from a search or the objective is a defect here, not noise
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -58,20 +58,20 @@ def test_bounded_problem_validation():
     (lambda: PsoParams(population=False), r"^population must be an integer >= 1, got False$"),
     (lambda: ScaParams(iterations=-1), r"^iterations must be an integer >= 0, got -1$"),
     (lambda: PsoParams(iterations=float("nan")), r"^iterations must be an integer >= 0, got nan$"),
-    (lambda: ScaParams(a_initial=float("nan")), r"^a_initial must be a finite number, got nan$"),
-    (lambda: ScaParams(a_initial=math.inf), r"^a_initial must be a finite number, got inf$"),
-    (lambda: PsoParams(inertia=float("nan")), r"^inertia must be a finite number, got nan$"),
-    (lambda: PsoParams(c1=-math.inf), r"^c1 must be a finite number, got -inf$"),
-    (lambda: PsoParams(c2="1.5"), r"^c2 must be a finite number, got '1.5'$"),
 ])
 def test_search_params_refuse_what_they_cannot_run(params, message):
     with pytest.raises(ValueError, match=message):
         params()
 
 
+def test_one_record_serves_both_searches_with_fixed_coefficients():
+    assert ScaParams is PsoParams
+    assert (optimize.SCA_A_INITIAL, optimize.PSO_INERTIA, optimize.PSO_C1, optimize.PSO_C2) == (2.0, 0.729, 1.494, 1.494)
+
+
 def test_smallest_search_params_run():
     problem = BoundedProblem(objective=_quadratic([0.2]), lower=[-1.0], upper=[1.0], budget=10, seed=4)
-    for optimizer, params in ((sca_optimize, ScaParams(population=1, iterations=0, a_initial=0.0)),
+    for optimizer, params in ((sca_optimize, ScaParams(population=1, iterations=0)),
                               (pso_optimize, PsoParams(population=np.int64(1), iterations=0))):
         result = optimizer(problem, params)
         assert result.evaluations_used == 1 and len(result.trace) == 1

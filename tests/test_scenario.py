@@ -146,7 +146,7 @@ def test_placement_refusals_name_the_first_offender(kwargs, message):
 def test_placement_tolerance_matches_room_contains():
     for x in (-1e-9, 5.0 + 1e-9, 0.0, 5.0):
         Scenario(aps=(LedTx(position=(x, 2.5, 3.0)),))
-        assert Room().contains((x, 2.5, 3.0))
+        assert Room().contains([(x, 2.5, 3.0)])[0]
 
 
 def test_scenario_rejects_out_of_room_placements():
@@ -429,13 +429,13 @@ def test_realize_fills_every_unpinned_field():
     assert r.blocker_population is None
     assert len(r.blockers) == 2
     for base, radius in zip(r.blockers.bases, r.blockers.radii):
-        assert s.room.contains(base)
+        assert s.room.contains([base])[0]
         # margin keeps the full cylinder inside
         assert base[0] >= radius
         assert base[0] <= s.room.length - radius
     # pinned user position survives; sampled one lands inside the room
     np.testing.assert_array_equal(r.users[1].position, [4.0, 2.5, 0.75])
-    assert s.room.contains(r.users[0].position)
+    assert s.room.contains([r.users[0].position])[0]
     assert r.users[0].position[2] == s.users[0].height
     # wall tiling is shared, not rebuilt
     assert r.wall_patches is s.wall_patches

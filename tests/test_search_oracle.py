@@ -34,7 +34,7 @@ def sca_optimize(problem: BoundedProblem, params: Optional[ScaParams] = None) ->
 
     Candidates move toward (or oscillate around) the incumbent best via
     x <- x + r1 * sin(r2) * |r3 * best - x| (cosine branch with probability
-    1/2), where r1 decays linearly from `a_initial` to 0 so exploration
+    1/2), where r1 decays linearly from `SCA_A_INITIAL` to 0 so exploration
     hands over to exploitation. Positions clamp to the bounds.
     """
     params = params or ScaParams()
@@ -53,7 +53,7 @@ def sca_optimize(problem: BoundedProblem, params: Optional[ScaParams] = None) ->
     for iteration in range(params.iterations):
         if used + pop > problem.budget:
             break
-        r1 = params.a_initial * (1.0 - iteration / params.iterations)
+        r1 = optimize.SCA_A_INITIAL * (1.0 - iteration / params.iterations)
         r2 = rng.uniform(0.0, 2.0 * math.pi, size=points.shape)
         r3 = rng.uniform(0.0, 2.0, size=points.shape)
         r4 = rng.uniform(size=points.shape)
@@ -102,9 +102,9 @@ def pso_optimize(problem: BoundedProblem, params: Optional[PsoParams] = None) ->
         r_personal = rng.uniform(size=points.shape)
         r_global = rng.uniform(size=points.shape)
         velocity = (
-            params.inertia * velocity
-            + params.c1 * r_personal * (personal_best - points)
-            + params.c2 * r_global * (best_point - points)
+            optimize.PSO_INERTIA * velocity
+            + optimize.PSO_C1 * r_personal * (personal_best - points)
+            + optimize.PSO_C2 * r_global * (best_point - points)
         )
         velocity = np.clip(velocity, -v_max, v_max)
         points = points + velocity
@@ -239,8 +239,7 @@ def _budget(data, population, iterations):
 @given(st.data(), _boxes(), st.integers(1, 12), st.integers(0, 15), st.integers(0, 2**32 - 1))
 def test_sca_matches_pre_change_code(data, box, population, iterations, seed):
     objective = data.draw(_objectives(len(box[0])), label="objective")
-    params = ScaParams(population=population, iterations=iterations,
-                       a_initial=data.draw(st.floats(0.0, 3.0), label="a_initial"))
+    params = ScaParams(population=population, iterations=iterations)
     budget = _budget(data, population, iterations)
     _assert_same(_run_both(optimize.sca_optimize, sca_optimize, objective, box, budget, seed, params))
 
@@ -249,10 +248,7 @@ def test_sca_matches_pre_change_code(data, box, population, iterations, seed):
 @given(st.data(), _boxes(), st.integers(1, 12), st.integers(0, 15), st.integers(0, 2**32 - 1))
 def test_pso_matches_pre_change_code(data, box, population, iterations, seed):
     objective = data.draw(_objectives(len(box[0])), label="objective")
-    params = PsoParams(population=population, iterations=iterations,
-                       inertia=data.draw(st.floats(0.0, 1.0), label="inertia"),
-                       c1=data.draw(st.floats(0.0, 2.5), label="c1"),
-                       c2=data.draw(st.floats(0.0, 2.5), label="c2"))
+    params = PsoParams(population=population, iterations=iterations)
     budget = _budget(data, population, iterations)
     _assert_same(_run_both(optimize.pso_optimize, pso_optimize, objective, box, budget, seed, params))
 
