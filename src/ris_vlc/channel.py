@@ -210,7 +210,7 @@ class WallPatchSet:
     def tiling(room: Room, patch_size: float):
         """(wall, nu, nv) per wall of `for_room`, refusing more than `WALL_PATCH_CAP` patches before any allocation."""
         if not patch_size > 0.0:
-            raise ValueError("patch size must be positive")
+            raise ValueError("wall patch size must be positive")
         walls = room.walls()  # np.rint rounds half to even like round(), and takes an infinite ratio
         counts = [(max(1.0, np.rint(w.u_len / patch_size)), max(1.0, np.rint(w.v_len / patch_size))) for w in walls]
         total = sum(float(nu) * float(nv) for nu, nv in counts)  # a Python float product overflows to inf silently

@@ -108,13 +108,16 @@ def noma_rates(alloc: NomaAllocation, noise_variance: float) -> np.ndarray:
     if np.any(np.diff(h) < 0.0):
         raise ValueError("users must be ordered by ascending gain")
     a2 = alloc.coefficients**2
-    p = alloc.total_power
-    k = alloc.users
-    rates = np.empty(k)
-    for i in range(k):
+    p, sigma2 = float(alloc.total_power), float(noise_variance)
+    rates = np.empty(alloc.users)
+    for i, (gain, share) in enumerate(zip(h.tolist(), a2.tolist())):  # floats: a product overflows to inf, silently
         stronger = float(np.sum(a2[i + 1 :]))  # not yet decoded, treated as noise
-        interference = h[i] ** 2 * p * stronger
-        sinr = a2[i] * p * h[i] ** 2 / (interference + noise_variance)
+        try:
+            sinr = share * p * gain**2 / (gain**2 * p * stronger + sigma2)
+        except OverflowError:  # a float power raises where an array's would warn
+            sinr = math.inf
+        if not math.isfinite(sinr):
+            raise ValueError(f"gain {gain} gives an SINR that is not finite at power {p} over noise variance {sigma2}")
         rates[i] = 0.5 * math.log2(1.0 + sinr)
     return rates
 

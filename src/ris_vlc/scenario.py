@@ -27,7 +27,7 @@ import math
 import reprlib
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property, partial, reduce
+from functools import cached_property, partial
 from types import SimpleNamespace
 from typing import Optional, Sequence, Tuple
 
@@ -51,7 +51,7 @@ DEFAULT_BODY_RADIUS = 0.15
 DEFAULT_BODY_HEIGHT = 1.65
 # count caps, refused before any per-item allocation: the link table grows as users x APs x
 # points, and every trial and every orientation_study sample draws the whole blocker population;
-# the loader also caps its list sections, since naming the key of a refusal reloads the document per key
+# the loader also caps its list sections, so that no document makes it read or build without bound
 USER_COUNT_CAP = 1 << 8
 BLOCKER_COUNT_CAP = 1 << 10
 AP_COUNT_CAP = 1 << 6
@@ -234,10 +234,13 @@ class Scenario:
         placed += [(f"blockers[{i}] base", base) for i, base in enumerate(self.blockers.bases)]
         placed += [(f"ris[{i}].center", p.panel_center) for i, p in enumerate(self.ris_panels)]
         outside = np.flatnonzero(~self.room.contains([point for _, point in placed]))
-        if outside.size:  # name the first offender
+        if outside.size:  # name the first offender, and the first bound it crosses
             name, point = placed[outside[0]]
-            as_vec3(point)  # a non-finite point is refused as such, not as outside
-            raise ConfigError(f"{name} {point} outside the room", name)
+            xyz = as_vec3(point)  # refuses a non-finite point
+            axis = int(np.argmin(self.room.contains(np.diag(xyz))))  # the first coordinate outside on its own
+            value, dim = xyz[axis], ("length", "width", "height")[axis]
+            side = f"{'xyz'[axis]} < 0" if value < 0.0 else f"{'xyz'[axis]} > room.{dim} {getattr(self.room, dim):.6g}"
+            raise ConfigError(f"{name} {point} is outside the room: {side}", name)
         reach = math.hypot(self.room.length, self.room.width)
         for i, user in enumerate(self.users):
             if user.body_offset > reach:
@@ -686,51 +689,27 @@ def load_scenario(config_text: str) -> Scenario:
             f"configuration parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     _fields(doc, {}, "", extra=_TOP_KEYS)
-    section = [()]
+    return _scenario_from_document(doc)
+
+
+def _passes(make, kwargs: dict, left_out: str) -> bool:
+    """Whether `make` accepts `kwargs` with the keyword `left_out` left to its default."""
     try:
-        return _scenario_from_document(doc, section)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError) and not exc.key:  # a reader's refusal, which names its key itself
-            raise
-        blame = _blame(config_text, section[0], getattr(exc, "key", ""))
-        raise ConfigError(f"configuration validation error{blame}: {exc}") from exc
+        make(**{name: value for name, value in kwargs.items() if name != left_out})
+    except (TypeError, ValueError):  # TypeError: a required `position` or `center` left out
+        return False
+    return True
 
 
-def _blame(config_text: str, section: tuple = (), named: str = "") -> str:
-    """' at <key>' for the first value key (not a section) whose removal lets the document load.
-    `named`, the key a scenario check names, is tried first if the document holds it, then the keys under
-    `section`, the section whose constructor raised (() for all), as only they can let that one pass.
-    If none does, the held `named` key, which the document needs (a required key), else ''."""
-    def keys(node, path):  # a section is a table or a list of tables; anything else is a value
-        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
-            if isinstance(child, dict) or isinstance(child, list) and child and isinstance(child[0], dict):
-                yield from keys(child, path + (key,))
-            elif isinstance(node, dict):
-                yield path + (key,)
-
-    paths = {"".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).lstrip("."): path
-             for path in keys(json.loads(config_text), ())}
-    tried = [name for name, path in paths.items() if name == named or path[:len(section)] == section]
-    for name in sorted(tried, key=lambda name: name != named):  # stable: the named key, then document order
-        trimmed = json.loads(config_text)
-        parent = reduce(lambda node, key: node[key], paths[name][:-1], trimmed)
-        del parent[paths[name][-1]]
+def _scenario_from_document(doc: dict) -> Scenario:
+    """The scenario of a parsed document, built once. A reader names the key of a value it refuses, and
+    `build` the key of a constructor's refusal."""
+    def build(where: str, section: dict, table: dict, make, **kwargs):
+        """`make(**kwargs)` for the section at `where`, read through `table`. A refusal that names its key
+        (a check across sections) keeps it; any other is blamed on the first key of `section`, in document
+        order, whose value left to its default lets `make` pass, else on the section."""
         try:
-            _scenario_from_document(trimmed, [()])
-        except (TypeError, ValueError):
-            continue
-        return " at " + name
-    return " at " + named if named in paths else ""
-
-
-def _scenario_from_document(doc: dict, section: list) -> Scenario:
-    """The scenario of a parsed document; `section[0]` is left at the path of the last section built,
-    so after a refusal it names the one whose constructor raised (the room for `Scenario`'s wall checks;
-    its checks across sections name their key)."""
-    def build(path, make, *args, **kwargs):
-        section[0] = path
-        try:
-            return make(*args, **kwargs)
+            return make(**kwargs)
         except ConfigError as exc:  # name the document's entry: Scenario numbers users after `count` expands
             head, _, tail = exc.key.partition("]")  # them, and fixed blockers by their row of blockers.positions
             if head.startswith("users["):
@@ -738,27 +717,39 @@ def _scenario_from_document(doc: dict, section: list) -> Scenario:
             elif head.startswith("blockers["):
                 name, key = f"blockers.positions[{head[9:]}]", "blockers.positions"
             else:
-                raise
-            raise ConfigError(str(exc).replace(exc.key, name), key) from exc
+                name = key = exc.key
+            message = str(exc).replace(exc.key, name)
+            raise ConfigError(f"configuration validation error at {key}: {message}", key) from exc
+        except ValueError as exc:
+            key = next((f"{where}.{name}" for name in section
+                        if name in table and _passes(make, kwargs, table[name][0])), where)
+            raise ConfigError(f"configuration validation error at {key}: {exc}", key) from exc
 
-    room_sec = doc.get("room", {})
-    room = build(("room",), Room, **_fields(room_sec, _ROOM, "room", extra=_WALLS))
+    def table_section(name: str, table: dict, make, extra=(), **given):  # `given`, and the keys read through `table`
+        return build(name, doc.get(name, {}), table, make, **given, **_fields(doc.get(name, {}), table, name, extra))
+
+    def walled_room(wall_patch_size=Scenario.wall_patch_size, **dims) -> Room:  # the room, its tiling cap checked
+        WallPatchSet.tiling(walled := Room(**dims), wall_patch_size)  # with the room's keys, so a refusal names one
+        return walled
+
+    room = table_section("room", {**_ROOM, "wall_patch_size": _WALLS["wall_patch_size"]}, walled_room, _WALLS)
 
     aps = []
     for i, sec in enumerate(_list(doc.get("aps", []), "aps", AP_COUNT_CAP)):
         kwargs = _fields(sec, _AP, f"aps[{i}]")
         if "position" not in kwargs:
             raise ConfigError(f"aps[{i}] is missing required key 'position'")
-        aps.append(build(("aps", i), LedTx, **kwargs))
+        aps.append(build(f"aps[{i}]", sec, _AP, LedTx, **kwargs))
 
     users, owners = [], []  # owners[j]: the document index of expanded user j
     for i, sec in enumerate(_list(doc.get("users", []), "users", USER_COUNT_CAP)):
         kwargs = _fields(sec, _USER, f"users[{i}]", extra=("count", "orientation"))
         if "orientation" in sec:
-            angles = _fields(sec["orientation"], _USER_ORIENTATION, f"users[{i}].orientation")
-            kwargs["fixed_orientation"] = build(("users", i), DeviceOrientation,
-                                                **{"polar": 0.0, "azimuth": 0.0, **angles})
-        template = build(("users", i), UserSpec, **kwargs)
+            where, angles = f"users[{i}].orientation", sec["orientation"]
+            kwargs["fixed_orientation"] = build(where, angles, _USER_ORIENTATION,
+                                                lambda polar=0.0, azimuth=0.0: DeviceOrientation(polar, azimuth),
+                                                **_fields(angles, _USER_ORIENTATION, where))
+        template = build(f"users[{i}]", sec, _USER, UserSpec, **kwargs)
         count = _count(sec.get("count", 1), f"users[{i}].count", 0)
         if len(users) + count > USER_COUNT_CAP:
             raise ConfigError(f"users[{i}].count {count:.6g} brings the users to {len(users) + count:.6g}, "
@@ -767,9 +758,9 @@ def _scenario_from_document(doc: dict, section: list) -> Scenario:
         owners.extend([i] * count)
 
     bsec = doc.get("blockers", {})
-    dims = _fields(bsec, _BLOCKERS, "blockers", extra=("count", "positions"))
-    population = build(("blockers",), BlockerPopulation, count=_count(bsec.get("count", 0), "blockers.count", 0),
-                       **dims)
+    dims = _fields(bsec, _BLOCKERS, "blockers", extra=("count", "positions"))  # first, as it refuses a non-table
+    count = _count(bsec.get("count", 0), "blockers.count", 0, maximum=BLOCKER_COUNT_CAP)
+    population = build("blockers", bsec, _BLOCKERS, BlockerPopulation, count=count, **dims)
     bases = []
     positions = _list(bsec.get("positions", []), "blockers.positions", BLOCKER_COUNT_CAP - population.count)
     for j, xy in enumerate(positions):  # fixed positions and the drawn count share BLOCKER_COUNT_CAP
@@ -788,24 +779,20 @@ def _scenario_from_document(doc: dict, section: list) -> Scenario:
         if rows * cols > MIRROR_ELEMENT_CAP:  # neither key alone is at fault, so name both
             raise ConfigError(f"ris[{i}].rows and ris[{i}].cols give {rows} x {cols} mirror elements, "
                               f"above the cap of {MIRROR_ELEMENT_CAP}")
-        panels.append(build(("ris", i), MirrorArray, **kwargs))
+        panels.append(build(f"ris[{i}]", sec, _RIS, MirrorArray, **kwargs))
 
-    scenario = build(
-        ("room",), Scenario,  # its unkeyed checks are the walls'; its arguments build their own sections first
+    scenario = table_section(  # its unkeyed checks are the walls'; its checks across sections name their key
+        "room", _WALLS, Scenario, _ROOM,
         room=room,
         aps=tuple(aps),
         users=tuple(users),
-        blockers=build(("blockers",), CylinderSet, bases, population.radius, population.height),
+        blockers=CylinderSet(bases, population.radius, population.height),  # sizes checked by the population
         blocker_population=population if population.count > 0 else None,
         ris_panels=tuple(panels),
-        noise=build(("noise",), NoiseModel, **_fields(doc.get("noise", {}), _NOISE, "noise")),
-        constraints=build(("constraints",), IntensityConstraints,
-                          **_fields(doc.get("constraints", {}), _CONSTRAINTS, "constraints")),
-        orientation_model=build(("orientation",), OrientationModel,
-                                **_fields(doc.get("orientation", {}), _ORIENTATION, "orientation")),
-        **_fields(room_sec, _WALLS, "room", extra=_ROOM),
+        noise=table_section("noise", _NOISE, NoiseModel),
+        constraints=table_section("constraints", _CONSTRAINTS, IntensityConstraints),
+        orientation_model=table_section("orientation", _ORIENTATION, OrientationModel),
     )
-    build(("room",), WallPatchSet.tiling, scenario.room, scenario.wall_patch_size)  # refuses an oversized tiling
     return scenario
 
 

@@ -45,7 +45,6 @@ from ris_vlc.scenario import (
 
 from conftest import parallel_branch_bits
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 BENCHMARK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "benchmark.json"
 

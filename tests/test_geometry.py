@@ -17,8 +17,6 @@ from ris_vlc.geometry import (
     unit,
 )
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def test_as_vec3_accepts_sequences_and_arrays():
     v = as_vec3((1.0, 2.0, 3.0))

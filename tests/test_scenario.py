@@ -44,7 +44,6 @@ from ris_vlc.scenario import (
     trials_to_csv,
 )
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 # ------------------------------------------------------------------- pieces
 
@@ -125,15 +124,18 @@ def test_blocker_population_validation():
 @pytest.mark.parametrize("kwargs, message", [
     (dict(users=(UserSpec(height=math.nan),)), "vector components must be finite, got [ 0.  0. nan]"),
     (dict(users=(UserSpec(height=math.inf),)), "vector components must be finite, got [ 0.  0. inf]"),
-    (dict(users=(UserSpec(height=-5.0),)), "users[0].height (0.0, 0.0, -5.0) outside the room"),
+    (dict(users=(UserSpec(height=-5.0),)), "users[0].height (0.0, 0.0, -5.0) is outside the room: z < 0"),
     # the first offender in the order APs, users, blockers, panels is reported
     (dict(aps=(LedTx(position=(2.5, 2.5, 3.0)), LedTx(position=(2.5, 2.5, 3.00000001))),
-          users=(UserSpec(height=math.nan),)), "aps[1].position [2.5        2.5        3.00000001] outside the room"),
+          users=(UserSpec(height=math.nan),)),
+     "aps[1].position [2.5        2.5        3.00000001] is outside the room: z > room.height 3"),
     (dict(users=(UserSpec(position=(1.0, 1.0, 0.5)), UserSpec(height=4.0)),
-          blockers=CylinderSet([(7.0, 1.0, 0.0)])), "users[1].height (0.0, 0.0, 4.0) outside the room"),
+          blockers=CylinderSet([(7.0, 1.0, 0.0)])),
+     "users[1].height (0.0, 0.0, 4.0) is outside the room: z > room.height 3"),
     (dict(blockers=CylinderSet([(2.0, 2.0, 0.0), (7.0, 1.0, 0.0)])),
-     "blockers[1] base [7. 1. 0.] outside the room"),
-    (dict(aps=(LedTx(position=(-2e-9, 2.5, 3.0)),)), "aps[0].position [-2.0e-09  2.5e+00  3.0e+00] outside the room"),
+     "blockers[1] base [7. 1. 0.] is outside the room: x > room.length 5"),
+    (dict(aps=(LedTx(position=(-2e-9, 2.5, 3.0)),)),
+     "aps[0].position [-2.0e-09  2.5e+00  3.0e+00] is outside the room: x < 0"),
     (dict(users=(UserSpec(body_offset=math.hypot(5.0, 5.0)), UserSpec(body_offset=7.1))),
      "users[1].body_offset 7.1 m puts the body outside the room: it exceeds the floor diagonal 7.07107 m"),
 ])
@@ -737,21 +739,9 @@ def _blame_document():
             "noise": {"psd": 5e-20, "bandwidth": 2e7}}
 
 
-def _keys_before(doc, path):
-    """Value keys of `doc` in document order up to and including `path`, as `_blame` walks them."""
-    def walk(node, prefix):
-        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
-            if isinstance(child, dict) or isinstance(child, list) and child and isinstance(child[0], dict):
-                yield from walk(child, prefix + (key,))
-            elif isinstance(node, dict):
-                yield prefix + (key,)
-    keys = list(walk(doc, ()))
-    return keys[:keys.index(path) + 1]
-
-
 @pytest.fixture
 def document_loads(monkeypatch):
-    """Each document `load_scenario` builds a scenario from: the load, then every reload of its key search."""
+    """Each document `load_scenario` builds a scenario from."""
     calls, original = [], scenario._scenario_from_document
 
     def counting(*args):
@@ -762,23 +752,44 @@ def document_loads(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("path, value, section", [
-    (("ris", 2, "reflectivity"), 2.0, ("ris", 2)),  # the panel's constructor refuses it
-    (("users", 1, "area"), -1.0, ("users", 1)),
-    # the scenario refuses it across sections and names it: one reload confirms the key, with no search
-    (("users", 2, "body_offset"), 1e300, ("users", 2, "body_offset")),
+@pytest.mark.parametrize("path, value", [
+    (("ris", 2, "reflectivity"), 2.0),  # the panel's constructor refuses it
+    (("users", 1, "area"), -1.0),
+    (("users", 2, "body_offset"), 1e300),  # the scenario refuses it across sections and names it
 ])
-def test_a_refusal_reloads_the_document_only_per_key_of_the_raising_section(document_loads, path, value, section):
+def test_a_refusal_names_its_key_from_one_build_of_the_document(document_loads, path, value):
     doc = _blame_document()
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
     parent[path[-1]] = value
     name = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).lstrip(".")
-    with pytest.raises(ConfigError, match=re.escape(f" at {name}:")):
+    with pytest.raises(ConfigError, match=re.escape(f" at {name}:")) as info:
         load_scenario(json.dumps(doc))
-    tried = [key for key in _keys_before(doc, path) if key[:len(section)] == section]
-    assert len(document_loads) == 1 + len(tried)  # the load, then one reload per key tried
+    assert info.value.key == name
+    assert len(document_loads) == 1
+
+
+@pytest.fixture
+def left_out(monkeypatch):
+    """The keyword each retry of a refused constructor leaves to its default, in order."""
+    tried, passes = [], scenario._passes
+
+    def spy(make, kwargs, name):
+        tried.append(name)
+        return passes(make, kwargs, name)
+
+    monkeypatch.setattr(scenario, "_passes", spy)
+    return tried
+
+
+def test_a_constructor_refusal_leaves_out_each_key_of_its_section_in_order_until_one_passes(left_out):
+    # users[1] holds position, area, fov_deg, body_offset and orientation: `position` left out still fails
+    doc = _blame_document()
+    doc["users"][1]["area"] = -1.0
+    with pytest.raises(ConfigError, match=re.escape("configuration validation error at users[1].area: ")):
+        load_scenario(json.dumps(doc))
+    assert left_out == ["position", "area"]
 
 
 def _document_at_every_cap():
@@ -795,12 +806,12 @@ def _document_at_every_cap():
     ("body_offset", 1e300, "users[255].body_offset"),  # past the floor diagonal
     ("position", [1.0, 1.0, 9.0], "users[255].position"),  # above the ceiling
 ])
-def test_a_cross_section_refusal_at_every_cap_reloads_the_document_once(document_loads, key, value, named):
+def test_a_cross_section_refusal_at_every_cap_builds_the_document_once(document_loads, key, value, named):
     doc = _document_at_every_cap()
     doc["users"][-1][key] = value
     with pytest.raises(ConfigError, match=re.escape(f"configuration validation error at {named}: {named} ")):
         load_scenario(json.dumps(doc))
-    assert len(document_loads) == 2  # the load, then the reload without the named key
+    assert len(document_loads) == 1
 
 
 @pytest.mark.parametrize("users, named", [
@@ -814,40 +825,40 @@ def test_a_cross_section_refusal_at_every_cap_reloads_the_document_once(document
 def test_a_refusal_after_count_expands_names_the_users_entry_of_the_document(document_loads, users, named):
     with pytest.raises(ConfigError, match=re.escape(f"configuration validation error at {named}: {named} ")):
         load_scenario(json.dumps({"aps": [{"position": [2.5, 2.5, 0.25]}], "users": users}))
-    assert len(document_loads) == 2  # the load, then the reload without the named key
+    assert len(document_loads) == 1
 
 
-@pytest.mark.parametrize("key, value", [("wall_reflectance", 2.0), ("wall_patch_size", -1.0)])
-def test_a_wall_refusal_at_every_cap_searches_only_the_room(document_loads, key, value):
-    # the scenario's wall checks name no key; the room, written last, is the only section searched
+@pytest.mark.parametrize("key, value, tried", [
+    # the scenario's wall checks name no key; only the room's wall keys are left out in turn, in document order
+    ("wall_reflectance", 2.0, ["wall_patch_size", "wall_reflectance"]),
+    # the room is built with its tiling checked, so its dimensions are left out before the patch size
+    ("wall_patch_size", -1.0, ["length", "width", "height", "wall_patch_size"]),
+])
+def test_a_wall_refusal_at_every_cap_names_its_room_key_from_one_build(document_loads, left_out, key, value, tried):
     doc = _document_at_every_cap()
     doc["room"] = doc.pop("room")
     doc["room"][key] = value
     with pytest.raises(ConfigError, match=re.escape(f"configuration validation error at room.{key}: ")):
         load_scenario(json.dumps(doc))
-    room = list(doc["room"])  # length, width, height, wall_patch_size, wall_reflectance
-    assert len(document_loads) == 2 + room.index(key)  # the load, then one reload per room key up to it
+    assert left_out == tried
+    assert len(document_loads) == 1
 
 
 @pytest.mark.parametrize("doc, named, message", [
-    # required keys: no removal lets the document load, so the named key is held to blame
-    ({"aps": [{"position": [9.0, 1.0, 2.9]}]}, "aps[0].position", "aps[0].position [9.  1.  2.9] outside"),
+    # required keys, which the scenario names with the room bound they cross
+    ({"aps": [{"position": [9.0, 1.0, 2.9]}]}, "aps[0].position",
+     "aps[0].position [9.  1.  2.9] is outside the room: x > room.length 5"),
     ({"ris": [{"center": [9.0, 1.0, 1.0], "normal": [-1.0, 0.0, 0.0]}]}, "ris[0].center",
-     "ris[0].center [9. 1. 1.] outside"),
+     "ris[0].center [9. 1. 1.] is outside the room: x > room.length 5"),
     # the scenario calls a fixed blocker a base; the document holds it as an entry of blockers.positions
     ({"blockers": {"positions": [[1.0, 1.0], [9.0, 1.0]]}}, "blockers.positions",
-     "blockers.positions[1] [9. 1. 0.] outside"),
+     "blockers.positions[1] [9. 1. 0.] is outside the room: x > room.length 5"),
+    # a default height above a low room: the user is named, and the room key in the message
+    ({"room": {"height": 0.5}, "users": [{}]}, "users[0].height",
+     "users[0].height (0.0, 0.0, 0.75) is outside the room: z > room.height 0.5"),
 ])
-def test_a_placement_refusal_names_the_document_key_after_one_reload(document_loads, doc, named, message):
+def test_a_placement_refusal_names_the_document_key_and_the_room_key_from_one_build(document_loads, doc, named,
+                                                                                    message):
     with pytest.raises(ConfigError, match=re.escape(f"configuration validation error at {named}: {message}")):
-        load_scenario(json.dumps(doc))
-    assert len(document_loads) == 2  # the load, then the reload without the named key
-
-
-@pytest.mark.parametrize("doc, named", [
-    # the scenario names a default height; only removing the room height lets the document load
-    ({"room": {"height": 0.5}, "users": [{}]}, "room.height"),
-])
-def test_a_named_key_the_document_does_not_hold_falls_back_to_the_search(doc, named):
-    with pytest.raises(ConfigError, match=re.escape(f"configuration validation error at {named}: ")):
         load_scenario(json.dumps({"aps": [{"position": [2.5, 2.5, 0.25]}], **doc}))
+    assert len(document_loads) == 1

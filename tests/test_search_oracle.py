@@ -22,8 +22,6 @@ from ris_vlc.optimize import GRID_EVALUATION_CAP, BoundedProblem, OptResult, Pso
 from ris_vlc.ris import ANGLE_LIMIT
 from ris_vlc.scenario import blocked_benchmark_scenario, single_mirror_benchmark_scenario
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def _evaluate_population(problem: BoundedProblem, points: np.ndarray) -> np.ndarray:
     return np.array([float(problem.objective(p)) for p in points])

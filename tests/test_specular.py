@@ -19,8 +19,6 @@ from ris_vlc.optimize import PsoParams, ScaParams, optimize_mirror_angles
 from ris_vlc.ris import ANGLE_LIMIT, MirrorArray, _mirror_normals
 from ris_vlc.scenario import blocked_benchmark_scenario, single_mirror_benchmark_scenario
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def _wrap(angle):
     return (angle + math.pi) % (2.0 * math.pi) - math.pi

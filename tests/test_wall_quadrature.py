@@ -16,7 +16,6 @@ from ris_vlc.geometry import Room
 from ris_vlc.orientation import DeviceOrientation
 from ris_vlc.scenario import Scenario, UserSpec
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 LENGTH, WIDTH, HEIGHT, RHO = 5.0, 5.0, 3.0, 0.7
 AREA, FOV, LENS_INDEX = 1e-4, math.radians(85.0), 1.5  # the UserSpec receiver defaults
