@@ -91,3 +91,9 @@ def sum_rate(scenario, ris_angles=None) -> float:
     """
     links = scenario.evaluate_links(ris_angles)
     return _in_order_sum(_airtime_shared_rates(links, scenario.constraints, scenario.noise))
+
+
+def sum_rates(scenario, ris_angles, size: int) -> list[float]:
+    """`sum_rate` of each candidate of a `Scenario.evaluate_population` angle population of `size`."""
+    return [_in_order_sum(_airtime_shared_rates(links, scenario.constraints, scenario.noise))
+            for links in scenario.evaluate_population(ris_angles, size)]

@@ -8,10 +8,10 @@ oracle covers low-dimensional problems and serves as an independent
 reference for the metaheuristics. All three are deterministic given the
 problem seed.
 
-Every candidate takes one path. `_sum_rate_objective` builds the objective;
-`_evaluate_population` alone calls it, once per candidate row in row order,
-for SCA, PSO, the grid (row-major lattice blocks of `_GRID_BLOCK` points)
-and the random baseline. `_keep_best` is the one incumbent rule: the first
+Every candidate takes one path. `_evaluate_population` alone calls the
+objective, once per SCA or PSO population, grid block (row-major lattice
+blocks of `_GRID_BLOCK` points) and random baseline, with candidate rows in
+and one value per row out. `_keep_best` is the one incumbent rule: the first
 maximum of a population replaces the incumbent only when strictly greater.
 """
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,9 +35,9 @@ PSO_INERTIA, PSO_C1, PSO_C2 = 0.729, 1.494, 1.494  # PSO's velocity memory and p
 
 @dataclass(frozen=True, eq=False)
 class BoundedProblem:
-    """Box-constrained maximization problem with an evaluation budget."""
+    """Box-constrained maximization with an evaluation budget; `objective` maps (P, dimension) rows to P values."""
 
-    objective: Callable[[np.ndarray], float]
+    objective: Callable[[np.ndarray], Sequence[float]]
     lower: np.ndarray
     upper: np.ndarray
     budget: int
@@ -89,9 +89,11 @@ class SearchParams:
 ScaParams = PsoParams = SearchParams  # the names callers build it by, one per search
 
 
-def _evaluate_population(objective: Callable[[np.ndarray], float], points: np.ndarray) -> np.ndarray:
-    """Objective value of each candidate row, one call per row in row order; NaN is refused."""
-    values = np.array([float(objective(p)) for p in points])
+def _evaluate_population(objective: Callable[[np.ndarray], Sequence[float]], points: np.ndarray) -> np.ndarray:
+    """Objective value of each candidate row, from one call on the whole population; NaN is refused."""
+    values = np.array(objective(points), dtype=float)
+    if values.shape != (len(points),):
+        raise ValueError(f"the objective returned shape {values.shape} for {len(points)} candidate rows")
     if np.isnan(values).any():
         raise ValueError(f"the objective returned NaN at {points[np.isnan(values)][0]}")
     return values
@@ -211,24 +213,23 @@ class AngleSolution:
     result: OptResult
 
 
-def _angles_from_vector(panels, x: np.ndarray, mode: str) -> list:
+def _angles_from_population(panels, points: np.ndarray, mode: str) -> list:
+    """Per panel the (yaw, roll) population of the rows: (P,) shared columns, or (P, rows, cols) matrices."""
     if mode == "identical":
-        return [(float(x[0]), float(x[1]))] * len(panels)
+        return [(points[:, 0], points[:, 1])] * len(panels)
     pairs, offset = [], 0
     for panel in panels:
-        n = panel.element_count
-        yaw = x[offset : offset + n].reshape(panel.rows, panel.cols)
-        roll = x[offset + n : offset + 2 * n].reshape(panel.rows, panel.cols)
-        pairs.append((yaw, roll))
+        n, shape = panel.element_count, (len(points), panel.rows, panel.cols)
+        pairs.append((points[:, offset:offset + n].reshape(shape), points[:, offset + n:offset + 2 * n].reshape(shape)))
         offset += 2 * n
     return pairs
 
 
-def _sum_rate_objective(scenario, mode: str) -> Callable[[np.ndarray], float]:
-    """Scenario sum rate at an angle vector: one shared (yaw, roll), or every element's yaws then rolls."""
+def _sum_rate_objective(scenario, mode: str) -> Callable[[np.ndarray], list]:
+    """Scenario sum rate of each angle row: one shared (yaw, roll), or every element's yaws then rolls."""
 
-    def objective(x: np.ndarray) -> float:
-        return metrics.sum_rate(scenario, _angles_from_vector(scenario.ris_panels, x, mode))
+    def objective(points: np.ndarray) -> list:
+        return metrics.sum_rates(scenario, _angles_from_population(scenario.ris_panels, points, mode), len(points))
 
     return objective
 
@@ -267,7 +268,7 @@ def optimize_mirror_angles(
     problem = BoundedProblem(_sum_rate_objective(scenario, mode), -box, box, budget, seed)
     result = _SEARCHES[algorithm](problem, params)
 
-    pairs = _angles_from_vector(panels, result.best_point, mode)
+    pairs = [(yaw[0], roll[0]) for yaw, roll in _angles_from_population(panels, result.best_point[None], mode)]
     tuned = [panel.with_angles(yaw, roll) for panel, (yaw, roll) in zip(panels, pairs)]
     achieved = metrics.sum_rate(scenario, pairs)
     return AngleSolution(tuple(t.yaw for t in tuned), tuple(t.roll for t in tuned), achieved, result)

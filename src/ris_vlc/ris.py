@@ -19,14 +19,14 @@ angles, which metaheuristic optimizers need; as sigma -> 0 it sharpens
 toward an ideal mirror.
 
 Only the element normals (cos t1, the specular direction, psi) depend on
-yaw and roll; `MirrorArray.normals` computes them, once per panel per angle
-set in `Scenario.evaluate_links` (one normal for a shared pair). d1, d2,
-cos(phi1), cos(t2), the FoV gate and leg blockage come as per-panel
-(users, APs, elements) legs from `scenario._blocked_legs`, for a realized
-scenario's link table or for one link. `steering_terms` turns them into the
-factors no angle changes (capture prefix, lobe denominator, gated cos t2),
-once per panel; `steered_gains` adds the angle step in the original product
-order.
+yaw and roll; `MirrorArray.normals` computes them for a population of
+candidates, once per panel per chunk in `Scenario.evaluate_population` (one
+normal per candidate for a shared pair). d1, d2, cos(phi1), cos(t2), the
+FoV gate and leg blockage come as per-panel (users, APs, elements) legs
+from `scenario._blocked_legs`, for a realized scenario's link table or for
+one link. `steering_terms` turns them into the factors no angle changes
+(capture prefix, lobe denominator, gated cos t2), once per panel;
+`steered_gains` adds the angle step in the original product order.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def _horizontal_axis(base_normal: Vec3) -> Vec3:
 
 
 def _mirror_normals(yaw, roll, b: Vec3, h: Vec3) -> np.ndarray:
-    """(n, 3) mirror normals for flat yaw/roll arrays in a panel frame (`MirrorArray._frame`); (3,) for floats.
+    """(..., 3) mirror normals for yaw/roll arrays in a panel frame (`MirrorArray._frame`).
 
     Yaw rotates the unit base normal b and the horizontal axis h about
     vertical; roll then rotates about the yawed axis a. That axis stays
@@ -115,12 +115,12 @@ class MirrorArray:
         object.__setattr__(self, "yaw", self._coerce_angles(self.yaw))
         object.__setattr__(self, "roll", self._coerce_angles(self.roll))
 
-    def _coerce_angles(self, angles) -> np.ndarray:
-        a = np.asarray(angles, dtype=float)
-        if a.ndim == 0:
-            a = np.full((self.rows, self.cols), float(a))
-        if a.shape != (self.rows, self.cols):
-            raise ValueError(f"angle matrix must have shape {(self.rows, self.cols)}, got {a.shape}")
+    def _coerce_angles(self, angles, *lead: int) -> np.ndarray:
+        a, shape = np.asarray(angles, dtype=float), (*lead, self.rows, self.cols)
+        if a.ndim == len(lead):  # one angle per leading index broadcasts over the grid
+            a = np.broadcast_to(a.reshape(*lead, 1, 1), shape)
+        if a.shape != shape:
+            raise ValueError(f"angle matrix must have shape {shape}, got {a.shape}")
         clamped = np.clip(a, -ANGLE_LIMIT, ANGLE_LIMIT)
         clamped.flags.writeable = False
         return clamped
@@ -149,16 +149,21 @@ class MirrorArray:
         b = unit(self.base_normal)
         return b, _horizontal_axis(b)
 
-    def normals(self, yaw=None, roll=None) -> np.ndarray:
-        """(rows*cols, 3) element normals at the stored angles or at clamped, broadcast overrides.
+    def candidate(self, yaw=None, roll=None) -> Tuple[np.ndarray, np.ndarray]:
+        """One candidate's angles as the population of one that `normals` takes; None keeps a stored matrix."""
+        return tuple(np.asarray(stored if a is None else a, dtype=float)[None]
+                     for a, stored in ((yaw, self.yaw), (roll, self.roll)))
 
-        A float pair (np.float64 too) clamps like `np.clip`; its one normal is a read-only broadcast view."""
-        if isinstance(yaw, float) and isinstance(roll, float):
-            yaw, roll = (min(max(a, -ANGLE_LIMIT), ANGLE_LIMIT) for a in (yaw, roll))
-            return np.broadcast_to(_mirror_normals(yaw, roll, *self._frame), (self.element_count, 3))
-        yaw_m = self.yaw if yaw is None else self._coerce_angles(yaw)
-        roll_m = self.roll if roll is None else self._coerce_angles(roll)
-        return _mirror_normals(yaw_m.ravel(), roll_m.ravel(), *self._frame)
+    def normals(self, yaw, roll) -> np.ndarray:
+        """(P, rows*cols, 3) element normals of P candidates, clamped as `_coerce_angles` clamps. (P,) yaw and
+        roll give each candidate one shared pair, its one normal a read-only broadcast view; (P, rows, cols)
+        matrices, or a matrix and a (P,) side, give every element its own."""
+        yaw, roll = np.asarray(yaw, dtype=float), np.asarray(roll, dtype=float)
+        if yaw.ndim == roll.ndim == 1:
+            one = _mirror_normals(*(np.clip(a, -ANGLE_LIMIT, ANGLE_LIMIT) for a in (yaw, roll)), *self._frame)
+            return np.broadcast_to(one[:, None], (len(one), self.element_count, 3))
+        yaw, roll = (self._coerce_angles(a, len(a)).reshape(len(a), -1) for a in (yaw, roll))
+        return _mirror_normals(yaw, roll, *self._frame)
 
     def with_angles(self, yaw, roll) -> "MirrorArray":
         """Same panel with new angle matrices (clamped by construction)."""
@@ -185,11 +190,12 @@ def steering_terms(m, array: MirrorArray, legs: ReflectionLegs) -> SteeringTerms
 
 
 def steered_gains(array: MirrorArray, rx, terms: SteeringTerms, normals: np.ndarray) -> np.ndarray:
-    """The angle step of a panel's gains: its `steering_terms` and `array.normals(yaw, roll)` to gains.
+    """The angle step of a panel's gains: its `steering_terms` and the `array.normals` of P candidates to
+    (P, users, APs, elements) gains, each candidate's bits those of a population of one.
 
     The `rx` terms (`area`, `filter_gain`, `concentrator`) are floats for one link or (users, APs) columns
     over a link table's rows, with equal bits either way, as in `channel._wall_gain`."""
-    legs = terms.legs
+    legs, normals = terms.legs, normals[:, None, None]
     u1_dot_n = np.einsum("...j,...j->...", legs.u1, normals)
     cos_t1 = -u1_dot_n
     refl = legs.u1 - 2.0 * u1_dot_n[..., None] * normals

@@ -29,7 +29,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from types import SimpleNamespace
-from typing import Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -155,7 +155,6 @@ class _LinkTable:
     los_visible: np.ndarray
     fov_ok: np.ndarray
     mirror_terms: Tuple[SteeringTerms, ...]
-    m: np.ndarray  # (1, APs, 1) Lambertian orders
     rx: SimpleNamespace  # `area`, `filter_gain` and `concentrator` as (users, 1, 1) columns
 
 
@@ -247,6 +246,10 @@ class Scenario:
                 name = f"users[{i}].body_offset"
                 raise ConfigError(f"{name} {user.body_offset:.6g} m puts the body outside the room: "
                                   f"it exceeds the floor diagonal {reach:.6g} m", name)
+        pop = self.blocker_population  # realize draws its bases at least one radius from each wall
+        if pop is not None and pop.count > 0 and 2.0 * pop.radius > min(self.room.length, self.room.width):
+            raise ConfigError(f"blockers.radius {pop.radius} is more than half of room.length or room.width",
+                              "blockers.radius")
 
     @cached_property
     def wall_patches(self) -> WallPatchSet:
@@ -284,32 +287,43 @@ class Scenario:
         fov_ok = np.array([incidence_cosine(ap.position, rx.position, rx.orientation) >= math.cos(rx.fov)
                            for ap, rx in pairs], dtype=bool).reshape(shape)
         return _LinkTable(h_los, _wall_gain(m, columns, self.wall_patches, wall), visible, fov_ok,
-                          tuple(steering_terms(m, panel, leg) for panel, leg in zip(self.ris_panels, mirrors)),
-                          m, columns)
+                          tuple(steering_terms(m, panel, leg) for panel, leg in zip(self.ris_panels, mirrors)), columns)
 
     def evaluate_links(self, ris_angles=None) -> list[LinkEvaluation]:
-        """Per-user gain splits at the given mirror angles.
+        """Per-user gain splits at the given mirror angles, as `evaluate_population` of one candidate.
 
         `ris_angles` is None (stored angles) or a sequence of (yaw, roll)
         pairs aligned with `ris_panels` (scalars broadcast per panel). Each
         user attaches to the access point maximizing its total gain; ties
         go to the lowest index.
         """
-        panels = self.ris_panels
-        pairs = [(None, None)] * len(panels) if ris_angles is None else list(ris_angles)
+        pairs = [(None, None)] * len(self.ris_panels) if ris_angles is None else list(ris_angles)
+        ones = [panel.candidate(*pair) for panel, pair in zip(self.ris_panels, pairs)]
+        return next(self.evaluate_population(ones + pairs[len(ones):], 1))  # extra pairs meet its count check
+
+    def evaluate_population(self, ris_angles, size: int) -> Iterator[list[LinkEvaluation]]:
+        """`evaluate_links` of `size` candidates in turn, `ris_angles` holding a `MirrorArray.normals` (yaw, roll)
+        population per panel. The angle step runs on chunks of at most `geometry._CHUNK_CELLS` (candidate, user,
+        AP, element) cells; each candidate keeps its scalar tail, as one `evaluate_links` call would."""
+        panels, pairs = self.ris_panels, list(ris_angles)
         if len(pairs) != len(panels):
             raise ValueError(f"expected {len(panels)} (yaw, roll) pairs, got {len(pairs)}")
         table = self._link_table  # raises on unsampled users or no APs
-        sums = [np.add.reduce(steered_gains(panel, table.rx, terms, panel.normals(yaw, roll)), axis=-1).tolist()
-                for panel, terms, (yaw, roll) in zip(panels, table.mirror_terms, pairs)]
-        links = []
         columns = (table.h_los.tolist(), table.h_wall.tolist(), table.los_visible.tolist(), table.fov_ok.tolist())
-        for u, (los, wall, visible, fov_ok) in enumerate(zip(*columns)):
-            ris = [_in_order_sum(panel_sums[u][a] for panel_sums in sums) for a in range(len(los))]  # panel order
-            totals = [h_los + h_wall + h_ris for h_los, h_wall, h_ris in zip(los, wall, ris)]
-            a = totals.index(max(totals))  # the first maximum
-            links.append(LinkEvaluation(u, a, los[a], wall[a], ris[a], visible[a], fov_ok[a]))
-        return links
+        step = max(1, geometry._CHUNK_CELLS // max(1, table.h_los.size * sum(p.element_count for p in panels)))
+        for lo in range(0, size, step):
+            rows = slice(lo, min(lo + step, size))
+            h_ris = np.zeros((rows.stop - lo, *table.h_los.shape))  # panels add in order, as floats would
+            for panel, terms, (yaw, roll) in zip(panels, table.mirror_terms, pairs):
+                gains = steered_gains(panel, table.rx, terms, panel.normals(yaw[rows], roll[rows]))
+                h_ris = h_ris + np.add.reduce(gains, axis=-1)
+            for candidate in h_ris.tolist():
+                links = []
+                for u, (los, wall, visible, fov_ok, ris) in enumerate(zip(*columns, candidate)):
+                    totals = [h_los + h_wall + h_ris for h_los, h_wall, h_ris in zip(los, wall, ris)]
+                    a = totals.index(max(totals))  # the first maximum
+                    links.append(LinkEvaluation(u, a, los[a], wall[a], ris[a], visible[a], fov_ok[a]))
+                yield links
 
 
 def _blocked_legs(aps, rxs, bodies, blockers: CylinderSet, point_sets):
@@ -362,7 +376,8 @@ def element_gains(tx: LedTx, array: MirrorArray, rx: PdRx, blockers: CylinderSet
     optimizer candidates evaluate without rebuilding the panel.
     """
     (legs,), _ = _blocked_legs((tx,), (rx,), [None], blockers, [array.element_centers])
-    return steered_gains(array, rx, steering_terms(tx.lambertian_order, array, legs), array.normals(yaw, roll))[0, 0]
+    normals = array.normals(*array.candidate(yaw, roll))
+    return steered_gains(array, rx, steering_terms(tx.lambertian_order, array, legs), normals)[0, 0, 0]
 
 
 # --------------------------------------------------------------------- trials
@@ -566,9 +581,9 @@ _TOP_KEYS = {"room", "aps", "users", "blockers", "ris", "noise", "constraints", 
 def _number(value, where: str) -> float:
     """A finite JSON number (integer or float, not a boolean), as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {reprlib.repr(value)}")
+        raise ConfigError(f"{where} must be a number, got {reprlib.repr(value)}", where)
     if not abs(value) <= sys.float_info.max:  # NaN, +-Infinity, or an integer past the float range
-        raise ConfigError(f"{where} must be a finite number")
+        raise ConfigError(f"{where} must be a finite number", where)
     return float(value)
 
 
@@ -579,7 +594,7 @@ def _degrees(value, where: str) -> float:
 def _vector(value, where: str) -> Vec3:
     """A JSON list of exactly three numbers."""
     if not isinstance(value, list) or len(value) != 3:
-        raise ConfigError(f"{where} must be a list of 3 numbers, got {reprlib.repr(value)}")
+        raise ConfigError(f"{where} must be a list of 3 numbers, got {reprlib.repr(value)}", where)
     return as_vec3([_number(x, f"{where}[{k}]") for k, x in enumerate(value)])
 
 
@@ -589,30 +604,30 @@ def _direction(value, where: str) -> Vec3:
     try:
         unit(vector)
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}", where) from exc
     return vector
 
 
 def _flag(value, where: str) -> bool:
     if not isinstance(value, bool):
-        raise ConfigError(f"{where} must be true or false, got {reprlib.repr(value)}")
+        raise ConfigError(f"{where} must be true or false, got {reprlib.repr(value)}", where)
     return value
 
 
 def _list(value, where: str, cap: int) -> list:
     if not isinstance(value, list):
-        raise ConfigError(f"section '{where}' must be a list, got {reprlib.repr(value)}")
+        raise ConfigError(f"section '{where}' must be a list, got {reprlib.repr(value)}", where)
     if len(value) > cap:
-        raise ConfigError(f"section '{where}' has {len(value)} entries, above the cap of {cap}")
+        raise ConfigError(f"section '{where}' has {len(value)} entries, above the cap of {cap}", where)
     return value
 
 
 def _count(value, where: str, minimum: int = 1, maximum: float = math.inf) -> int:
     """A JSON integer (not a boolean) in [minimum, maximum]."""
     if not minimum <= _number(value, where) <= maximum:
-        raise ConfigError(f"{where} must lie in [{minimum}, {maximum}], got {value:.6g}")
+        raise ConfigError(f"{where} must lie in [{minimum}, {maximum}], got {value:.6g}", where)
     if not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
+        raise ConfigError(f"{where} must be an integer, got {value!r}", where)
     return value
 
 
@@ -663,11 +678,11 @@ def _fields(section, table: dict, where: str, extra=()) -> dict:
     of the section that the caller reads itself.
     """
     if not isinstance(section, dict):
-        raise ConfigError(f"section '{where or 'top level'}' must be a key/value table")
+        raise ConfigError(f"section '{where or 'top level'}' must be a key/value table", where)
     unknown = sorted(set(section) - set(table) - set(extra))
     if unknown:
-        paths = (f"{where}.{key}" if where else key for key in unknown)
-        raise ConfigError(f"unknown key(s) in '{where or 'top level'}': {', '.join(paths)}")
+        paths = [f"{where}.{key}" if where else key for key in unknown]
+        raise ConfigError(f"unknown key(s) in '{where or 'top level'}': {', '.join(paths)}", paths[0])
     return {name: read(section[key], f"{where}.{key}")
             for key, (name, read) in table.items() if key in section}
 
@@ -738,7 +753,7 @@ def _scenario_from_document(doc: dict) -> Scenario:
     for i, sec in enumerate(_list(doc.get("aps", []), "aps", AP_COUNT_CAP)):
         kwargs = _fields(sec, _AP, f"aps[{i}]")
         if "position" not in kwargs:
-            raise ConfigError(f"aps[{i}] is missing required key 'position'")
+            raise ConfigError(f"aps[{i}] is missing required key 'position'", f"aps[{i}]")
         aps.append(build(f"aps[{i}]", sec, _AP, LedTx, **kwargs))
 
     users, owners = [], []  # owners[j]: the document index of expanded user j
@@ -753,7 +768,7 @@ def _scenario_from_document(doc: dict) -> Scenario:
         count = _count(sec.get("count", 1), f"users[{i}].count", 0)
         if len(users) + count > USER_COUNT_CAP:
             raise ConfigError(f"users[{i}].count {count:.6g} brings the users to {len(users) + count:.6g}, "
-                              f"above the cap of {USER_COUNT_CAP}")
+                              f"above the cap of {USER_COUNT_CAP}", f"users[{i}].count")
         users.extend([template] * count)
         owners.extend([i] * count)
 
@@ -765,20 +780,18 @@ def _scenario_from_document(doc: dict) -> Scenario:
     positions = _list(bsec.get("positions", []), "blockers.positions", BLOCKER_COUNT_CAP - population.count)
     for j, xy in enumerate(positions):  # fixed positions and the drawn count share BLOCKER_COUNT_CAP
         if not isinstance(xy, list) or len(xy) != 2:
-            raise ConfigError(f"blockers.positions[{j}] must be [x, y]")
+            raise ConfigError(f"blockers.positions[{j}] must be [x, y]", f"blockers.positions[{j}]")
         bases.append([_number(v, f"blockers.positions[{j}][{k}]") for k, v in enumerate(xy)] + [0.0])
-    if population.count > 0 and 2.0 * population.radius > min(room.length, room.width):
-        raise ConfigError(f"blockers.radius {population.radius} is more than half of room.length or room.width")
 
     panels = []
     for i, sec in enumerate(_list(doc.get("ris", []), "ris", PANEL_COUNT_CAP)):
         kwargs = _fields(sec, _RIS, f"ris[{i}]")
         if "panel_center" not in kwargs or "base_normal" not in kwargs:
-            raise ConfigError(f"ris[{i}] requires keys 'center' and 'normal'")
+            raise ConfigError(f"ris[{i}] requires keys 'center' and 'normal'", f"ris[{i}]")
         rows, cols = kwargs.get("rows", MirrorArray.rows), kwargs.get("cols", MirrorArray.cols)
         if rows * cols > MIRROR_ELEMENT_CAP:  # neither key alone is at fault, so name both
             raise ConfigError(f"ris[{i}].rows and ris[{i}].cols give {rows} x {cols} mirror elements, "
-                              f"above the cap of {MIRROR_ELEMENT_CAP}")
+                              f"above the cap of {MIRROR_ELEMENT_CAP}", f"ris[{i}]")
         panels.append(build(f"ris[{i}]", sec, _RIS, MirrorArray, **kwargs))
 
     scenario = table_section(  # its unkeyed checks are the walls'; its checks across sections name their key

@@ -368,6 +368,16 @@ def test_refused_documents_exit_two_naming_the_key(tmp_path, text, key):
     assert len(r.stderr.strip()) < 200
 
 
+@pytest.mark.parametrize("text, key", REFUSED_DOCUMENTS)
+def test_a_refused_document_names_its_key_on_the_error_too(text, key):
+    try:
+        scenario.load_scenario(text)
+    except ConfigError as exc:
+        assert exc.key and exc.key in str(exc), (exc.key, str(exc))
+        return
+    assert key == "users"  # a document without users loads; the study refuses it
+
+
 def test_boundary_counts_and_sizes_are_accepted(tmp_path):
     # zero counts and a population that exactly spans the room are valid
     path = tmp_path / "edge.json"
@@ -497,6 +507,7 @@ def test_every_census_document_loads_or_is_refused_naming_its_key_from_one_build
             except ConfigError as exc:
                 message = f"ris-vlc: error: {exc}"  # as the CLI prints it
                 assert _key(path) in message and len(message) < 200, (path, value, message)
+                assert exc.key and exc.key in message, (path, value, exc.key)
                 refused += 1
             assert len(builds) == 1, (path, value, len(builds))
     assert 0 < refused < len(paths) * len(_CENSUS_VALUES)

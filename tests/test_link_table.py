@@ -16,11 +16,18 @@ over cylinders tested cell by cell, so the comparisons demand equal bits.
 into the table: every candidate ran the whole `steered_gains` body on the
 table's legs, built (rows*cols, 3) normals through `_coerce_angles` even for
 one shared (yaw, roll), summed panels into `np.zeros` and took `np.argmax`.
+
+`_per_candidate_links` is `evaluate_links` before the angle step took a
+population: `_per_candidate_normals` and `_per_candidate_steered_gains` are
+`MirrorArray.normals` and `ris.steered_gains` of one candidate, a float pair
+giving one broadcast normal. A population of any size, cut into chunks
+anywhere, must give each candidate the bits this per-candidate code gives it.
 """
 
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,12 +35,12 @@ from conftest import occluders_of, reflection_legs_oracle, wall_gain_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ris_vlc import channel, geometry, ris, scenario
+from ris_vlc import channel, geometry, metrics, optimize, ris, scenario
 from ris_vlc.channel import LedTx, PdRx, _legs, incidence_cosine, los_gain
 from ris_vlc.geometry import CylinderSet, Room, segments_blocked
 from ris_vlc.metrics import link_rate, sum_rate
 from ris_vlc.orientation import DeviceOrientation
-from ris_vlc.ris import ANGLE_LIMIT, MirrorArray, steered_gains, steering_terms
+from ris_vlc.ris import ANGLE_LIMIT, MirrorArray, steering_terms
 from ris_vlc.scenario import (
     BlockerPopulation,
     LinkEvaluation,
@@ -41,6 +48,7 @@ from ris_vlc.scenario import (
     UserSpec,
     benchmark_scenario,
     blocked_benchmark_scenario,
+    realize,
     run_study,
     trials_to_csv,
 )
@@ -70,7 +78,7 @@ def _static_links_oracle(s):
 def _evaluate_links_oracle(s, ris_angles=None):
     panels = s.ris_panels
     pairs = [(None, None)] * len(panels) if ris_angles is None else list(ris_angles)
-    normals = [panel.normals(yaw, roll) for panel, (yaw, roll) in zip(panels, pairs)]
+    normals = [_per_candidate_normals(panel, yaw, roll) for panel, (yaw, roll) in zip(panels, pairs)]
     links = []
     for u, (user, per_ap) in enumerate(zip(s.users, _static_links_oracle(s))):
         rx = user.receiver()
@@ -79,7 +87,7 @@ def _evaluate_links_oracle(s, ris_angles=None):
             h_ris = 0.0
             for panel, panel_legs, n in zip(panels, legs, normals):
                 terms = steering_terms(ap.lambertian_order, panel, panel_legs)
-                h_ris += float(np.add.reduce(steered_gains(panel, rx, terms, n)))
+                h_ris += float(np.add.reduce(_per_candidate_steered_gains(panel, rx, terms, n)))
             candidates.append(LinkEvaluation(u, a, h_los, h_wall, h_ris, visible, fov_ok))
         links.append(max(candidates, key=lambda link: link.total_gain))
     return links
@@ -115,6 +123,19 @@ def _steered_gains_oracle(m, array, rx, legs, normals):
     return np.where(ok, gains, 0.0)
 
 
+def _mirror_normals_oracle(yaw, roll, b, h):
+    """`ris._mirror_normals` as it was: (n, 3) normals for flat arrays, (3,) for floats."""
+    cy, sy = np.cos(yaw), np.sin(yaw)
+    b0, b1, b2 = b[0] * cy - b[1] * sy, b[0] * sy + b[1] * cy, b[2]
+    a0, a1, a2 = h[0] * cy - h[1] * sy, h[0] * sy + h[1] * cy, h[2]
+    cw, sw = np.cos(roll), np.sin(roll)
+    out = np.empty(np.shape(cy) + (3,))
+    out[..., 0] = b0 * cw + (a1 * b2 - a2 * b1) * sw
+    out[..., 1] = b1 * cw + (a2 * b0 - a0 * b2) * sw
+    out[..., 2] = b2 * cw + (a0 * b1 - a1 * b0) * sw
+    return out
+
+
 def _normals_oracle(panel, yaw=None, roll=None):
     """`MirrorArray.normals` as it was: every override through `_coerce_angles`, one row per element."""
     def coerce(angles):
@@ -125,34 +146,67 @@ def _normals_oracle(panel, yaw=None, roll=None):
 
     yaw = (panel.yaw if yaw is None else coerce(yaw)).ravel()
     roll = (panel.roll if roll is None else coerce(roll)).ravel()
-    b, h = panel._frame
-    cy, sy = np.cos(yaw), np.sin(yaw)
-    b0, b1, b2 = b[0] * cy - b[1] * sy, b[0] * sy + b[1] * cy, b[2]
-    a0, a1, a2 = h[0] * cy - h[1] * sy, h[0] * sy + h[1] * cy, h[2]
-    cw, sw = np.cos(roll), np.sin(roll)
-    out = np.empty((len(cy), 3))
-    out[:, 0] = b0 * cw + (a1 * b2 - a2 * b1) * sw
-    out[:, 1] = b1 * cw + (a2 * b0 - a0 * b2) * sw
-    out[:, 2] = b2 * cw + (a0 * b1 - a1 * b0) * sw
-    return out
+    return _mirror_normals_oracle(yaw, roll, *panel._frame)
+
+
+def _per_candidate_normals(panel, yaw=None, roll=None):
+    """`MirrorArray.normals` of one candidate: a float pair (np.float64 too) clamps like `np.clip`, and its one
+    normal is a read-only broadcast view; anything else goes through `_normals_oracle`."""
+    if isinstance(yaw, float) and isinstance(roll, float):
+        yaw, roll = (min(max(a, -ANGLE_LIMIT), ANGLE_LIMIT) for a in (yaw, roll))
+        return np.broadcast_to(_mirror_normals_oracle(yaw, roll, *panel._frame), (panel.element_count, 3))
+    return _normals_oracle(panel, yaw, roll)
+
+
+def _per_candidate_steered_gains(array, rx, terms, normals):
+    """`ris.steered_gains` of one candidate's (rows*cols, 3) normals: (users, APs, elements) gains."""
+    legs = terms.legs
+    u1_dot_n = np.einsum("...j,...j->...", legs.u1, normals)
+    cos_t1 = -u1_dot_n
+    refl = legs.u1 - 2.0 * u1_dot_n[..., None] * normals
+    psi = np.arccos(np.clip(np.einsum("...j,...j->...", refl, legs.u2), -1.0, 1.0))
+    ok = legs.clear & (cos_t1 > 0.0)
+    lobe = np.exp(-0.5 * (psi / array.beam_spread) ** 2) / terms.spread
+    gains = (array.reflectivity * (terms.capture * np.where(ok, cos_t1, 0.0)) * lobe * rx.area * terms.cos_t2
+             * rx.filter_gain * rx.concentrator)
+    return np.where(ok, gains, 0.0)
+
+
+def _per_candidate_links(s, ris_angles=None):
+    """`Scenario.evaluate_links` of one candidate: the table's angle step, then the scalar tail."""
+    panels = s.ris_panels
+    pairs = [(None, None)] * len(panels) if ris_angles is None else list(ris_angles)
+    table = s._link_table
+    sums = [np.add.reduce(_per_candidate_steered_gains(panel, table.rx, terms, _per_candidate_normals(panel, yaw, roll)),
+                          axis=-1).tolist() for panel, terms, (yaw, roll) in zip(panels, table.mirror_terms, pairs)]
+    links = []
+    columns = (table.h_los.tolist(), table.h_wall.tolist(), table.los_visible.tolist(), table.fov_ok.tolist())
+    for u, (los, wall, visible, fov_ok) in enumerate(zip(*columns)):
+        ris = [metrics._in_order_sum(panel_sums[u][a] for panel_sums in sums) for a in range(len(los))]
+        totals = [h_los + h_wall + h_ris for h_los, h_wall, h_ris in zip(los, wall, ris)]
+        a = totals.index(max(totals))
+        links.append(LinkEvaluation(u, a, los[a], wall[a], ris[a], visible[a], fov_ok[a]))
+    return links
 
 
 def _angle_step_oracle(s, ris_angles=None):
     panels = s.ris_panels
     pairs = [(None, None)] * len(panels) if ris_angles is None else list(ris_angles)
     table = s._link_table
+    m = np.array([ap.lambertian_order for ap in s.aps]).reshape(1, -1, 1)
     h_ris = np.zeros(table.h_los.shape)
     for panel, terms, (yaw, roll) in zip(panels, table.mirror_terms, pairs):
         normals = _normals_oracle(panel, yaw, roll)
-        h_ris += np.add.reduce(_steered_gains_oracle(table.m, panel, table.rx, terms.legs, normals), axis=-1)
+        h_ris += np.add.reduce(_steered_gains_oracle(m, panel, table.rx, terms.legs, normals), axis=-1)
     serving = np.argmax(table.h_los + table.h_wall + h_ris, axis=1)
     return [LinkEvaluation(u, int(a), float(table.h_los[u, a]), float(table.h_wall[u, a]),
                            float(h_ris[u, a]), bool(table.los_visible[u, a]), bool(table.fov_ok[u, a]))
             for u, a in enumerate(serving)]
 
 
-def _sum_rate_oracle(s, ris_angles=None):
-    links = _evaluate_links_oracle(s, ris_angles)
+def _sum_rate_oracle(s, ris_angles=None, links=None):
+    """The in-order airtime-shared sum over `links`, by default `_evaluate_links_oracle` at `ris_angles`."""
+    links = _evaluate_links_oracle(s, ris_angles) if links is None else links
     served = [link.serving_ap for link in links]
     total = 0.0
     for link in links:
@@ -447,14 +501,83 @@ def test_every_angle_kind_matches_the_angle_step_it_replaced(s, shape, dark):
         assert _same_links(s.evaluate_links(angles), _angle_step_oracle(s, angles)), angles
 
 
-def test_a_float_pair_gives_one_normal_as_a_read_only_view():
+def test_a_shared_pair_gives_each_candidate_one_normal_as_a_read_only_view():
     panel = _FIXED[0].ris_panels[1]
-    for yaw, roll in [(0.3, -0.2), (np.float64(2.0), np.float64(-math.inf))]:
-        normals = panel.normals(yaw, roll)
-        assert normals.shape == (panel.element_count, 3) and normals.strides[0] == 0
-        assert not normals.flags.writeable
-        assert normals.tobytes() == _normals_oracle(panel, yaw, roll).tobytes()
-    assert np.isnan(panel.normals(math.nan, 0.0)).all() and np.isnan(_normals_oracle(panel, math.nan, 0.0)).all()
+    yaw, roll = np.array([0.3, 2.0, -0.0, math.nan]), np.array([-0.2, -math.inf, 0.0, 0.0])
+    normals = panel.normals(yaw, roll)
+    assert normals.shape == (4, panel.element_count, 3) and normals.strides[1] == 0
+    assert not normals.flags.writeable
+    for c in range(3):
+        assert normals[c].tobytes() == _per_candidate_normals(panel, float(yaw[c]), float(roll[c])).tobytes()
+    assert np.isnan(normals[3]).all() and np.isnan(_per_candidate_normals(panel, math.nan, 0.0)).all()
+
+
+def test_one_candidate_is_a_population_of_one():
+    panel = _FIXED[0].ris_panels[1]
+    for yaw, roll in [(0.3, -0.2), (np.float64(2.0), np.full((panel.rows, panel.cols), -4.0)), (None, 0.1)]:
+        got = panel.normals(*panel.candidate(yaw, roll))
+        assert got.shape == (1, panel.element_count, 3)
+        assert got[0].tobytes() == _per_candidate_normals(panel, yaw, roll).tobytes()
+    with pytest.raises(ValueError, match=r"^angle matrix must have shape \(2, 2, 3\), got \(2, 3, 2\)$"):
+        panel.normals(np.zeros((2, 3, 2)), np.zeros(2))
+
+
+_TWO_BY_TWO = dataclasses.replace(  # a template: 4 drawn users, 2 APs, 2 panels and 6 drawn blockers
+    benchmark_scenario(), aps=(LedTx(position=(2.5, 2.5, 3.0)), LedTx(position=(1.0, 4.0, 2.8))),
+    ris_panels=benchmark_scenario().ris_panels + (MirrorArray((2.5, 5.0, 1.4), (0.0, -1.0, 0.0), 3, 4),),
+    blocker_population=BlockerPopulation(count=6))
+_REALIZED = st.builds(lambda seed: realize(_TWO_BY_TWO, np.random.default_rng(seed)), st.integers(0, 2**32 - 1))
+
+
+def _population(rng, panels, size):
+    """Per panel a shared (size,) pair, (size, rows, cols) matrices, or a shared yaw with a roll matrix; a fifth
+    of the angles sit on or past the clamp."""
+    pairs = []
+    for panel in panels:
+        matrix = (size, panel.rows, panel.cols)
+        pair = []
+        for shape in [((size,), (size,)), (matrix, matrix), ((size,), matrix)][rng.integers(3)]:
+            angles = rng.uniform(-2.0, 2.0, shape)
+            special = rng.uniform(size=shape) < 0.2
+            angles[special] = rng.choice(_CLAMPED + (0.0, -0.0), int(special.sum()))
+            pair.append(angles)
+        pairs.append(tuple(pair))
+    return pairs
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(st.sampled_from(_FIXED), _REALIZED, _scenarios()), st.integers(1, 40), st.integers(0, 2**32 - 1),
+       st.sampled_from((1, 1009, geometry._CHUNK_CELLS)))
+def test_a_population_gives_each_candidate_the_per_candidate_bits(s, size, seed, cap):
+    # a cap of 1 runs one candidate per chunk, and the prime 1009 cuts populations at uneven places
+    pairs = _population(np.random.default_rng(seed), s.ris_panels, size)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(geometry, "_CHUNK_CELLS", cap)
+        got = list(s.evaluate_population(pairs, size))
+        rates = metrics.sum_rates(s, pairs, size)
+    assert len(got) == len(rates) == size
+    for c in range(size):
+        one = [(float(yaw[c]) if yaw.ndim == 1 else yaw[c], float(roll[c]) if roll.ndim == 1 else roll[c])
+               for yaw, roll in pairs]
+        want = _per_candidate_links(s, one)
+        assert _same_links(got[c], want), c
+        assert type(rates[c]) is float and rates[c] == _sum_rate_oracle(s, links=want)
+
+
+def test_a_grid_block_population_stays_within_a_bounded_peak():
+    s = blocked_benchmark_scenario()
+    s.evaluate_links()  # the table is built once per scenario, outside the measurement
+    points = np.random.default_rng(0).uniform(-ANGLE_LIMIT, ANGLE_LIMIT, (optimize._GRID_BLOCK, 2))
+    objective = optimize._sum_rate_objective(s, "identical")
+    tracemalloc.start()
+    try:
+        values = objective(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # unchunked, every (P, elements, 3) temporary of the angle step would hold the whole block: 96 MiB
+    unchunked = optimize._GRID_BLOCK * s.ris_panels[0].element_count * 3 * 8
+    assert len(values) == optimize._GRID_BLOCK and peak < 16 << 20 < unchunked
 
 
 # sha256 of `trials_to_csv(run_study(benchmark_scenario() with `count` population

@@ -23,12 +23,17 @@ from ris_vlc import metrics, optimize
 
 
 def _quadratic(center):
+    """A rows-in, values-out concave bowl peaking at `center`."""
     c = np.asarray(center, dtype=float)
 
-    def f(x):
-        return -float(np.sum((x - c) ** 2))
+    def f(points):
+        return -np.sum((points - c) ** 2, axis=1)
 
     return f
+
+
+def _zero(points):
+    return np.zeros(len(points))
 
 
 def test_bounded_problem_validation():
@@ -75,7 +80,7 @@ def test_smallest_search_params_run():
 
 
 def test_searches_refuse_a_nan_objective():
-    problem = BoundedProblem(objective=lambda x: math.nan if x[0] > 0.0 else 0.0,
+    problem = BoundedProblem(objective=lambda points: np.where(points[:, 0] > 0.0, math.nan, 0.0),
                              lower=[-1.0], upper=[1.0], budget=50, seed=0)
     for run in (lambda: sca_optimize(problem, ScaParams(population=5, iterations=9)),
                 lambda: pso_optimize(problem, PsoParams(population=5, iterations=9)),
@@ -110,9 +115,9 @@ def test_pso_converges_on_concave_quadratic():
 def test_metaheuristics_respect_budget_and_bounds(optimizer, params):
     calls = []
 
-    def recording(x):
-        calls.append(x.copy())
-        return -float(np.sum(x**2))
+    def recording(points):
+        calls.extend(points.copy())
+        return -np.sum(points**2, axis=1)
 
     problem = BoundedProblem(objective=recording, lower=[-1.0], upper=[1.0],
                              budget=55, seed=3)
@@ -149,7 +154,7 @@ def test_grid_search_oracle_hits_lattice_optimum():
 
 
 def test_grid_search_oracle_tie_breaks_to_first_lattice_point():
-    problem = BoundedProblem(objective=lambda x: 0.0, lower=[-1.0], upper=[1.0],
+    problem = BoundedProblem(objective=_zero, lower=[-1.0], upper=[1.0],
                              budget=1, seed=0)
     result = grid_search_oracle(problem, 5)
     assert result.best_point[0] == -1.0
@@ -235,29 +240,46 @@ def test_random_angle_baseline_is_the_rate_at_its_one_seeded_draw():
     ("grid", "identical", dict(grid_resolution=9)),
 ])
 def test_objective_runs_once_per_evaluation_plus_the_reported_rate(monkeypatch, deployment, algorithm, mode, kwargs):
-    # perfbench counts `optimize.evaluations` as calls of the module-level `metrics.sum_rate`, each one
-    # candidate's angle set returning one float; a batched objective would break that count
-    calls = []
-    original = metrics.sum_rate
+    # the objective maps a population of candidate rows to their values; `metrics.sum_rate` is called only
+    # for the reported rate, which equals the best value found, bit for bit
+    rows, reported = [], []
+    make_objective, original = optimize._sum_rate_objective, metrics.sum_rate
 
-    def counting(*args, **kw):
-        value = original(*args, **kw)
-        calls.append((args, value))
-        return value
+    def counting_objective(*args):
+        objective = make_objective(*args)
 
-    monkeypatch.setattr(metrics, "sum_rate", counting)
+        def counted(points):
+            values = objective(points)
+            rows.append(len(points))
+            assert len(values) == len(points) and all(type(value) is float for value in values)
+            return values
+        return counted
+
+    def counting_sum_rate(*args, **kw):
+        reported.append(original(*args, **kw))
+        return reported[-1]
+
+    monkeypatch.setattr(optimize, "_sum_rate_objective", counting_objective)
+    monkeypatch.setattr(metrics, "sum_rate", counting_sum_rate)
     sol = optimize_mirror_angles(deployment, algorithm=algorithm, mode=mode, seed=3, **kwargs)
-    assert len(calls) == sol.result.evaluations_used + 1
-    assert calls[-1][1] == sol.sum_rate
-    calls.clear()
+    assert sum(rows) == sol.result.evaluations_used
+    assert reported == [sol.sum_rate] and sol.sum_rate == sol.result.best_value
+    rows.clear()
+    reported.clear()
     random_angle_baseline(deployment, seed=3)
-    assert len(calls) == 1
-    assert all(type(value) is float and len(args[1]) == len(deployment.ris_panels) for args, value in calls)
+    assert rows == [1] and reported == []
+
+
+def test_a_population_objective_must_return_one_value_per_row():
+    for wrong in (lambda points: np.zeros(len(points) + 1), lambda points: 0.0, lambda points: np.zeros((len(points), 1))):
+        problem = BoundedProblem(objective=wrong, lower=[-1.0], upper=[1.0], budget=10, seed=0)
+        with pytest.raises(ValueError, match=r"^the objective returned shape \(.*\) for 5 candidate rows$"):
+            sca_optimize(problem, ScaParams(population=5, iterations=1))
 
 
 def test_oversized_lattice_is_refused_by_resolution_and_dimension():
     for resolution, dimension in ((GRID_EVALUATION_CAP + 1, 1), (3163, 2), (181, 10**5)):
-        problem = BoundedProblem(objective=lambda x: 0.0, lower=[-1.0] * dimension, upper=[1.0] * dimension,
+        problem = BoundedProblem(objective=_zero, lower=[-1.0] * dimension, upper=[1.0] * dimension,
                                  budget=1, seed=0)
         with pytest.raises(ValueError) as refused:
             grid_search_oracle(problem, resolution)

@@ -576,10 +576,27 @@ def test_evaluate_links_matches_direct_channel_calls():
     assert links[0].h_los == 0.0 and links[1].h_los > 0.0
 
 
+def test_a_blocker_population_wider_than_the_room_is_refused_at_construction():
+    ap, user = LedTx(position=(2.5, 2.5, 3.0)), UserSpec()
+    with pytest.raises(ConfigError, match=r"^blockers\.radius 3\.0 is more than half of room\.length or "
+                                          r"room\.width$") as refused:
+        Scenario(aps=(ap,), users=(user,), blocker_population=BlockerPopulation(1, radius=3.0))
+    assert refused.value.key == "blockers.radius"
+    narrow = Room(8.0, 2.0, 3.0)
+    with pytest.raises(ConfigError, match=r"^blockers\.radius 1\.2 "):
+        Scenario(room=narrow, aps=(LedTx(position=(4.0, 1.0, 3.0)),), users=(user,),
+                 blocker_population=BlockerPopulation(1, radius=1.2))
+    # a population that exactly spans the room, or draws none, still runs
+    for population in (BlockerPopulation(1, radius=2.5), BlockerPopulation(0, radius=3.0)):
+        s = Scenario(aps=(ap,), users=(user,), blocker_population=population)
+        assert len(run_study(s, 2)) == 2
+
+
 def test_evaluate_links_rejects_wrong_angle_count():
     s = realize(_tiny_scenario(), np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        s.evaluate_links(ris_angles=[(0.0, 0.0), (0.1, 0.1)])  # one panel only
+    for angles in ([(0.0, 0.0), (0.1, 0.1)], []):  # one panel only
+        with pytest.raises(ValueError, match=rf"^expected 1 \(yaw, roll\) pairs, got {len(angles)}$"):
+            s.evaluate_links(ris_angles=angles)
 
 
 # --------------------------------------------------------------- statistics

@@ -4,9 +4,11 @@
 `random_angle_baseline` below are the searches as they were before every
 candidate went through `optimize._evaluate_population` and one incumbent
 rule: each evaluated its candidates and kept its best in its own way, and
-the grid walked `np.ndindex` one lattice point at a time. The rewrite draws
-the same random numbers and evaluates the same candidates in the same order,
-so the comparisons demand equal bits, not closeness.
+the grid walked `np.ndindex` one lattice point at a time. They keep their
+per-row loops, calling the rows-in, values-out objective on one row at a
+time. The rewrite draws the same random numbers and evaluates the same
+candidates in the same order, so the comparisons demand equal bits, not
+closeness.
 """
 
 import math
@@ -24,7 +26,7 @@ from ris_vlc.scenario import blocked_benchmark_scenario, single_mirror_benchmark
 
 
 def _evaluate_population(problem: BoundedProblem, points: np.ndarray) -> np.ndarray:
-    return np.array([float(problem.objective(p)) for p in points])
+    return np.array([float(problem.objective(p[None])[0]) for p in points])
 
 
 def sca_optimize(problem: BoundedProblem, params: Optional[ScaParams] = None) -> OptResult:
@@ -146,7 +148,7 @@ def grid_search_oracle(problem: BoundedProblem, resolution_per_dim: int) -> OptR
     best_value = -math.inf
     for index in np.ndindex(*([resolution_per_dim] * problem.dimension)):
         point = np.array([axes[i][index[i]] for i in range(problem.dimension)])
-        value = float(problem.objective(point))
+        value = float(problem.objective(point[None])[0])
         if value > best_value:
             best_value = value
             best_point = point
@@ -195,14 +197,14 @@ def _objectives(draw, dim):
 
 
 class _Recorder:
-    """The objective plus the candidates it was called on, in call order."""
+    """A one-row objective applied to each row of a population, plus every row it saw, in call order."""
 
     def __init__(self, objective):
         self.objective, self.calls = objective, []
 
-    def __call__(self, x):
-        self.calls.append(np.array(x, copy=True))
-        return self.objective(x)
+    def __call__(self, points):
+        self.calls.extend(np.array(x, copy=True) for x in points)
+        return [self.objective(x) for x in points]
 
 
 def _run_both(new, old, objective, box, budget, seed, *args):
