@@ -16,6 +16,7 @@ from .channel import (
     los_gain,
 )
 from .geometry import (
+    ConfigError,
     CylinderSet,
     Room,
     WallRect,
@@ -63,7 +64,6 @@ from .ris import (
 )
 from .scenario import (
     BlockerPopulation,
-    ConfigError,
     LinkEvaluation,
     Scenario,
     StudyStatistics,

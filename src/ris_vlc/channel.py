@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import Room, Vec3, as_points, as_vec3, unit
+from .geometry import ConfigError, Room, Vec3, as_points, as_vec3, unit
 # segments_blocked stays importable here: perfbench/spans.py wraps it at this name
 from .geometry import segments_blocked  # noqa: F401
 from .orientation import DeviceOrientation
@@ -50,11 +50,11 @@ class LedTx:
     optical_power: float = 2.0
 
     def __post_init__(self):
-        object.__setattr__(self, "position", as_vec3(self.position))
-        object.__setattr__(self, "normal", unit(as_vec3(self.normal)))
+        object.__setattr__(self, "position", as_vec3(self.position, "position"))
+        object.__setattr__(self, "normal", unit(as_vec3(self.normal, "normal"), "normal"))
         lambertian_index(self.half_intensity_angle)  # refuses an angle it cannot turn into an order
         if not self.optical_power > 0.0:
-            raise ValueError("optical power must be positive")
+            raise ConfigError("optical power must be positive", "optical_power")
 
     @property
     def lambertian_order(self) -> float:
@@ -80,38 +80,40 @@ class PdRx:
     concentrator: float = field(init=False)  # in-field gain f**2 / sin(fov)**2
 
     def __post_init__(self):
-        object.__setattr__(self, "position", as_vec3(self.position))
+        object.__setattr__(self, "position", as_vec3(self.position, "position"))
         object.__setattr__(self, "concentrator",
                            check_receiver_terms(self.area, self.fov, self.filter_gain, self.refractive_index))
 
 
 def check_receiver_terms(area: float, fov: float, filter_gain: float, refractive_index: float) -> float:
-    """Refuse receiver terms `PdRx` cannot use, else return their in-field concentrator gain f**2 / sin(fov)**2.
-    Scalar math, as every realized user re-checks its own."""
+    """Refuse receiver terms `PdRx` cannot use, naming the field, else return their in-field concentrator gain
+    f**2 / sin(fov)**2. Scalar math, as every realized user re-checks its own."""
     if not area > 0.0:
-        raise ValueError("detector area must be positive")
+        raise ConfigError("detector area must be positive", "area")
     if not 0.0 < fov <= math.pi / 2.0:
-        raise ValueError("field of view must lie in (0, pi/2]")
+        raise ConfigError("field of view must lie in (0, pi/2]", "fov")
     if not 0.0 < filter_gain <= 1.0:
-        raise ValueError("filter gain must lie in (0, 1]")
+        raise ConfigError("filter gain must lie in (0, 1]", "filter_gain")
     if not refractive_index >= 1.0:
-        raise ValueError("concentrator refractive index must be >= 1")
+        raise ConfigError("concentrator refractive index must be >= 1", "refractive_index")
     try:
         concentrator = refractive_index**2 / math.sin(fov) ** 2
     except ArithmeticError:  # f**2 overflows, or sin(fov)**2 underflows to 0
         concentrator = math.inf
     collection = area * concentrator
     if not collection * collection < math.inf:  # a link rate squares the gain this scales
-        raise ValueError("detector area times concentrator gain f**2 / sin(fov)**2 must be finite when squared")
+        raise ConfigError("area x concentrator gain f**2 / sin(fov)**2 must be finite when squared",
+                          ("area", "fov", "refractive_index"))
     return concentrator
 
 
 def lambertian_index(half_intensity_angle: float) -> float:
     """Lambertian order m = -1 / log2(cos(phi_half)); 60 degrees gives m = 1."""
     if not 0.0 < half_intensity_angle < math.pi / 2.0:
-        raise ValueError("half-intensity angle must lie in (0, pi/2)")
+        raise ConfigError("half-intensity angle must lie in (0, pi/2)", "half_intensity_angle")
     if math.cos(half_intensity_angle) == 1.0:
-        raise ValueError(f"half-intensity angle {half_intensity_angle} rad is too narrow: its cosine rounds to 1")
+        raise ConfigError(f"half-intensity angle {half_intensity_angle} rad is too narrow: its cosine rounds to 1",
+                          "half_intensity_angle")
     return -1.0 / math.log2(math.cos(half_intensity_angle))
 
 
@@ -197,7 +199,7 @@ class WallPatchSet:
         wall reflections only). Patches run wall by wall, row-major in (v, u).
         """
         centers, normals, areas = [], [], []
-        for wall, nu, nv in cls.tiling(room, patch_size):
+        for wall, (nu, nv) in zip(room.walls(), cls.tiling(room, patch_size)):
             du, dv = wall.u_len / nu, wall.v_len / nv
             j, i = np.indices((nv, nu)).reshape(2, -1, 1)
             centers.append(wall.origin + wall.u_axis * ((i + 0.5) * du) + wall.v_axis * ((j + 0.5) * dv))
@@ -207,17 +209,19 @@ class WallPatchSet:
         return cls(np.concatenate(centers), np.concatenate(normals), areas, np.full(len(areas), reflectance))
 
     @staticmethod
-    def tiling(room: Room, patch_size: float):
-        """(wall, nu, nv) per wall of `for_room`, refusing more than `WALL_PATCH_CAP` patches before any allocation."""
+    def tiling(room: Room, patch_size: float) -> list[tuple[int, int]]:
+        """(nu, nv) per wall of `room.walls()`, refusing more than `WALL_PATCH_CAP` patches before any allocation.
+        Scalar math on the room's dimensions, as every `Scenario` checks its own; the cap names them all."""
         if not patch_size > 0.0:
-            raise ValueError("wall patch size must be positive")
-        walls = room.walls()  # np.rint rounds half to even like round(), and takes an infinite ratio
-        counts = [(max(1.0, np.rint(w.u_len / patch_size)), max(1.0, np.rint(w.v_len / patch_size))) for w in walls]
+            raise ConfigError("wall patch size must be positive", "wall_patch_size")
+        # np.rint rounds half to even like round(), and takes an infinite ratio
+        nw, nl, nh = (max(1.0, np.rint(side / patch_size)) for side in (room.width, room.length, room.height))
+        counts = [(nw, nh), (nw, nh), (nl, nh), (nl, nh)]  # the walls x = 0, x = length, y = 0 and y = width
         total = sum(float(nu) * float(nv) for nu, nv in counts)  # a Python float product overflows to inf silently
         if not total <= WALL_PATCH_CAP:
-            raise ValueError(f"wall patch size {patch_size} m tiles the walls into {total:.3g} patches, "
-                             f"above the cap of {WALL_PATCH_CAP}")
-        return [(wall, int(nu), int(nv)) for wall, (nu, nv) in zip(walls, counts)]
+            raise ConfigError(f"wall patch size {patch_size:.3g} m gives {total:.3g} patches, above the cap of "
+                              f"{WALL_PATCH_CAP}", ("length", "width", "height", "wall_patch_size"))
+        return [(int(nu), int(nv)) for nu, nv in counts]
 
 
 @dataclass(frozen=True, eq=False)

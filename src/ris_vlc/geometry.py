@@ -29,13 +29,22 @@ _ROOM_TOL = 1e-9  # meters past a wall, floor or ceiling that `Room.contains` st
 _CHUNK_CELLS = 1 << 14
 
 
-def as_vec3(value) -> Vec3:
-    """Coerce a length-3 sequence to a float vector, validating finiteness."""
+class ConfigError(ValueError):
+    """An input refused. The message names the offense; `key` names what it refuses, if anything: a constructor's
+    field, a tuple of the fields a check of several refuses together, or a document's JSON key."""
+
+    def __init__(self, message: str, key: str | tuple[str, ...] = "") -> None:
+        super().__init__(message)
+        self.key = key
+
+
+def as_vec3(value, key: str = "") -> Vec3:
+    """Coerce a length-3 sequence to a float vector, validating finiteness; a refusal names `key`."""
     v = np.asarray(value, dtype=float)
     if v.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {v.shape}")
+        raise ConfigError(f"expected a 3-vector, got shape {v.shape}", key)
     if not np.all(np.isfinite(v)):
-        raise ValueError(f"vector components must be finite, got {v}")
+        raise ConfigError(f"vector components must be finite, got {v}", key)
     return v
 
 
@@ -53,13 +62,13 @@ def norm(v: Vec3) -> float:
     return float(np.linalg.norm(v))
 
 
-def unit(v: Vec3) -> Vec3:
-    """Normalize to unit length; rejects input whose norm is zero or past the float range."""
+def unit(v: Vec3, key: str = "") -> Vec3:
+    """Normalize to unit length; rejects input whose norm is zero or past the float range, naming `key`."""
     v = np.asarray(v, dtype=float)
     with np.errstate(over="ignore"):  # refused below instead
         n = norm(v)
     if not 0.0 < n < math.inf:
-        raise ValueError(f"cannot normalize a vector of norm {n}: it must be nonzero and finite")
+        raise ConfigError(f"cannot normalize a vector of norm {n}: it must be nonzero and finite", key)
     return v / n
 
 
@@ -77,8 +86,9 @@ class Room:
     height: float = 3.0
 
     def __post_init__(self):
-        if not (self.length > 0.0 and self.width > 0.0 and self.height > 0.0):
-            raise ValueError("room dimensions must be positive")
+        for name in ("length", "width", "height"):
+            if not getattr(self, name) > 0.0:
+                raise ConfigError("room dimensions must be positive", name)
 
     def contains(self, points) -> np.ndarray:
         """(n, 3) rows: a mask, True within `_ROOM_TOL` of the room and False on non-finite rows."""
@@ -140,16 +150,18 @@ def _squared_reach(radius):
     return (radius * (1.0 + 1e-6) + 1e-12) ** 2
 
 
-def check_cylinder_size(radius: float, height: float, what: str) -> None:
-    """Refuse a radius or height that is not positive, or a radius whose squared reach is not finite."""
-    if not (radius > 0.0 and height > 0.0):
-        raise ValueError(f"{what} radius and height must be positive")
+def check_cylinder_size(radius: float, height: float, what: str, keys: tuple[str, str]) -> None:
+    """Refuse a radius or height that is not positive, or a radius whose squared reach is not finite,
+    naming its field in `keys`, the (radius, height) fields of the `what` cylinder."""
+    for value, key in zip((radius, height), keys):
+        if not value > 0.0:
+            raise ConfigError(f"{what} radius and height must be positive", key)
     try:  # a Python float raises where the occlusion test's arrays would give inf
         reach = _squared_reach(float(radius))
     except OverflowError:
         reach = math.inf
     if not reach < math.inf:
-        raise ValueError(f"{what} radius {radius:.3g} m is too large: its squared reach overflows")
+        raise ConfigError(f"{what} radius {radius:.3g} m is too large: its squared reach overflows", keys[0])
 
 
 def _check_cylinder_sizes(radii, heights) -> None:
@@ -157,8 +169,8 @@ def _check_cylinder_sizes(radii, heights) -> None:
     that is not positive (NaN included), the largest radius an overflowing reach. No rows: nothing to check."""
     radii, heights = np.asarray(radii), np.asarray(heights)
     if radii.size and heights.size:
-        check_cylinder_size(radii.min(), heights.min(), "cylinder")
-        check_cylinder_size(radii.max(), heights.min(), "cylinder")
+        check_cylinder_size(radii.min(), heights.min(), "cylinder", ("radii", "heights"))
+        check_cylinder_size(radii.max(), heights.min(), "cylinder", ("radii", "heights"))
 
 
 def _segment_cylinder_hits(

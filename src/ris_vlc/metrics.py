@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .channel import checked_gain
+from .geometry import ConfigError
 
 
 @dataclass(frozen=True)
@@ -32,9 +33,10 @@ class NoiseModel:
 
     def __post_init__(self):
         if not (self.psd > 0.0 and self.bandwidth > 0.0):
-            raise ValueError("noise PSD and bandwidth must be positive")
+            raise ConfigError("noise PSD and bandwidth must be positive", "bandwidth" if self.psd > 0.0 else "psd")
         if not sys.float_info.min <= self.variance < math.inf:  # rates divide by it
-            raise ValueError(f"noise variance psd * bandwidth = {self.variance} must be a normal, finite float")
+            raise ConfigError(f"noise variance psd * bandwidth = {self.variance} must be a normal, finite float",
+                              ("psd", "bandwidth"))
 
     @property
     def variance(self) -> float:
@@ -50,9 +52,9 @@ class IntensityConstraints:
 
     def __post_init__(self):
         if not (self.peak > 0.0 and self.average_total > 0.0):
-            raise ValueError("intensity constraints must be positive")
+            raise ConfigError("intensity constraints must be positive", "average_total" if self.peak > 0.0 else "peak")
         if not self.peak * self.peak < math.inf:  # a link rate squares it
-            raise ValueError(f"peak intensity {self.peak} must be finite when squared")
+            raise ConfigError(f"peak intensity {self.peak} must be finite when squared", "peak")
 
 
 def link_rate(h, constraints: IntensityConstraints, noise: NoiseModel) -> float:

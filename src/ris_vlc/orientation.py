@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .geometry import Vec3
+from .geometry import ConfigError, Vec3
 
 POLAR_MAX = math.pi / 2.0
 # rejection sampling draws 1 / acceptance Laplace values per polar angle
@@ -32,9 +32,9 @@ class DeviceOrientation:
 
     def __post_init__(self):
         if not 0.0 <= self.polar <= POLAR_MAX:
-            raise ValueError(f"polar angle {self.polar} outside [0, pi/2]")
+            raise ConfigError(f"polar angle {self.polar} outside [0, pi/2]", "polar")
         if not -math.pi <= self.azimuth <= math.pi:
-            raise ValueError(f"azimuth {self.azimuth} outside [-pi, pi]")
+            raise ConfigError(f"azimuth {self.azimuth} outside [-pi, pi]", "azimuth")
 
     @property
     def normal(self) -> Vec3:
@@ -61,12 +61,12 @@ class OrientationModel:
 
     def __post_init__(self):
         if not self.std_polar >= 0.0:
-            raise ValueError("std_polar must be nonnegative")
+            raise ConfigError("std_polar must be nonnegative", "std_polar")
         if not 0.0 <= self.mean_polar <= POLAR_MAX:
-            raise ValueError("mean_polar must lie inside the truncation window [0, pi/2]")
+            raise ConfigError("mean_polar must lie inside the truncation window [0, pi/2]", "mean_polar")
         if self.std_polar > 0.0 and not self.acceptance >= MIN_ACCEPTANCE:  # else the sampler all but hangs
-            raise ValueError(f"std_polar {self.std_polar} rad puts only {self.acceptance:.3g} of the Laplace "
-                             f"draws in [0, pi/2], below {MIN_ACCEPTANCE}")
+            raise ConfigError(f"only {self.acceptance:.3g} of the polar Laplace draws fall in [0, pi/2], below "
+                              f"{MIN_ACCEPTANCE}", ("mean_polar", "std_polar"))
 
     @property
     def scale(self) -> float:

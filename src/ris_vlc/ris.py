@@ -40,7 +40,7 @@ from typing import Tuple
 import numpy as np
 
 from .channel import ReflectionLegs, _lambertian_power
-from .geometry import Vec3, as_vec3, unit
+from .geometry import ConfigError, Vec3, as_vec3, unit
 # segments_blocked stays importable here: perfbench/spans.py wraps it at this name
 from .geometry import segments_blocked  # noqa: F401
 
@@ -100,27 +100,29 @@ class MirrorArray:
     roll: np.ndarray = field(default=0.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "panel_center", as_vec3(self.panel_center))
-        object.__setattr__(self, "base_normal", unit(as_vec3(self.base_normal)))
+        object.__setattr__(self, "panel_center", as_vec3(self.panel_center, "panel_center"))
+        object.__setattr__(self, "base_normal", unit(as_vec3(self.base_normal, "base_normal"), "base_normal"))
         if self.rows < 1 or self.cols < 1:
-            raise ValueError("mirror grid needs at least one row and one column")
+            raise ConfigError("mirror grid needs at least one row and one column", "rows" if self.rows < 1 else "cols")
         if self.rows * self.cols > MIRROR_ELEMENT_CAP:  # before the angle matrices allocate
-            raise ValueError(f"{self.rows} x {self.cols} mirror elements exceed the cap of {MIRROR_ELEMENT_CAP}")
+            raise ConfigError(f"{self.rows} x {self.cols} mirror elements exceed the cap of {MIRROR_ELEMENT_CAP}",
+                              ("rows", "cols"))
         if not (self.element_size > 0.0 and 0.0 < self.element_size * self.element_size < math.inf):
-            raise ValueError("element size must be positive, with a finite area")
+            raise ConfigError("element size must be positive, with a finite area", "element_size")
         if not 0.0 <= self.reflectivity <= 1.0:
-            raise ValueError("reflectivity must lie in [0, 1]")
+            raise ConfigError("reflectivity must lie in [0, 1]", "reflectivity")
         if not (self.beam_spread > 0.0 and sys.float_info.min <= self.beam_spread * self.beam_spread < math.inf):
-            raise ValueError(f"beam spread {self.beam_spread} rad must be positive, its square normal and finite")
-        object.__setattr__(self, "yaw", self._coerce_angles(self.yaw))
-        object.__setattr__(self, "roll", self._coerce_angles(self.roll))
+            raise ConfigError(f"beam spread {self.beam_spread} rad must be positive, its square normal and finite",
+                              "beam_spread")
+        object.__setattr__(self, "yaw", self._coerce_angles(self.yaw, key="yaw"))
+        object.__setattr__(self, "roll", self._coerce_angles(self.roll, key="roll"))
 
-    def _coerce_angles(self, angles, *lead: int) -> np.ndarray:
+    def _coerce_angles(self, angles, *lead: int, key: str = "") -> np.ndarray:
         a, shape = np.asarray(angles, dtype=float), (*lead, self.rows, self.cols)
         if a.ndim == len(lead):  # one angle per leading index broadcasts over the grid
             a = np.broadcast_to(a.reshape(*lead, 1, 1), shape)
         if a.shape != shape:
-            raise ValueError(f"angle matrix must have shape {shape}, got {a.shape}")
+            raise ConfigError(f"angle matrix must have shape {shape}, got {a.shape}", key)
         clamped = np.clip(a, -ANGLE_LIMIT, ANGLE_LIMIT)
         clamped.flags.writeable = False
         return clamped

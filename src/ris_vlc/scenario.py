@@ -36,7 +36,7 @@ import numpy as np
 from . import geometry
 from .channel import (LedTx, PdRx, WallPatchSet, _legs, _wall_gain, check_receiver_terms, checked_gain,
                       incidence_cosine, los_gain)
-from .geometry import CylinderSet, Room, Vec3, as_vec3, segments_blocked, segments_blocked_each, unit
+from .geometry import ConfigError, CylinderSet, Room, Vec3, as_vec3, segments_blocked, segments_blocked_each
 # link_rate stays importable here: perfbench/spans.py wraps it at this name
 from .metrics import IntensityConstraints, NoiseModel, _airtime_shared_rates, _in_order_sum, link_rate  # noqa: F401
 from .orientation import DeviceOrientation, OrientationModel, sample_orientation, sample_polar_angles
@@ -56,14 +56,6 @@ USER_COUNT_CAP = 1 << 8
 BLOCKER_COUNT_CAP = 1 << 10
 AP_COUNT_CAP = 1 << 6
 PANEL_COUNT_CAP = 1 << 4
-
-
-class ConfigError(ValueError):
-    """Scenario configuration rejected; the message names the offense, and `key` the value it names, if any."""
-
-    def __init__(self, message: str, key: str = ""):
-        super().__init__(message)
-        self.key = key
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,10 +81,10 @@ class UserSpec:
 
     def __post_init__(self):
         if self.position is not None:
-            object.__setattr__(self, "position", as_vec3(self.position))
+            object.__setattr__(self, "position", as_vec3(self.position, "position"))
         if not self.body_offset >= 0.0:
-            raise ValueError("body offset must be nonnegative")
-        geometry.check_cylinder_size(self.body_radius, self.body_height, "body")
+            raise ConfigError("body offset must be nonnegative", "body_offset")
+        geometry.check_cylinder_size(self.body_radius, self.body_height, "body", ("body_radius", "body_height"))
         check_receiver_terms(self.area, self.fov, self.filter_gain, self.refractive_index)
 
     def receiver(self) -> PdRx:
@@ -123,10 +115,10 @@ class BlockerPopulation:
 
     def __post_init__(self):
         if self.count < 0:
-            raise ValueError("blocker count must be nonnegative")
+            raise ConfigError("blocker count must be nonnegative", "count")
         if self.count > BLOCKER_COUNT_CAP:
-            raise ValueError(f"blocker count {self.count:.6g} exceeds the cap of {BLOCKER_COUNT_CAP}")
-        geometry.check_cylinder_size(self.radius, self.height, "blocker")
+            raise ConfigError(f"blocker count {self.count:.6g} exceeds the cap of {BLOCKER_COUNT_CAP}", "count")
+        geometry.check_cylinder_size(self.radius, self.height, "blocker", ("radius", "height"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,10 +215,9 @@ class Scenario:
     def __post_init__(self):
         for name in ("aps", "users", "ris_panels"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
+        WallPatchSet.tiling(self.room, self.wall_patch_size)  # scalar math: `realize` rebuilds every trial's copy
         if not 0.0 <= self.wall_reflectance <= 1.0:
-            raise ValueError("wall reflectance must lie in [0, 1]")
-        if not self.wall_patch_size > 0.0:
-            raise ValueError("wall patch size must be positive")
+            raise ConfigError("wall reflectance must lie in [0, 1]", "wall_reflectance")
         placed = [(f"aps[{i}].position", ap.position) for i, ap in enumerate(self.aps)]
         placed += [(f"users[{i}].position", u.position) if u.position is not None
                    else (f"users[{i}].height", (0.0, 0.0, u.height)) for i, u in enumerate(self.users)]
@@ -235,7 +226,7 @@ class Scenario:
         outside = np.flatnonzero(~self.room.contains([point for _, point in placed]))
         if outside.size:  # name the first offender, and the first bound it crosses
             name, point = placed[outside[0]]
-            xyz = as_vec3(point)  # refuses a non-finite point
+            xyz = as_vec3(point, name)  # refuses a non-finite point
             axis = int(np.argmin(self.room.contains(np.diag(xyz))))  # the first coordinate outside on its own
             value, dim = xyz[axis], ("length", "width", "height")[axis]
             side = f"{'xyz'[axis]} < 0" if value < 0.0 else f"{'xyz'[axis]} > room.{dim} {getattr(self.room, dim):.6g}"
@@ -598,16 +589,6 @@ def _vector(value, where: str) -> Vec3:
     return as_vec3([_number(x, f"{where}[{k}]") for k, x in enumerate(value)])
 
 
-def _direction(value, where: str) -> Vec3:
-    """A `_vector` that `unit` can normalize, returned as read: the dataclass normalizes it."""
-    vector = _vector(value, where)
-    try:
-        unit(vector)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}", where) from exc
-    return vector
-
-
 def _flag(value, where: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{where} must be true or false, got {reprlib.repr(value)}", where)
@@ -633,11 +614,11 @@ def _count(value, where: str, minimum: int = 1, maximum: float = math.inf) -> in
 
 # Field tables: JSON key -> (dataclass keyword, reader). An absent key keeps
 # the dataclass default, so every default is written once, on its dataclass.
-_ROOM = {"length": ("length", _number), "width": ("width", _number), "height": ("height", _number)}
-_WALLS = {"wall_reflectance": ("wall_reflectance", _number), "wall_patch_size": ("wall_patch_size", _number)}
+# The room section also holds the scenario's wall keywords.
+_ROOM = {key: (key, _number) for key in ("length", "width", "height", "wall_reflectance", "wall_patch_size")}
 _AP = {
     "position": ("position", _vector),
-    "normal": ("normal", _direction),
+    "normal": ("normal", _vector),
     "half_intensity_angle_deg": ("half_intensity_angle", _degrees),
     "optical_power_w": ("optical_power", _number),
 }
@@ -657,7 +638,7 @@ _USER_ORIENTATION = {"polar_deg": ("polar", _degrees), "azimuth_deg": ("azimuth"
 _BLOCKERS = {"radius": ("radius", _number), "height": ("height", _number)}
 _RIS = {
     "center": ("panel_center", _vector),
-    "normal": ("base_normal", _direction),
+    "normal": ("base_normal", _vector),
     "rows": ("rows", partial(_count, maximum=MIRROR_ELEMENT_CAP)),  # one axis at a time, so a refusal names it
     "cols": ("cols", partial(_count, maximum=MIRROR_ELEMENT_CAP)),
     "element_size": ("element_size", _number),
@@ -696,6 +677,11 @@ def load_scenario(config_text: str) -> Scenario:
     requires; unknown keys and mistyped values are rejected with their JSON
     path. Omitted keys take the defaults of the dataclass they fill (5 x 5
     x 3 m room, 2 W LEDs, 85 deg FoV, 0.15 m x 1.65 m cylinders).
+
+    Every refusal is a `ConfigError` whose `key` is a JSON path the document
+    holds: the key of the field a constructor refused, or, for a check of
+    several fields, the one of their keys the section holds, else the section,
+    with every key it holds in the message. The document is built once.
     """
     try:
         doc = json.loads(config_text)
@@ -707,47 +693,41 @@ def load_scenario(config_text: str) -> Scenario:
     return _scenario_from_document(doc)
 
 
-def _passes(make, kwargs: dict, left_out: str) -> bool:
-    """Whether `make` accepts `kwargs` with the keyword `left_out` left to its default."""
-    try:
-        make(**{name: value for name, value in kwargs.items() if name != left_out})
-    except (TypeError, ValueError):  # TypeError: a required `position` or `center` left out
-        return False
-    return True
-
-
 def _scenario_from_document(doc: dict) -> Scenario:
     """The scenario of a parsed document, built once. A reader names the key of a value it refuses, and
-    `build` the key of a constructor's refusal."""
+    `build` the key of the field or fields a constructor refuses."""
     def build(where: str, section: dict, table: dict, make, **kwargs):
-        """`make(**kwargs)` for the section at `where`, read through `table`. A refusal that names its key
-        (a check across sections) keeps it; any other is blamed on the first key of `section`, in document
-        order, whose value left to its default lets `make` pass, else on the section."""
+        """`make(**kwargs)` for the section at `where`, read through `table`, its refusal keyed in the document."""
         try:
             return make(**kwargs)
-        except ConfigError as exc:  # name the document's entry: Scenario numbers users after `count` expands
-            head, _, tail = exc.key.partition("]")  # them, and fixed blockers by their row of blockers.positions
-            if head.startswith("users["):
-                name = key = f"users[{owners[int(head[6:])]}]{tail}"
-            elif head.startswith("blockers["):
-                name, key = f"blockers.positions[{head[9:]}]", "blockers.positions"
-            else:
-                name = key = exc.key
-            message = str(exc).replace(exc.key, name)
+        except ConfigError as exc:
+            held = {name: f"{where}.{key}" for key, (name, _) in table.items() if key in section}
+            message = str(exc)
+            if isinstance(exc.key, tuple):  # neither field alone is at fault, so name each one the section holds
+                keys = [held[name] for name in exc.key if name in held]
+                key = keys[0] if len(keys) == 1 else where
+                if len(keys) > 1:
+                    message = f"{', '.join(keys[:-1])} and {keys[-1]}: {message}"
+            elif exc.key in held:
+                key = held[exc.key]
+            else:  # a check across sections names its key; name the document's entry, as Scenario numbers
+                head, _, tail = exc.key.partition("]")  # users after `count` expands them, and fixed blockers by
+                if head.startswith("users["):  # their row of blockers.positions
+                    name = key = f"users[{owners[int(head[6:])]}]{tail}"
+                elif head.startswith("blockers["):
+                    name, key = f"blockers.positions[{head[9:]}]", "blockers.positions"
+                else:
+                    name = key = exc.key
+                message = message.replace(exc.key, name)
             raise ConfigError(f"configuration validation error at {key}: {message}", key) from exc
-        except ValueError as exc:
-            key = next((f"{where}.{name}" for name in section
-                        if name in table and _passes(make, kwargs, table[name][0])), where)
-            raise ConfigError(f"configuration validation error at {key}: {exc}", key) from exc
 
-    def table_section(name: str, table: dict, make, extra=(), **given):  # `given`, and the keys read through `table`
-        return build(name, doc.get(name, {}), table, make, **given, **_fields(doc.get(name, {}), table, name, extra))
+    def table_section(name: str, table: dict, make):
+        return build(name, doc.get(name, {}), table, make, **_fields(doc.get(name, {}), table, name))
 
-    def walled_room(wall_patch_size=Scenario.wall_patch_size, **dims) -> Room:  # the room, its tiling cap checked
-        WallPatchSet.tiling(walled := Room(**dims), wall_patch_size)  # with the room's keys, so a refusal names one
-        return walled
-
-    room = table_section("room", {**_ROOM, "wall_patch_size": _WALLS["wall_patch_size"]}, walled_room, _WALLS)
+    room_section = doc.get("room", {})
+    walls = _fields(room_section, _ROOM, "room")  # read once: the room takes its dimensions, the scenario the rest
+    room = build("room", room_section, _ROOM, Room,
+                 **{name: walls.pop(name) for name in ("length", "width", "height") if name in walls})
 
     aps = []
     for i, sec in enumerate(_list(doc.get("aps", []), "aps", AP_COUNT_CAP)):
@@ -788,14 +768,11 @@ def _scenario_from_document(doc: dict) -> Scenario:
         kwargs = _fields(sec, _RIS, f"ris[{i}]")
         if "panel_center" not in kwargs or "base_normal" not in kwargs:
             raise ConfigError(f"ris[{i}] requires keys 'center' and 'normal'", f"ris[{i}]")
-        rows, cols = kwargs.get("rows", MirrorArray.rows), kwargs.get("cols", MirrorArray.cols)
-        if rows * cols > MIRROR_ELEMENT_CAP:  # neither key alone is at fault, so name both
-            raise ConfigError(f"ris[{i}].rows and ris[{i}].cols give {rows} x {cols} mirror elements, "
-                              f"above the cap of {MIRROR_ELEMENT_CAP}", f"ris[{i}]")
         panels.append(build(f"ris[{i}]", sec, _RIS, MirrorArray, **kwargs))
 
-    scenario = table_section(  # its unkeyed checks are the walls'; its checks across sections name their key
-        "room", _WALLS, Scenario, _ROOM,
+    return build(
+        "room", room_section, _ROOM, Scenario,
+        **walls,
         room=room,
         aps=tuple(aps),
         users=tuple(users),
@@ -806,7 +783,6 @@ def _scenario_from_document(doc: dict) -> Scenario:
         constraints=table_section("constraints", _CONSTRAINTS, IntensityConstraints),
         orientation_model=table_section("orientation", _ORIENTATION, OrientationModel),
     )
-    return scenario
 
 
 # ----------------------------------------------------------------- benchmarks

@@ -1,7 +1,9 @@
-"""Shared fixtures: a CLI runner, a small scenario document, the occluders of one user's links, the
-single-link leg and wall-gain oracles, the whole-pass polar-angle sampler and the parallel-branch
-capacity bound."""
+"""Shared fixtures: a CLI runner, a small scenario document, spies on the loader's constructors, the
+occluders of one user's links, the single-link leg and wall-gain oracles, the whole-pass polar-angle
+sampler and the parallel-branch capacity bound."""
 
+import collections
+import functools
 import json
 import math
 import subprocess
@@ -10,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+from ris_vlc import scenario
 from ris_vlc.channel import ReflectionLegs, _legs, _wall_gain, checked_gain
 from ris_vlc.geometry import CylinderSet, segments_blocked
 from ris_vlc.orientation import POLAR_MAX
@@ -62,6 +65,39 @@ def run_cli(*args, env=None, cwd=None):
 @pytest.fixture
 def cli():
     return run_cli
+
+
+# the constructors `scenario._scenario_from_document` builds a document with
+LOADER_CONSTRUCTORS = ("Room", "LedTx", "DeviceOrientation", "UserSpec", "BlockerPopulation", "CylinderSet",
+                       "MirrorArray", "NoiseModel", "IntensityConstraints", "OrientationModel", "Scenario")
+
+
+def _counted(builds, name, make, *args, **kwargs):
+    builds[name] += 1
+    return make(*args, **kwargs)
+
+
+@pytest.fixture
+def constructor_builds(monkeypatch):
+    """A Counter of the calls of each loader constructor, by name."""
+    builds = collections.Counter()
+    for name in LOADER_CONSTRUCTORS:
+        monkeypatch.setattr(scenario, name, functools.partial(_counted, builds, name, getattr(scenario, name)))
+    return builds
+
+
+def sections_of(doc) -> collections.Counter:
+    """The builds of each loader constructor that loading `doc` takes: one per section or list entry."""
+    users = doc.get("users", [])
+    return collections.Counter({**dict.fromkeys(LOADER_CONSTRUCTORS, 1), "LedTx": len(doc.get("aps", [])),
+                                "UserSpec": len(users), "DeviceOrientation": sum("orientation" in u for u in users),
+                                "MirrorArray": len(doc.get("ris", []))})
+
+
+def retries(builds, doc) -> int:
+    """Constructor calls past one per section or list entry of `doc`."""
+    sections = sections_of(doc)
+    return sum(max(0, n - sections[name]) for name, n in builds.items())
 
 
 def occluders_of(scenario, user) -> CylinderSet:

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through subprocesses: exit codes, files, determinism."""
 
+import collections
 import contextlib
 import copy
 import hashlib
@@ -11,7 +12,7 @@ import re
 import tempfile
 
 import pytest
-from conftest import run_cli
+from conftest import retries, run_cli
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -317,6 +318,30 @@ REFUSED_DOCUMENTS = [
                  "users[0].body_offset", id="body-offset-1e300"),
 ]
 
+# Two faulty keys in one section, the key named, and the keys its message must hold. The constructor's check
+# order decides: DeviceOrientation checks polar before azimuth, check_receiver_terms area before fov,
+# NoiseModel psd before bandwidth, LedTx the half-intensity angle before the power, and MirrorArray the
+# element size before the reflectivity. Length and patch size feed one tiling cap, so the section is named.
+TWO_KEY_DOCUMENTS = [
+    ('{"users": [{"orientation": {"polar_deg": 100, "azimuth_deg": 400}}]}', "users[0].orientation.polar_deg", ()),
+    ('{"users": [{"area": -1, "fov_deg": 100}]}', "users[0].area", ()),
+    ('{"noise": {"psd": -1, "bandwidth": -1}}', "noise.psd", ()),
+    ('{"aps": [{"position": [2.5, 2.5, 3], "half_intensity_angle_deg": 95, "optical_power_w": -1}]}',
+     "aps[0].half_intensity_angle_deg", ()),
+    ('{"ris": [{"center": [0, 2.5, 1.5], "normal": [1, 0, 0], "reflectivity": 2, "element_size": -1}]}',
+     "ris[0].element_size", ()),
+    ('{"room": {"length": 1.7e308, "wall_patch_size": 1e-4}}', "room", ("room.length", "room.wall_patch_size")),
+]
+REFUSED_DOCUMENTS += [pytest.param(text, key, id=f"two-keys-{key}") for text, key, _ in TWO_KEY_DOCUMENTS]
+
+
+@pytest.mark.parametrize("text, key, named", TWO_KEY_DOCUMENTS)
+def test_a_section_with_two_faulty_keys_is_refused_at_the_key_checked_first(text, key, named):
+    with pytest.raises(ConfigError, match=re.escape(f"configuration validation error at {key}: ")) as refused:
+        scenario.load_scenario(text)
+    assert refused.value.key == key and all(name in str(refused.value) for name in named)
+
+
 # Extreme finite values that crashed `simulate` or let it print inf or nan
 _AP = '"position": [2.5, 2.5, 3.0]'
 EXTREME_VALUES = [
@@ -490,10 +515,10 @@ _CENSUS_VALUES = (1e-320, 1e-300, 1e-30, 1e30, 1e300, 1.7e308, -1e-300, -1.7e308
                   0.5, 2, 1025, 257, 10**9, 1e-4, 1e4, -0.1, 100.0, 7.1)
 
 
-def test_every_census_document_loads_or_is_refused_naming_its_key_from_one_build(monkeypatch):
+def test_every_census_document_loads_or_is_refused_naming_its_key_from_one_build(monkeypatch, constructor_builds):
     builds, original = [], scenario._scenario_from_document
     monkeypatch.setattr(scenario, "_scenario_from_document", lambda *args: builds.append(args) or original(*args))
-    paths, refused = list(_number_paths(_FUZZ_DOCUMENT)), 0
+    paths, refused, retried = list(_number_paths(_FUZZ_DOCUMENT)), collections.Counter(), 0
     for path in paths:
         for value in _CENSUS_VALUES:
             doc = copy.deepcopy(_FUZZ_DOCUMENT)
@@ -502,12 +527,22 @@ def test_every_census_document_loads_or_is_refused_naming_its_key_from_one_build
                 parent = parent[key]
             parent[path[-1]] = value
             builds.clear()
+            constructor_builds.clear()
             try:
                 scenario.load_scenario(json.dumps(doc))
             except ConfigError as exc:
                 message = f"ris-vlc: error: {exc}"  # as the CLI prints it
                 assert _key(path) in message and len(message) < 200, (path, value, message)
                 assert exc.key and exc.key in message, (path, value, exc.key)
-                refused += 1
+                if isinstance(getattr(exc.__cause__, "key", None), tuple):  # a check of several fields
+                    assert exc.key in (_key(path), _key(path).rpartition(".")[0]), (path, value, exc.key)
+                    refused["several fields"] += 1
+                elif exc.key != _key(path):  # a placement names the point, and the room bound in the message
+                    assert "is outside the room" in message, (path, value, exc.key)
+                    refused["placement"] += 1
+                else:
+                    refused["one field"] += 1
             assert len(builds) == 1, (path, value, len(builds))
-    assert 0 < refused < len(paths) * len(_CENSUS_VALUES)
+            retried += retries(constructor_builds, doc)
+    assert retried == 0, retried
+    assert len(refused) == 3 and sum(refused.values()) < len(paths) * len(_CENSUS_VALUES), refused

@@ -8,12 +8,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import occluders_of, run_cli, wall_gain_oracle
+from conftest import occluders_of, run_cli, sections_of, wall_gain_oracle
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ris_vlc.channel import LedTx, PdRx, WallPatchSet, incidence_cosine, los_gain
-from ris_vlc.geometry import CylinderSet, Room, segments_blocked, unit
+from ris_vlc.channel import (LedTx, PdRx, WallPatchSet, check_receiver_terms, incidence_cosine, lambertian_index,
+                             los_gain)
+from ris_vlc.geometry import CylinderSet, Room, check_cylinder_size, segments_blocked, unit
 from ris_vlc.metrics import IntensityConstraints, NoiseModel, link_rate, sum_rate
 from ris_vlc.orientation import DeviceOrientation, OrientationModel
 from ris_vlc.ris import MIRROR_ELEMENT_CAP, MirrorArray
@@ -239,7 +240,85 @@ def test_caps_refuse_before_allocating(monkeypatch):
         MirrorArray(**_PANEL, rows=10**9)
     monkeypatch.undo()
     tiles = WallPatchSet.tiling(Room(), 0.05)
-    assert sum(nu * nv for _, nu, nv in tiles) == len(WallPatchSet.for_room(Room(), 0.05)) == 24000
+    assert sum(nu * nv for nu, nv in tiles) == len(WallPatchSet.for_room(Room(), 0.05)) == 24000
+
+
+_ROOM_FIELDS = ("length", "width", "height", "wall_patch_size")
+_AP = LedTx(position=(2.5, 2.5, 3.0))
+
+
+# One row per keyed check of each constructor: a check of one field names it, a check of several names them all.
+@pytest.mark.parametrize("build, key", [
+    (lambda: Room(-1.0), "length"),
+    (lambda: Room(5.0, 0.0, 3.0), "width"),  # a combined check names the first field that fails
+    (lambda: Room(5.0, 5.0, math.nan), "height"),
+    (lambda: check_cylinder_size(0.0, -1.0, "body", ("body_radius", "body_height")), "body_radius"),
+    (lambda: check_cylinder_size(0.1, 0.0, "blocker", ("radius", "height")), "height"),
+    (lambda: check_cylinder_size(1e300, 1.0, "blocker", ("radius", "height")), "radius"),
+    (lambda: LedTx(position=(1.0, 1.0, 1.0), optical_power=-1.0), "optical_power"),
+    (lambda: LedTx(position=(1.0, 1.0)), "position"),
+    (lambda: LedTx(position=(1.0, 1.0, 1.0), normal=(0.0, 0.0, 0.0)), "normal"),
+    (lambda: LedTx(position=(1.0, 1.0, 1.0), normal=(1e300, 1e300, 0.0)), "normal"),
+    (lambda: LedTx(position=(1.0, 1.0, 1.0), half_intensity_angle=2.0, optical_power=-1.0), "half_intensity_angle"),
+    (lambda: lambertian_index(1e-30), "half_intensity_angle"),
+    (lambda: check_receiver_terms(-1.0, 5.0, 1.0, 1.5), "area"),
+    (lambda: check_receiver_terms(1e-4, 5.0, 1.0, 1.5), "fov"),
+    (lambda: check_receiver_terms(1e-4, 1.0, 7.0, 1.5), "filter_gain"),
+    (lambda: check_receiver_terms(1e-4, 1.0, 1.0, 0.5), "refractive_index"),
+    (lambda: check_receiver_terms(1e300, 1.0, 1.0, 1.5), ("area", "fov", "refractive_index")),
+    (lambda: PdRx(position=(1.0, 1.0, 1.0), fov=1e-300), ("area", "fov", "refractive_index")),
+    (lambda: WallPatchSet.tiling(Room(), -1.0), "wall_patch_size"),
+    (lambda: WallPatchSet.tiling(Room(), 1e-4), _ROOM_FIELDS),
+    (lambda: WallPatchSet.for_room(Room(1.7e308), 0.5), _ROOM_FIELDS),
+    (lambda: MirrorArray(**_PANEL | dict(panel_center=(0.0, 1.0))), "panel_center"),
+    (lambda: MirrorArray(**_PANEL | dict(base_normal=(0.0, 0.0, 0.0))), "base_normal"),
+    (lambda: MirrorArray(**_PANEL, rows=0, cols=0), "rows"),
+    (lambda: MirrorArray(**_PANEL, cols=0), "cols"),
+    (lambda: MirrorArray(**_PANEL, rows=1 << 9, cols=1 << 8), ("rows", "cols")),
+    (lambda: MirrorArray(**_PANEL, element_size=-0.1, reflectivity=2.0), "element_size"),
+    (lambda: MirrorArray(**_PANEL, reflectivity=2.0), "reflectivity"),
+    (lambda: MirrorArray(**_PANEL, beam_spread=1e-300), "beam_spread"),
+    (lambda: MirrorArray(**_PANEL, rows=2, cols=2, yaw=np.zeros((2, 3))), "yaw"),
+    (lambda: MirrorArray(**_PANEL, rows=2, cols=2, roll=np.zeros(3)), "roll"),
+    (lambda: DeviceOrientation(polar=2.0, azimuth=7.0), "polar"),
+    (lambda: DeviceOrientation(polar=0.0, azimuth=7.0), "azimuth"),
+    (lambda: OrientationModel(std_polar=-1.0), "std_polar"),
+    (lambda: OrientationModel(mean_polar=2.0), "mean_polar"),
+    (lambda: OrientationModel(std_polar=1e30), ("mean_polar", "std_polar")),
+    (lambda: NoiseModel(psd=-1.0, bandwidth=-1.0), "psd"),
+    (lambda: NoiseModel(bandwidth=0.0), "bandwidth"),
+    (lambda: NoiseModel(psd=1e300, bandwidth=1e300), ("psd", "bandwidth")),
+    (lambda: IntensityConstraints(peak=0.0, average_total=0.0), "peak"),
+    (lambda: IntensityConstraints(average_total=-1.0), "average_total"),
+    (lambda: IntensityConstraints(peak=1e300), "peak"),
+    (lambda: UserSpec(position=(1.0, 1.0)), "position"),
+    (lambda: UserSpec(body_offset=-1.0), "body_offset"),
+    (lambda: UserSpec(body_radius=1e300), "body_radius"),
+    (lambda: UserSpec(body_height=0.0), "body_height"),
+    (lambda: UserSpec(area=1e300), ("area", "fov", "refractive_index")),
+    (lambda: BlockerPopulation(count=-1), "count"),
+    (lambda: BlockerPopulation(count=BLOCKER_COUNT_CAP + 1), "count"),
+    (lambda: BlockerPopulation(count=1, radius=0.0), "radius"),
+    (lambda: BlockerPopulation(count=1, height=-1.0), "height"),
+    (lambda: Scenario(wall_reflectance=2.0), "wall_reflectance"),
+    (lambda: Scenario(wall_patch_size=0.0), "wall_patch_size"),
+    (lambda: Scenario(room=Room(1e300, 5.0, 3.0)), _ROOM_FIELDS),
+    # checks across fields of several parts name the scenario's path to the value
+    (lambda: Scenario(aps=(LedTx(position=(9.0, 1.0, 3.0)),)), "aps[0].position"),
+    (lambda: Scenario(aps=(_AP,), users=(UserSpec(height=math.nan),)), "users[0].height"),
+    (lambda: Scenario(aps=(_AP,), users=(UserSpec(body_offset=1e300),)), "users[0].body_offset"),
+    (lambda: Scenario(aps=(_AP,), blocker_population=BlockerPopulation(1, radius=3.0)), "blockers.radius"),
+], ids=lambda value: value if isinstance(value, str) else "+".join(value) if isinstance(value, tuple) else None)
+def test_each_constructor_check_names_the_field_or_fields_it_refuses(build, key):
+    with pytest.raises(ConfigError) as refused:
+        build()
+    assert refused.value.key == key
+
+
+def test_a_scenario_whose_walls_tile_past_the_cap_is_refused_when_built():
+    with pytest.raises(ConfigError, match=r"gives 2.4e\+303 patches, above the cap of \d+$") as refused:
+        Scenario(room=Room(1e300, 5.0, 3.0), aps=(_AP,), users=(UserSpec(),))
+    assert refused.value.key == _ROOM_FIELDS
 
 
 def test_link_rate_refuses_an_snr_past_the_float_range():
@@ -332,10 +411,12 @@ def test_panel_element_product_is_capped_at_load():
     panel = {"center": [0.0, 2.5, 1.5], "normal": [1, 0, 0]}
     s = load_scenario(json.dumps({"ris": [{**panel, "rows": 256, "cols": 256}]}))
     assert s.ris_panels[0].element_count == MIRROR_ELEMENT_CAP
-    with pytest.raises(ConfigError, match=r"^ris\[0\]\.rows and ris\[0\]\.cols give 256 x 257 "):
+    with pytest.raises(ConfigError, match=r" at ris\[0\]: ris\[0\]\.rows and ris\[0\]\.cols: 256 x 257 ") as both:
         load_scenario(json.dumps({"ris": [{**panel, "rows": 256, "cols": 257}]}))
-    with pytest.raises(ConfigError, match=r"give 8 x 8193 "):  # the panel's default fills the absent axis
+    assert both.value.key == "ris[0]"  # neither key alone is at fault, so the panel is named
+    with pytest.raises(ConfigError, match=r" at ris\[0\]\.cols: 8 x 8193 ") as one:  # the default fills the absent axis
         load_scenario(json.dumps({"ris": [{**panel, "cols": 8193}]}))
+    assert one.value.key == "ris[0].cols"
 
 
 def test_load_scenario_reports_json_position():
@@ -787,26 +868,27 @@ def test_a_refusal_names_its_key_from_one_build_of_the_document(document_loads, 
     assert len(document_loads) == 1
 
 
-@pytest.fixture
-def left_out(monkeypatch):
-    """The keyword each retry of a refused constructor leaves to its default, in order."""
-    tried, passes = [], scenario._passes
-
-    def spy(make, kwargs, name):
-        tried.append(name)
-        return passes(make, kwargs, name)
-
-    monkeypatch.setattr(scenario, "_passes", spy)
-    return tried
-
-
-def test_a_constructor_refusal_leaves_out_each_key_of_its_section_in_order_until_one_passes(left_out):
-    # users[1] holds position, area, fov_deg, body_offset and orientation: `position` left out still fails
-    doc = _blame_document()
-    doc["users"][1]["area"] = -1.0
-    with pytest.raises(ConfigError, match=re.escape("configuration validation error at users[1].area: ")):
+@pytest.mark.parametrize("path, value, named", [
+    (("users", 1, "area"), -1.0, "users[1].area"),
+    (("users", 2, "orientation", "azimuth_deg"), 400.0, "users[2].orientation.azimuth_deg"),
+    (("aps", 1, "optical_power_w"), -1.0, "aps[1].optical_power_w"),
+    (("ris", 2, "reflectivity"), 2.0, "ris[2].reflectivity"),
+    (("ris", 0, "rows"), 65536, "ris[0]"),  # rows x cols: the panel holds both keys
+    (("blockers", "height"), 0.0, "blockers.height"),
+    (("noise", "psd"), 1e302, "noise"),  # the variance: the section holds both keys
+    (("room", "wall_reflectance"), 2.0, "room.wall_reflectance"),
+])
+def test_a_refused_document_builds_each_sections_constructor_at_most_once(constructor_builds, path, value, named):
+    doc = json.loads(json.dumps(_blame_document()))  # its entries share one AP table and orientation tables
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with pytest.raises(ConfigError, match=re.escape(f"configuration validation error at {named}: ")) as refused:
         load_scenario(json.dumps(doc))
-    assert left_out == ["position", "area"]
+    assert refused.value.key == named
+    sections = sections_of(doc)
+    assert all(n <= sections[name] for name, n in constructor_builds.items()), constructor_builds
 
 
 def _document_at_every_cap():
@@ -845,19 +927,14 @@ def test_a_refusal_after_count_expands_names_the_users_entry_of_the_document(doc
     assert len(document_loads) == 1
 
 
-@pytest.mark.parametrize("key, value, tried", [
-    # the scenario's wall checks name no key; only the room's wall keys are left out in turn, in document order
-    ("wall_reflectance", 2.0, ["wall_patch_size", "wall_reflectance"]),
-    # the room is built with its tiling checked, so its dimensions are left out before the patch size
-    ("wall_patch_size", -1.0, ["length", "width", "height", "wall_patch_size"]),
-])
-def test_a_wall_refusal_at_every_cap_names_its_room_key_from_one_build(document_loads, left_out, key, value, tried):
+@pytest.mark.parametrize("key, value", [("wall_reflectance", 2.0), ("wall_patch_size", -1.0)])
+def test_a_wall_refusal_at_every_cap_names_its_room_key_from_one_build(document_loads, constructor_builds, key, value):
+    # the scenario checks the walls, after every section before it is built, each once
     doc = _document_at_every_cap()
-    doc["room"] = doc.pop("room")
     doc["room"][key] = value
     with pytest.raises(ConfigError, match=re.escape(f"configuration validation error at room.{key}: ")):
         load_scenario(json.dumps(doc))
-    assert left_out == tried
+    assert constructor_builds == sections_of(doc)
     assert len(document_loads) == 1
 
 
