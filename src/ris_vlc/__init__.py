@@ -64,7 +64,6 @@ from .ris import (
 )
 from .scenario import (
     BlockerPopulation,
-    LinkEvaluation,
     Scenario,
     StudyStatistics,
     TrialResult,
@@ -94,7 +93,6 @@ __all__ = [
     "DeviceOrientation",
     "IntensityConstraints",
     "LedTx",
-    "LinkEvaluation",
     "MimoChannel",
     "MirrorArray",
     "NoiseModel",

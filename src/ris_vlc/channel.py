@@ -170,21 +170,23 @@ class WallPatchSet:
     """
 
     def __init__(self, centers, normals, areas, reflectances):
-        self.centers, normals = as_points(centers, "patch centers"), as_points(normals, "patch normals")
+        self.centers = as_points(centers, "patch centers", "centers")
+        normals = as_points(normals, "patch normals", "normals")
         self.areas, self.reflectances = (np.asarray(a, dtype=float).reshape(-1) for a in (areas, reflectances))
         rows = [len(self.centers), len(normals), len(self.areas), len(self.reflectances)]
         if len(set(rows)) > 1:
-            raise ValueError(f"patch centers, normals, areas and reflectances have unequal row counts {rows}")
+            raise ConfigError(f"patch centers, normals, areas and reflectances have unequal row counts {rows}",
+                              ("centers", "normals", "areas", "reflectances"))
         with np.errstate(over="ignore"):  # refused below instead
             lengths = np.linalg.norm(normals, axis=1)
         if not np.all(np.isfinite(self.centers)):
-            raise ValueError("patch centers must be finite")
+            raise ConfigError("patch centers must be finite", "centers")
         if not np.all((lengths > 0.0) & (lengths < math.inf)):
-            raise ValueError("patch normals must be nonzero and finite")
+            raise ConfigError("patch normals must be nonzero and finite", "normals")
         if not np.all(self.areas > 0.0):
-            raise ValueError("patch area must be positive")
+            raise ConfigError("patch area must be positive", "areas")
         if not np.all((self.reflectances >= 0.0) & (self.reflectances <= 1.0)):
-            raise ValueError("reflectance must lie in [0, 1]")
+            raise ConfigError("reflectance must lie in [0, 1]", "reflectances")
         self.normals = normals / lengths[:, None]
 
     def __len__(self) -> int:

@@ -48,13 +48,13 @@ def as_vec3(value, key: str = "") -> Vec3:
     return v
 
 
-def as_points(value, what: str) -> np.ndarray:
-    """Coerce a (K, 3) sequence of points to a float array; an empty sequence is no points."""
+def as_points(value, what: str, key: str = "") -> np.ndarray:
+    """Coerce a (K, 3) sequence of points to a float array; an empty sequence is no points. A refusal names `key`."""
     points = np.asarray(value, dtype=float)
     if points.shape == (0,):
         return points.reshape(0, 3)
     if points.ndim != 2 or points.shape[1] != 3:
-        raise ValueError(f"{what} must be a (K, 3) array, got shape {points.shape}")
+        raise ConfigError(f"{what} must be a (K, 3) array, got shape {points.shape}", key)
     return points
 
 
@@ -87,8 +87,8 @@ class Room:
 
     def __post_init__(self):
         for name in ("length", "width", "height"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError("room dimensions must be positive", name)
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError("room dimensions must be positive and finite", name)
 
     def contains(self, points) -> np.ndarray:
         """(n, 3) rows: a mask, True within `_ROOM_TOL` of the room and False on non-finite rows."""
@@ -131,13 +131,13 @@ class CylinderSet:
     """
 
     def __init__(self, bases=(), radii=0.15, heights=1.65):
-        self.bases = as_points(bases, "cylinder bases")
+        self.bases = as_points(bases, "cylinder bases", "bases")
         sizes = [np.asarray(a, dtype=float) for a in (radii, heights)]
         if any(a.ndim and a.shape != (len(self.bases),) for a in sizes):
-            raise ValueError(f"cylinder bases, radii and heights have unequal row counts "
-                             f"{[len(self.bases)] + [a.shape for a in sizes]}")
+            raise ConfigError(f"cylinder bases, radii and heights have unequal row counts "
+                              f"{[len(self.bases)] + [a.shape for a in sizes]}", ("bases", "radii", "heights"))
         if not np.all(np.isfinite(self.bases)):
-            raise ValueError("cylinder bases must be finite")
+            raise ConfigError("cylinder bases must be finite", "bases")
         self.radii, self.heights = (np.broadcast_to(a, (len(self.bases),)) for a in sizes)
         _check_cylinder_sizes(self.radii, self.heights)
 

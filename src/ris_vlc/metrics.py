@@ -20,6 +20,8 @@ import sys
 from dataclasses import dataclass
 from functools import reduce
 
+import numpy as np
+
 from .channel import checked_gain
 from .geometry import ConfigError
 
@@ -71,10 +73,15 @@ def link_rate(h, constraints: IntensityConstraints, noise: NoiseModel) -> float:
     return rate
 
 
-def _airtime_shared_rates(links, constraints: IntensityConstraints, noise: NoiseModel) -> list[float]:
-    """Per-link rates: link_rate(total gain) / (users served by the same AP)."""
-    served = [link.serving_ap for link in links]
-    return [link_rate(link.total_gain, constraints, noise) / served.count(link.serving_ap) for link in links]
+def _airtime_shared_rates(serving, gains, constraints: IntensityConstraints, noise: NoiseModel) -> np.ndarray:
+    """Each user's link_rate(gain) / (users its AP serves in its row), on (..., users) arrays; refusals name users."""
+    rates = []
+    for index, gain in enumerate(gains.ravel().tolist()):
+        try:
+            rates.append(link_rate(gain, constraints, noise))
+        except ValueError as exc:
+            raise ValueError(f"user {index % gains.shape[-1]}: {exc}") from exc
+    return np.reshape(rates, gains.shape) / (serving[..., :, None] == serving[..., None, :]).sum(axis=-1)
 
 
 def _in_order_sum(values) -> float:
@@ -91,11 +98,11 @@ def sum_rate(scenario, ris_angles=None) -> float:
     access point split its airtime equally, so a user's rate is
     link_rate(total gain) / (number of co-served users).
     """
-    links = scenario.evaluate_links(ris_angles)
-    return _in_order_sum(_airtime_shared_rates(links, scenario.constraints, scenario.noise))
+    return scenario.evaluate_links(ris_angles).sum_rate
 
 
 def sum_rates(scenario, ris_angles, size: int) -> list[float]:
     """`sum_rate` of each candidate of a `Scenario.evaluate_population` angle population of `size`."""
-    return [_in_order_sum(_airtime_shared_rates(links, scenario.constraints, scenario.noise))
-            for links in scenario.evaluate_population(ris_angles, size)]
+    chunks = scenario.evaluate_population(ris_angles, size)
+    return [_in_order_sum(rates) for serving, h_los, h_wall, h_ris, _, _ in chunks for rates in
+            _airtime_shared_rates(serving, h_los + h_wall + h_ris, scenario.constraints, scenario.noise).tolist()]

@@ -122,23 +122,6 @@ class BlockerPopulation:
 
 
 @dataclass(frozen=True, eq=False)
-class LinkEvaluation:
-    """Per-user gain split and flags for the serving access point."""
-
-    user_index: int
-    serving_ap: int
-    h_los: float
-    h_wall: float
-    h_ris: float
-    los_visible: bool
-    fov_ok: bool
-
-    @property
-    def total_gain(self) -> float:
-        return self.h_los + self.h_wall + self.h_ris
-
-
-@dataclass(frozen=True, eq=False)
 class _LinkTable:
     """Angle-independent link data: (users, APs) arrays, per panel its (users, APs, elements) steering terms."""
 
@@ -152,7 +135,7 @@ class _LinkTable:
 
 @dataclass(frozen=True, eq=False)
 class TrialResult:
-    """Outcome of one Monte-Carlo trial over all users."""
+    """Outcome of one Monte-Carlo trial over all users: per user the gain split, flags and rate at its serving AP."""
 
     h_los: np.ndarray
     h_wall: np.ndarray
@@ -161,6 +144,7 @@ class TrialResult:
     sum_rate: float
     los_visible: np.ndarray
     fov_ok: np.ndarray
+    serving_ap: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -280,27 +264,28 @@ class Scenario:
         return _LinkTable(h_los, _wall_gain(m, columns, self.wall_patches, wall), visible, fov_ok,
                           tuple(steering_terms(m, panel, leg) for panel, leg in zip(self.ris_panels, mirrors)), columns)
 
-    def evaluate_links(self, ris_angles=None) -> list[LinkEvaluation]:
-        """Per-user gain splits at the given mirror angles, as `evaluate_population` of one candidate.
+    def evaluate_links(self, ris_angles=None) -> TrialResult:
+        """`evaluate_population` of one candidate, with each user's airtime-shared rate, as a `TrialResult`.
 
         `ris_angles` is None (stored angles) or a sequence of (yaw, roll)
-        pairs aligned with `ris_panels` (scalars broadcast per panel). Each
-        user attaches to the access point maximizing its total gain; ties
-        go to the lowest index.
+        pairs aligned with `ris_panels` (scalars broadcast per panel).
         """
         pairs = [(None, None)] * len(self.ris_panels) if ris_angles is None else list(ris_angles)
         ones = [panel.candidate(*pair) for panel, pair in zip(self.ris_panels, pairs)]
-        return next(self.evaluate_population(ones + pairs[len(ones):], 1))  # extra pairs meet its count check
+        chunk = next(self.evaluate_population(ones + pairs[len(ones):], 1))  # extra pairs meet its count check
+        serving, h_los, h_wall, h_ris, los_visible, fov_ok = (column[0] for column in chunk)
+        rates = _airtime_shared_rates(serving, h_los + h_wall + h_ris, self.constraints, self.noise)
+        return TrialResult(h_los, h_wall, h_ris, rates, _in_order_sum(rates.tolist()), los_visible, fov_ok, serving)
 
-    def evaluate_population(self, ris_angles, size: int) -> Iterator[list[LinkEvaluation]]:
-        """`evaluate_links` of `size` candidates in turn, `ris_angles` holding a `MirrorArray.normals` (yaw, roll)
-        population per panel. The angle step runs on chunks of at most `geometry._CHUNK_CELLS` (candidate, user,
-        AP, element) cells; each candidate keeps its scalar tail, as one `evaluate_links` call would."""
+    def evaluate_population(self, ris_angles, size: int) -> Iterator[tuple]:
+        """Per chunk of at most `geometry._CHUNK_CELLS` (candidate, user, AP, element) cells of `size` candidates, the
+        (candidates, users) serving AP, then h_los, h_wall, h_ris, los_visible and fov_ok at it. `ris_angles` holds
+        a `MirrorArray.normals` (yaw, roll) population per panel. A user's AP has the first largest total gain."""
         panels, pairs = self.ris_panels, list(ris_angles)
         if len(pairs) != len(panels):
             raise ValueError(f"expected {len(panels)} (yaw, roll) pairs, got {len(pairs)}")
         table = self._link_table  # raises on unsampled users or no APs
-        columns = (table.h_los.tolist(), table.h_wall.tolist(), table.los_visible.tolist(), table.fov_ok.tolist())
+        user = np.arange(len(table.h_los))
         step = max(1, geometry._CHUNK_CELLS // max(1, table.h_los.size * sum(p.element_count for p in panels)))
         for lo in range(0, size, step):
             rows = slice(lo, min(lo + step, size))
@@ -308,13 +293,12 @@ class Scenario:
             for panel, terms, (yaw, roll) in zip(panels, table.mirror_terms, pairs):
                 gains = steered_gains(panel, table.rx, terms, panel.normals(yaw[rows], roll[rows]))
                 h_ris = h_ris + np.add.reduce(gains, axis=-1)
-            for candidate in h_ris.tolist():
-                links = []
-                for u, (los, wall, visible, fov_ok, ris) in enumerate(zip(*columns, candidate)):
-                    totals = [h_los + h_wall + h_ris for h_los, h_wall, h_ris in zip(los, wall, ris)]
-                    a = totals.index(max(totals))  # the first maximum
-                    links.append(LinkEvaluation(u, a, los[a], wall[a], ris[a], visible[a], fov_ok[a]))
-                yield links
+            totals = table.h_los + table.h_wall + h_ris
+            totals[..., 1:][np.isnan(totals[..., 1:])] = -math.inf  # a NaN wins only as the first, as max() did
+            serving = np.argmax(totals, axis=-1)
+            yield (serving, table.h_los[user, serving], table.h_wall[user, serving],
+                   h_ris[np.arange(len(h_ris))[:, None], user, serving], table.los_visible[user, serving],
+                   table.fov_ok[user, serving])
 
 
 def _blocked_legs(aps, rxs, bodies, blockers: CylinderSet, point_sets):
@@ -381,13 +365,7 @@ def run_trial(scenario: Scenario, trial_seed) -> TrialResult:
     (in declaration order) its position and its orientation. Users with
     pinned positions/orientations keep them; fixed blockers never move.
     """
-    rng = np.random.default_rng(trial_seed)
-    realized = realize(scenario, rng)
-    links = realized.evaluate_links()
-    rates = np.array(_airtime_shared_rates(links, scenario.constraints, scenario.noise))
-    columns = {name: np.array([getattr(link, name) for link in links])
-               for name in ("h_los", "h_wall", "h_ris", "los_visible", "fov_ok")}
-    return TrialResult(rates=rates, sum_rate=_in_order_sum(rates), **columns)
+    return realize(scenario, np.random.default_rng(trial_seed)).evaluate_links()
 
 
 def realize(scenario: Scenario, rng: np.random.Generator) -> Scenario:

@@ -10,6 +10,7 @@ import math
 import os
 import re
 import tempfile
+from pathlib import Path
 
 import pytest
 from conftest import retries, run_cli
@@ -401,6 +402,22 @@ def test_a_refused_document_names_its_key_on_the_error_too(text, key):
         assert exc.key and exc.key in str(exc), (exc.key, str(exc))
         return
     assert key == "users"  # a document without users loads; the study refuses it
+
+
+def test_an_snr_overflow_names_its_user_counted_after_count_expansion(tmp_path):
+    # a load-time bound cannot refuse these: the gain depends on the positions each trial draws
+    doc = json.loads((Path(__file__).resolve().parents[1] / "configs" / "benchmark.json").read_text())
+    doc["users"][0]["area"] = 1e152
+    ahead = copy.deepcopy(doc)  # two users of the default area ahead of the 4 that overflow
+    ahead["users"].insert(0, {**doc["users"][0], "area": 1e-4, "count": 2})
+    for document, user in [(doc, 0), (ahead, 2)]:
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(document))
+        r = run_cli("simulate", "--scenario", str(path), "--trials", "1")
+        assert r.returncode == 2 and r.stdout == ""
+        message = r.stderr.strip()
+        assert message.startswith(f"ris-vlc: error: user {user}: the SNR of a link overflows: gain ")
+        assert len(message) < 200 and "Traceback" not in message
 
 
 def test_boundary_counts_and_sizes_are_accepted(tmp_path):

@@ -8,7 +8,7 @@ single-link `channel.reflection_legs` as it was) on each link.
 (user, AP) pair one LoS test, one wall `reflection_legs_oracle` test and one
 test per panel, each against the scenario blockers plus that user's body.
 `_evaluate_links_oracle` is `evaluate_links` as it was on top of it, with one
-`LinkEvaluation` per candidate AP and `max` choosing the serving one. The
+`_Link` record per candidate AP and `max` choosing the serving one. The
 table tests each leg in three occlusion calls instead; blockage is a union
 over cylinders tested cell by cell, so the comparisons demand equal bits.
 
@@ -22,6 +22,11 @@ population: `_per_candidate_normals` and `_per_candidate_steered_gains` are
 `MirrorArray.normals` and `ris.steered_gains` of one candidate, a float pair
 giving one broadcast normal. A population of any size, cut into chunks
 anywhere, must give each candidate the bits this per-candidate code gives it.
+
+`evaluate_links` and `evaluate_population` return (users,) and (candidates,
+users) arrays; `_user_links` turns them back into the per-user `_Link` records
+that the code they replaced built, in Python floats, so these oracles compare
+every field of every user down to the bits.
 """
 
 import dataclasses
@@ -43,7 +48,6 @@ from ris_vlc.orientation import DeviceOrientation
 from ris_vlc.ris import ANGLE_LIMIT, MirrorArray, steering_terms
 from ris_vlc.scenario import (
     BlockerPopulation,
-    LinkEvaluation,
     Scenario,
     UserSpec,
     benchmark_scenario,
@@ -55,6 +59,39 @@ from ris_vlc.scenario import (
 
 
 _LEG_FIELDS = ("d1", "u1", "cos_phi1", "d2", "u2", "cos_t2", "clear")
+_COLUMNS = ("serving_ap", "h_los", "h_wall", "h_ris", "los_visible", "fov_ok")
+
+
+@dataclasses.dataclass(frozen=True)
+class _Link:
+    """One user's gain split and flags at one access point, as the per-user record the arrays replaced."""
+
+    user_index: int
+    serving_ap: int
+    h_los: float
+    h_wall: float
+    h_ris: float
+    los_visible: bool
+    fov_ok: bool
+
+    @property
+    def total_gain(self) -> float:
+        return self.h_los + self.h_wall + self.h_ris
+
+
+def _user_links(columns):
+    """One `_Link` per user from the serving AP, h_los, h_wall, h_ris, los_visible and fov_ok columns."""
+    return [_Link(u, *row) for u, row in enumerate(zip(*(np.asarray(column).tolist() for column in columns)))]
+
+
+def _links_of(result):
+    """A `TrialResult`'s columns as `_user_links`."""
+    return _user_links([getattr(result, name) for name in _COLUMNS])
+
+
+def _population_links(chunks):
+    """Per candidate its `_user_links`, from the (candidates, users) chunks of `evaluate_population`."""
+    return [_user_links([column[c] for column in chunk]) for chunk in chunks for c in range(len(chunk[0]))]
 
 
 def _static_links_oracle(s):
@@ -88,7 +125,7 @@ def _evaluate_links_oracle(s, ris_angles=None):
             for panel, panel_legs, n in zip(panels, legs, normals):
                 terms = steering_terms(ap.lambertian_order, panel, panel_legs)
                 h_ris += float(np.add.reduce(_per_candidate_steered_gains(panel, rx, terms, n)))
-            candidates.append(LinkEvaluation(u, a, h_los, h_wall, h_ris, visible, fov_ok))
+            candidates.append(_Link(u, a, h_los, h_wall, h_ris, visible, fov_ok))
         links.append(max(candidates, key=lambda link: link.total_gain))
     return links
 
@@ -185,7 +222,7 @@ def _per_candidate_links(s, ris_angles=None):
         ris = [metrics._in_order_sum(panel_sums[u][a] for panel_sums in sums) for a in range(len(los))]
         totals = [h_los + h_wall + h_ris for h_los, h_wall, h_ris in zip(los, wall, ris)]
         a = totals.index(max(totals))
-        links.append(LinkEvaluation(u, a, los[a], wall[a], ris[a], visible[a], fov_ok[a]))
+        links.append(_Link(u, a, los[a], wall[a], ris[a], visible[a], fov_ok[a]))
     return links
 
 
@@ -199,8 +236,8 @@ def _angle_step_oracle(s, ris_angles=None):
         normals = _normals_oracle(panel, yaw, roll)
         h_ris += np.add.reduce(_steered_gains_oracle(m, panel, table.rx, terms.legs, normals), axis=-1)
     serving = np.argmax(table.h_los + table.h_wall + h_ris, axis=1)
-    return [LinkEvaluation(u, int(a), float(table.h_los[u, a]), float(table.h_wall[u, a]),
-                           float(h_ris[u, a]), bool(table.los_visible[u, a]), bool(table.fov_ok[u, a]))
+    return [_Link(u, int(a), float(table.h_los[u, a]), float(table.h_wall[u, a]),
+                  float(h_ris[u, a]), bool(table.los_visible[u, a]), bool(table.fov_ok[u, a]))
             for u, a in enumerate(serving)]
 
 
@@ -291,11 +328,10 @@ def test_evaluate_links_and_sum_rate_match_per_link_loop(s, seed):
                   [tuple(rng.uniform(-2.0, 2.0, (2, p.rows, p.cols))) for p in s.ris_panels]]
     for angles in angle_sets:
         got = s.evaluate_links(angles)
-        assert [vars(link) for link in got] == [vars(link) for link in _evaluate_links_oracle(s, angles)]
-        assert all(type(link.serving_ap) is int and type(link.h_ris) is float and type(link.los_visible) is bool
-                   for link in got)
+        assert [vars(link) for link in _links_of(got)] == [vars(link) for link in _evaluate_links_oracle(s, angles)]
+        assert got.serving_ap.dtype.kind == "i" and got.h_ris.dtype == np.float64 and got.los_visible.dtype == bool
         rate = sum_rate(s, angles)
-        assert type(rate) is float and rate == _sum_rate_oracle(s, angles)
+        assert type(rate) is float and rate == got.sum_rate == _sum_rate_oracle(s, angles)
 
 
 def test_no_panels_no_blockers_and_no_users():
@@ -305,10 +341,10 @@ def test_no_panels_no_blockers_and_no_users():
     table = s._link_table
     assert table.mirror_terms == ()
     assert table.los_visible.all() and table.h_los[0, 0] == table.h_los[1, 0] > 0.0
-    assert [vars(link) for link in s.evaluate_links()] == [vars(link) for link in _evaluate_links_oracle(s)]
+    assert [vars(link) for link in _links_of(s.evaluate_links())] == [vars(link) for link in _evaluate_links_oracle(s)]
     empty = dataclasses.replace(base, users=(), blocker_population=None)
     assert empty._link_table.h_los.shape == (0, 1)
-    assert empty.evaluate_links() == [] and sum_rate(empty) == 0.0
+    assert _links_of(empty.evaluate_links()) == [] and sum_rate(empty) == 0.0
 
 
 def test_building_the_table_makes_three_occlusion_calls(monkeypatch):
@@ -350,7 +386,7 @@ def test_an_order_numpy_roots_keeps_the_bits_of_its_single_link():
     table, want = realized._link_table, _static_links_oracle(realized)
     assert [[h_wall for _, h_wall, *_ in per_ap] for per_ap in want] == table.h_wall.tolist()
     angles = [(0.3, -0.2)] * len(realized.ris_panels)
-    assert [vars(link) for link in realized.evaluate_links(angles)] == \
+    assert [vars(link) for link in _links_of(realized.evaluate_links(angles))] == \
         [vars(link) for link in _evaluate_links_oracle(realized, angles)]
     assert sum_rate(realized, angles) == _sum_rate_oracle(realized, angles)
 
@@ -481,7 +517,7 @@ def _same_links(got, want):
 @given(st.one_of(st.sampled_from(_FIXED), _scenarios()), st.data())
 def test_h_ris_matches_the_angle_step_it_replaced(s, data):
     angles = data.draw(_angle_sets(s.ris_panels))
-    assert _same_links(s.evaluate_links(angles), _angle_step_oracle(s, angles))
+    assert _same_links(_links_of(s.evaluate_links(angles)), _angle_step_oracle(s, angles))
 
 
 @pytest.mark.parametrize("s, shape, dark", [(_FIXED[0], (2, 2, 2), []), (_FIXED[1], (1, 1, 2), [1])],
@@ -498,7 +534,7 @@ def test_every_angle_kind_matches_the_angle_step_it_replaced(s, shape, dark):
     angle_sets += [[tuple(rng.choice(_CLAMPED + (0.3,), (2, p.rows, p.cols))) for p in s.ris_panels]
                    for _ in range(10)]
     for angles in angle_sets:
-        assert _same_links(s.evaluate_links(angles), _angle_step_oracle(s, angles)), angles
+        assert _same_links(_links_of(s.evaluate_links(angles)), _angle_step_oracle(s, angles)), angles
 
 
 def test_a_shared_pair_gives_each_candidate_one_normal_as_a_read_only_view():
@@ -553,7 +589,7 @@ def test_a_population_gives_each_candidate_the_per_candidate_bits(s, size, seed,
     pairs = _population(np.random.default_rng(seed), s.ris_panels, size)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(geometry, "_CHUNK_CELLS", cap)
-        got = list(s.evaluate_population(pairs, size))
+        got = _population_links(s.evaluate_population(pairs, size))
         rates = metrics.sum_rates(s, pairs, size)
     assert len(got) == len(rates) == size
     for c in range(size):
@@ -562,6 +598,57 @@ def test_a_population_gives_each_candidate_the_per_candidate_bits(s, size, seed,
         want = _per_candidate_links(s, one)
         assert _same_links(got[c], want), c
         assert type(rates[c]) is float and rates[c] == _sum_rate_oracle(s, links=want)
+        assert s.evaluate_links(one).sum_rate == sum_rate(s, one) == rates[c]
+
+
+def test_candidates_of_one_population_switch_serving_ap():
+    # AP 1 lights the blocked user directly; a 21 x 21 lattice of shared angles steers AP 0's light onto it 5 times
+    base = blocked_benchmark_scenario()
+    s = dataclasses.replace(base, aps=base.aps + (LedTx(position=(0.5, 4.5, 3.0)),))
+    yaw, roll = (a.ravel() for a in np.meshgrid(*[np.linspace(-ANGLE_LIMIT, ANGLE_LIMIT, 21)] * 2, indexing="ij"))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(geometry, "_CHUNK_CELLS", 1009)
+        got = _population_links(s.evaluate_population([(yaw, roll)], len(yaw)))
+        rates = metrics.sum_rates(s, [(yaw, roll)], len(yaw))
+    assert [c for c, (link,) in enumerate(got) if link.serving_ap == 0] == [282, 283, 284, 303, 304]
+    for c, links in enumerate(got):
+        want = _per_candidate_links(s, [(float(yaw[c]), float(roll[c]))])
+        assert _same_links(links, want), c
+        assert rates[c] == _sum_rate_oracle(s, links=want) == s.evaluate_links([(yaw[c], roll[c])]).sum_rate
+
+
+def test_equal_totals_go_to_the_lowest_index():
+    base = benchmark_scenario()
+    twin = LedTx(position=(2.0, 3.0, 3.0))
+    s = realize(dataclasses.replace(base, aps=(LedTx(position=(0.2, 0.2, 3.0)), twin, twin)), np.random.default_rng(4))
+    totals = s._link_table.h_los + s._link_table.h_wall
+    assert (totals[:, 1] == totals[:, 2]).all() and (totals[:, 1] > totals[:, 0]).all()
+    pairs = _population(np.random.default_rng(2), s.ris_panels, 12)
+    for links in [_links_of(s.evaluate_links())] + _population_links(s.evaluate_population(pairs, 12)):
+        assert [link.serving_ap for link in links] == [1] * len(s.users)
+    result = s.evaluate_links()
+    assert (result.rates == [link_rate(h, s.constraints, s.noise) / len(s.users)
+                             for h in (result.h_los + result.h_wall + result.h_ris).tolist()]).all()
+
+
+def test_a_nan_total_is_served_only_when_it_is_the_first():
+    # an AP within 1e-157 m of a wall patch center overflows 1 / (d1**2 d2**2) on its patches, and a patch its
+    # beam misses turns the inf into NaN: the AP's wall gain is NaN at every user, and `max` of the Python
+    # floats kept such a total only as the first
+    base = blocked_benchmark_scenario()
+    near = LedTx(position=base.wall_patches.centers[0] + (1e-160, 0.0, 0.0))
+    for aps, served in [(base.aps + (near,), 0), ((near,) + base.aps, None)]:
+        s = dataclasses.replace(base, aps=aps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            table = s._link_table
+        assert np.isnan(table.h_wall[0, aps.index(near)]) and np.isfinite(table.h_wall[0, 1 - aps.index(near)])
+        (got,) = _population_links(s.evaluate_population([(np.zeros(1), np.zeros(1))], 1))
+        assert got[0].serving_ap == 0
+        if served is None:
+            with pytest.raises(ValueError, match=r"^user 0: channel gain must be finite and nonnegative, got nan$"):
+                sum_rate(s)
+        else:
+            assert got == _links_of(s.evaluate_links([(0.0, 0.0)])) and sum_rate(s) > 0.0
 
 
 def test_a_grid_block_population_stays_within_a_bounded_peak():

@@ -3,11 +3,14 @@
 import math
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from ris_vlc.metrics import (
     IntensityConstraints,
     NoiseModel,
+    _airtime_shared_rates,
+    _in_order_sum,
     link_rate,
     sum_rate,
 )
@@ -57,25 +60,9 @@ def test_link_rate_monotone_in_gain_and_peak():
     assert link_rate(1e-6, wider, NOISE) > r1
 
 
-@dataclass
-class _StubLink:
-    serving_ap: int
-    total_gain: float
-
-
-@dataclass
-class _StubScenario:
-    links: list
-    constraints: IntensityConstraints = CONSTRAINTS
-    noise: NoiseModel = NOISE
-
-    def evaluate_links(self, ris_angles=None):
-        return self.links
-
-
-def test_sum_rate_shares_airtime_within_ap_groups():
-    links = [_StubLink(0, 1e-6), _StubLink(0, 2e-6), _StubLink(1, 3e-6)]
-    got = sum_rate(_StubScenario(links))
+def test_airtime_is_shared_within_ap_groups():
+    serving, gains = np.array([0, 0, 1]), np.array([1e-6, 2e-6, 3e-6])
+    got = _in_order_sum(_airtime_shared_rates(serving, gains, CONSTRAINTS, NOISE).tolist())
     want = (
         link_rate(1e-6, CONSTRAINTS, NOISE) / 2
         + link_rate(2e-6, CONSTRAINTS, NOISE) / 2
@@ -84,12 +71,31 @@ def test_sum_rate_shares_airtime_within_ap_groups():
     assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_sum_rate_forwards_ris_angles():
-    class _Recording(_StubScenario):
-        def evaluate_links(self, ris_angles=None):
-            self.seen = ris_angles
-            return self.links
+def test_airtime_is_shared_within_each_row():
+    serving, gains = np.array([[0, 0, 1], [0, 1, 1]]), np.array([[1e-6, 2e-6, 3e-6]] * 2)
+    got = _airtime_shared_rates(serving, gains, CONSTRAINTS, NOISE)
+    rates = [link_rate(h, CONSTRAINTS, NOISE) for h in (1e-6, 2e-6, 3e-6)]
+    assert got.tolist() == [[rates[0] / 2, rates[1] / 2, rates[2]], [rates[0], rates[1] / 2, rates[2] / 2]]
 
-    s = _Recording([_StubLink(0, 1e-6)])
-    sum_rate(s, ris_angles="token")
+
+def test_a_refused_rate_names_its_user_within_its_row():
+    serving, gains = np.zeros((2, 3), dtype=int), np.array([[1e-6, 1e-6, 1e-6], [1e-6, 1e155, 1e-6]])
+    with pytest.raises(ValueError, match=r"^user 1: the SNR of a link overflows: gain 1e\+155 at peak"):
+        _airtime_shared_rates(serving, gains, IntensityConstraints(peak=1.0), NoiseModel(psd=1.0, bandwidth=1.0))
+    with pytest.raises(ValueError, match=r"^user 2: channel gain must be finite and nonnegative, got nan$"):
+        _airtime_shared_rates(serving[0], np.array([0.0, 1e-6, math.nan]), CONSTRAINTS, NOISE)
+
+
+@dataclass
+class _StubScenario:
+    sum_rate: float
+
+    def evaluate_links(self, ris_angles=None):
+        self.seen = ris_angles
+        return self
+
+
+def test_sum_rate_forwards_ris_angles():
+    s = _StubScenario(1.5)
+    assert sum_rate(s, ris_angles="token") == 1.5
     assert s.seen == "token"

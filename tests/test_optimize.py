@@ -222,6 +222,17 @@ def test_optimizer_beats_paired_random_baseline_on_single_mirror():
     assert sol.sum_rate > base
 
 
+# Seeds of the benchmark's SCA solve on blocked_benchmark_scenario() whose result ties its paired baseline
+# exactly, on correct code: the first row of SCA's seeded population is the baseline's draw, and no later
+# candidate beats it strictly, so the solve reports the baseline's rate to the bit
+@pytest.mark.parametrize("seed, rate", [(2864347461, 14654198.358375143), (1130927090, 14585292.274758056),
+                                        (3168778651, 14597251.432227738)])
+def test_sca_ties_its_paired_baseline_exactly_at_these_seeds(seed, rate):
+    s = blocked_benchmark_scenario()
+    solved = optimize_mirror_angles(s, "sca", "identical", seed=seed, sca_params=ScaParams(40, 40)).sum_rate
+    assert solved == random_angle_baseline(s, seed) == rate
+
+
 def test_random_angle_baseline_is_the_rate_at_its_one_seeded_draw():
     deployment = single_mirror_benchmark_scenario()
     one = random_angle_baseline(deployment, seed=9)

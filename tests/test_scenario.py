@@ -81,9 +81,9 @@ def _body_rows(user, ap=(4.0, 2.5, 3.0)):
 
     s = Scenario(aps=(LedTx(position=ap),), users=(user,), wall_patch_size=2.5)
     with mock.patch.object(scenario, "segments_blocked_each", spy):
-        (link,) = s.evaluate_links()
+        (visible,) = s.evaluate_links().los_visible
     (rows,) = calls
-    return rows, link.los_visible
+    return rows, visible
 
 
 def test_user_body_sits_on_the_azimuth_side():
@@ -252,6 +252,18 @@ _AP = LedTx(position=(2.5, 2.5, 3.0))
     (lambda: Room(-1.0), "length"),
     (lambda: Room(5.0, 0.0, 3.0), "width"),  # a combined check names the first field that fails
     (lambda: Room(5.0, 5.0, math.nan), "height"),
+    (lambda: Room(math.inf, 5.0, 3.0), "length"),
+    (lambda: CylinderSet([[1.0, 2.0]]), "bases"),
+    (lambda: CylinderSet([(1.0, math.inf, 0.0)]), "bases"),
+    (lambda: CylinderSet([(1.0, 1.0, 0.0)], radii=[0.1, 0.2]), ("bases", "radii", "heights")),
+    (lambda: CylinderSet([(1.0, 1.0, 0.0)], heights=[0.0]), "heights"),
+    (lambda: WallPatchSet([[0, 0]], [[1, 0, 0]], [1.0], [0.5]), "centers"),
+    (lambda: WallPatchSet([[math.nan, 0, 0]], [[1, 0, 0]], [1.0], [0.5]), "centers"),
+    (lambda: WallPatchSet([[0, 0, 0]], [[0, 0, 0]], [1.0], [0.5]), "normals"),
+    (lambda: WallPatchSet([[0, 0, 0]], [[1, 0, 0]], [0.0], [0.5]), "areas"),
+    (lambda: WallPatchSet([[0, 0, 0]], [[1, 0, 0]], [1.0], [1.5]), "reflectances"),
+    (lambda: WallPatchSet([[0, 0, 0]], [[1, 0, 0]], [1.0, 1.0], [0.5]),
+     ("centers", "normals", "areas", "reflectances")),
     (lambda: check_cylinder_size(0.0, -1.0, "body", ("body_radius", "body_height")), "body_radius"),
     (lambda: check_cylinder_size(0.1, 0.0, "blocker", ("radius", "height")), "height"),
     (lambda: check_cylinder_size(1e300, 1.0, "blocker", ("radius", "height")), "radius"),
@@ -329,7 +341,8 @@ def test_link_rate_refuses_an_snr_past_the_float_range():
 
 
 def test_csv_refuses_non_finite_values():
-    ok = TrialResult(np.ones(1), np.ones(1), np.zeros(1), np.ones(1), 1.0, np.ones(1, bool), np.ones(1, bool))
+    ok = TrialResult(np.ones(1), np.ones(1), np.zeros(1), np.ones(1), 1.0, np.ones(1, bool), np.ones(1, bool),
+                     np.zeros(1, int))
     assert trials_to_csv([ok]).startswith(CSV_HEADER)
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="not finite"):
@@ -625,10 +638,12 @@ def test_evaluate_links_serving_ap_maximizes_total_gain():
                         self_blockage=False),),
         wall_patch_size=0.5,
     )
-    links = s.evaluate_links()
-    assert links[0].serving_ap == 1  # the nearer AP wins
-    assert links[0].total_gain == pytest.approx(
-        links[0].h_los + links[0].h_wall + links[0].h_ris, rel=1e-15
+    result = s.evaluate_links()
+    assert result.serving_ap.tolist() == [1]  # the nearer AP wins
+    total = s._link_table.h_los + s._link_table.h_wall  # no panels
+    assert total[0, 1] > total[0, 0]
+    assert result.rates[0] == pytest.approx(
+        link_rate(float(result.h_los[0] + result.h_wall[0] + result.h_ris[0]), s.constraints, s.noise), rel=1e-15
     )
 
 
@@ -644,17 +659,17 @@ def test_evaluate_links_matches_direct_channel_calls():
         users=base.users + (clear,),
     )
     links = s.evaluate_links()
-    assert [(link.serving_ap, link.los_visible) for link in links] == [(0, False), (1, True)]
-    for link, user in zip(links, s.users):
-        ap, rx = s.aps[link.serving_ap], user.receiver()
+    assert list(zip(links.serving_ap.tolist(), links.los_visible.tolist())) == [(0, False), (1, True)]
+    for u, user in enumerate(s.users):
+        ap, rx = s.aps[links.serving_ap[u]], user.receiver()
         occluders = occluders_of(s, user)
         blocked = segments_blocked(ap.position[None, :], rx.position[None, :], occluders)[0]
-        assert link.los_visible == (not blocked)
-        assert link.h_los == (0.0 if blocked else los_gain(ap, rx))
-        assert link.h_wall == wall_gain_oracle(ap, rx, s.wall_patches, occluders)
+        assert links.los_visible[u] == (not blocked)
+        assert links.h_los[u] == (0.0 if blocked else los_gain(ap, rx))
+        assert links.h_wall[u] == wall_gain_oracle(ap, rx, s.wall_patches, occluders)
         cos_t = incidence_cosine(ap.position, rx.position, rx.orientation)
-        assert link.fov_ok == (cos_t >= math.cos(rx.fov))
-    assert links[0].h_los == 0.0 and links[1].h_los > 0.0
+        assert links.fov_ok[u] == (cos_t >= math.cos(rx.fov))
+    assert links.h_los[0] == 0.0 and links.h_los[1] > 0.0
 
 
 def test_a_blocker_population_wider_than_the_room_is_refused_at_construction():
@@ -691,6 +706,7 @@ def _fake_result(rates, visible, fov_ok):
         sum_rate=float(np.sum(rates)),
         los_visible=np.asarray(visible, dtype=bool),
         fov_ok=np.asarray(fov_ok, dtype=bool),
+        serving_ap=np.zeros(len(rates), dtype=int),
     )
 
 

@@ -62,7 +62,7 @@ def simulated_wall_gain(led, led_normal, rx, polar, azimuth, patch_size):
     user = UserSpec(position=rx, fixed_orientation=DeviceOrientation(polar, azimuth), self_blockage=False)
     scenario = Scenario(room=Room(LENGTH, WIDTH, HEIGHT), aps=(LedTx(position=led, normal=led_normal),),
                         users=(user,), wall_reflectance=RHO, wall_patch_size=patch_size)
-    return scenario.evaluate_links()[0].h_wall
+    return float(scenario.evaluate_links().h_wall[0])
 
 
 CASES = {
