@@ -19,7 +19,6 @@ from .geometry import (
     ConfigError,
     CylinderSet,
     Room,
-    WallRect,
 )
 from .metrics import (
     IntensityConstraints,
@@ -109,7 +108,6 @@ __all__ = [
     "TrialResult",
     "UserSpec",
     "WallPatchSet",
-    "WallRect",
     "assemble_channel",
     "benchmark_scenario",
     "best_two_user_allocation",

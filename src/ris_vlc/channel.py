@@ -21,6 +21,7 @@ ratios of collected to emitted optical power (dimensionless).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -159,6 +160,12 @@ def los_gain(tx: LedTx, rx: PdRx) -> float:
 
 # patches per room: 24 000 tile a 5 x 5 x 3 m room at 5 cm; 1e-4 m would ask for 6e9 (144 GB of centers)
 WALL_PATCH_CAP = 1 << 18
+# The four vertical walls in tiling order: origin as shares of the room's (length, width), the horizontal axis,
+# the room dimension that axis spans, and the inward normal. The vertical axis spans the height on every wall.
+_WALLS = (((0.0, 0.0), (0.0, 1.0, 0.0), "width", (1.0, 0.0, 0.0)),
+          ((1.0, 0.0), (0.0, 1.0, 0.0), "width", (-1.0, 0.0, 0.0)),
+          ((0.0, 0.0), (1.0, 0.0, 0.0), "length", (0.0, 1.0, 0.0)),
+          ((0.0, 1.0), (1.0, 0.0, 0.0), "length", (0.0, -1.0, 0.0)))
 
 
 class WallPatchSet:
@@ -193,32 +200,33 @@ class WallPatchSet:
         return len(self.areas)
 
     @classmethod
-    def for_room(cls, room: Room, patch_size: float = 0.05, reflectance: float = 0.7) -> "WallPatchSet":
-        """Tile the four vertical walls with near-square patches.
+    def for_room(cls, room: Room, patch_size: float, reflectance: float) -> "WallPatchSet":
+        """Tile the four vertical walls of `_WALLS` with near-square patches.
 
         Patch edges are the requested size rounded so each wall is covered
         exactly; ceiling and floor are not tiled (first-bounce model uses
         wall reflections only). Patches run wall by wall, row-major in (v, u).
         """
         centers, normals, areas = [], [], []
-        for wall, (nu, nv) in zip(room.walls(), cls.tiling(room, patch_size)):
-            du, dv = wall.u_len / nu, wall.v_len / nv
+        for ((sx, sy), axis, span, normal), (nu, nv) in zip(_WALLS, cls.tiling(room, patch_size)):
+            du, dv = getattr(room, span) / nu, room.height / nv
             j, i = np.indices((nv, nu)).reshape(2, -1, 1)
-            centers.append(wall.origin + wall.u_axis * ((i + 0.5) * du) + wall.v_axis * ((j + 0.5) * dv))
-            normals.append(np.tile(wall.normal, (nu * nv, 1)))
+            origin = np.array([sx * room.length, sy * room.width, 0.0])
+            centers.append(origin + np.array(axis) * ((i + 0.5) * du) + np.array([0.0, 0.0, 1.0]) * ((j + 0.5) * dv))
+            normals.append(np.tile(normal, (nu * nv, 1)))
             areas.append(np.full(nu * nv, du * dv))
         areas = np.concatenate(areas)
         return cls(np.concatenate(centers), np.concatenate(normals), areas, np.full(len(areas), reflectance))
 
     @staticmethod
     def tiling(room: Room, patch_size: float) -> list[tuple[int, int]]:
-        """(nu, nv) per wall of `room.walls()`, refusing more than `WALL_PATCH_CAP` patches before any allocation.
+        """(nu, nv) per wall of `_WALLS`, refusing more than `WALL_PATCH_CAP` patches before any allocation.
         Scalar math on the room's dimensions, as every `Scenario` checks its own; the cap names them all."""
         if not patch_size > 0.0:
             raise ConfigError("wall patch size must be positive", "wall_patch_size")
         # np.rint rounds half to even like round(), and takes an infinite ratio
-        nw, nl, nh = (max(1.0, np.rint(side / patch_size)) for side in (room.width, room.length, room.height))
-        counts = [(nw, nh), (nw, nh), (nl, nh), (nl, nh)]  # the walls x = 0, x = length, y = 0 and y = width
+        nh = max(1.0, np.rint(room.height / patch_size))
+        counts = [(max(1.0, np.rint(getattr(room, span) / patch_size)), nh) for _, _, span, _ in _WALLS]
         total = sum(float(nu) * float(nv) for nu, nv in counts)  # a Python float product overflows to inf silently
         if not total <= WALL_PATCH_CAP:
             raise ConfigError(f"wall patch size {patch_size:.3g} m gives {total:.3g} patches, above the cap of "
@@ -251,6 +259,10 @@ class ReflectionLegs:
             array.flags.writeable = False
 
 
+# each leg's squared length, at least the root of the smallest normal float, keeps d1**2 d2**2 normal
+_SQUARE_FLOOR = math.sqrt(sys.float_info.min)
+
+
 def _legs(txs: Sequence[LedTx], points: np.ndarray, rxs: Sequence[PdRx]) -> ReflectionLegs:
     """Unblocked legs from every LED in `txs` through one (n, 3) point set to every receiver in `rxs`.
 
@@ -259,8 +271,11 @@ def _legs(txs: Sequence[LedTx], points: np.ndarray, rxs: Sequence[PdRx]) -> Refl
     v1 = points - np.array([tx.position for tx in txs]).reshape(-1, 1, 3)
     v2 = np.array([rx.position for rx in rxs]).reshape(-1, 1, 3) - points
     d1, d2 = np.linalg.norm(v1, axis=-1), np.linalg.norm(v2, axis=-1)
-    if np.any(d1 <= 0.0) or np.any(d2 <= 0.0):
-        raise ValueError("a reflecting point coincides with the transmitter or the receiver")
+    for d, who in ((d1, "aps[{}]"), (d2, "user {}")):  # the gains divide by d1**2, d2**2 and d1**2 d2**2
+        close = np.argwhere(d**2 < _SQUARE_FLOOR)
+        if close.size:
+            raise ValueError(f"{who.format(close[0, 0])} coincides with a reflecting point: {d[tuple(close[0])]:.3g} m "
+                             f"apart, under the {math.sqrt(_SQUARE_FLOOR):.3g} m that keeps a gain's 1/d**2 finite")
     u1, u2 = v1 / d1[..., None], v2 / d2[..., None]
     cos_phi1 = (u1 @ np.array([tx.normal for tx in txs]).reshape(-1, 3, 1))[None, ..., 0]
     cos_t2 = -(u2 @ np.array([rx.orientation.normal for rx in rxs]).reshape(-1, 3, 1))[:, None, :, 0]

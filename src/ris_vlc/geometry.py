@@ -15,7 +15,7 @@ xy reach the exact test; the margin keeps rounding from dropping a hit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,34 +94,6 @@ class Room:
         """(n, 3) rows: a mask, True within `_ROOM_TOL` of the room and False on non-finite rows."""
         p = as_points(points, "room points")
         return np.all((p >= -_ROOM_TOL) & (p <= np.array([self.length, self.width, self.height]) + _ROOM_TOL), axis=1)
-
-    def walls(self) -> list["WallRect"]:
-        """The four vertical walls with inward-facing normals."""
-        lx, wy, hz = self.length, self.width, self.height
-        return [
-            WallRect(origin=np.array([0.0, 0.0, 0.0]), u_axis=np.array([0.0, 1.0, 0.0]),
-                     u_len=wy, v_len=hz, normal=np.array([1.0, 0.0, 0.0])),
-            WallRect(origin=np.array([lx, 0.0, 0.0]), u_axis=np.array([0.0, 1.0, 0.0]),
-                     u_len=wy, v_len=hz, normal=np.array([-1.0, 0.0, 0.0])),
-            WallRect(origin=np.array([0.0, 0.0, 0.0]), u_axis=np.array([1.0, 0.0, 0.0]),
-                     u_len=lx, v_len=hz, normal=np.array([0.0, 1.0, 0.0])),
-            WallRect(origin=np.array([0.0, wy, 0.0]), u_axis=np.array([1.0, 0.0, 0.0]),
-                     u_len=lx, v_len=hz, normal=np.array([0.0, -1.0, 0.0])),
-        ]
-
-
-@dataclass(frozen=True, eq=False)
-class WallRect:
-    """A vertical wall rectangle: origin plus a horizontal axis and height."""
-
-    origin: Vec3
-    u_axis: Vec3
-    u_len: float
-    v_len: float
-    normal: Vec3
-
-    # the vertical axis is shared by every wall
-    v_axis: Vec3 = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
 
 
 class CylinderSet:

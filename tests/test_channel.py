@@ -219,21 +219,26 @@ def _for_room_loop(room, patch_size, reflectance):
     """Reference tiling: one patch at a time, each normal scaled by `geometry.unit`.
 
     This is the per-patch loop that `WallPatchSet.for_room` replaced with
-    one array expression per wall; it returns the arrays.
+    one array expression per wall; it returns the arrays. Its wall list is
+    its own, so a change to the production table shows as a bit difference.
     """
+    lx, wy, hz = room.length, room.width, room.height
+    walls = [  # origin, horizontal axis, its length, inward normal: x = 0, x = length, y = 0, y = width
+        (np.array([0.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), wy, np.array([1.0, 0.0, 0.0])),
+        (np.array([lx, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), wy, np.array([-1.0, 0.0, 0.0])),
+        (np.array([0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]), lx, np.array([0.0, 1.0, 0.0])),
+        (np.array([0.0, wy, 0.0]), np.array([1.0, 0.0, 0.0]), lx, np.array([0.0, -1.0, 0.0])),
+    ]
+    v_axis = np.array([0.0, 0.0, 1.0])
     patches = []
-    for wall in room.walls():
-        nu = max(1, round(wall.u_len / patch_size))
-        nv = max(1, round(wall.v_len / patch_size))
-        du, dv = wall.u_len / nu, wall.v_len / nv
+    for origin, u_axis, u_len, normal in walls:
+        nu = max(1, round(u_len / patch_size))
+        nv = max(1, round(hz / patch_size))
+        du, dv = u_len / nu, hz / nv
         for j in range(nv):
             for i in range(nu):
-                center = (
-                    wall.origin
-                    + wall.u_axis * ((i + 0.5) * du)
-                    + wall.v_axis * ((j + 0.5) * dv)
-                )
-                patches.append((center, geometry.unit(wall.normal), du * dv, reflectance))
+                center = origin + u_axis * ((i + 0.5) * du) + v_axis * ((j + 0.5) * dv)
+                patches.append((center, geometry.unit(normal), du * dv, reflectance))
     n = len(patches)
     arrays = {"centers": np.zeros((n, 3)), "normals": np.zeros((n, 3)),
               "areas": np.zeros(n), "reflectances": np.zeros(n)}
@@ -293,6 +298,6 @@ def test_wall_patch_set_empty_and_reflectance_refusals():
 
     for bad in (1.2, -0.1, math.nan):
         with pytest.raises(ValueError):
-            WallPatchSet.for_room(room, reflectance=bad)
+            WallPatchSet.for_room(room, 0.05, reflectance=bad)
     with pytest.raises(ValueError):
-        WallPatchSet.for_room(room, patch_size=0.0)
+        WallPatchSet.for_room(room, 0.0, 0.7)

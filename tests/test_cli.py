@@ -420,6 +420,30 @@ def test_an_snr_overflow_names_its_user_counted_after_count_expansion(tmp_path):
         assert len(message) < 200 and "Traceback" not in message
 
 
+@pytest.mark.parametrize("section, point, who", [
+    ("aps", [0.0, 0.125, 0.125], "aps[1]"),  # the first patch center of the 0.25 m wall tiling
+    ("users", [0.0, 0.125, 0.125], "user 4"),  # counted after the 4 users of users[0]
+    ("aps", [0.0, 2.15, 1.15], "aps[1]"),  # the first element center of the x = 0 mirror panel
+], ids=["ap-at-a-wall-patch", "user-at-a-wall-patch", "ap-at-a-mirror-element"])
+def test_a_point_too_close_to_a_reflector_is_refused_naming_its_ap_or_user(tmp_path, section, point, who):
+    # 1e-160 m squares to 1e-320, and a gain's 1 / d**2 overflowed into inf or NaN with a RuntimeWarning;
+    # 1 mm away the same document runs
+    doc = json.loads((Path(__file__).resolve().parents[1] / "configs" / "benchmark.json").read_text())
+    for gap in (1e-160, 1e-3):
+        placed = copy.deepcopy(doc)
+        placed[section].append({"position": [gap, *point[1:]]})
+        path = tmp_path / "close.json"
+        path.write_text(json.dumps(placed))
+        r = run_cli("simulate", "--scenario", str(path), "--trials", "2")
+        if gap > 1e-100:
+            assert r.returncode == 0 and r.stderr == "", r.stderr
+            continue
+        assert r.returncode == 2 and r.stdout == ""
+        message = r.stderr.strip()
+        assert message.startswith(f"ris-vlc: error: {who} coincides with a reflecting point: 1e-160 m apart, under ")
+        assert len(message) < 200 and "\n" not in message  # one line: no RuntimeWarning came first
+
+
 def test_boundary_counts_and_sizes_are_accepted(tmp_path):
     # zero counts and a population that exactly spans the room are valid
     path = tmp_path / "edge.json"

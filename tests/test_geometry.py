@@ -69,18 +69,6 @@ def test_room_rejects_nonpositive_dimensions():
         Room(0.0, 4.0, 3.0)
 
 
-def test_room_walls_cover_the_perimeter():
-    room = Room(5.0, 4.0, 3.0)
-    walls = room.walls()
-    assert len(walls) == 4
-    total_area = sum(w.u_len * w.v_len for w in walls)
-    assert total_area == pytest.approx(2 * (5.0 + 4.0) * 3.0)
-    for w in walls:
-        # inward normals point into the room from each wall's origin
-        probe = w.origin + 0.5 * w.u_len * w.u_axis + 0.5 * w.v_len * w.v_axis
-        assert room.contains([probe + 0.01 * w.normal])[0]
-
-
 def test_cylinder_rejects_bad_shape():
     with pytest.raises(ValueError, match="positive"):
         CylinderSet([(0, 0, 0)], radii=0.0)

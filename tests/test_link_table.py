@@ -632,11 +632,12 @@ def test_equal_totals_go_to_the_lowest_index():
 
 
 def test_a_nan_total_is_served_only_when_it_is_the_first():
-    # an AP within 1e-157 m of a wall patch center overflows 1 / (d1**2 d2**2) on its patches, and a patch its
-    # beam misses turns the inf into NaN: the AP's wall gain is NaN at every user, and `max` of the Python
-    # floats kept such a total only as the first
+    # `_legs` keeps each 1 / d**2 finite, but a 1e150 m**2 detector and a 1e-4 rad beam (order m = 1.4e8) still
+    # overflow a wall term 2e-77 m from their AP, and a patch the beam misses turns the inf into NaN: the AP's
+    # wall gain is NaN at every user, and `max` of the Python floats kept such a total only as the first
     base = blocked_benchmark_scenario()
-    near = LedTx(position=base.wall_patches.centers[0] + (1e-160, 0.0, 0.0))
+    base = dataclasses.replace(base, users=(dataclasses.replace(base.users[0], area=1e150),))
+    near = LedTx(position=base.wall_patches.centers[0] + (2e-77, 0.0, 0.0), half_intensity_angle=1e-4)
     for aps, served in [(base.aps + (near,), 0), ((near,) + base.aps, None)]:
         s = dataclasses.replace(base, aps=aps)
         with np.errstate(over="ignore", invalid="ignore"):

@@ -346,7 +346,7 @@ def test_leg_blockers_reach_the_clear_mask():
 def test_blocked_legs_are_read_only():
     tx = LedTx(position=(2.5, 2.5, 3.0))
     rx = PdRx(position=(1.0, 1.0, 0.75))
-    legs = _blocked(tx, WallPatchSet.for_room(ROOM, 1.0).centers, rx, CylinderSet([(1.5, 1.5, 0.0)]))
+    legs = _blocked(tx, WallPatchSet.for_room(ROOM, 1.0, 0.7).centers, rx, CylinderSet([(1.5, 1.5, 0.0)]))
     for name, array in vars(legs).items():
         assert not array.flags.writeable, name
         with pytest.raises(ValueError):

@@ -215,8 +215,8 @@ _PANEL = dict(panel_center=_ORIGIN, base_normal=(1, 0, 0))
     (lambda: MirrorArray(**_PANEL, beam_spread=-0.03), "positive"),
     (lambda: MirrorArray(**_PANEL, rows=1 << 9, cols=1 << 8), "cap"),
     (lambda: OrientationModel(std_polar=1e30), "draws"),
-    (lambda: WallPatchSet.for_room(Room(), 1e-4), "cap"),
-    (lambda: WallPatchSet.for_room(Room(1.7e308), 0.5), "cap"),
+    (lambda: WallPatchSet.for_room(Room(), 1e-4, 0.7), "cap"),
+    (lambda: WallPatchSet.for_room(Room(1.7e308), 0.5, 0.7), "cap"),
     (lambda: unit((1e300, 1e300, 0.0)), "finite"),
     (lambda: unit((1e-300, 0.0, 0.0)), "nonzero"),
 ], ids=["narrow-beam", "fov", "refractive-index", "area", "user-fov", "bandwidth-zero-variance",
@@ -235,12 +235,12 @@ def test_caps_refuse_before_allocating(monkeypatch):
     monkeypatch.setattr(np, "indices", no_allocation)
     monkeypatch.setattr(np, "full", no_allocation)
     with pytest.raises(ValueError, match="above the cap"):
-        WallPatchSet.for_room(Room(), 1e-4)
+        WallPatchSet.for_room(Room(), 1e-4, 0.7)
     with pytest.raises(ValueError, match="exceed the cap"):
         MirrorArray(**_PANEL, rows=10**9)
     monkeypatch.undo()
     tiles = WallPatchSet.tiling(Room(), 0.05)
-    assert sum(nu * nv for nu, nv in tiles) == len(WallPatchSet.for_room(Room(), 0.05)) == 24000
+    assert sum(nu * nv for nu, nv in tiles) == len(WallPatchSet.for_room(Room(), 0.05, 0.7)) == 24000
 
 
 _ROOM_FIELDS = ("length", "width", "height", "wall_patch_size")
@@ -281,7 +281,7 @@ _AP = LedTx(position=(2.5, 2.5, 3.0))
     (lambda: PdRx(position=(1.0, 1.0, 1.0), fov=1e-300), ("area", "fov", "refractive_index")),
     (lambda: WallPatchSet.tiling(Room(), -1.0), "wall_patch_size"),
     (lambda: WallPatchSet.tiling(Room(), 1e-4), _ROOM_FIELDS),
-    (lambda: WallPatchSet.for_room(Room(1.7e308), 0.5), _ROOM_FIELDS),
+    (lambda: WallPatchSet.for_room(Room(1.7e308), 0.5, 0.7), _ROOM_FIELDS),
     (lambda: MirrorArray(**_PANEL | dict(panel_center=(0.0, 1.0))), "panel_center"),
     (lambda: MirrorArray(**_PANEL | dict(base_normal=(0.0, 0.0, 0.0))), "base_normal"),
     (lambda: MirrorArray(**_PANEL, rows=0, cols=0), "rows"),

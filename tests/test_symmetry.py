@@ -11,7 +11,12 @@ another one whose every gain must be the same:
   azimuth gains pi/2, and the mirror angle matrices stay as they are;
 - the reflection x -> L - x: normals reflect, each device azimuth b becomes
   pi - b, and each panel's columns reverse while its yaw changes sign and its
-  roll stays.
+  roll stays;
+- the reflection y -> W - y, the one of the three that keeps the frame of a
+  ceiling panel (its horizontal axis falls back to h = x, which the other two
+  maps turn or reverse): normals reflect, each device azimuth b becomes -b,
+  a wall panel maps as in x -> L - x, and a ceiling panel's rows reverse while
+  its yaw and its roll both change sign.
 
 Only the order of floating-point sums changes (the wall patches of the
 mapped room are the same set in another order), so the gains agree to a
@@ -43,6 +48,11 @@ TEMPLATE = dataclasses.replace(
                 MirrorArray((SIDE, 1.5, 1.2), (-1.0, 0.0, 0.0), 2, 3),
                 MirrorArray((3.0, 0.0, 1.8), (0.0, 1.0, 0.0), 2, 2)),
 )
+# plus a ceiling panel facing down and an uplight that lights it; its 0.3 rad beam spread gives about 60 % of
+# its (user, AP) links a gain above 1e-12 under random angles
+CEILING = dataclasses.replace(
+    TEMPLATE, aps=TEMPLATE.aps + (LedTx(position=(1.0, 4.0, 1.0), normal=(0.3, -0.3, 1.0)),),
+    ris_panels=TEMPLATE.ris_panels + (MirrorArray((3.2, 3.4, 2.9), (0.0, 0.0, -1.0), 3, 4, beam_spread=0.3),))
 
 
 def _rotate(point):
@@ -56,17 +66,26 @@ def _turn(vector):
     return np.array([-v[1], v[0], v[2]])
 
 
-def _mirror(point):
-    """The reflection x -> L - x, on a point or (n, 3) points."""
+def _mirror(point, axis=0):
+    """The reflection x -> L - x (axis 0) or y -> W - y (axis 1), on a point or (n, 3) points."""
     p = np.array(point, dtype=float)
-    p[..., 0] = SIDE - p[..., 0]
+    p[..., axis] = SIDE - p[..., axis]
     return p
 
 
-def _flip(vector):
+def _flip(vector, axis=0):
     v = np.array(vector, dtype=float)
-    v[0] = -v[0]
+    v[axis] = -v[axis]
     return v
+
+
+def _wall_or_ceiling(panel):
+    """The angles of `panel` under y -> W - y. The ceiling frame (b = -z, h = x) is kept, so its element rows,
+    which run along -y, reverse, and n = (-sin(yaw) sin(roll), cos(yaw) sin(roll), -cos(roll)) asks for both
+    signs; a wall panel's horizontal axis reverses, as under x -> L - x."""
+    if panel.base_normal[2] != 0.0:
+        return dict(yaw=-panel.yaw[::-1], roll=-panel.roll[::-1])
+    return dict(yaw=-panel.yaw[:, ::-1], roll=panel.roll[:, ::-1])
 
 
 def _mapped(s, point, vector, azimuth, angles):
@@ -77,7 +96,7 @@ def _mapped(s, point, vector, azimuth, angles):
         for user in s.users)
     aps = tuple(dataclasses.replace(ap, position=point(ap.position), normal=vector(ap.normal)) for ap in s.aps)
     panels = tuple(dataclasses.replace(panel, panel_center=point(panel.panel_center),
-                                       base_normal=vector(panel.base_normal), **angles(panel.yaw, panel.roll))
+                                       base_normal=vector(panel.base_normal), **angles(panel))
                    for panel in s.ris_panels)
     blockers = CylinderSet(point(s.blockers.bases), s.blockers.radii, s.blockers.heights)
     return dataclasses.replace(s, users=users, aps=aps, ris_panels=panels, blockers=blockers)
@@ -85,16 +104,17 @@ def _mapped(s, point, vector, azimuth, angles):
 
 MAPS = {
     "rotation": (_rotate, _turn, lambda b: math.remainder(b + math.pi / 2.0, 2.0 * math.pi),
-                 lambda yaw, roll: dict(yaw=yaw, roll=roll)),
+                 lambda panel: dict(yaw=panel.yaw, roll=panel.roll)),
     "reflection": (_mirror, _flip, lambda b: math.remainder(math.pi - b, 2.0 * math.pi),
-                   lambda yaw, roll: dict(yaw=-yaw[:, ::-1], roll=roll[:, ::-1])),
+                   lambda panel: dict(yaw=-panel.yaw[:, ::-1], roll=panel.roll[:, ::-1])),
+    "y-reflection": (lambda p: _mirror(p, 1), lambda v: _flip(v, 1), lambda b: -b, _wall_or_ceiling),
 }
 
 
-def _deployment(seed):
-    """A realized trial of `TEMPLATE` with per-element mirror angles drawn from the same seed."""
+def _deployment(seed, template=TEMPLATE):
+    """A realized trial of `template` with per-element mirror angles drawn from the same seed."""
     rng = np.random.default_rng(seed)
-    s = realize(TEMPLATE, rng)
+    s = realize(template, rng)
     panels = tuple(panel.with_angles(*rng.uniform(-ANGLE_LIMIT, ANGLE_LIMIT, (2, panel.rows, panel.cols)))
                    for panel in s.ris_panels)
     return dataclasses.replace(s, ris_panels=panels)
@@ -123,6 +143,13 @@ def test_a_quarter_turn_of_the_room_keeps_every_gain(seed):
 def test_a_mirror_image_of_the_room_keeps_every_gain(seed):
     s = _deployment(seed)
     _assert_same_gains(s, _mapped(s, *MAPS["reflection"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_a_mirror_image_across_y_keeps_every_gain_with_a_ceiling_panel(seed):
+    s = _deployment(seed, CEILING)
+    _assert_same_gains(s, _mapped(s, *MAPS["y-reflection"]))
 
 
 def test_the_maps_move_every_panel_onto_another_wall():
