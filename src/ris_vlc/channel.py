@@ -88,7 +88,7 @@ class PdRx:
 
 def check_receiver_terms(area: float, fov: float, filter_gain: float, refractive_index: float) -> float:
     """Refuse receiver terms `PdRx` cannot use, naming the field, else return their in-field concentrator gain
-    f**2 / sin(fov)**2. Scalar math, as every realized user re-checks its own."""
+    f**2 / sin(fov)**2. Scalar math: `PdRx` and `UserSpec` each check their own terms once."""
     if not area > 0.0:
         raise ConfigError("detector area must be positive", "area")
     if not 0.0 < fov <= math.pi / 2.0:
@@ -136,7 +136,8 @@ def incidence_cosine(ap_pos: Vec3, user_pos: Vec3, orientation: DeviceOrientatio
 
 
 def los_gain(tx: LedTx, rx: PdRx) -> float:
-    """Unblocked line-of-sight Lambertian gain; zero outside the FoV or behind the LED."""
+    """Unblocked line-of-sight Lambertian gain; zero outside the FoV or behind the LED. `rx` is a `PdRx` or a
+    record of the fields it reads, as the link table passes for each drawn user."""
     v = rx.position - tx.position
     d = float(np.linalg.norm(v))
     if d <= 0.0:
@@ -263,24 +264,30 @@ class ReflectionLegs:
 _SQUARE_FLOOR = math.sqrt(sys.float_info.min)
 
 
-def _legs(txs: Sequence[LedTx], points: np.ndarray, rxs: Sequence[PdRx]) -> ReflectionLegs:
-    """Unblocked legs from every LED in `txs` through one (n, 3) point set to every receiver in `rxs`.
+def _check_apart(d: np.ndarray, who: str) -> None:
+    """Refuse the first distance in `d` whose square is under `_SQUARE_FLOOR`, naming it by `who.format(*index)`."""
+    close = np.argwhere(d**2 < _SQUARE_FLOOR)
+    if close.size:
+        raise ValueError(f"{who.format(*close[0])}: {d[tuple(close[0])]:.3g} m apart, under the "
+                         f"{math.sqrt(_SQUARE_FLOOR):.3g} m that keeps a gain's 1/d**2 finite")
+
+
+def _legs(txs: Sequence[LedTx], points: np.ndarray, positions: np.ndarray, normals: np.ndarray,
+          cos_fov: np.ndarray) -> ReflectionLegs:
+    """Unblocked legs from every LED in `txs` through one (n, 3) point set to every receiver, given as columns:
+    (users, 3) positions and detector normals, and (users,) cos(fov).
 
     Each cosine is one matrix-vector product per LED or receiver over exactly these points, because
     BLAS rounds a row by its place in the matrix: legs over concatenated point sets differ in bits."""
     v1 = points - np.array([tx.position for tx in txs]).reshape(-1, 1, 3)
-    v2 = np.array([rx.position for rx in rxs]).reshape(-1, 1, 3) - points
+    v2 = positions.reshape(-1, 1, 3) - points
     d1, d2 = np.linalg.norm(v1, axis=-1), np.linalg.norm(v2, axis=-1)
-    for d, who in ((d1, "aps[{}]"), (d2, "user {}")):  # the gains divide by d1**2, d2**2 and d1**2 d2**2
-        close = np.argwhere(d**2 < _SQUARE_FLOOR)
-        if close.size:
-            raise ValueError(f"{who.format(close[0, 0])} coincides with a reflecting point: {d[tuple(close[0])]:.3g} m "
-                             f"apart, under the {math.sqrt(_SQUARE_FLOOR):.3g} m that keeps a gain's 1/d**2 finite")
+    _check_apart(d1, "aps[{0}] coincides with a reflecting point")
+    _check_apart(d2, "user {0} coincides with a reflecting point")
     u1, u2 = v1 / d1[..., None], v2 / d2[..., None]
     cos_phi1 = (u1 @ np.array([tx.normal for tx in txs]).reshape(-1, 3, 1))[None, ..., 0]
-    cos_t2 = -(u2 @ np.array([rx.orientation.normal for rx in rxs]).reshape(-1, 3, 1))[:, None, :, 0]
-    cos_fov = np.array([math.cos(rx.fov) for rx in rxs]).reshape(-1, 1, 1)
-    clear = (cos_phi1 > 0.0) & (cos_t2 >= cos_fov) & (cos_t2 >= 0.0)
+    cos_t2 = -(u2 @ normals.reshape(-1, 3, 1))[:, None, :, 0]
+    clear = (cos_phi1 > 0.0) & (cos_t2 >= cos_fov.reshape(-1, 1, 1)) & (cos_t2 >= 0.0)
     return ReflectionLegs(d1[None], u1[None], cos_phi1, d2[:, None], u2[:, None], cos_t2, clear)
 
 

@@ -64,10 +64,9 @@ class BoundedProblem:
 
 @dataclass(frozen=True, eq=False)
 class OptResult:
-    """Best point/value found, evaluations spent, and per-iteration best trace."""
+    """Best point found, evaluations spent, and the per-iteration best value: its last entry is the best value."""
 
     best_point: np.ndarray
-    best_value: float
     evaluations_used: int
     trace: np.ndarray
 
@@ -136,7 +135,7 @@ def sca_optimize(problem: BoundedProblem, params: SearchParams) -> OptResult:
         points = np.clip(points, problem.lower, problem.upper)
         best = _keep_best(best, points, _evaluate_population(problem.objective, points))
         trace.append(best[1])
-    return OptResult(*best, len(points) * len(trace), np.array(trace))
+    return OptResult(best[0], len(points) * len(trace), np.array(trace))
 
 
 def pso_optimize(problem: BoundedProblem, params: SearchParams) -> OptResult:
@@ -171,7 +170,7 @@ def pso_optimize(problem: BoundedProblem, params: SearchParams) -> OptResult:
         personal_value = np.where(improved, values, personal_value)
         best = _keep_best(best, personal_best, personal_value)
         trace.append(best[1])
-    return OptResult(*best, len(points) * len(trace), np.array(trace))
+    return OptResult(best[0], len(points) * len(trace), np.array(trace))
 
 
 def grid_search_oracle(problem: BoundedProblem, resolution_per_dim: int) -> OptResult:
@@ -196,7 +195,7 @@ def grid_search_oracle(problem: BoundedProblem, resolution_per_dim: int) -> OptR
         index = np.unravel_index(np.arange(start, min(start + _GRID_BLOCK, total)), lattice)
         points = axes[np.stack(index, axis=1), np.arange(problem.dimension)]
         best = _keep_best(best, points, _evaluate_population(problem.objective, points))
-    return OptResult(*best, total, np.array([best[1]]))
+    return OptResult(best[0], total, np.array([best[1]]))
 
 
 _SEARCHES = {"sca": sca_optimize, "pso": pso_optimize, "grid": grid_search_oracle}

@@ -23,10 +23,10 @@ yaw and roll; `MirrorArray.normals` computes them for a population of
 candidates, once per panel per chunk in `Scenario.evaluate_population` (one
 normal per candidate for a shared pair). d1, d2, cos(phi1), cos(t2), the
 FoV gate and leg blockage come as per-panel (users, APs, elements) legs
-from `scenario._blocked_legs`, for a realized scenario's link table or for
-one link. `steering_terms` turns them into the factors no angle changes
-(capture prefix, lobe denominator, gated cos t2), once per panel;
-`steered_gains` adds the angle step in the original product order.
+from `scenario._blocked_legs`, for a trial's link table or for one link.
+`steering_terms` turns them into the factors no angle changes (capture
+prefix, lobe denominator, gated cos t2), once per panel; `steered_gains`
+adds the angle step in the original product order.
 """
 
 from __future__ import annotations

@@ -29,13 +29,13 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from types import SimpleNamespace
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import geometry
-from .channel import (LedTx, PdRx, WallPatchSet, _legs, _wall_gain, check_receiver_terms, checked_gain,
-                      incidence_cosine, los_gain)
+from .channel import (LedTx, PdRx, WallPatchSet, _check_apart, _legs, _wall_gain, check_receiver_terms,
+                      checked_gain, incidence_cosine, los_gain)
 from .geometry import ConfigError, CylinderSet, Room, Vec3, as_vec3, segments_blocked, segments_blocked_each
 # link_rate stays importable here: perfbench/spans.py wraps it at this name
 from .metrics import IntensityConstraints, NoiseModel, _airtime_shared_rates, _in_order_sum, link_rate  # noqa: F401
@@ -78,6 +78,7 @@ class UserSpec:
     body_offset: float = DEFAULT_BODY_OFFSET
     body_radius: float = DEFAULT_BODY_RADIUS
     body_height: float = DEFAULT_BODY_HEIGHT
+    concentrator: float = field(init=False)  # in-field gain f**2 / sin(fov)**2, as on `PdRx`
 
     def __post_init__(self):
         if self.position is not None:
@@ -85,19 +86,8 @@ class UserSpec:
         if not self.body_offset >= 0.0:
             raise ConfigError("body offset must be nonnegative", "body_offset")
         geometry.check_cylinder_size(self.body_radius, self.body_height, "body", ("body_radius", "body_height"))
-        check_receiver_terms(self.area, self.fov, self.filter_gain, self.refractive_index)
-
-    def receiver(self) -> PdRx:
-        if self.position is None or self.fixed_orientation is None:
-            raise ValueError("user is not realized: position or orientation still unsampled")
-        return PdRx(
-            position=self.position,
-            orientation=self.fixed_orientation,
-            area=self.area,
-            fov=self.fov,
-            filter_gain=self.filter_gain,
-            refractive_index=self.refractive_index,
-        )
+        object.__setattr__(self, "concentrator",
+                           check_receiver_terms(self.area, self.fov, self.filter_gain, self.refractive_index))
 
 
 def _body_xy(device: np.ndarray, cos_b, sin_b, offset: float):
@@ -119,6 +109,15 @@ class BlockerPopulation:
         if self.count > BLOCKER_COUNT_CAP:
             raise ConfigError(f"blocker count {self.count:.6g} exceeds the cap of {BLOCKER_COUNT_CAP}", "count")
         geometry.check_cylinder_size(self.radius, self.height, "blocker", ("radius", "height"))
+
+
+class TrialDraw(NamedTuple):
+    """One trial's draw (`realize`): the blockers, population included, and each user's device position and
+    orientation (polar and azimuth angles); the scenario template holds the rest."""
+
+    blockers: CylinderSet
+    positions: np.ndarray
+    orientations: Tuple[DeviceOrientation, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,7 +198,7 @@ class Scenario:
     def __post_init__(self):
         for name in ("aps", "users", "ris_panels"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        WallPatchSet.tiling(self.room, self.wall_patch_size)  # scalar math: `realize` rebuilds every trial's copy
+        WallPatchSet.tiling(self.room, self.wall_patch_size)  # the patch cap, before `wall_patches` allocates
         if not 0.0 <= self.wall_reflectance <= 1.0:
             raise ConfigError("wall reflectance must lie in [0, 1]", "wall_reflectance")
         placed = [(f"aps[{i}].position", ap.position) for i, ap in enumerate(self.aps)]
@@ -230,39 +229,15 @@ class Scenario:
     def wall_patches(self) -> WallPatchSet:
         return WallPatchSet.for_room(self.room, self.wall_patch_size, self.wall_reflectance)
 
-    @property
-    def is_realized(self) -> bool:
-        return all(
-            u.position is not None and u.fixed_orientation is not None for u in self.users
-        )
-
     # ---------------------------------------------------------------- gains
 
     @cached_property
     def _link_table(self) -> _LinkTable:
-        """Angle-independent link data of a realized scenario: `_blocked_legs` of the wall patches, then of
-        each panel, against the scenario blockers and each self-blocking user's body."""
-        if not self.is_realized:
+        """The link table of a realized scenario, at the draw its users pin."""
+        if any(user.position is None or user.fixed_orientation is None for user in self.users):
             raise ValueError("scenario has unsampled users; run trials instead of evaluating")
-        if not self.aps:
-            raise ValueError("scenario has no access points")
-        rxs = tuple(user.receiver() for user in self.users)
-        bodies = [(*_body_xy(user.position, math.cos(user.fixed_orientation.azimuth),
-                             math.sin(user.fixed_orientation.azimuth), user.body_offset),
-                   0.0, user.body_radius, user.body_height) if user.self_blockage else None for user in self.users]
-        sets = [self.wall_patches.centers] + [panel.element_centers for panel in self.ris_panels]
-        (wall, *mirrors), visible = _blocked_legs(self.aps, rxs, bodies, self.blockers, sets)
-        shape = visible.shape
-        m = np.array([ap.lambertian_order for ap in self.aps]).reshape(1, -1, 1)
-        columns = SimpleNamespace(**{name: np.array([getattr(rx, name) for rx in rxs]).reshape(-1, 1, 1)
-                                     for name in ("area", "filter_gain", "concentrator")})
-        pairs = [(ap, rx) for rx in rxs for ap in self.aps]
-        h_los = np.array([los_gain(ap, rx) if seen else 0.0  # a blocked link gets 0
-                          for (ap, rx), seen in zip(pairs, visible.ravel())]).reshape(shape)
-        fov_ok = np.array([incidence_cosine(ap.position, rx.position, rx.orientation) >= math.cos(rx.fov)
-                           for ap, rx in pairs], dtype=bool).reshape(shape)
-        return _LinkTable(h_los, _wall_gain(m, columns, self.wall_patches, wall), visible, fov_ok,
-                          tuple(steering_terms(m, panel, leg) for panel, leg in zip(self.ris_panels, mirrors)), columns)
+        positions = np.array([user.position for user in self.users]).reshape(-1, 3)
+        return _link_table(self, TrialDraw(self.blockers, positions, tuple(u.fixed_orientation for u in self.users)))
 
     def evaluate_links(self, ris_angles=None) -> TrialResult:
         """`evaluate_population` of one candidate, with each user's airtime-shared rate, as a `TrialResult`.
@@ -270,51 +245,90 @@ class Scenario:
         `ris_angles` is None (stored angles) or a sequence of (yaw, roll)
         pairs aligned with `ris_panels` (scalars broadcast per panel).
         """
-        pairs = [(None, None)] * len(self.ris_panels) if ris_angles is None else list(ris_angles)
-        ones = [panel.candidate(*pair) for panel, pair in zip(self.ris_panels, pairs)]
-        chunk = next(self.evaluate_population(ones + pairs[len(ones):], 1))  # extra pairs meet its count check
-        serving, h_los, h_wall, h_ris, los_visible, fov_ok = (column[0] for column in chunk)
-        rates = _airtime_shared_rates(serving, h_los + h_wall + h_ris, self.constraints, self.noise)
-        return TrialResult(h_los, h_wall, h_ris, rates, _in_order_sum(rates.tolist()), los_visible, fov_ok, serving)
+        return _trial_result(self, self._link_table, ris_angles)
 
     def evaluate_population(self, ris_angles, size: int) -> Iterator[tuple]:
         """Per chunk of at most `geometry._CHUNK_CELLS` (candidate, user, AP, element) cells of `size` candidates, the
         (candidates, users) serving AP, then h_los, h_wall, h_ris, los_visible and fov_ok at it. `ris_angles` holds
         a `MirrorArray.normals` (yaw, roll) population per panel. A user's AP has the first largest total gain."""
-        panels, pairs = self.ris_panels, list(ris_angles)
-        if len(pairs) != len(panels):
-            raise ValueError(f"expected {len(panels)} (yaw, roll) pairs, got {len(pairs)}")
-        table = self._link_table  # raises on unsampled users or no APs
-        user = np.arange(len(table.h_los))
-        step = max(1, geometry._CHUNK_CELLS // max(1, table.h_los.size * sum(p.element_count for p in panels)))
-        for lo in range(0, size, step):
-            rows = slice(lo, min(lo + step, size))
-            h_ris = np.zeros((rows.stop - lo, *table.h_los.shape))  # panels add in order, as floats would
-            for panel, terms, (yaw, roll) in zip(panels, table.mirror_terms, pairs):
-                gains = steered_gains(panel, table.rx, terms, panel.normals(yaw[rows], roll[rows]))
-                h_ris = h_ris + np.add.reduce(gains, axis=-1)
-            totals = table.h_los + table.h_wall + h_ris
-            totals[..., 1:][np.isnan(totals[..., 1:])] = -math.inf  # a NaN wins only as the first, as max() did
-            serving = np.argmax(totals, axis=-1)
-            yield (serving, table.h_los[user, serving], table.h_wall[user, serving],
-                   h_ris[np.arange(len(h_ris))[:, None], user, serving], table.los_visible[user, serving],
-                   table.fov_ok[user, serving])
+        yield from _population(self.ris_panels, self._link_table, ris_angles, size)  # raises on unsampled users
 
 
-def _blocked_legs(aps, rxs, bodies, blockers: CylinderSet, point_sets):
+def _link_table(scenario: Scenario, draw: TrialDraw) -> _LinkTable:
+    """Angle-independent link data of the scenario's users at `draw`: `_blocked_legs` of the wall patches, then
+    of each panel, against the draw's blockers and each self-blocking user's body, then per pair LoS and FoV."""
+    users, aps = scenario.users, scenario.aps
+    if not aps:
+        raise ValueError("scenario has no access points")
+    _check_apart(np.linalg.norm(draw.positions[:, None] - np.array([ap.position for ap in aps]), axis=-1),
+                 "aps[{1}] and user {0} coincide")
+    normals = np.array([orientation.normal for orientation in draw.orientations]).reshape(-1, 3)
+    cos_fov = np.array([math.cos(user.fov) for user in users])
+    bodies = [(*_body_xy(position, math.cos(orientation.azimuth), math.sin(orientation.azimuth), user.body_offset),
+               0.0, user.body_radius, user.body_height) if user.self_blockage else None
+              for user, position, orientation in zip(users, draw.positions, draw.orientations)]
+    sets = [scenario.wall_patches.centers] + [panel.element_centers for panel in scenario.ris_panels]
+    (wall, *mirrors), visible = _blocked_legs(aps, draw.positions, normals, cos_fov, bodies, draw.blockers, sets)
+    shape = visible.shape
+    m = np.array([ap.lambertian_order for ap in aps]).reshape(1, -1, 1)
+    columns = SimpleNamespace(**{name: np.array([getattr(user, name) for user in users]).reshape(-1, 1, 1)
+                                 for name in ("area", "filter_gain", "concentrator")})
+    rxs = [SimpleNamespace(position=position, orientation=orientation, fov=user.fov, area=user.area,
+                           filter_gain=user.filter_gain, concentrator=user.concentrator)  # what `los_gain` reads
+           for user, position, orientation in zip(users, draw.positions, draw.orientations)]
+    pairs = [(ap, rx) for rx in rxs for ap in aps]
+    h_los = np.array([los_gain(ap, rx) if seen else 0.0  # a blocked link gets 0
+                      for (ap, rx), seen in zip(pairs, visible.ravel())]).reshape(shape)
+    fov_ok = np.array([incidence_cosine(ap.position, rx.position, rx.orientation) >= math.cos(rx.fov)
+                       for ap, rx in pairs], dtype=bool).reshape(shape)
+    return _LinkTable(h_los, _wall_gain(m, columns, scenario.wall_patches, wall), visible, fov_ok,
+                      tuple(steering_terms(m, panel, leg) for panel, leg in zip(scenario.ris_panels, mirrors)), columns)
+
+
+def _population(panels, table: _LinkTable, ris_angles, size: int) -> Iterator[tuple]:
+    """`Scenario.evaluate_population` on `table`."""
+    pairs = list(ris_angles)
+    if len(pairs) != len(panels):
+        raise ValueError(f"expected {len(panels)} (yaw, roll) pairs, got {len(pairs)}")
+    user = np.arange(len(table.h_los))
+    step = max(1, geometry._CHUNK_CELLS // max(1, table.h_los.size * sum(p.element_count for p in panels)))
+    for lo in range(0, size, step):
+        rows = slice(lo, min(lo + step, size))
+        h_ris = np.zeros((rows.stop - lo, *table.h_los.shape))  # panels add in order, as floats would
+        for panel, terms, (yaw, roll) in zip(panels, table.mirror_terms, pairs):
+            gains = steered_gains(panel, table.rx, terms, panel.normals(yaw[rows], roll[rows]))
+            h_ris = h_ris + np.add.reduce(gains, axis=-1)
+        totals = table.h_los + table.h_wall + h_ris
+        totals[..., 1:][np.isnan(totals[..., 1:])] = -math.inf  # a NaN wins only as the first, as max() did
+        serving = np.argmax(totals, axis=-1)
+        yield (serving, table.h_los[user, serving], table.h_wall[user, serving],
+               h_ris[np.arange(len(h_ris))[:, None], user, serving], table.los_visible[user, serving],
+               table.fov_ok[user, serving])
+
+
+def _trial_result(scenario: Scenario, table: _LinkTable, ris_angles) -> TrialResult:
+    """`Scenario.evaluate_links` on `table`."""
+    pairs = [(None, None)] * len(scenario.ris_panels) if ris_angles is None else list(ris_angles)
+    ones = [panel.candidate(*pair) for panel, pair in zip(scenario.ris_panels, pairs)]
+    chunk = next(_population(scenario.ris_panels, table, ones + pairs[len(ones):], 1))  # extra pairs meet the count
+    serving, h_los, h_wall, h_ris, los_visible, fov_ok = (column[0] for column in chunk)
+    rates = _airtime_shared_rates(serving, h_los + h_wall + h_ris, scenario.constraints, scenario.noise)
+    return TrialResult(h_los, h_wall, h_ris, rates, _in_order_sum(rates.tolist()), los_visible, fov_ok, serving)
+
+
+def _blocked_legs(aps, positions, normals, cos_fov, bodies, blockers: CylinderSet, point_sets):
     """Each point set's `_legs` with blockage in `clear`, and the (users, APs) LoS visibility.
 
-    `bodies` holds one (x, y, z, radius, height) row per receiver, or None for a receiver without
-    self-blockage. Three occlusion calls: the blockers cut (1) the gated LED-side legs once per (AP, point),
-    and (2) the gated receiver-side legs once per (user, point) and the LoS segments; (3) each body cuts
-    its own receiver's segments. Blockage is a union over cylinders tested cell by cell, so the masks
-    equal one test per link.
+    The receivers come as `_legs` columns, and `bodies` holds one (x, y, z, radius, height) row per receiver,
+    or None for one without self-blockage. Three occlusion calls: the blockers cut (1) the gated LED-side legs
+    once per (AP, point), and (2) the gated receiver-side legs once per (user, point) and the LoS segments;
+    (3) each body cuts its own receiver's segments. Blockage is a union over cylinders tested cell by cell,
+    so the masks equal one test per link.
     """
-    legs = [_legs(aps, points, rxs) for points in point_sets]  # never over the concatenation: bits
+    legs = [_legs(aps, points, positions, normals, cos_fov) for points in point_sets]  # never concatenated: bits
     points, gate = np.concatenate(point_sets), np.concatenate([leg.clear for leg in legs], axis=2)
     shape = gate.shape[:2]
     ap_xyz = np.array([ap.position for ap in aps])
-    rx_xyz = np.array([rx.position for rx in rxs]).reshape(-1, 3)
     a, r = np.nonzero(gate.any(axis=0))
     led = np.zeros(gate.shape[1:], dtype=bool)
     led[a, r] = segments_blocked(ap_xyz[a], points[r], blockers)  # (1)
@@ -323,12 +337,12 @@ def _blocked_legs(aps, rxs, bodies, blockers: CylinderSet, point_sets):
     los_u, los_a = np.indices(shape).reshape(2, -1)
     owner, n, k = np.concatenate([u, v, los_u]), len(u), len(u) + len(v)
     starts = np.concatenate([ap_xyz[a], points[p], ap_xyz[los_a]])  # LED-side, receiver-side, LoS
-    ends = np.concatenate([points[r], rx_xyz[v], rx_xyz[los_u]])
+    ends = np.concatenate([points[r], positions[v], positions[los_u]])
     hit = np.concatenate([led[a, r], segments_blocked(starts[n:], ends[n:], blockers)])  # (2)
     own = np.flatnonzero(np.array([body is not None for body in bodies], dtype=bool)[owner])
     cyl = np.array([(0.0,) * 5 if body is None else body for body in bodies]).reshape(-1, 5)[owner[own]]
     hit[own] |= segments_blocked_each(starts[own], ends[own], cyl[:, :3], cyl[:, 3], cyl[:, 4])  # (3)
-    rx_hit = np.zeros((len(rxs), len(points)), dtype=bool)
+    rx_hit = np.zeros((len(positions), len(points)), dtype=bool)
     rx_hit[v, p] = hit[n:k]
     clear = np.zeros_like(gate)
     clear[u, a, r] = ~(hit[:n] | rx_hit[u, r])
@@ -339,7 +353,8 @@ def _blocked_legs(aps, rxs, bodies, blockers: CylinderSet, point_sets):
 def wall_first_reflection_gain(tx: LedTx, rx: PdRx, patches: WallPatchSet,
                                blockers: CylinderSet = CylinderSet()) -> float:
     """First-order diffuse wall reflection gain of one link (`channel._wall_gain`), on the link table's legs."""
-    (legs,), _ = _blocked_legs((tx,), (rx,), [None], blockers, [patches.centers])
+    (legs,), _ = _blocked_legs((tx,), rx.position[None], rx.orientation.normal[None], np.array([math.cos(rx.fov)]),
+                               [None], blockers, [patches.centers])  # one receiver's `_legs` columns
     return checked_gain(_wall_gain(tx.lambertian_order, rx, patches, legs)[0, 0])
 
 
@@ -350,7 +365,8 @@ def element_gains(tx: LedTx, array: MirrorArray, rx: PdRx, blockers: CylinderSet
     `yaw`/`roll` override the stored matrices (scalars broadcast) so that
     optimizer candidates evaluate without rebuilding the panel.
     """
-    (legs,), _ = _blocked_legs((tx,), (rx,), [None], blockers, [array.element_centers])
+    (legs,), _ = _blocked_legs((tx,), rx.position[None], rx.orientation.normal[None], np.array([math.cos(rx.fov)]),
+                               [None], blockers, [array.element_centers])
     normals = array.normals(*array.candidate(yaw, roll))
     return steered_gains(array, rx, steering_terms(tx.lambertian_order, array, legs), normals)[0, 0, 0]
 
@@ -359,17 +375,17 @@ def element_gains(tx: LedTx, array: MirrorArray, rx: PdRx, blockers: CylinderSet
 
 
 def run_trial(scenario: Scenario, trial_seed) -> TrialResult:
-    """Realize one random deployment and evaluate it.
+    """One random deployment's `TrialResult`: the link table of the template's users at `realize`'s draw."""
+    return _trial_result(scenario, _link_table(scenario, realize(scenario, np.random.default_rng(trial_seed))), None)
+
+
+def realize(scenario: Scenario, rng: np.random.Generator) -> TrialDraw:
+    """Sample every unpinned position and orientation: one trial's `TrialDraw`.
 
     Draw order is fixed: population blocker positions first, then per user
     (in declaration order) its position and its orientation. Users with
     pinned positions/orientations keep them; fixed blockers never move.
     """
-    return realize(scenario, np.random.default_rng(trial_seed)).evaluate_links()
-
-
-def realize(scenario: Scenario, rng: np.random.Generator) -> Scenario:
-    """Sample every unpinned position/orientation into a concrete scenario."""
     blockers, pop, room = scenario.blockers, scenario.blocker_population, scenario.room
     if pop is not None and pop.count > 0:
         # keep cylinders fully inside: base at least one radius from each wall;
@@ -379,28 +395,19 @@ def realize(scenario: Scenario, rng: np.random.Generator) -> Scenario:
         blockers = CylinderSet(np.concatenate([blockers.bases, np.column_stack([xy, np.zeros(pop.count)])]),
                                np.append(blockers.radii, [pop.radius] * pop.count),
                                np.append(blockers.heights, [pop.height] * pop.count))
-    users = []
+    positions, orientations = [], []
     for user in scenario.users:
         position = user.position
         if position is None:
             x = rng.uniform(0.0, room.length)
             y = rng.uniform(0.0, room.width)
-            position = np.array([x, y, user.height])
+            position = (x, y, user.height)
         orientation = user.fixed_orientation
         if orientation is None:
             orientation = sample_orientation(scenario.orientation_model, rng)
-        users.append(
-            dataclasses.replace(user, position=position, fixed_orientation=orientation)
-        )
-    realized = dataclasses.replace(
-        scenario,
-        users=tuple(users),
-        blockers=blockers,
-        blocker_population=None,
-    )
-    # share the parent's wall tiling; identical input, avoids per-trial rebuild
-    realized.__dict__["wall_patches"] = scenario.wall_patches
-    return realized
+        positions.append(position)
+        orientations.append(orientation)
+    return TrialDraw(blockers, np.array(positions, dtype=float).reshape(-1, 3), tuple(orientations))
 
 
 def run_study(

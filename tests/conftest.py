@@ -1,8 +1,10 @@
 """Shared fixtures: a CLI runner, a small scenario document, spies on the loader's constructors, the
-occluders of one user's links, the single-link leg and wall-gain oracles, the whole-pass polar-angle
-sampler and the parallel-branch capacity bound."""
+scenario-building trial draw and the per-user receiver it gave, the occluders of one user's links, the
+single-link leg and wall-gain oracles, the whole-pass polar-angle sampler and the parallel-branch
+capacity bound."""
 
 import collections
+import dataclasses
 import functools
 import json
 import math
@@ -13,9 +15,9 @@ import numpy as np
 import pytest
 
 from ris_vlc import scenario
-from ris_vlc.channel import ReflectionLegs, _legs, _wall_gain, checked_gain
+from ris_vlc.channel import PdRx, ReflectionLegs, _legs, _wall_gain, checked_gain
 from ris_vlc.geometry import CylinderSet, segments_blocked
-from ris_vlc.orientation import POLAR_MAX
+from ris_vlc.orientation import POLAR_MAX, sample_orientation
 
 # Single-element mirror deployment with a pinned user; cheap to simulate and
 # exercises every config section.
@@ -100,6 +102,47 @@ def retries(builds, doc) -> int:
     return sum(max(0, n - sections[name]) for name, n in builds.items())
 
 
+def realized_scenario(template, rng):
+    """`scenario.realize` as it was: the template with every unpinned position and orientation drawn into a
+    new `Scenario`, in the stream order `realize` keeps, sharing the template's wall tiling."""
+    blockers, pop, room = template.blockers, template.blocker_population, template.room
+    if pop is not None and pop.count > 0:
+        xy = rng.uniform([pop.radius] * 2, [room.length - pop.radius, room.width - pop.radius],
+                         size=(pop.count, 2))
+        blockers = CylinderSet(np.concatenate([blockers.bases, np.column_stack([xy, np.zeros(pop.count)])]),
+                               np.append(blockers.radii, [pop.radius] * pop.count),
+                               np.append(blockers.heights, [pop.height] * pop.count))
+    users = []
+    for user in template.users:
+        position = user.position
+        if position is None:
+            x = rng.uniform(0.0, room.length)
+            y = rng.uniform(0.0, room.width)
+            position = np.array([x, y, user.height])
+        orientation = user.fixed_orientation
+        if orientation is None:
+            orientation = sample_orientation(template.orientation_model, rng)
+        users.append(dataclasses.replace(user, position=position, fixed_orientation=orientation))
+    out = dataclasses.replace(template, users=tuple(users), blockers=blockers, blocker_population=None)
+    out.__dict__["wall_patches"] = template.wall_patches
+    return out
+
+
+def receiver_of(user) -> PdRx:
+    """`UserSpec.receiver` as it was: a realized user's photodiode."""
+    if user.position is None or user.fixed_orientation is None:
+        raise ValueError("user is not realized: position or orientation still unsampled")
+    return PdRx(position=user.position, orientation=user.fixed_orientation, area=user.area, fov=user.fov,
+                filter_gain=user.filter_gain, refractive_index=user.refractive_index)
+
+
+def leg_columns(rxs):
+    """`PdRx` receivers as the columns `_legs` takes: (users, 3) positions and normals, (users,) cos(fov)."""
+    return (np.array([rx.position for rx in rxs]).reshape(-1, 3),
+            np.array([rx.orientation.normal for rx in rxs]).reshape(-1, 3),
+            np.array([math.cos(rx.fov) for rx in rxs]))
+
+
 def occluders_of(scenario, user) -> CylinderSet:
     """The scenario blockers, plus the realized user's body row when it self-blocks: the
     body stands `body_offset` from the device along the device-normal azimuth."""
@@ -115,7 +158,8 @@ def occluders_of(scenario, user) -> CylinderSet:
 def reflection_legs_oracle(tx, points, rx, blockers=CylinderSet()) -> ReflectionLegs:
     """`channel.reflection_legs` as it was, a leg-blockage rule of its own: one link's unblocked legs,
     then both legs of its lit rows against `blockers` in one `segments_blocked` call, the LED side first."""
-    d1, u1, cos_phi1, d2, u2, cos_t2, clear = (a[0, 0] for a in vars(_legs((tx,), points, (rx,))).values())
+    legs = _legs((tx,), points, *leg_columns((rx,)))
+    d1, u1, cos_phi1, d2, u2, cos_t2, clear = (a[0, 0] for a in vars(legs).values())
     clear = clear.copy()
     lit = np.flatnonzero(clear)
     if blockers and lit.size:

@@ -444,6 +444,29 @@ def test_a_point_too_close_to_a_reflector_is_refused_naming_its_ap_or_user(tmp_p
         assert len(message) < 200 and "\n" not in message  # one line: no RuntimeWarning came first
 
 
+@pytest.mark.parametrize("ahead", [0, 2], ids=["alone", "after-two-drawn-users"])
+def test_an_ap_and_a_user_too_close_for_the_los_gain_are_refused_naming_both(tmp_path, ahead):
+    # 1e-160 m squares to 1e-320, and the LoS gain came out inf, refused without naming its AP or user;
+    # 1 mm away the same document runs
+    face = {"polar_deg": 90.0, "azimuth_deg": 180.0}
+    for gap in (1e-160, 1e-3):
+        doc = {"aps": [{"position": [0.0, 2.5, 2.0], "normal": [1.0, 0.0, 0.0]}],
+               "users": [{"count": ahead}, {"position": [gap, 2.5, 2.0], "orientation": face}],
+               "noise": {"psd": 5e-20, "bandwidth": 2e7}}
+        path = tmp_path / "close.json"
+        path.write_text(json.dumps(doc))
+        r = run_cli("simulate", "--scenario", str(path), "--trials", "1", "--format", "json")
+        if gap > 1e-100:
+            assert r.returncode == 0 and r.stderr == "", r.stderr
+            if not ahead:
+                assert json.loads(r.stdout)["mean_sum_rate_bps"] == 511155175.4022152
+            continue
+        assert r.returncode == 2 and r.stdout == ""
+        message = r.stderr.strip()
+        assert message.startswith(f"ris-vlc: error: aps[0] and user {ahead} coincide: 1e-160 m apart, under ")
+        assert len(message) < 200 and "\n" not in message  # one line: no RuntimeWarning came first
+
+
 def test_boundary_counts_and_sizes_are_accepted(tmp_path):
     # zero counts and a population that exactly spans the room are valid
     path = tmp_path / "edge.json"

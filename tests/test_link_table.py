@@ -36,7 +36,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import occluders_of, reflection_legs_oracle, wall_gain_oracle
+from conftest import (leg_columns, occluders_of, realized_scenario, receiver_of, reflection_legs_oracle,
+                      wall_gain_oracle)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,7 +53,6 @@ from ris_vlc.scenario import (
     UserSpec,
     benchmark_scenario,
     blocked_benchmark_scenario,
-    realize,
     run_study,
     trials_to_csv,
 )
@@ -98,7 +98,7 @@ def _static_links_oracle(s):
     """Per user, per AP: (h_los, h_wall, los_visible, fov_ok, legs per panel)."""
     table = []
     for user in s.users:
-        rx = user.receiver()
+        rx = receiver_of(user)
         occluders = occluders_of(s, user)
         per_ap = []
         for ap in s.aps:
@@ -118,7 +118,7 @@ def _evaluate_links_oracle(s, ris_angles=None):
     normals = [_per_candidate_normals(panel, yaw, roll) for panel, (yaw, roll) in zip(panels, pairs)]
     links = []
     for u, (user, per_ap) in enumerate(zip(s.users, _static_links_oracle(s))):
-        rx = user.receiver()
+        rx = receiver_of(user)
         candidates = []
         for a, (ap, (h_los, h_wall, visible, fov_ok, legs)) in enumerate(zip(s.aps, per_ap)):
             h_ris = 0.0
@@ -365,7 +365,7 @@ def test_building_the_table_makes_three_occlusion_calls(monkeypatch):
     two_aps = dataclasses.replace(base, aps=base.aps + (LedTx(position=(1.0, 1.0, 3.0)),),
                                   blocker_population=BlockerPopulation(count=15))
     for s in (base, two_aps):
-        realized = scenario.realize(s, np.random.default_rng(5))
+        realized = realized_scenario(s, np.random.default_rng(5))
         calls.clear()
         realized._link_table
         assert calls == ["segments_blocked", "segments_blocked", "segments_blocked_each"]
@@ -382,7 +382,7 @@ def test_an_order_numpy_roots_keeps_the_bits_of_its_single_link():
     base = benchmark_scenario()
     s = dataclasses.replace(base, aps=base.aps + (rooted, LedTx(position=(4.0, 1.0, 2.8))),
                             blocker_population=BlockerPopulation(count=3))
-    realized = scenario.realize(s, np.random.default_rng(11))
+    realized = realized_scenario(s, np.random.default_rng(11))
     table, want = realized._link_table, _static_links_oracle(realized)
     assert [[h_wall for _, h_wall, *_ in per_ap] for per_ap in want] == table.h_wall.tolist()
     angles = [(0.3, -0.2)] * len(realized.ris_panels)
@@ -419,9 +419,9 @@ def test_legs_equal_the_per_link_legs(case):
     except ValueError as refused:
         assert "coincides" in str(refused)
         with pytest.raises(ValueError, match="coincides"):
-            _legs(aps, points, rxs)
+            _legs(aps, points, *leg_columns(rxs))
         return
-    got = _legs(aps, points, rxs)
+    got = _legs(aps, points, *leg_columns(rxs))
     led_side, rx_side = (1, len(aps), len(points)), (len(rxs), 1, len(points))
     lead = dict(d1=led_side, u1=led_side, cos_phi1=led_side, d2=rx_side, u2=rx_side, cos_t2=rx_side,
                 clear=(len(rxs), len(aps), len(points)))
@@ -444,22 +444,22 @@ def test_legs_refuse_a_point_on_any_endpoint():
     cases = [(ap.position, users) for ap in aps for users in (rxs, [])] + [(rx.position, rxs) for rx in rxs]
     for point, users in cases:
         with pytest.raises(ValueError, match="coincides"):
-            _legs(aps, np.array([[0.0, 1.0, 1.0], point]), users)
+            _legs(aps, np.array([[0.0, 1.0, 1.0], point]), *leg_columns(users))
 
 
 def test_one_legs_pass_per_point_set_per_table_and_none_per_sum_rate(monkeypatch):
     calls = []
 
-    def spy(txs, points, rxs):
+    def spy(txs, points, *columns):
         calls.append(len(points))
-        return _legs(txs, points, rxs)
+        return _legs(txs, points, *columns)
 
     monkeypatch.setattr(scenario, "_legs", spy)
     base = benchmark_scenario()
     two = dataclasses.replace(base, aps=base.aps + (LedTx(position=(1.0, 1.0, 3.0)),),
                               ris_panels=base.ris_panels + (MirrorArray((2.5, 0.0, 1.5), (0.0, 1.0, 0.0), 2, 3),))
     for s in (base, two):
-        realized = scenario.realize(s, np.random.default_rng(3))
+        realized = realized_scenario(s, np.random.default_rng(3))
         calls.clear()
         realized._link_table
         assert calls == [len(realized.wall_patches)] + [p.element_count for p in realized.ris_panels]
@@ -562,7 +562,8 @@ _TWO_BY_TWO = dataclasses.replace(  # a template: 4 drawn users, 2 APs, 2 panels
     benchmark_scenario(), aps=(LedTx(position=(2.5, 2.5, 3.0)), LedTx(position=(1.0, 4.0, 2.8))),
     ris_panels=benchmark_scenario().ris_panels + (MirrorArray((2.5, 5.0, 1.4), (0.0, -1.0, 0.0), 3, 4),),
     blocker_population=BlockerPopulation(count=6))
-_REALIZED = st.builds(lambda seed: realize(_TWO_BY_TWO, np.random.default_rng(seed)), st.integers(0, 2**32 - 1))
+_REALIZED = st.builds(lambda seed: realized_scenario(_TWO_BY_TWO, np.random.default_rng(seed)),
+                      st.integers(0, 2**32 - 1))
 
 
 def _population(rng, panels, size):
@@ -620,7 +621,8 @@ def test_candidates_of_one_population_switch_serving_ap():
 def test_equal_totals_go_to_the_lowest_index():
     base = benchmark_scenario()
     twin = LedTx(position=(2.0, 3.0, 3.0))
-    s = realize(dataclasses.replace(base, aps=(LedTx(position=(0.2, 0.2, 3.0)), twin, twin)), np.random.default_rng(4))
+    s = realized_scenario(dataclasses.replace(base, aps=(LedTx(position=(0.2, 0.2, 3.0)), twin, twin)),
+                          np.random.default_rng(4))
     totals = s._link_table.h_los + s._link_table.h_wall
     assert (totals[:, 1] == totals[:, 2]).all() and (totals[:, 1] > totals[:, 0]).all()
     pairs = _population(np.random.default_rng(2), s.ris_panels, 12)

@@ -217,3 +217,14 @@ def test_noma_rates_are_finite_and_positive(a1_sq, h1, ratio):
     rates = noma_rates(alloc, 0.25)
     assert np.all(np.isfinite(rates))
     assert np.all(rates > 0.0)
+
+
+@given(st.floats(1e-9, 1e-3), st.floats(1.0 + 1e-6, 1e6))
+def test_distinct_gains_take_the_first_interior_point_at_the_benchmark_power_and_noise(h1, ratio):
+    # the sum rate log2((P h1^2 + s2) / (a2^2 P h1^2 + s2)) + log2(1 + a2^2 P h2^2 / s2) grows with the strong
+    # user's share a2^2 whenever h2 > h1, so the sweep keeps its first point, the smallest a1^2 = 1/2 + 1/2/200,
+    # at benchmark_scenario()'s 2 W and noise variance 1e-12; from ratios near 1 + 1e-8 down, rounding in the
+    # nearly flat sums can pick a later point
+    alloc, rates = best_two_user_allocation([h1, h1 * ratio], 2.0, 1e-12)
+    assert alloc.coefficients[0] == math.sqrt(0.5 + 0.5 / 200)
+    assert rates.tolist() == noma_rates(alloc, 1e-12).tolist()

@@ -1,8 +1,9 @@
 """The package defines and exports only what the simulator, the CLI or the benchmark runs.
 
-A module-level function or class, or a method or property of one of its classes, that nothing else
-in `src/` or `perfbench/` uses, or a name in `ris_vlc.__all__` that nothing outside `__init__.py`
-uses, is a copy kept for tests, and a test of it can pass while the simulator is wrong.
+A module-level function or class, a method or property of one of its classes, or a field one of its
+classes declares, that nothing else in `src/` or `perfbench/` uses, or a name in `ris_vlc.__all__`
+that nothing outside `__init__.py` uses, is a copy kept for tests, and a test of it can pass while
+the simulator is wrong.
 """
 
 import ast
@@ -14,7 +15,11 @@ import ris_vlc
 
 ROOT = Path(__file__).resolve().parents[1]
 # definitions that nothing in the scanned files calls, each with the reason it stays
-WITHOUT_A_CALLER = {"_Parser.error": "argparse's hook: ArgumentParser calls it on a command line it refuses"}
+WITHOUT_A_CALLER = {
+    "_Parser.error": "argparse's hook: ArgumentParser calls it on a command line it refuses",
+    "TrialResult.serving_ap": "the AP each user's airtime is shared at: the rates depend on it, and the oracles "
+                              "that compare trials check it, which no gain or rate column pins on its own",
+}
 
 
 def _references(tree: ast.AST, skip=()) -> set:
@@ -46,21 +51,24 @@ def test_all_is_sorted_unique_and_resolves():
 
 def _unused(paths, exported) -> set:
     """The names of `exported` that no top-level statement of `paths` uses, and the module-level
-    functions and classes of `ris_vlc/*.py`, and the methods and properties of those classes (as
-    `Class.name`), that nothing uses but their own definition. Python itself calls the dunders."""
-    units, definitions = [], []  # (the definitions a unit lies in, its references); (qualified name, node)
+    functions and classes of `ris_vlc/*.py`, the methods and properties of those classes and the
+    fields they declare (as `Class.name`), that nothing uses but their own definition. Python itself
+    calls the dunders; a field's declaration does not use it, the methods of its class do."""
+    units, definitions = [], []  # (the definitions a unit lies in, its references); (qualified name, name, node)
     for path in paths:
         for node in ast.parse(path.read_text(), filename=str(path)).body:
             ours = path.parent.name == "ris_vlc" and isinstance(node, (ast.FunctionDef, ast.ClassDef))
             ours_class = ours and isinstance(node, ast.ClassDef)
             methods = [m for m in node.body if isinstance(m, ast.FunctionDef)] if ours_class else []
-            units.append(({node}, _references(node, skip=methods)))
+            fields = [f.target for f in node.body if isinstance(f, ast.AnnAssign)] if ours_class else []
+            units.append(({node}, _references(node, skip=methods + fields)))
             units += [({node, m}, _references(m)) for m in methods]
-            definitions += [(node.name, node)] if ours else []
-            definitions += [(f"{node.name}.{m.name}", m) for m in methods if not m.name.startswith("__")]
+            definitions += [(node.name, node.name, node)] if ours else []
+            definitions += [(f"{node.name}.{m.name}", m.name, m) for m in methods if not m.name.startswith("__")]
+            definitions += [(f"{node.name}.{f.id}", f.id, f) for f in fields]
     unused = {name for name in exported if not any(name in refs for _, refs in units)}
-    unused |= {qualified for qualified, node in definitions
-               if not any(node.name in refs for inside, refs in units if node not in inside)}
+    unused |= {qualified for qualified, name, node in definitions
+               if not any(name in refs for inside, refs in units if node not in inside)}
     return unused
 
 
@@ -80,7 +88,10 @@ def test_every_definition_and_export_is_used_outside_its_own_definition():
     ("class Kept:\n    def __init__(self):\n        self.value = self._idle\n\n    def _idle(self):\n"
      "        return self._idle()\n\n    def _spare(self):\n        return 0\n\n\nKept()\n",
      ["run"], "Kept._spare"),  # the class and its `_idle` are used, its `_spare` is not
-], ids=["self-recursive", "class", "export", "method"])
+    ("from dataclasses import dataclass\n\n\n@dataclass\nclass Record:\n    kept: int\n    spare: int = 0\n\n"
+     "    def doubled(self):\n        return 2 * self.kept\n\n\nRecord(1).doubled()\n",
+     ["run"], "Record.spare"),  # a field its methods read is used; one only its own class body names is not
+], ids=["self-recursive", "class", "export", "method", "field"])
 def test_the_scan_finds_a_name_that_nothing_else_uses(tmp_path, source, exported, dead):
     package = tmp_path / "ris_vlc"
     package.mkdir()

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import occluders_of
+from conftest import leg_columns, occluders_of, receiver_of
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -68,7 +68,7 @@ def _cylinders(rows):
 
 def _blocked(tx, points, rx, blockers=CylinderSet()):
     """One link's legs through `points`, blockage in `clear`, as the link table computes them."""
-    (legs,), _ = scenario._blocked_legs((tx,), (rx,), [None], blockers, [points])
+    (legs,), _ = scenario._blocked_legs((tx,), *leg_columns((rx,)), [None], blockers, [points])
     return legs
 
 
@@ -398,7 +398,7 @@ def test_evaluate_links_reuses_static_legs_across_angle_sets():
             [np.asarray(v).tolist() for v in vars(fresh).values()]
         # the cached path equals the per-link element gains of the code before the shared legs
         for u, user in enumerate(s.users):
-            ap, rx = s.aps[reused.serving_ap[u]], user.receiver()
+            ap, rx = s.aps[reused.serving_ap[u]], receiver_of(user)
             occluders = occluders_of(s, user)
             h_ris = 0.0
             for panel, (yaw, roll) in zip(s.ris_panels, angles):
@@ -481,7 +481,7 @@ _LEG_CUTTERS = [_high(1.25, 1.75), _low(1.0, 2.25), _high(1.25, 2.75), _low(1.0,
 
 def _clear_oracle(blockers):
     """`clear` as the two-call form gave it: the LED-side legs, then the receiver-side legs."""
-    lit = _legs((_TX,), _POINTS, (_RX,)).clear[0, 0].copy()
+    lit = _legs((_TX,), _POINTS, *leg_columns((_RX,))).clear[0, 0].copy()
     if blockers and np.any(lit):
         lit &= ~segments_blocked(np.broadcast_to(_TX.position, _POINTS.shape), _POINTS, blockers)
     if blockers and np.any(lit):
@@ -490,7 +490,7 @@ def _clear_oracle(blockers):
 
 
 def test_clear_is_lit_and_neither_leg_blocked():
-    lit = _legs((_TX,), _POINTS, (_RX,)).clear[0, 0]
+    lit = _legs((_TX,), _POINTS, *leg_columns((_RX,))).clear[0, 0]
     assert lit.tolist() == [True, True, True, True, False]
     cutters = _cylinders(_LEG_CUTTERS)
     first = segments_blocked(np.broadcast_to(_TX.position, _POINTS.shape), _POINTS, cutters)

@@ -1,5 +1,6 @@
 """Scenario configuration, Monte-Carlo trials, and the built-in studies."""
 
+import collections
 import dataclasses
 import json
 import math
@@ -8,8 +9,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import occluders_of, run_cli, sections_of, wall_gain_oracle
-from hypothesis import given
+from conftest import occluders_of, realized_scenario, receiver_of, run_cli, sections_of, wall_gain_oracle
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ris_vlc.channel import (LedTx, PdRx, WallPatchSet, check_receiver_terms, incidence_cosine, lambertian_index,
@@ -29,6 +30,7 @@ from ris_vlc.scenario import (
     ConfigError,
     Scenario,
     StudyStatistics,
+    TrialDraw,
     TrialResult,
     UserSpec,
     benchmark_scenario,
@@ -49,13 +51,12 @@ from ris_vlc.scenario import (
 # ------------------------------------------------------------------- pieces
 
 
-def test_user_spec_receiver_requires_realization():
-    with pytest.raises(ValueError):
-        UserSpec().receiver()
-    user = UserSpec(position=(1.0, 1.0, 0.75),
-                    fixed_orientation=DeviceOrientation(polar=0.0, azimuth=0.0))
-    rx = user.receiver()
-    np.testing.assert_array_equal(rx.position, [1.0, 1.0, 0.75])
+def test_user_spec_carries_the_concentrator_gain_of_its_receiver():
+    # a trial reads each user's receiver terms from its template, without building a PdRx
+    for fov, index in [(math.radians(85.0), 1.5), (math.radians(30.0), 1.0), (math.pi / 2.0, 2.2)]:
+        user = UserSpec(fov=fov, refractive_index=index)
+        rx = PdRx(position=(1.0, 1.0, 0.75), fov=fov, refractive_index=index)
+        assert user.concentrator == rx.concentrator == check_receiver_terms(1e-4, fov, 1.0, index)
 
 
 @pytest.mark.parametrize("terms, message", [
@@ -517,24 +518,26 @@ def _tiny_scenario():
     )
 
 
-def test_realize_fills_every_unpinned_field():
+def test_realize_fills_every_unpinned_field(monkeypatch):
     s = _tiny_scenario()
-    assert not s.is_realized
     r = realize(s, np.random.default_rng(0))
-    assert r.is_realized
-    assert r.blocker_population is None
-    assert len(r.blockers) == 2
+    assert type(r) is TrialDraw and r._fields == ("blockers", "positions", "orientations")
+    assert r.positions.shape == (2, 3) and r.positions.dtype == np.float64
+    assert [type(o) for o in r.orientations] == [DeviceOrientation] * 2
+    assert len(r.blockers) == 2  # the population, placed; the template keeps its count
     for base, radius in zip(r.blockers.bases, r.blockers.radii):
         assert s.room.contains([base])[0]
         # margin keeps the full cylinder inside
         assert base[0] >= radius
         assert base[0] <= s.room.length - radius
     # pinned user position survives; sampled one lands inside the room
-    np.testing.assert_array_equal(r.users[1].position, [4.0, 2.5, 0.75])
-    assert s.room.contains([r.users[0].position])[0]
-    assert r.users[0].position[2] == s.users[0].height
-    # wall tiling is shared, not rebuilt
-    assert r.wall_patches is s.wall_patches
+    np.testing.assert_array_equal(r.positions[1], [4.0, 2.5, 0.75])
+    assert s.room.contains([r.positions[0]])[0]
+    assert r.positions[0, 2] == s.users[0].height
+    # wall tiling is the template's, not rebuilt per trial
+    s.wall_patches
+    monkeypatch.setattr(WallPatchSet, "for_room", None)
+    assert run_trial(s, 0).sum_rate > 0.0
 
 
 def _population_draws_per_blocker(scenario, rng):
@@ -569,7 +572,7 @@ def test_run_trial_sum_rate_is_the_in_order_sum_of_sum_rate():
     # from 8 users on, a pairwise np.add.reduce differed from sum_rate's in-order sum in the last bits
     s = dataclasses.replace(benchmark_scenario(), users=tuple(UserSpec() for _ in range(20)), ris_panels=())
     for seed in range(30):
-        assert run_trial(s, seed).sum_rate == sum_rate(realize(s, np.random.default_rng(seed)))
+        assert run_trial(s, seed).sum_rate == sum_rate(realized_scenario(s, np.random.default_rng(seed)))
 
 
 def test_realize_empty_population_draws_nothing():
@@ -579,6 +582,86 @@ def test_realize_empty_population_draws_nothing():
     before = rng.bit_generator.state
     assert len(realize(s, rng).blockers) == 0
     assert rng.bit_generator.state == before
+
+
+_XY = st.floats(0.3, 4.7)
+_PANELS = (MirrorArray((0.0, 2.5, 1.5), (1.0, 0.0, 0.0), 2, 2), MirrorArray((2.5, 5.0, 1.4), (0.0, -1.0, 0.0), 3, 4))
+
+
+@st.composite
+def _templates(draw):
+    """Pinned and drawn users, with and without self-blockage, 0, 1 or 15 population blockers, 1-2 APs and
+    0-2 panels."""
+    users = []
+    for _ in range(draw(st.integers(1, 3))):
+        position = (draw(_XY), draw(_XY), 0.75) if draw(st.booleans()) else None
+        orientation = (DeviceOrientation(draw(st.floats(0.0, math.pi / 2.0)), draw(st.floats(-math.pi, math.pi)))
+                       if draw(st.booleans()) else None)
+        users.append(UserSpec(position=position, fixed_orientation=orientation, self_blockage=draw(st.booleans())))
+    aps = (LedTx(position=(2.5, 2.5, 3.0)), LedTx(position=(1.0, 4.0, 2.8)))[:draw(st.integers(1, 2))]
+    fixed = CylinderSet([(3.7, 2.45, 0.0)] if draw(st.booleans()) else [])
+    return Scenario(room=Room(5.0, 5.0, 3.0), aps=aps, users=tuple(users), blockers=fixed,
+                    blocker_population=BlockerPopulation(count=draw(st.sampled_from((0, 1, 15)))),
+                    ris_panels=_PANELS[:draw(st.integers(0, 2))], wall_patch_size=0.5)
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_templates(), st.integers(0, 2**32 - 1))
+def test_a_trial_equals_the_realized_scenario_it_replaced(template, seed):
+    # the draw consumes the stream as the scenario-building oracle does, and pins the same values
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    draw, want = realize(template, rng), realized_scenario(template, oracle_rng)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    assert draw.positions.tolist() == [user.position.tolist() for user in want.users]
+    assert draw.orientations == tuple(user.fixed_orientation for user in want.users)
+    assert all(_same_bits(getattr(draw.blockers, name), getattr(want.blockers, name))
+               for name in ("bases", "radii", "heights"))
+    got, links = run_trial(template, seed), want.evaluate_links()
+    for name in ("h_los", "h_wall", "h_ris", "rates", "los_visible", "fov_ok", "serving_ap"):
+        assert _same_bits(getattr(got, name), getattr(links, name)), name
+    assert got.sum_rate == links.sum_rate
+
+
+def test_a_trial_builds_no_scenario_user_or_receiver(monkeypatch):
+    builds = collections.Counter()
+
+    def counting(cls):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            builds[cls.__name__] += 1
+            init(self, *args, **kwargs)
+        return counted
+
+    template = dataclasses.replace(_tiny_scenario(), users=(UserSpec(), UserSpec(position=(4.0, 2.5, 0.75)),
+                                                            UserSpec(self_blockage=False)))
+    for cls in (Scenario, UserSpec, PdRx):
+        monkeypatch.setattr(cls, "__init__", counting(cls))
+    realized_scenario(template, np.random.default_rng(0))  # the spies see the oracle's builds
+    assert builds == {"Scenario": 1, "UserSpec": 3}
+    builds.clear()
+    results = run_study(template, 5, master_seed=3)
+    assert len(results) == 5 and builds == {}
+
+
+@pytest.mark.parametrize("gap", [1e-160, 0.0])
+def test_an_ap_and_a_user_too_close_for_the_los_gain_are_refused_by_name(gap):
+    # d**2 = 1e-320 made the LoS gain inf, refused by a message naming neither end; the legs' floor holds it
+    ap = LedTx(position=(0.0, 2.5, 2.0), normal=(1.0, 0.0, 0.0))
+    face = DeviceOrientation(math.pi / 2.0, math.pi)
+    others = (UserSpec(position=(1.0, 1.0, 0.75), fixed_orientation=face),) * 2
+    s = Scenario(aps=(LedTx(position=(2.5, 2.5, 3.0)), ap),
+                 users=others + (UserSpec(position=(gap, 2.5, 2.0), fixed_orientation=face),))
+    message = rf"^aps\[1\] and user 2 coincide: {gap:.3g} m apart, under the 1.22e-77 m that keeps a gain's 1/d\*\*2 " \
+              "finite$"
+    with pytest.raises(ValueError, match=message):
+        s.evaluate_links()
+    with pytest.raises(ValueError, match=message):
+        run_trial(s, 0)
 
 
 def test_run_trial_deterministic_and_consistent():
@@ -661,7 +744,7 @@ def test_evaluate_links_matches_direct_channel_calls():
     links = s.evaluate_links()
     assert list(zip(links.serving_ap.tolist(), links.los_visible.tolist())) == [(0, False), (1, True)]
     for u, user in enumerate(s.users):
-        ap, rx = s.aps[links.serving_ap[u]], user.receiver()
+        ap, rx = s.aps[links.serving_ap[u]], receiver_of(user)
         occluders = occluders_of(s, user)
         blocked = segments_blocked(ap.position[None, :], rx.position[None, :], occluders)[0]
         assert links.los_visible[u] == (not blocked)
@@ -689,7 +772,7 @@ def test_a_blocker_population_wider_than_the_room_is_refused_at_construction():
 
 
 def test_evaluate_links_rejects_wrong_angle_count():
-    s = realize(_tiny_scenario(), np.random.default_rng(0))
+    s = realized_scenario(_tiny_scenario(), np.random.default_rng(0))
     for angles in ([(0.0, 0.0), (0.1, 0.1)], []):  # one panel only
         with pytest.raises(ValueError, match=rf"^expected 1 \(yaw, roll\) pairs, got {len(angles)}$"):
             s.evaluate_links(ris_angles=angles)

@@ -27,6 +27,7 @@ import dataclasses
 import math
 
 import numpy as np
+from conftest import realized_scenario
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +35,7 @@ from ris_vlc.channel import LedTx
 from ris_vlc.geometry import CylinderSet
 from ris_vlc.orientation import DeviceOrientation
 from ris_vlc.ris import ANGLE_LIMIT, MirrorArray
-from ris_vlc.scenario import benchmark_scenario, realize
+from ris_vlc.scenario import benchmark_scenario
 
 SIDE = 5.0
 RTOL, ATOL = 1e-9, 1e-290
@@ -114,7 +115,7 @@ MAPS = {
 def _deployment(seed, template=TEMPLATE):
     """A realized trial of `template` with per-element mirror angles drawn from the same seed."""
     rng = np.random.default_rng(seed)
-    s = realize(template, rng)
+    s = realized_scenario(template, rng)
     panels = tuple(panel.with_angles(*rng.uniform(-ANGLE_LIMIT, ANGLE_LIMIT, (2, panel.rows, panel.cols)))
                    for panel in s.ris_panels)
     return dataclasses.replace(s, ris_panels=panels)
