@@ -89,6 +89,10 @@ class Room:
         for name in ("length", "width", "height"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ConfigError("room dimensions must be positive and finite", name)
+        square = sum(x * x for x in map(float, (self.length, self.width, self.height)))  # floats: inf, no warning
+        if not 2.0 * math.pi * math.pi * square * square < math.inf:  # bounds every wall term's 2 pi**2 d1**2 d2**2
+            raise ConfigError(f"room {self.length:.6g} x {self.width:.6g} x {self.height:.6g} m is too large: 2 pi**2 "
+                              "(length**2 + width**2 + height**2)**2 overflows", ("length", "width", "height"))
 
     def contains(self, points) -> np.ndarray:
         """(n, 3) rows: a mask, True within `_ROOM_TOL` of the room and False on non-finite rows."""

@@ -99,10 +99,3 @@ def sum_rate(scenario, ris_angles=None) -> float:
     link_rate(total gain) / (number of co-served users).
     """
     return scenario.evaluate_links(ris_angles).sum_rate
-
-
-def sum_rates(scenario, ris_angles, size: int) -> list[float]:
-    """`sum_rate` of each candidate of a `Scenario.evaluate_population` angle population of `size`."""
-    chunks = scenario.evaluate_population(ris_angles, size)
-    return [_in_order_sum(rates) for serving, h_los, h_wall, h_ris, _, _ in chunks for rates in
-            _airtime_shared_rates(serving, h_los + h_wall + h_ris, scenario.constraints, scenario.noise).tolist()]

@@ -228,7 +228,8 @@ def _sum_rate_objective(scenario, mode: str) -> Callable[[np.ndarray], list]:
     """Scenario sum rate of each angle row: one shared (yaw, roll), or every element's yaws then rolls."""
 
     def objective(points: np.ndarray) -> list:
-        return metrics.sum_rates(scenario, _angles_from_population(scenario.ris_panels, points, mode), len(points))
+        chunks = scenario.evaluate_population(_angles_from_population(scenario.ris_panels, points, mode), len(points))
+        return [rate for chunk in chunks for rate in chunk.sum_rate]
 
     return objective
 

@@ -134,13 +134,13 @@ class _LinkTable:
 
 @dataclass(frozen=True, eq=False)
 class TrialResult:
-    """Outcome of one Monte-Carlo trial over all users: per user the gain split, flags and rate at its serving AP."""
+    """Per user the gain split, flags and airtime-shared rate at its serving AP, and their in-order sum rate."""
 
     h_los: np.ndarray
     h_wall: np.ndarray
     h_ris: np.ndarray
     rates: np.ndarray
-    sum_rate: float
+    sum_rate: float  # a population chunk adds a leading candidate axis: (candidates, users) columns, a list of sums
     los_visible: np.ndarray
     fov_ok: np.ndarray
     serving_ap: np.ndarray
@@ -233,25 +233,24 @@ class Scenario:
 
     @cached_property
     def _link_table(self) -> _LinkTable:
-        """The link table of a realized scenario, at the draw its users pin."""
-        if any(user.position is None or user.fixed_orientation is None for user in self.users):
-            raise ValueError("scenario has unsampled users; run trials instead of evaluating")
-        positions = np.array([user.position for user in self.users]).reshape(-1, 3)
-        return _link_table(self, TrialDraw(self.blockers, positions, tuple(u.fixed_orientation for u in self.users)))
+        """The link table of a realized scenario, one whose `realize` draws nothing."""
+        drawn = [f"user {u} is unsampled: its position or orientation is" for u, user in enumerate(self.users)
+                 if user.position is None or user.fixed_orientation is None]
+        if self.blocker_population and self.blocker_population.count:
+            drawn.append(f"blockers.count {self.blocker_population.count} blockers are")
+        if drawn:
+            raise ValueError(f"{drawn[0]} drawn per trial, so the scenario has no links to evaluate; run trials")
+        return _link_table(self, realize(self, None))
 
     def evaluate_links(self, ris_angles=None) -> TrialResult:
-        """`evaluate_population` of one candidate, with each user's airtime-shared rate, as a `TrialResult`.
-
-        `ris_angles` is None (stored angles) or a sequence of (yaw, roll)
-        pairs aligned with `ris_panels` (scalars broadcast per panel).
-        """
+        """Row 0 of `evaluate_population` of one candidate: `ris_angles` is None (stored angles) or one (yaw, roll)
+        pair per panel in `ris_panels` order, a scalar standing for every element."""
         return _trial_result(self, self._link_table, ris_angles)
 
-    def evaluate_population(self, ris_angles, size: int) -> Iterator[tuple]:
-        """Per chunk of at most `geometry._CHUNK_CELLS` (candidate, user, AP, element) cells of `size` candidates, the
-        (candidates, users) serving AP, then h_los, h_wall, h_ris, los_visible and fov_ok at it. `ris_angles` holds
-        a `MirrorArray.normals` (yaw, roll) population per panel. A user's AP has the first largest total gain."""
-        yield from _population(self.ris_panels, self._link_table, ris_angles, size)  # raises on unsampled users
+    def evaluate_population(self, ris_angles, size: int) -> Iterator[TrialResult]:
+        """A `TrialResult` per chunk of at most `geometry._CHUNK_CELLS` (candidate, user, AP, element) cells of `size`
+        candidates of a `MirrorArray.normals` (yaw, roll) population per panel. A user's AP has its first top gain."""
+        yield from _population(self, self._link_table, ris_angles, size)  # raises if `realize` would draw
 
 
 def _link_table(scenario: Scenario, draw: TrialDraw) -> _LinkTable:
@@ -285,9 +284,9 @@ def _link_table(scenario: Scenario, draw: TrialDraw) -> _LinkTable:
                       tuple(steering_terms(m, panel, leg) for panel, leg in zip(scenario.ris_panels, mirrors)), columns)
 
 
-def _population(panels, table: _LinkTable, ris_angles, size: int) -> Iterator[tuple]:
-    """`Scenario.evaluate_population` on `table`."""
-    pairs = list(ris_angles)
+def _population(scenario: Scenario, table: _LinkTable, ris_angles, size: int) -> Iterator[TrialResult]:
+    """`Scenario.evaluate_population` on `table`: the one place where gains become rates."""
+    panels, pairs = scenario.ris_panels, list(ris_angles)
     if len(pairs) != len(panels):
         raise ValueError(f"expected {len(panels)} (yaw, roll) pairs, got {len(pairs)}")
     user = np.arange(len(table.h_los))
@@ -301,19 +300,19 @@ def _population(panels, table: _LinkTable, ris_angles, size: int) -> Iterator[tu
         totals = table.h_los + table.h_wall + h_ris
         totals[..., 1:][np.isnan(totals[..., 1:])] = -math.inf  # a NaN wins only as the first, as max() did
         serving = np.argmax(totals, axis=-1)
-        yield (serving, table.h_los[user, serving], table.h_wall[user, serving],
-               h_ris[np.arange(len(h_ris))[:, None], user, serving], table.los_visible[user, serving],
-               table.fov_ok[user, serving])
+        h_los, h_wall = table.h_los[user, serving], table.h_wall[user, serving]
+        h_ris = h_ris[np.arange(len(h_ris))[:, None], user, serving]
+        rates = _airtime_shared_rates(serving, h_los + h_wall + h_ris, scenario.constraints, scenario.noise)
+        yield TrialResult(h_los, h_wall, h_ris, rates, [_in_order_sum(row) for row in rates.tolist()],
+                          table.los_visible[user, serving], table.fov_ok[user, serving], serving)
 
 
 def _trial_result(scenario: Scenario, table: _LinkTable, ris_angles) -> TrialResult:
-    """`Scenario.evaluate_links` on `table`."""
+    """`Scenario.evaluate_links` on `table`: row 0 of a one-candidate `_population` chunk."""
     pairs = [(None, None)] * len(scenario.ris_panels) if ris_angles is None else list(ris_angles)
     ones = [panel.candidate(*pair) for panel, pair in zip(scenario.ris_panels, pairs)]
-    chunk = next(_population(scenario.ris_panels, table, ones + pairs[len(ones):], 1))  # extra pairs meet the count
-    serving, h_los, h_wall, h_ris, los_visible, fov_ok = (column[0] for column in chunk)
-    rates = _airtime_shared_rates(serving, h_los + h_wall + h_ris, scenario.constraints, scenario.noise)
-    return TrialResult(h_los, h_wall, h_ris, rates, _in_order_sum(rates.tolist()), los_visible, fov_ok, serving)
+    chunk = next(_population(scenario, table, ones + pairs[len(ones):], 1))  # extra pairs meet the count
+    return TrialResult(**{name: column[0] for name, column in vars(chunk).items()})
 
 
 def _blocked_legs(aps, positions, normals, cos_fov, bodies, blockers: CylinderSet, point_sets):

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -331,7 +332,7 @@ TWO_KEY_DOCUMENTS = [
      "aps[0].half_intensity_angle_deg", ()),
     ('{"ris": [{"center": [0, 2.5, 1.5], "normal": [1, 0, 0], "reflectivity": 2, "element_size": -1}]}',
      "ris[0].element_size", ()),
-    ('{"room": {"length": 1.7e308, "wall_patch_size": 1e-4}}', "room", ("room.length", "room.wall_patch_size")),
+    ('{"room": {"length": 1e30, "wall_patch_size": 1e-4}}', "room", ("room.length", "room.wall_patch_size")),
 ]
 REFUSED_DOCUMENTS += [pytest.param(text, key, id=f"two-keys-{key}") for text, key, _ in TWO_KEY_DOCUMENTS]
 
@@ -465,6 +466,48 @@ def test_an_ap_and_a_user_too_close_for_the_los_gain_are_refused_naming_both(tmp
         message = r.stderr.strip()
         assert message.startswith(f"ris-vlc: error: aps[0] and user {ahead} coincide: 1e-160 m apart, under ")
         assert len(message) < 200 and "\n" not in message  # one line: no RuntimeWarning came first
+
+
+def test_a_room_too_large_to_square_is_refused_naming_its_key(tmp_path):
+    # 2 pi**2 (L**2 + W**2 + H**2)**2 bounds the wall term's divisor 2 pi**2 d1**2 d2**2 for every leg inside the
+    # room; at L = 1e200 `_legs` overflowed with a RuntimeWarning and every gain read 0. 1 000 times inside the
+    # limit the same document runs, with finite output
+    limit = (sys.float_info.max / (2.0 * math.pi * math.pi)) ** 0.25
+    for length in (1e200, limit / 1e3):
+        doc = {"room": {"length": length, "wall_patch_size": length / 10.0},
+               "aps": [{"position": [length / 2.0, 2.5, 3.0]}], "users": [{"count": 2}]}
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps(doc))
+        r = run_cli("simulate", "--scenario", str(path), "--trials", "2", "--format", "json")
+        if length < limit:
+            assert r.returncode == 0 and r.stderr == "" and _finite_output(r.stdout, "json"), r.stderr
+            continue
+        assert r.returncode == 2 and r.stdout == ""
+        message = r.stderr.strip()
+        assert message.startswith("ris-vlc: error: configuration validation error at room.length: room 1e+200 x 5 x 3")
+        assert len(message) < 200 and "\n" not in message  # one line: no RuntimeWarning came first
+
+
+def test_optimize_refuses_a_pinned_user_with_a_blocker_population_to_draw(tmp_path):
+    # the mirror objective evaluates the deployment the document pins, and it used to leave out the population
+    # that only a trial draws; with `count` 0 there is nothing to draw, and the same document runs
+    for count in (3, 0):
+        doc = {"aps": [{"position": [2.5, 2.5, 3.0]}],
+               "users": [{"position": [4.0, 2.5, 0.75], "orientation": {"polar_deg": 0.0, "azimuth_deg": -90.0}}],
+               "blockers": {"count": count, "positions": [[3.7, 2.45]]},
+               "ris": [{"center": [5.0, 3.5, 1.5], "normal": [-1.0, 0.0, 0.0], "rows": 1, "cols": 1}]}
+        path = tmp_path / "pinned.json"
+        path.write_text(json.dumps(doc))
+        r = run_cli("optimize", "--scenario", str(path), "--algorithm", "pso")
+        if not count:
+            assert r.returncode == 0 and r.stderr == "", r.stderr
+            assert json.loads(r.stdout)["achieved_sum_rate_bps"] > 0.0
+            continue
+        assert r.returncode == 2 and r.stdout == ""
+        message = r.stderr.strip()
+        assert message == ("ris-vlc: error: blockers.count 3 blockers are drawn per trial, so the scenario has no "
+                           "links to evaluate; run trials")
+        assert len(message) < 200
 
 
 def test_boundary_counts_and_sizes_are_accepted(tmp_path):

@@ -23,10 +23,11 @@ population: `_per_candidate_normals` and `_per_candidate_steered_gains` are
 giving one broadcast normal. A population of any size, cut into chunks
 anywhere, must give each candidate the bits this per-candidate code gives it.
 
-`evaluate_links` and `evaluate_population` return (users,) and (candidates,
-users) arrays; `_user_links` turns them back into the per-user `_Link` records
-that the code they replaced built, in Python floats, so these oracles compare
-every field of every user down to the bits.
+`evaluate_links` returns a `TrialResult` of (users,) columns, and
+`evaluate_population` one per chunk with a leading candidate axis; `_user_links`
+turns their columns back into the per-user `_Link` records that the code they
+replaced built, in Python floats, so these oracles compare every field of every
+user down to the bits.
 """
 
 import dataclasses
@@ -90,8 +91,9 @@ def _links_of(result):
 
 
 def _population_links(chunks):
-    """Per candidate its `_user_links`, from the (candidates, users) chunks of `evaluate_population`."""
-    return [_user_links([column[c] for column in chunk]) for chunk in chunks for c in range(len(chunk[0]))]
+    """Per candidate its `_user_links`, from the (candidates, users) columns of `evaluate_population`'s chunks."""
+    return [_user_links([getattr(chunk, name)[c] for name in _COLUMNS]) for chunk in chunks
+            for c in range(len(chunk.sum_rate))]
 
 
 def _static_links_oracle(s):
@@ -590,16 +592,19 @@ def test_a_population_gives_each_candidate_the_per_candidate_bits(s, size, seed,
     pairs = _population(np.random.default_rng(seed), s.ris_panels, size)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(geometry, "_CHUNK_CELLS", cap)
-        got = _population_links(s.evaluate_population(pairs, size))
-        rates = metrics.sum_rates(s, pairs, size)
-    assert len(got) == len(rates) == size
-    for c in range(size):
+        chunks = list(s.evaluate_population(pairs, size))
+    got = _population_links(chunks)
+    rows = [(rates, total) for chunk in chunks for rates, total in zip(chunk.rates, chunk.sum_rate, strict=True)]
+    assert len(got) == len(rows) == size
+    for c, (rates, total) in enumerate(rows):
         one = [(float(yaw[c]) if yaw.ndim == 1 else yaw[c], float(roll[c]) if roll.ndim == 1 else roll[c])
                for yaw, roll in pairs]
         want = _per_candidate_links(s, one)
         assert _same_links(got[c], want), c
-        assert type(rates[c]) is float and rates[c] == _sum_rate_oracle(s, links=want)
-        assert s.evaluate_links(one).sum_rate == sum_rate(s, one) == rates[c]
+        single = s.evaluate_links(one)  # row 0 of a population of one: the same bits as row c of this one
+        assert rates.dtype == single.rates.dtype and rates.tobytes() == single.rates.tobytes(), c
+        assert type(total) is float and repr(total) == repr(single.sum_rate) == repr(sum_rate(s, one)), c
+        assert total == _sum_rate_oracle(s, links=want), c
 
 
 def test_candidates_of_one_population_switch_serving_ap():
@@ -609,13 +614,30 @@ def test_candidates_of_one_population_switch_serving_ap():
     yaw, roll = (a.ravel() for a in np.meshgrid(*[np.linspace(-ANGLE_LIMIT, ANGLE_LIMIT, 21)] * 2, indexing="ij"))
     with pytest.MonkeyPatch.context() as m:
         m.setattr(geometry, "_CHUNK_CELLS", 1009)
-        got = _population_links(s.evaluate_population([(yaw, roll)], len(yaw)))
-        rates = metrics.sum_rates(s, [(yaw, roll)], len(yaw))
+        chunks = list(s.evaluate_population([(yaw, roll)], len(yaw)))
+    got, rates = _population_links(chunks), [rate for chunk in chunks for rate in chunk.sum_rate]
     assert [c for c, (link,) in enumerate(got) if link.serving_ap == 0] == [282, 283, 284, 303, 304]
     for c, links in enumerate(got):
         want = _per_candidate_links(s, [(float(yaw[c]), float(roll[c]))])
         assert _same_links(links, want), c
         assert rates[c] == _sum_rate_oracle(s, links=want) == s.evaluate_links([(yaw[c], roll[c])]).sum_rate
+
+
+def test_each_candidate_shares_airtime_at_its_own_serving_aps():
+    # a second user under AP 1 is always served there; the blocked user joins it except at the 5 candidates that
+    # steer AP 0's light onto it, where each user has its AP to itself
+    base = blocked_benchmark_scenario()
+    near = UserSpec(position=(0.8, 4.2, 0.75), fixed_orientation=DeviceOrientation(0.0, 0.0))
+    s = dataclasses.replace(base, aps=base.aps + (LedTx(position=(0.5, 4.5, 3.0)),), users=base.users + (near,))
+    yaw, roll = (a.ravel() for a in np.meshgrid(*[np.linspace(-ANGLE_LIMIT, ANGLE_LIMIT, 21)] * 2, indexing="ij"))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(geometry, "_CHUNK_CELLS", 1009)
+        chunks = list(s.evaluate_population([(yaw, roll)], len(yaw)))
+    serving, rates = (np.concatenate([getattr(chunk, name) for chunk in chunks]) for name in ("serving_ap", "rates"))
+    assert (serving[:, 1] == 1).all() and np.flatnonzero(serving[:, 0] == 0).tolist() == [282, 283, 284, 303, 304]
+    for c, links in enumerate(_population_links(chunks)):
+        shared = 1 if serving[c, 0] == 0 else 2
+        assert rates[c].tolist() == [link_rate(link.total_gain, s.constraints, s.noise) / shared for link in links], c
 
 
 def test_equal_totals_go_to_the_lowest_index():
@@ -636,22 +658,24 @@ def test_equal_totals_go_to_the_lowest_index():
 def test_a_nan_total_is_served_only_when_it_is_the_first():
     # `_legs` keeps each 1 / d**2 finite, but a 1e150 m**2 detector and a 1e-4 rad beam (order m = 1.4e8) still
     # overflow a wall term 2e-77 m from their AP, and a patch the beam misses turns the inf into NaN: the AP's
-    # wall gain is NaN at every user, and `max` of the Python floats kept such a total only as the first
+    # wall gain is NaN at every user, and `max` of the Python floats kept such a total only as the first. Served,
+    # its rate is refused where the population forms its rates, so a population and `sum_rate` refuse it alike
     base = blocked_benchmark_scenario()
     base = dataclasses.replace(base, users=(dataclasses.replace(base.users[0], area=1e150),))
     near = LedTx(position=base.wall_patches.centers[0] + (2e-77, 0.0, 0.0), half_intensity_angle=1e-4)
-    for aps, served in [(base.aps + (near,), 0), ((near,) + base.aps, None)]:
+    for aps in [base.aps + (near,), (near,) + base.aps]:
         s = dataclasses.replace(base, aps=aps)
         with np.errstate(over="ignore", invalid="ignore"):
             table = s._link_table
         assert np.isnan(table.h_wall[0, aps.index(near)]) and np.isfinite(table.h_wall[0, 1 - aps.index(near)])
-        (got,) = _population_links(s.evaluate_population([(np.zeros(1), np.zeros(1))], 1))
-        assert got[0].serving_ap == 0
-        if served is None:
-            with pytest.raises(ValueError, match=r"^user 0: channel gain must be finite and nonnegative, got nan$"):
-                sum_rate(s)
+        population = s.evaluate_population([(np.zeros(1), np.zeros(1))], 1)
+        if aps[0] is near:
+            for refused in (lambda: next(population), lambda: sum_rate(s)):
+                with pytest.raises(ValueError, match=r"^user 0: channel gain must be finite and nonnegative, got nan$"):
+                    refused()
         else:
-            assert got == _links_of(s.evaluate_links([(0.0, 0.0)])) and sum_rate(s) > 0.0
+            (got,) = _population_links(population)
+            assert got[0].serving_ap == 0 and got == _links_of(s.evaluate_links([(0.0, 0.0)])) and sum_rate(s) > 0.0
 
 
 def test_a_grid_block_population_stays_within_a_bounded_peak():

@@ -217,7 +217,7 @@ _PANEL = dict(panel_center=_ORIGIN, base_normal=(1, 0, 0))
     (lambda: MirrorArray(**_PANEL, rows=1 << 9, cols=1 << 8), "cap"),
     (lambda: OrientationModel(std_polar=1e30), "draws"),
     (lambda: WallPatchSet.for_room(Room(), 1e-4, 0.7), "cap"),
-    (lambda: WallPatchSet.for_room(Room(1.7e308), 0.5, 0.7), "cap"),
+    (lambda: WallPatchSet.for_room(Room(1e70), 1e-250, 0.7), "cap"),
     (lambda: unit((1e300, 1e300, 0.0)), "finite"),
     (lambda: unit((1e-300, 0.0, 0.0)), "nonzero"),
 ], ids=["narrow-beam", "fov", "refractive-index", "area", "user-fov", "bandwidth-zero-variance",
@@ -282,7 +282,7 @@ _AP = LedTx(position=(2.5, 2.5, 3.0))
     (lambda: PdRx(position=(1.0, 1.0, 1.0), fov=1e-300), ("area", "fov", "refractive_index")),
     (lambda: WallPatchSet.tiling(Room(), -1.0), "wall_patch_size"),
     (lambda: WallPatchSet.tiling(Room(), 1e-4), _ROOM_FIELDS),
-    (lambda: WallPatchSet.for_room(Room(1.7e308), 0.5, 0.7), _ROOM_FIELDS),
+    (lambda: WallPatchSet.for_room(Room(1e70), 1e-250, 0.7), _ROOM_FIELDS),
     (lambda: MirrorArray(**_PANEL | dict(panel_center=(0.0, 1.0))), "panel_center"),
     (lambda: MirrorArray(**_PANEL | dict(base_normal=(0.0, 0.0, 0.0))), "base_normal"),
     (lambda: MirrorArray(**_PANEL, rows=0, cols=0), "rows"),
@@ -315,7 +315,9 @@ _AP = LedTx(position=(2.5, 2.5, 3.0))
     (lambda: BlockerPopulation(count=1, height=-1.0), "height"),
     (lambda: Scenario(wall_reflectance=2.0), "wall_reflectance"),
     (lambda: Scenario(wall_patch_size=0.0), "wall_patch_size"),
-    (lambda: Scenario(room=Room(1e300, 5.0, 3.0)), _ROOM_FIELDS),
+    (lambda: Room(1e200, 5.0, 3.0), _ROOM_FIELDS[:3]),
+    (lambda: Room(5.0, np.float64(1e77), 3.0), _ROOM_FIELDS[:3]),  # NumPy scalars square without a RuntimeWarning
+    (lambda: Scenario(room=Room(1e30, 5.0, 3.0)), _ROOM_FIELDS),
     # checks across fields of several parts name the scenario's path to the value
     (lambda: Scenario(aps=(LedTx(position=(9.0, 1.0, 3.0)),)), "aps[0].position"),
     (lambda: Scenario(aps=(_AP,), users=(UserSpec(height=math.nan),)), "users[0].height"),
@@ -329,8 +331,8 @@ def test_each_constructor_check_names_the_field_or_fields_it_refuses(build, key)
 
 
 def test_a_scenario_whose_walls_tile_past_the_cap_is_refused_when_built():
-    with pytest.raises(ConfigError, match=r"gives 2.4e\+303 patches, above the cap of \d+$") as refused:
-        Scenario(room=Room(1e300, 5.0, 3.0), aps=(_AP,), users=(UserSpec(),))
+    with pytest.raises(ConfigError, match=r"gives 2.4e\+33 patches, above the cap of \d+$") as refused:
+        Scenario(room=Room(1e30, 5.0, 3.0), aps=(_AP,), users=(UserSpec(),))
     assert refused.value.key == _ROOM_FIELDS
 
 
@@ -572,7 +574,10 @@ def test_run_trial_sum_rate_is_the_in_order_sum_of_sum_rate():
     # from 8 users on, a pairwise np.add.reduce differed from sum_rate's in-order sum in the last bits
     s = dataclasses.replace(benchmark_scenario(), users=tuple(UserSpec() for _ in range(20)), ris_panels=())
     for seed in range(30):
-        assert run_trial(s, seed).sum_rate == sum_rate(realized_scenario(s, np.random.default_rng(seed)))
+        result, total = run_trial(s, seed), 0.0
+        for rate in result.rates.tolist():
+            total += rate
+        assert result.sum_rate == total == sum_rate(realized_scenario(s, np.random.default_rng(seed)))
 
 
 def test_realize_empty_population_draws_nothing():
@@ -582,6 +587,27 @@ def test_realize_empty_population_draws_nothing():
     before = rng.bit_generator.state
     assert len(realize(s, rng).blockers) == 0
     assert rng.bit_generator.state == before
+
+
+def test_a_pinned_scenario_refuses_to_evaluate_what_a_trial_would_draw():
+    # a realized scenario used to evaluate without its blocker population: `sum_rate` read 2716119.526438994 with
+    # 200 population blockers as without them. The link table now refuses whatever `realize` would draw, while a
+    # trial still draws it
+    base = blocked_benchmark_scenario()
+    crowded = dataclasses.replace(base, blocker_population=BlockerPopulation(count=200))
+    refusal = r"^blockers.count 200 blockers are drawn per trial, so the scenario has no links to evaluate; run trials$"
+    for evaluate in (lambda: sum_rate(crowded), lambda: next(crowded.evaluate_population([([0.0], [0.0])], 1))):
+        with pytest.raises(ValueError, match=refusal):
+            evaluate()
+    assert sum_rate(base) == 2716119.526438994
+    assert sum_rate(dataclasses.replace(base, blocker_population=BlockerPopulation(count=0))) == sum_rate(base)
+    assert len(realize(crowded, np.random.default_rng(1)).blockers) == 201
+    assert run_trial(crowded, 1).sum_rate < run_trial(base, 1).sum_rate == sum_rate(base)
+    # a drawn user is named first, by its index after `count` expansion
+    pinned = {"position": [4.0, 2.5, 0.75], "orientation": {"polar_deg": 0.0}, "count": 2}
+    doc = {"aps": [{"position": [2.5, 2.5, 3.0]}], "users": [pinned, {}], "blockers": {"count": 3}}
+    with pytest.raises(ValueError, match=r"^user 2 is unsampled: its position or orientation is drawn per trial, "):
+        sum_rate(load_scenario(json.dumps(doc)))
 
 
 _XY = st.floats(0.3, 4.7)

@@ -21,6 +21,14 @@ another one whose every gain must be the same:
 Only the order of floating-point sums changes (the wall patches of the
 mapped room are the same set in another order), so the gains agree to a
 relative 1e-9, with an absolute floor for gains in the subnormal range.
+
+The closed-form specular angles of `tests/test_specular.py`, which steer every
+element from the one LED onto the one user, must commute with each map: the
+angles of the mapped deployment are the map's image of the angles of the
+original one, on panels on all four walls under every map and on a ceiling
+panel under y -> W - y. Both come from `atan2` of unit vectors, so they agree
+to the same relative 1e-9, with an absolute floor of 1e-12 rad for angles
+near zero, whose last bits `atan2` does not keep under the map.
 """
 
 import dataclasses
@@ -28,6 +36,7 @@ import math
 
 import numpy as np
 from conftest import realized_scenario
+from test_specular import specular_pairs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -54,6 +63,14 @@ TEMPLATE = dataclasses.replace(
 CEILING = dataclasses.replace(
     TEMPLATE, aps=TEMPLATE.aps + (LedTx(position=(1.0, 4.0, 1.0), normal=(0.3, -0.3, 1.0)),),
     ris_panels=TEMPLATE.ris_panels + (MirrorArray((3.2, 3.4, 2.9), (0.0, 0.0, -1.0), 3, 4, beam_spread=0.3),))
+
+# the off-axis AP alone, one user and a panel on each of the four walls, as `specular_pairs` steers them
+FOUR_WALLS = dataclasses.replace(
+    TEMPLATE, aps=TEMPLATE.aps[1:], users=TEMPLATE.users[:1],
+    ris_panels=TEMPLATE.ris_panels + (MirrorArray((2.0, SIDE, 1.4), (0.0, -1.0, 0.0), 2, 3),))
+# the same with the uplight alone, and the ceiling panel it lights
+UPLIT = dataclasses.replace(FOUR_WALLS, aps=CEILING.aps[2:], ris_panels=FOUR_WALLS.ris_panels + CEILING.ris_panels[3:])
+ANGLE_ATOL = 1e-12
 
 
 def _rotate(point):
@@ -160,3 +177,33 @@ def test_the_maps_move_every_panel_onto_another_wall():
         mapped = _mapped(s, *MAPS[name])
         assert [tuple(panel.base_normal[:2]) for panel in mapped.ris_panels] == expected, name
         assert mapped.room == s.room and len(mapped.wall_patches) == len(s.wall_patches)
+
+
+def _assert_specular_angles_commute(s, name):
+    """`specular_pairs` of `s` mapped by `name` equals the map's image of `specular_pairs` of `s`."""
+    steered = dataclasses.replace(s, ris_panels=tuple(
+        panel.with_angles(yaw, roll) for panel, (yaw, roll) in zip(s.ris_panels, specular_pairs(s))))
+    want = _mapped(steered, *MAPS[name]).ris_panels
+    got = specular_pairs(_mapped(s, *MAPS[name]))
+    assert len(got) == len(want) == len(s.ris_panels)
+    for i, ((yaw, roll), panel) in enumerate(zip(got, want)):
+        np.testing.assert_allclose(yaw, panel.yaw, rtol=RTOL, atol=ANGLE_ATOL, err_msg=f"{name}: panel {i} yaw")
+        np.testing.assert_allclose(roll, panel.roll, rtol=RTOL, atol=ANGLE_ATOL, err_msg=f"{name}: panel {i} roll")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_the_specular_angles_commute_with_every_map_on_all_four_walls(seed):
+    s = realized_scenario(FOUR_WALLS, np.random.default_rng(seed))
+    assert sorted(tuple(panel.base_normal[:2]) for panel in s.ris_panels) == [
+        (-1.0, 0.0), (0.0, -1.0), (0.0, 1.0), (1.0, 0.0)]
+    for name in MAPS:
+        _assert_specular_angles_commute(s, name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_the_specular_angles_commute_with_the_y_reflection_on_a_ceiling_panel(seed):
+    s = realized_scenario(UPLIT, np.random.default_rng(seed))
+    assert s.ris_panels[-1].base_normal[2] == -1.0 and s.aps[0].normal[2] > 0.0
+    _assert_specular_angles_commute(s, "y-reflection")
